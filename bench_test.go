@@ -812,10 +812,20 @@ func BenchmarkTraceStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	next := 0
+	push := func() {
+		stream.Push(wr.SamplesRF[1+next%(len(wr.SamplesRF)-1)])
+		next++
+	}
+	// Warm the stream's scratch first (memo buckets, pool capacity), so a
+	// short -benchtime 3x run bills steady-state steps, not its growth.
+	for i := 0; i < 8; i++ {
+		push()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stream.Push(wr.SamplesRF[1+i%(len(wr.SamplesRF)-1)])
+		push()
 	}
 }
 

@@ -79,8 +79,7 @@ func (p Pair) LobeCount() int { return 2*p.MaxLobeIndex() + 1 }
 // Eq. 2 in turns, using exact 3-D distances (the hyperbola form the paper
 // recommends at close range, not the far-field cos θ approximation).
 func (p Pair) DeltaDistTurns(pos geom.Vec3) float64 {
-	dd := pos.Dist(p.I.Pos) - pos.Dist(p.J.Pos)
-	return p.Link.TravelFactor() * dd / p.Carrier.WavelengthM
+	return deltaDistTurns(p.Link.TravelFactor(), pos.Dist(p.I.Pos), pos.Dist(p.J.Pos), p.Carrier.WavelengthM)
 }
 
 // PhaseDiffTurns converts two measured wrapped phases into the observable
@@ -126,23 +125,14 @@ func (p Pair) NearestLobe(pos geom.Vec3, measuredTurns float64) int {
 // distance (in turns) from pos to the *closest* grating lobe consistent
 // with the measured phase difference.
 func (p Pair) VoteFree(pos geom.Vec3, measuredTurns float64) float64 {
-	frac := p.DeltaDistTurns(pos) - measuredTurns
-	k := math.Round(frac)
-	if max := float64(p.MaxLobeIndex()); k > max {
-		k = max
-	} else if k < -max {
-		k = -max
-	}
-	r := frac - k
-	return -r * r
+	return voteFree(p.DeltaDistTurns(pos), measuredTurns, float64(p.MaxLobeIndex()))
 }
 
 // VoteFixed is the tracing-time vote with the lobe index pinned (Eq. 7 with
 // fixed k and unwrapped phase): the negated squared residual against lobe k
 // given the *unwrapped* phase-difference track in turns.
 func (p Pair) VoteFixed(pos geom.Vec3, unwrappedTurns float64, k int) float64 {
-	r := p.DeltaDistTurns(pos) - unwrappedTurns - float64(k)
-	return -r * r
+	return voteFixed(p.DeltaDistTurns(pos), unwrappedTurns, k)
 }
 
 // Array is a uniform linear array of antennas, used by the baseline AoA

@@ -1,0 +1,83 @@
+package antenna_test
+
+import (
+	"math"
+	"testing"
+	"testing/quick"
+
+	"rfidraw/internal/antenna"
+	"rfidraw/internal/deploy"
+	"rfidraw/internal/geom"
+)
+
+// TestKernelDedupsAntennas: each distinct element gets one distance slot,
+// however many pairs share it.
+func TestKernelDedupsAntennas(t *testing.T) {
+	for _, name := range deploy.GeometryNames() {
+		g, err := deploy.GeometryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := g.BuildDefault()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := antenna.NewKernel(d.AllPairs()); k.Antennas() != len(d.Antennas) {
+			t.Fatalf("%s: kernel has %d distance slots for %d antennas", name, k.Antennas(), len(d.Antennas))
+		}
+	}
+}
+
+// TestQuickKernelMatchesPair is the kernel's bit-identity property: for
+// every named geometry, at random writing-plane positions that include
+// the region border and corners, each pair's kernel values are == to the
+// Pair reference methods — not merely close — so searches that mix
+// steering-table and direct scores compare equal values.
+func TestQuickKernelMatchesPair(t *testing.T) {
+	for _, name := range deploy.GeometryNames() {
+		g, err := deploy.GeometryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := g.BuildDefault()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := d.AllPairs()
+		k := antenna.NewKernel(pairs)
+		dist := make([]float64, k.Antennas())
+		region := g.Region()
+		// coord maps u into [lo, hi], except that edge 0 and 1 snap to
+		// the bounds, so borders and corners come up often.
+		coord := func(u uint32, edge uint8, lo, hi float64) float64 {
+			switch edge % 4 {
+			case 0:
+				return lo
+			case 1:
+				return hi
+			}
+			return lo + (hi-lo)*float64(u)/math.MaxUint32
+		}
+		f := func(ux, uz, uy uint32, ex, ez uint8, turns float64, lobe int8) bool {
+			pos := geom.Vec2{
+				X: coord(ux, ex, region.Min.X, region.Max.X),
+				Z: coord(uz, ez, region.Min.Z, region.Max.Z),
+			}
+			p3 := geom.Plane{Y: 0.3 + 4*float64(uy)/math.MaxUint32}.To3D(pos)
+			turns = math.Mod(turns, 1)
+			k.Distances(p3, dist)
+			for p, pr := range pairs {
+				if k.DeltaDistTurns(p, dist) != pr.DeltaDistTurns(p3) ||
+					k.VoteFixed(p, dist, turns, int(lobe)) != pr.VoteFixed(p3, turns, int(lobe)) ||
+					k.VoteFree(p, dist, turns) != pr.VoteFree(p3, turns) {
+					t.Logf("%s: pair %d differs at %v", name, p, p3)
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}

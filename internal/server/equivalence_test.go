@@ -149,6 +149,7 @@ func TestEncodingEquivalenceLive(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
+	awaitIngested(t, srv, id, rs.Sent())
 	if err := ndjsonClient.DrainSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +223,7 @@ func TestEncodingEquivalenceCatchup(t *testing.T) {
 	}
 	// Drain so the prefix is on disk and the catch-up head is stable
 	// before either subscriber snapshots it.
+	awaitIngested(t, srv, id, rs.Sent())
 	if err := ndjsonClient.DrainSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +252,11 @@ func TestEncodingEquivalenceCatchup(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
+	awaitIngested(t, srv, id, rs.Sent())
 	if err := ndjsonClient.DrainSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
+	awaitCaughtUp(t, srv, id)
 	if err := ndjsonClient.DeleteSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}

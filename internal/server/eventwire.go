@@ -214,8 +214,10 @@ func (r *EventReader) next() (Event, error) {
 		}
 		return Event{}, err
 	}
+	// Read the CRC from frame, not hdr: the second Peek may have slid the
+	// buffered bytes, leaving hdr pointing at stale memory.
 	payload := frame[eventFrameHeader:]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:]) {
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(frame[4:eventFrameHeader]) {
 		return Event{}, fmt.Errorf("%w: CRC mismatch", ErrBadEventFrame)
 	}
 	ev, err := decodeEventPayload(payload)

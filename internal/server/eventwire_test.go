@@ -193,3 +193,67 @@ func TestEventStrictRejectsCorruptCRC(t *testing.T) {
 		t.Fatalf("want ErrBadEventFrame on CRC damage, got %v", err)
 	}
 }
+
+// chunkReader hands its bytes out at most k per Read, the way a socket
+// delivers a stream in arbitrary segments.
+type chunkReader struct {
+	b []byte
+	k int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b[:min(r.k, len(r.b))])
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// TestEventReaderChunkedStream: a valid stream decodes intact however
+// the transport splits it. A frame whose header arrives before its
+// payload makes the reader's second Peek slide the buffered bytes; the
+// CRC must be read from the frame that Peek returned, not from the
+// header slice taken before it.
+func TestEventReaderChunkedStream(t *testing.T) {
+	stream := fuzzEventStream(t, 40)
+	var want []Event
+	whole := NewEventReader(bytes.NewReader(stream))
+	for {
+		ev, err := whole.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, ev)
+	}
+	readers := map[string]func(io.Reader) *EventReader{
+		"strict": NewEventReader,
+		"resync": NewResyncEventReader,
+	}
+	for k := 1; k <= 80; k++ {
+		for mode, open := range readers {
+			r := open(&chunkReader{b: stream, k: k})
+			for i := 0; ; i++ {
+				ev, err := r.Next()
+				if errors.Is(err, io.EOF) {
+					if i != len(want) {
+						t.Fatalf("%s, %d-byte reads: stream ended after %d of %d events", mode, k, i, len(want))
+					}
+					break
+				}
+				if err != nil {
+					t.Fatalf("%s, %d-byte reads: event %d: %v", mode, k, i, err)
+				}
+				if i >= len(want) || ev != want[i] {
+					t.Fatalf("%s, %d-byte reads: event %d decoded to %+v", mode, k, i, ev)
+				}
+			}
+			if r.Resyncs() != 0 {
+				t.Fatalf("%s, %d-byte reads: skipped %d bytes of an undamaged stream", mode, k, r.Resyncs())
+			}
+		}
+	}
+}

@@ -139,6 +139,96 @@ func feedSession(t testing.TB, run *sim.MultiWordRun, sess *Session) {
 	}
 }
 
+// awaitIngested waits until the session's pump has taken in n reports.
+// The ingest gateway reads a reader socket on its own goroutine, so
+// reports a client has sent — even after closing its stream — can still
+// be in flight; a drain that overtakes them, and a delete after it, can
+// leave a subscriber's stream with nothing but "end".
+func awaitIngested(t *testing.T, srv *Server, id string, n int64) {
+	t.Helper()
+	sess, ok := srv.reg.Get(id)
+	if !ok {
+		t.Fatalf("session %s vanished", id)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for sess.reports.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("session %s took in %d of %d reports sent", id, sess.reports.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// awaitCaughtUp waits until no subscriber of the session is still
+// replaying its WAL catch-up. Closing the session cancels a replay in
+// progress, which cuts that subscriber's stream short.
+func awaitCaughtUp(t *testing.T, srv *Server, id string) {
+	t.Helper()
+	sess, ok := srv.reg.Get(id)
+	if !ok {
+		t.Fatalf("session %s vanished", id)
+	}
+	catchingUp := func() int {
+		sess.emitMu.Lock()
+		defer sess.emitMu.Unlock()
+		n := 0
+		for sub := range sess.subs {
+			if sub.catchingUp {
+				n++
+			}
+		}
+		return n
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for n := catchingUp(); n > 0; n = catchingUp() {
+		if time.Now().After(deadline) {
+			t.Fatalf("session %s: %d subscribers still catching up", id, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPumpIdleTickWaitsForQueuedInput: a housekeeping tick that finds
+// input queued is not silence. The test plays the pump's goroutine on a
+// session shell, so the pump's select cannot race it: with reports held
+// in the reorder window and one more waiting in the inbox, two ticks must
+// not drain; once the pump has taken the input, two ticks must.
+func TestPumpIdleTickWaitsForQueuedInput(t *testing.T) {
+	run, _ := scenario(t)
+	reg := testRegistry(t, RegistryConfig{NoRecognize: true})
+	s := sessionShell(reg, SessionSpec{ID: "pump-idle"}, resumeState{})
+	s.handleSweep(perTagSweep(run))
+	if s.eng == nil {
+		t.Fatal("no engine built")
+	}
+	defer s.eng.Close()
+	reps := realtime.MergeStreams(run.ReportsRF...)
+	for _, rep := range reps[:8] {
+		s.handleReport(rep, 0)
+	}
+	held := s.reorder.Len()
+	if held == 0 {
+		t.Fatal("no report held in the reorder window")
+	}
+	s.inbox <- ingestItem{rep: reps[8]}
+	var clock pumpClock
+	s.tick(&clock)
+	s.tick(&clock)
+	if s.reorder.Len() != held {
+		t.Fatalf("two ticks with input queued drained the session: %d held reports became %d", held, s.reorder.Len())
+	}
+	s.handle(<-s.inbox)
+	clock.idle = 0 // what the pump does on every inbox item
+	s.tick(&clock)
+	if s.reorder.Len() == 0 {
+		t.Fatal("one idle tick drained the session")
+	}
+	s.tick(&clock)
+	if s.reorder.Len() != 0 {
+		t.Fatalf("two idle ticks left %d reports in the reorder window", s.reorder.Len())
+	}
+}
+
 // drainCount consumes a subscriber channel until it closes, counting
 // events by type.
 func drainCount(sub *Subscriber, wg *sync.WaitGroup, out *map[string]int, mu *sync.Mutex) {

@@ -482,6 +482,15 @@ type resumeState struct {
 }
 
 func newSession(reg *Registry, spec SessionSpec, resume resumeState) *Session {
+	s := sessionShell(reg, spec, resume)
+	go s.pump(spec.Sweep)
+	go s.emitFlusher()
+	return s
+}
+
+// sessionShell builds a live session's state without starting its pump
+// and emit flusher goroutines.
+func sessionShell(reg *Registry, spec SessionSpec, resume resumeState) *Session {
 	s := &Session{
 		ID:         spec.ID,
 		Created:    time.Now(),
@@ -518,8 +527,6 @@ func newSession(reg *Registry, spec SessionSpec, resume resumeState) *Session {
 		s.timeline.Record(obs.EventCreate, "geometry="+spec.Geometry)
 	}
 	s.touch()
-	go s.pump(spec.Sweep)
-	go s.emitFlusher()
 	return s
 }
 
@@ -1099,25 +1106,14 @@ func (s *Session) pump(sweep time.Duration) {
 	}
 	ticker := time.NewTicker(pumpTick)
 	defer ticker.Stop()
-	idleTicks, ticks := 0, 0
+	var clock pumpClock
 	for {
 		select {
 		case it := <-s.inbox:
-			idleTicks = 0
+			clock.idle = 0
 			s.handle(it)
 		case <-ticker.C:
-			idleTicks++
-			ticks++
-			if idleTicks == 2 {
-				// ~100 ms of ingest silence: the stream paused or ended.
-				// Drain the reorder buffer, close open sweeps so the last
-				// positions reach subscribers, and finalize idle strokes.
-				s.drain()
-				s.finalizeStrokes()
-			}
-			if ticks%statsEvery == 0 {
-				s.refreshStats()
-			}
+			s.tick(&clock)
 		case <-s.quit:
 			for {
 				select {
@@ -1148,6 +1144,32 @@ func (s *Session) pump(sweep time.Duration) {
 			s.broadcast(Event{Type: "end"})
 			return
 		}
+	}
+}
+
+// pumpClock is the pump's tick bookkeeping: consecutive idle ticks and
+// the tick count behind the stats cadence.
+type pumpClock struct{ idle, ticks int }
+
+// tick runs the pump's housekeeping for one ticker tick. Two idle ticks
+// in a row (~100 ms of ingest silence: the stream paused or ended) drain
+// the reorder buffer, close open sweeps so the last positions reach
+// subscribers, and finalize idle strokes. Only a tick that finds the
+// inbox empty counts as idle: one burst or a stats refresh can hold the
+// pump on a full engine queue for several tick periods, select may then
+// take the ticker twice in a row while input waits, and a drain there
+// would close open sweeps mid-word.
+func (s *Session) tick(c *pumpClock) {
+	c.ticks++
+	if len(s.inbox) == 0 {
+		c.idle++
+		if c.idle == 2 {
+			s.drain()
+			s.finalizeStrokes()
+		}
+	}
+	if c.ticks%statsEvery == 0 {
+		s.refreshStats()
 	}
 }
 

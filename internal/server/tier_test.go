@@ -43,7 +43,7 @@ func tierServer(t *testing.T) *Server {
 
 // feedOverIngest replays the scenario into a session over the ingest
 // gateway and drains it, so every derived event has reached subscribers.
-func feedOverIngest(t *testing.T, ctx context.Context, c *Client, id string) {
+func feedOverIngest(t *testing.T, ctx context.Context, srv *Server, c *Client, id string) {
 	t.Helper()
 	run, _ := scenario(t)
 	rs, err := c.DialIngest(id, readerwire.Hello{
@@ -64,6 +64,7 @@ func feedOverIngest(t *testing.T, ctx context.Context, c *Client, id string) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
+	awaitIngested(t, srv, id, rs.Sent())
 	if err := c.DrainSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestTierStreamSubsets(t *testing.T) {
 		wg.Add(1)
 		go collectEvents(events, out, &wg)
 	}
-	feedOverIngest(t, ctx, clients["1"], id)
+	feedOverIngest(t, ctx, srv, clients["1"], id)
 	if err := clients["1"].DeleteSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestTierT1ByteIdentity(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	feedOverIngest(t, ctx, c, id)
+	feedOverIngest(t, ctx, srv, c, id)
 	if err := c.DeleteSession(ctx, id); err != nil {
 		t.Fatal(err)
 	}

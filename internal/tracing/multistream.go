@@ -135,7 +135,6 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 		init3 := tr.cfg.Plane.To3D(cands[hi].Pos)
 		observed := 0
 		for i, p := range tr.pairs {
-			h.states[i].pair = p
 			if t, ok := vote.PairTurns(p, first.Phase); ok {
 				h.states[i].turns = t
 				h.states[i].k = p.NearestLobe(init3, t)
@@ -162,6 +161,7 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 // reply loss (no hypothesis could advance).
 func (ms *MultiStream) Push(sample Sample) (step Step, ok bool) {
 	advanced := false
+	dist := ms.sc.DistBuf(ms.tr.kernel.Antennas())
 	for hi := range ms.hyps {
 		h := &ms.hyps[hi]
 		if h.retired {
@@ -172,9 +172,9 @@ func (ms *MultiStream) Push(sample Sample) (step Step, ok bool) {
 			continue // reply loss: hold position until pairs return
 		}
 		var evals int
-		h.pos, evals = ms.tr.step(h.states, h.pos, ms.sc)
+		h.pos, evals = ms.tr.step(h.states, h.pos, ms.sc, dist)
 		h.evals += evals
-		v := ms.tr.totalFixedVote(h.states, h.pos)
+		v := ms.tr.totalFixedVote(h.states, h.pos, dist)
 		h.total += v
 		h.count++
 		h.lastVote = v

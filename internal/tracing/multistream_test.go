@@ -56,6 +56,38 @@ func TestMultiStreamRetiresCollapsedHypothesis(t *testing.T) {
 	}
 }
 
+// TestMultiStreamPushZeroAllocs gates the live tracing step at zero
+// allocations per sweep: a warm MultiStream with two active hypotheses
+// and Record off pushes samples without allocating, so a shard's steady
+// state costs search work only.
+func TestMultiStreamPushZeroAllocs(t *testing.T) {
+	tr, d := testTracer(t)
+	path := circlePath(geom.Vec2{X: 1.3, Z: 1.0}, 0.12, 80)
+	samples := synthSamples(d, path, 0, nil)
+	cands := []vote.Candidate{
+		{Pos: path[0]},
+		{Pos: path[0].Add(geom.Vec2{X: 0.45, Z: 0.3})},
+	}
+	ms, err := tr.NewMultiStream(cands, samples[0], MultiConfig{RetireMargin: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range samples {
+		ms.Push(s)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(samples), func() {
+		ms.Push(samples[i%len(samples)])
+		i++
+	})
+	if ms.Active() < 2 {
+		t.Fatalf("active hypotheses = %d, want ≥2", ms.Active())
+	}
+	if allocs != 0 {
+		t.Fatalf("MultiStream.Push allocates %v allocs/op in steady state, want 0", allocs)
+	}
+}
+
 // TestMultiStreamRetirementDisabled: a negative margin keeps every
 // hypothesis stepping to the end.
 func TestMultiStreamRetirementDisabled(t *testing.T) {

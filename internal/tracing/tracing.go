@@ -142,7 +142,10 @@ const trackerTopK = 2
 // Tracer traces trajectories for a fixed set of antenna pairs.
 type Tracer struct {
 	pairs []antenna.Pair
-	cfg   Config
+	// kernel evaluates the pairs' fixed-lobe votes; pair i of the kernel
+	// is pairs[i], which is also a hypothesis's pairState index.
+	kernel *antenna.Kernel
+	cfg    Config
 	// scratch pools reusable search state for Trace calls that are not
 	// handed an explicit scratch; the engine's shards pass their own.
 	scratch sync.Pool
@@ -158,7 +161,7 @@ func NewTracer(pairs []antenna.Pair, cfg Config) (*Tracer, error) {
 	if cfg.Region.Width() <= 0 || cfg.Region.Height() <= 0 {
 		return nil, fmt.Errorf("tracing: degenerate region %+v", cfg.Region)
 	}
-	tr := &Tracer{pairs: pairs, cfg: cfg}
+	tr := &Tracer{pairs: pairs, kernel: antenna.NewKernel(pairs), cfg: cfg}
 	tr.scratch.New = func() any { return vote.NewScratch() }
 	return tr, nil
 }
@@ -167,9 +170,9 @@ func NewTracer(pairs []antenna.Pair, cfg Config) (*Tracer, error) {
 func (tr *Tracer) Config() Config { return tr.cfg }
 
 // pairState is the per-pair tracking state: the locked lobe and the
-// unwrapped phase-difference track.
+// unwrapped phase-difference track. The i-th state belongs to the
+// tracer's i-th pair.
 type pairState struct {
-	pair antenna.Pair
 	// k is the locked grating-lobe index, fixed at the initial position
 	// (§5.2: "identifies the grating lobe ... closest to this position,
 	// and keeps tracking the continuous rotation of this grating lobe").
@@ -255,13 +258,13 @@ func (tr *Tracer) update(states []pairState, obs vote.Observations, cur geom.Vec
 	active := 0
 	for i := range states {
 		st := &states[i]
-		t, ok := vote.PairTurns(st.pair, obs)
+		t, ok := vote.PairTurns(tr.pairs[i], obs)
 		if !ok {
 			continue
 		}
 		if !st.seen {
 			st.turns = t
-			st.k = st.pair.NearestLobe(cur3, t)
+			st.k = tr.pairs[i].NearestLobe(cur3, t)
 			st.seen = true
 		} else {
 			// Unwrap in turns: move to the congruent value nearest
@@ -273,15 +276,17 @@ func (tr *Tracer) update(states []pairState, obs vote.Observations, cur geom.Vec
 	return active
 }
 
-// totalFixedVote sums every seen pair's fixed-lobe vote at a position.
-func (tr *Tracer) totalFixedVote(states []pairState, pos geom.Vec2) float64 {
-	p3 := tr.cfg.Plane.To3D(pos)
+// totalFixedVote sums every seen pair's fixed-lobe vote at a position,
+// taking each antenna's distance once into dist (the kernel's Antennas
+// slots).
+func (tr *Tracer) totalFixedVote(states []pairState, pos geom.Vec2, dist []float64) float64 {
+	tr.kernel.Distances(tr.cfg.Plane.To3D(pos), dist)
 	var sum float64
 	for i := range states {
 		if !states[i].seen {
 			continue
 		}
-		sum += states[i].pair.VoteFixed(p3, states[i].turns, states[i].k)
+		sum += tr.kernel.VoteFixed(i, dist, states[i].turns, states[i].k)
 	}
 	return sum
 }
@@ -293,19 +298,20 @@ func (tr *Tracer) totalFixedVote(states []pairState, pos geom.Vec2) float64 {
 // last fix and expands toward VicinityRadius only while the maximum sits
 // on the window border, so a steady-state sample costs a handful of
 // evaluations instead of the full vicinity lattice. Dense mode is the
-// original exhaustive scan plus shrinking pattern search.
-func (tr *Tracer) step(states []pairState, cur geom.Vec2, sc *vote.Scratch) (geom.Vec2, int) {
+// original exhaustive scan plus shrinking pattern search. dist is the
+// kernel's distance buffer.
+func (tr *Tracer) step(states []pairState, cur geom.Vec2, sc *vote.Scratch, dist []float64) (geom.Vec2, int) {
 	if tr.cfg.Search.Mode == vote.SearchHierarchical {
 		pos, _, evals := vote.HierarchicalSearch(
 			tr.cfg.Search, tr.cfg.Region, cur,
 			tr.cfg.VicinityRadius, tr.cfg.CoarseStep, tr.cfg.FineStep,
 			trackerTopK, sc,
-			func(p geom.Vec2) float64 { return tr.totalFixedVote(states, p) },
+			func(p geom.Vec2) float64 { return tr.totalFixedVote(states, p, dist) },
 		)
 		return pos, evals
 	}
 	best := cur
-	bestV := tr.totalFixedVote(states, cur)
+	bestV := tr.totalFixedVote(states, cur, dist)
 	evals := 1
 	r := tr.cfg.VicinityRadius
 	s := tr.cfg.VicinityStep
@@ -313,7 +319,7 @@ func (tr *Tracer) step(states []pairState, cur geom.Vec2, sc *vote.Scratch) (geo
 		for dz := -r; dz <= r+1e-12; dz += s {
 			cand := tr.cfg.Region.Clip(geom.Vec2{X: cur.X + dx, Z: cur.Z + dz})
 			evals++
-			if v := tr.totalFixedVote(states, cand); v > bestV {
+			if v := tr.totalFixedVote(states, cand, dist); v > bestV {
 				bestV, best = v, cand
 			}
 		}
@@ -329,7 +335,7 @@ func (tr *Tracer) step(states []pairState, cur geom.Vec2, sc *vote.Scratch) (geo
 				}
 				cand := tr.cfg.Region.Clip(geom.Vec2{X: best.X + float64(dx)*step, Z: best.Z + float64(dz)*step})
 				evals++
-				if v := tr.totalFixedVote(states, cand); v > bestV {
+				if v := tr.totalFixedVote(states, cand, dist); v > bestV {
 					bestV, best = v, cand
 					improved = true
 				}

@@ -2,7 +2,7 @@ package vote
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"rfidraw/internal/geom"
 )
@@ -82,11 +82,12 @@ type scoredPoint struct {
 }
 
 // Scratch is the reusable per-goroutine search state: the stage-1 score
-// buffer, the evaluation memo, the candidate pools and the sweep-merge /
-// phase-averaging observation buffers. It exists so the hot path allocates
-// nothing once warm — the engine keeps one per worker shard (from a
-// sync.Pool), streams keep one per live trace. A Scratch is NOT safe for
-// concurrent use; results never depend on its prior content.
+// buffer, the evaluation memo, the candidate pools, the vote kernel's
+// distance buffer and the sweep-merge / phase-averaging observation
+// buffers. It exists so the hot path allocates nothing once warm — the
+// engine keeps one per worker shard (from a sync.Pool), streams keep one
+// per live trace. A Scratch is NOT safe for concurrent use; results never
+// depend on its prior content.
 type Scratch struct {
 	// stage1 is the positioner's coarse-lattice score buffer.
 	stage1 []float64
@@ -97,8 +98,12 @@ type Scratch struct {
 	// selection always reads this slice (never the map) so results are
 	// deterministic.
 	pool []scoredPoint
-	// cells and cellsNext are the table-descent frontiers.
+	// cells and cellsNext are the table-descent frontiers; children
+	// receives one cell's MultiResTable.Children.
 	cells, cellsNext []tableCell
+	children         []int
+	// dist is the antenna.Kernel distance buffer handed out by DistBuf.
+	dist []float64
 	// obs is the reusable observation map handed out by ObsBuf.
 	obs Observations
 	// phasor is the reusable per-antenna phasor accumulator (PhasorBuf).
@@ -116,6 +121,16 @@ func (s *Scratch) stage1Buf(n int) []float64 {
 		s.stage1 = make([]float64, n)
 	}
 	return s.stage1[:n]
+}
+
+// DistBuf returns the scratch's antenna-distance buffer with n slots (an
+// antenna.Kernel's Antennas()), for evaluating direct votes without a
+// per-evaluation allocation. Its content is whatever the last user left.
+func (s *Scratch) DistBuf(n int) []float64 {
+	if cap(s.dist) < n {
+		s.dist = make([]float64, n)
+	}
+	return s.dist[:n]
 }
 
 // ObsBuf returns the scratch's observation buffer, cleared. Sweep merging
@@ -201,15 +216,31 @@ func (s *searcher) score(p geom.Vec2) float64 {
 	return v
 }
 
-// topK sorts the pool best-first (stable, so exact ties keep visit order
-// and results stay deterministic) and truncates it to k entries.
+// topK truncates the pool to its k best entries, best first, in the order
+// a stable sort would leave them (exact ties keep visit order, so results
+// stay deterministic). It is an in-place insertion selection: the prefix
+// pool[:k] stays sorted and a later point enters it only by strictly
+// beating its last entry.
 func (s *searcher) topK(k int) {
-	sort.SliceStable(s.sc.pool, func(a, b int) bool {
-		return s.sc.pool[a].score > s.sc.pool[b].score
-	})
-	if len(s.sc.pool) > k {
-		s.sc.pool = s.sc.pool[:k]
+	pool := s.sc.pool
+	if k > len(pool) {
+		k = len(pool)
 	}
+	for i := 1; i < len(pool); i++ {
+		p := pool[i]
+		j := i
+		if i >= k {
+			if !(p.score > pool[k-1].score) {
+				continue
+			}
+			j = k - 1 // p displaces the current k-th entry
+		}
+		for ; j > 0 && p.score > pool[j-1].score; j-- {
+			pool[j] = pool[j-1]
+		}
+		pool[j] = p
+	}
+	s.sc.pool = pool[:k]
 }
 
 func (s *searcher) best() scoredPoint {
@@ -408,7 +439,8 @@ func (p *Positioner) descendTable(cells []int, po []pairObs, sc *Scratch) ([]tab
 		t := p.multi.Level(l)
 		sc.cellsNext = sc.cellsNext[:0]
 		for _, c := range sc.cells {
-			for _, child := range p.multi.Children(l-1, c.idx) {
+			sc.children = p.multi.Children(sc.children[:0], l-1, c.idx)
+			for _, child := range sc.children {
 				if containsCell(sc.cellsNext, child) {
 					continue
 				}
@@ -431,11 +463,13 @@ func (p *Positioner) descendTable(cells []int, po []pairObs, sc *Scratch) ([]tab
 // single-level tables, whose coarse scores cannot rank branches).
 func (p *Positioner) directRefine(frontier []tableCell, po []pairObs, sc *Scratch, branch int) (geom.Vec2, float64, int) {
 	sc.resetSearch()
+	dist := sc.DistBuf(p.kernel.Antennas())
 	s := &searcher{sc: sc, region: p.cfg.Region, quant: p.cfg.FineRes / 4, eval: func(pos geom.Vec2) float64 {
-		return totalVote(pos, p.cfg.Plane, po)
+		return totalVote(p.kernel, dist, p.cfg.Plane.To3D(pos), po)
 	}}
-	// The table stores the identical DeltaDistTurns the direct path
-	// computes, so table scores seed the pool as-is.
+	// The table and the direct votes both come from antenna.Kernel, so
+	// table scores are bit-identical to direct ones and seed the pool
+	// as-is.
 	finest := p.multi.Level(p.multi.Levels() - 1)
 	for _, c := range frontier {
 		pos := finest.Grid().At(c.idx)
@@ -449,7 +483,20 @@ func (p *Positioner) directRefine(frontier []tableCell, po []pairObs, sc *Scratc
 }
 
 func sortCells(cells []tableCell) {
-	sort.SliceStable(cells, func(a, b int) bool { return cells[a].score > cells[b].score })
+	slices.SortStableFunc(cells, func(a, b tableCell) int { return byScoreDesc(a.score, b.score) })
+}
+
+// byScoreDesc is the best-first comparison behind every stable ordering of
+// scored search state: a sorts before b only when strictly better, so a
+// stable sort keeps equal (and unordered) scores in input order.
+func byScoreDesc(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case b > a:
+		return 1
+	}
+	return 0
 }
 
 func containsCell(cells []tableCell, idx int) bool {
@@ -489,9 +536,7 @@ func pickCellGroups(grid Grid, score []float64, threshold float64, k int, suppre
 			survivors = append(survivors, i)
 		}
 	}
-	sort.SliceStable(survivors, func(a, b int) bool {
-		return score[survivors[a]] > score[survivors[b]]
-	})
+	slices.SortStableFunc(survivors, func(a, b int) int { return byScoreDesc(score[a], score[b]) })
 	var groups [][]int
 	for _, i := range survivors {
 		pi := grid.At(i)

@@ -124,7 +124,7 @@ func TestMultiResTableChildrenCoverCell(t *testing.T) {
 	}
 	parent, child := m.Level(0).Grid(), m.Level(1).Grid()
 	for i := 0; i < parent.Len(); i++ {
-		kids := m.Children(0, i)
+		kids := m.Children(nil, 0, i)
 		if len(kids) < 4 || len(kids) > 9 {
 			t.Fatalf("cell %d: %d children", i, len(kids))
 		}
@@ -209,6 +209,30 @@ func TestHierarchicalSearchScratchReuse(t *testing.T) {
 	pos, score, _ := HierarchicalSearch(SearchConfig{}, region, geom.Vec2{X: 0.01}, 0.08, 0.02, 0.002, 2, nil, eval)
 	if pos != want || score != wantScore {
 		t.Fatalf("nil-scratch run (%v, %v) != scratch run (%v, %v)", pos, score, want, wantScore)
+	}
+}
+
+// TestHierarchicalSearchZeroAllocs gates the tracing step's search at
+// zero allocations per call once its scratch is warm: the memo keeps its
+// buckets, the pool its capacity, and the stable top-K selection works in
+// place. Seeds include one at the region corner, where points clip.
+func TestHierarchicalSearchZeroAllocs(t *testing.T) {
+	region := geom.Rect{Min: geom.Vec2{X: -1, Z: -1}, Max: geom.Vec2{X: 1, Z: 1}}
+	eval := func(p geom.Vec2) float64 {
+		return math.Sin(13*p.X)*math.Cos(11*p.Z) - p.Dot(p)
+	}
+	seeds := []geom.Vec2{{X: 0.01}, {X: 0.3, Z: -0.2}, {X: -1, Z: 1}}
+	sc := NewScratch()
+	for _, seed := range seeds {
+		HierarchicalSearch(SearchConfig{}, region, seed, 0.08, 0.02, 0.002, 2, sc, eval)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		HierarchicalSearch(SearchConfig{}, region, seeds[i%len(seeds)], 0.08, 0.02, 0.002, 2, sc, eval)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm HierarchicalSearch allocates %v allocs/op, want 0", allocs)
 	}
 }
 

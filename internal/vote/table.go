@@ -16,10 +16,9 @@ import (
 // per deployment and shared read-only by any number of goroutines.
 //
 // Voting a pair on a grid point then reduces to one subtraction, one
-// rounding and one multiply (Eq. 7), replacing the two 3-D distance
-// evaluations (square roots) the direct antenna.Pair.VoteFree path performs
-// per point per sample. This is the lookup table the concurrent engine's
-// shards share.
+// rounding and one multiply (Eq. 7), replacing the 3-D distance
+// evaluations (square roots) a direct vote performs per point per sample.
+// This is the lookup table the concurrent engine's shards share.
 type SteeringTable struct {
 	grid Grid
 	// turns is laid out [pair][grid point], row-major in the grid's
@@ -32,8 +31,9 @@ type SteeringTable struct {
 }
 
 // NewSteeringTable precomputes the steering values of every pair over the
-// grid in the given plane. The result is immutable and safe for concurrent
-// use.
+// grid in the given plane, through the shared antenna.Kernel: each grid
+// point takes every antenna's distance once. The result is immutable and
+// safe for concurrent use.
 func NewSteeringTable(pairs []antenna.Pair, grid Grid, plane geom.Plane) *SteeringTable {
 	t := &SteeringTable{
 		grid:  grid,
@@ -42,12 +42,16 @@ func NewSteeringTable(pairs []antenna.Pair, grid Grid, plane geom.Plane) *Steeri
 	}
 	n := grid.Len()
 	for pi, p := range pairs {
-		row := make([]float64, n)
-		for i := 0; i < n; i++ {
-			row[i] = p.DeltaDistTurns(plane.To3D(grid.At(i)))
-		}
-		t.turns[pi] = row
+		t.turns[pi] = make([]float64, n)
 		t.maxK[pi] = float64(p.MaxLobeIndex())
+	}
+	k := antenna.NewKernel(pairs)
+	dist := make([]float64, k.Antennas())
+	for i := 0; i < n; i++ {
+		k.Distances(plane.To3D(grid.At(i)), dist)
+		for pi, row := range t.turns {
+			row[i] = k.DeltaDistTurns(pi, dist)
+		}
 	}
 	return t
 }
@@ -158,23 +162,22 @@ func (m *MultiResTable) FinestRes() float64 {
 	return m.levels[len(m.levels)-1].grid.Res
 }
 
-// Children returns the grid indices at level l+1 covering the cell at
-// index i of level l: the 3×3 neighbourhood of the aligned child point,
-// clipped to the child grid. Results are appended in deterministic
-// row-major order.
-func (m *MultiResTable) Children(l, i int) []int {
+// Children appends to dst the grid indices at level l+1 covering the cell
+// at index i of level l — the 3×3 neighbourhood of the aligned child
+// point, clipped to the child grid — in deterministic row-major order, and
+// returns the extended slice.
+func (m *MultiResTable) Children(dst []int, l, i int) []int {
 	parent := m.levels[l].grid
 	child := m.levels[l+1].grid
 	cx, cz := 2*(i%parent.NX), 2*(i/parent.NX)
-	out := make([]int, 0, 9)
 	for dz := -1; dz <= 1; dz++ {
 		for dx := -1; dx <= 1; dx++ {
 			x, z := cx+dx, cz+dz
 			if x < 0 || x >= child.NX || z < 0 || z >= child.NZ {
 				continue
 			}
-			out = append(out, z*child.NX+x)
+			dst = append(dst, z*child.NX+x)
 		}
 	}
-	return out
+	return dst
 }

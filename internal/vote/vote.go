@@ -27,7 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"rfidraw/internal/antenna"
@@ -151,7 +151,10 @@ type Positioner struct {
 	stage1Pairs []antenna.Pair
 	// allPairs are every pair (wide + coarse) used for the stage-2 vote.
 	allPairs []antenna.Pair
-	cfg      Config
+	// kernel evaluates the direct votes of allPairs, indexed by the
+	// pairObs collected from them.
+	kernel *antenna.Kernel
+	cfg    Config
 
 	// coarseGrid and table are built once at construction: the stage-1
 	// full-region scan is the positioning hot path, and the steering
@@ -191,6 +194,7 @@ func NewPositioner(stage1Pairs, widePairs []antenna.Pair, cfg Config) (*Position
 	p := &Positioner{
 		stage1Pairs: stage1Pairs,
 		allPairs:    all,
+		kernel:      antenna.NewKernel(all),
 		cfg:         cfg,
 		coarseGrid:  grid,
 		table:       NewSteeringTable(stage1Pairs, grid, cfg.Plane),
@@ -229,10 +233,9 @@ func tableLevels(cfg Config) int {
 // Config returns the effective (defaulted) configuration.
 func (p *Positioner) Config() Config { return p.cfg }
 
-// pairObs is a pair together with its observed phase difference and its
-// index in the pair slice it was collected from (the steering-table row).
+// pairObs is an observed pair's phase difference and its index in the
+// pair slice it was collected from (the steering-table and kernel row).
 type pairObs struct {
-	pair  antenna.Pair
 	turns float64
 	idx   int
 }
@@ -241,18 +244,19 @@ func collect(pairs []antenna.Pair, obs Observations) []pairObs {
 	out := make([]pairObs, 0, len(pairs))
 	for i, pr := range pairs {
 		if t, ok := PairTurns(pr, obs); ok {
-			out = append(out, pairObs{pair: pr, turns: t, idx: i})
+			out = append(out, pairObs{turns: t, idx: i})
 		}
 	}
 	return out
 }
 
-// totalVote sums every observed pair's free-lobe vote at a plane point.
-func totalVote(pos geom.Vec2, plane geom.Plane, po []pairObs) float64 {
-	p3 := plane.To3D(pos)
+// totalVote sums every observed pair's free-lobe vote at a room point,
+// taking each antenna's distance once into dist (Kernel.Antennas slots).
+func totalVote(k *antenna.Kernel, dist []float64, pos geom.Vec3, po []pairObs) float64 {
+	k.Distances(pos, dist)
 	var sum float64
 	for _, o := range po {
-		sum += o.pair.VoteFree(p3, o.turns)
+		sum += k.VoteFree(o.idx, dist, o.turns)
 	}
 	return sum
 }
@@ -260,16 +264,19 @@ func totalVote(pos geom.Vec2, plane geom.Plane, po []pairObs) float64 {
 // ScoreAt returns the total stage-2 vote (all pairs) at a position; it is
 // the quantity Fig. 10f plots along a trajectory.
 func (p *Positioner) ScoreAt(pos geom.Vec2, obs Observations) float64 {
-	return totalVote(pos, p.cfg.Plane, collect(p.allPairs, obs))
+	dist := make([]float64, p.kernel.Antennas())
+	return totalVote(p.kernel, dist, p.cfg.Plane.To3D(pos), collect(p.allPairs, obs))
 }
 
 // VoteMap evaluates the total vote of the given pairs over a grid; the
 // experiment harness uses it to render the paper's spatial-filter figures.
 func VoteMap(pairs []antenna.Pair, obs Observations, grid Grid, plane geom.Plane) []float64 {
 	po := collect(pairs, obs)
+	k := antenna.NewKernel(pairs)
+	dist := make([]float64, k.Antennas())
 	out := make([]float64, grid.Len())
 	for i := range out {
-		out[i] = totalVote(grid.At(i), plane, po)
+		out[i] = totalVote(k, dist, plane.To3D(grid.At(i)), po)
 	}
 	return out
 }
@@ -353,8 +360,8 @@ func (p *Positioner) CandidatesWith(sc *Scratch, obs Observations) ([]Candidate,
 		}
 		branch := refineBranch
 		if p.multi.Levels() > 1 {
-			sort.SliceStable(fronts, func(a, b int) bool {
-				return fronts[a].cells[0].score > fronts[b].cells[0].score
+			slices.SortStableFunc(fronts, func(a, b groupFront) int {
+				return byScoreDesc(a.cells[0].score, b.cells[0].score)
 			})
 			if len(fronts) > k {
 				fronts = fronts[:k]
@@ -376,7 +383,7 @@ func (p *Positioner) CandidatesWith(sc *Scratch, obs Observations) ([]Candidate,
 				continue
 			}
 			stats.Cells++
-			pos, score, evals := p.refine(grid.At(i), all)
+			pos, score, evals := p.refine(grid.At(i), all, sc.DistBuf(p.kernel.Antennas()))
 			stats.GridEvals += evals
 			cands = append(cands, Candidate{Pos: pos, Score: score})
 		}
@@ -386,7 +393,7 @@ func (p *Positioner) CandidatesWith(sc *Scratch, obs Observations) ([]Candidate,
 	}
 
 	// Merge near-duplicates, keep the best-scoring representatives.
-	sort.SliceStable(cands, func(a, b int) bool { return cands[a].Score > cands[b].Score })
+	slices.SortStableFunc(cands, func(a, b Candidate) int { return byScoreDesc(a.Score, b.Score) })
 	var out []Candidate
 	for _, c := range cands {
 		dup := false
@@ -408,10 +415,11 @@ func (p *Positioner) CandidatesWith(sc *Scratch, obs Observations) ([]Candidate,
 
 // refine hill-climbs the total vote from start down to FineRes using a
 // shrinking 3×3 pattern search clipped to the region — the dense-mode
-// reference refinement. The third return is the evaluation count.
-func (p *Positioner) refine(start geom.Vec2, po []pairObs) (geom.Vec2, float64, int) {
+// reference refinement. dist is the kernel's distance buffer. The third
+// return is the evaluation count.
+func (p *Positioner) refine(start geom.Vec2, po []pairObs, dist []float64) (geom.Vec2, float64, int) {
 	pos := start
-	best := totalVote(pos, p.cfg.Plane, po)
+	best := totalVote(p.kernel, dist, p.cfg.Plane.To3D(pos), po)
 	evals := 1
 	step := p.cfg.CoarseRes / 2
 	for step >= p.cfg.FineRes {
@@ -423,7 +431,7 @@ func (p *Positioner) refine(start geom.Vec2, po []pairObs) (geom.Vec2, float64, 
 				}
 				cand := p.cfg.Region.Clip(geom.Vec2{X: pos.X + float64(dx)*step, Z: pos.Z + float64(dz)*step})
 				evals++
-				if s := totalVote(cand, p.cfg.Plane, po); s > best {
+				if s := totalVote(p.kernel, dist, p.cfg.Plane.To3D(cand), po); s > best {
 					best, pos = s, cand
 					improved = true
 				}
