@@ -520,24 +520,21 @@ func benchDaemonStart(b *testing.B) *server.Client {
 			BatchSize:     1,
 		})
 	}
-	srv, err := server.New(server.Config{
-		HTTPAddr:   "127.0.0.1:0",
-		IngestAddr: "127.0.0.1:0",
-		Registry: server.RegistryConfig{
-			NewEngine:      factory,
-			MaxSubscribers: 2048,
-			// Batched subscribers queue group-commit carriers, each a
-			// whole batch, so 32 slots is thousands of events of
-			// headroom; the deep default exists for unbatched consumers.
-			// At 1024 subscribers the default's queue buffers alone are
-			// ~50MB of always-live, pointer-bearing heap, and every GC
-			// cycle's rescan of it would drown the fan-out being measured.
-			SubscriberQueue: 32,
-		},
+	reg, err := server.NewRegistry(server.RegistryConfig{
+		NewEngine:      factory,
+		MaxSubscribers: 2048,
+		// Subscribers queue group-commit carriers, each a whole batch, so
+		// 32 slots is thousands of events of headroom; the default depth
+		// is sized for consumers that fall behind by whole batches. At
+		// 1024 subscribers the default's queue buffers alone are ~50MB of
+		// always-live, pointer-bearing heap, and every GC cycle's rescan
+		// of it would drown the fan-out being measured.
+		SubscriberQueue: 32,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	srv := server.New(reg, "127.0.0.1:0", "127.0.0.1:0")
 	if err := srv.Start(); err != nil {
 		b.Fatal(err)
 	}

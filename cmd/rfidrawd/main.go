@@ -100,7 +100,7 @@ func main() {
 	flag.IntVar(&f.shards, "session-shards", 1, "engine worker shards per session")
 	flag.IntVar(&f.maxSess, "max-sessions", 128, "hard admission cap on live sessions (503 beyond it)")
 	flag.IntVar(&f.maxSubs, "max-subscribers", 16, "stream subscribers per session")
-	flag.IntVar(&f.queue, "queue", 256, "per-subscriber bounded event queue")
+	flag.IntVar(&f.queue, "queue", 256, "per-subscriber bounded queue depth, in deliveries (one group-committed batch of events is one)")
 	flag.DurationVar(&f.idle, "idle", 2*time.Minute, "idle session expiry")
 	flag.DurationVar(&f.retain, "retain", 0, "forget parked session records untouched this long (0 = retain forever)")
 	flag.DurationVar(&f.reorder, "reorder", 25*time.Millisecond, "cross-reader resequencing window")

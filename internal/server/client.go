@@ -42,54 +42,25 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("server: %s (%d %s)", e.Message, e.StatusCode, e.Code)
 }
 
-// Is maps envelope codes back onto the package's error sentinels.
+// Is maps envelope codes back onto the package's error sentinels
+// through the same table the server answers with.
 func (e *APIError) Is(target error) bool {
-	switch target {
-	case ErrSessionLimit:
-		return e.Code == "session_limit"
-	case ErrSubscriberLimit:
-		return e.Code == "subscriber_limit"
-	case ErrOverloaded:
-		return e.Code == "overloaded"
-	case ErrSessionExists:
-		return e.Code == "conflict"
-	case ErrBadSessionID:
-		return e.Code == "bad_session_id"
-	case ErrUnknownSession:
-		return e.Code == "not_found"
-	case ErrNotParked:
-		return e.Code == "not_parked"
-	case ErrNotLive:
-		return e.Code == "not_live"
-	case ErrNotDurable:
-		return e.Code == "not_durable"
-	case ErrNoWAL:
-		return e.Code == "no_wal"
-	case ErrSessionClosed:
-		return e.Code == "gone"
+	for _, ec := range errorCodes {
+		if ec.err == target {
+			return e.Code == ec.code
+		}
 	}
 	return false
 }
 
-// decodeAPIError turns a non-2xx response into an *APIError. It is
-// tolerant of the pre-envelope flat shape ({"error": "msg"}) and of
-// non-JSON bodies, so the client keeps working against old daemons.
+// decodeAPIError turns a non-2xx response into an *APIError; a body that
+// is not the error envelope becomes the message verbatim.
 func decodeAPIError(resp *http.Response, raw []byte) *APIError {
 	e := &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(raw))}
-	var env struct {
-		Error json.RawMessage `json:"error"`
-	}
-	if json.Unmarshal(raw, &env) == nil && len(env.Error) > 0 {
-		var body errorBody
-		if json.Unmarshal(env.Error, &body) == nil && body.Message != "" {
-			e.Code, e.Message = body.Code, body.Message
-			e.RetryAfter = time.Duration(body.RetryAfterMS) * time.Millisecond
-		} else {
-			var flat string
-			if json.Unmarshal(env.Error, &flat) == nil {
-				e.Message = flat
-			}
-		}
+	var env errorEnvelope
+	if json.Unmarshal(raw, &env) == nil && env.Error.Message != "" {
+		e.Code, e.Message = env.Error.Code, env.Error.Message
+		e.RetryAfter = time.Duration(env.Error.RetryAfterMS) * time.Millisecond
 	}
 	if e.RetryAfter == 0 {
 		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
@@ -100,12 +71,6 @@ func decodeAPIError(resp *http.Response, raw []byte) *APIError {
 		e.Message = resp.Status
 	}
 	return e
-}
-
-// readAPIError drains the body and decodes the error envelope.
-func readAPIError(resp *http.Response) *APIError {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	return decodeAPIError(resp, raw)
 }
 
 // Client is a minimal rfidrawd client: session lifecycle over the HTTP
@@ -142,6 +107,52 @@ func (c *Client) http() *http.Client {
 	return &http.Client{}
 }
 
+// send is every API request's one path: body, when non-nil, goes out as
+// JSON; a response with the wanted status is returned for the caller to
+// read and close, any other is drained into an *APIError.
+func (c *Client) send(ctx context.Context, method, path string, body any, want int) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != want {
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return nil, decodeAPIError(resp, raw)
+	}
+	return resp, nil
+}
+
+// call is send plus a JSON decode of the response into out; with out
+// nil the body is drained unread, so the connection can be reused.
+func (c *Client) call(ctx context.Context, method, path string, body any, want int, out any) error {
+	resp, err := c.send(ctx, method, path, body, want)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if out == nil {
+		_, err = io.Copy(io.Discard, resp.Body)
+		return err
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
 // CreateSession opens a session from a spec; spec.ID == "" lets the
 // daemon assign one. The returned ID addresses the other calls. A
 // daemon at its hard session cap answers 503 (errors.Is
@@ -162,28 +173,11 @@ func (c *Client) CreateSession(ctx context.Context, spec SessionSpec) (string, e
 	if spec.WAL != (WALPolicy{}) {
 		fields["wal"] = walPolicyJSON{Disable: spec.WAL.Disable, SyncEvery: spec.WAL.SyncEvery}
 	}
-	body, err := json.Marshal(fields)
-	if err != nil {
-		return "", err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/sessions", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return "", readAPIError(resp)
-	}
 	var out struct {
 		ID     string `json:"id"`
 		Ingest string `json:"ingest"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/sessions", fields, http.StatusCreated, &out); err != nil {
 		return "", err
 	}
 	if c.Ingest == "" {
@@ -192,29 +186,9 @@ func (c *Client) CreateSession(ctx context.Context, spec SessionSpec) (string, e
 	return out.ID, nil
 }
 
-// CreateSessionGeometry opens a session on a named antenna geometry.
-//
-// Deprecated: build a SessionSpec and call CreateSession; this wrapper
-// survives for old callers only.
-func (c *Client) CreateSessionGeometry(ctx context.Context, id string, sweep time.Duration, geometry string) (string, error) {
-	return c.CreateSession(ctx, SessionSpec{ID: id, Sweep: sweep, Geometry: geometry})
-}
-
 // DeleteSession closes a session (and forgets its retained record).
 func (c *Client) DeleteSession(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/sessions/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return readAPIError(resp)
-	}
-	return nil
+	return c.call(ctx, http.MethodDelete, "/v1/sessions/"+id, nil, http.StatusNoContent, nil)
 }
 
 // Subscribe attaches to a session's live event stream — NDJSON by
@@ -224,18 +198,18 @@ func (c *Client) DeleteSession(ctx context.Context, id string) error {
 // terminal decode or transport error is delivered on the (buffered)
 // error channel.
 func (c *Client) Subscribe(ctx context.Context, id string) (<-chan Event, <-chan error, error) {
-	return c.subscribe(ctx, c.BaseURL+"/v1/sessions/"+id+"/stream")
+	return c.subscribe(ctx, "/v1/sessions/"+id+"/stream")
 }
 
 // SubscribeFrom attaches with WAL catch-up: the stream starts with the
 // session's recorded history replayed from log sequence from (0 = all),
 // then splices onto the live stream (daemons started with a data dir).
 func (c *Client) SubscribeFrom(ctx context.Context, id string, from uint64) (<-chan Event, <-chan error, error) {
-	return c.subscribe(ctx, fmt.Sprintf("%s/v1/sessions/%s/stream?from=%d", c.BaseURL, id, from))
+	return c.subscribe(ctx, fmt.Sprintf("/v1/sessions/%s/stream?from=%d", id, from))
 }
 
 // streamURL appends the client's encoding and tier selections to a
-// stream URL.
+// stream path.
 func (c *Client) streamURL(url string) (string, bool, error) {
 	appendParam := func(url, param string) string {
 		sep := "?"
@@ -262,26 +236,14 @@ func (c *Client) streamURL(url string) (string, bool, error) {
 	return url, binary, nil
 }
 
-func (c *Client) subscribe(ctx context.Context, url string) (<-chan Event, <-chan error, error) {
-	url, binary, err := c.streamURL(url)
+func (c *Client) subscribe(ctx context.Context, path string) (<-chan Event, <-chan error, error) {
+	path, binary, err := c.streamURL(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	resp, err := c.send(ctx, http.MethodGet, path, nil, http.StatusOK)
 	if err != nil {
 		return nil, nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		resp.Body.Close()
-		return nil, nil, ErrSubscriberLimit
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, nil, readAPIError(resp)
 	}
 	buffer := c.SubscribeBuffer
 	if buffer <= 0 {
@@ -449,18 +411,11 @@ const MetricsContentType = "text/plain; version=0.0.4"
 // proxy error page or a misrouted endpoint can never masquerade as an
 // empty scrape.
 func (c *Client) FetchMetrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/metrics", nil, http.StatusOK)
 	if err != nil {
 		return "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", readAPIError(resp)
-	}
 	if ct := resp.Header.Get("Content-Type"); ct != MetricsContentType {
 		return "", fmt.Errorf("server: /metrics served unexpected Content-Type %q (want %q)", ct, MetricsContentType)
 	}
@@ -471,18 +426,11 @@ func (c *Client) FetchMetrics(ctx context.Context) (string, error) {
 // FetchTrace dumps a session's sampled stage spans (NDJSON from
 // GET /v1/sessions/{id}/trace), oldest first.
 func (c *Client) FetchTrace(ctx context.Context, id string) ([]obs.Span, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/sessions/"+id+"/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/sessions/"+id+"/trace", nil, http.StatusOK)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readAPIError(resp)
-	}
 	var spans []obs.Span
 	dec := json.NewDecoder(resp.Body)
 	for {
@@ -500,20 +448,8 @@ func (c *Client) FetchTrace(ctx context.Context, id string) ([]obs.Span, error) 
 // FetchEvents fetches a session's diagnostic timeline
 // (GET /v1/sessions/{id}/events).
 func (c *Client) FetchEvents(ctx context.Context, id string) ([]obs.TimelineEvent, uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/sessions/"+id+"/events", nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, readAPIError(resp)
-	}
 	var out sessionEvents
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/v1/sessions/"+id+"/events", nil, http.StatusOK, &out); err != nil {
 		return nil, 0, err
 	}
 	return out.Events, out.Total, nil
@@ -521,22 +457,14 @@ func (c *Client) FetchEvents(ctx context.Context, id string) ([]obs.TimelineEven
 
 // Retrace replays a session's WAL through a fresh pipeline on the
 // daemon, optionally under an overridden search mode ("", "hierarchical"
-// or "dense"), and returns the per-tag results. Raw is the exact
-// response body, for byte-level determinism checks.
+// or "dense"), and returns the per-tag results. Raw is the exact body of
+// a successful response, for byte-level determinism checks.
 func (c *Client) Retrace(ctx context.Context, id, mode string) (*RetraceSummary, []byte, error) {
-	body := []byte("{}")
+	body := map[string]any{}
 	if mode != "" {
-		var err error
-		if body, err = json.Marshal(map[string]any{"search": map[string]any{"mode": mode}}); err != nil {
-			return nil, nil, err
-		}
+		body["search"] = map[string]any{"mode": mode}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/sessions/"+id+"/retrace", bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
+	resp, err := c.send(ctx, http.MethodPost, "/v1/sessions/"+id+"/retrace", body, http.StatusOK)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -544,9 +472,6 @@ func (c *Client) Retrace(ctx context.Context, id, mode string) (*RetraceSummary,
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, raw, decodeAPIError(resp, raw)
 	}
 	var sum RetraceSummary
 	if err := json.Unmarshal(raw, &sum); err != nil {
@@ -558,20 +483,8 @@ func (c *Client) Retrace(ctx context.Context, id, mode string) (*RetraceSummary,
 // Control fetches the node's control-plane state: congestion score and
 // components, runtime knobs, and every session's cost.
 func (c *Client) Control(ctx context.Context) (*ControlState, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/control", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readAPIError(resp)
-	}
 	var st ControlState
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/v1/control", nil, http.StatusOK, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -581,65 +494,24 @@ func (c *Client) Control(ctx context.Context) (*ControlState, error) {
 // /v1/control/config body shape; absent fields keep their value) and
 // returns the post-mutation state.
 func (c *Client) UpdateControl(ctx context.Context, patch ControlPatchJSON) (*ControlState, error) {
-	body, err := json.Marshal(patch)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/control/config", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readAPIError(resp)
-	}
 	var st ControlState
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/control/config", patch, http.StatusOK, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
 }
 
-// sessionVerb drives one of the per-session control verbs.
-func (c *Client) sessionVerb(ctx context.Context, id, verb string) (map[string]any, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/sessions/"+id+"/"+verb, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readAPIError(resp)
-	}
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ParkSession parks a live durable session (idempotent).
 func (c *Client) ParkSession(ctx context.Context, id string) error {
-	_, err := c.sessionVerb(ctx, id, "park")
-	return err
+	return c.call(ctx, http.MethodPost, "/v1/sessions/"+id+"/park", nil, http.StatusOK, nil)
 }
 
 // ResumeSession brings a parked session back live.
 func (c *Client) ResumeSession(ctx context.Context, id string) error {
-	_, err := c.sessionVerb(ctx, id, "resume")
-	return err
+	return c.call(ctx, http.MethodPost, "/v1/sessions/"+id+"/resume", nil, http.StatusOK, nil)
 }
 
 // DrainSession flushes a live session's pipeline to subscribers and WAL.
 func (c *Client) DrainSession(ctx context.Context, id string) error {
-	_, err := c.sessionVerb(ctx, id, "drain")
-	return err
+	return c.call(ctx, http.MethodPost, "/v1/sessions/"+id+"/drain", nil, http.StatusOK, nil)
 }

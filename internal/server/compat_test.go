@@ -7,7 +7,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -16,34 +15,14 @@ import (
 )
 
 // This file is the wire-compatibility gate for the SessionSpec API
-// consolidation: pre-spec HTTP bodies, the NDJSON stream field names and
-// the deprecated constructor wrappers must keep working verbatim, and
-// the new error envelope must be the one shape every handler speaks.
-
-func compatServer(t *testing.T) (*Server, *Client) {
-	t.Helper()
-	srv, err := New(Config{
-		HTTPAddr:   "127.0.0.1:0",
-		IngestAddr: "127.0.0.1:0",
-		Registry: RegistryConfig{
-			NewEngine: testFactory(t),
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, &Client{BaseURL: "http://" + srv.HTTPAddr()}
-}
+// consolidation: pre-spec HTTP bodies and the NDJSON stream field names
+// must keep working verbatim, and the error envelope must be the one
+// shape every handler speaks.
 
 // TestCreateSessionLegacyBody: a pre-spec create body — exactly the
-// fields the old CreateSession/CreateSessionGeometry client methods
-// sent — still opens a session.
+// fields the pre-spec client methods sent — still opens a session.
 func TestCreateSessionLegacyBody(t *testing.T) {
-	srv, _ := compatServer(t)
+	srv, _ := obsServer(t, nil)
 	base := "http://" + srv.HTTPAddr()
 	for _, body := range []string{
 		`{"id": "legacy-plain", "sweep_ms": 25}`,
@@ -86,7 +65,7 @@ func readBody(t *testing.T, resp *http.Response) string {
 // {"error":{"code","message"}} envelope, and Client surfaces it as a
 // typed APIError whose Is() maps codes back onto the error sentinels.
 func TestErrorEnvelope(t *testing.T) {
-	srv, cl := compatServer(t)
+	srv, cl := obsServer(t, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	base := "http://" + srv.HTTPAddr()
@@ -158,31 +137,11 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestAPIErrorLegacyFlat: Client still decodes the pre-envelope flat
-// {"error":"message"} body an older daemon answers with.
-func TestAPIErrorLegacyFlat(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		w.Write([]byte(`{"error": "boom from an old daemon"}`))
-	}))
-	defer ts.Close()
-	cl := &Client{BaseURL: ts.URL}
-	err := cl.DeleteSession(context.Background(), "x")
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("error %v (%T) is not an *APIError", err, err)
-	}
-	if apiErr.StatusCode != http.StatusInternalServerError || apiErr.Message != "boom from an old daemon" {
-		t.Fatalf("APIError = %+v", apiErr)
-	}
-}
-
 // TestNDJSONWireFields: the stream's NDJSON field names are the frozen
 // wire contract; the spec consolidation must not have renamed any.
 func TestNDJSONWireFields(t *testing.T) {
 	run, _ := scenario(t)
-	srv, cl := compatServer(t)
+	srv, cl := obsServer(t, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	id, err := cl.CreateSession(ctx, SessionSpec{ID: "wire", Sweep: perTagSweep(run)})
@@ -251,32 +210,5 @@ func TestNDJSONWireFields(t *testing.T) {
 		default:
 			t.Errorf("point event grew unexpected wire field %q", k)
 		}
-	}
-}
-
-// TestDeprecatedConstructorWrappers: the geometry-suffixed pairs still
-// compile and behave exactly like their SessionSpec forms. (This test is
-// the one sanctioned caller; CI lints any other internal use.)
-func TestDeprecatedConstructorWrappers(t *testing.T) {
-	run, _ := scenario(t)
-	reg := testRegistry(t, RegistryConfig{})
-	sess, err := reg.OpenGeometry("dep-open", perTagSweep(run), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.ID != "dep-open" || sess.State() != "live" {
-		t.Fatalf("OpenGeometry wrapper: id=%q state=%q", sess.ID, sess.State())
-	}
-
-	srv, cl := compatServer(t)
-	_ = srv
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	id, err := cl.CreateSessionGeometry(ctx, "dep-create", 25*time.Millisecond, "default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != "dep-create" {
-		t.Fatalf("CreateSessionGeometry wrapper returned id %q", id)
 	}
 }

@@ -27,7 +27,7 @@ type ControlState struct {
 	ShedThreshold float64 `json:"shed_threshold"`
 	ParkThreshold float64 `json:"park_threshold"`
 	// Capacity is the score's normalization basis.
-	Capacity controlCapacity `json:"capacity"`
+	Capacity Capacity `json:"capacity"`
 	// IdleMS / RetainMS are the lifecycle deadlines (retain 0 = forever).
 	IdleMS   int64 `json:"idle_ms"`
 	RetainMS int64 `json:"retain_ms"`
@@ -48,15 +48,6 @@ type ControlState struct {
 	Parked      int `json:"parked"`
 	// Sessions is every registry entry's control view, sorted by ID.
 	Sessions []ControlSession `json:"sessions"`
-}
-
-// controlCapacity is Capacity's JSON shape.
-type controlCapacity struct {
-	SearchEvalsPerSec float64 `json:"search_evals_per_sec"`
-	WALBytesPerSec    float64 `json:"wal_bytes_per_sec"`
-	LatePerSec        float64 `json:"late_per_sec"`
-	Backlog           float64 `json:"backlog"`
-	DowngradesPerSec  float64 `json:"downgrades_per_sec"`
 }
 
 // ControlSession is one session's control-plane view: lifecycle state
@@ -84,12 +75,12 @@ type ControlSession struct {
 // ControlPatchJSON is the POST /v1/control/config body: every field
 // optional, absent fields keep their value (KnobPatch semantics).
 type ControlPatchJSON struct {
-	IdleMS        *int64           `json:"idle_ms"`
-	RetainMS      *int64           `json:"retain_ms"`
-	ShedThreshold *float64         `json:"shed_threshold"`
-	ParkThreshold *float64         `json:"park_threshold"`
-	Capacity      *controlCapacity `json:"capacity"`
-	WALSyncEvery  *int             `json:"wal_sync_every"`
+	IdleMS        *int64    `json:"idle_ms"`
+	RetainMS      *int64    `json:"retain_ms"`
+	ShedThreshold *float64  `json:"shed_threshold"`
+	ParkThreshold *float64  `json:"park_threshold"`
+	Capacity      *Capacity `json:"capacity"`
+	WALSyncEvery  *int      `json:"wal_sync_every"`
 	// Search replaces the default-search knob; {"mode": "default"}
 	// clears it back to the deployment default.
 	Search *SearchJSON `json:"search"`
@@ -120,20 +111,14 @@ func (s *Server) controlState(now time.Time) ControlState {
 		Score:         score,
 		ShedThreshold: knobs.ShedThreshold,
 		ParkThreshold: knobs.ParkThreshold,
-		Capacity: controlCapacity{
-			SearchEvalsPerSec: knobs.Capacity.SearchEvalsPerSec,
-			WALBytesPerSec:    knobs.Capacity.WALBytesPerSec,
-			LatePerSec:        knobs.Capacity.LatePerSec,
-			Backlog:           knobs.Capacity.Backlog,
-			DowngradesPerSec:  knobs.Capacity.DowngradesPerSec,
-		},
-		IdleMS:       knobs.IdleTimeout.Milliseconds(),
-		RetainMS:     knobs.RetainFor.Milliseconds(),
-		WALSyncEvery: knobs.WALSyncEvery,
-		Search:       toSearchJSON(knobs.Search),
-		TraceSampleN: knobs.TraceSampleN,
-		LogLevel:     knobs.LogLevel,
-		MaxSessions:  s.reg.cfg.MaxSessions,
+		Capacity:      knobs.Capacity,
+		IdleMS:        knobs.IdleTimeout.Milliseconds(),
+		RetainMS:      knobs.RetainFor.Milliseconds(),
+		WALSyncEvery:  knobs.WALSyncEvery,
+		Search:        toSearchJSON(knobs.Search),
+		TraceSampleN:  knobs.TraceSampleN,
+		LogLevel:      knobs.LogLevel,
+		MaxSessions:   s.reg.cfg.MaxSessions,
 	}
 	for _, sess := range s.reg.List() {
 		state := sess.State()
@@ -186,15 +171,7 @@ func (s *Server) handleControlConfig(w http.ResponseWriter, r *http.Request) {
 	}
 	patch.ShedThreshold = req.ShedThreshold
 	patch.ParkThreshold = req.ParkThreshold
-	if req.Capacity != nil {
-		patch.Capacity = &Capacity{
-			SearchEvalsPerSec: req.Capacity.SearchEvalsPerSec,
-			WALBytesPerSec:    req.Capacity.WALBytesPerSec,
-			LatePerSec:        req.Capacity.LatePerSec,
-			Backlog:           req.Capacity.Backlog,
-			DowngradesPerSec:  req.Capacity.DowngradesPerSec,
-		}
-	}
+	patch.Capacity = req.Capacity
 	patch.WALSyncEvery = req.WALSyncEvery
 	patch.TraceSampleN = req.TraceSampleN
 	patch.LogLevel = req.LogLevel
@@ -228,7 +205,7 @@ func (s *Server) handlePark(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, ok := s.reg.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown session")
+		writeSessionError(w, ErrUnknownSession)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -260,7 +237,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess, ok := s.reg.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown session")
+		writeSessionError(w, ErrUnknownSession)
 		return
 	}
 	if sess.State() != "live" {

@@ -109,7 +109,7 @@ func TestKnobRoundTrip(t *testing.T) {
 // config response reflects the patch, and a later GET /v1/control agrees.
 func TestControlAPIRoundTrip(t *testing.T) {
 	run, _ := scenario(t)
-	srv, cl := compatServer(t)
+	srv, cl := obsServer(t, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if _, err := cl.CreateSession(ctx, SessionSpec{ID: "ctl", Sweep: perTagSweep(run)}); err != nil {

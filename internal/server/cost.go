@@ -65,23 +65,23 @@ func retryAfterFor(score, shedAt float64) time.Duration {
 type Capacity struct {
 	// SearchEvalsPerSec is the node's vote-surface evaluation budget.
 	// Default 5e6/s.
-	SearchEvalsPerSec float64
+	SearchEvalsPerSec float64 `json:"search_evals_per_sec"`
 	// WALBytesPerSec is the node's durability write budget. Default
 	// 64 MiB/s.
-	WALBytesPerSec float64
+	WALBytesPerSec float64 `json:"wal_bytes_per_sec"`
 	// LatePerSec bounds tolerated reorder-late deliveries (reports
 	// reaching engines behind later-stamped ones — sustained lateness
 	// means the node can no longer hold its reorder windows). Default
 	// 10000/s.
-	LatePerSec float64
+	LatePerSec float64 `json:"late_per_sec"`
 	// Backlog is the tolerated worst-subscriber queue fill fraction in
 	// [0, 1]. Default 0.75.
-	Backlog float64
+	Backlog float64 `json:"backlog"`
 	// DowngradesPerSec bounds tolerated adaptive tier step-downs across
 	// the node's subscribers — sustained downgrades mean fan-out demand
 	// outruns what consumers can drain even at reduced stream weight.
 	// Default 50/s.
-	DowngradesPerSec float64
+	DowngradesPerSec float64 `json:"downgrades_per_sec"`
 }
 
 func (c Capacity) withDefaults() Capacity {

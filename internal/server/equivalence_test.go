@@ -85,29 +85,18 @@ func TestBurstOfferEquivalence(t *testing.T) {
 	}
 }
 
-// TestEncodingEquivalenceLive subscribes one NDJSON and one binary
-// consumer to the same live session and requires the decoded event
-// streams to be deep-equal: the binary encoding is a wire optimization,
-// not a different stream.
+// TestEncodingEquivalenceLive subscribes one NDJSON, one binary and one
+// in-process consumer to the same live session and requires the decoded
+// event streams to be deep-equal: the binary encoding is a wire
+// optimization and the in-process decoded form a delivery detail, not
+// different streams.
 func TestEncodingEquivalenceLive(t *testing.T) {
 	run, _ := scenario(t)
-	srv, err := New(Config{
-		HTTPAddr:   "127.0.0.1:0",
-		IngestAddr: "127.0.0.1:0",
-		Registry: RegistryConfig{
-			NewEngine: testFactory(t),
-			// Deep queues: a slow-consumer drop is per-subscriber state
-			// that would legitimately fork the streams.
-			SubscriberQueue: 1 << 15,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, testRegistry(t, RegistryConfig{
+		// Deep queues: a slow-consumer drop is per-subscriber state
+		// that would legitimately fork the streams.
+		SubscriberQueue: 1 << 15,
+	}))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -125,11 +114,25 @@ func TestEncodingEquivalenceLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fromNDJSON, fromBinary []Event
+	sess, ok := srv.reg.Get(id)
+	if !ok {
+		t.Fatal("session not registered")
+	}
+	inProcess, err := sess.Subscribe(SubscribeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromNDJSON, fromBinary, fromInProcess []Event
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go collectEvents(ndjsonEvents, &fromNDJSON, &wg)
 	go collectEvents(binaryEvents, &fromBinary, &wg)
+	go func() {
+		defer wg.Done()
+		for ev := range inProcess.Events() {
+			fromInProcess = append(fromInProcess, ev)
+		}
+	}()
 
 	rs, err := ndjsonClient.DialIngest(id, readerwire.Hello{
 		Proto: readerwire.ProtoVersion, ReaderID: 1, AntennaCount: 4,
@@ -165,6 +168,7 @@ func TestEncodingEquivalenceLive(t *testing.T) {
 		}
 	}
 	compareEventStreams(t, fromNDJSON, fromBinary)
+	compareEventStreams(t, fromNDJSON, fromInProcess)
 }
 
 // TestEncodingEquivalenceCatchup repeats the equivalence through the
@@ -177,24 +181,13 @@ func TestEncodingEquivalenceCatchup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{
-		HTTPAddr:   "127.0.0.1:0",
-		IngestAddr: "127.0.0.1:0",
-		Registry: RegistryConfig{
-			NewEngine:       recordingFactory(t),
-			NewReplayer:     testReplayerFactory(t),
-			WAL:             store,
-			NoRecognize:     true,
-			SubscriberQueue: 1 << 15,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, testRegistry(t, RegistryConfig{
+		NewEngine:       recordingFactory(t),
+		NewReplayer:     testReplayerFactory(t),
+		WAL:             store,
+		NoRecognize:     true,
+		SubscriberQueue: 1 << 15,
+	}))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

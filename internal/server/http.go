@@ -152,37 +152,50 @@ func writeOverload(w http.ResponseWriter, oe *OverloadError) {
 	}})
 }
 
-// writeSessionError maps the session/registry error sentinels onto the
-// envelope; it handles every error the open, verb and stream paths can
-// produce.
+// errorCodes is the one mapping of the error sentinels onto the
+// envelope: writeSessionError answers with it and APIError.Is reads it
+// back, so server and client cannot drift. An empty msg sends
+// err.Error(). Wrapped sentinels match in table order.
+var errorCodes = []struct {
+	err    error
+	status int
+	code   string
+	msg    string
+}{
+	{ErrSessionLimit, http.StatusServiceUnavailable, "session_limit", "session limit reached"},
+	{ErrSubscriberLimit, http.StatusServiceUnavailable, "subscriber_limit", "subscriber limit reached"},
+	{ErrOverloaded, http.StatusTooManyRequests, "overloaded", ""},
+	{ErrSessionExists, http.StatusConflict, "conflict", "session exists"},
+	{ErrBadSessionID, http.StatusBadRequest, "bad_session_id", ""},
+	{ErrBadSpec, http.StatusBadRequest, "bad_request", ""},
+	{ErrUnknownSession, http.StatusNotFound, "not_found", "unknown session"},
+	{ErrNotParked, http.StatusConflict, "not_parked", ""},
+	{ErrNotLive, http.StatusConflict, "not_live", ""},
+	{ErrNotDurable, http.StatusConflict, "not_durable", ""},
+	{ErrNoWAL, http.StatusBadRequest, "no_wal", "session has no write-ahead log"},
+	{ErrSessionClosed, http.StatusGone, "gone", "session closed"},
+}
+
+// writeSessionError answers any error the open, verb, stream and
+// retrace paths produce: an overload refusal with its backoff, a
+// sentinel through errorCodes, anything else as a 500.
 func writeSessionError(w http.ResponseWriter, err error) {
 	var oe *OverloadError
-	switch {
-	case errors.As(err, &oe):
+	if errors.As(err, &oe) {
 		writeOverload(w, oe)
-	case errors.Is(err, ErrSessionLimit):
-		writeError(w, http.StatusServiceUnavailable, "session_limit", "session limit reached")
-	case errors.Is(err, ErrSessionExists):
-		writeError(w, http.StatusConflict, "conflict", "session exists")
-	case errors.Is(err, ErrBadSessionID):
-		writeError(w, http.StatusBadRequest, "bad_session_id", err.Error())
-	case errors.Is(err, ErrBadSpec):
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-	case errors.Is(err, ErrUnknownSession):
-		writeError(w, http.StatusNotFound, "not_found", "unknown session")
-	case errors.Is(err, ErrNotParked):
-		writeError(w, http.StatusConflict, "not_parked", err.Error())
-	case errors.Is(err, ErrNotLive):
-		writeError(w, http.StatusConflict, "not_live", err.Error())
-	case errors.Is(err, ErrNotDurable):
-		writeError(w, http.StatusConflict, "not_durable", err.Error())
-	case errors.Is(err, ErrNoWAL):
-		writeError(w, http.StatusBadRequest, "no_wal", "session has no write-ahead log")
-	case errors.Is(err, ErrSessionClosed):
-		writeError(w, http.StatusGone, "gone", "session closed")
-	default:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		return
 	}
+	for _, ec := range errorCodes {
+		if errors.Is(err, ec.err) {
+			msg := ec.msg
+			if msg == "" {
+				msg = err.Error()
+			}
+			writeError(w, ec.status, ec.code, msg)
+			return
+		}
+	}
+	writeError(w, http.StatusInternalServerError, "internal", err.Error())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -307,7 +320,7 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown session")
+		writeSessionError(w, ErrUnknownSession)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.info(sess))
@@ -315,7 +328,7 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	if !s.reg.Remove(r.PathValue("id")) {
-		writeError(w, http.StatusNotFound, "not_found", "unknown session")
+		writeSessionError(w, ErrUnknownSession)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -344,21 +357,21 @@ func streamTier(r *http.Request) (SubscribeTier, error) {
 // ?encoding query parameter (ndjson | binary) wins, else an Accept
 // header naming the binary media type selects binary, else NDJSON (the
 // compatibility default). An unknown ?encoding value is an error.
-func streamEncoding(r *http.Request) (binary bool, err error) {
+func streamEncoding(r *http.Request) (subEncoding, error) {
 	switch enc := r.URL.Query().Get("encoding"); enc {
 	case "":
 		// Fall through to Accept negotiation.
 	case "ndjson":
-		return false, nil
+		return encNDJSON, nil
 	case "binary":
-		return true, nil
+		return encBinary, nil
 	default:
-		return false, fmt.Errorf("unknown encoding %q (want ndjson or binary)", enc)
+		return encNDJSON, fmt.Errorf("unknown encoding %q (want ndjson or binary)", enc)
 	}
 	if strings.Contains(r.Header.Get("Accept"), EventStreamContentType) {
-		return true, nil
+		return encBinary, nil
 	}
-	return false, nil
+	return encNDJSON, nil
 }
 
 // handleStream is the live delivery path: a chunked stream of the
@@ -376,8 +389,8 @@ func streamEncoding(r *http.Request) (binary bool, err error) {
 // coalesces them into batches, marshals each batch exactly once per
 // encoding, and every stream writer shares the resulting immutable
 // bytes — one queue item and one Write per batch, identical bytes on
-// the wire. This writer only marshals locally for events that bypass
-// that path (catch-up replays, drop notices).
+// the wire. This writer only marshals locally for events that travel one
+// per queue item (catch-up replays, drop and tier notices).
 //
 // With ?from=seq (WAL-backed sessions) the subscriber first catches up
 // from the session's recorded history — points derived from log records
@@ -388,10 +401,10 @@ func streamEncoding(r *http.Request) (binary bool, err error) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown session")
+		writeSessionError(w, ErrUnknownSession)
 		return
 	}
-	binary, err := streamEncoding(r)
+	encoding, err := streamEncoding(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -401,7 +414,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	opts := SubscribeOptions{Binary: binary, Batched: true, Tier: tier}
+	opts := SubscribeOptions{Tier: tier, encoding: encoding}
 	var sub *Subscriber
 	if fromStr := r.URL.Query().Get("from"); fromStr != "" || sess.Recovered() {
 		from := uint64(0)
@@ -412,24 +425,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		sub, err = sess.SubscribeFromOpts(from, opts)
-		if errors.Is(err, ErrNoWAL) {
-			writeError(w, http.StatusBadRequest, "no_wal", "session has no write-ahead log")
-			return
-		}
+		sub, err = sess.SubscribeFrom(from, opts)
 	} else {
-		sub, err = sess.SubscribeOpts(opts)
-	}
-	if errors.Is(err, ErrSubscriberLimit) {
-		s.metrics.Shed.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "subscriber_limit", "subscriber limit reached")
-		return
+		sub, err = sess.Subscribe(opts)
 	}
 	if err != nil {
-		writeError(w, http.StatusGone, "gone", "session closed")
+		writeSessionError(w, err)
 		return
 	}
 	defer sub.Close()
+	binary := encoding == encBinary
 	flusher, _ := w.(http.Flusher)
 	if binary {
 		w.Header().Set("Content-Type", EventStreamContentType)
@@ -443,38 +448,32 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	enc := json.NewEncoder(w)
 	pipeline := s.reg.Pipeline()
-	// scratch backs the marshal-locally fallback for events without
-	// shared wire bytes; reused across events, never escapes this writer.
+	// scratch backs the binary marshal-locally fallback for events that
+	// travel one per queue item; reused, never escapes this writer.
 	var scratch []byte
 	writeEvent := func(ev Event) error {
 		if ev.enq > 0 {
 			pipeline.ObserveStage(obs.StageWrite, obs.Now()-ev.enq, sess.stripe)
 		}
-		if binary {
-			if ev.wire != nil && ev.wire.binary != nil {
-				_, err := w.Write(ev.wire.binary)
-				return err
-			}
-			if ev.batchLen > 0 {
-				return nil // carrier: only its pre-encoded bytes have meaning
-			}
+		var b []byte
+		switch {
+		case ev.batch != nil && binary:
+			b = ev.batch.binary
+		case ev.batch != nil:
+			b = ev.batch.ndjson
+		case binary:
 			scratch = appendEventFrame(scratch[:0], &ev)
-			_, err := w.Write(scratch)
-			return err
+			b = scratch
+		default:
+			return enc.Encode(ev)
 		}
-		if ev.wire != nil && ev.wire.ndjson != nil {
-			_, err := w.Write(ev.wire.ndjson)
-			return err
-		}
-		if ev.batchLen > 0 {
-			return nil // carrier: only its pre-encoded bytes have meaning
-		}
-		return enc.Encode(ev)
+		_, err := w.Write(b)
+		return err
 	}
 	ctx := r.Context()
 	for {
 		select {
-		case ev, ok := <-sub.Events():
+		case ev, ok := <-sub.ch:
 			if !ok {
 				return
 			}
@@ -485,7 +484,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		drain:
 			for i := 0; i < 256; i++ {
 				select {
-				case ev, ok := <-sub.Events():
+				case ev, ok := <-sub.ch:
 					if !ok {
 						return
 					}
@@ -511,7 +510,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown session")
+		writeSessionError(w, ErrUnknownSession)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -539,7 +538,7 @@ type sessionEvents struct {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown session")
+		writeSessionError(w, ErrUnknownSession)
 		return
 	}
 	evs := sess.Events()
@@ -623,7 +622,7 @@ type TracePointJSON struct {
 func (s *Server) handleRetrace(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown session")
+		writeSessionError(w, ErrUnknownSession)
 		return
 	}
 	var req retraceRequest
@@ -637,12 +636,8 @@ func (s *Server) handleRetrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results, head, err := sess.Retrace(search)
-	switch {
-	case errors.Is(err, ErrNoWAL):
-		writeError(w, http.StatusBadRequest, "no_wal", "session has no write-ahead log")
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+	if err != nil {
+		writeSessionError(w, err)
 		return
 	}
 	resp := RetraceSummary{ID: sess.ID, Records: head, Tags: make([]RetracedTagSummary, 0, len(results))}

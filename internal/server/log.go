@@ -1,61 +1,10 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"strings"
 )
-
-// logfHandler bridges structured logs onto the legacy Logf hook so every
-// embedder that only wired a printf-style sink keeps receiving the
-// daemon's logs after the slog migration. Records render as
-// "level msg k=v k=v" on a single line.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	level *slog.LevelVar
-	attrs []slog.Attr
-}
-
-func newLogfHandler(logf func(format string, args ...any), level *slog.LevelVar) logfHandler {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	return logfHandler{logf: logf, level: level}
-}
-
-func (h logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= h.level.Level()
-}
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(levelName(r.Level))
-	b.WriteByte(' ')
-	b.WriteString(r.Message)
-	for _, a := range h.attrs {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	merged := make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	merged = append(merged, h.attrs...)
-	merged = append(merged, attrs...)
-	h.attrs = merged
-	return h
-}
-
-func (h logfHandler) WithGroup(name string) slog.Handler {
-	// Groups are flattened: the bridge is for simple printf sinks.
-	return h
-}
 
 // levelName renders a slog level the way the control plane accepts it.
 func levelName(l slog.Level) string {

@@ -13,27 +13,14 @@ import (
 	"rfidraw/internal/obs"
 )
 
-// obsServer spins up a full daemon over real sockets with the test
-// engine factory, returning it with a bound API client.
-func obsServer(t *testing.T, cfg Config) (*Server, *Client) {
+// obsServer serves reg over real sockets (a fresh registry on the test
+// engine factory when reg is nil), returning it with a bound API client.
+func obsServer(t *testing.T, reg *Registry) (*Server, *Client) {
 	t.Helper()
-	if cfg.HTTPAddr == "" {
-		cfg.HTTPAddr = "127.0.0.1:0"
+	if reg == nil {
+		reg = testRegistry(t, RegistryConfig{})
 	}
-	if cfg.IngestAddr == "" {
-		cfg.IngestAddr = "127.0.0.1:0"
-	}
-	if cfg.SharedRegistry == nil && cfg.Registry.NewEngine == nil {
-		cfg.Registry.NewEngine = testFactory(t)
-	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	srv := serve(t, reg)
 	return srv, &Client{BaseURL: "http://" + srv.HTTPAddr()}
 }
 
@@ -45,7 +32,7 @@ func obsServer(t *testing.T, cfg Config) (*Server, *Client) {
 // Client.FetchMetrics, which asserts the status and Content-Type.
 func TestMetricsExpositionLint(t *testing.T) {
 	run, _ := scenario(t)
-	srv, cl := obsServer(t, Config{})
+	srv, cl := obsServer(t, nil)
 	sess, err := srv.Registry().Open(SessionSpec{ID: "lint", Sweep: perTagSweep(run)})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +275,7 @@ func TestFetchMetricsRejectsBadResponses(t *testing.T) {
 // the spans back as NDJSON.
 func TestTraceSpanSampling(t *testing.T) {
 	run, _ := scenario(t)
-	srv, cl := obsServer(t, Config{})
+	srv, cl := obsServer(t, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -361,7 +348,7 @@ func TestTraceSpanSampling(t *testing.T) {
 func TestEventTimelineParkResume(t *testing.T) {
 	run, _ := scenario(t)
 	reg := walRegistry(t, t.TempDir())
-	srv, cl := obsServer(t, Config{SharedRegistry: reg})
+	srv, cl := obsServer(t, reg)
 	_ = srv
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -425,7 +412,7 @@ func TestEventTimelineParkResume(t *testing.T) {
 // TestLogLevelKnob mutates the runtime logging gate through the control
 // plane and rejects nonsense levels before any mutation.
 func TestLogLevelKnob(t *testing.T) {
-	_, cl := obsServer(t, Config{})
+	_, cl := obsServer(t, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rfidraw/internal/obs"
 	"rfidraw/internal/realtime"
 	"rfidraw/internal/rfid"
 )
@@ -25,7 +27,7 @@ func TestCatchupSubscriberSplicesWithoutGapOrDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := sess.Subscribe(1 << 16)
+	reference, err := sess.Subscribe(SubscribeOptions{Buffer: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestCatchupSubscriberSplicesWithoutGapOrDuplicate(t *testing.T) {
 		}
 	}
 	// Attach the late subscriber mid-stream: full history requested.
-	late, err := sess.SubscribeFrom(0, 1<<16)
+	late, err := sess.SubscribeFrom(0, SubscribeOptions{Buffer: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestCatchupSubscriberSplicesWithoutGapOrDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := sess2.WALSeq()
-	suffix, err := sess2.SubscribeFrom(head/2, 1<<16)
+	suffix, err := sess2.SubscribeFrom(head/2, SubscribeOptions{Buffer: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestExpireIdleVsAttachRace(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			sub, subErr = sess.Subscribe(4)
+			sub, subErr = sess.Subscribe(SubscribeOptions{Buffer: 4})
 		}()
 		go func() {
 			defer wg.Done()
@@ -222,6 +224,90 @@ func TestExpireIdleVsAttachRace(t *testing.T) {
 		conn.Close()
 		conn2.Close()
 		reg.Remove(id)
+	}
+}
+
+// TestCatchupAttachRefusedAfterExpiryClaim: the pump's catch-up attach
+// passes the same admission check as Subscribe, so a catch-up request
+// still queued when idle expiry claims the session is refused instead of
+// binding a subscriber to a session mid-teardown (the invariant
+// TestExpireIdleVsAttachRace states for live attaches).
+func TestCatchupAttachRefusedAfterExpiryClaim(t *testing.T) {
+	run, _ := scenario(t)
+	reg := walRegistry(t, t.TempDir())
+	sess, err := reg.Open(SessionSpec{ID: "claimed", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sess.claimExpiry(time.Now().Add(time.Hour), time.Minute) {
+		t.Fatal("idle session could not be claimed")
+	}
+	req := &catchupReq{sub: sess.newSubscriber(SubscribeOptions{}, true), head: make(chan uint64, 1)}
+	if err := sess.enqueue(ingestItem{catchup: req}); err != nil {
+		t.Fatal(err)
+	}
+	if head, ok := <-req.head; ok {
+		t.Fatalf("catch-up attach bound to a claimed session at head %d", head)
+	}
+	if !errors.Is(req.err, ErrSessionClosed) {
+		t.Fatalf("refusal = %v, want ErrSessionClosed", req.err)
+	}
+	if n := sess.Subscribers(); n != 0 {
+		t.Fatalf("claimed session has %d subscribers, want 0", n)
+	}
+}
+
+// TestSubscribeFromShedRecorded: a catch-up attach refused at the
+// subscriber cap is shed exactly like a live one — counted, and put on
+// the session timeline — on a live and on a recovered session.
+func TestSubscribeFromShedRecorded(t *testing.T) {
+	run, _ := scenario(t)
+	reg := walControlRegistry(t, t.TempDir(), RegistryConfig{MaxSubscribers: 1})
+	sess, err := reg.Open(SessionSpec{ID: "shed", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sheds := func() int {
+		n := 0
+		for _, ev := range sess.Events() {
+			if ev.Type == obs.EventShed {
+				n++
+			}
+		}
+		return n
+	}
+	feedSession(t, run, sess)
+	live, err := sess.Subscribe(SubscribeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shedBefore := reg.Metrics().Shed.Load()
+	if _, err := sess.SubscribeFrom(0, SubscribeOptions{}); !errors.Is(err, ErrSubscriberLimit) {
+		t.Fatalf("live catch-up past the cap: %v, want ErrSubscriberLimit", err)
+	}
+	if n := sheds(); n != 1 {
+		t.Fatalf("live refusal left %d shed timeline entries, want 1", n)
+	}
+	live.Close()
+
+	if err := reg.Park("shed"); err != nil {
+		t.Fatal(err)
+	}
+	// A one-slot queue the test never reads holds the first replay
+	// attached: it blocks on its second point.
+	first, err := sess.SubscribeFrom(0, SubscribeOptions{Buffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	if _, err := sess.SubscribeFrom(0, SubscribeOptions{}); !errors.Is(err, ErrSubscriberLimit) {
+		t.Fatalf("recovered catch-up past the cap: %v, want ErrSubscriberLimit", err)
+	}
+	if n := sheds(); n != 2 {
+		t.Fatalf("recovered refusal left %d shed timeline entries in all, want 2", n)
+	}
+	if n := reg.Metrics().Shed.Load() - shedBefore; n != 2 {
+		t.Fatalf("shed counter moved %d, want 2", n)
 	}
 }
 

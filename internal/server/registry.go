@@ -42,8 +42,9 @@ type RegistryConfig struct {
 	MaxSessions int
 	// MaxSubscribers caps stream consumers per session. Default 16.
 	MaxSubscribers int
-	// SubscriberQueue is the per-subscriber bounded queue depth (events).
-	// Default 256.
+	// SubscriberQueue is the per-subscriber bounded queue depth in
+	// deliveries: a group-committed batch of events is one queue item, as
+	// is each drop, tier or catch-up item. Default 256.
 	SubscriberQueue int
 	// IngestBuffer is the per-session ingest inbox depth (bursts);
 	// beyond it, reader connections block (TCP backpressure). Default
@@ -95,15 +96,11 @@ type RegistryConfig struct {
 	// plane (trace_sample_n).
 	TraceSampleN int
 
-	// Logger, when non-nil, receives structured operational logs and
-	// takes precedence over Logf.
+	// Logger receives structured operational logs; nil discards them.
 	Logger *slog.Logger
 	// LogLevel, when non-nil, is the shared level gate the control plane
 	// mutates at runtime (log_level); nil builds a private one at Info.
 	LogLevel *slog.LevelVar
-	// Logf receives operational log lines when Logger is nil; nil
-	// discards them. Retained as the legacy logging hook.
-	Logf func(format string, args ...any)
 }
 
 func (c RegistryConfig) withDefaults() RegistryConfig {
@@ -141,9 +138,6 @@ func (c RegistryConfig) withDefaults() RegistryConfig {
 		c.IdleTimeout = 2 * time.Minute
 	}
 	c.Capacity = c.Capacity.withDefaults()
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
 	return c
 }
 
@@ -435,7 +429,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	}
 	r.logger = cfg.Logger
 	if r.logger == nil {
-		r.logger = slog.New(newLogfHandler(cfg.Logf, r.levelVar))
+		r.logger = slog.New(slog.DiscardHandler)
 	}
 	if cfg.TraceSampleN > 0 {
 		r.traceSampleN.Store(int64(cfg.TraceSampleN))
@@ -591,14 +585,6 @@ func (r *Registry) admitLockedUnsafe(id string) error {
 	return nil
 }
 
-// OpenGeometry creates a session bound to a named antenna geometry.
-//
-// Deprecated: build a SessionSpec and call Open; this wrapper survives
-// for old callers only.
-func (r *Registry) OpenGeometry(id string, sweep time.Duration, geometry string) (*Session, error) {
-	return r.Open(SessionSpec{ID: id, Sweep: sweep, Geometry: geometry})
-}
-
 // validateSearch bounds a per-session search override to what the WAL
 // meta can record (and sane mode values).
 func validateSearch(sc *vote.SearchConfig) error {
@@ -670,7 +656,7 @@ func (r *Registry) Remove(id string) bool {
 		return false
 	}
 	if s.Recovered() {
-		s.closeRecovered()
+		s.closeSubscribers()
 	} else {
 		s.Close()
 		r.metrics.SessionsActive.Add(-1)
@@ -892,7 +878,7 @@ func (r *Registry) Resume(id string) (*Session, error) {
 	r.live++
 	r.queueIdle(s)
 	r.mu.Unlock()
-	old.closeRecovered()
+	old.closeSubscribers()
 	r.metrics.SessionsRetained.Add(-1)
 	r.metrics.SessionsResumed.Add(1)
 	r.metrics.SessionsActive.Add(1)
@@ -1056,7 +1042,7 @@ func (r *Registry) ExpireRetained(now time.Time, retain time.Duration) []string 
 	r.mu.Unlock()
 	ids := make([]string, 0, len(victims))
 	for _, s := range victims {
-		s.closeRecovered()
+		s.closeSubscribers()
 		r.metrics.SessionsRetained.Add(-1)
 		r.metrics.SessionsExpired.Add(1)
 		if err := r.cfg.WAL.Remove(s.ID); err != nil {
@@ -1095,7 +1081,7 @@ func (r *Registry) Close() {
 	r.mu.Unlock()
 	for _, s := range sessions {
 		if s.Recovered() {
-			s.closeRecovered()
+			s.closeSubscribers()
 			r.metrics.SessionsRetained.Add(-1)
 			continue
 		}

@@ -29,66 +29,25 @@ type ReplayerFactory func(sweep time.Duration, geometry string, search *vote.Sea
 // records with sequence ≥ from (0 = everything) — and, on a live
 // session, spliced onto the live event stream at the log head without
 // gap or duplicate. The splice is pump-mediated: the pump drains (so
-// everything emitted live so far is on disk), snapshots the head, and
-// parks live events for this subscriber until the replayed prefix has
-// been delivered. On a recovered session the replay ends with an "end"
-// event instead.
-func (s *Session) SubscribeFrom(from uint64, buffer int) (*Subscriber, error) {
-	return s.SubscribeFromOpts(from, SubscribeOptions{Buffer: buffer})
-}
-
-// SubscribeFromOpts is SubscribeFrom with the full option set (buffer
-// size, binary wire encoding).
-func (s *Session) SubscribeFromOpts(from uint64, o SubscribeOptions) (*Subscriber, error) {
+// everything emitted live so far is on disk), admits and attaches the
+// subscriber, snapshots the head, and live events park for it until the
+// replayed prefix has been delivered. On a recovered session the replay
+// ends with an "end" event instead.
+func (s *Session) SubscribeFrom(from uint64, o SubscribeOptions) (*Subscriber, error) {
 	if s.reg.cfg.WAL == nil || s.reg.cfg.NewReplayer == nil {
 		return nil, ErrNoWAL
 	}
-	buffer := o.Buffer
-	if buffer <= 0 {
-		buffer = s.reg.cfg.SubscriberQueue
-	}
-	tier := o.Tier.level()
-	sub := &Subscriber{
-		sess:       s,
-		ch:         make(chan Event, buffer),
-		catchingUp: true,
-		binary:     o.Binary,
-		batched:    o.Batched,
-		tier:       tier,
-		maxTier:    tier,
-		cancel:     make(chan struct{}),
-	}
+	sub := s.newSubscriber(o, true)
 	if s.Recovered() {
 		s.emitMu.Lock()
-		if !s.replayAttachable {
-			s.emitMu.Unlock()
-			return nil, ErrSessionClosed
-		}
-		if len(s.subs) >= s.reg.cfg.MaxSubscribers {
-			s.emitMu.Unlock()
-			return nil, ErrSubscriberLimit
-		}
-		s.addSubLocked(sub)
+		err := s.attachLocked(sub)
 		s.emitMu.Unlock()
-		s.touch() // retention clock: the record is in active use
+		if err != nil {
+			return nil, err
+		}
 		go s.runCatchup(sub, from, 0, true)
 		return sub, nil
 	}
-	// Live session: admission under emitMu, then the pump-mediated
-	// drain-and-attach (the subscriber limit is re-checked by nobody —
-	// a racing attach may briefly overshoot the cap by the number of
-	// in-flight catch-ups, which is the usual bounded-staleness of the
-	// admission counters).
-	s.emitMu.Lock()
-	if s.subsClosed || s.closing {
-		s.emitMu.Unlock()
-		return nil, ErrSessionClosed
-	}
-	if len(s.subs) >= s.reg.cfg.MaxSubscribers {
-		s.emitMu.Unlock()
-		return nil, ErrSubscriberLimit
-	}
-	s.emitMu.Unlock()
 	req := &catchupReq{sub: sub, head: make(chan uint64, 1)}
 	if err := s.enqueue(ingestItem{catchup: req}); err != nil {
 		return nil, err
@@ -96,7 +55,7 @@ func (s *Session) SubscribeFromOpts(from uint64, o SubscribeOptions) (*Subscribe
 	select {
 	case head, ok := <-req.head:
 		if !ok {
-			return nil, ErrSessionClosed
+			return nil, req.err
 		}
 		go s.runCatchup(sub, from, head, false)
 		return sub, nil
@@ -123,24 +82,22 @@ func (s *Session) runCatchup(sub *Subscriber, from, head uint64, recovered bool)
 		close(sub.ch)
 		return
 	}
+	sub.catchingUp = false
 	if err != nil || recovered {
 		// A recovered session has no live stream to splice onto; a
 		// failed replay must not silently splice over a gap. Both end
 		// the stream.
-		s.removeSubLocked(sub)
-		sub.catchingUp = false
 		select {
 		case sub.ch <- Event{Type: "end"}:
 		default:
 		}
-		close(sub.ch)
+		s.detachLocked(sub)
 		return
 	}
 	// Splice: deliver the live events parked during the replay, then
 	// hand the queue over to the broadcast path. Everything parked
 	// derives from records past the snapshotted head, so the stream is
 	// gapless and duplicate-free across the boundary.
-	sub.catchingUp = false
 	for _, ev := range sub.pending {
 		s.sendLocked(sub, ev)
 	}

@@ -16,10 +16,12 @@
 //     session), sequences each reader's reports, and fans them into the
 //     session's engine through a small time-reorder buffer;
 //   - a streaming API (http.go): JSON control endpoints for session
-//     lifecycle plus a chunked NDJSON live stream of trace points and
-//     recognized glyphs per session, delivered to N subscribers through
-//     bounded queues with a drop-oldest slow-consumer policy and
-//     load-shedding (HTTP 503) beyond the configured caps;
+//     lifecycle plus a chunked live stream (NDJSON or binary frames) of
+//     trace points and recognized glyphs per session. Every subscriber,
+//     HTTP or in-process, is fed by one per-session group-commit flusher
+//     (session.go) through a bounded queue with a drop-oldest
+//     slow-consumer policy, and attaches beyond the configured caps are
+//     shed (HTTP 503);
 //   - an observability surface (metrics.go): /healthz and /metrics with
 //     counters for sessions, ingested reports (and a reports/s gauge),
 //     emitted points, search evaluations, queue drops and shed requests,
@@ -47,62 +49,13 @@ import (
 	"rfidraw/internal/vote"
 )
 
-// Config assembles a Server.
-type Config struct {
-	// HTTPAddr is the control/streaming API listen address.
-	// Default 127.0.0.1:8090.
-	HTTPAddr string
-	// IngestAddr is the reader ingest gateway listen address.
-	// Default 127.0.0.1:7070.
-	IngestAddr string
-
-	// Registry tunes the session registry; zero values take defaults.
-	Registry RegistryConfig
-	// SharedRegistry, when non-nil, serves an existing registry instead
-	// of building one from the Registry config — the hook that lets
-	// rfidraw.System expose its in-process sessions over the daemon API.
-	// Closing the server closes the shared registry's sessions.
-	SharedRegistry *Registry
-
-	// IdleTimeout seeds the registry's runtime idle-expiry knob: sessions
-	// with no ingest activity, no connected readers and no subscribers
-	// past it are expired (parked if durable). Default 2 minutes;
-	// mutable at runtime via the control API.
-	IdleTimeout time.Duration
-
-	// Logger, when non-nil, receives structured operational logs and
-	// takes precedence over Logf; it is threaded into the registry
-	// (session-scoped attrs) unless SharedRegistry already has one.
-	Logger *slog.Logger
-	// LogLevel, when non-nil, is the shared runtime-mutable level gate.
-	LogLevel *slog.LevelVar
-	// Logf receives operational log lines when Logger is nil; nil
-	// discards them.
-	Logf func(format string, args ...any)
-}
-
-func (c Config) withDefaults() Config {
-	if c.HTTPAddr == "" {
-		c.HTTPAddr = "127.0.0.1:8090"
-	}
-	if c.IngestAddr == "" {
-		c.IngestAddr = "127.0.0.1:7070"
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-	return c
-}
-
 // Server is the rfidrawd daemon core: an HTTP API and an ingest gateway
 // over a session registry.
 type Server struct {
-	cfg     Config
 	reg     *Registry
 	metrics *Metrics
+	// httpAddr / ingestAddr are the requested listen addresses.
+	httpAddr, ingestAddr string
 	// logger is the registry's resolved structured logger.
 	logger *slog.Logger
 
@@ -130,48 +83,26 @@ type Server struct {
 	lastReports int64
 }
 
-// New builds a Server. cfg.Registry.NewEngine is required — it binds each
-// session to a tracking engine (rfidraw.System.Serve and cmd/rfidrawd
-// provide it from their deployment configuration).
-func New(cfg Config) (*Server, error) {
-	explicitIdle := cfg.IdleTimeout > 0
-	cfg = cfg.withDefaults()
-	reg := cfg.SharedRegistry
-	if reg == nil {
-		rcfg := cfg.Registry
-		if rcfg.IdleTimeout <= 0 {
-			rcfg.IdleTimeout = cfg.IdleTimeout
-		}
-		if rcfg.Logger == nil {
-			rcfg.Logger = cfg.Logger
-		}
-		if rcfg.LogLevel == nil {
-			rcfg.LogLevel = cfg.LogLevel
-		}
-		if rcfg.Logf == nil {
-			rcfg.Logf = cfg.Logf
-		}
-		var err error
-		reg, err = NewRegistry(rcfg)
-		if err != nil {
-			return nil, err
-		}
-	} else if explicitIdle {
-		// A shared registry keeps its own knobs unless the server was
-		// given an explicit timeout (the pre-knob behavior).
-		d := cfg.IdleTimeout
-		if err := reg.ApplyKnobs(KnobPatch{IdleTimeout: &d}); err != nil {
-			return nil, err
-		}
+// New builds a Server over a registry: the HTTP API listens on httpAddr
+// (default 127.0.0.1:8090) and the reader ingest gateway on ingestAddr
+// (default 127.0.0.1:7070). The server serves every session the registry
+// holds, in-process ones included, and closing it closes the registry.
+func New(reg *Registry, httpAddr, ingestAddr string) *Server {
+	if httpAddr == "" {
+		httpAddr = "127.0.0.1:8090"
+	}
+	if ingestAddr == "" {
+		ingestAddr = "127.0.0.1:7070"
 	}
 	return &Server{
-		cfg:           cfg,
+		httpAddr:      httpAddr,
+		ingestAddr:    ingestAddr,
 		reg:           reg,
 		metrics:       reg.metrics,
 		logger:        reg.logger,
 		quit:          make(chan struct{}),
 		pendingIngest: map[net.Conn]struct{}{},
-	}, nil
+	}
 }
 
 // Registry exposes the server's session registry (for in-process sessions
@@ -181,11 +112,11 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Start binds both listeners and launches the accept and GC loops. It
 // returns once the server is reachable; use Close (or Serve) to stop it.
 func (s *Server) Start() error {
-	httpLn, err := net.Listen("tcp", s.cfg.HTTPAddr)
+	httpLn, err := net.Listen("tcp", s.httpAddr)
 	if err != nil {
 		return fmt.Errorf("server: http listen: %w", err)
 	}
-	ingestLn, err := net.Listen("tcp", s.cfg.IngestAddr)
+	ingestLn, err := net.Listen("tcp", s.ingestAddr)
 	if err != nil {
 		httpLn.Close()
 		return fmt.Errorf("server: ingest listen: %w", err)
@@ -228,7 +159,7 @@ func (s *Server) Serve(ctx context.Context) error {
 // HTTPAddr returns the bound API address (resolved, useful with ":0").
 func (s *Server) HTTPAddr() string {
 	if s.httpLn == nil {
-		return s.cfg.HTTPAddr
+		return s.httpAddr
 	}
 	return s.httpLn.Addr().String()
 }
@@ -236,17 +167,17 @@ func (s *Server) HTTPAddr() string {
 // IngestAddr returns the bound ingest gateway address.
 func (s *Server) IngestAddr() string {
 	if s.ingestLn == nil {
-		return s.cfg.IngestAddr
+		return s.ingestAddr
 	}
 	return s.ingestLn.Addr().String()
 }
 
 // gcLoop expires idle sessions (and over-retained parked records) on a
-// fraction of the idle timeout. The deadlines are re-read from the
-// registry's runtime knobs every tick so a control-plane mutation takes
-// effect without a restart.
+// fraction of the idle timeout the registry holds at start. The
+// deadlines are re-read from the registry's runtime knobs every tick so
+// a control-plane mutation takes effect without a restart.
 func (s *Server) gcLoop() {
-	period := s.cfg.IdleTimeout / 4
+	period := s.reg.IdleTimeout() / 4
 	if period < time.Second {
 		period = time.Second
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +124,18 @@ func testRegistry(t testing.TB, cfg RegistryConfig) *Registry {
 	}
 	t.Cleanup(reg.Close)
 	return reg
+}
+
+// serve starts a server over reg on ephemeral ports and closes it with
+// the test.
+func serve(t testing.TB, reg *Registry) *Server {
+	t.Helper()
+	srv := New(reg, "127.0.0.1:0", "127.0.0.1:0")
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
 }
 
 // feedSession replays the scenario's merged report stream into a session
@@ -256,11 +269,11 @@ func TestSessionLifecycle(t *testing.T) {
 
 	// Attach two subscribers: a healthy one and a deliberately tiny,
 	// never-drained one that must hit the slow-consumer drop policy.
-	healthy, err := sess.Subscribe(0)
+	healthy, err := sess.Subscribe(SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := sess.Subscribe(2)
+	slow, err := sess.Subscribe(SubscribeOptions{Buffer: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +330,50 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestEventsResumesMidBatch: an in-process subscriber's queue carries
+// one group-committed batch as one item, and a consumer that stops
+// ranging over Events part-way through it gets the rest of the batch, in
+// order, on its next range.
+func TestEventsResumesMidBatch(t *testing.T) {
+	run, _ := scenario(t)
+	reg := testRegistry(t, RegistryConfig{NoRecognize: true})
+	sess, err := reg.Open(SessionSpec{ID: "mid-batch", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := sess.Subscribe(SubscribeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	commit := func(from, to int) {
+		sess.emitMu.Lock()
+		defer sess.emitMu.Unlock()
+		for i := from; i <= to; i++ {
+			sess.broadcastLocked(Event{Type: "point", Tag: "pen", T: time.Duration(i)})
+		}
+		sess.flushEmitLocked()
+	}
+	commit(1, 3)
+	if n := len(sub.ch); n != 1 {
+		t.Fatalf("three events queued as %d items, want one batch", n)
+	}
+	commit(4, 4)
+	var got []time.Duration
+	for ev := range sub.Events() {
+		got = append(got, ev.T)
+		break
+	}
+	for ev := range sub.Events() {
+		if got = append(got, ev.T); ev.T == 4 {
+			break
+		}
+	}
+	if want := []time.Duration{1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("events across the early stop = %v, want %v", got, want)
+	}
+}
+
 // TestGlyphEvents: strokes separated by stream-time silence produce glyph
 // events for the healthy subscriber.
 func TestGlyphEvents(t *testing.T) {
@@ -326,7 +383,7 @@ func TestGlyphEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := sess.Subscribe(0)
+	sub, err := sess.Subscribe(SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,12 +428,12 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := reg.Open(SessionSpec{ID: "c", Sweep: perTagSweep(run)}); err != nil {
 		t.Fatalf("open after free: %v", err)
 	}
-	sub, err := sb.Subscribe(0)
+	sub, err := sb.Subscribe(SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if _, err := sb.Subscribe(0); err != ErrSubscriberLimit {
+	if _, err := sb.Subscribe(SubscribeOptions{}); err != ErrSubscriberLimit {
 		t.Fatalf("second subscriber: %v, want ErrSubscriberLimit", err)
 	}
 }
@@ -386,23 +443,11 @@ func TestAdmissionControl(t *testing.T) {
 // consume the NDJSON stream, check the observability surface, delete.
 func TestServerEndToEnd(t *testing.T) {
 	run, _ := scenario(t)
-	srv, err := New(Config{
-		HTTPAddr:   "127.0.0.1:0",
-		IngestAddr: "127.0.0.1:0",
-		Registry: RegistryConfig{
-			NewEngine: testFactory(t),
-			// The test replays at 8x, so cross-reader wall skew is
-			// amplified 8x in stream time; widen the reorder hold.
-			ReorderWindow: 250 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, testRegistry(t, RegistryConfig{
+		// The test replays at 8x, so cross-reader wall skew is
+		// amplified 8x in stream time; widen the reorder hold.
+		ReorderWindow: 250 * time.Millisecond,
+	}))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -494,22 +539,10 @@ func TestServerEndToEnd(t *testing.T) {
 // reconnects (new conn, new Hello) keeps its session's trackers going.
 func TestIngestReaderReconnect(t *testing.T) {
 	run, _ := scenario(t)
-	srv, err := New(Config{
-		HTTPAddr:   "127.0.0.1:0",
-		IngestAddr: "127.0.0.1:0",
-		Registry: RegistryConfig{
-			NewEngine:     testFactory(t),
-			ReorderWindow: 250 * time.Millisecond,
-			NoRecognize:   true,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, testRegistry(t, RegistryConfig{
+		ReorderWindow: 250 * time.Millisecond,
+		NoRecognize:   true,
+	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cl := &Client{BaseURL: "http://" + srv.HTTPAddr()}
@@ -582,17 +615,7 @@ func TestIngestReaderReconnect(t *testing.T) {
 // does not sit out its timeout.
 func TestCloseFastWithLiveSubscriber(t *testing.T) {
 	run, _ := scenario(t)
-	srv, err := New(Config{
-		HTTPAddr:   "127.0.0.1:0",
-		IngestAddr: "127.0.0.1:0",
-		Registry:   RegistryConfig{NewEngine: testFactory(t), NoRecognize: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
+	srv := serve(t, testRegistry(t, RegistryConfig{NoRecognize: true}))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	cl := &Client{BaseURL: "http://" + srv.HTTPAddr()}
@@ -639,18 +662,7 @@ func TestBadSessionID(t *testing.T) {
 // TestIngestUnknownSession: the gateway refuses a preamble naming a
 // session that does not exist.
 func TestIngestUnknownSession(t *testing.T) {
-	srv, err := New(Config{
-		HTTPAddr:   "127.0.0.1:0",
-		IngestAddr: "127.0.0.1:0",
-		Registry:   RegistryConfig{NewEngine: testFactory(t), NoRecognize: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serve(t, testRegistry(t, RegistryConfig{NoRecognize: true}))
 	cl := &Client{Ingest: srv.IngestAddr()}
 	if _, err := cl.DialIngest("nope", readerwire.Hello{Proto: readerwire.ProtoVersion, SweepInterval: time.Millisecond}); err == nil {
 		// The dial itself may succeed (preamble write buffered); the

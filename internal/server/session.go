@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"encoding/json"
 	"errors"
+	"iter"
 	"log/slog"
 	"net"
 	"strconv"
@@ -92,29 +93,21 @@ type Event struct {
 	// set by the broadcast path so the stream writer can observe the
 	// queue-to-wire stage. Unexported: invisible on the wire.
 	enq int64
-	// wire carries the event's pre-marshaled encodings, produced exactly
-	// once per broadcast for whichever encodings have attached
-	// subscribers; every subscriber's stream writer shares the immutable
-	// byte slices instead of re-marshaling. nil on events that bypass the
-	// broadcast path (catch-up replays, per-subscriber drop notices) —
-	// those writers fall back to marshaling locally. Unexported:
-	// invisible on the wire.
-	wire *eventWire
-	// batchLen marks a group-commit carrier: an Event whose only meaning
-	// is its wire field, holding batchLen consecutive events pre-encoded
-	// as one contiguous byte run (see emitFlusher). Carriers exist only
-	// on batched subscribers' queues — the wire bytes a stream writer
-	// forwards are identical whether events travel one per queue item or
-	// many — and weigh batchLen events in drop accounting. Zero on every
-	// real event.
-	batchLen int
+	// batch marks a group-commit carrier: an Event whose only meaning is
+	// the batch it points at, consecutive events the emit flusher
+	// encoded once for one tier (see flushEmitLocked). Every subscriber
+	// served at that tier shares the batch; in drop accounting a carrier
+	// weighs the events it carries. nil on every real event, including
+	// the ones that travel one per queue item (catch-up replays, drop and
+	// tier notices). Unexported: invisible on the wire.
+	batch *eventBatch
 }
 
 // weight is the event's cost in drop accounting: carriers count the
 // events they carry, everything else counts one.
 func (ev *Event) weight() int {
-	if ev.batchLen > 0 {
-		return ev.batchLen
+	if ev.batch != nil {
+		return ev.batch.n
 	}
 	return 1
 }
@@ -146,15 +139,20 @@ func (ev Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(plain(ev))
 }
 
-// eventWire is one event's shared pre-marshaled encodings. The slices
-// are immutable after broadcast: many subscriber writers read them
-// concurrently with no copy.
-type eventWire struct {
-	// ndjson is one newline-terminated NDJSON line (byte-identical to
-	// what json.Encoder.Encode writes).
+// eventBatch is one tier's share of a group commit: n consecutive
+// events, built once in each form some subscriber at the tier consumes.
+// It is immutable after the flush: every subscriber at the tier reads
+// it concurrently with no copy.
+type eventBatch struct {
+	n int
+	// ndjson is the batch as newline-terminated NDJSON lines
+	// (byte-identical to what json.Encoder.Encode writes per event).
 	ndjson []byte
-	// binary is one CRC-framed binary event frame (see eventwire.go).
+	// binary is the batch as CRC-framed binary event frames (see
+	// eventwire.go).
 	binary []byte
+	// events is the batch decoded, for in-process subscribers.
+	events []Event
 }
 
 // burstEntry is one decoded report inside an ingest burst, paired with
@@ -204,24 +202,36 @@ type ingestItem struct {
 
 // catchupReq carries a pump-mediated catch-up attach: the pump drains so
 // the log head exactly covers everything already emitted live, attaches
-// the subscriber in catch-up mode, and acks with that head.
+// the subscriber in catch-up mode, and acks with that head — or sets err
+// to the admission refusal and closes head.
 type catchupReq struct {
 	sub  *Subscriber
 	head chan uint64
+	err  error
 }
+
+// subEncoding is the form a subscriber's batches reach it in: decoded
+// events (the zero value, for in-process consumers) or one of the wire
+// encodings a stream writer forwards as shared pre-encoded bytes.
+type subEncoding uint8
+
+const (
+	encDecoded subEncoding = iota
+	encNDJSON
+	encBinary
+)
 
 // Subscriber is one attached consumer of a session's event stream.
 type Subscriber struct {
 	sess *Session
-	ch   chan Event
-	// binary marks a subscriber consuming the CRC-framed binary event
-	// encoding; the broadcast path pre-marshals an encoding exactly once
-	// per event when at least one attached subscriber wants it.
-	binary bool
-	// batched marks a subscriber on group-commit delivery (see
-	// SubscribeOptions.Batched): its queue carries batch carriers from
-	// the emit flusher instead of one item per event.
-	batched bool
+	// ch is the bounded delivery queue: group-commit carriers from the
+	// emit flusher, plus the notices and catch-up points that travel one
+	// per item.
+	ch  chan Event
+	enc subEncoding
+	// rest is the undelivered tail of the carrier Events was expanding
+	// when its consumer stopped; only the consumer goroutine touches it.
+	rest []Event
 	// pendingDrops counts events lost since the last successfully
 	// delivered drop notice; guarded by the session's emitMu.
 	pendingDrops int
@@ -248,9 +258,33 @@ type Subscriber struct {
 	cancel     chan struct{}
 }
 
-// Events is the subscriber's bounded delivery queue. It is closed when
-// the session ends or the subscriber detaches.
-func (sub *Subscriber) Events() <-chan Event { return sub.ch }
+// Events yields the subscriber's events in order until its queue closes,
+// when the session ends or the subscriber detaches. The queue carries
+// group-committed batches; Events expands them, so the consumer sees
+// one event at a time. A consumer that stops early resumes where it
+// left off on its next call. One consumer goroutine at a time.
+func (sub *Subscriber) Events() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		for {
+			for len(sub.rest) > 0 {
+				ev := sub.rest[0]
+				sub.rest = sub.rest[1:]
+				if !yield(ev) {
+					return
+				}
+			}
+			ev, ok := <-sub.ch
+			if !ok {
+				return
+			}
+			if ev.batch != nil {
+				sub.rest = ev.batch.events
+			} else if !yield(ev) {
+				return
+			}
+		}
+	}
+}
 
 // Drops reports how many events this subscriber has lost to the
 // slow-consumer policy.
@@ -355,19 +389,13 @@ type Session struct {
 	subsClosed       bool
 	replayAttachable bool
 	strokes          map[string]*stroke
-	// plainSubs / batchedSubs count the attached subscribers by delivery
-	// mode (guarded by emitMu) so the per-event broadcast path can skip a
-	// whole fan-out mode — including its O(subscribers) loop — when no
-	// subscriber uses it.
-	plainSubs   int
-	batchedSubs int
 	// Group-commit state (guarded by emitMu except the channels): events
-	// bound for batched subscribers accumulate in emitBuf; emitKick (cap
-	// 1) nudges the emitFlusher goroutine, which swaps the buffer against
-	// emitSpare, encodes the batch once per needed encoding and delivers
-	// one carrier per subscriber. emitQuit/emitDone sequence the final
-	// drain into Close, after the pump's end event and before the
-	// subscriber sweep. All nil on recovered sessions (no flusher).
+	// bound for subscribers accumulate in emitBuf; emitKick (cap 1)
+	// nudges the emitFlusher goroutine, which swaps the buffer against
+	// emitSpare, builds the batch once per needed form and delivers one
+	// carrier per subscriber. emitQuit/emitDone sequence the final drain
+	// into Close, after the pump's end event and before the subscriber
+	// sweep. All nil on recovered sessions (no flusher).
 	emitBuf   []Event
 	emitSpare []Event
 	emitKick  chan struct{}
@@ -375,9 +403,9 @@ type Session struct {
 	emitDone  chan struct{}
 	// emitPace is the flusher's fan-out-aware accumulation window in
 	// nanoseconds (atomic: written under emitMu, read by the flusher
-	// before locking). Delivering a carrier costs every batched
-	// subscriber a wake and a socket write, so at wide fan-out the
-	// flusher waits this long after a kick before committing, letting
+	// before locking). Delivering a carrier costs every subscriber a
+	// wake and (for a stream writer) a socket write, so at wide fan-out
+	// the flusher waits this long after a kick before committing, letting
 	// the batch grow and amortizing the per-subscriber cost; at small
 	// fan-out the window rounds to zero and every event flushes
 	// immediately.
@@ -761,104 +789,102 @@ const (
 
 // SubscribeOptions configures a subscriber attach.
 type SubscribeOptions struct {
-	// Buffer bounds the delivery queue; <= 0 takes the registry default.
+	// Buffer bounds the delivery queue in queue items (a group-commit
+	// batch is one item); <= 0 takes the registry default.
 	Buffer int
-	// Binary subscribes to the CRC-framed binary event encoding: the
-	// broadcast path pre-marshals binary frames (exactly once per event)
-	// for this subscriber's stream writer to share.
-	Binary bool
-	// Batched opts into group-commit delivery: instead of one queue item
-	// per event, the session's emit flusher coalesces events into
-	// batches, encodes each batch exactly once per encoding and delivers
-	// one opaque carrier per batch (shared immutable bytes, one channel
-	// operation per subscriber per batch). The wire bytes are identical;
-	// only the queue framing changes. Strictly for stream writers that
-	// forward pre-encoded bytes (the HTTP stream handler): carriers have
-	// no decoded fields, so in-process consumers reading Events() must
-	// leave this unset.
-	Batched bool
 	// Tier selects the trace tier (T0 decimated / T1 full / T2
 	// diagnostic); the zero value is T1, today's stream exactly. Slow
 	// subscribers are adaptively stepped below the negotiated tier and
 	// back (see the downgrade policy constants), each transition
 	// announced in-stream as a "tier" event.
 	Tier SubscribeTier
+	// encoding is the wire encoding a stream writer forwards; only the
+	// HTTP stream handler sets it. In-process subscribers keep the zero
+	// value and read decoded events from Events.
+	encoding subEncoding
 }
 
 // Subscribe attaches a bounded-queue consumer to the session's live
-// stream. buffer <= 0 takes the registry default. Subscribers beyond the
-// per-session cap are refused (load shedding, HTTP 503 upstream), as are
-// attaches to a session idle expiry has already claimed.
-func (s *Session) Subscribe(buffer int) (*Subscriber, error) {
-	return s.SubscribeOpts(SubscribeOptions{Buffer: buffer})
+// stream. Subscribers beyond the per-session cap are refused (load
+// shedding, HTTP 503 upstream), as are attaches to a session idle expiry
+// has already claimed.
+func (s *Session) Subscribe(o SubscribeOptions) (*Subscriber, error) {
+	sub := s.newSubscriber(o, false)
+	s.emitMu.Lock()
+	defer s.emitMu.Unlock()
+	if err := s.attachLocked(sub); err != nil {
+		return nil, err
+	}
+	return sub, nil
 }
 
-// SubscribeOpts is Subscribe with the full option set (queue bound,
-// wire encoding).
-func (s *Session) SubscribeOpts(o SubscribeOptions) (*Subscriber, error) {
+// newSubscriber builds a subscriber from its options; a catch-up
+// subscriber starts parked behind its WAL replay (see SubscribeFrom).
+func (s *Session) newSubscriber(o SubscribeOptions, catchup bool) *Subscriber {
 	buffer := o.Buffer
 	if buffer <= 0 {
 		buffer = s.reg.cfg.SubscriberQueue
 	}
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	if s.subsClosed || s.closing {
-		return nil, ErrSessionClosed
+	tier := o.Tier.level()
+	sub := &Subscriber{sess: s, ch: make(chan Event, buffer), enc: o.encoding, tier: tier, maxTier: tier}
+	if catchup {
+		sub.catchingUp, sub.cancel = true, make(chan struct{})
+	}
+	return sub
+}
+
+// attachLocked is the one admission check every subscriber passes, made
+// at the moment of attach. It refuses a session that is closed or
+// claimed by idle expiry (a recovered session still admits catch-up
+// subscribers while it serves its record) and sheds past the subscriber
+// cap, counting the refusal and putting it on the timeline. Anything
+// already buffered for group commit predates the attach — and, for a
+// pump-mediated catch-up attach, is covered by the WAL head the
+// subscriber replays from — so it is flushed to the existing
+// subscribers first: the newcomer's stream starts strictly at its
+// attach point. Requires emitMu.
+func (s *Session) attachLocked(sub *Subscriber) error {
+	open := !s.subsClosed && !s.closing
+	if sub.catchingUp {
+		open = open || s.replayAttachable
+	}
+	if !open {
+		return ErrSessionClosed
 	}
 	if len(s.subs) >= s.reg.cfg.MaxSubscribers {
+		s.reg.metrics.Shed.Add(1)
 		s.timeline.Record(obs.EventShed, "subscriber limit "+strconv.Itoa(s.reg.cfg.MaxSubscribers))
-		return nil, ErrSubscriberLimit
+		return ErrSubscriberLimit
 	}
-	tier := o.Tier.level()
-	sub := &Subscriber{
-		sess: s, ch: make(chan Event, buffer),
-		binary: o.Binary, batched: o.Batched,
-		tier: tier, maxTier: tier,
-	}
-	s.addSubLocked(sub)
-	s.touch()
-	return sub, nil
-}
-
-// addSubLocked / removeSubLocked keep the subscriber table and the
-// per-delivery-mode counts in one place. Requires emitMu.
-func (s *Session) addSubLocked(sub *Subscriber) {
-	if sub.batched {
-		// Anything already buffered for group commit predates this attach
-		// — and, for a pump-mediated catch-up attach, is covered by the
-		// WAL head the subscriber will replay from. Flush it to the
-		// existing subscribers first, so the newcomer's stream starts
-		// strictly at its attach point (no pre-attach events, no
-		// replay duplicates).
-		s.flushEmitLocked()
-	}
+	s.flushEmitLocked()
 	s.subs[sub] = struct{}{}
-	if sub.batched {
-		s.batchedSubs++
-		s.updateEmitPaceLocked()
-	} else {
-		s.plainSubs++
-	}
+	s.updateEmitPaceLocked()
 	s.reg.metrics.SubscribersActive.Add(1)
 	s.reg.metrics.TierSubscribers[sub.tier].Add(1)
+	s.touch()
+	return nil
 }
 
-func (s *Session) removeSubLocked(sub *Subscriber) {
+// detachLocked removes a subscriber and ends its queue exactly once. A
+// subscriber still catching up is signalled instead: its replay
+// goroutine owns the queue and closes it on the way out. Requires
+// emitMu.
+func (s *Session) detachLocked(sub *Subscriber) {
 	delete(s.subs, sub)
-	if sub.batched {
-		s.batchedSubs--
-		s.updateEmitPaceLocked()
-	} else {
-		s.plainSubs--
-	}
+	s.updateEmitPaceLocked()
 	s.reg.metrics.SubscribersActive.Add(-1)
 	s.reg.metrics.TierSubscribers[sub.tier].Add(-1)
+	if sub.catchingUp {
+		close(sub.cancel)
+		return
+	}
+	close(sub.ch)
 }
 
 // updateEmitPaceLocked re-derives the flusher's accumulation window
-// from the batched-subscriber count. Requires emitMu.
+// from the subscriber count. Requires emitMu.
 func (s *Session) updateEmitPaceLocked() {
-	pace := time.Duration(s.batchedSubs) * emitPacePerSub
+	pace := time.Duration(len(s.subs)) * emitPacePerSub
 	if pace > emitPaceMax {
 		pace = emitPaceMax
 	}
@@ -914,21 +940,14 @@ func (s *Session) setTierLocked(sub *Subscriber, tier uint8, reason string) {
 // step-downs across all its subscribers.
 func (s *Session) TierDowngrades() int64 { return s.tierDowngrades.Load() }
 
-// detach removes a subscriber, closing its queue exactly once. A
-// subscriber still catching up is signalled instead: its replay
-// goroutine owns the queue and closes it on the way out.
+// detach removes a subscriber (Subscriber.Close): idempotent, and a
+// no-op once the session swept its subscribers.
 func (s *Session) detach(sub *Subscriber) {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	if _, ok := s.subs[sub]; !ok {
-		return
+	if _, ok := s.subs[sub]; ok {
+		s.detachLocked(sub)
 	}
-	s.removeSubLocked(sub)
-	if sub.catchingUp {
-		close(sub.cancel)
-		return
-	}
-	close(sub.ch)
 }
 
 // Subscribers reports the attached consumer count.
@@ -1021,21 +1040,17 @@ func (s *Session) enterRecovered() {
 	s.emitMu.Unlock()
 }
 
-// closeRecovered tears a recovered session down: refuses further
-// catch-up attaches and cancels in-flight ones. It exists apart from
-// Close because an expiry-parked session already consumed its closeOnce
-// on the way into the recovered state. Idempotent.
-func (s *Session) closeRecovered() {
+// closeSubscribers refuses every further attach, live or catch-up, and
+// detaches every subscriber. Close runs it after the final flush; the
+// registry runs it alone to tear down a recovered session, whose
+// closeOnce the park already consumed. Idempotent.
+func (s *Session) closeSubscribers() {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
+	s.subsClosed = true
 	s.replayAttachable = false
 	for sub := range s.subs {
-		s.removeSubLocked(sub)
-		if sub.catchingUp {
-			close(sub.cancel)
-			continue
-		}
-		close(sub.ch)
+		s.detachLocked(sub)
 	}
 }
 
@@ -1064,26 +1079,13 @@ func (s *Session) Close() {
 		<-s.pumpDone
 		// The pump's final "end" event is in the group-commit buffer;
 		// retire the flusher (it drains on the way out) before sweeping
-		// the subscriber table, so batched subscribers get everything —
-		// end included — ahead of their queues closing.
+		// the subscriber table, so subscribers get everything — end
+		// included — ahead of their queues closing.
 		if s.emitQuit != nil {
 			close(s.emitQuit)
 			<-s.emitDone
 		}
-		s.emitMu.Lock()
-		s.subsClosed = true
-		s.replayAttachable = false
-		for sub := range s.subs {
-			s.removeSubLocked(sub)
-			if sub.catchingUp {
-				// The catch-up replay goroutine owns the queue; tell it
-				// to stop and let it close the channel.
-				close(sub.cancel)
-				continue
-			}
-			close(sub.ch)
-		}
-		s.emitMu.Unlock()
+		s.closeSubscribers()
 		// Roll the final counts into the monotonic retired counters
 		// (the pump's quit path refreshed them just before closing the
 		// engine); Swap prevents double-counting with a concurrent
@@ -1202,14 +1204,12 @@ func (s *Session) handle(it ingestItem) {
 		// event after the attach derives from records past the head.
 		s.drain()
 		s.emitMu.Lock()
-		if s.subsClosed {
-			s.emitMu.Unlock()
-			close(it.catchup.head) // session closing; caller sees 0/closed
+		it.catchup.err = s.attachLocked(it.catchup.sub)
+		s.emitMu.Unlock()
+		if it.catchup.err != nil {
+			close(it.catchup.head)
 			return
 		}
-		s.addSubLocked(it.catchup.sub)
-		s.emitMu.Unlock()
-		s.touch()
 		it.catchup.head <- s.walSeq.Load()
 	case it.results != nil:
 		s.drain()
@@ -1542,83 +1542,25 @@ func (s *Session) broadcast(ev Event) {
 	s.broadcastLocked(ev)
 }
 
-// broadcastLocked delivers an event to every subscriber queue with the
-// slow-consumer policy: when a queue is full, the oldest event is dropped
-// to make room — freshness beats completeness for a live cursor — and the
-// loss is surfaced to the consumer as a "drop" event once space allows.
-// Each encoding with at least one attached subscriber is marshaled
-// exactly once here; subscribers' stream writers fan out the shared
-// immutable bytes instead of re-marshaling per subscriber. Requires
-// emitMu.
+// broadcastLocked queues an event for every subscriber: it joins the
+// group-commit buffer, and the emit flusher delivers it with the rest of
+// its batch (see flushEmitLocked), turning O(events × subscribers)
+// channel operations into O(batches × subscribers). The emitting
+// goroutine only flushes inline when the backlog tops emitBatchMax.
+// Requires emitMu.
 func (s *Session) broadcastLocked(ev Event) {
-	ev.enq = obs.Now()
-	// Batched subscribers are group-committed: the event joins the emit
-	// buffer for the flusher to batch-encode and deliver as one carrier
-	// per batch, turning O(events × subscribers) channel operations into
-	// O(batches × subscribers). The emitting goroutine only flushes
-	// inline when the backlog tops emitBatchMax.
-	if s.batchedSubs > 0 {
-		s.emitBuf = append(s.emitBuf, ev)
-		if len(s.emitBuf) >= emitBatchMax {
-			s.flushEmitLocked()
-		} else {
-			select {
-			case s.emitKick <- struct{}{}:
-			default:
-			}
-		}
-	}
-	if s.plainSubs == 0 {
+	if len(s.subs) == 0 {
 		return
 	}
-	// Retune each plain subscriber's tier against its backlog, then scan
-	// for the encodings some subscriber at an including tier wants. An
-	// event's bytes are tier-independent — tiers differ only in which
-	// events they include — so one marshal per encoding still serves
-	// every tier.
-	var needJSON, needBinary bool
-	for sub := range s.subs {
-		if sub.batched {
-			continue
-		}
-		if !sub.catchingUp {
-			s.maybeRetuneTierLocked(sub)
-		}
-		if sub.tier < ev.minTier {
-			continue
-		}
-		if sub.binary {
-			needBinary = true
-		} else {
-			needJSON = true
-		}
+	ev.enq = obs.Now()
+	s.emitBuf = append(s.emitBuf, ev)
+	if len(s.emitBuf) >= emitBatchMax {
+		s.flushEmitLocked()
+		return
 	}
-	if needJSON || needBinary {
-		w := &eventWire{}
-		if needJSON {
-			// json.Marshal plus the trailing newline is byte-identical to
-			// what json.Encoder.Encode writes, so NDJSON consumers cannot
-			// tell shared bytes from a per-subscriber encode. A marshal
-			// failure (impossible for Event's field types) leaves the
-			// writer's marshal-locally fallback in charge.
-			if b, err := json.Marshal(&ev); err == nil {
-				w.ndjson = append(b, '\n')
-			}
-		}
-		if needBinary {
-			w.binary = appendEventFrame(nil, &ev)
-		}
-		ev.wire = w
-	}
-	for sub := range s.subs {
-		if sub.batched || sub.tier < ev.minTier {
-			continue
-		}
-		if sub.catchingUp {
-			s.parkLocked(sub, ev)
-			continue
-		}
-		s.sendLocked(sub, ev)
+	select {
+	case s.emitKick <- struct{}{}:
+	default:
 	}
 }
 
@@ -1627,12 +1569,12 @@ func (s *Session) broadcastLocked(ev Event) {
 // buffer grow while the flusher is behind.
 const emitBatchMax = 1024
 
-// Fan-out pacing: each flush bills every batched subscriber roughly a
-// goroutine wake plus a socket write, so the flusher's accumulation
-// window scales with the subscriber count (emitPacePerSub each), capped
-// at emitPaceMax so a wide fan-out still sees fresh data, and windows
-// under emitPaceMin are skipped entirely — small fan-outs keep today's
-// flush-every-event latency.
+// Fan-out pacing: each flush bills every subscriber roughly a goroutine
+// wake plus (for a stream writer) a socket write, so the flusher's
+// accumulation window scales with the subscriber count (emitPacePerSub
+// each), capped at emitPaceMax so a wide fan-out still sees fresh data,
+// and windows under emitPaceMin are skipped entirely — small fan-outs
+// keep today's flush-every-event latency.
 const (
 	emitPacePerSub = 30 * time.Microsecond
 	emitPaceMin    = 250 * time.Microsecond
@@ -1646,8 +1588,8 @@ const (
 const t0DecimateEvery = 8
 
 // emitFlusher is the session's group-commit goroutine: kicked by
-// broadcastLocked whenever events are buffered for batched subscribers,
-// it flushes the buffer as one batch. While it encodes and delivers a
+// broadcastLocked whenever events are buffered for subscribers, it
+// flushes the buffer as one batch. While it encodes and delivers a
 // batch, later events pile into the next one — batch size adapts to
 // load, and an idle stream still flushes every event immediately.
 func (s *Session) emitFlusher() {
@@ -1683,16 +1625,17 @@ func (s *Session) emitFlusher() {
 }
 
 // flushEmitLocked group-commits the buffered events per tier: each
-// drained batch is marshaled at most once per (tier, encoding) some
-// batched subscriber is actually served at — unsubscribed tiers cost
-// nothing — with each event's bytes encoded once per encoding and shared
-// across every tier run that includes it (tiers differ only in which
-// events they include, never in an event's bytes, so T1's byte-run stays
-// byte-identical to the pre-tier stream). Every batched subscriber gets
-// one carrier pointing at its tier's shared immutable run. Requires
+// drained batch is built at most once per (tier, form) some subscriber
+// is actually served at — NDJSON and binary for stream writers, decoded
+// events for in-process subscribers; unsubscribed tiers and forms cost
+// nothing — with each event encoded once per encoding and shared across
+// every tier run that includes it (tiers differ only in which events
+// they include, never in an event's bytes, so T1's byte-run stays
+// byte-identical to the pre-tier stream). Every subscriber gets one
+// carrier pointing at its tier's shared immutable batch. Requires
 // emitMu; the tier retune, scan, encode and delivery share the one
 // critical section, so a delivered carrier always matches the tier and
-// encoding of every subscriber it reaches.
+// form of every subscriber it reaches.
 func (s *Session) flushEmitLocked() {
 	batch := s.emitBuf
 	if len(batch) == 0 {
@@ -1700,81 +1643,64 @@ func (s *Session) flushEmitLocked() {
 	}
 	s.emitBuf = s.emitSpare[:0]
 	s.emitSpare = batch
-	// Retune tiers first, so this batch is encoded for the tier each
-	// subscriber will actually be served at, then collect per-tier
-	// encoding demand.
-	var needJSON, needBinary [3]bool
-	any := false
+	// Retune tiers first, so this batch is built for the tier each
+	// subscriber will actually be served at, then collect per-tier demand.
+	var need [3][3]bool // [tier][subEncoding]
 	for sub := range s.subs {
-		if !sub.batched {
-			continue
-		}
 		if !sub.catchingUp {
 			s.maybeRetuneTierLocked(sub)
 		}
-		if sub.binary {
-			needBinary[sub.tier] = true
-		} else {
-			needJSON[sub.tier] = true
-		}
-		any = true
+		need[sub.tier][sub.enc] = true
 	}
-	if !any {
-		return // every batched subscriber detached; nothing owes these bytes
-	}
-	var wires [3]*eventWire
-	for t := range wires {
-		if needJSON[t] || needBinary[t] {
-			wires[t] = &eventWire{}
+	var batches [3]*eventBatch
+	for t := range batches {
+		if need[t] != [3]bool{} {
+			batches[t] = &eventBatch{}
 		}
 	}
-	var counts [3]int
 	for i := range batch {
 		ev := &batch[i]
 		var js, bin []byte
-		for t := int(ev.minTier); t < len(wires); t++ {
-			w := wires[t]
-			if w == nil {
+		for t := int(ev.minTier); t < len(batches); t++ {
+			b := batches[t]
+			if b == nil {
 				continue
 			}
-			counts[t]++
-			if needJSON[t] {
+			b.n++
+			if need[t][encNDJSON] {
 				if js == nil {
-					if b, err := json.Marshal(ev); err == nil {
-						js = append(b, '\n')
+					if m, err := json.Marshal(ev); err == nil {
+						js = append(m, '\n')
 					} else {
 						js = []byte{} // unmarshalable (impossible): skip, don't retry
 					}
 				}
-				w.ndjson = append(w.ndjson, js...)
+				b.ndjson = append(b.ndjson, js...)
 			}
-			if needBinary[t] {
+			if need[t][encBinary] {
 				if bin == nil {
 					bin = appendEventFrame(nil, ev)
 				}
-				w.binary = append(w.binary, bin...)
+				b.binary = append(b.binary, bin...)
+			}
+			if need[t][encDecoded] {
+				dec := *ev
+				dec.minTier, dec.enq = 0, 0
+				b.events = append(b.events, dec)
 			}
 		}
 	}
-	// One carrier per populated tier; its enqueue stamp is the batch's
-	// OLDEST event, so the write-stage histogram sees the worst
-	// queue-to-wire latency in the batch, not the friendliest. A tier no
-	// event in this batch reaches (e.g. T0 over a run of undecimated
-	// points) delivers nothing.
-	var carriers [3]Event
-	for t := range carriers {
-		if wires[t] != nil && counts[t] > 0 {
-			carriers[t] = Event{enq: batch[0].enq, batchLen: counts[t], wire: wires[t]}
-		}
-	}
+	// One carrier per subscriber, pointing at its tier's batch; its
+	// enqueue stamp is the batch's OLDEST event, so the write-stage
+	// histogram sees the worst queue-to-wire latency in the batch, not the
+	// friendliest. A tier no event in this batch reaches (e.g. T0 over a
+	// run of undecimated points) delivers nothing.
 	for sub := range s.subs {
-		if !sub.batched {
+		b := batches[sub.tier]
+		if b.n == 0 {
 			continue
 		}
-		carrier := carriers[sub.tier]
-		if carrier.batchLen == 0 {
-			continue
-		}
+		carrier := Event{enq: batch[0].enq, batch: b}
 		if sub.catchingUp {
 			s.parkLocked(sub, carrier)
 			continue

@@ -23,22 +23,7 @@ import (
 // classification, never by backlog pressure.
 func tierServer(t *testing.T) *Server {
 	t.Helper()
-	srv, err := New(Config{
-		HTTPAddr:   "127.0.0.1:0",
-		IngestAddr: "127.0.0.1:0",
-		Registry: RegistryConfig{
-			NewEngine:       testFactory(t),
-			SubscriberQueue: 1 << 15,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	return serve(t, testRegistry(t, RegistryConfig{SubscriberQueue: 1 << 15}))
 }
 
 // feedOverIngest replays the scenario into a session over the ingest
@@ -335,7 +320,9 @@ func TestTierEventJSONShape(t *testing.T) {
 // steps down tier by tier, each transition announced in-stream as a
 // "tier" event, recorded on the session timeline and in the metrics,
 // with the stream continuing gaplessly at the reduced tier — and steps
-// back up after sustained calm.
+// back up after sustained calm. Every event is broadcast and then
+// flushed synchronously, so each is one delivery and every retune sees
+// exactly the queue the previous delivery left.
 func TestTierForcedDowngrade(t *testing.T) {
 	run, _ := scenario(t)
 	reg := testRegistry(t, RegistryConfig{})
@@ -345,11 +332,37 @@ func TestTierForcedDowngrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	const buffer = 16
-	sub, err := sess.SubscribeOpts(SubscribeOptions{Tier: Tier2, Buffer: buffer})
+	sub, err := sess.Subscribe(SubscribeOptions{Tier: Tier2, Buffer: buffer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	deliver := func(ev Event) {
+		sess.emitMu.Lock()
+		defer sess.emitMu.Unlock()
+		sess.broadcastLocked(ev)
+		sess.flushEmitLocked()
+	}
+	// queued takes what the subscriber's queue holds without blocking,
+	// expanding the flusher's carriers.
+	queued := func() []Event {
+		var out []Event
+		for {
+			select {
+			case ev, ok := <-sub.ch:
+				if !ok {
+					t.Fatal("subscriber queue closed")
+				}
+				if ev.batch != nil {
+					out = append(out, ev.batch.events...)
+				} else {
+					out = append(out, ev)
+				}
+			default:
+				return out
+			}
+		}
+	}
 	if got := sub.Tier(); got != 2 {
 		t.Fatalf("negotiated tier = %d, want 2", got)
 	}
@@ -365,21 +378,12 @@ func TestTierForcedDowngrade(t *testing.T) {
 	// event, 1 point, a tier event, 1 T0 point (the T1-only point after
 	// the second downgrade is filtered, not dropped).
 	for i := 1; i <= 13; i++ {
-		sess.broadcast(point(i, 1))
+		deliver(point(i, 1))
 	}
-	sess.broadcast(point(14, 1))
-	sess.broadcast(point(15, 0))
+	deliver(point(14, 1))
+	deliver(point(15, 0))
 
-	var got []Event
-drain:
-	for {
-		select {
-		case ev := <-sub.Events():
-			got = append(got, ev)
-		default:
-			break drain
-		}
-	}
+	got := queued()
 	types := make([]string, len(got))
 	for i, ev := range got {
 		types[i] = ev.Type
@@ -433,17 +437,11 @@ drain:
 	// delivery, upgradeAfterCalm calm deliveries earn one step.
 	var upgrades []Event
 	for i := 0; i < 3*upgradeAfterCalm+6; i++ {
-		sess.broadcast(point(100+i, 0))
-		for {
-			ev, ok := <-sub.Events()
-			if !ok {
-				t.Fatal("subscriber closed during calm phase")
-			}
+		deliver(point(100+i, 0))
+		for _, ev := range queued() {
 			if ev.Type == "tier" {
 				upgrades = append(upgrades, ev)
-				continue
 			}
-			break
 		}
 	}
 	if len(upgrades) != 2 {

@@ -176,7 +176,7 @@ func TestWALRetraceMatchesLiveTrace(t *testing.T) {
 	if err := sess2.Offer(merged[0]); err != ErrSessionClosed {
 		t.Fatalf("Offer on recovered session: %v", err)
 	}
-	if _, err := sess2.Subscribe(0); err != ErrSessionClosed {
+	if _, err := sess2.Subscribe(SubscribeOptions{}); err != ErrSessionClosed {
 		t.Fatalf("Subscribe on recovered session: %v", err)
 	}
 
@@ -252,7 +252,7 @@ func TestRecoveredSessionLifecycle(t *testing.T) {
 	}
 
 	// Full-history catch-up replay: points for both tags, then "end".
-	sub, err := sess2.SubscribeFrom(0, 1<<16)
+	sub, err := sess2.SubscribeFrom(0, SubscribeOptions{Buffer: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}

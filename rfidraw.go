@@ -138,9 +138,14 @@ type Result struct {
 	Retirements int
 }
 
-// SearchMode selects how the positioning/tracing vote surfaces are
-// searched.
-type SearchMode int
+// SearchMode selects how the positioning and tracing vote surfaces are
+// searched; SearchConfig tunes the hierarchical coarse-to-fine search
+// (its zero value is right for almost all deployments). Both are the
+// vote package's own types.
+type (
+	SearchMode   = vote.SearchMode
+	SearchConfig = vote.SearchConfig
+)
 
 const (
 	// SearchHierarchical (the default) replaces exhaustive grid scans
@@ -151,27 +156,12 @@ const (
 	// last fix, so per-sample cost scales with the remaining ambiguity,
 	// not with the vicinity area. Results match dense search within the
 	// paper's positioning-error envelope.
-	SearchHierarchical SearchMode = iota
+	SearchHierarchical = vote.SearchHierarchical
 	// SearchDense is the exhaustive reference strategy: every grid and
 	// vicinity point is evaluated. Slower, kept for equivalence testing
 	// and regression triage.
-	SearchDense
+	SearchDense = vote.SearchDense
 )
-
-// SearchConfig tunes the hierarchical coarse-to-fine search. The zero
-// value (hierarchical, default top-K, subdivide to the fine resolution)
-// is right for almost all deployments.
-type SearchConfig struct {
-	// Mode picks the strategy; zero value is SearchHierarchical.
-	Mode SearchMode
-	// TopK overrides how many coarse cells / branches survive each
-	// refinement selection. 0 takes the per-stage defaults (4 for
-	// one-shot positioning, 2 for steady-state tracking).
-	TopK int
-	// Levels caps the subdivision depth; 0 subdivides until the fine
-	// resolution is reached.
-	Levels int
-}
 
 // Config configures a System.
 type Config struct {
@@ -230,11 +220,6 @@ func New(cfg Config) (*System, error) {
 	if shards <= 0 {
 		shards = 1
 	}
-	search := vote.SearchConfig{
-		Mode:   vote.SearchMode(cfg.Search.Mode),
-		TopK:   cfg.Search.TopK,
-		Levels: cfg.Search.Levels,
-	}
 	eng, err := engine.New(engine.Config{
 		Shards:     shards,
 		Deployment: dep,
@@ -242,8 +227,8 @@ func New(cfg Config) (*System, error) {
 			Plane:          geom.Plane{Y: cfg.PlaneDistanceM},
 			Region:         region,
 			CandidateCount: cfg.CandidateCount,
-			Vote:           vote.Config{Search: search},
-			Trace:          tracing.Config{Search: search},
+			Vote:           vote.Config{Search: cfg.Search},
+			Trace:          tracing.Config{Search: cfg.Search},
 		},
 	})
 	if err != nil {

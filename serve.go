@@ -34,9 +34,11 @@ type ServeConfig struct {
 	// MaxSubscribers caps live-stream consumers per session; attaches
 	// beyond it are shed with HTTP 503. Default 16.
 	MaxSubscribers int
-	// SubscriberQueue bounds each subscriber's event queue; a consumer
-	// that falls behind loses the oldest events (and is told so with
-	// "drop" events) rather than stalling the session. Default 256.
+	// SubscriberQueue bounds each subscriber's queue, counted in
+	// deliveries (one group-committed batch of events is one); a
+	// consumer that falls behind loses the oldest deliveries (and is told
+	// so with "drop" events) rather than stalling the session. Default
+	// 256.
 	SubscriberQueue int
 	// SessionShards is each session engine's worker shard count.
 	// Default 1 — sessions are the unit of parallelism; raise it for
@@ -94,34 +96,38 @@ type ServeConfig struct {
 	// sampling; mutable at runtime via the control API.
 	TraceSampleN int
 
-	// Logger, when non-nil, receives structured operational logs with
-	// session-scoped attributes and takes precedence over Logf.
+	// Logger receives structured operational logs with session-scoped
+	// attributes; nil discards them.
 	Logger *slog.Logger
 	// LogLevel, when non-nil, is the shared runtime-mutable level gate
 	// the control API's "log_level" knob mutates.
 	LogLevel *slog.LevelVar
-	// Logf receives operational log lines when Logger is nil; nil
-	// discards them.
-	Logf func(format string, args ...any)
 }
 
-// CostCapacity is the congestion score's normalization basis: how much
-// of each resource this node is provisioned for.
-type CostCapacity struct {
-	// SearchEvalsPerSec is the node's candidate-evaluation budget.
-	SearchEvalsPerSec float64
-	// WALBytesPerSec is the durability write budget.
-	WALBytesPerSec float64
-	// LatePerSec is the tolerable rate of reports arriving too late to
-	// resequence.
-	LatePerSec float64
-	// Backlog is the tolerable worst subscriber queue fill fraction
-	// (0, 1].
-	Backlog float64
-	// DowngradesPerSec is the tolerable rate of adaptive trace-tier
-	// step-downs across all subscribers.
-	DowngradesPerSec float64
-}
+// The serving layer's public types are the serving package's own, one
+// definition each.
+type (
+	// CostCapacity is the congestion score's normalization basis: how
+	// much of each resource this node is provisioned for.
+	CostCapacity = server.Capacity
+	// Server is a running rfidrawd serving layer bound to a System:
+	// Start (or Serve) binds it, Close stops it and closes every
+	// session.
+	Server = server.Server
+	// SessionSpec describes one serving session to open — the single
+	// creation surface OpenSession, Client.CreateSession and POST
+	// /v1/sessions all accept.
+	SessionSpec = server.SessionSpec
+	// WALPolicy tunes one session's write-ahead logging (systems serving
+	// with ServeConfig.DataDir).
+	WALPolicy = server.WALPolicy
+	// Event is one item of a session's live output stream: a trace
+	// point, a recognized glyph, a queue-drop or tier notice, or the
+	// end-of-session marker.
+	Event = server.Event
+	// Subscription is one attached consumer of a session's event stream.
+	Subscription = server.Subscriber
+)
 
 func (c ServeConfig) registryConfig(factory server.EngineFactory) server.RegistryConfig {
 	return server.RegistryConfig{
@@ -132,19 +138,12 @@ func (c ServeConfig) registryConfig(factory server.EngineFactory) server.Registr
 		ReorderWindow:   c.ReorderWindow,
 		IdleTimeout:     c.IdleTimeout,
 		RetainFor:       c.RetainFor,
-		Capacity: server.Capacity{
-			SearchEvalsPerSec: c.Capacity.SearchEvalsPerSec,
-			WALBytesPerSec:    c.Capacity.WALBytesPerSec,
-			LatePerSec:        c.Capacity.LatePerSec,
-			Backlog:           c.Capacity.Backlog,
-			DowngradesPerSec:  c.Capacity.DowngradesPerSec,
-		},
-		ShedThreshold: c.ShedThreshold,
-		ParkThreshold: c.ParkThreshold,
-		TraceSampleN:  c.TraceSampleN,
-		Logger:        c.Logger,
-		LogLevel:      c.LogLevel,
-		Logf:          c.Logf,
+		Capacity:        c.Capacity,
+		ShedThreshold:   c.ShedThreshold,
+		ParkThreshold:   c.ParkThreshold,
+		TraceSampleN:    c.TraceSampleN,
+		Logger:          c.Logger,
+		LogLevel:        c.LogLevel,
 	}
 }
 
@@ -155,26 +154,6 @@ type RetracedTag struct {
 	Result *Result
 	Err    error
 }
-
-// Server is a running rfidrawd serving layer bound to a System.
-type Server struct {
-	inner *server.Server
-}
-
-// Start binds the listeners and begins serving; Close stops it.
-func (sv *Server) Start() error { return sv.inner.Start() }
-
-// Serve runs until the context is cancelled, then shuts down.
-func (sv *Server) Serve(ctx context.Context) error { return sv.inner.Serve(ctx) }
-
-// Close shuts the server down, closing every session. Idempotent.
-func (sv *Server) Close() error { return sv.inner.Close() }
-
-// HTTPAddr returns the bound API address (resolved, useful with ":0").
-func (sv *Server) HTTPAddr() string { return sv.inner.HTTPAddr() }
-
-// IngestAddr returns the bound ingest gateway address.
-func (sv *Server) IngestAddr() string { return sv.inner.IngestAddr() }
 
 // registry lazily builds the System's session registry. The first caller
 // fixes the registry's limits: NewServer applies its ServeConfig,
@@ -304,24 +283,15 @@ func (s *System) registry(cfg ServeConfig) (*server.Registry, error) {
 // registry whose sessions share the System's precomputed positioner, an
 // ingest gateway for readerwire reader connections, and the HTTP
 // control/streaming/observability API. Call Start (or Serve) to bind it.
+// The System's registry is built once, by its first user: a server built
+// after OpenSession serves that registry, and only its addresses come
+// from cfg.
 func (s *System) NewServer(cfg ServeConfig) (*Server, error) {
 	reg, err := s.registry(cfg)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := server.New(server.Config{
-		HTTPAddr:       cfg.HTTPAddr,
-		IngestAddr:     cfg.IngestAddr,
-		SharedRegistry: reg,
-		IdleTimeout:    cfg.IdleTimeout,
-		Logger:         cfg.Logger,
-		LogLevel:       cfg.LogLevel,
-		Logf:           cfg.Logf,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("rfidraw: %w", err)
-	}
-	return &Server{inner: inner}, nil
+	return server.New(reg, cfg.HTTPAddr, cfg.IngestAddr), nil
 }
 
 // Serve runs the daemon serving layer until the context is cancelled —
@@ -354,78 +324,11 @@ type ReaderReport struct {
 	Power float64
 }
 
-// Event is one item of a session's live output stream: a trace point, a
-// recognized glyph, a queue-drop notice or the end-of-session marker.
-type Event struct {
-	// Type is "point", "glyph", "drop" or "end".
-	Type string
-	// Tag is the writer's EPC hex (points, glyphs).
-	Tag string
-	// Time is the sample's stream time (points, glyphs).
-	Time time.Duration
-	// X, Z are writing-plane coordinates in metres (points).
-	X, Z float64
-	// Glyph is the recognized letter; Dist/Margin its DTW confidence;
-	// Points the stroke's sample count.
-	Glyph  string
-	Dist   float64
-	Margin float64
-	Points int
-	// Confidence is the leading hypothesis's running mean vote at this
-	// point: ≤ 0, nearer 0 is better, collapsing when tracking is lost
-	// (point events).
-	Confidence float64
-	// Hypotheses is how many candidate initial positions are still being
-	// traced for this tag (point events); it shrinks as wrong candidates'
-	// vote records collapse and they are retired.
-	Hypotheses int
-	// Switched marks a leadership change: the trajectory re-based onto a
-	// different hypothesis, so the cursor may jump here. Stroke-building
-	// consumers should treat it as a pen lift (point events).
-	Switched bool
-	// Dropped is how many events this subscriber lost (drop notices).
-	Dropped int
-}
-
 // Session is an in-process serving session: the same registry entry the
 // daemon serves over HTTP, fed and consumed directly by the embedding
 // program.
 type Session struct {
 	inner *server.Session
-}
-
-// SessionSpec describes one serving session to open — the single
-// creation surface OpenSession, Client.CreateSession and POST
-// /v1/sessions all accept, so a new per-session knob is one field here
-// instead of another constructor variant everywhere.
-type SessionSpec struct {
-	// ID names the session; "" assigns a random one.
-	ID string
-	// Sweep is the per-tag reader cadence (with N tags sharing reader
-	// airtime, N × the raw sweep period). Required for in-process
-	// sessions; daemon sessions may leave it 0 and let the first reader
-	// Hello announce it.
-	Sweep time.Duration
-	// Geometry names an antenna geometry from the deployment registry;
-	// "" uses the System's own. Fixed for the session's lifetime.
-	Geometry string
-	// Search overrides the vote-search configuration for this session;
-	// nil takes the serving default. Recorded durably, so recovery and
-	// retrace rebuild the same pipeline the live engine ran.
-	Search *SearchConfig
-	// WAL is the session's durability policy.
-	WAL WALPolicy
-}
-
-// WALPolicy tunes one session's write-ahead logging (systems serving
-// with ServeConfig.DataDir).
-type WALPolicy struct {
-	// Disable opts this session out of durability: no record, no
-	// retrace, no parking — an explicitly ephemeral session.
-	Disable bool
-	// SyncEvery overrides the report-append fsync cadence for this
-	// session's log (1 = every report); 0 takes the serving default.
-	SyncEvery int
 }
 
 // OpenSession creates a live session on the System's session registry.
@@ -441,35 +344,11 @@ func (s *System) OpenSession(spec SessionSpec) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sc *vote.SearchConfig
-	if spec.Search != nil {
-		sc = &vote.SearchConfig{
-			Mode:   vote.SearchMode(spec.Search.Mode),
-			TopK:   spec.Search.TopK,
-			Levels: spec.Search.Levels,
-		}
-	}
-	sess, err := reg.Open(server.SessionSpec{
-		ID:       spec.ID,
-		Sweep:    spec.Sweep,
-		Geometry: spec.Geometry,
-		Search:   sc,
-		WAL: server.WALPolicy{
-			Disable:   spec.WAL.Disable,
-			SyncEvery: spec.WAL.SyncEvery,
-		},
-	})
+	sess, err := reg.Open(spec)
 	if err != nil {
 		return nil, fmt.Errorf("rfidraw: %w", err)
 	}
 	return &Session{inner: sess}, nil
-}
-
-// OpenSessionID creates a session by ID and sweep alone.
-//
-// Deprecated: use OpenSession with a SessionSpec.
-func (s *System) OpenSessionID(id string, sweep time.Duration) (*Session, error) {
-	return s.OpenSession(SessionSpec{ID: id, Sweep: sweep})
 }
 
 // ID returns the session's registry identity.
@@ -509,15 +388,7 @@ func (s *Session) Flush() error { return s.inner.Flush() }
 // trace; a non-nil search re-traces the same record under different
 // tunables. head is the log sequence the retrace covered.
 func (s *Session) Retrace(search *SearchConfig) (results []RetracedTag, head uint64, err error) {
-	var sc *vote.SearchConfig
-	if search != nil {
-		sc = &vote.SearchConfig{
-			Mode:   vote.SearchMode(search.Mode),
-			TopK:   search.TopK,
-			Levels: search.Levels,
-		}
-	}
-	inner, head, err := s.inner.Retrace(sc)
+	inner, head, err := s.inner.Retrace(search)
 	if err != nil {
 		return nil, 0, fmt.Errorf("rfidraw: %w", err)
 	}
@@ -536,23 +407,16 @@ func (s *Session) Retrace(search *SearchConfig) (results []RetracedTag, head uin
 // channels close. Idempotent.
 func (s *Session) Close() { s.inner.Close() }
 
-// Subscription is one attached consumer of a session's event stream.
-type Subscription struct {
-	sub    *server.Subscriber
-	events chan Event
-	once   sync.Once
-}
-
 // Subscribe attaches a consumer with a bounded queue (buffer <= 0 takes
-// the default, 256). A consumer that falls behind loses the oldest
-// events — freshness beats completeness for a live cursor — and is told
-// via "drop" events.
+// the default, 256 deliveries). A consumer that falls behind loses the
+// oldest events — freshness beats completeness for a live cursor — and
+// is told via "drop" events.
 func (s *Session) Subscribe(buffer int) (*Subscription, error) {
-	sub, err := s.inner.Subscribe(buffer)
+	sub, err := s.inner.Subscribe(server.SubscribeOptions{Buffer: buffer})
 	if err != nil {
 		return nil, fmt.Errorf("rfidraw: %w", err)
 	}
-	return forwardSubscription(sub), nil
+	return sub, nil
 }
 
 // SubscribeFrom attaches a catch-up consumer (systems serving with
@@ -561,46 +425,9 @@ func (s *Session) Subscribe(buffer int) (*Subscription, error) {
 // records with sequence ≥ from, 0 meaning everything — and then splices
 // onto the live stream without gap or duplicate.
 func (s *Session) SubscribeFrom(from uint64, buffer int) (*Subscription, error) {
-	sub, err := s.inner.SubscribeFrom(from, buffer)
+	sub, err := s.inner.SubscribeFrom(from, server.SubscribeOptions{Buffer: buffer})
 	if err != nil {
 		return nil, fmt.Errorf("rfidraw: %w", err)
 	}
-	return forwardSubscription(sub), nil
-}
-
-func forwardSubscription(sub *server.Subscriber) *Subscription {
-	out := &Subscription{sub: sub, events: make(chan Event, 16)}
-	go func() {
-		defer close(out.events)
-		for ev := range sub.Events() {
-			out.events <- Event{
-				Type: ev.Type, Tag: ev.Tag, Time: ev.T,
-				X: ev.X, Z: ev.Z,
-				Glyph: ev.Glyph, Dist: ev.Dist, Margin: ev.Margin,
-				Points: ev.Points, Confidence: ev.Confidence,
-				Hypotheses: ev.Hypotheses, Switched: ev.Switched,
-				Dropped: ev.Dropped,
-			}
-		}
-	}()
-	return out
-}
-
-// Events is the subscription's delivery channel; it closes when the
-// session ends or the subscription is closed.
-func (sub *Subscription) Events() <-chan Event { return sub.events }
-
-// Drops reports how many events this subscription has lost to the
-// slow-consumer policy.
-func (sub *Subscription) Drops() int64 { return sub.sub.Drops() }
-
-// Close detaches the subscription. Idempotent.
-func (sub *Subscription) Close() {
-	sub.once.Do(func() {
-		sub.sub.Close()
-		// Drain the forwarder so it observes the closed inner channel
-		// and closes events.
-		for range sub.events {
-		}
-	})
+	return sub, nil
 }
