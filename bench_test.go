@@ -517,7 +517,6 @@ func benchDaemonStart(b *testing.B) *server.Client {
 			System:        sys,
 			SweepInterval: sweep,
 			OnUpdate:      onUpdate,
-			BatchSize:     1,
 		})
 	}
 	reg, err := server.NewRegistry(server.RegistryConfig{

@@ -140,7 +140,8 @@ func parseLine(m []string) (*Benchmark, error) {
 // names a custom b.ReportMetric unit (e.g. "reports/s") gated as a
 // throughput: HIGHER is better, and a fractional drop beyond
 // maxMetricRegress fails. The returned report lists every comparison;
-// failed reports whether any regressed.
+// failed reports whether any regressed or whether no benchmark matched
+// in both files.
 //
 // Two situations downgrade the time gate to informational instead of
 // failing, because ns/op is not comparable: benchmarks present on only
@@ -244,7 +245,10 @@ func Compare(baseline, current *File, match string, maxRegress, maxAllocsRegress
 		sb.WriteString("\n")
 	}
 	if matched == 0 {
-		fmt.Fprintf(&sb, "benchjson: WARNING: no benchmark matched both files for %q — nothing gated (new machine class?)\n", match)
+		// A gate that checks nothing must not pass: a renamed or deleted
+		// benchmark would otherwise switch its gate off silently.
+		fmt.Fprintf(&sb, "benchjson: FAIL: no benchmark matched both files for %q — nothing gated\n", match)
+		failed = true
 	}
 	if !sameCPU {
 		fmt.Fprintf(&sb, "benchjson: WARNING: baseline CPU %q != current CPU %q — ns/op not comparable, gate informational; refresh the baseline on this hardware\n",

@@ -7,7 +7,8 @@
 //	go test -run xxx -bench . -benchtime 3x -count 3 . | benchjson -out BENCH_2026-07-28.json
 //
 // Compare a fresh run against the committed baseline, failing (exit 1)
-// when any matching benchmark's ns/op regressed by more than -max-regress:
+// when any matching benchmark's ns/op regressed by more than -max-regress,
+// or when -bench matches no benchmark present in both files:
 //
 //	benchjson -compare BENCH_baseline.json -bench 'BenchmarkEngineMultiTag/tags=8' -max-regress 0.20 BENCH_2026-07-28.json
 //
@@ -67,7 +68,7 @@ func run(in, out, date, compare, benchMatch string, maxRegress, maxAllocs float6
 		report, failed := Compare(baseline, current, benchMatch, maxRegress, maxAllocs, metric, maxMetric)
 		fmt.Print(report)
 		if failed {
-			return fmt.Errorf("benchmark regression beyond the gate (ns/op >%.0f%%, allocs/op >%.0f%%, %s >-%.0f%%)", maxRegress*100, maxAllocs*100, metric, maxMetric*100)
+			return fmt.Errorf("benchmark gate failed: a regression beyond it (ns/op >%.0f%%, allocs/op >%.0f%%, %s >-%.0f%%) or no benchmark matched", maxRegress*100, maxAllocs*100, metric, maxMetric*100)
 		}
 		return nil
 	}

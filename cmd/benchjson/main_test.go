@@ -107,14 +107,14 @@ func TestCompareGatesOnlyMatchingBenchmarks(t *testing.T) {
 	}
 }
 
-func TestCompareNoOverlapWarnsButPasses(t *testing.T) {
+func TestCompareNoOverlapFails(t *testing.T) {
 	other := &File{Benchmarks: []Benchmark{{Name: "BenchmarkElsewhere", NsPerOp: 1}}}
 	report, failed := Compare(mkFile(100), other, "EngineMultiTag", 0.20, 0, "", 0)
-	if failed {
-		t.Fatalf("no overlap should not fail:\n%s", report)
+	if !failed {
+		t.Fatalf("a gate that matches no benchmark must fail:\n%s", report)
 	}
-	if !strings.Contains(report, "WARNING") {
-		t.Fatalf("report missing no-overlap warning:\n%s", report)
+	if !strings.Contains(report, "no benchmark matched") {
+		t.Fatalf("report missing the no-overlap failure:\n%s", report)
 	}
 }
 

@@ -123,7 +123,7 @@ func validateFlags(daemon string, sessions, tags int, word string, pace float64,
 	return nil
 }
 
-// extraWords mirrors readerd's multi-writer word cycle.
+// extraWords is the word cycle writers after the first write.
 var extraWords = []string{"go", "hi", "on", "it", "up", "at"}
 
 // loopGap separates scenario repetitions in stream time: long enough for

@@ -11,7 +11,7 @@ import (
 	"rfidraw/internal/deploy"
 	"rfidraw/internal/engine"
 	"rfidraw/internal/geom"
-	"rfidraw/internal/tracing"
+	"rfidraw/internal/server"
 	"rfidraw/internal/vote"
 	"rfidraw/internal/wal"
 )
@@ -27,14 +27,16 @@ import (
 //
 // Without -session it lists the store's recorded sessions. -dist must
 // match the daemon's deployment (the writing-plane distance is not part
-// of the log). -dense re-traces under the exhaustive reference search.
+// of the log). The antenna geometry and search override come from the
+// log's meta, exactly as the daemon's retrace resolves them; -dense
+// overrides the search with the exhaustive reference search.
 func runReplay(args []string) error {
 	fs := flag.NewFlagSet("rfidraw replay", flag.ExitOnError)
 	var (
 		dataDir = fs.String("data-dir", "", "rfidrawd write-ahead log directory (required)")
 		session = fs.String("session", "", "session ID to re-trace (empty: list sessions)")
 		dist    = fs.Float64("dist", 2, "writing plane distance in metres (must match the recording daemon)")
-		dense   = fs.Bool("dense", false, "re-trace under the dense reference search instead of hierarchical")
+		dense   = fs.Bool("dense", false, "re-trace under the dense reference search instead of the recorded one")
 		out     = fs.String("out", "", "write the JSON result here (default stdout)")
 	)
 	fs.Parse(args)
@@ -70,15 +72,15 @@ func runReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	search := vote.SearchConfig{}
-	if *dense {
-		search.Mode = vote.SearchDense
+	base, err := core.NewSystem(nil, core.Config{Plane: geom.Plane{Y: *dist}, Region: deploy.DefaultRegion()})
+	if err != nil {
+		return err
 	}
-	sys, err := core.NewSystem(nil, core.Config{
-		Plane: geom.Plane{Y: *dist}, Region: deploy.DefaultRegion(),
-		Vote:  vote.Config{Search: search},
-		Trace: tracing.Config{Search: search},
-	})
+	search := server.SearchFromMeta(meta.Search)
+	if *dense {
+		search = &vote.SearchConfig{Mode: vote.SearchDense}
+	}
+	sys, err := server.SystemFor(base, meta.Geometry, search)
 	if err != nil {
 		return err
 	}
@@ -95,14 +97,14 @@ func runReplay(args []string) error {
 		case wal.RecordReport:
 			return rp.Offer(rec.Report)
 		case wal.RecordFlush, wal.RecordClose:
-			rp.Flush()
+			_ = rp.Flush() // a tag's failure is in its Results entry
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	rp.Flush()
+	_ = rp.Flush()
 
 	type replayPoint struct {
 		T time.Duration `json:"t_ns"`

@@ -1,13 +1,12 @@
-// Streaming: the networked pipeline in one process — two simulated reader
-// daemons stream phase reports over TCP (readerwire protocol) and a live
-// tracker consumes both streams, printing positions as they arrive. This
-// is what cmd/readerd and cmd/tracker do across processes.
+// Streaming: the networked pipeline end to end — two simulated readers
+// stream phase reports over TCP (readerwire protocol) into an rfidrawd
+// session's ingest gateway, and the example prints the live NDJSON
+// events coming back. By default it starts rfidrawd in-process on
+// ephemeral ports:
 //
 //	go run ./examples/streaming
 //
-// With -daemon the example connects through a running rfidrawd instead of
-// embedding the tracker: it creates a session, streams the reader reports
-// into the ingest gateway and prints the live NDJSON events coming back.
+// With -daemon it drives a running rfidrawd instead:
 //
 //	rfidrawd &
 //	go run ./examples/streaming -daemon http://127.0.0.1:8090
@@ -18,22 +17,20 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"sync"
 	"time"
 
-	"rfidraw/internal/core"
+	"rfidraw"
 	"rfidraw/internal/geom"
 	"rfidraw/internal/handwriting"
 	"rfidraw/internal/readerwire"
-	"rfidraw/internal/realtime"
 	"rfidraw/internal/rfid"
 	"rfidraw/internal/server"
 	"rfidraw/internal/sim"
 )
 
 func main() {
-	daemon := flag.String("daemon", "", "rfidrawd HTTP API base URL; empty embeds the tracker locally")
+	daemon := flag.String("daemon", "", "rfidrawd HTTP API base URL; empty starts one in-process")
 	flag.Parse()
 	scenario, err := sim.New(sim.Config{Seed: 31})
 	if err != nil {
@@ -43,7 +40,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dur := run.Word.Traj.Duration() + 100*time.Millisecond
 
 	// Split the merged samples back into two per-reader report streams.
 	streams2 := make([][]rfid.Report, 2)
@@ -61,80 +57,28 @@ func main() {
 		}
 	}
 
-	if *daemon != "" {
-		if err := throughDaemon(*daemon, streams2, run.Word.Text); err != nil {
+	if *daemon == "" {
+		sys, err := rfidraw.New(rfidraw.Config{PlaneDistanceM: scenario.Plane.Y})
+		if err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-
-	// Serve each reader stream over TCP.
-	var servers []*readerwire.Server
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for readerID := 0; readerID < 2; readerID++ {
-		reports := streams2[readerID]
-		srv, err := readerwire.NewServer("127.0.0.1:0", &readerwire.InventorySource{
-			Announce: readerwire.Hello{
-				Proto: readerwire.ProtoVersion, ReaderID: uint8(readerID),
-				AntennaCount: 4, SweepInterval: 25 * time.Millisecond,
-			},
-			AllReports: reports,
-		}, 0 /* unpaced */)
+		defer sys.Close()
+		srv, err := sys.NewServer(rfidraw.ServeConfig{HTTPAddr: "127.0.0.1:0", IngestAddr: "127.0.0.1:0"})
 		if err != nil {
+			log.Fatal(err)
+		}
+		if err := srv.Start(); err != nil {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		go srv.Serve(ctx, dur)
-		servers = append(servers, srv)
-		fmt.Printf("reader %d streaming %d reports on %s\n", readerID, len(reports), srv.Addr())
+		*daemon = "http://" + srv.HTTPAddr()
 	}
-
-	// Collect both streams (a real deployment would interleave live).
-	var streams [][]rfid.Report
-	for _, srv := range servers {
-		conn, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			log.Fatal(err)
-		}
-		hello, reports, err := readerwire.Collect(conn)
-		conn.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("collected %d reports from reader %d\n", len(reports), hello.ReaderID)
-		streams = append(streams, reports)
-	}
-
-	// Live-track the merged stream.
-	sys, err := core.NewSystem(scenario.RFIDraw, core.Config{Plane: scenario.Plane, Region: scenario.Region})
-	if err != nil {
+	if err := throughDaemon(*daemon, streams2, run.Word.Text); err != nil {
 		log.Fatal(err)
 	}
-	tracker, err := realtime.NewTracker(realtime.Config{System: sys, SweepInterval: 25 * time.Millisecond})
-	if err != nil {
-		log.Fatal(err)
-	}
-	count := 0
-	for _, rep := range realtime.MergeStreams(streams...) {
-		ps, err := tracker.Offer(rep)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, p := range ps {
-			if count%10 == 0 {
-				fmt.Printf("live t=%8v  (%.3f, %.3f) m\n", p.Time.Round(time.Millisecond), p.Pos.X, p.Pos.Z)
-			}
-			count++
-		}
-	}
-	if ps, err := tracker.Flush(); err == nil {
-		count += len(ps)
-	}
-	fmt.Printf("\ntraced %d live positions of %q; mean vote %.4f\n", count, run.Word.Text, tracker.MeanVote())
 }
 
-// throughDaemon runs the same pipeline against a live rfidrawd: session
+// throughDaemon runs the pipeline against a live rfidrawd: session
 // create, two ingest reader connections, live NDJSON consumption.
 func throughDaemon(daemon string, streams [][]rfid.Report, word string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -8,33 +8,34 @@
 // Every piece of work is keyed by tag identity (EPC), and a tag's key is
 // hashed (FNV-1a) to pick its home shard, so all of one tag's work — batch
 // traces and live report streams alike — executes sequentially on one
-// goroutine. Per-tag state (the realtime tracker, its lobe locks, its
-// sample buffer) is confined to that goroutine and never locked. The heavy
-// read-only structures — the deployment, the positioner with its
+// goroutine. Each shard streams its tags through a Replayer, the one
+// implementation of the per-tag streaming pipeline, which WAL retrace and
+// catch-up also run; per-tag state (the realtime tracker, its lobe locks,
+// its sample buffer) is confined to that goroutine and never locked. The
+// heavy read-only structures — the deployment, the positioner with its
 // precomputed steering table, the tracer — live in one core.System shared
 // by all shards.
 //
 // Because a tag's pipeline is sequential on its home shard and runs
 // exactly the code the single-threaded path runs, per-tag output is
-// deterministic and identical for any shard count, including 1. The
-// synchronous single-tag Trace runs the same shared pipeline directly on
-// the caller's goroutine — semantically a 1-shard engine, without
-// serialising unrelated callers.
+// deterministic and identical for any shard count, including 1. A
+// 1-shard engine's whole update sequence is the synchronous Replayer's
+// over the same reports and flushes. The synchronous single-tag Trace
+// runs the same shared pipeline directly on the caller's goroutine —
+// semantically a 1-shard engine, without serialising unrelated callers.
 //
 // # Concurrency contract
 //
 // TraceBatch and Trace are safe to call from any number of goroutines.
-// The streaming entry points Offer, OfferAll, Flush, Stats and Close
-// must be called from a single ingest goroutine (reports must be
-// time-ordered, which only a single caller can guarantee, and Stats
-// dispatches that goroutine's buffered reports before sampling). The
-// OnUpdate callback is invoked from shard goroutines — potentially
-// several at once — and must synchronise its own state.
+// The streaming entry points Offer, OfferAll, Flush, Stats,
+// TraceResults and Close must be called from a single ingest goroutine
+// (reports must be time-ordered, which only a single caller can
+// guarantee). The OnUpdate callback is invoked from shard goroutines —
+// potentially several at once — and must synchronise its own state.
 package engine
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -45,6 +46,7 @@ import (
 	"rfidraw/internal/realtime"
 	"rfidraw/internal/rfid"
 	"rfidraw/internal/tracing"
+	"rfidraw/internal/vote"
 )
 
 // Config assembles an Engine.
@@ -84,11 +86,8 @@ type Config struct {
 	// OnUpdate receives live position updates from the streaming path.
 	// It is called from shard goroutines, possibly concurrently.
 	OnUpdate func(Update)
-	// BatchSize is how many streaming reports are buffered per shard
-	// before dispatch. Default 64 — right for replayed or collected
-	// streams; latency-sensitive live callers (a cursor) should set 1 so
-	// every report dispatches immediately, at the cost of one channel
-	// send per report.
+	// BatchSize has no effect: Offer dispatches every report to its
+	// shard immediately.
 	BatchSize int
 }
 
@@ -145,15 +144,9 @@ type Engine struct {
 	sys    *core.System
 	shards []*shard
 
-	// pending buffers streaming reports per shard between dispatches;
-	// owned by the ingest goroutine (see the concurrency contract).
-	pending []*[]rfid.Report
-	// batchPool recycles report batch slices between the ingest
-	// goroutine and the shards, keeping the streaming hot path
-	// allocation-free once warm.
-	batchPool sync.Pool
 	// dirty records whether any report has been offered since the last
-	// Flush; like pending it is owned by the ingest goroutine.
+	// Flush; it is owned by the ingest goroutine (see the concurrency
+	// contract).
 	dirty bool
 	// mu guards shard-channel sends from TraceBatch (which any goroutine
 	// may call) against Close closing those channels: senders hold the
@@ -172,48 +165,18 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
+	sys, err := resolveSystem(cfg)
+	if err != nil {
+		return nil, err
 	}
-	// Catch an impossible acquisition bound at construction: left to the
-	// per-tag tracker it would terminally fail every tag at its first
-	// report, a silent-daemon failure mode.
-	if cfg.MaxAcquireBuffer > 0 {
-		warmup := cfg.WarmupSamples
-		if warmup <= 0 {
-			warmup = realtime.DefaultWarmupSamples
-		}
-		if cfg.MaxAcquireBuffer < warmup {
-			return nil, fmt.Errorf("engine: MaxAcquireBuffer %d must be ≥ WarmupSamples %d",
-				cfg.MaxAcquireBuffer, warmup)
-		}
-	}
-	sys := cfg.System
-	if sys == nil {
-		var err error
-		sys, err = core.NewSystem(cfg.Deployment, cfg.Core)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-	}
-	e := &Engine{
-		cfg:     cfg,
-		sys:     sys,
-		shards:  make([]*shard, cfg.Shards),
-		pending: make([]*[]rfid.Report, cfg.Shards),
-	}
-	e.batchPool.New = func() any {
-		s := make([]rfid.Report, 0, cfg.BatchSize)
-		return &s
-	}
+	e := &Engine{cfg: cfg, sys: sys, shards: make([]*shard, cfg.Shards)}
 	for i := range e.shards {
 		sh := &shard{
-			id:       i,
-			eng:      e,
-			in:       make(chan shardMsg, 16),
-			done:     make(chan struct{}),
-			trackers: map[rfid.EPC]*tagState{},
+			in:   make(chan shardMsg, 16),
+			done: make(chan struct{}),
+			rp:   newReplayer(cfg, sys, scratchPool.Get().(*vote.Scratch)),
 		}
+		sh.rp.OnUpdate = cfg.OnUpdate
 		e.shards[i] = sh
 		go sh.loop()
 	}
@@ -294,19 +257,8 @@ func (e *Engine) Offer(rep rfid.Report) error {
 	if e.cfg.SweepInterval <= 0 {
 		return errors.New("engine: Config.SweepInterval required for streaming")
 	}
-	sh := e.shardForEPC(rep.EPC)
-	buf := e.pending[sh.id]
-	if buf == nil {
-		buf = e.batchPool.Get().(*[]rfid.Report)
-		*buf = (*buf)[:0]
-		e.pending[sh.id] = buf
-	}
-	*buf = append(*buf, rep)
 	e.dirty = true
-	if len(*buf) >= e.cfg.BatchSize {
-		e.pending[sh.id] = nil
-		sh.in <- shardMsg{reports: buf}
-	}
+	e.shardForEPC(rep.EPC).in <- shardMsg{report: rep}
 	return nil
 }
 
@@ -320,21 +272,10 @@ func (e *Engine) OfferAll(reports []rfid.Report) error {
 	return nil
 }
 
-// dispatchPending pushes every buffered report batch to its shard.
-func (e *Engine) dispatchPending() {
-	for i, buf := range e.pending {
-		if buf == nil {
-			continue
-		}
-		e.pending[i] = nil
-		e.shards[i].in <- shardMsg{reports: buf}
-	}
-}
-
-// Flush dispatches buffered reports and closes every tracker's current
-// sweep (e.g. at end of stream), emitting any final positions through
-// OnUpdate. It blocks until all shards have drained. A Flush with nothing
-// offered since the previous one is a no-op.
+// Flush closes every tracker's current sweep (e.g. at end of stream),
+// emitting any final positions through OnUpdate. It blocks until all
+// shards have drained. A Flush with nothing offered since the previous
+// one is a no-op.
 func (e *Engine) Flush() error {
 	if e.closed {
 		return errors.New("engine: closed")
@@ -343,7 +284,6 @@ func (e *Engine) Flush() error {
 		return nil
 	}
 	e.dirty = false
-	e.dispatchPending()
 	acks := make([]chan error, len(e.shards))
 	for i, sh := range e.shards {
 		acks[i] = make(chan error, 1)
@@ -359,13 +299,12 @@ func (e *Engine) Flush() error {
 }
 
 // Stats reports per-tag streaming state, sorted by tag key. It belongs
-// to the ingest goroutine (see the concurrency contract): it dispatches
-// any reports that goroutine has buffered so the snapshot is current.
+// to the ingest goroutine (see the concurrency contract), so the
+// snapshot covers every report that goroutine has offered.
 func (e *Engine) Stats() []TagStats {
 	if e.closed {
 		return nil
 	}
-	e.dispatchPending()
 	chans := make([]chan []TagStats, len(e.shards))
 	for i, sh := range e.shards {
 		chans[i] = make(chan []TagStats, 1)
@@ -381,14 +320,12 @@ func (e *Engine) Stats() []TagStats {
 
 // TraceResults materializes each streamed tag's batch-equivalent
 // TraceResult (requires Config.RecordTrace), sorted by tag key. Like
-// Stats it belongs to the ingest goroutine and dispatches its buffered
-// reports first so the snapshot is current; tags that never acquired
+// Stats it belongs to the ingest goroutine; tags that never acquired
 // are reported with an error.
 func (e *Engine) TraceResults() []TagResult {
 	if e.closed {
 		return nil
 	}
-	e.dispatchPending()
 	chans := make([]chan []TagResult, len(e.shards))
 	for i, sh := range e.shards {
 		chans[i] = make(chan []TagResult, 1)

@@ -182,17 +182,18 @@ func TestTraceSingleTagWrapper(t *testing.T) {
 	}
 }
 
-// streamInto replays both readers' raw report streams, time-merged, into
-// the engine and returns per-tag collected positions.
-func streamInto(t *testing.T, e *Engine, run *sim.MultiWordRun) map[string][]realtime.Position {
+// streamInto builds an engine from cfg, replays both readers' raw report
+// streams, time-merged, into it and returns per-tag collected positions.
+func streamInto(t *testing.T, cfg Config, run *sim.MultiWordRun) (*Engine, map[string][]realtime.Position) {
 	t.Helper()
 	var mu sync.Mutex
 	got := map[string][]realtime.Position{}
-	e.cfg.OnUpdate = func(u Update) {
+	cfg.OnUpdate = func(u Update) {
 		mu.Lock()
 		defer mu.Unlock()
 		got[u.Tag] = append(got[u.Tag], u.Positions...)
 	}
+	e := newEngine(t, cfg)
 	merged := realtime.MergeStreams(run.ReportsRF...)
 	if err := e.OfferAll(merged); err != nil {
 		t.Fatal(err)
@@ -200,7 +201,7 @@ func streamInto(t *testing.T, e *Engine, run *sim.MultiWordRun) map[string][]rea
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return got
+	return e, got
 }
 
 // TestStreamingMultiTag drives the live path end to end: all tags' raw
@@ -208,13 +209,12 @@ func streamInto(t *testing.T, e *Engine, run *sim.MultiWordRun) map[string][]rea
 // its ground truth.
 func TestStreamingMultiTag(t *testing.T) {
 	run := multiRun(t, 3)
-	e := newEngine(t, Config{
+	e, got := streamInto(t, Config{
 		Shards: 4,
 		// Airtime is split three ways, so each tag's effective sweep
 		// period triples.
 		SweepInterval: run.SweepInterval * time.Duration(len(run.Tags)),
-	})
-	got := streamInto(t, e, run)
+	}, run)
 	if len(got) != len(run.Tags) {
 		t.Fatalf("tracked %d tags, want %d", len(got), len(run.Tags))
 	}
@@ -263,22 +263,22 @@ func TestStreamingTagAppearsMidStream(t *testing.T) {
 		}
 		filtered = append(filtered, rep)
 	}
+	var mu sync.Mutex
+	got := map[string]int{}
 	e := newEngine(t, Config{
 		Shards:        3,
 		SweepInterval: run.SweepInterval * time.Duration(len(run.Tags)),
-	})
-	var mu sync.Mutex
-	got := map[string]int{}
-	e.cfg.OnUpdate = func(u Update) {
-		mu.Lock()
-		defer mu.Unlock()
-		got[u.Tag] += len(u.Positions)
-		for _, p := range u.Positions {
-			if u.Tag == late.String() && p.Time < cutoff {
-				t.Errorf("late tag emitted position at %v before it appeared", p.Time)
+		OnUpdate: func(u Update) {
+			mu.Lock()
+			defer mu.Unlock()
+			got[u.Tag] += len(u.Positions)
+			for _, p := range u.Positions {
+				if u.Tag == late.String() && p.Time < cutoff {
+					t.Errorf("late tag emitted position at %v before it appeared", p.Time)
+				}
 			}
-		}
-	}
+		},
+	})
 	if err := e.OfferAll(filtered); err != nil {
 		t.Fatal(err)
 	}
@@ -307,25 +307,25 @@ func TestStreamingTagGoesSilent(t *testing.T) {
 		}
 		filtered = append(filtered, rep)
 	}
-	e := newEngine(t, Config{
-		Shards:        2,
-		SweepInterval: run.SweepInterval * time.Duration(len(run.Tags)),
-	})
 	var mu sync.Mutex
 	var lastSilent time.Duration
 	counts := map[string]int{}
-	e.cfg.OnUpdate = func(u Update) {
-		mu.Lock()
-		defer mu.Unlock()
-		counts[u.Tag] += len(u.Positions)
-		if u.Tag == silent.String() {
-			for _, p := range u.Positions {
-				if p.Time > lastSilent {
-					lastSilent = p.Time
+	e := newEngine(t, Config{
+		Shards:        2,
+		SweepInterval: run.SweepInterval * time.Duration(len(run.Tags)),
+		OnUpdate: func(u Update) {
+			mu.Lock()
+			defer mu.Unlock()
+			counts[u.Tag] += len(u.Positions)
+			if u.Tag == silent.String() {
+				for _, p := range u.Positions {
+					if p.Time > lastSilent {
+						lastSilent = p.Time
+					}
 				}
 			}
-		}
-	}
+		},
+	})
 	if err := e.OfferAll(filtered); err != nil {
 		t.Fatal(err)
 	}
@@ -347,6 +347,19 @@ func TestStreamingRequiresSweepInterval(t *testing.T) {
 	e := newEngine(t, Config{Shards: 2})
 	if err := e.Offer(rfid.Report{}); err == nil {
 		t.Fatal("Offer without SweepInterval should error")
+	}
+}
+
+// TestAcquireBoundBelowWarmupRejected: both constructors refuse a warmup
+// buffer bound that would fail every tag at its first report.
+func TestAcquireBoundBelowWarmupRejected(t *testing.T) {
+	cfg := Config{Core: coreConfig(), SweepInterval: 25 * time.Millisecond, MaxAcquireBuffer: 2}
+	if e, err := New(cfg); err == nil {
+		e.Close()
+		t.Fatal("New accepted MaxAcquireBuffer below the warmup")
+	}
+	if _, err := NewReplayer(cfg); err == nil {
+		t.Fatal("NewReplayer accepted MaxAcquireBuffer below the warmup")
 	}
 }
 
@@ -402,7 +415,7 @@ func TestCloseConcurrent(t *testing.T) {
 // over many keys touches every shard.
 func TestShardAffinity(t *testing.T) {
 	e := newEngine(t, Config{Shards: 4})
-	seen := map[int]bool{}
+	seen := map[*shard]bool{}
 	for i := 0; i < 256; i++ {
 		key := fmt.Sprintf("tag-%03d", i)
 		a := e.shardFor(key)
@@ -410,7 +423,7 @@ func TestShardAffinity(t *testing.T) {
 		if a != b {
 			t.Fatalf("key %q hashed to two shards", key)
 		}
-		seen[a.id] = true
+		seen[a] = true
 	}
 	if len(seen) != 4 {
 		t.Fatalf("256 keys used only %d/4 shards", len(seen))

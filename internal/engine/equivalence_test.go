@@ -72,11 +72,10 @@ func TestBatchIsReplayOfStreaming(t *testing.T) {
 // hypothesis counts, and agree with the tag's TagStats counters.
 func TestStreamingSurfacesLeaderSwitches(t *testing.T) {
 	run := multiRun(t, 3)
-	e := newEngine(t, Config{
+	e, got := streamInto(t, Config{
 		Shards:        4,
 		SweepInterval: run.SweepInterval * time.Duration(len(run.Tags)),
-	})
-	got := streamInto(t, e, run)
+	}, run)
 	flagged := map[string]int{}
 	for tag, ps := range got {
 		for _, p := range ps {
@@ -117,14 +116,13 @@ func TestStreamingSurfacesLeaderSwitches(t *testing.T) {
 func TestFlushDuringWarmupDoesNotLeakPrefix(t *testing.T) {
 	run := multiRun(t, 1)
 	sweep := run.SweepInterval * time.Duration(len(run.Tags))
-	e := newEngine(t, Config{Shards: 2, SweepInterval: sweep})
 	var mu sync.Mutex
 	emitted := 0
-	e.cfg.OnUpdate = func(u Update) {
+	e := newEngine(t, Config{Shards: 2, SweepInterval: sweep, OnUpdate: func(u Update) {
 		mu.Lock()
 		emitted += len(u.Positions)
 		mu.Unlock()
-	}
+	}})
 	// Only three sweeps of reports: one short of the default warmup of 4.
 	cutoff := 3 * sweep
 	for _, rep := range realtime.MergeStreams(run.ReportsRF...) {

@@ -11,28 +11,35 @@ import (
 	"rfidraw/internal/vote"
 )
 
-// Replayer re-runs a canonical resequenced report stream — a session's
-// write-ahead log — through the exact live pipeline, synchronously on
-// the caller's goroutine. It mirrors the sharded engine's per-tag
-// tracker construction (same Config knobs, same code path) minus the
-// scheduler, so replaying a log reproduces the live session's per-tag
-// output bit for bit: the sharded engine and the Replayer are the third
-// and fourth schedulers over the one tracing core, after batch and
-// streaming.
+// Replayer is the per-tag streaming pipeline: it demultiplexes a
+// time-ordered report stream by EPC into one realtime.Tracker per tag
+// and runs them synchronously on the caller's goroutine. It is the only
+// implementation of that pipeline. Every Engine shard runs one over the
+// tags hashed onto it, and WAL retrace and catch-up run one over a
+// session's canonical resequenced log, so replaying a log reproduces
+// the live session's per-tag output by construction.
 //
-// A Replayer is single-goroutine and single-use: feed Offer/Flush in
-// log order, then read Results.
+// A Replayer is single-goroutine: feed Offer/Flush in stream order,
+// then read Stats or Results.
 type Replayer struct {
 	cfg     Config
 	sys     *core.System
 	scratch *vote.Scratch
 	tags    map[rfid.EPC]*tagState
-	order   []rfid.EPC
+	// order lists tags in first-seen order; Flush closes their sweeps in
+	// this order, so a drain emits the same sequence live and in replay.
+	order []rfid.EPC
 
 	// OnUpdate, when set, receives each tag's new positions inline from
-	// Offer/Flush (the catch-up feeder uses it; retrace only needs
-	// Results).
+	// Offer/Flush.
 	OnUpdate func(Update)
+}
+
+// tagState is one streamed tag's pipeline.
+type tagState struct {
+	tracker   *realtime.Tracker
+	positions int
+	err       error
 }
 
 // NewReplayer builds a replayer from the same Config an Engine takes.
@@ -45,27 +52,48 @@ func NewReplayer(cfg Config) (*Replayer, error) {
 	if cfg.SweepInterval <= 0 {
 		return nil, errors.New("engine: Config.SweepInterval required for replay")
 	}
-	sys := cfg.System
-	if sys == nil {
-		var err error
-		sys, err = core.NewSystem(cfg.Deployment, cfg.Core)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
+	sys, err := resolveSystem(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return &Replayer{
-		cfg:     cfg,
-		sys:     sys,
-		scratch: vote.NewScratch(),
-		tags:    map[rfid.EPC]*tagState{},
-	}, nil
+	return newReplayer(cfg, sys, vote.NewScratch()), nil
 }
 
-// System exposes the replayer's positioning system.
-func (r *Replayer) System() *core.System { return r.sys }
+// newReplayer is the one constructor behind NewReplayer and every
+// engine shard; cfg has passed resolveSystem.
+func newReplayer(cfg Config, sys *core.System, scratch *vote.Scratch) *Replayer {
+	return &Replayer{cfg: cfg, sys: sys, scratch: scratch, tags: map[rfid.EPC]*tagState{}}
+}
 
-// tag returns (building on first sight) the report's tag pipeline,
-// mirroring shard.offer.
+// resolveSystem validates cfg and returns its positioning system: the
+// shared cfg.System, or one built from cfg.Deployment and cfg.Core.
+func resolveSystem(cfg Config) (*core.System, error) {
+	// Catch an impossible acquisition bound at construction: left to the
+	// per-tag tracker it would terminally fail every tag at its first
+	// report, a silent-daemon failure mode.
+	if cfg.MaxAcquireBuffer > 0 {
+		warmup := cfg.WarmupSamples
+		if warmup <= 0 {
+			warmup = realtime.DefaultWarmupSamples
+		}
+		if cfg.MaxAcquireBuffer < warmup {
+			return nil, fmt.Errorf("engine: MaxAcquireBuffer %d must be ≥ WarmupSamples %d",
+				cfg.MaxAcquireBuffer, warmup)
+		}
+	}
+	if cfg.System != nil {
+		return cfg.System, nil
+	}
+	sys, err := core.NewSystem(cfg.Deployment, cfg.Core)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	return sys, nil
+}
+
+// tag returns the report's tag pipeline, building it on first sight: a
+// tag appearing mid-stream simply starts its own pipeline at its first
+// report.
 func (r *Replayer) tag(epc rfid.EPC) *tagState {
 	ts, ok := r.tags[epc]
 	if ok {
@@ -92,11 +120,13 @@ func (r *Replayer) tag(epc rfid.EPC) *tagState {
 	return ts
 }
 
-// Offer replays one report (in log order).
+// Offer feeds one report (in stream order) to its tag's tracker. A tag
+// whose pipeline failed terminally drops its reports; the failure is
+// reported through Stats and Results.
 func (r *Replayer) Offer(rep rfid.Report) error {
 	ts := r.tag(rep.EPC)
 	if ts.err != nil {
-		return nil // tag failed terminally; mirror the shard and drop
+		return nil
 	}
 	ps, err := ts.tracker.Offer(rep)
 	r.emit(rep.EPC, ts, ps)
@@ -106,23 +136,29 @@ func (r *Replayer) Offer(rep rfid.Report) error {
 	return nil
 }
 
-// Flush replays a pump drain: every tag's current sweep closes, exactly
-// as an engine Flush does live. Safe to call repeatedly (the trackers'
-// flush is idempotent), which is what makes a replay that always
-// finishes with a Flush equivalent to a log whose last record already
-// was one.
-func (r *Replayer) Flush() {
+// Flush closes every tag's current sweep — a pump drain, or the end of
+// the stream — emitting any final positions through OnUpdate, and
+// returns the first tag failure it caused. Safe to call repeatedly (the
+// trackers' flush is idempotent), which is what makes a replay that
+// always finishes with a Flush equivalent to a log whose last record
+// already was one.
+func (r *Replayer) Flush() error {
+	var first error
 	for _, epc := range r.order {
 		ts := r.tags[epc]
-		if ts.err != nil || ts.tracker == nil {
+		if ts.err != nil {
 			continue
 		}
 		ps, err := ts.tracker.Flush()
 		r.emit(epc, ts, ps)
 		if err != nil {
 			ts.err = fmt.Errorf("engine: tag %s: %w", epc, err)
+			if first == nil {
+				first = ts.err
+			}
 		}
 	}
+	return first
 }
 
 func (r *Replayer) emit(epc rfid.EPC, ts *tagState, ps []realtime.Position) {
@@ -135,23 +171,45 @@ func (r *Replayer) emit(epc rfid.EPC, ts *tagState, ps []realtime.Position) {
 	}
 }
 
+// Stats reports each tag's tracking state, in first-seen order.
+func (r *Replayer) Stats() []TagStats {
+	out := make([]TagStats, 0, len(r.order))
+	for _, epc := range r.order {
+		ts := r.tags[epc]
+		st := TagStats{Tag: epc.String(), Positions: ts.positions, Err: ts.err}
+		if ts.tracker != nil {
+			st.Started = ts.tracker.Started()
+			st.MeanVote = ts.tracker.MeanVote()
+			st.Reacquisitions = ts.tracker.Reacquisitions()
+			st.Hypotheses = ts.tracker.ActiveHypotheses()
+			st.LeaderSwitches = ts.tracker.LeaderSwitches()
+			st.Retirements = ts.tracker.Retirements()
+			st.Buffered = ts.tracker.Buffered()
+			st.SearchEvals = ts.tracker.SearchEvals()
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
 // Results materializes each acquired tag's batch-equivalent TraceResult
 // (requires Config.RecordTrace), sorted by tag key. Tags that never
 // acquired or failed terminally are reported with their error.
 func (r *Replayer) Results() []TagResult {
-	out := make([]TagResult, 0, len(r.tags))
+	out := make([]TagResult, 0, len(r.order))
 	for _, epc := range r.order {
-		out = append(out, r.tags[epc].traceResult(epc))
+		ts := r.tags[epc]
+		res := TagResult{Tag: epc.String()}
+		switch {
+		case ts.err != nil:
+			res.Err = ts.err
+		case !ts.tracker.Started():
+			res.Err = fmt.Errorf("engine: tag %s: never acquired", epc)
+		default:
+			res.Result, res.Err = ts.tracker.TraceResult()
+		}
+		out = append(out, res)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tag < out[j].Tag })
-	return out
-}
-
-// Positions reports how many positions each tag emitted during replay.
-func (r *Replayer) Positions() map[string]int {
-	out := make(map[string]int, len(r.tags))
-	for epc, ts := range r.tags {
-		out[epc.String()] = ts.positions
-	}
 	return out
 }

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 
-	"rfidraw/internal/realtime"
 	"rfidraw/internal/rfid"
 	"rfidraw/internal/tracing"
 	"rfidraw/internal/vote"
@@ -12,7 +10,7 @@ import (
 
 // scratchPool hands each shard its reusable refinement scratch (the
 // hierarchical search's memo and frontier buffers, see vote.Scratch) when
-// its goroutine starts and takes it back when the shard exits. It is
+// it is built and takes it back when the shard exits. It is
 // package-level so scratches survive engine lifetimes — callers that
 // build an engine per stream (benchmarks, tests, short-lived servers)
 // reuse warm scratches. One scratch serves all of a shard's tags because
@@ -26,171 +24,50 @@ type traceJob struct {
 	wg      *sync.WaitGroup
 }
 
-// shardMsg is a shard inbox message; exactly one field is set.
+// shardMsg is a shard inbox message: at most one of the pointer and
+// channel fields is set, and a message with none set carries report.
 type shardMsg struct {
 	// job runs one batch trace.
 	job *traceJob
-	// reports is a pooled streaming batch; the shard returns it to the
-	// engine's pool after processing.
-	reports *[]rfid.Report
-	// flush closes every tracker's current sweep and acks.
+	// flush closes every tag's current sweep and acks.
 	flush chan error
 	// stats asks for a snapshot of per-tag streaming state.
 	stats chan []TagStats
 	// results asks for batch-equivalent trace results (RecordTrace).
 	results chan []TagResult
+	// report is one streamed report for the shard's Replayer.
+	report rfid.Report
 }
 
-// tagState is one streamed tag's pipeline, confined to its home shard.
-type tagState struct {
-	tracker   *realtime.Tracker
-	positions int
-	err       error
-}
-
-// shard is one worker: a goroutine owning the per-tag state of every tag
-// hashed onto it.
+// shard is one worker: a goroutine running the streaming pipeline of
+// every tag hashed onto it, and the batch jobs keyed to those tags.
 type shard struct {
-	id       int
-	eng      *Engine
-	in       chan shardMsg
-	done     chan struct{}
-	trackers map[rfid.EPC]*tagState
-	// scratch is the shard's reusable refinement scratch, held for the
-	// shard goroutine's lifetime (from the engine's scratchPool) and
-	// shared by every batch trace and live tracker on this shard.
-	scratch *vote.Scratch
+	in   chan shardMsg
+	done chan struct{}
+	// rp is the shard's streaming pipeline. Its scratch, from
+	// scratchPool, also serves the shard's batch traces.
+	rp *Replayer
 }
 
 func (s *shard) loop() {
 	defer close(s.done)
-	s.scratch = scratchPool.Get().(*vote.Scratch)
-	defer scratchPool.Put(s.scratch)
+	defer scratchPool.Put(s.rp.scratch)
 	for msg := range s.in {
 		switch {
 		case msg.job != nil:
-			res, err := s.eng.sys.TraceWith(s.scratch, msg.job.samples)
+			res, err := s.rp.sys.TraceWith(s.rp.scratch, msg.job.samples)
 			msg.job.out.Result, msg.job.out.Err = res, err
 			msg.job.wg.Done()
-		case msg.reports != nil:
-			for _, rep := range *msg.reports {
-				s.offer(rep)
-			}
-			s.eng.batchPool.Put(msg.reports)
 		case msg.flush != nil:
-			msg.flush <- s.flushTrackers()
+			msg.flush <- s.rp.Flush()
 		case msg.stats != nil:
-			msg.stats <- s.collectStats()
+			msg.stats <- s.rp.Stats()
 		case msg.results != nil:
-			msg.results <- s.collectResults()
+			msg.results <- s.rp.Results()
+		default:
+			// Offer never fails: a tag's terminal failure surfaces
+			// through Stats and Results.
+			_ = s.rp.Offer(msg.report)
 		}
 	}
-}
-
-// offer feeds one report into its tag's tracker, creating the tracker on
-// first sight — a tag appearing mid-stream simply starts its own pipeline
-// at its first report.
-func (s *shard) offer(rep rfid.Report) {
-	ts, ok := s.trackers[rep.EPC]
-	if !ok {
-		tracker, err := realtime.NewTracker(realtime.Config{
-			System:           s.eng.sys,
-			SweepInterval:    s.eng.cfg.SweepInterval,
-			MaxPhaseAge:      s.eng.cfg.MaxPhaseAge,
-			WarmupSamples:    s.eng.cfg.WarmupSamples,
-			MaxAcquireBuffer: s.eng.cfg.MaxAcquireBuffer,
-			ReacquireVote:    s.eng.cfg.ReacquireVote,
-			ReacquireWindow:  s.eng.cfg.ReacquireWindow,
-			RecordTrace:      s.eng.cfg.RecordTrace,
-			Scratch:          s.scratch,
-		})
-		ts = &tagState{tracker: tracker}
-		if err != nil {
-			ts.err = fmt.Errorf("engine: tag %s: %w", rep.EPC, err)
-			ts.tracker = nil
-		}
-		s.trackers[rep.EPC] = ts
-	}
-	if ts.err != nil {
-		return // tag's pipeline failed terminally; drop its reports
-	}
-	ps, err := ts.tracker.Offer(rep)
-	s.emit(rep.EPC, ts, ps)
-	if err != nil {
-		ts.err = fmt.Errorf("engine: tag %s: %w", rep.EPC, err)
-	}
-}
-
-// emit forwards new positions to the engine's OnUpdate callback.
-func (s *shard) emit(epc rfid.EPC, ts *tagState, ps []realtime.Position) {
-	if len(ps) == 0 {
-		return
-	}
-	ts.positions += len(ps)
-	if s.eng.cfg.OnUpdate != nil {
-		s.eng.cfg.OnUpdate(Update{Tag: epc.String(), Positions: ps})
-	}
-}
-
-func (s *shard) flushTrackers() error {
-	var first error
-	for epc, ts := range s.trackers {
-		if ts.err != nil || ts.tracker == nil {
-			continue // already failed; reported via Stats
-		}
-		ps, err := ts.tracker.Flush()
-		s.emit(epc, ts, ps)
-		if err != nil {
-			ts.err = fmt.Errorf("engine: tag %s: %w", epc, err)
-			if first == nil {
-				first = ts.err
-			}
-		}
-	}
-	return first
-}
-
-// collectResults materializes batch-equivalent trace results for every
-// acquired tag on this shard (engine Config.RecordTrace).
-func (s *shard) collectResults() []TagResult {
-	out := make([]TagResult, 0, len(s.trackers))
-	for epc, ts := range s.trackers {
-		out = append(out, ts.traceResult(epc))
-	}
-	return out
-}
-
-// traceResult materializes one streamed tag's batch-equivalent outcome;
-// shared by the shard and the Replayer so the two schedulers cannot
-// diverge in how a tag's state becomes a TagResult.
-func (ts *tagState) traceResult(epc rfid.EPC) TagResult {
-	res := TagResult{Tag: epc.String()}
-	switch {
-	case ts.err != nil:
-		res.Err = ts.err
-	case ts.tracker == nil || !ts.tracker.Started():
-		res.Err = fmt.Errorf("engine: tag %s: never acquired", epc)
-	default:
-		res.Result, res.Err = ts.tracker.TraceResult()
-	}
-	return res
-}
-
-func (s *shard) collectStats() []TagStats {
-	out := make([]TagStats, 0, len(s.trackers))
-	for epc, ts := range s.trackers {
-		st := TagStats{Tag: epc.String(), Positions: ts.positions, Err: ts.err}
-		if ts.tracker != nil {
-			st.Started = ts.tracker.Started()
-			st.MeanVote = ts.tracker.MeanVote()
-			st.Reacquisitions = ts.tracker.Reacquisitions()
-			st.Hypotheses = ts.tracker.ActiveHypotheses()
-			st.LeaderSwitches = ts.tracker.LeaderSwitches()
-			st.Retirements = ts.tracker.Retirements()
-			st.Buffered = ts.tracker.Buffered()
-			st.SearchEvals = ts.tracker.SearchEvals()
-		}
-		out = append(out, st)
-	}
-	return out
 }

@@ -2,12 +2,10 @@ package readerwire
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
-	"net"
 	"testing"
 	"testing/quick"
 	"time"
@@ -125,109 +123,6 @@ func TestReaderRejectsBadPhase(t *testing.T) {
 	r := NewReader(&buf)
 	if _, err := r.Next(); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("want ErrBadFrame, got %v", err)
-	}
-}
-
-func TestServerStreamsToClient(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	reports := make([]rfid.Report, 200)
-	for i := range reports {
-		reports[i] = sampleReport(rng, time.Duration(i)*2*time.Millisecond)
-	}
-	src := &InventorySource{
-		Announce:   Hello{Proto: ProtoVersion, ReaderID: 0, AntennaCount: 4, SweepInterval: 25 * time.Millisecond},
-		AllReports: reports,
-	}
-	srv, err := NewServer("127.0.0.1:0", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	go srv.Serve(ctx, 400*time.Millisecond)
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello, got, err := Collect(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hello != src.Announce {
-		t.Fatalf("hello = %+v", hello)
-	}
-	if len(got) != len(reports) {
-		t.Fatalf("got %d reports, want %d", len(got), len(reports))
-	}
-	for i := range got {
-		if got[i] != reports[i] {
-			t.Fatalf("report %d mismatch", i)
-		}
-	}
-}
-
-func TestServerMultipleClients(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	reports := make([]rfid.Report, 50)
-	for i := range reports {
-		reports[i] = sampleReport(rng, time.Duration(i)*time.Millisecond)
-	}
-	src := &InventorySource{
-		Announce:   Hello{Proto: ProtoVersion, ReaderID: 1, AntennaCount: 4, SweepInterval: 25 * time.Millisecond},
-		AllReports: reports,
-	}
-	srv, err := NewServer("127.0.0.1:0", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	go srv.Serve(ctx, 100*time.Millisecond)
-	defer srv.Close()
-
-	results := make(chan int, 3)
-	for i := 0; i < 3; i++ {
-		go func() {
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				results <- -1
-				return
-			}
-			defer conn.Close()
-			_, got, err := Collect(conn)
-			if err != nil {
-				results <- -1
-				return
-			}
-			results <- len(got)
-		}()
-	}
-	for i := 0; i < 3; i++ {
-		if n := <-results; n != len(reports) {
-			t.Fatalf("client %d got %d reports", i, n)
-		}
-	}
-}
-
-func TestInventorySourceWindow(t *testing.T) {
-	src := &InventorySource{AllReports: []rfid.Report{
-		{Time: 0}, {Time: 10 * time.Millisecond}, {Time: 20 * time.Millisecond},
-	}}
-	got := src.Reports(5*time.Millisecond, 20*time.Millisecond)
-	if len(got) != 1 || got[0].Time != 10*time.Millisecond {
-		t.Fatalf("window = %+v", got)
-	}
-}
-
-func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer("127.0.0.1:0", nil, 0); err == nil {
-		t.Fatal("nil source should error")
-	}
-	if _, err := NewServer("500.0.0.1:x", &InventorySource{}, 0); err == nil {
-		t.Fatal("bad address should error")
 	}
 }
 

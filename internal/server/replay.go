@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"time"
 
+	"rfidraw/internal/core"
+	"rfidraw/internal/deploy"
 	"rfidraw/internal/engine"
 	"rfidraw/internal/obs"
 	"rfidraw/internal/realtime"
@@ -23,6 +25,70 @@ import (
 // meta; "" = default) so the replay positions with the same steering
 // tables the live session used.
 type ReplayerFactory func(sweep time.Duration, geometry string, search *vote.SearchConfig, record bool) (*engine.Replayer, error)
+
+// SystemFor resolves the positioning system a session on the named
+// antenna geometry ("" is "default") with an optional search override
+// traces with: base's writing plane and tunables on that geometry's
+// deployment (built with base's carrier and link) and search region,
+// with the override applied to both voting and tracing. The default
+// geometry without an override is base itself. Live engine factories,
+// WAL replayers and offline re-tracing all resolve through here, so a
+// recorded session rebuilds the pipeline it ran live.
+func SystemFor(base *core.System, geometry string, search *vote.SearchConfig) (*core.System, error) {
+	if geometry == "" {
+		geometry = "default"
+	}
+	if geometry == "default" && search == nil {
+		return base, nil
+	}
+	dep := base.Deployment()
+	cfg := base.Config()
+	if geometry != "default" {
+		spec, err := deploy.GeometryByName(geometry)
+		if err != nil {
+			return nil, err
+		}
+		if dep, err = spec.Build(dep.Carrier, dep.Link); err != nil {
+			return nil, err
+		}
+		cfg.Region = spec.Region()
+	}
+	if search != nil {
+		cfg.Vote.Search = *search
+		cfg.Trace.Search = *search
+	}
+	return core.NewSystem(dep, cfg)
+}
+
+// searchToMeta / SearchFromMeta map a session's search override onto
+// the WAL meta encoding (Mode 0 = none, 1 = hierarchical, 2 = dense):
+// the record must carry the search it was traced under, or recovery and
+// retrace would rebuild a different pipeline than the live engine ran.
+func searchToMeta(sc *vote.SearchConfig) wal.SearchMeta {
+	if sc == nil {
+		return wal.SearchMeta{}
+	}
+	m := wal.SearchMeta{TopK: uint8(sc.TopK), Levels: uint8(sc.Levels)}
+	if sc.Mode == vote.SearchDense {
+		m.Mode = 2
+	} else {
+		m.Mode = 1
+	}
+	return m
+}
+
+// SearchFromMeta decodes a recorded session's search override; nil means
+// the deployment default.
+func SearchFromMeta(m wal.SearchMeta) *vote.SearchConfig {
+	if m.Mode == 0 {
+		return nil
+	}
+	sc := &vote.SearchConfig{TopK: int(m.TopK), Levels: int(m.Levels)}
+	if m.Mode == 2 {
+		sc.Mode = vote.SearchDense
+	}
+	return sc
+}
 
 // SubscribeFrom attaches a catch-up consumer: it is fed the session's
 // recorded history replayed from the WAL — points derived from log
@@ -152,12 +218,14 @@ func (s *Session) feedCatchup(sub *Subscriber, from, head uint64) error {
 				return err
 			}
 		case wal.RecordFlush, wal.RecordClose:
-			rp.Flush()
+			// A tag that fails here stops emitting points, as it did
+			// live; the catch-up stream carries on.
+			_ = rp.Flush()
 		}
 		return sendErr
 	})
 	if err == nil && sendErr == nil {
-		rp.Flush()
+		_ = rp.Flush()
 	}
 	if errors.Is(err, errCatchupCancelled) || errors.Is(sendErr, errCatchupCancelled) {
 		return nil // detach mid-replay is a clean end, not a failure
@@ -237,7 +305,7 @@ func (s *Session) Retrace(search *vote.SearchConfig) ([]engine.TagResult, uint64
 		case wal.RecordReport:
 			return rp.Offer(rec.Report)
 		case wal.RecordFlush, wal.RecordClose:
-			rp.Flush()
+			_ = rp.Flush() // a tag's failure is in its Results entry
 		}
 		return nil
 	})
@@ -247,7 +315,7 @@ func (s *Session) Retrace(search *vote.SearchConfig) ([]engine.TagResult, uint64
 	// A final flush closes any open sweep; after a log whose last record
 	// already was a flush it is a no-op (tracker flush idempotence), so
 	// clean and torn logs retrace alike.
-	rp.Flush()
+	_ = rp.Flush()
 	s.reg.metrics.Retraces.Add(1)
 	s.timeline.Record(obs.EventRetrace, "head="+strconv.FormatUint(head, 10))
 	s.touch() // retention clock: the record is in active use

@@ -1,7 +1,7 @@
 // Package server is the session-serving layer of the reproduction: the
-// long-lived daemon side that turns the one-shot readerd → tracker
-// pipeline into a multi-tenant service, the deployment shape the paper's
-// "virtual touch screen that many users write on simultaneously" implies.
+// long-lived daemon side of the tracking pipeline, run as a multi-tenant
+// service — the deployment shape the paper's "virtual touch screen that
+// many users write on simultaneously" implies.
 //
 // It is built from four cooperating parts:
 //

@@ -61,39 +61,13 @@ func perTagSweep(run *sim.MultiWordRun) time.Duration {
 	return run.SweepInterval * time.Duration(len(run.Tags))
 }
 
-// geometrySystem resolves a named geometry to a positioning system for
-// test factories: the cached scenario system for the default, a freshly
-// built one (rebuilt steering tables, widened region) otherwise.
-func geometrySystem(t testing.TB, geometry string) (*core.System, error) {
-	_, sys := scenario(t)
-	if geometry == "" || geometry == "default" {
-		return sys, nil
-	}
-	spec, err := deploy.GeometryByName(geometry)
-	if err != nil {
-		return nil, err
-	}
-	dep, err := spec.BuildDefault()
-	if err != nil {
-		return nil, err
-	}
-	cfg := sys.Config()
-	cfg.Region = spec.Region()
-	return core.NewSystem(dep, cfg)
-}
-
-// geometrySearchSystem is geometrySystem plus an optional vote-search
-// override, rebuilt with field assignment exactly like serve.go's
-// factories so live engines and replayers configure identically.
+// geometrySearchSystem resolves a (geometry, search) pair for test
+// factories through SystemFor over the cached scenario system, exactly
+// as serve.go's factories do, so live engines and replayers configure
+// identically.
 func geometrySearchSystem(t testing.TB, geometry string, search *vote.SearchConfig) (*core.System, error) {
-	sys, err := geometrySystem(t, geometry)
-	if err != nil || search == nil {
-		return sys, err
-	}
-	cfg := sys.Config()
-	cfg.Vote.Search = *search
-	cfg.Trace.Search = *search
-	return core.NewSystem(sys.Deployment(), cfg)
+	_, sys := scenario(t)
+	return SystemFor(sys, geometry, search)
 }
 
 func testFactory(t testing.TB) EngineFactory {
@@ -108,7 +82,6 @@ func testFactory(t testing.TB) EngineFactory {
 			System:        sys,
 			SweepInterval: sweep,
 			OnUpdate:      onUpdate,
-			BatchSize:     1,
 		})
 	}
 }

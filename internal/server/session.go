@@ -570,7 +570,7 @@ func newRecoveredSession(reg *Registry, meta wal.Meta, stats wal.Stats) *Session
 		ID:               meta.ID,
 		Created:          meta.Created,
 		geometry:         meta.Geometry,
-		search:           searchFromMeta(meta.Search),
+		search:           SearchFromMeta(meta.Search),
 		reg:              reg,
 		quit:             quit,
 		pumpDone:         pumpDone,
@@ -604,34 +604,6 @@ func (s *Session) Search() *vote.SearchConfig {
 	}
 	cp := *s.search
 	return &cp
-}
-
-// searchToMeta / searchFromMeta map a session's search override onto
-// the WAL meta encoding (Mode 0 = none, 1 = hierarchical, 2 = dense):
-// the record must carry the search it was traced under, or recovery and
-// retrace would rebuild a different pipeline than the live engine ran.
-func searchToMeta(sc *vote.SearchConfig) wal.SearchMeta {
-	if sc == nil {
-		return wal.SearchMeta{}
-	}
-	m := wal.SearchMeta{TopK: uint8(sc.TopK), Levels: uint8(sc.Levels)}
-	if sc.Mode == vote.SearchDense {
-		m.Mode = 2
-	} else {
-		m.Mode = 1
-	}
-	return m
-}
-
-func searchFromMeta(m wal.SearchMeta) *vote.SearchConfig {
-	if m.Mode == 0 {
-		return nil
-	}
-	sc := &vote.SearchConfig{TopK: int(m.TopK), Levels: int(m.Levels)}
-	if m.Mode == 2 {
-		sc.Mode = vote.SearchDense
-	}
-	return sc
 }
 
 // Recovered reports whether the session serves from its retained WAL

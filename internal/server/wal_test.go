@@ -29,7 +29,6 @@ func recordingFactory(t testing.TB) EngineFactory {
 			System:        sys,
 			SweepInterval: sweep,
 			OnUpdate:      onUpdate,
-			BatchSize:     1,
 			RecordTrace:   true,
 		})
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rfidraw/internal/core"
-	"rfidraw/internal/deploy"
 	"rfidraw/internal/engine"
 	"rfidraw/internal/realtime"
 	"rfidraw/internal/rfid"
@@ -177,12 +176,12 @@ func (s *System) registry(cfg ServeConfig) (*server.Registry, error) {
 		shards = 1
 	}
 	// systemFor resolves a session's (geometry, search) pair to a
-	// positioning system. The default pair shares this System's
-	// precomputed positioner and steering tables; every other
-	// combination builds its tables once (steering-table construction is
-	// the expensive part) and every session on that pair — live engine,
-	// recovery replay, retrace — shares the result, so a recorded
-	// session deterministically rebuilds the exact pipeline it ran live.
+	// positioning system through server.SystemFor, once per pair. The
+	// default pair is this System's own precomputed positioner and
+	// steering tables; every other combination builds its tables once
+	// (steering-table construction is the expensive part) and every
+	// session on that pair — live engine, recovery replay, retrace —
+	// shares the result.
 	var (
 		geoMu  sync.Mutex
 		geoSys = map[string]*core.System{}
@@ -190,9 +189,6 @@ func (s *System) registry(cfg ServeConfig) (*server.Registry, error) {
 	systemFor := func(geometry string, search *vote.SearchConfig) (*core.System, error) {
 		if geometry == "" {
 			geometry = "default"
-		}
-		if geometry == "default" && search == nil {
-			return s.eng.System(), nil
 		}
 		key := geometry
 		if search != nil {
@@ -203,25 +199,7 @@ func (s *System) registry(cfg ServeConfig) (*server.Registry, error) {
 		if sys, ok := geoSys[key]; ok {
 			return sys, nil
 		}
-		base := s.eng.System()
-		dep := base.Deployment()
-		coreCfg := base.Config()
-		if geometry != "default" {
-			spec, err := deploy.GeometryByName(geometry)
-			if err != nil {
-				return nil, err
-			}
-			dep, err = spec.Build(base.Deployment().Carrier, base.Deployment().Link)
-			if err != nil {
-				return nil, err
-			}
-			coreCfg.Region = spec.Region()
-		}
-		if search != nil {
-			coreCfg.Vote.Search = *search
-			coreCfg.Trace.Search = *search
-		}
-		sys, err := core.NewSystem(dep, coreCfg)
+		sys, err := server.SystemFor(s.eng.System(), geometry, search)
 		if err != nil {
 			return nil, err
 		}
@@ -242,9 +220,6 @@ func (s *System) registry(cfg ServeConfig) (*server.Registry, error) {
 			SweepInterval:    sweep,
 			MaxAcquireBuffer: cfg.MaxAcquireBuffer,
 			OnUpdate:         onUpdate,
-			// Dispatch every report immediately: serving is the
-			// latency-sensitive live-cursor regime.
-			BatchSize: 1,
 		})
 	}
 	regCfg := cfg.registryConfig(factory)
