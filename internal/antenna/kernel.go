@@ -83,6 +83,21 @@ func (k *Kernel) DeltaDistTurns(p int, dist []float64) float64 {
 	return deltaDistTurns(kp.travel, dist[kp.i], dist[kp.j], kp.lambda)
 }
 
+// DeltaDistTurnsGrad returns pair p's F·Δd/λ at pos, the position dist
+// was last filled for, with its derivatives along the room's x and z
+// axes (the writing plane's axes): ∂d/∂x = (x − aₓ)/d per element, so
+// they are not finite at an element's own position. turns equals
+// DeltaDistTurns bit for bit.
+func (k *Kernel) DeltaDistTurnsGrad(p int, pos geom.Vec3, dist []float64) (turns, dx, dz float64) {
+	kp := &k.pairs[p]
+	dI, dJ := dist[kp.i], dist[kp.j]
+	aI, aJ := k.ants[kp.i], k.ants[kp.j]
+	s := kp.travel / kp.lambda
+	dx = s * ((pos.X-aI.X)/dI - (pos.X-aJ.X)/dJ)
+	dz = s * ((pos.Z-aI.Z)/dI - (pos.Z-aJ.Z)/dJ)
+	return deltaDistTurns(kp.travel, dI, dJ, kp.lambda), dx, dz
+}
+
 // VoteFixed returns pair p's fixed-lobe vote at the position dist was
 // last filled for; it equals Pair.VoteFixed there bit for bit.
 func (k *Kernel) VoteFixed(p int, dist []float64, unwrappedTurns float64, lobe int) float64 {

@@ -28,6 +28,18 @@ func TestKernelDedupsAntennas(t *testing.T) {
 	}
 }
 
+// coord maps u into [lo, hi], except that edge 0 and 1 snap to the
+// bounds, so region borders and corners come up often in quick checks.
+func coord(u uint32, edge uint8, lo, hi float64) float64 {
+	switch edge % 4 {
+	case 0:
+		return lo
+	case 1:
+		return hi
+	}
+	return lo + (hi-lo)*float64(u)/math.MaxUint32
+}
+
 // TestQuickKernelMatchesPair is the kernel's bit-identity property: for
 // every named geometry, at random writing-plane positions that include
 // the region border and corners, each pair's kernel values are == to the
@@ -47,17 +59,6 @@ func TestQuickKernelMatchesPair(t *testing.T) {
 		k := antenna.NewKernel(pairs)
 		dist := make([]float64, k.Antennas())
 		region := g.Region()
-		// coord maps u into [lo, hi], except that edge 0 and 1 snap to
-		// the bounds, so borders and corners come up often.
-		coord := func(u uint32, edge uint8, lo, hi float64) float64 {
-			switch edge % 4 {
-			case 0:
-				return lo
-			case 1:
-				return hi
-			}
-			return lo + (hi-lo)*float64(u)/math.MaxUint32
-		}
 		f := func(ux, uz, uy uint32, ex, ez uint8, turns float64, lobe int8) bool {
 			pos := geom.Vec2{
 				X: coord(ux, ex, region.Min.X, region.Max.X),
@@ -77,6 +78,58 @@ func TestQuickKernelMatchesPair(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestQuickKernelGradMatchesFiniteDifference checks the analytic
+// gradient the tracing step's Gauss–Newton solve linearises with: for
+// every named geometry, at random writing-plane positions that include
+// the region border and corners, each pair's ∂(F·Δd/λ)/∂x and ∂/∂z agree
+// with central finite differences of DeltaDistTurns, and the value it
+// returns alongside is DeltaDistTurns bit for bit.
+func TestQuickKernelGradMatchesFiniteDifference(t *testing.T) {
+	const h = 1e-6 // m
+	for _, name := range deploy.GeometryNames() {
+		g, err := deploy.GeometryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := g.BuildDefault()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := d.AllPairs()
+		k := antenna.NewKernel(pairs)
+		dist := make([]float64, k.Antennas())
+		region := g.Region()
+		turnsAt := func(p int, pos geom.Vec3) float64 {
+			k.Distances(pos, dist)
+			return k.DeltaDistTurns(p, dist)
+		}
+		f := func(ux, uz, uy uint32, ex, ez uint8) bool {
+			pos := geom.Vec2{
+				X: coord(ux, ex, region.Min.X, region.Max.X),
+				Z: coord(uz, ez, region.Min.Z, region.Max.Z),
+			}
+			p3 := geom.Plane{Y: 0.3 + 4*float64(uy)/math.MaxUint32}.To3D(pos)
+			for p := range pairs {
+				want := turnsAt(p, p3)
+				wantX := (turnsAt(p, p3.Add(geom.Vec3{X: h})) - turnsAt(p, p3.Sub(geom.Vec3{X: h}))) / (2 * h)
+				wantZ := (turnsAt(p, p3.Add(geom.Vec3{Z: h})) - turnsAt(p, p3.Sub(geom.Vec3{Z: h}))) / (2 * h)
+				k.Distances(p3, dist)
+				turns, dx, dz := k.DeltaDistTurnsGrad(p, p3, dist)
+				if turns != want ||
+					math.Abs(dx-wantX) > 1e-6*math.Max(1, math.Abs(wantX)) ||
+					math.Abs(dz-wantZ) > 1e-6*math.Max(1, math.Abs(wantZ)) {
+					t.Logf("%s: pair %d at %v: (%v, %v, %v), want (%v, %v, %v)", name, p, p3, turns, dx, dz, want, wantX, wantZ)
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

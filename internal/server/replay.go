@@ -266,8 +266,14 @@ func pointEvent(tag string, p realtime.Position, seq uint64) Event {
 // disk round-trip extension of the batch/streaming equivalence gate);
 // a non-nil search re-traces the same record under different tunables.
 // On a live session the pump drains first, so the retrace covers
-// everything ingested before the call.
+// everything ingested before the call. An override is bounded like a
+// session's own search (ErrBadSpec otherwise).
 func (s *Session) Retrace(search *vote.SearchConfig) ([]engine.TagResult, uint64, error) {
+	if search != nil {
+		if err := validateSearch(search); err != nil {
+			return nil, 0, err
+		}
+	}
 	if s.reg.cfg.WAL == nil || s.reg.cfg.NewReplayer == nil {
 		return nil, 0, ErrNoWAL
 	}

@@ -92,6 +92,9 @@ type MultiStream struct {
 	emitted     bool
 	switches    int
 	retirements int
+	// obs holds the current sample's pair observables, shared by every
+	// hypothesis's update.
+	obs []pairObs
 }
 
 // NewMultiStream is NewMultiStreamWith with a private scratch.
@@ -127,7 +130,8 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 	if sc == nil {
 		sc = vote.NewScratch()
 	}
-	ms := &MultiStream{tr: tr, cfg: cfg, sc: sc, hyps: make([]hypothesis, len(cands))}
+	ms := &MultiStream{tr: tr, cfg: cfg, sc: sc, hyps: make([]hypothesis, len(cands)), obs: make([]pairObs, len(tr.pairs))}
+	tr.observe(first.Phase, ms.obs)
 	for hi := range cands {
 		h := &ms.hyps[hi]
 		h.initial = cands[hi]
@@ -135,9 +139,9 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 		init3 := tr.cfg.Plane.To3D(cands[hi].Pos)
 		observed := 0
 		for i, p := range tr.pairs {
-			if t, ok := vote.PairTurns(p, first.Phase); ok {
-				h.states[i].turns = t
-				h.states[i].k = p.NearestLobe(init3, t)
+			if o := ms.obs[i]; o.ok {
+				h.states[i].turns = o.turns
+				h.states[i].k = p.NearestLobe(init3, o.turns)
 				h.states[i].seen = true
 				observed++
 			}
@@ -162,19 +166,20 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 func (ms *MultiStream) Push(sample Sample) (step Step, ok bool) {
 	advanced := false
 	dist := ms.sc.DistBuf(ms.tr.kernel.Antennas())
+	ms.tr.observe(sample.Phase, ms.obs)
 	for hi := range ms.hyps {
 		h := &ms.hyps[hi]
 		if h.retired {
 			continue
 		}
-		active := ms.tr.update(h.states, sample.Phase, h.pos)
+		active := ms.tr.update(h.states, ms.obs, h.pos)
 		if active < ms.tr.cfg.MinPairs {
 			continue // reply loss: hold position until pairs return
 		}
+		var v float64
 		var evals int
-		h.pos, evals = ms.tr.step(h.states, h.pos, ms.sc, dist)
+		h.pos, v, evals = ms.tr.step(h.states, h.pos, dist)
 		h.evals += evals
-		v := ms.tr.totalFixedVote(h.states, h.pos, dist)
 		h.total += v
 		h.count++
 		h.lastVote = v
@@ -361,8 +366,8 @@ func (ms *MultiStream) Switches() int { return ms.switches }
 // Retirements returns how many hypotheses have been retired.
 func (ms *MultiStream) Retirements() int { return ms.retirements }
 
-// SearchEvals returns the cumulative vicinity-search evaluation count
-// across all hypotheses — the multi-hypothesis counterpart of
+// SearchEvals returns the cumulative step evaluation count across all
+// hypotheses — the multi-hypothesis counterpart of
 // Result.SearchEvals.
 func (ms *MultiStream) SearchEvals() int {
 	n := 0

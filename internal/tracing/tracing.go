@@ -59,20 +59,21 @@ type Config struct {
 	// VicinityRadius bounds how far the estimate may move per sample
 	// (m). Default 0.08 — a hand moving ≤ 3 m/s at 25 ms sweeps.
 	VicinityRadius float64
-	// VicinityStep is the first-level vicinity grid step (m).
-	// Default 0.01.
+	// VicinityStep is the dense scan's vicinity lattice step (m); the
+	// default hierarchical step solves for the optimum instead of
+	// sampling a lattice and ignores it. Default 0.01.
 	VicinityStep float64
-	// FineStep is the final refinement step (m). Default 0.002.
+	// FineStep is the dense scan's final pattern-search step (m), and
+	// the distance within which a hypothesis counts as coincident with
+	// the leader. Default 0.002.
 	FineStep float64
-	// CoarseStep is the hierarchical search's coarse lattice spacing (m);
-	// its 3×3 window expands toward VicinityRadius only while the vote
-	// maximum sits on the window border. Default 2 × VicinityStep.
-	CoarseStep float64
 	// MinPairs is the minimum number of observable pairs per sample;
 	// samples with fewer are skipped (reply loss). Default 4.
 	MinPairs int
-	// Search picks the per-sample vicinity strategy: hierarchical
-	// coarse-to-fine (default) or the dense full-vicinity scan.
+	// Search picks the per-sample step: the default (SearchHierarchical)
+	// solves for the vote maximum near the last fix by damped
+	// Gauss–Newton, SearchDense scans the whole vicinity lattice. Its
+	// TopK and Levels apply to the positioner only.
 	Search vote.SearchConfig
 	// RetireAfter is the multi-hypothesis decision window, in usable
 	// samples: before it no hypothesis is retired for its vote record,
@@ -113,9 +114,6 @@ func (c Config) withDefaults() Config {
 	if c.FineStep <= 0 {
 		c.FineStep = 0.002
 	}
-	if c.CoarseStep <= 0 {
-		c.CoarseStep = 2 * c.VicinityStep
-	}
 	if c.MinPairs <= 0 {
 		c.MinPairs = 4
 	}
@@ -133,11 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// trackerTopK is the default branch width for the steady-state vicinity
-// search: with every pair locked onto one lobe the vote surface near the
-// last fix is unimodal, so two branches are insurance, not coverage.
-const trackerTopK = 2
 
 // Tracer traces trajectories for a fixed set of antenna pairs.
 type Tracer struct {
@@ -193,10 +186,11 @@ type Result struct {
 	TotalVote float64
 	// LockedLobes maps pair index → the lobe each pair was locked to.
 	LockedLobes []int
-	// SearchEvals is how many vote-surface evaluations the per-sample
-	// vicinity searches spent over the whole trace; SearchEvals divided
-	// by len(Votes) is the steady-state grid-evaluations-per-sample
-	// metric the benchmark suite tracks.
+	// SearchEvals is how much vote-surface work the per-sample steps
+	// spent over the whole trace: vote evaluations, plus the default
+	// step's Jacobian passes, each counted as one. Divided by len(Votes)
+	// it is the steady-state evaluations-per-sample metric the benchmark
+	// suite tracks.
 	SearchEvals int
 	// Retired reports the hypothesis was retired before the stream ended
 	// (its vote record collapsed, Fig. 10f); the trajectory is truncated
@@ -249,19 +243,33 @@ func (tr *Tracer) TraceWith(sc *vote.Scratch, initial geom.Vec2, samples []Sampl
 	return all[0], nil
 }
 
-// update advances each pair's unwrapped phase track with the new
-// observations and returns the number of pairs observable this sample.
+// pairObs is one pair's observable in one sample: its phase difference
+// in turns, and whether both of its elements were heard.
+type pairObs struct {
+	turns float64
+	ok    bool
+}
+
+// observe computes every pair's observable in obs into out (one slot per
+// tracer pair), once per sample for all hypotheses.
+func (tr *Tracer) observe(obs vote.Observations, out []pairObs) {
+	for i, p := range tr.pairs {
+		out[i].turns, out[i].ok = vote.PairTurns(p, obs)
+	}
+}
+
+// update advances each pair's unwrapped phase track with the sample's
+// observables and returns the number of pairs observable this sample.
 // Pairs appearing for the first time mid-trace are locked against the
 // current position estimate.
-func (tr *Tracer) update(states []pairState, obs vote.Observations, cur geom.Vec2) int {
+func (tr *Tracer) update(states []pairState, obs []pairObs, cur geom.Vec2) int {
 	cur3 := tr.cfg.Plane.To3D(cur)
 	active := 0
 	for i := range states {
-		st := &states[i]
-		t, ok := vote.PairTurns(tr.pairs[i], obs)
-		if !ok {
+		if !obs[i].ok {
 			continue
 		}
+		st, t := &states[i], obs[i].turns
 		if !st.seen {
 			st.turns = t
 			st.k = tr.pairs[i].NearestLobe(cur3, t)
@@ -292,23 +300,14 @@ func (tr *Tracer) totalFixedVote(states []pairState, pos geom.Vec2, dist []float
 }
 
 // step finds the position in the vicinity of cur maximising the total
-// fixed-lobe vote and returns it with the number of vote evaluations
-// spent. In hierarchical mode (the default) the lobe lock seeds the
-// refinement window: the search starts as a 3×3 coarse lattice around the
-// last fix and expands toward VicinityRadius only while the maximum sits
-// on the window border, so a steady-state sample costs a handful of
-// evaluations instead of the full vicinity lattice. Dense mode is the
-// original exhaustive scan plus shrinking pattern search. dist is the
-// kernel's distance buffer.
-func (tr *Tracer) step(states []pairState, cur geom.Vec2, sc *vote.Scratch, dist []float64) (geom.Vec2, int) {
+// fixed-lobe vote and returns it with the vote there and the number of
+// evaluations spent. dist is the kernel's distance buffer. The default
+// mode solves for the maximum (solve); dense mode is the original
+// exhaustive lattice scan plus shrinking pattern search, kept as the
+// reference.
+func (tr *Tracer) step(states []pairState, cur geom.Vec2, dist []float64) (geom.Vec2, float64, int) {
 	if tr.cfg.Search.Mode == vote.SearchHierarchical {
-		pos, _, evals := vote.HierarchicalSearch(
-			tr.cfg.Search, tr.cfg.Region, cur,
-			tr.cfg.VicinityRadius, tr.cfg.CoarseStep, tr.cfg.FineStep,
-			trackerTopK, sc,
-			func(p geom.Vec2) float64 { return tr.totalFixedVote(states, p, dist) },
-		)
-		return pos, evals
+		return tr.solve(states, cur, dist)
 	}
 	best := cur
 	bestV := tr.totalFixedVote(states, cur, dist)
@@ -345,7 +344,93 @@ func (tr *Tracer) step(states []pairState, cur geom.Vec2, sc *vote.Scratch, dist
 			step /= 2
 		}
 	}
-	return best, evals
+	return best, bestV, evals
+}
+
+// The Gauss–Newton step's constants: at most solveIters linearisations
+// per sample, each followed by at most 1+solveRetries damped trial
+// moves. Damping starts at 0 (a pure Gauss–Newton step), rises
+// ×solveDampFactor after a rejected move (to at least solveDampFloor)
+// and falls ÷solveDampFactor after an accepted one. An accepted move
+// shorter than solveMinMove ends the solve.
+const (
+	solveIters      = 12
+	solveRetries    = 8
+	solveDampFactor = 10
+	solveDampFloor  = 1e-3
+	solveMinMove    = 1e-6 // m
+)
+
+// solve maximises the total fixed-lobe vote near cur by damped
+// Gauss–Newton (Levenberg–Marquardt). With every seen pair locked to one
+// lobe the vote is −Σ r², r = F·Δd/λ − unwrapped − k, a smooth sum of
+// squared residuals that is unimodal near the last fix (§5.2's lobe
+// lock). Each iteration linearises the residuals at the current answer
+// (one Jacobian pass through the kernel), solves the Marquardt-damped
+// 2×2 normal equations, clamps the move to ±VicinityRadius around cur
+// and then to the region, and accepts it only if the vote strictly
+// rises; a rejected move raises the damping and retries. The returned
+// vote is the totalFixedVote of the returned position, and the count
+// includes Jacobian passes.
+func (tr *Tracer) solve(states []pairState, cur geom.Vec2, dist []float64) (geom.Vec2, float64, int) {
+	r := tr.cfg.VicinityRadius
+	window := geom.Rect{Min: geom.Vec2{X: cur.X - r, Z: cur.Z - r}, Max: geom.Vec2{X: cur.X + r, Z: cur.Z + r}}
+	best := cur
+	bestV := tr.totalFixedVote(states, cur, dist)
+	evals := 1
+	damp := 0.0
+	for iter := 0; iter < solveIters; iter++ {
+		// dist holds best's distances: it was the last position voted.
+		jxx, jxz, jzz, gx, gz := tr.normalEquations(states, best, dist)
+		evals++
+		moved := -1.0
+		for try := 0; try <= solveRetries; try++ {
+			axx, azz := jxx*(1+damp), jzz*(1+damp)
+			det := axx*azz - jxz*jxz
+			if !(det > 0) {
+				break // singular, or not finite at an antenna: keep best
+			}
+			cand := geom.Vec2{
+				X: best.X - (azz*gx-jxz*gz)/det,
+				Z: best.Z - (axx*gz-jxz*gx)/det,
+			}
+			cand = tr.cfg.Region.Clip(window.Clip(cand))
+			v := tr.totalFixedVote(states, cand, dist)
+			evals++
+			if v > bestV {
+				moved = cand.Dist(best)
+				best, bestV = cand, v
+				damp /= solveDampFactor
+				break
+			}
+			damp = max(damp*solveDampFactor, solveDampFloor)
+		}
+		if moved < solveMinMove {
+			break
+		}
+	}
+	return best, bestV, evals
+}
+
+// normalEquations is one Jacobian pass at pos (whose distances dist
+// holds): the entries of JᵀJ and Jᵀr for the seen pairs' residuals
+// r = F·Δd/λ − unwrapped − k, J = ∂r/∂(x, z).
+func (tr *Tracer) normalEquations(states []pairState, pos geom.Vec2, dist []float64) (jxx, jxz, jzz, gx, gz float64) {
+	pos3 := tr.cfg.Plane.To3D(pos)
+	for i := range states {
+		st := &states[i]
+		if !st.seen {
+			continue
+		}
+		t, dx, dz := tr.kernel.DeltaDistTurnsGrad(i, pos3, dist)
+		r := t - st.turns - float64(st.k)
+		jxx += dx * dx
+		jxz += dx * dz
+		jzz += dz * dz
+		gx += dx * r
+		gz += dz * r
+	}
+	return jxx, jxz, jzz, gx, gz
 }
 
 // Stream incrementally extends a single candidate's trace: the online
@@ -387,8 +472,8 @@ func (s *Stream) Push(sample Sample) (point traj.Point, vote float64, ok bool) {
 	return st.Point, st.Vote, true
 }
 
-// SearchEvals returns the cumulative vicinity-search evaluation count —
-// the live counterpart of Result.SearchEvals.
+// SearchEvals returns the cumulative step evaluation count — the live
+// counterpart of Result.SearchEvals.
 func (s *Stream) SearchEvals() int { return s.ms.SearchEvals() }
 
 // Position returns the current estimate.

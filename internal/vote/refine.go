@@ -16,7 +16,8 @@ const (
 	// the stage-1 threshold, recursively subdivide only those cells down
 	// to the fine resolution, and finish with a local quadratic
 	// interpolation to sub-cell precision. Cost scales with the ambiguity
-	// left after stage-1 voting, not with grid area.
+	// left after stage-1 voting, not with grid area. In tracing it
+	// selects the Gauss–Newton step.
 	SearchHierarchical SearchMode = iota
 	// SearchDense is the exhaustive strategy the system shipped with:
 	// refine every coarse point that clears the stage-1 threshold with a
@@ -38,19 +39,19 @@ func (m SearchMode) String() string {
 	}
 }
 
-// SearchConfig tunes the hierarchical coarse-to-fine search. The zero
-// value means: hierarchical mode, default top-K, subdivide until the fine
-// resolution is reached.
+// SearchConfig picks the search strategy and tunes the positioner's
+// hierarchical coarse-to-fine search. The zero value means: hierarchical
+// mode, default top-K, subdivide until the fine resolution is reached.
+// Tracing reads only Mode: its hierarchical step is a Gauss–Newton solve
+// (tracing.Tracer), which has no branches or levels.
 type SearchConfig struct {
 	// Mode picks the strategy; the zero value is SearchHierarchical.
 	Mode SearchMode
-	// TopK is how many coarse cells (for the positioner) or refinement
-	// branches (for tracing) survive each selection step. Callers have
-	// their own defaults: 4 for one-shot positioning, 2 for steady-state
-	// tracking, where lobe-lock makes the vicinity surface unimodal.
+	// TopK is how many coarse cells survive each of the positioner's
+	// selection steps. Default 4.
 	TopK int
-	// Levels caps how many subdivision levels run; 0 subdivides until
-	// the fine resolution is reached.
+	// Levels caps how many of the positioner's subdivision levels run;
+	// 0 subdivides until the fine resolution is reached.
 	Levels int
 }
 
@@ -322,64 +323,6 @@ func (s *searcher) quadratic(h float64) {
 	if off != (geom.Vec2{}) {
 		s.visit(b.pos.Add(off))
 	}
-}
-
-// HierarchicalSearch maximises eval over a window of the given radius
-// around seed: a 3×3 coarse lattice that expands ring by ring only while
-// the maximum sits on the window border (so a seed near the optimum — the
-// lobe-locked steady state — pays for a 3×3, not the whole vicinity),
-// followed by top-K coarse-to-fine subdivision down to fineStep and a
-// final quadratic interpolation. It returns the best position, its score
-// and how many objective evaluations were spent. sc may be nil (a scratch
-// is then allocated); defTopK is the branch width used when cfg.TopK is
-// unset.
-func HierarchicalSearch(cfg SearchConfig, region geom.Rect, seed geom.Vec2, radius, coarseStep, fineStep float64, defTopK int, sc *Scratch, eval func(geom.Vec2) float64) (geom.Vec2, float64, int) {
-	if sc == nil {
-		sc = NewScratch()
-	}
-	sc.resetSearch()
-	s := &searcher{sc: sc, region: region, quant: fineStep / 4, eval: eval}
-
-	maxRing := int(math.Ceil(radius/coarseStep - 1e-9))
-	if maxRing < 1 {
-		maxRing = 1
-	}
-	for dx := -1; dx <= 1; dx++ {
-		for dz := -1; dz <= 1; dz++ {
-			s.visit(geom.Vec2{X: seed.X + float64(dx)*coarseStep, Z: seed.Z + float64(dz)*coarseStep})
-		}
-	}
-	// Expand the window while the best coarse point sits on its border:
-	// the objective is still rising toward the edge, so the optimum is
-	// outside the window. Bounded by the vicinity radius.
-	for ring := 1; ring < maxRing; ring++ {
-		b := s.best().pos
-		cheb := math.Max(math.Abs(b.X-seed.X), math.Abs(b.Z-seed.Z))
-		if cheb < float64(ring)*coarseStep-1e-9 {
-			break
-		}
-		r := ring + 1
-		for i := -r; i <= r; i++ {
-			for j := -r; j <= r; j++ {
-				if max(abs(i), abs(j)) != r {
-					continue
-				}
-				s.visit(geom.Vec2{X: seed.X + float64(i)*coarseStep, Z: seed.Z + float64(j)*coarseStep})
-			}
-		}
-	}
-
-	h := s.subdivide(cfg.topK(defTopK), coarseStep, fineStep, cfg.maxLevels(0))
-	s.quadratic(h)
-	b := s.best()
-	return b.pos, b.score, s.evals
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // SearchStats summarises one hierarchical positioning call.

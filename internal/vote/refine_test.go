@@ -156,99 +156,33 @@ func TestMultiResTableValidation(t *testing.T) {
 	}
 }
 
-// TestHierarchicalSearchFindsShiftedPeak checks the expanding coarse
-// window: a smooth peak placed most of a vicinity radius away from the
-// seed must still be found (the window only grows while the maximum sits
-// on its border), and a seed directly on the peak must cost far fewer
-// evaluations than the full vicinity lattice.
-func TestHierarchicalSearchFindsShiftedPeak(t *testing.T) {
-	region := geom.Rect{Min: geom.Vec2{X: -1, Z: -1}, Max: geom.Vec2{X: 1, Z: 1}}
-	peak := geom.Vec2{X: 0.06, Z: -0.05}
-	eval := func(p geom.Vec2) float64 {
-		d := p.Dist(peak)
-		return -d * d
-	}
-	pos, score, evals := HierarchicalSearch(SearchConfig{}, region, geom.Vec2{}, 0.08, 0.02, 0.002, 2, nil, eval)
-	if d := pos.Dist(peak); d > 0.002 {
-		t.Fatalf("peak %v found at %v (off %v)", peak, pos, d)
-	}
-	if score < -1e-5 {
-		t.Fatalf("score %v, want ≈0", score)
-	}
-	// Dense reference cost for the same window: 17×17 lattice plus the
-	// pattern search. The shifted-peak search must stay well below it.
-	if evals > 150 {
-		t.Fatalf("shifted-peak search spent %d evals", evals)
-	}
-	_, _, steady := HierarchicalSearch(SearchConfig{}, region, peak, 0.08, 0.02, 0.002, 2, nil, eval)
-	if steady > 70 {
-		t.Fatalf("steady-state search spent %d evals, want ≤70", steady)
-	}
-}
-
-// TestHierarchicalSearchScratchReuse checks a reused scratch never changes
-// results (the engine shares one per shard across tags and samples).
-func TestHierarchicalSearchScratchReuse(t *testing.T) {
-	region := geom.Rect{Min: geom.Vec2{X: -1, Z: -1}, Max: geom.Vec2{X: 1, Z: 1}}
-	eval := func(p geom.Vec2) float64 {
-		return math.Sin(13*p.X)*math.Cos(11*p.Z) - p.Dot(p)
-	}
-	sc := NewScratch()
-	var want geom.Vec2
-	var wantScore float64
-	for i := 0; i < 3; i++ {
-		pos, score, _ := HierarchicalSearch(SearchConfig{}, region, geom.Vec2{X: 0.01}, 0.08, 0.02, 0.002, 2, sc, eval)
-		if i == 0 {
-			want, wantScore = pos, score
-			continue
+// TestCandidatesLevelsCap checks the Levels knob bounds the positioner's
+// refinement depth, and the search still lands near the source: one
+// level stops the table descent a level early, two keep the whole table
+// stack but skip the direct subdivision below it, and each spends fewer
+// evaluations than the next.
+func TestCandidatesLevelsCap(t *testing.T) {
+	stage1, wide := deployment(t)
+	src2 := geom.Vec2{X: 1.3, Z: 1.0}
+	evals := func(levels int) int {
+		cfg := testConfig()
+		cfg.Search = SearchConfig{Levels: levels}
+		p, err := NewPositioner(stage1, wide, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pos != want || score != wantScore {
-			t.Fatalf("run %d: (%v, %v) != first run (%v, %v)", i, pos, score, want, wantScore)
+		obs := synthObs(append(stage1, wide...), cfg.Plane.To3D(src2), 0, nil)
+		cands, stats, err := p.CandidatesWith(nil, obs)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if d := cands[0].Pos.Dist(src2); d > 0.03 {
+			t.Fatalf("levels %d: best candidate %v off by %v m", levels, cands[0].Pos, d)
+		}
+		return stats.GridEvals
 	}
-	pos, score, _ := HierarchicalSearch(SearchConfig{}, region, geom.Vec2{X: 0.01}, 0.08, 0.02, 0.002, 2, nil, eval)
-	if pos != want || score != wantScore {
-		t.Fatalf("nil-scratch run (%v, %v) != scratch run (%v, %v)", pos, score, want, wantScore)
-	}
-}
-
-// TestHierarchicalSearchZeroAllocs gates the tracing step's search at
-// zero allocations per call once its scratch is warm: the memo keeps its
-// buckets, the pool its capacity, and the stable top-K selection works in
-// place. Seeds include one at the region corner, where points clip.
-func TestHierarchicalSearchZeroAllocs(t *testing.T) {
-	region := geom.Rect{Min: geom.Vec2{X: -1, Z: -1}, Max: geom.Vec2{X: 1, Z: 1}}
-	eval := func(p geom.Vec2) float64 {
-		return math.Sin(13*p.X)*math.Cos(11*p.Z) - p.Dot(p)
-	}
-	seeds := []geom.Vec2{{X: 0.01}, {X: 0.3, Z: -0.2}, {X: -1, Z: 1}}
-	sc := NewScratch()
-	for _, seed := range seeds {
-		HierarchicalSearch(SearchConfig{}, region, seed, 0.08, 0.02, 0.002, 2, sc, eval)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		HierarchicalSearch(SearchConfig{}, region, seeds[i%len(seeds)], 0.08, 0.02, 0.002, 2, sc, eval)
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("warm HierarchicalSearch allocates %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestHierarchicalSearchLevelsCap checks the Levels knob bounds the
-// subdivision depth: one level stops at half the coarse step.
-func TestHierarchicalSearchLevelsCap(t *testing.T) {
-	region := geom.Rect{Min: geom.Vec2{X: -1, Z: -1}, Max: geom.Vec2{X: 1, Z: 1}}
-	peak := geom.Vec2{X: 0.0137, Z: -0.0061}
-	eval := func(p geom.Vec2) float64 {
-		d := p.Dist(peak)
-		return -d * d
-	}
-	_, _, unbounded := HierarchicalSearch(SearchConfig{}, region, geom.Vec2{}, 0.08, 0.02, 0.001, 2, nil, eval)
-	_, _, capped := HierarchicalSearch(SearchConfig{Levels: 1}, region, geom.Vec2{}, 0.08, 0.02, 0.001, 2, nil, eval)
-	if capped >= unbounded {
-		t.Fatalf("capped search spent %d evals, unbounded %d — cap did nothing", capped, unbounded)
+	if one, two, unbounded := evals(1), evals(2), evals(0); !(one < two && two < unbounded) {
+		t.Fatalf("Levels 1, 2 and unbounded spent %d, %d and %d evals, want strictly rising", one, two, unbounded)
 	}
 }
 

@@ -600,9 +600,15 @@ func (l *Log) rotate() error {
 	return l.append(l.encodeMeta(), true)
 }
 
-// encodeMeta builds the meta payload.
+// frame starts a record in the log's reusable buffer: the frame header
+// slots, zeroed, for append to fill in once the payload follows them.
+func (l *Log) frame() []byte {
+	return append(l.buf[:0], make([]byte, frameHeader)...)
+}
+
+// encodeMeta frames the meta payload.
 func (l *Log) encodeMeta() []byte {
-	p := l.buf[:0]
+	p := l.frame()
 	p = append(p, typeMeta, walVersion)
 	p = binary.BigEndian.AppendUint64(p, uint64(l.meta.Created.UnixNano()))
 	p = binary.BigEndian.AppendUint64(p, uint64(l.meta.Sweep))
@@ -617,22 +623,22 @@ func (l *Log) encodeMeta() []byte {
 	return p
 }
 
-// append frames and writes one payload, maintaining the sync policy.
-// sync forces an fsync regardless of the policy.
-func (l *Log) append(payload []byte, sync bool) error {
+// append completes a record started by frame — the payload's length and
+// CRC into the header slots — and writes it with one write call,
+// maintaining the sync policy. sync forces an fsync regardless of the
+// policy. The buffer is the log's own and is kept for the next record.
+func (l *Log) append(rec []byte, sync bool) error {
+	l.buf = rec[:0]
 	if l.closed {
 		return errors.New("wal: log closed")
 	}
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := l.f.Write(hdr[:]); err != nil {
+	payload := rec[frameHeader:]
+	binary.BigEndian.PutUint32(rec, uint32(len(payload)))
+	binary.BigEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
+	if _, err := l.f.Write(rec); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := l.f.Write(payload); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	n := int64(frameHeader + len(payload))
+	n := int64(len(rec))
 	l.segBytes += n
 	l.bytes += n
 	if sync {
@@ -654,7 +660,7 @@ func (l *Log) AppendReport(seq uint64, rep rfid.Report) error {
 			return err
 		}
 	}
-	p := l.buf[:0]
+	p := l.frame()
 	p = append(p, typeReport)
 	p = binary.BigEndian.AppendUint64(p, seq)
 	p = binary.BigEndian.AppendUint64(p, uint64(rep.Time))
@@ -662,9 +668,7 @@ func (l *Log) AppendReport(seq uint64, rep rfid.Report) error {
 	p = append(p, rep.EPC[:]...)
 	p = binary.BigEndian.AppendUint64(p, math.Float64bits(rep.PhaseRad))
 	p = binary.BigEndian.AppendUint64(p, math.Float64bits(rep.PowerDB))
-	err := l.append(p, false)
-	l.buf = p[:0]
-	return err
+	return l.append(p, false)
 }
 
 // AppendFlush logs a pump drain (always synced: a flush is the boundary
@@ -676,12 +680,10 @@ func (l *Log) AppendFlush(seq uint64) error { return l.appendMarker(typeFlush, s
 func (l *Log) appendClose(seq uint64) error { return l.appendMarker(typeClose, seq) }
 
 func (l *Log) appendMarker(typ byte, seq uint64) error {
-	p := l.buf[:0]
+	p := l.frame()
 	p = append(p, typ)
 	p = binary.BigEndian.AppendUint64(p, seq)
-	err := l.append(p, true)
-	l.buf = p[:0]
-	return err
+	return l.append(p, true)
 }
 
 // Sync fsyncs the active segment.

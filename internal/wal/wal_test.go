@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -287,4 +288,56 @@ func mustOpen(t *testing.T, dir string) *Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// TestGoldenBytes pins the frozen on-disk format: a fixed log (a meta
+// with a geometry and a search override, one report, a flush and the
+// close) compacts to exactly these bytes. Framing, field order and
+// encoding are all covered, which the round-trip tests alone cannot
+// see: a change symmetric in writer and reader still round-trips.
+func TestGoldenBytes(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := st.Create(Meta{
+		ID: "golden", Created: time.Unix(0, 1234567890), Sweep: 50 * time.Millisecond,
+		Geometry: "rotated", Search: SearchMeta{Mode: 2, TopK: 3, Levels: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := rfid.Report{
+		Time: 1500 * time.Millisecond, ReaderID: 1, AntennaID: 3,
+		EPC:      rfid.EPC{0xe2, 0x00, 0x68, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99},
+		PhaseRad: 1.25, PowerDB: -31.5,
+	}
+	if err := l.AppendReport(1, rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendFlush(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(3); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(st.sessionDir("golden"), compactedName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "" +
+		// meta: len, crc, type, version, created, sweep, geometry len,
+		// search (mode, top_k, levels), reserved, id len, id, geometry
+		"00000027" + "1a35b4c8" + "0101" + "00000000499602d2" + "0000000002faf080" + "07" +
+		"020301" + "000000" + "06" + "676f6c64656e" + "726f7461746564" +
+		// report: len, crc, type, seq, time, reader, antenna, EPC,
+		// phase, power
+		"0000002f" + "c0ede0c1" + "02" + "0000000000000001" + "0000000059682f00" + "01" + "03" +
+		"e20068112233445566778899" + "3ff4000000000000" + "c03f800000000000" +
+		// flush and close: len, crc, type, seq
+		"00000009" + "318a4947" + "03" + "0000000000000002" +
+		"00000009" + "22ec1418" + "04" + "0000000000000003"
+	if g := hex.EncodeToString(got); g != want {
+		t.Fatalf("log bytes changed:\n got %s\nwant %s", g, want)
+	}
 }

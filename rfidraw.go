@@ -109,8 +109,9 @@ type Trace struct {
 	// TotalVote is the sum of Votes, the trace-selection score.
 	TotalVote float64
 	// SearchEvals is how many vote-surface evaluations the per-sample
-	// position searches spent; divided by len(Points) it is the
-	// grid-evaluations-per-sample cost the Search mode controls.
+	// position steps spent (the default step's Jacobian passes count as
+	// one each); divided by len(Points) it is the
+	// evaluations-per-sample cost the Search mode controls.
 	SearchEvals int
 	// Retired reports this hypothesis was retired mid-stream: its vote
 	// record collapsed (Fig. 10f) and tracing it stopped, so Points and
@@ -139,23 +140,24 @@ type Result struct {
 }
 
 // SearchMode selects how the positioning and tracing vote surfaces are
-// searched; SearchConfig tunes the hierarchical coarse-to-fine search
-// (its zero value is right for almost all deployments). Both are the
-// vote package's own types.
+// searched; SearchConfig tunes the positioner's hierarchical
+// coarse-to-fine search (its zero value is right for almost all
+// deployments). Both are the vote package's own types.
 type (
 	SearchMode   = vote.SearchMode
 	SearchConfig = vote.SearchConfig
 )
 
 const (
-	// SearchHierarchical (the default) replaces exhaustive grid scans
-	// with a coarse-to-fine refinement: vote on a coarse lattice, keep
-	// the top-K promising cells, recursively subdivide only those down
-	// to the fine resolution and finish with a quadratic interpolation.
-	// In steady-state tracking the lobe lock seeds the window at the
-	// last fix, so per-sample cost scales with the remaining ambiguity,
-	// not with the vicinity area. Results match dense search within the
-	// paper's positioning-error envelope.
+	// SearchHierarchical (the default) replaces exhaustive grid scans.
+	// Positioning runs a coarse-to-fine refinement: vote on a coarse
+	// lattice, keep the top-K promising cells, recursively subdivide
+	// only those down to the fine resolution and finish with a
+	// quadratic interpolation. Tracing solves each step instead of
+	// sampling it: with every pair locked to one lobe the vote near the
+	// last fix is a smooth sum of squared residuals, maximised by
+	// damped Gauss–Newton in a handful of evaluations. Results match
+	// dense search within the paper's positioning-error envelope.
 	SearchHierarchical = vote.SearchHierarchical
 	// SearchDense is the exhaustive reference strategy: every grid and
 	// vicinity point is evaluated. Slower, kept for equivalence testing
@@ -182,9 +184,9 @@ type Config struct {
 	// parallel by TraceMany. Default 1 (fully synchronous, the
 	// single-threaded path).
 	Shards int
-	// Search tunes the grid-search strategy on the positioning and
-	// tracing hot paths; the zero value is the hierarchical
-	// coarse-to-fine search.
+	// Search picks the strategy on the positioning and tracing hot
+	// paths and tunes the positioner's search; the zero value is the
+	// hierarchical mode.
 	Search SearchConfig
 }
 

@@ -176,17 +176,19 @@ func (s *System) registry(cfg ServeConfig) (*server.Registry, error) {
 		shards = 1
 	}
 	// systemFor resolves a session's (geometry, search) pair to a
-	// positioning system through server.SystemFor, once per pair. The
-	// default pair is this System's own precomputed positioner and
-	// steering tables; every other combination builds its tables once
+	// positioning system through server.SystemFor. The default pair is
+	// this System's own precomputed positioner and steering tables;
+	// every other pair a session runs builds its tables once
 	// (steering-table construction is the expensive part) and every
-	// session on that pair — live engine, recovery replay, retrace —
-	// shares the result.
+	// session on that pair — live engine, catch-up replay, retrace —
+	// shares the result. keep is false for a retrace: a pair no session
+	// runs (a retrace's search override) is built for that one call and
+	// never cached, so distinct overrides cannot each pin a System.
 	var (
 		geoMu  sync.Mutex
 		geoSys = map[string]*core.System{}
 	)
-	systemFor := func(geometry string, search *vote.SearchConfig) (*core.System, error) {
+	systemFor := func(geometry string, search *vote.SearchConfig, keep bool) (*core.System, error) {
 		if geometry == "" {
 			geometry = "default"
 		}
@@ -203,11 +205,13 @@ func (s *System) registry(cfg ServeConfig) (*server.Registry, error) {
 		if err != nil {
 			return nil, err
 		}
-		geoSys[key] = sys
+		if keep {
+			geoSys[key] = sys
+		}
 		return sys, nil
 	}
 	factory := func(sweep time.Duration, geometry string, search *vote.SearchConfig, onUpdate func(engine.Update)) (*engine.Engine, error) {
-		sys, err := systemFor(geometry, search)
+		sys, err := systemFor(geometry, search, true)
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +238,7 @@ func (s *System) registry(cfg ServeConfig) (*server.Registry, error) {
 			// factory: the same (geometry, search) pair resolves to the
 			// same precomputed tables, so a retrace without an override
 			// is byte-equivalent to the live trace by construction.
-			sys, err := systemFor(geometry, search)
+			sys, err := systemFor(geometry, search, !record)
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,10 @@
 package rfidraw
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -210,5 +212,90 @@ func TestServeRejectsImpossibleAcquireBound(t *testing.T) {
 		MaxAcquireBuffer: 2,
 	}); err == nil {
 		t.Fatal("MaxAcquireBuffer below the warmup must fail NewServer")
+	}
+}
+
+// TestRetraceSearchOverrides: a retrace's search override is bounded
+// like a session's own search — out of range is ErrBadSpec in process
+// and 400 bad_request over HTTP — and a (geometry, search) pair no
+// session runs is built for its one retrace and not kept, so ten
+// distinct in-range overrides retain less heap than one System's
+// steering tables.
+func TestRetraceSearchOverrides(t *testing.T) {
+	run := serveScenario(t)
+	sys, err := New(Config{PlaneDistanceM: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sv, err := sys.NewServer(ServeConfig{HTTPAddr: "127.0.0.1:0", IngestAddr: "127.0.0.1:0", DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	sess, err := sys.OpenSession(SessionSpec{ID: "overrides", Sweep: run.SweepInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, rep := range realtime.MergeStreams(run.ReportsRF...) {
+		if err := sess.Offer(ReaderReport{
+			Time: rep.Time, ReaderID: rep.ReaderID, Antenna: rep.AntennaID,
+			EPC: rep.EPC.String(), Phase: rep.PhaseRad, Power: rep.PowerDB,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, bad := range []SearchConfig{{TopK: 1001}, {Levels: 256}, {TopK: -1}, {Mode: 7}} {
+		if _, _, err := sess.Retrace(&bad); !errors.Is(err, server.ErrBadSpec) {
+			t.Fatalf("Retrace(%+v) = %v, want ErrBadSpec", bad, err)
+		}
+	}
+	resp, err := http.Post("http://"+sv.HTTPAddr()+"/v1/sessions/overrides/retrace", "application/json",
+		strings.NewReader(`{"search":{"top_k":1001}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Error struct{ Code string } `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
+		t.Fatalf("HTTP retrace with top_k 1001: %s, code %q (%v), want 400 bad_request", resp.Status, env.Error.Code, err)
+	}
+
+	// Live heap after two collections: the second frees what sync.Pool
+	// victim caches still held through the first.
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	one, err := server.SystemFor(sys.eng.System(), "", &SearchConfig{TopK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	systemSize := heap() - before
+	runtime.KeepAlive(one)
+	before = heap()
+	for k := 11; k <= 20; k++ {
+		res, _, err := sess.Retrace(&SearchConfig{TopK: k})
+		if err != nil || len(res) == 0 {
+			t.Fatalf("Retrace(TopK %d): %d results, %v", k, len(res), err)
+		}
+	}
+	if retained := heap() - before; retained >= systemSize {
+		t.Fatalf("10 distinct retrace overrides retain %d bytes of heap, one System is %d", retained, systemSize)
 	}
 }
