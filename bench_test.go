@@ -482,8 +482,10 @@ func BenchmarkEngineStreaming(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if err := eng.OfferAll(merged); err != nil {
-					b.Fatal(err)
+				for _, rep := range merged {
+					if err := eng.Offer(rep); err != nil {
+						b.Fatal(err)
+					}
 				}
 				if err := eng.Close(); err != nil {
 					b.Fatal(err)

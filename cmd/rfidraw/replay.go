@@ -92,61 +92,24 @@ func runReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	err = store.Replay(*session, 0, func(rec wal.Record) error {
-		switch rec.Type {
-		case wal.RecordReport:
-			return rp.Offer(rec.Report)
-		case wal.RecordFlush, wal.RecordClose:
-			_ = rp.Flush() // a tag's failure is in its Results entry
-		}
-		return nil
-	})
-	if err != nil {
+	if err := server.ReplayLog(store, *session, 0, rp, nil); err != nil {
 		return err
 	}
-	_ = rp.Flush()
 
-	type replayPoint struct {
-		T time.Duration `json:"t_ns"`
-		X float64       `json:"x"`
-		Z float64       `json:"z"`
-	}
-	type replayTag struct {
-		Tag            string        `json:"tag"`
-		Chosen         int           `json:"chosen"`
-		LeaderSwitches int           `json:"leader_switches"`
-		Retirements    int           `json:"retirements"`
-		Points         []replayPoint `json:"points"`
-		Err            string        `json:"err,omitempty"`
-	}
 	result := struct {
-		Session    string      `json:"session"`
-		SweepMS    float64     `json:"sweep_ms"`
-		Reports    int         `json:"reports"`
-		Flushes    int         `json:"flushes"`
-		CleanClose bool        `json:"clean_close"`
-		TornBytes  int64       `json:"torn_bytes,omitempty"`
-		Dense      bool        `json:"dense,omitempty"`
-		Tags       []replayTag `json:"tags"`
+		Session    string                      `json:"session"`
+		SweepMS    float64                     `json:"sweep_ms"`
+		Reports    int                         `json:"reports"`
+		Flushes    int                         `json:"flushes"`
+		CleanClose bool                        `json:"clean_close"`
+		TornBytes  int64                       `json:"torn_bytes,omitempty"`
+		Dense      bool                        `json:"dense,omitempty"`
+		Tags       []server.RetracedTagSummary `json:"tags"`
 	}{
 		Session: *session, SweepMS: float64(meta.Sweep) / float64(time.Millisecond),
 		Reports: stats.Reports, Flushes: stats.Flushes,
 		CleanClose: stats.CleanClose, TornBytes: stats.TornBytes, Dense: *dense,
-	}
-	for _, res := range rp.Results() {
-		tag := replayTag{Tag: res.Tag}
-		if res.Err != nil {
-			tag.Err = res.Err.Error()
-			result.Tags = append(result.Tags, tag)
-			continue
-		}
-		tag.Chosen = res.Result.BestIndex
-		tag.LeaderSwitches = res.Result.LeaderSwitches
-		tag.Retirements = res.Result.Retirements
-		for _, p := range res.Result.Best.Trajectory.Points {
-			tag.Points = append(tag.Points, replayPoint{T: p.T, X: p.Pos.X, Z: p.Pos.Z})
-		}
-		result.Tags = append(result.Tags, tag)
+		Tags: server.RetracedTags(rp.Results()),
 	}
 	b, err := json.MarshalIndent(result, "", "  ")
 	if err != nil {

@@ -77,13 +77,9 @@ type daemonFlags struct {
 	dataDir    string
 	walSync    int
 
-	evalCapacity      float64
-	walCapacity       float64
-	lateCapacity      float64
-	backlogCapacity   float64
-	downgradeCapacity float64
-	shedAt            float64
-	parkAt            float64
+	evalCapacity float64
+	shedAt       float64
+	parkAt       float64
 
 	traceSampleN int
 	logLevel     string
@@ -108,10 +104,6 @@ func main() {
 	flag.StringVar(&f.dataDir, "data-dir", "", "write-ahead log directory: sessions become durable, crash-recoverable and re-traceable (empty disables)")
 	flag.IntVar(&f.walSync, "wal-sync", 64, "fsync the session log every N report appends (1 = every append; drains always sync)")
 	flag.Float64Var(&f.evalCapacity, "eval-capacity", 0, "search-evaluation budget per second for the congestion score (0 = default)")
-	flag.Float64Var(&f.walCapacity, "wal-capacity", 0, "WAL write budget in bytes per second for the congestion score (0 = default)")
-	flag.Float64Var(&f.lateCapacity, "late-capacity", 0, "tolerable late-report rate per second for the congestion score (0 = default)")
-	flag.Float64Var(&f.backlogCapacity, "backlog-capacity", 0, "tolerable worst subscriber queue fill fraction (0 = default)")
-	flag.Float64Var(&f.downgradeCapacity, "downgrade-capacity", 0, "tolerable adaptive tier-downgrade rate per second for the congestion score (0 = default)")
 	flag.Float64Var(&f.shedAt, "shed-at", 0, "congestion score refusing new sessions with 429 (0 = default 0.9, negative disables)")
 	flag.Float64Var(&f.parkAt, "park-at", 0, "congestion score parking cheapest durable sessions (0 = default 0.75, negative disables)")
 	flag.IntVar(&f.traceSampleN, "trace-sample-n", 0, "record a full stage span for 1-in-N reports per session (0 disables; mutable at runtime)")
@@ -176,11 +168,8 @@ func (f daemonFlags) validate() error {
 	if f.walSync < 1 {
 		return fmt.Errorf("-wal-sync %d must be at least 1 (sync every append)", f.walSync)
 	}
-	if f.evalCapacity < 0 || f.walCapacity < 0 || f.lateCapacity < 0 || f.downgradeCapacity < 0 {
-		return fmt.Errorf("capacity budgets must be non-negative (0 = default)")
-	}
-	if f.backlogCapacity < 0 || f.backlogCapacity > 1 {
-		return fmt.Errorf("-backlog-capacity %v must be a fraction in [0, 1]", f.backlogCapacity)
+	if f.evalCapacity < 0 {
+		return fmt.Errorf("-eval-capacity %v must be non-negative (0 = default)", f.evalCapacity)
 	}
 	if f.shedAt > 0 && f.parkAt > 0 && f.parkAt >= f.shedAt {
 		return fmt.Errorf("-park-at %v should sit below -shed-at %v: parking is the relief valve before shedding", f.parkAt, f.shedAt)
@@ -280,17 +269,11 @@ func run(f daemonFlags) error {
 		ReorderWindow:    f.reorder,
 		DataDir:          f.dataDir,
 		WALSyncEvery:     f.walSync,
-		Capacity: rfidraw.CostCapacity{
-			SearchEvalsPerSec: f.evalCapacity,
-			WALBytesPerSec:    f.walCapacity,
-			LatePerSec:        f.lateCapacity,
-			Backlog:           f.backlogCapacity,
-			DowngradesPerSec:  f.downgradeCapacity,
-		},
-		ShedThreshold: f.shedAt,
-		ParkThreshold: f.parkAt,
-		TraceSampleN:  f.traceSampleN,
-		Logger:        logger,
-		LogLevel:      level,
+		Capacity:         rfidraw.CostCapacity{SearchEvalsPerSec: f.evalCapacity},
+		ShedThreshold:    f.shedAt,
+		ParkThreshold:    f.parkAt,
+		TraceSampleN:     f.traceSampleN,
+		Logger:           logger,
+		LogLevel:         level,
 	})
 }

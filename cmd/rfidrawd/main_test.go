@@ -45,10 +45,6 @@ func TestValidateFlags(t *testing.T) {
 		{"zero max-acquire", func(f *daemonFlags) { f.maxAcquire = 0 }},
 		{"zero wal-sync", func(f *daemonFlags) { f.walSync = 0 }},
 		{"negative eval capacity", func(f *daemonFlags) { f.evalCapacity = -1 }},
-		{"negative wal capacity", func(f *daemonFlags) { f.walCapacity = -1 }},
-		{"negative late capacity", func(f *daemonFlags) { f.lateCapacity = -1 }},
-		{"negative downgrade capacity", func(f *daemonFlags) { f.downgradeCapacity = -1 }},
-		{"backlog over one", func(f *daemonFlags) { f.backlogCapacity = 1.5 }},
 		{"park above shed", func(f *daemonFlags) { f.shedAt = 0.5; f.parkAt = 0.9 }},
 		{"negative trace sample", func(f *daemonFlags) { f.traceSampleN = -1 }},
 		{"bad log format", func(f *daemonFlags) { f.logFormat = "xml" }},
@@ -76,8 +72,7 @@ func TestValidateFlagsPolicyToggles(t *testing.T) {
 	}
 	f := okFlags()
 	f.retain = time.Hour
-	f.backlogCapacity = 1
 	if err := f.validate(); err != nil {
-		t.Errorf("retain+backlog: %v", err)
+		t.Errorf("retain: %v", err)
 	}
 }

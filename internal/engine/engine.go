@@ -27,8 +27,8 @@
 // # Concurrency contract
 //
 // TraceBatch and Trace are safe to call from any number of goroutines.
-// The streaming entry points Offer, OfferAll, Flush, Stats,
-// TraceResults and Close must be called from a single ingest goroutine
+// The streaming entry points Offer, Flush, Stats, TraceResults and
+// Close must be called from a single ingest goroutine
 // (reports must be time-ordered, which only a single caller can
 // guarantee). The OnUpdate callback is invoked from shard goroutines —
 // potentially several at once — and must synchronise its own state.
@@ -262,16 +262,6 @@ func (e *Engine) Offer(rep rfid.Report) error {
 	return nil
 }
 
-// OfferAll ingests a time-ordered report slice.
-func (e *Engine) OfferAll(reports []rfid.Report) error {
-	for _, rep := range reports {
-		if err := e.Offer(rep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Flush closes every tracker's current sweep (e.g. at end of stream),
 // emitting any final positions through OnUpdate. It blocks until all
 // shards have drained. A Flush with nothing offered since the previous
@@ -344,9 +334,9 @@ func (e *Engine) TraceResults() []TagResult {
 // with in-flight TraceBatch/Trace calls: batch jobs dispatched before the
 // close complete normally, jobs arriving after it fail with an
 // "engine: closed" error, and every Close call returns the same error
-// once shutdown has finished. The streaming entry points (Offer, OfferAll,
-// Flush, Stats) remain ingest-goroutine-only and must not race a Close
-// from another goroutine.
+// once shutdown has finished. The streaming entry points (Offer, Flush,
+// Stats) remain ingest-goroutine-only and must not race a Close from
+// another goroutine.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		e.closeErr = e.Flush()

@@ -195,8 +195,10 @@ func streamInto(t *testing.T, cfg Config, run *sim.MultiWordRun) (*Engine, map[s
 	}
 	e := newEngine(t, cfg)
 	merged := realtime.MergeStreams(run.ReportsRF...)
-	if err := e.OfferAll(merged); err != nil {
-		t.Fatal(err)
+	for _, rep := range merged {
+		if err := e.Offer(rep); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
@@ -279,8 +281,10 @@ func TestStreamingTagAppearsMidStream(t *testing.T) {
 			}
 		},
 	})
-	if err := e.OfferAll(filtered); err != nil {
-		t.Fatal(err)
+	for _, rep := range filtered {
+		if err := e.Offer(rep); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
@@ -326,8 +330,10 @@ func TestStreamingTagGoesSilent(t *testing.T) {
 			}
 		},
 	})
-	if err := e.OfferAll(filtered); err != nil {
-		t.Fatal(err)
+	for _, rep := range filtered {
+		if err := e.Offer(rep); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)

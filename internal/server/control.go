@@ -154,9 +154,14 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.controlState(time.Now()))
 }
 
+// handleControlConfig applies a knob patch. Unknown keys (a typo, or a
+// knob this daemon does not have) are a 400 like any bad value, never a
+// silent no-op.
 func (s *Server) handleControlConfig(w http.ResponseWriter, r *http.Request) {
 	var req ControlPatchJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		writeError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
 		return
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,8 +68,8 @@ func TestKnobRoundTrip(t *testing.T) {
 	if k.IdleTimeout != idle || k.RetainFor != retain || k.ShedThreshold != shed || k.ParkThreshold != park {
 		t.Fatalf("mutated knobs = %+v", k)
 	}
-	if k.Capacity.SearchEvalsPerSec != 100 || k.Capacity.Backlog == 0 {
-		t.Fatalf("capacity not normalized: %+v", k.Capacity)
+	if k.Capacity.SearchEvalsPerSec != 100 {
+		t.Fatalf("capacity = %+v", k.Capacity)
 	}
 	if k.WALSyncEvery != 7 {
 		t.Fatalf("wal sync = %d", k.WALSyncEvery)
@@ -173,6 +175,26 @@ func TestControlAPIRoundTrip(t *testing.T) {
 		if !errors.As(err, &apiErr) || apiErr.StatusCode != 400 {
 			t.Fatalf("invalid patch error = %v", err)
 		}
+	}
+
+	// So is a key the daemon does not know — a typo, or a removed knob —
+	// at the top level or inside the capacity block; nothing is applied.
+	for _, body := range []string{
+		`{"idle_ms":30000,"idle_msec":30000}`,
+		`{"capacity":{"search_evals_per_sec":7,"wal_bytes_per_sec":1}}`,
+	} {
+		resp, err := http.Post(cl.BaseURL+"/v1/control/config", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := readBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(raw, `"bad_request"`) {
+			t.Fatalf("patch %s: status %d (%s), want 400 bad_request", body, resp.StatusCode, raw)
+		}
+	}
+	k := srv.reg.Knobs()
+	if k.IdleTimeout != 45*time.Second || k.Capacity.SearchEvalsPerSec == 7 {
+		t.Fatalf("refused patch changed knobs: %+v", k)
 	}
 }
 

@@ -59,49 +59,40 @@ func retryAfterFor(score, shedAt float64) time.Duration {
 }
 
 // Capacity calibrates the congestion score: each per-session rate is
-// normalized by the matching capacity before the components are
-// combined. Zero fields take generous defaults sized so a lightly
-// loaded node never sheds.
+// normalized by a capacity before the components are combined. The
+// search-evaluation budget is the one tunable (it is what a node's CPU
+// and the deployment's search settings decide); the other components
+// are normalized by the fixed budgets below. Zero takes a generous
+// default sized so a lightly loaded node never sheds.
 type Capacity struct {
 	// SearchEvalsPerSec is the node's vote-surface evaluation budget.
 	// Default 5e6/s.
 	SearchEvalsPerSec float64 `json:"search_evals_per_sec"`
-	// WALBytesPerSec is the node's durability write budget. Default
-	// 64 MiB/s.
-	WALBytesPerSec float64 `json:"wal_bytes_per_sec"`
-	// LatePerSec bounds tolerated reorder-late deliveries (reports
-	// reaching engines behind later-stamped ones — sustained lateness
-	// means the node can no longer hold its reorder windows). Default
-	// 10000/s.
-	LatePerSec float64 `json:"late_per_sec"`
-	// Backlog is the tolerated worst-subscriber queue fill fraction in
-	// [0, 1]. Default 0.75.
-	Backlog float64 `json:"backlog"`
-	// DowngradesPerSec bounds tolerated adaptive tier step-downs across
-	// the node's subscribers — sustained downgrades mean fan-out demand
-	// outruns what consumers can drain even at reduced stream weight.
-	// Default 50/s.
-	DowngradesPerSec float64 `json:"downgrades_per_sec"`
 }
 
 func (c Capacity) withDefaults() Capacity {
 	if c.SearchEvalsPerSec <= 0 {
 		c.SearchEvalsPerSec = 5e6
 	}
-	if c.WALBytesPerSec <= 0 {
-		c.WALBytesPerSec = 64 << 20
-	}
-	if c.LatePerSec <= 0 {
-		c.LatePerSec = 10000
-	}
-	if c.Backlog <= 0 {
-		c.Backlog = 0.75
-	}
-	if c.DowngradesPerSec <= 0 {
-		c.DowngradesPerSec = 50
-	}
 	return c
 }
+
+// Fixed budgets normalizing the score's other components.
+const (
+	// walBytesPerSec is the node's durability write budget.
+	walBytesPerSec = 64 << 20
+	// latePerSec bounds tolerated reorder-late deliveries (reports
+	// reaching engines behind later-stamped ones — sustained lateness
+	// means the node can no longer hold its reorder windows).
+	latePerSec = 10000
+	// backlogBudget is the tolerated worst-subscriber queue fill
+	// fraction.
+	backlogBudget = 0.75
+	// downgradesPerSec bounds tolerated adaptive tier step-downs across
+	// the node's subscribers — sustained downgrades mean fan-out demand
+	// outruns what consumers can drain even at reduced stream weight.
+	downgradesPerSec = 50
+)
 
 // CostSnapshot is one session's demand signal: the resource rates it
 // drew between the last two samples, plus the scalar cost the park
@@ -158,9 +149,9 @@ func (s *Session) sampleCost(now time.Time, cap Capacity) CostSnapshot {
 				DowngradesPerSec: rate(downgrades-m.downgrades, dt),
 			}
 			snap.Cost = snap.EvalsPerSec/cap.SearchEvalsPerSec +
-				snap.WALBytesPerSec/cap.WALBytesPerSec +
-				snap.LatePerSec/cap.LatePerSec +
-				snap.DowngradesPerSec/cap.DowngradesPerSec +
+				snap.WALBytesPerSec/walBytesPerSec +
+				snap.LatePerSec/latePerSec +
+				snap.DowngradesPerSec/downgradesPerSec +
 				backlog
 			m.last = snap
 		}

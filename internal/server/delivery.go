@@ -304,8 +304,8 @@ type SubscribeOptions struct {
 
 // Subscribe attaches a bounded-queue consumer to the session's live
 // stream. Subscribers beyond the per-session cap are refused (load
-// shedding, HTTP 503 upstream), as are attaches to a session idle expiry
-// has already claimed.
+// shedding, HTTP 503 upstream), as are attaches to a session that is no
+// longer live.
 func (s *Session) Subscribe(o SubscribeOptions) (*Subscriber, error) {
 	sub := s.newSubscriber(o, false)
 	s.emitMu.Lock()
@@ -332,21 +332,16 @@ func (s *Session) newSubscriber(o SubscribeOptions, catchup bool) *Subscriber {
 }
 
 // attachLocked is the one admission check every subscriber passes, made
-// at the moment of attach. It refuses a session that is closed or
-// claimed by idle expiry (a recovered session still admits catch-up
-// subscribers while it serves its record) and sheds past the subscriber
-// cap, counting the refusal and putting it on the timeline. Anything
-// already buffered for group commit predates the attach — and, for a
-// pump-mediated catch-up attach, is covered by the WAL head the
-// subscriber replays from — so it is flushed to the existing
-// subscribers first: the newcomer's stream starts strictly at its
-// attach point. Requires emitMu.
+// at the moment of attach. It admits only a live session, or a recovered
+// one for a catch-up subscriber (it serves its record), and sheds past
+// the subscriber cap, counting the refusal and putting it on the
+// timeline. Anything already buffered for group commit predates the
+// attach — and, for a pump-mediated catch-up attach, is covered by the
+// WAL head the subscriber replays from — so it is flushed to the
+// existing subscribers first: the newcomer's stream starts strictly at
+// its attach point. Requires emitMu.
 func (s *Session) attachLocked(sub *Subscriber) error {
-	open := !s.subsClosed && !s.closing
-	if sub.catchingUp {
-		open = open || s.replayAttachable
-	}
-	if !open {
+	if s.state != stateLive && !(sub.catchingUp && s.state == stateRecovered) {
 		return ErrSessionClosed
 	}
 	if len(s.subs) >= s.reg.cfg.MaxSubscribers {
@@ -480,7 +475,7 @@ func (s *Session) onUpdate(u engine.Update) {
 	for _, p := range u.Positions {
 		// A leadership switch re-bases the trajectory on a different
 		// hypothesis; the jump is not pen movement, so close the stroke.
-		if len(st.pts) > 0 && (p.Time-st.last > s.reg.cfg.GlyphGap || p.Switched) {
+		if len(st.pts) > 0 && (p.Time-st.last > glyphGap || p.Switched) {
 			s.finalizeStrokeLocked(u.Tag, st)
 		}
 		if p.Switched {
@@ -507,6 +502,14 @@ func (s *Session) onUpdate(u engine.Update) {
 	}
 }
 
+// Glyph segmentation: glyphGap of stream-time silence ends a stroke and
+// triggers recognition; strokes shorter than glyphMinPoints are not
+// worth classifying.
+const (
+	glyphGap       = 400 * time.Millisecond
+	glyphMinPoints = 8
+)
+
 // finalizeStrokes closes every in-progress stroke (idle pause or session
 // end) and emits their glyphs.
 func (s *Session) finalizeStrokes() {
@@ -531,7 +534,7 @@ func (s *Session) finalizeStrokeLocked(tag string, st *stroke) {
 			minTier: 2,
 		})
 	}
-	if len(pts) < s.reg.cfg.GlyphMinPoints || s.reg.rec == nil {
+	if len(pts) < glyphMinPoints || s.reg.rec == nil {
 		return
 	}
 	cls, err := s.reg.rec.Classify(pts)

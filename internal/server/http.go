@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rfidraw/internal/deploy"
+	"rfidraw/internal/engine"
 	"rfidraw/internal/obs"
 	"rfidraw/internal/vote"
 )
@@ -640,12 +641,18 @@ func (s *Server) handleRetrace(w http.ResponseWriter, r *http.Request) {
 		writeSessionError(w, err)
 		return
 	}
-	resp := RetraceSummary{ID: sess.ID, Records: head, Tags: make([]RetracedTagSummary, 0, len(results))}
+	writeJSON(w, http.StatusOK, RetraceSummary{ID: sess.ID, Records: head, Tags: RetracedTags(results)})
+}
+
+// RetracedTags summarizes retrace results per tag: the shape the
+// retrace endpoint serves and rfidraw replay prints.
+func RetracedTags(results []engine.TagResult) []RetracedTagSummary {
+	tags := make([]RetracedTagSummary, 0, len(results))
 	for _, res := range results {
 		tag := RetracedTagSummary{Tag: res.Tag}
 		if res.Err != nil {
 			tag.Err = res.Err.Error()
-			resp.Tags = append(resp.Tags, tag)
+			tags = append(tags, tag)
 			continue
 		}
 		tag.Chosen = res.Result.BestIndex
@@ -656,7 +663,7 @@ func (s *Server) handleRetrace(w http.ResponseWriter, r *http.Request) {
 		for _, p := range res.Result.Best.Trajectory.Points {
 			tag.Points = append(tag.Points, TracePointJSON{T: p.T, X: p.Pos.X, Z: p.Pos.Z})
 		}
-		resp.Tags = append(resp.Tags, tag)
+		tags = append(tags, tag)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return tags
 }

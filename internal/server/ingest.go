@@ -23,6 +23,13 @@ const IngestPreamble = "RFIDRAWD/1"
 // maxPreamble bounds the preamble line; anything longer is a bad client.
 const maxPreamble = 256
 
+// ingestBurst caps how many reports one ingest connection batches into
+// a single inbox hand-off: after a blocking read delivers a report, the
+// gateway drains whatever further reports that socket read buffered (up
+// to this cap) and enqueues them as one burst — one channel operation
+// instead of one per report.
+const ingestBurst = 256
+
 // serveIngest accepts reader connections until the listener closes.
 func (s *Server) serveIngest(ln net.Listener) {
 	for {
@@ -83,7 +90,7 @@ func (s *Server) handleIngest(conn net.Conn) {
 	// operation instead of one per report. Under load a single read
 	// delivers tens of frames, so the per-report channel hand-off — the
 	// dominant ingest cost — amortizes across the burst.
-	burst := make([]rfid.Report, 0, s.reg.cfg.IngestBurst)
+	burst := make([]rfid.Report, 0, ingestBurst)
 	flush := func() error {
 		if len(burst) == 0 {
 			return nil

@@ -22,7 +22,7 @@ type burstEntry struct {
 
 // burstPool recycles burst slices between the ingest gateway (producer)
 // and the session pump (consumer): the gateway fills a slice with up to
-// IngestBurst decoded reports and enqueues it as ONE inbox item; the
+// ingestBurst decoded reports and enqueues it as ONE inbox item; the
 // pump drains it and puts the slice back. Pooling keeps the burst path
 // allocation-free in steady state.
 var burstPool = sync.Pool{New: func() any { b := make([]burstEntry, 0, 64); return &b }}
@@ -66,6 +66,10 @@ type catchupReq struct {
 	head chan uint64
 	err  error
 }
+
+// ingestBuffer is the per-session ingest inbox depth (bursts); beyond
+// it, reader connections block (TCP backpressure).
+const ingestBuffer = 1024
 
 // pumpTick is the pump's housekeeping period: idle detection (drain +
 // sweep close after ~2 silent ticks) and stats refresh cadence.

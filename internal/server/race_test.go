@@ -239,7 +239,7 @@ func TestCatchupAttachRefusedAfterExpiryClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sess.claimExpiry(time.Now().Add(time.Hour), time.Minute) {
+	if !sess.claim(time.Now().Add(time.Hour), time.Minute) {
 		t.Fatal("idle session could not be claimed")
 	}
 	req := &catchupReq{sub: sess.newSubscriber(SubscribeOptions{}, true), head: make(chan uint64, 1)}

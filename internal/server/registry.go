@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/heap"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -46,31 +45,15 @@ type RegistryConfig struct {
 	// deliveries: a group-committed batch of events is one queue item, as
 	// is each drop, tier or catch-up item. Default 256.
 	SubscriberQueue int
-	// IngestBuffer is the per-session ingest inbox depth (bursts);
-	// beyond it, reader connections block (TCP backpressure). Default
-	// 1024.
-	IngestBuffer int
-	// IngestBurst caps how many reports one ingest connection batches
-	// into a single inbox hand-off: after a blocking read delivers a
-	// report, the gateway drains whatever further reports that socket
-	// read buffered (up to this cap) and enqueues them as one burst —
-	// one channel operation instead of one per report. Default 256.
-	IngestBurst int
 	// ReorderWindow is how long reports are held to resequence
 	// cross-reader skew. Default 25ms.
 	ReorderWindow time.Duration
-	// GlyphGap is the stream-time silence that ends a stroke and
-	// triggers glyph recognition. Default 400ms.
-	GlyphGap time.Duration
-	// GlyphMinPoints is the minimum stroke length worth classifying.
-	// Default 8.
-	GlyphMinPoints int
 	// NoRecognize disables glyph recognition: no recognizer is built and
 	// sessions emit only point events.
 	NoRecognize bool
 
-	// Capacity calibrates the congestion score's per-resource
-	// normalization; zero fields take generous defaults.
+	// Capacity calibrates the congestion score's search-evaluation
+	// budget; zero takes a generous default.
 	Capacity Capacity
 	// ShedThreshold is the congestion score at or above which new
 	// sessions are refused with ErrOverloaded (HTTP 429 + Retry-After).
@@ -113,20 +96,8 @@ func (c RegistryConfig) withDefaults() RegistryConfig {
 	if c.SubscriberQueue <= 0 {
 		c.SubscriberQueue = 256
 	}
-	if c.IngestBuffer <= 0 {
-		c.IngestBuffer = 1024
-	}
-	if c.IngestBurst <= 0 {
-		c.IngestBurst = 256
-	}
 	if c.ReorderWindow <= 0 {
 		c.ReorderWindow = 25 * time.Millisecond
-	}
-	if c.GlyphGap <= 0 {
-		c.GlyphGap = 400 * time.Millisecond
-	}
-	if c.GlyphMinPoints <= 0 {
-		c.GlyphMinPoints = 8
 	}
 	if c.ShedThreshold == 0 {
 		c.ShedThreshold = 0.9
@@ -385,21 +356,12 @@ type Registry struct {
 	// stripeSeq deals histogram stripes to new sessions round-robin.
 	stripeSeq atomic.Int64
 
+	// mu guards the session table. Lock order: mu, then a session's
+	// lock. Only live sessions occupy MaxSessions slots; recovered ones
+	// hold no engine or goroutines but still reserve their IDs.
 	mu       sync.Mutex
 	sessions map[string]*Session
-	// live counts non-recovered sessions for admission control:
-	// recovered sessions hold no engine or goroutines, so they do not
-	// occupy MaxSessions slots (they do reserve their IDs).
-	live   int
-	closed bool
-	// idleQ and retainedQ index sessions by deadline so expiry pops only
-	// what is due instead of scanning the whole table per tick: idleQ
-	// orders live sessions by their last-activity snapshot, retainedQ
-	// orders recovered sessions for retention expiry. Entries are lazy —
-	// a touched session is re-queued at its fresher stamp when popped,
-	// never updated in place.
-	idleQ     deadlineHeap
-	retainedQ deadlineHeap
+	closed   bool
 
 	// scoreMu guards the cached congestion score (see cost.go).
 	scoreMu sync.Mutex
@@ -476,7 +438,6 @@ func (r *Registry) recover() error {
 		}
 		s := newRecoveredSession(r, meta, stats)
 		r.sessions[id] = s
-		r.queueRetained(s)
 		r.metrics.SessionsRecovered.Add(1)
 		r.metrics.SessionsRetained.Add(1)
 		r.logger.Info("wal recovery: session rehydrated",
@@ -553,8 +514,6 @@ func (r *Registry) Open(spec SessionSpec) (*Session, error) {
 	}
 	s := newSession(r, spec, resumeState{})
 	r.sessions[spec.ID] = s
-	r.live++
-	r.queueIdle(s)
 	r.mu.Unlock()
 	r.metrics.SessionsCreated.Add(1)
 	r.metrics.SessionsActive.Add(1)
@@ -578,11 +537,24 @@ func (r *Registry) admitLockedUnsafe(id string) error {
 		// record (or resume it) before reusing one.
 		return ErrSessionExists
 	}
-	if r.live >= r.cfg.MaxSessions {
+	if len(r.liveLocked()) >= r.cfg.MaxSessions {
 		r.metrics.Shed.Add(1)
 		return ErrSessionLimit
 	}
 	return nil
+}
+
+// liveLocked lists the table's live sessions: the ones holding a
+// MaxSessions slot, sampled for congestion and eligible for parking.
+// Caller holds r.mu.
+func (r *Registry) liveLocked() []*Session {
+	var live []*Session
+	for _, s := range r.sessions {
+		if s.lifecycle() == stateLive {
+			live = append(live, s)
+		}
+	}
+	return live
 }
 
 // validateSearch bounds a per-session search override to what the WAL
@@ -629,43 +601,20 @@ func (r *Registry) Len() int {
 
 // Remove closes a session, deletes it from the table AND deletes its
 // retained WAL record if any (an explicit delete means forget),
-// reporting whether it existed.
+// reporting whether it existed. A session whose claimed teardown (park
+// or idle expiry) is in flight reports not-found: the claimer owns it,
+// and a later delete finds it parked and wins.
 func (r *Registry) Remove(id string) bool {
 	r.mu.Lock()
 	s, ok := r.sessions[id]
-	if ok && s.Closing() {
-		// Idle expiry (or a park) claimed this session and owns its
-		// teardown (it is still in the table only because it will be
-		// parked recovered). Stealing it here would double-count the
-		// accounting and yank the record out from under enterRecovered;
-		// report not-found — a later DELETE finds it in the recovered
-		// state and wins.
+	if !ok || s.Closing() {
 		r.mu.Unlock()
 		return false
 	}
-	if ok {
-		delete(r.sessions, id)
-		if !s.Recovered() {
-			r.live--
-		} else {
-			r.metrics.SessionsRetained.Add(-1)
-		}
-	}
+	delete(r.sessions, id)
 	r.mu.Unlock()
-	if !ok {
-		return false
-	}
-	if s.Recovered() {
-		s.closeSubscribers()
-	} else {
-		s.Close()
-		r.metrics.SessionsActive.Add(-1)
-	}
-	if r.cfg.WAL != nil {
-		if err := r.cfg.WAL.Remove(id); err != nil {
-			r.logger.Error("wal remove failed", "session", id, "err", err)
-		}
-	}
+	s.Close()
+	r.forget(s)
 	return true
 }
 
@@ -677,14 +626,7 @@ func (r *Registry) Remove(id string) bool {
 func (r *Registry) RefreshCongestion(now time.Time) NodeScore {
 	capacity := r.capacity()
 	r.mu.Lock()
-	live := make([]*Session, 0, r.live)
-	for _, s := range r.sessions {
-		if !s.Recovered() && !s.Closing() {
-			live = append(live, s)
-		}
-	}
-	liveCount := r.live
-	maxSessions := r.cfg.MaxSessions
+	live := r.liveLocked()
 	r.mu.Unlock()
 	var parts ScoreComponents
 	for _, s := range live {
@@ -698,11 +640,11 @@ func (r *Registry) RefreshCongestion(now time.Time) NodeScore {
 		}
 	}
 	parts.SearchEvals /= capacity.SearchEvalsPerSec
-	parts.WALBytes /= capacity.WALBytesPerSec
-	parts.ReorderLate /= capacity.LatePerSec
-	parts.Backlog /= capacity.Backlog
-	parts.TierPressure /= capacity.DowngradesPerSec
-	parts.SessionSlots = float64(liveCount) / float64(maxSessions)
+	parts.WALBytes /= walBytesPerSec
+	parts.ReorderLate /= latePerSec
+	parts.Backlog /= backlogBudget
+	parts.TierPressure /= downgradesPerSec
+	parts.SessionSlots = float64(len(live)) / float64(r.cfg.MaxSessions)
 	score := NodeScore{Score: maxScore(parts), Components: parts, SampledAt: now}
 	r.scoreMu.Lock()
 	r.score = score
@@ -752,13 +694,14 @@ func (r *Registry) ParkUnderPressure(now time.Time) []string {
 		cost float64
 	}
 	r.mu.Lock()
-	cands := make([]cand, 0, r.live)
-	for _, s := range r.sessions {
-		if !s.Recovered() && !s.Closing() && s.WALSeq() > 0 {
+	live := r.liveLocked()
+	r.mu.Unlock()
+	cands := make([]cand, 0, len(live))
+	for _, s := range live {
+		if s.WALSeq() > 0 {
 			cands = append(cands, cand{s: s, cost: s.Cost().Cost})
 		}
 	}
-	r.mu.Unlock()
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].cost != cands[j].cost {
 			return cands[i].cost < cands[j].cost
@@ -806,7 +749,7 @@ func (r *Registry) parkSession(s *Session, reason string) error {
 		r.mu.Unlock()
 		return ErrUnknownSession
 	}
-	if !s.claimPark() {
+	if !s.claim(time.Time{}, 0) {
 		recovered := s.Recovered()
 		r.mu.Unlock()
 		if recovered {
@@ -814,19 +757,11 @@ func (r *Registry) parkSession(s *Session, reason string) error {
 		}
 		return ErrNotLive
 	}
-	r.live--
 	r.mu.Unlock()
 	s.timeline.Record(obs.EventPark, reason)
-	s.Close()
-	r.metrics.SessionsActive.Add(-1)
+	s.stop()
 	r.metrics.SessionsParked.Add(1)
-	s.enterRecovered()
-	r.metrics.SessionsRetained.Add(1)
-	r.mu.Lock()
-	if r.sessions[s.ID] == s {
-		r.queueRetained(s)
-	}
-	r.mu.Unlock()
+	r.keep(s)
 	return nil
 }
 
@@ -839,31 +774,23 @@ func (r *Registry) parkSession(s *Session, reason string) error {
 // operator resuming a session is explicitly spending headroom.
 func (r *Registry) Resume(id string) (*Session, error) {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, ErrSessionClosed
-	}
+	defer r.mu.Unlock()
 	old, ok := r.sessions[id]
-	if !ok {
-		r.mu.Unlock()
+	switch {
+	case r.closed:
+		return nil, ErrSessionClosed
+	case !ok:
 		return nil, ErrUnknownSession
-	}
-	if !old.Recovered() {
-		r.mu.Unlock()
+	case !old.Recovered():
 		return nil, ErrNotParked
-	}
-	if r.cfg.WAL == nil {
-		r.mu.Unlock()
+	case r.cfg.WAL == nil:
 		return nil, ErrNoWAL
-	}
-	if r.live >= r.cfg.MaxSessions {
-		r.mu.Unlock()
+	case len(r.liveLocked()) >= r.cfg.MaxSessions:
 		r.metrics.Shed.Add(1)
 		return nil, ErrSessionLimit
 	}
 	sweep := time.Duration(old.sweepNs.Load())
 	if sweep <= 0 || old.WALSeq() == 0 {
-		r.mu.Unlock()
 		return nil, ErrNotDurable
 	}
 	spec := SessionSpec{
@@ -875,110 +802,45 @@ func (r *Registry) Resume(id string) (*Session, error) {
 	}
 	s := newSession(r, spec, resumeState{from: old.WALSeq(), created: old.Created, timeline: old.timeline})
 	r.sessions[id] = s
-	r.live++
-	r.queueIdle(s)
-	r.mu.Unlock()
-	old.closeSubscribers()
-	r.metrics.SessionsRetained.Add(-1)
+	r.release(old)
 	r.metrics.SessionsResumed.Add(1)
 	r.metrics.SessionsActive.Add(1)
 	r.logger.Info("session resumed", "session", id, "from_seq", s.resumeFrom)
 	return s, nil
 }
 
-// deadlineEntry is one lazy heap entry: the session and the lastActive
-// stamp it was queued at. The session is re-examined when the stamp's
-// deadline passes; a fresher stamp re-queues it instead of expiring it.
-type deadlineEntry struct {
-	s    *Session
-	seen int64 // unix nanos
-}
-
-// deadlineHeap orders sessions by queued-at stamp, oldest first.
-type deadlineHeap []deadlineEntry
-
-func (h deadlineHeap) Len() int           { return len(h) }
-func (h deadlineHeap) Less(i, j int) bool { return h[i].seen < h[j].seen }
-func (h deadlineHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *deadlineHeap) Push(x any)        { *h = append(*h, x.(deadlineEntry)) }
-func (h *deadlineHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
-}
-
-// queueIdle / queueRetained index a session for deadline-ordered
-// expiry. Caller holds r.mu.
-func (r *Registry) queueIdle(s *Session) {
-	heap.Push(&r.idleQ, deadlineEntry{s: s, seen: s.lastActive.Load()})
-}
-
-func (r *Registry) queueRetained(s *Session) {
-	heap.Push(&r.retainedQ, deadlineEntry{s: s, seen: s.lastActive.Load()})
-}
-
 // ExpireIdle closes sessions idle beyond the timeout (no ingest
-// activity, readers or subscribers), returning their IDs. The idle
-// index makes a quiet tick O(1) and a busy one O(k log n) for k due
-// sessions — no linear scan of the table. Expiry claims each session
-// atomically (Session.claimExpiry) so an attach racing the expiry
-// either keeps the session alive or is refused — never bound to a
-// session mid-teardown. WAL-backed sessions that recorded anything are
-// parked in the registry as "recovered" (the engine is reclaimed, the
-// durable record stays serveable); the rest are removed.
+// activity, readers or subscribers), returning their IDs. It scans the
+// table and claims each idle session (Session.claim, which skips on the
+// atomic activity stamp whatever was touched recently), so an attach
+// racing the expiry either keeps the session alive or is refused, never
+// bound to a session mid-teardown. WAL-backed sessions that recorded
+// anything are parked in the registry as "recovered" (the engine is
+// reclaimed, the durable record stays serveable); the rest are
+// forgotten. idle <= 0 expires nothing.
 func (r *Registry) ExpireIdle(now time.Time, idle time.Duration) []string {
-	// The retain decision is snapshotted once, under the registry lock,
-	// BEFORE the teardown: Session.Close appends the log's close record
-	// (bumping the head), so re-evaluating afterwards could flip an
+	if idle <= 0 {
+		return nil
+	}
+	// The retain decision is snapshotted at the claim, under the registry
+	// lock and BEFORE the teardown: stopping appends the log's close
+	// record (bumping the head), so deciding afterwards could flip an
 	// empty session from forget to retain after its table entry is gone.
 	type claimed struct {
 		s      *Session
 		retain bool
 	}
 	var expired []claimed
-	var held []deadlineEntry
 	r.mu.Lock()
-	for r.idleQ.Len() > 0 {
-		top := r.idleQ[0]
-		if time.Unix(0, top.seen).Add(idle).After(now) {
-			break // nothing older is queued: the heap is deadline-ordered
-		}
-		heap.Pop(&r.idleQ)
-		s := top.s
-		if cur, ok := r.sessions[s.ID]; !ok || cur != s {
-			continue // removed, or replaced by a resume: stale entry
-		}
-		if last := s.lastActive.Load(); last != top.seen {
-			// Touched since it was queued: re-arm at the fresher stamp.
-			heap.Push(&r.idleQ, deadlineEntry{s: s, seen: last})
+	for id, s := range r.sessions {
+		if !s.claim(now, idle) {
 			continue
 		}
-		if s.claimExpiry(now, idle) {
-			expired = append(expired, claimed{s: s, retain: r.retainOnExpiry(s)})
-			continue
-		}
-		// The claim was refused: either the session is no longer live
-		// (closed, parked — drop the entry; retainedQ owns parked ones)
-		// or an attach holds it open with a stale activity stamp. Re-arm
-		// the latter at its current stamp so the NEXT call re-examines it
-		// — deferred past the loop, or it would pop straight back out.
-		if s.State() == "live" {
-			held = append(held, deadlineEntry{s: s, seen: s.lastActive.Load()})
-		}
-	}
-	for _, e := range held {
-		heap.Push(&r.idleQ, e)
-	}
-	// Claimed sessions that will not be retained leave the table now;
-	// retained ones keep their entry and flip to recovered after the
-	// teardown below.
-	for _, c := range expired {
+		c := claimed{s: s, retain: r.cfg.WAL != nil && s.WALSeq() > 0}
 		if !c.retain {
-			delete(r.sessions, c.s.ID)
+			delete(r.sessions, id)
 		}
-		r.live--
+		expired = append(expired, c)
 	}
 	r.mu.Unlock()
 	ids := make([]string, 0, len(expired))
@@ -986,23 +848,14 @@ func (r *Registry) ExpireIdle(now time.Time, idle time.Duration) []string {
 		if c.retain {
 			c.s.timeline.Record(obs.EventPark, "idle expiry")
 		}
-		c.s.Close()
-		r.metrics.SessionsActive.Add(-1)
+		c.s.stop()
 		r.metrics.SessionsExpired.Add(1)
 		if c.retain {
-			c.s.enterRecovered()
-			r.metrics.SessionsRetained.Add(1)
-			r.mu.Lock()
-			if r.sessions[c.s.ID] == c.s {
-				r.queueRetained(c.s)
-			}
-			r.mu.Unlock()
-		} else if r.cfg.WAL != nil {
+			r.keep(c.s)
+		} else {
 			// A forgotten expiry must not leave an orphan record for the
 			// next restart to resurrect.
-			if err := r.cfg.WAL.Remove(c.s.ID); err != nil {
-				r.logger.Error("wal remove failed", "session", c.s.ID, "err", err)
-			}
+			r.forget(c.s)
 		}
 		ids = append(ids, c.s.ID)
 	}
@@ -1018,47 +871,61 @@ func (r *Registry) ExpireRetained(now time.Time, retain time.Duration) []string 
 		return nil
 	}
 	var victims []*Session
+	cutoff := now.Add(-retain).UnixNano()
 	r.mu.Lock()
-	for r.retainedQ.Len() > 0 {
-		top := r.retainedQ[0]
-		if time.Unix(0, top.seen).Add(retain).After(now) {
-			break
-		}
-		heap.Pop(&r.retainedQ)
-		s := top.s
-		if cur, ok := r.sessions[s.ID]; !ok || cur != s {
-			continue // removed or resumed: stale entry
-		}
-		if last := s.lastActive.Load(); last != top.seen {
-			heap.Push(&r.retainedQ, deadlineEntry{s: s, seen: last})
+	for id, s := range r.sessions {
+		if s.lastActive.Load() > cutoff || !s.Recovered() {
 			continue
 		}
-		if !s.Recovered() {
-			continue
-		}
-		delete(r.sessions, s.ID)
+		delete(r.sessions, id)
 		victims = append(victims, s)
 	}
 	r.mu.Unlock()
 	ids := make([]string, 0, len(victims))
 	for _, s := range victims {
-		s.closeSubscribers()
-		r.metrics.SessionsRetained.Add(-1)
 		r.metrics.SessionsExpired.Add(1)
-		if err := r.cfg.WAL.Remove(s.ID); err != nil {
-			r.logger.Error("wal remove failed", "session", s.ID, "err", err)
-		}
+		r.forget(s)
 		ids = append(ids, s.ID)
 	}
 	sort.Strings(ids)
 	return ids
 }
 
-// retainOnExpiry reports whether an expiring session's record outlives
-// its engine: it does when durability is on and the session logged
-// anything.
-func (r *Registry) retainOnExpiry(s *Session) bool {
-	return r.cfg.WAL != nil && s.WALSeq() > 0
+// keep parks a stopped, claimed session's record: closing → recovered,
+// left in the table to serve retrace and catch-up until it is resumed
+// or forgotten. A session the registry dropped mid-teardown (Close) was
+// released there and stays gone.
+func (r *Registry) keep(s *Session) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sessions[s.ID] != s {
+		return
+	}
+	s.emitMu.Lock()
+	s.state = stateRecovered
+	s.emitMu.Unlock()
+	r.metrics.SessionsRetained.Add(1)
+}
+
+// release retires a session the table no longer holds: it goes to gone,
+// its remaining (catch-up) subscribers end, and a parked record leaves
+// the retained gauge. Its log stays on disk.
+func (r *Registry) release(s *Session) {
+	if s.end() == stateRecovered {
+		r.metrics.SessionsRetained.Add(-1)
+	}
+}
+
+// forget releases a session and deletes its log, so no restart
+// resurrects it.
+func (r *Registry) forget(s *Session) {
+	r.release(s)
+	if r.cfg.WAL == nil {
+		return
+	}
+	if err := r.cfg.WAL.Remove(s.ID); err != nil {
+		r.logger.Error("wal remove failed", "session", s.ID, "err", err)
+	}
 }
 
 // Close closes every session and refuses further opens. Retained WAL
@@ -1076,23 +943,12 @@ func (r *Registry) Close() {
 		sessions = append(sessions, s)
 		delete(r.sessions, id)
 	}
-	r.live = 0
-	r.idleQ, r.retainedQ = nil, nil
 	r.mu.Unlock()
 	for _, s := range sessions {
-		if s.Recovered() {
-			s.closeSubscribers()
-			r.metrics.SessionsRetained.Add(-1)
-			continue
-		}
-		if s.Closing() {
-			// A concurrent idle expiry owns this session's accounting;
-			// just make sure the teardown completes.
-			s.Close()
-			continue
-		}
+		// Close stops a live session, or waits out a park or expiry
+		// already tearing it down.
 		s.Close()
-		r.metrics.SessionsActive.Add(-1)
+		r.release(s)
 	}
 }
 

@@ -60,6 +60,37 @@ func SystemFor(base *core.System, geometry string, search *vote.SearchConfig) (*
 	return core.NewSystem(dep, cfg)
 }
 
+// ReplayLog feeds a recorded session's log, up to head (0 = all of it),
+// through rp the way the live pump fed its engine: each report is
+// offered, each flush or close record closes the open sweeps, and a
+// final flush closes whatever a torn or still-open log left open (a
+// no-op after a log whose last record already was a flush, so clean and
+// torn logs replay alike). each, when non-nil, sees every record before
+// it is applied. An error from each, an offer or the log read stops the
+// replay and is returned; a tag whose flush fails carries the failure
+// in its Results entry and stops emitting, as it did live.
+func ReplayLog(store *wal.Store, id string, head uint64, rp *engine.Replayer, each func(wal.Record) error) error {
+	err := store.Replay(id, head, func(rec wal.Record) error {
+		if each != nil {
+			if err := each(rec); err != nil {
+				return err
+			}
+		}
+		switch rec.Type {
+		case wal.RecordReport:
+			return rp.Offer(rec.Report)
+		case wal.RecordFlush, wal.RecordClose:
+			_ = rp.Flush() // a failing tag carries its error in Results
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	_ = rp.Flush() // as above
+	return nil
+}
+
 // searchToMeta / SearchFromMeta map a session's search override onto
 // the WAL meta encoding (Mode 0 = none, 1 = hierarchical, 2 = dense):
 // the record must carry the search it was traced under, or recovery and
@@ -133,10 +164,11 @@ func (s *Session) SubscribeFrom(from uint64, o SubscribeOptions) (*Subscriber, e
 // runCatchup is the catch-up subscriber's feeder goroutine: it replays
 // the WAL through a fresh pipeline up to head (0 = the whole log),
 // delivers the derived points with seq ≥ from, then splices the
-// subscriber onto the live stream (or ends it, for recovered sessions).
-// It is the sole closer of sub.ch.
-func (s *Session) runCatchup(sub *Subscriber, from, head uint64, recovered bool) {
-	err := s.feedCatchup(sub, from, head)
+// subscriber onto the live stream, or ends it when replayOnly (a
+// recovered session has no live stream). It is the sole closer of
+// sub.ch.
+func (s *Session) runCatchup(sub *Subscriber, from, head uint64, replayOnly bool) {
+	err := s.feedCatchup(sub, from, head, replayOnly)
 	if err != nil {
 		s.logger.Warn("catch-up replay failed", "err", err)
 	}
@@ -149,7 +181,7 @@ func (s *Session) runCatchup(sub *Subscriber, from, head uint64, recovered bool)
 		return
 	}
 	sub.catchingUp = false
-	if err != nil || recovered {
+	if err != nil || replayOnly {
 		// A recovered session has no live stream to splice onto; a
 		// failed replay must not silently splice over a gap. Both end
 		// the stream.
@@ -172,8 +204,8 @@ func (s *Session) runCatchup(sub *Subscriber, from, head uint64, recovered bool)
 
 // feedCatchup replays the log into the subscriber's queue. Sends block
 // (the replay is consumer-paced) but abort on detach or session close.
-func (s *Session) feedCatchup(sub *Subscriber, from, head uint64) error {
-	if head == 0 && !s.Recovered() {
+func (s *Session) feedCatchup(sub *Subscriber, from, head uint64, replayOnly bool) error {
+	if head == 0 && !replayOnly {
 		return nil // nothing recorded yet; splice immediately
 	}
 	sweep := time.Duration(s.sweepNs.Load())
@@ -210,23 +242,10 @@ func (s *Session) feedCatchup(sub *Subscriber, from, head uint64) error {
 			}
 		}
 	}
-	err = s.reg.cfg.WAL.Replay(s.ID, head, func(rec wal.Record) error {
+	err = ReplayLog(s.reg.cfg.WAL, s.ID, head, rp, func(rec wal.Record) error {
 		seq = rec.Seq
-		switch rec.Type {
-		case wal.RecordReport:
-			if err := rp.Offer(rec.Report); err != nil {
-				return err
-			}
-		case wal.RecordFlush, wal.RecordClose:
-			// A tag that fails here stops emitting points, as it did
-			// live; the catch-up stream carries on.
-			_ = rp.Flush()
-		}
 		return sendErr
 	})
-	if err == nil && sendErr == nil {
-		_ = rp.Flush()
-	}
 	if errors.Is(err, errCatchupCancelled) || errors.Is(sendErr, errCatchupCancelled) {
 		return nil // detach mid-replay is a clean end, not a failure
 	}
@@ -305,23 +324,13 @@ func (s *Session) Retrace(search *vote.SearchConfig) ([]engine.TagResult, uint64
 		return nil, 0, err
 	}
 	var last uint64
-	err = s.reg.cfg.WAL.Replay(s.ID, head, func(rec wal.Record) error {
+	err = ReplayLog(s.reg.cfg.WAL, s.ID, head, rp, func(rec wal.Record) error {
 		last = rec.Seq
-		switch rec.Type {
-		case wal.RecordReport:
-			return rp.Offer(rec.Report)
-		case wal.RecordFlush, wal.RecordClose:
-			_ = rp.Flush() // a tag's failure is in its Results entry
-		}
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	// A final flush closes any open sweep; after a log whose last record
-	// already was a flush it is a no-op (tracker flush idempotence), so
-	// clean and torn logs retrace alike.
-	_ = rp.Flush()
 	s.reg.metrics.Retraces.Add(1)
 	s.timeline.Record(obs.EventRetrace, "head="+strconv.FormatUint(head, 10))
 	s.touch() // retention clock: the record is in active use

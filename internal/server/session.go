@@ -61,41 +61,23 @@ type Session struct {
 	inbox    chan ingestItem
 	quit     chan struct{}
 	pumpDone chan struct{}
+	// stopOnce runs the teardown once; see stop.
+	stopOnce sync.Once
 
 	// lastActive is the idle-GC clock (unix nanos), touched by ingest,
 	// reader attach and subscriber attach.
 	lastActive atomic.Int64
 
-	// mu guards lifecycle state: closed, closing, recovered, readers.
-	mu     sync.Mutex
-	closed bool
-	// closing marks the session claimed by idle expiry: the registry set
-	// it atomically (under mu AND emitMu, with no readers or subscribers
-	// attached) before starting the teardown, so attach paths refuse
-	// instead of binding to a session mid-teardown. Because it is only
-	// ever written with both locks held, holding either suffices to read.
-	closing bool
-	// recovered marks a session serving from its retained WAL only: no
-	// pump, no engine, no ingest — rehydrated at startup or parked by
-	// idle expiry. quitOpen records whether quit still needs closing
-	// (false for sessions born recovered, whose quit starts closed).
-	recovered bool
-	quitOpen  bool
-	readers   map[net.Conn]struct{}
-	// closeOnce runs the shutdown exactly once; later Close calls wait.
-	closeOnce sync.Once
-
-	// emitMu guards subscribers and stroke state, written from engine
-	// shard goroutines (OnUpdate) and the pump. subsClosed flips when
-	// Close sweeps the subscriber table, so a racing Subscribe cannot
-	// add a queue nobody will ever close. replayAttachable gates WAL
-	// catch-up attaches on recovered sessions (their live table is
-	// already swept).
-	emitMu           sync.Mutex
-	subs             map[*Subscriber]struct{}
-	subsClosed       bool
-	replayAttachable bool
-	strokes          map[string]*stroke
+	// emitMu is the session lock. It guards the lifecycle state, the
+	// reader and subscriber sets (so every attach is checked against the
+	// state it lands in), and the stroke and group-commit state written
+	// from engine shard goroutines (OnUpdate) and the pump. Lock order:
+	// the registry lock, then this one.
+	emitMu  sync.Mutex
+	state   sessionState
+	readers map[net.Conn]struct{}
+	subs    map[*Subscriber]struct{}
+	strokes map[string]*stroke
 	// Group-commit state (guarded by emitMu except the channels): events
 	// bound for subscribers accumulate in emitBuf; emitKick (cap 1)
 	// nudges the emitFlusher goroutine, which swaps the buffer against
@@ -227,9 +209,8 @@ func sessionShell(reg *Registry, spec SessionSpec, resume resumeState) *Session 
 		walPolicy:  spec.WAL,
 		resumeFrom: resume.from,
 		reg:        reg,
-		inbox:      make(chan ingestItem, reg.cfg.IngestBuffer),
+		inbox:      make(chan ingestItem, ingestBuffer),
 		quit:       make(chan struct{}),
-		quitOpen:   true,
 		pumpDone:   make(chan struct{}),
 		readers:    map[net.Conn]struct{}{},
 		subs:       map[*Subscriber]struct{}{},
@@ -262,29 +243,25 @@ func sessionShell(reg *Registry, spec SessionSpec, resume resumeState) *Session 
 // WAL at daemon startup: a registry entry with no pump and no engine,
 // addressable for retrace and ?from catch-up replay.
 func newRecoveredSession(reg *Registry, meta wal.Meta, stats wal.Stats) *Session {
-	quit := make(chan struct{})
-	close(quit)
-	pumpDone := make(chan struct{})
-	close(pumpDone)
+	done := make(chan struct{})
+	close(done)
 	s := &Session{
-		ID:               meta.ID,
-		Created:          meta.Created,
-		geometry:         meta.Geometry,
-		search:           SearchFromMeta(meta.Search),
-		reg:              reg,
-		quit:             quit,
-		pumpDone:         pumpDone,
-		closed:           true,
-		recovered:        true,
-		replayAttachable: true,
-		subsClosed:       true,
-		readers:          map[net.Conn]struct{}{},
-		subs:             map[*Subscriber]struct{}{},
-		logger:           reg.logger.With("session", meta.ID),
-		stripe:           reg.nextStripe(),
-		timeline:         &obs.Timeline{},
-		spans:            &obs.SpanRing{},
+		ID:       meta.ID,
+		Created:  meta.Created,
+		geometry: meta.Geometry,
+		search:   SearchFromMeta(meta.Search),
+		reg:      reg,
+		quit:     done,
+		pumpDone: done,
+		state:    stateRecovered,
+		readers:  map[net.Conn]struct{}{},
+		subs:     map[*Subscriber]struct{}{},
+		logger:   reg.logger.With("session", meta.ID),
+		stripe:   reg.nextStripe(),
+		timeline: &obs.Timeline{},
+		spans:    &obs.SpanRing{},
 	}
+	s.stopOnce.Do(func() {}) // its daemon stopped it before the restart
 	s.timeline.Record(obs.EventRecover, "last_seq="+strconv.FormatUint(stats.LastSeq, 10))
 	s.walSeq.Store(stats.LastSeq)
 	s.sweepNs.Store(int64(meta.Sweep))
@@ -306,33 +283,55 @@ func (s *Session) Search() *vote.SearchConfig {
 	return &cp
 }
 
-// Recovered reports whether the session serves from its retained WAL
-// only (no live pump or engine).
-func (s *Session) Recovered() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recovered
+// sessionState is a session's lifecycle phase. It changes only under
+// the session lock, along these edges:
+//
+//	live ──claim──▶ closing ──keep──▶ recovered ──release──▶ gone
+//	 │                 └───────────release───────────────────▶ gone
+//	 └──Close (unclaimed)────────────────────────────────────▶ gone
+//
+// claim is park or idle expiry taking over the teardown; release is the
+// registry dropping the entry (Remove, expiry, Resume, Registry.Close).
+// A session rehydrated from its log at startup is born recovered.
+type sessionState uint8
+
+const (
+	// stateLive: pump and engine run; every attach is admitted.
+	stateLive sessionState = iota
+	// stateClosing: park or idle expiry claimed the session and owns its
+	// teardown; every attach is refused.
+	stateClosing
+	// stateRecovered: the session serves its retained log only (retrace
+	// and catch-up attaches); no pump, engine or ingest.
+	stateRecovered
+	// stateGone: closed or forgotten; every attach is refused.
+	stateGone
+)
+
+// lifecycle reads the session's state.
+func (s *Session) lifecycle() sessionState {
+	s.emitMu.Lock()
+	defer s.emitMu.Unlock()
+	return s.state
 }
 
-// Closing reports whether idle expiry has claimed the session and its
-// teardown is in flight (but not yet parked or removed).
-func (s *Session) Closing() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closing && !s.recovered
-}
+// Recovered reports whether the session serves from its retained WAL
+// only (no live pump or engine).
+func (s *Session) Recovered() bool { return s.lifecycle() == stateRecovered }
+
+// Closing reports whether park or idle expiry has claimed the session
+// and its teardown is in flight (but not yet parked or removed).
+func (s *Session) Closing() bool { return s.lifecycle() == stateClosing }
 
 // State names the session's lifecycle phase for the control API.
 func (s *Session) State() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case s.recovered:
-		return "recovered"
-	case s.closed, s.closing:
-		return "closed"
-	default:
+	switch s.lifecycle() {
+	case stateLive:
 		return "live"
+	case stateRecovered:
+		return "recovered"
+	default:
+		return "closed"
 	}
 }
 
@@ -343,12 +342,12 @@ func (s *Session) touch() { s.lastActive.Store(time.Now().UnixNano()) }
 func (s *Session) idleSince() time.Time { return time.Unix(0, s.lastActive.Load()) }
 
 // addReader registers an ingest connection so session close also closes
-// the wire. Attaches to a session idle expiry has claimed are refused —
-// the connection must not be bound to an engine mid-teardown.
+// the wire. Only a live session admits one: the connection must not be
+// bound to an engine mid-teardown.
 func (s *Session) addReader(conn net.Conn) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.closing {
+	s.emitMu.Lock()
+	defer s.emitMu.Unlock()
+	if s.state != stateLive {
 		return ErrSessionClosed
 	}
 	s.readers[conn] = struct{}{}
@@ -357,131 +356,105 @@ func (s *Session) addReader(conn net.Conn) error {
 }
 
 func (s *Session) removeReader(conn net.Conn) {
-	s.mu.Lock()
+	s.emitMu.Lock()
 	delete(s.readers, conn)
-	s.mu.Unlock()
+	s.emitMu.Unlock()
 }
 
 // Readers reports the connected reader count.
 func (s *Session) Readers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.emitMu.Lock()
+	defer s.emitMu.Unlock()
 	return len(s.readers)
 }
 
-// claimExpiry atomically claims an idle-expirable session for teardown:
-// holding BOTH lifecycle locks it re-checks the expiry conditions (no
-// recent activity, no readers, no subscribers) and, if they hold, marks
-// the session closing so every attach path refuses from this instant on.
-// This closes the check-then-close race where an ingest attach or a new
-// subscriber landing between an expiry check and the teardown was bound
-// to a session mid-teardown: now either the attach wins (and the claim
-// fails, leaving the session alive) or the claim wins (and the attach is
-// refused with ErrSessionClosed).
-func (s *Session) claimExpiry(now time.Time, idle time.Duration) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// claim moves a live session to closing for park or idle expiry; from
+// that instant every attach refuses, and the claimer owns the teardown.
+// With idle > 0 it claims only an expirable session: untouched for
+// longer than idle before now (read off the atomic stamp before taking
+// the lock, so a busy table costs the expiry scan no locking) and with
+// no reader or subscriber attached (checked under the lock the attaches
+// take, so an attach racing the expiry either keeps the session alive or
+// is refused). idle 0 claims any live session: park disconnects
+// whatever is attached.
+func (s *Session) claim(now time.Time, idle time.Duration) bool {
+	if idle > 0 && now.Sub(s.idleSince()) <= idle {
+		return false
+	}
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	if s.closed || s.closing || s.recovered {
+	if s.state != stateLive || idle > 0 && (len(s.readers) > 0 || len(s.subs) > 0) {
 		return false
 	}
-	if now.Sub(s.idleSince()) <= idle {
-		return false
-	}
-	if len(s.readers) > 0 || len(s.subs) > 0 {
-		return false
-	}
-	s.closing = true
+	s.state = stateClosing
 	return true
 }
 
-// claimPark atomically claims a live session for parking. Unlike
-// claimExpiry it ignores activity, readers and subscribers — parking is
-// deliberate load shedding, so attached consumers are disconnected —
-// but like it, once the claim lands every attach path refuses, so
-// nothing binds to the session mid-teardown.
-func (s *Session) claimPark() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Close tears the session down: an unclaimed live session goes to gone
+// and is stopped; a claimed one (park, idle expiry) is stopped if its
+// claimer has not got there yet. Idempotent and safe to call
+// concurrently; every caller returns after the teardown has completed.
+func (s *Session) Close() {
 	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	if s.closed || s.closing || s.recovered {
-		return false
+	if s.state == stateLive {
+		s.state = stateGone
 	}
-	s.closing = true
-	return true
-}
-
-// enterRecovered parks a fully closed WAL-backed session in the
-// recovered state: retained in the registry, addressable for retrace and
-// catch-up replay, holding no engine or goroutines.
-func (s *Session) enterRecovered() {
-	s.mu.Lock()
-	s.recovered = true
-	s.mu.Unlock()
-	s.emitMu.Lock()
-	s.replayAttachable = true
 	s.emitMu.Unlock()
+	s.stop()
 }
 
-// closeSubscribers refuses every further attach, live or catch-up, and
-// detaches every subscriber. Close runs it after the final flush; the
-// registry runs it alone to tear down a recovered session, whose
-// closeOnce the park already consumed. Idempotent.
-func (s *Session) closeSubscribers() {
+// stop ends a session that has left live (claimed or closed): the pump
+// drains pending ingest, flushes and closes the engine and its log,
+// reader connections close, subscribers get everything up to the final
+// "end" event before their queues close, and the session's counters
+// roll into the registry's retired totals. It runs once; later callers
+// wait for it to complete.
+func (s *Session) stop() { s.stopOnce.Do(s.teardown) }
+
+func (s *Session) teardown() {
 	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	s.subsClosed = true
-	s.replayAttachable = false
+	conns := make([]net.Conn, 0, len(s.readers))
+	for c := range s.readers {
+		conns = append(conns, c)
+	}
+	s.emitMu.Unlock()
+	close(s.quit)
+	for _, c := range conns {
+		c.Close()
+	}
+	<-s.pumpDone
+	// The pump's final "end" event is in the group-commit buffer; retire
+	// the flusher (it drains on the way out) before ending the
+	// subscribers, so they get everything, end included.
+	close(s.emitQuit)
+	<-s.emitDone
+	s.emitMu.Lock()
 	for sub := range s.subs {
 		s.detachLocked(sub)
 	}
+	s.emitMu.Unlock()
+	// Roll the final counts into the monotonic retired counters (the
+	// pump's quit path refreshed them just before closing the engine);
+	// Swap prevents double-counting with a concurrent /metrics sum.
+	s.reg.metrics.SearchEvalsRetired.Add(s.searchEvals.Swap(0))
+	s.reg.metrics.LeaderSwitchesRetired.Add(s.leaderSwitches.Swap(0))
+	s.reg.metrics.RetirementsRetired.Add(s.retirements.Swap(0))
+	s.hypotheses.Store(0)
+	s.reg.metrics.SessionsActive.Add(-1)
+	s.reg.metrics.SessionsClosed.Add(1)
 }
 
-// Close tears the session down: stops the pump (which drains pending
-// ingest, flushes and closes the engine), disconnects readers, emits a
-// final "end" event and closes every subscriber queue. It is idempotent
-// and safe to call concurrently; every caller returns after the shutdown
-// has completed.
-func (s *Session) Close() {
-	s.closeOnce.Do(func() {
-		s.mu.Lock()
-		s.closed = true
-		quitOpen := s.quitOpen
-		s.quitOpen = false
-		conns := make([]net.Conn, 0, len(s.readers))
-		for c := range s.readers {
-			conns = append(conns, c)
-		}
-		s.mu.Unlock()
-		if quitOpen {
-			close(s.quit)
-		}
-		for _, c := range conns {
-			c.Close()
-		}
-		<-s.pumpDone
-		// The pump's final "end" event is in the group-commit buffer;
-		// retire the flusher (it drains on the way out) before sweeping
-		// the subscriber table, so subscribers get everything — end
-		// included — ahead of their queues closing.
-		if s.emitQuit != nil {
-			close(s.emitQuit)
-			<-s.emitDone
-		}
-		s.closeSubscribers()
-		// Roll the final counts into the monotonic retired counters
-		// (the pump's quit path refreshed them just before closing the
-		// engine); Swap prevents double-counting with a concurrent
-		// /metrics sum.
-		s.reg.metrics.SearchEvalsRetired.Add(s.searchEvals.Swap(0))
-		s.reg.metrics.LeaderSwitchesRetired.Add(s.leaderSwitches.Swap(0))
-		s.reg.metrics.RetirementsRetired.Add(s.retirements.Swap(0))
-		s.hypotheses.Store(0)
-		s.reg.metrics.SessionsClosed.Add(1)
-	})
-	<-s.pumpDone
+// end moves the session to gone and ends its remaining subscribers'
+// streams, reporting the state it left.
+func (s *Session) end() sessionState {
+	s.emitMu.Lock()
+	defer s.emitMu.Unlock()
+	was := s.state
+	s.state = stateGone
+	for sub := range s.subs {
+		s.detachLocked(sub)
+	}
+	return was
 }
 
 // Spans returns the session's retained sampled spans, oldest first.

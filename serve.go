@@ -60,11 +60,12 @@ type ServeConfig struct {
 	// cross-reader skew. Default 25ms.
 	ReorderWindow time.Duration
 
-	// Capacity calibrates the admission layer's congestion score: each
-	// per-session demand signal (search evaluations/s, WAL bytes/s,
-	// late-report rate, subscriber backlog) is normalized against these
-	// and the node score is the worst component. Zero fields take
-	// generous defaults sized for a single modern core.
+	// Capacity calibrates the admission layer's congestion score: the
+	// search-evaluation rate is normalized against its budget, the
+	// other demand signals (WAL bytes/s, late-report rate, subscriber
+	// backlog, tier downgrades) against fixed ones, and the node score
+	// is the worst component. Zero takes a generous default sized for a
+	// single modern core.
 	Capacity CostCapacity
 	// ShedThreshold is the congestion score at or above which new
 	// sessions are refused with HTTP 429 + Retry-After. 0 takes the
@@ -106,8 +107,8 @@ type ServeConfig struct {
 // The serving layer's public types are the serving package's own, one
 // definition each.
 type (
-	// CostCapacity is the congestion score's normalization basis: how
-	// much of each resource this node is provisioned for.
+	// CostCapacity is the congestion score's tunable budget: how many
+	// search evaluations per second this node is provisioned for.
 	CostCapacity = server.Capacity
 	// Server is a running rfidrawd serving layer bound to a System:
 	// Start (or Serve) binds it, Close stops it and closes every
