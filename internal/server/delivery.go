@@ -341,7 +341,7 @@ func (s *Session) newSubscriber(o SubscribeOptions, catchup bool) *Subscriber {
 // existing subscribers first: the newcomer's stream starts strictly at
 // its attach point. Requires emitMu.
 func (s *Session) attachLocked(sub *Subscriber) error {
-	if s.state != stateLive && !(sub.catchingUp && s.state == stateRecovered) {
+	if st := s.lifecycle(); st != stateLive && !(sub.catchingUp && st == stateRecovered) {
 		return ErrSessionClosed
 	}
 	if len(s.subs) >= s.reg.cfg.MaxSubscribers {

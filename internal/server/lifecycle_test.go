@@ -7,20 +7,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rfidraw/internal/realtime"
 )
-
-// liveCount counts the registry's live sessions under its lock.
-func (r *Registry) liveCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.liveLocked())
-}
 
 // lifecycleCounts is the bookkeeping a lifecycle verb may move: the
 // live-slot count and the session, subscriber, shed and retrace metrics.
@@ -31,7 +26,7 @@ type lifecycleCounts struct {
 func countLifecycle(reg *Registry) lifecycleCounts {
 	m := reg.Metrics()
 	return lifecycleCounts{
-		live:     int64(reg.liveCount()),
+		live:     reg.live.Load(),
 		active:   m.SessionsActive.Load(),
 		retained: m.SessionsRetained.Load(),
 		closed:   m.SessionsClosed.Load(),
@@ -364,6 +359,21 @@ func TestLifecycleTransitions(t *testing.T) {
 		}
 	}
 	t.Run("closing/attach", attachRacingClose)
+	t.Run("expiring/attach and detach", attachDetachRacingExpiry)
+	t.Run("full/resume", func(t *testing.T) {
+		// Resume takes a MaxSessions slot as an open does: on a full node
+		// the record stays parked and the refusal counts as shed.
+		dir := t.TempDir()
+		copyTree(t, record, dir)
+		c := &lifecycleCell{t: t, reg: walControlRegistry(t, dir, RegistryConfig{MaxSessions: 1})}
+		c.sess, _ = c.reg.Get(lifecycleID)
+		if _, err := c.reg.Open(SessionSpec{ID: "other"}); err != nil {
+			t.Fatal(err)
+		}
+		before := countLifecycle(c.reg)
+		_, err := c.reg.Resume(lifecycleID)
+		c.check(err, before, with(stays(ErrSessionLimit, "recovered"), lifecycleCounts{shed: 1}))
+	})
 	t.Run("deleting/pressure park", func(t *testing.T) {
 		// A pressure-park candidate deleted between the candidate scan and
 		// its park: Remove has taken the entry out of the table but not yet
@@ -377,8 +387,7 @@ func TestLifecycleTransitions(t *testing.T) {
 		err := c.reg.parkSession(c.sess, "pressure")
 		c.sess.Close()
 		c.reg.forget(c.sess)
-		c.check(err, before, lifecycleOutcome{err: ErrUnknownSession, entry: "absent", state: "closed",
-			delta: lifecycleCounts{active: -1, closed: 1}})
+		c.check(err, before, lifecycleOutcome{err: ErrUnknownSession, entry: "absent", state: "closed", delta: stopLive})
 	})
 }
 
@@ -451,6 +460,58 @@ func attachRacingClose(t *testing.T) {
 	<-closed
 }
 
+// attachDetachRacingExpiry is the row for a reader that attaches and
+// detaches between idle expiry's first, lock-free look at a session and
+// its claim under the session lock. The test holds that lock while the
+// claim waits for it and plays the attach and the detach under it, as
+// addReader and removeReader do: the claim must see the refreshed
+// activity stamp and leave the session live.
+func attachDetachRacingExpiry(t *testing.T) {
+	reg := testRegistry(t, RegistryConfig{NoRecognize: true})
+	s, err := reg.Open(SessionSpec{ID: "busy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	s.lastActive.Store(now.Add(-time.Hour).UnixNano())
+	s.emitMu.Lock()
+	claimed := make(chan bool)
+	go func() { claimed <- s.claim(now, time.Minute) }()
+	if !awaitBlocked("(*Session).claim") {
+		s.emitMu.Unlock()
+		t.Fatal("the claim never waited for the session lock")
+	}
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	defer conn.Close()
+	s.readers[conn] = struct{}{}
+	s.touch()
+	delete(s.readers, conn)
+	s.emitMu.Unlock()
+	if <-claimed {
+		t.Error("idle expiry claimed a session that was attached to after its first look")
+	}
+	if got := s.State(); got != "live" {
+		t.Errorf("session state = %s, want live", got)
+	}
+}
+
+// awaitBlocked waits up to 10 s for a goroutine running fn to park on
+// a mutex, reporting whether one did.
+func awaitBlocked(fn string) bool {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			header, _, _ := strings.Cut(g, "\n")
+			if strings.Contains(header, "[sync.Mutex.Lock") && strings.Contains(g, fn) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestLifecycleVerbsRace races the lifecycle verbs against one durable
 // session — park, delete, idle expiry, unclaimed close, subscribe and
 // reader attach — and checks, once they all return, that the
@@ -520,6 +581,9 @@ func TestLifecycleVerbsRace(t *testing.T) {
 		if !inTable {
 			subs += int64(sess.Subscribers())
 		}
+		if reg.live.Load() != live {
+			t.Fatalf("iteration %d: live count %d, table says %d", i, reg.live.Load(), live)
+		}
 		m := reg.Metrics()
 		if m.SessionsActive.Load() != live || m.SessionsRetained.Load() != retained || m.SubscribersActive.Load() != subs {
 			t.Fatalf("iteration %d: active/retained/subscribers gauges %d/%d/%d, table says %d/%d/%d",
@@ -531,5 +595,48 @@ func TestLifecycleVerbsRace(t *testing.T) {
 		reg.Remove(id)
 		conn.Close()
 		peer.Close()
+	}
+}
+
+// BenchmarkTableScan times the registry's whole-table walks on a table
+// of retained records, as a daemon that keeps every parked record
+// (-retain 0, the default) accumulates, plus eight live sessions: a
+// quiet idle-expiry and retained-expiry tick, Open's admission check
+// (made twice per Open) and the congestion refresh. The records are
+// bare table entries: the walks read only the entry's state and stamp.
+func BenchmarkTableScan(b *testing.B) {
+	for _, retained := range []int{1000, 10000} {
+		reg := walControlRegistry(b, b.TempDir(), RegistryConfig{MaxSessions: 64})
+		for i := 0; i < 8; i++ {
+			if _, err := reg.Open(SessionSpec{ID: fmt.Sprintf("live-%d", i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reg.mu.Lock()
+		for i := 0; i < retained; i++ {
+			s := &Session{ID: fmt.Sprintf("kept-%d", i), reg: reg}
+			s.state.Store(uint32(stateRecovered))
+			s.stopOnce.Do(func() {})
+			s.touch()
+			reg.sessions[s.ID] = s
+		}
+		reg.mu.Unlock()
+		walks := []struct {
+			name string
+			walk func(now time.Time)
+		}{
+			{"expire-idle", func(now time.Time) { reg.ExpireIdle(now, time.Hour) }},
+			{"expire-retained", func(now time.Time) { reg.ExpireRetained(now, time.Hour) }},
+			{"admit", func(time.Time) { reg.admitLocked("absent") }},
+			{"congestion", func(now time.Time) { reg.RefreshCongestion(now) }},
+		}
+		for _, w := range walks {
+			b.Run(fmt.Sprintf("%s/retained=%d", w.name, retained), func(b *testing.B) {
+				now := time.Now()
+				for range b.N {
+					w.walk(now)
+				}
+			})
+		}
 	}
 }

@@ -362,6 +362,11 @@ type Registry struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
 	closed   bool
+	// live counts the sessions in the live state: a session takes a slot
+	// when it is built (under mu, by Open or Resume) and gives it back in
+	// Session.moveLocked, the one place a session leaves live. Admission
+	// reads it in O(1) however many retained records the table holds.
+	live atomic.Int64
 
 	// scoreMu guards the cached congestion score (see cost.go).
 	scoreMu sync.Mutex
@@ -537,15 +542,15 @@ func (r *Registry) admitLockedUnsafe(id string) error {
 		// record (or resume it) before reusing one.
 		return ErrSessionExists
 	}
-	if len(r.liveLocked()) >= r.cfg.MaxSessions {
+	if r.live.Load() >= int64(r.cfg.MaxSessions) {
 		r.metrics.Shed.Add(1)
 		return ErrSessionLimit
 	}
 	return nil
 }
 
-// liveLocked lists the table's live sessions: the ones holding a
-// MaxSessions slot, sampled for congestion and eligible for parking.
+// liveLocked lists the table's live sessions: the ones sampled for
+// congestion and eligible for parking. It takes no session lock.
 // Caller holds r.mu.
 func (r *Registry) liveLocked() []*Session {
 	var live []*Session
@@ -785,7 +790,7 @@ func (r *Registry) Resume(id string) (*Session, error) {
 		return nil, ErrNotParked
 	case r.cfg.WAL == nil:
 		return nil, ErrNoWAL
-	case len(r.liveLocked()) >= r.cfg.MaxSessions:
+	case r.live.Load() >= int64(r.cfg.MaxSessions):
 		r.metrics.Shed.Add(1)
 		return nil, ErrSessionLimit
 	}
@@ -811,8 +816,8 @@ func (r *Registry) Resume(id string) (*Session, error) {
 
 // ExpireIdle closes sessions idle beyond the timeout (no ingest
 // activity, readers or subscribers), returning their IDs. It scans the
-// table and claims each idle session (Session.claim, which skips on the
-// atomic activity stamp whatever was touched recently), so an attach
+// table and claims each idle session (Session.claim, which skips without
+// locking whatever is not live or was touched recently), so an attach
 // racing the expiry either keeps the session alive or is refused, never
 // bound to a session mid-teardown. WAL-backed sessions that recorded
 // anything are parked in the registry as "recovered" (the engine is
@@ -902,7 +907,7 @@ func (r *Registry) keep(s *Session) {
 		return
 	}
 	s.emitMu.Lock()
-	s.state = stateRecovered
+	s.moveLocked(stateRecovered)
 	s.emitMu.Unlock()
 	r.metrics.SessionsRetained.Add(1)
 }

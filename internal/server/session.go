@@ -68,13 +68,16 @@ type Session struct {
 	// reader attach and subscriber attach.
 	lastActive atomic.Int64
 
-	// emitMu is the session lock. It guards the lifecycle state, the
-	// reader and subscriber sets (so every attach is checked against the
-	// state it lands in), and the stroke and group-commit state written
-	// from engine shard goroutines (OnUpdate) and the pump. Lock order:
-	// the registry lock, then this one.
-	emitMu  sync.Mutex
-	state   sessionState
+	// emitMu is the session lock. It serializes the lifecycle state's
+	// transitions, guards the reader and subscriber sets (so every attach
+	// is checked against the state it lands in), and the stroke and
+	// group-commit state written from engine shard goroutines (OnUpdate)
+	// and the pump. Lock order: the registry lock, then this one.
+	emitMu sync.Mutex
+	// state holds a sessionState. It is written only under emitMu but
+	// loaded without it, so the registry can scan its table under its own
+	// lock without waiting on any session's emit path.
+	state   atomic.Uint32
 	readers map[net.Conn]struct{}
 	subs    map[*Subscriber]struct{}
 	strokes map[string]*stroke
@@ -198,9 +201,10 @@ func newSession(reg *Registry, spec SessionSpec, resume resumeState) *Session {
 	return s
 }
 
-// sessionShell builds a live session's state without starting its pump
-// and emit flusher goroutines.
+// sessionShell builds a live session's state, taking a MaxSessions
+// slot, without starting its pump and emit flusher goroutines.
 func sessionShell(reg *Registry, spec SessionSpec, resume resumeState) *Session {
+	reg.live.Add(1)
 	s := &Session{
 		ID:         spec.ID,
 		Created:    time.Now(),
@@ -253,7 +257,6 @@ func newRecoveredSession(reg *Registry, meta wal.Meta, stats wal.Stats) *Session
 		reg:      reg,
 		quit:     done,
 		pumpDone: done,
-		state:    stateRecovered,
 		readers:  map[net.Conn]struct{}{},
 		subs:     map[*Subscriber]struct{}{},
 		logger:   reg.logger.With("session", meta.ID),
@@ -261,6 +264,7 @@ func newRecoveredSession(reg *Registry, meta wal.Meta, stats wal.Stats) *Session
 		timeline: &obs.Timeline{},
 		spans:    &obs.SpanRing{},
 	}
+	s.state.Store(uint32(stateRecovered))
 	s.stopOnce.Do(func() {}) // its daemon stopped it before the restart
 	s.timeline.Record(obs.EventRecover, "last_seq="+strconv.FormatUint(stats.LastSeq, 10))
 	s.walSeq.Store(stats.LastSeq)
@@ -308,11 +312,17 @@ const (
 	stateGone
 )
 
-// lifecycle reads the session's state.
-func (s *Session) lifecycle() sessionState {
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	return s.state
+// lifecycle reads the session's state; it takes no lock.
+func (s *Session) lifecycle() sessionState { return sessionState(s.state.Load()) }
+
+// moveLocked moves the session to state to, giving back its MaxSessions
+// slot when it leaves live (no edge leads back: resume builds a new
+// session). Caller holds emitMu.
+func (s *Session) moveLocked(to sessionState) {
+	if s.lifecycle() == stateLive {
+		s.reg.live.Add(-1)
+	}
+	s.state.Store(uint32(to))
 }
 
 // Recovered reports whether the session serves from its retained WAL
@@ -347,7 +357,7 @@ func (s *Session) idleSince() time.Time { return time.Unix(0, s.lastActive.Load(
 func (s *Session) addReader(conn net.Conn) error {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	if s.state != stateLive {
+	if s.lifecycle() != stateLive {
 		return ErrSessionClosed
 	}
 	s.readers[conn] = struct{}{}
@@ -371,22 +381,26 @@ func (s *Session) Readers() int {
 // claim moves a live session to closing for park or idle expiry; from
 // that instant every attach refuses, and the claimer owns the teardown.
 // With idle > 0 it claims only an expirable session: untouched for
-// longer than idle before now (read off the atomic stamp before taking
-// the lock, so a busy table costs the expiry scan no locking) and with
-// no reader or subscriber attached (checked under the lock the attaches
-// take, so an attach racing the expiry either keeps the session alive or
-// is refused). idle 0 claims any live session: park disconnects
-// whatever is attached.
+// longer than idle before now and with no reader or subscriber attached.
+// A first look at the atomic state and stamp skips, without locking,
+// whatever the expiry scan cannot claim; the decision is then re-made
+// under the lock the attaches take, so an attach racing the expiry
+// (even one that has detached again since the first look) either keeps
+// the session alive or is refused. idle 0 claims any live session: park
+// disconnects whatever is attached.
 func (s *Session) claim(now time.Time, idle time.Duration) bool {
-	if idle > 0 && now.Sub(s.idleSince()) <= idle {
+	expirable := func() bool {
+		return s.lifecycle() == stateLive && (idle == 0 || now.Sub(s.idleSince()) > idle)
+	}
+	if !expirable() {
 		return false
 	}
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	if s.state != stateLive || idle > 0 && (len(s.readers) > 0 || len(s.subs) > 0) {
+	if !expirable() || idle > 0 && (len(s.readers) > 0 || len(s.subs) > 0) {
 		return false
 	}
-	s.state = stateClosing
+	s.moveLocked(stateClosing)
 	return true
 }
 
@@ -396,8 +410,8 @@ func (s *Session) claim(now time.Time, idle time.Duration) bool {
 // concurrently; every caller returns after the teardown has completed.
 func (s *Session) Close() {
 	s.emitMu.Lock()
-	if s.state == stateLive {
-		s.state = stateGone
+	if s.lifecycle() == stateLive {
+		s.moveLocked(stateGone)
 	}
 	s.emitMu.Unlock()
 	s.stop()
@@ -449,8 +463,8 @@ func (s *Session) teardown() {
 func (s *Session) end() sessionState {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	was := s.state
-	s.state = stateGone
+	was := s.lifecycle()
+	s.moveLocked(stateGone)
 	for sub := range s.subs {
 		s.detachLocked(sub)
 	}

@@ -323,8 +323,8 @@ func TestExpiryParksDurableSessions(t *testing.T) {
 		}
 	}
 	// Expiry freed the admission slot.
-	if reg.liveCount() != 0 {
-		t.Fatalf("live count = %d after expiry", reg.liveCount())
+	if reg.live.Load() != 0 {
+		t.Fatalf("live count = %d after expiry", reg.live.Load())
 	}
 }
 
