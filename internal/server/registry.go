@@ -755,9 +755,9 @@ func (r *Registry) parkSession(s *Session, reason string) error {
 		return ErrUnknownSession
 	}
 	if !s.claim(time.Time{}, 0) {
-		recovered := s.Recovered()
+		parked := s.Recovered()
 		r.mu.Unlock()
-		if recovered {
+		if parked {
 			return nil // already parked: the verb is idempotent
 		}
 		return ErrNotLive
