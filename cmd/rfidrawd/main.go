@@ -58,6 +58,7 @@ import (
 
 	"rfidraw"
 	"rfidraw/internal/obs"
+	"rfidraw/internal/server"
 )
 
 // daemonFlags is every tunable the command line exposes, validated as
@@ -153,12 +154,6 @@ func (f daemonFlags) validate() error {
 	if f.queue < 1 {
 		return fmt.Errorf("-queue %d needs at least one slot", f.queue)
 	}
-	if f.idle <= 0 {
-		return fmt.Errorf("-idle %v must be positive", f.idle)
-	}
-	if f.retain < 0 {
-		return fmt.Errorf("-retain %v must be zero (forever) or positive", f.retain)
-	}
 	if f.reorder <= 0 {
 		return fmt.Errorf("-reorder %v must be positive", f.reorder)
 	}
@@ -168,26 +163,29 @@ func (f daemonFlags) validate() error {
 	if f.walSync < 1 {
 		return fmt.Errorf("-wal-sync %d must be at least 1 (sync every append)", f.walSync)
 	}
-	if f.evalCapacity < 0 {
-		return fmt.Errorf("-eval-capacity %v must be non-negative (0 = default)", f.evalCapacity)
-	}
-	if f.shedAt > 0 && f.parkAt > 0 && f.parkAt >= f.shedAt {
-		return fmt.Errorf("-park-at %v should sit below -shed-at %v: parking is the relief valve before shedding", f.parkAt, f.shedAt)
-	}
-	if f.traceSampleN < 0 {
-		return fmt.Errorf("-trace-sample-n %d must be non-negative (0 disables)", f.traceSampleN)
-	}
 	switch f.logFormat {
 	case "text", "json":
 	default:
 		return fmt.Errorf("-log-format %q must be text or json", f.logFormat)
 	}
-	switch f.logLevel {
-	case "debug", "info", "warn", "warning", "error":
-	default:
-		return fmt.Errorf("-log-level %q must be debug, info, warn or error", f.logLevel)
+	// The runtime-knob flags pass the same rules as a control-plane patch.
+	if _, err := f.knobs().Validate(); err != nil {
+		return fmt.Errorf("runtime knobs (-idle, -retain, -shed-at, -park-at, -eval-capacity, -trace-sample-n, -log-level): %w", err)
 	}
 	return nil
+}
+
+// knobs is the runtime-knob record the flags seed.
+func (f daemonFlags) knobs() server.Knobs {
+	return server.Knobs{
+		IdleMS:        f.idle.Milliseconds(),
+		RetainMS:      f.retain.Milliseconds(),
+		ShedThreshold: f.shedAt,
+		ParkThreshold: f.parkAt,
+		Capacity:      server.Capacity{SearchEvalsPerSec: f.evalCapacity},
+		TraceSampleN:  f.traceSampleN,
+		LogLevel:      f.logLevel,
+	}
 }
 
 // buildLogger assembles the daemon's structured logger: a level gate the
@@ -195,7 +193,7 @@ func (f daemonFlags) validate() error {
 // stderr.
 func buildLogger(f daemonFlags) (*slog.Logger, *slog.LevelVar, error) {
 	level := new(slog.LevelVar)
-	switch f.logLevel {
+	switch strings.ToLower(f.logLevel) {
 	case "debug":
 		level.Set(slog.LevelDebug)
 	case "info":

@@ -46,6 +46,9 @@ func TestValidateFlags(t *testing.T) {
 		{"zero wal-sync", func(f *daemonFlags) { f.walSync = 0 }},
 		{"negative eval capacity", func(f *daemonFlags) { f.evalCapacity = -1 }},
 		{"park above shed", func(f *daemonFlags) { f.shedAt = 0.5; f.parkAt = 0.9 }},
+		{"park above default shed", func(f *daemonFlags) { f.parkAt = 0.95 }},
+		{"default park above shed", func(f *daemonFlags) { f.shedAt = 0.5 }},
+		{"sub-millisecond idle", func(f *daemonFlags) { f.idle = 500 * time.Microsecond }},
 		{"negative trace sample", func(f *daemonFlags) { f.traceSampleN = -1 }},
 		{"bad log format", func(f *daemonFlags) { f.logFormat = "xml" }},
 		{"bad log level", func(f *daemonFlags) { f.logLevel = "shouting" }},

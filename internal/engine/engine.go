@@ -67,16 +67,11 @@ type Config struct {
 	// the streaming path (Offer). With Gen-2 singulation splitting
 	// airtime across T tags, this is T × the reader's raw sweep period.
 	SweepInterval time.Duration
-	// MaxPhaseAge, WarmupSamples, MaxAcquireBuffer, ReacquireVote and
-	// ReacquireWindow are forwarded to each per-tag realtime tracker;
-	// zero values take the realtime package defaults. MaxAcquireBuffer
-	// bounds each tag's warmup sample buffer, and with it the per-tag
-	// memory a serving deployment commits to unacquirable tags.
-	MaxPhaseAge      time.Duration
-	WarmupSamples    int
+	// MaxAcquireBuffer is forwarded to each per-tag realtime tracker (0
+	// takes its default): it bounds each tag's warmup sample buffer, and
+	// with it the per-tag memory a serving deployment commits to
+	// unacquirable tags.
 	MaxAcquireBuffer int
-	ReacquireVote    float64
-	ReacquireWindow  int
 	// RecordTrace keeps every streamed tag's full hypothesis
 	// trajectories so TraceResults can materialize batch-equivalent
 	// outcomes. Memory then grows with stream length — meant for

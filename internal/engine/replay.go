@@ -71,15 +71,9 @@ func resolveSystem(cfg Config) (*core.System, error) {
 	// Catch an impossible acquisition bound at construction: left to the
 	// per-tag tracker it would terminally fail every tag at its first
 	// report, a silent-daemon failure mode.
-	if cfg.MaxAcquireBuffer > 0 {
-		warmup := cfg.WarmupSamples
-		if warmup <= 0 {
-			warmup = realtime.DefaultWarmupSamples
-		}
-		if cfg.MaxAcquireBuffer < warmup {
-			return nil, fmt.Errorf("engine: MaxAcquireBuffer %d must be ≥ WarmupSamples %d",
-				cfg.MaxAcquireBuffer, warmup)
-		}
+	if cfg.MaxAcquireBuffer > 0 && cfg.MaxAcquireBuffer < realtime.DefaultWarmupSamples {
+		return nil, fmt.Errorf("engine: MaxAcquireBuffer %d must be ≥ the %d-sample warmup",
+			cfg.MaxAcquireBuffer, realtime.DefaultWarmupSamples)
 	}
 	if cfg.System != nil {
 		return cfg.System, nil
@@ -102,11 +96,7 @@ func (r *Replayer) tag(epc rfid.EPC) *tagState {
 	tracker, err := realtime.NewTracker(realtime.Config{
 		System:           r.sys,
 		SweepInterval:    r.cfg.SweepInterval,
-		MaxPhaseAge:      r.cfg.MaxPhaseAge,
-		WarmupSamples:    r.cfg.WarmupSamples,
 		MaxAcquireBuffer: r.cfg.MaxAcquireBuffer,
-		ReacquireVote:    r.cfg.ReacquireVote,
-		ReacquireWindow:  r.cfg.ReacquireWindow,
 		RecordTrace:      r.cfg.RecordTrace,
 		Scratch:          r.scratch,
 	})

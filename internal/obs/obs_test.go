@@ -144,7 +144,18 @@ func TestPipelineRender(t *testing.T) {
 
 func TestSpanRingBounds(t *testing.T) {
 	var r SpanRing
-	for i := 0; i < SpanCapacity+10; i++ {
+	// Below capacity the ring holds what was added, in order, and no
+	// more storage than that.
+	for i := 0; i < 3; i++ {
+		r.Add(Span{Seq: uint64(i)})
+	}
+	if got := r.Snapshot(); len(got) != 3 || got[0].Seq != 0 || got[2].Seq != 2 {
+		t.Fatalf("partial ring = %+v", got)
+	}
+	if c := cap(r.ring.items); c >= SpanCapacity {
+		t.Fatalf("3 spans hold %d slots", c)
+	}
+	for i := 3; i < SpanCapacity+10; i++ {
 		r.Add(Span{Seq: uint64(i)})
 	}
 	spans := r.Snapshot()
@@ -163,6 +174,14 @@ func TestTimelineBounds(t *testing.T) {
 	var tl Timeline
 	if _, ok := tl.Last(); ok {
 		t.Fatal("empty timeline reported a last event")
+	}
+	var one Timeline
+	one.Record(EventRecover, "only")
+	if last, ok := one.Last(); !ok || last.Detail != "only" || len(one.Snapshot()) != 1 {
+		t.Fatalf("one-event timeline: last %+v, snapshot %+v", last, one.Snapshot())
+	}
+	if c := cap(one.ring.items); c >= TimelineCapacity {
+		t.Fatalf("one event holds %d slots", c)
 	}
 	for i := 0; i < TimelineCapacity+5; i++ {
 		tl.Record(EventCreate, fmt.Sprintf("n=%d", i))

@@ -31,18 +31,14 @@ const SpanCapacity = 256
 // SpanRing is a bounded ring of completed spans. Writers run on the
 // sampled (slow) path, so a mutex is fine here.
 type SpanRing struct {
-	mu    sync.Mutex
-	spans [SpanCapacity]Span
-	next  int
-	total uint64
+	mu   sync.Mutex
+	ring ring[Span]
 }
 
 // Add appends a completed span, evicting the oldest when full.
 func (r *SpanRing) Add(s Span) {
 	r.mu.Lock()
-	r.spans[r.next%SpanCapacity] = s
-	r.next++
-	r.total++
+	r.ring.add(s, SpanCapacity)
 	r.mu.Unlock()
 }
 
@@ -50,21 +46,12 @@ func (r *SpanRing) Add(s Span) {
 func (r *SpanRing) Snapshot() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.next
-	if n > SpanCapacity {
-		n = SpanCapacity
-	}
-	out := make([]Span, 0, n)
-	start := r.next - n
-	for i := start; i < r.next; i++ {
-		out = append(out, r.spans[i%SpanCapacity])
-	}
-	return out
+	return r.ring.snapshot()
 }
 
 // Total counts every span ever recorded, including evicted ones.
 func (r *SpanRing) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.ring.total
 }

@@ -34,18 +34,14 @@ const TimelineCapacity = 128
 // Timeline is a bounded ring of diagnostic events. Producers are
 // lifecycle paths (not per-report), so a mutex is fine.
 type Timeline struct {
-	mu     sync.Mutex
-	events [TimelineCapacity]TimelineEvent
-	next   int
-	total  uint64
+	mu   sync.Mutex
+	ring ring[TimelineEvent]
 }
 
 // Record appends an event, evicting the oldest when full.
 func (t *Timeline) Record(typ, detail string) {
 	t.mu.Lock()
-	t.events[t.next%TimelineCapacity] = TimelineEvent{Wall: time.Now(), Type: typ, Detail: detail}
-	t.next++
-	t.total++
+	t.ring.add(TimelineEvent{Wall: time.Now(), Type: typ, Detail: detail}, TimelineCapacity)
 	t.mu.Unlock()
 }
 
@@ -53,31 +49,58 @@ func (t *Timeline) Record(typ, detail string) {
 func (t *Timeline) Snapshot() []TimelineEvent {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.next
-	if n > TimelineCapacity {
-		n = TimelineCapacity
-	}
-	out := make([]TimelineEvent, 0, n)
-	start := t.next - n
-	for i := start; i < t.next; i++ {
-		out = append(out, t.events[i%TimelineCapacity])
-	}
-	return out
+	return t.ring.snapshot()
 }
 
 // Total counts every event ever recorded, including evicted ones.
 func (t *Timeline) Total() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.ring.total
 }
 
 // Last returns the most recent event and true, or false when empty.
 func (t *Timeline) Last() (TimelineEvent, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.next == 0 {
-		return TimelineEvent{}, false
+	return t.ring.last()
+}
+
+// ring is the storage behind SpanRing and Timeline: a FIFO that grows
+// on demand up to its capacity and then overwrites its oldest entry, so
+// an owner that records little (a restart-recovered session never
+// samples a span) holds little. Callers serialize access.
+type ring[T any] struct {
+	items []T
+	// total counts every add; once the ring is full, total modulo its
+	// length indexes the oldest entry.
+	total uint64
+}
+
+func (r *ring[T]) add(v T, capacity int) {
+	if len(r.items) < capacity {
+		r.items = append(r.items, v)
+	} else {
+		r.items[r.total%uint64(len(r.items))] = v
 	}
-	return t.events[(t.next-1)%TimelineCapacity], true
+	r.total++
+}
+
+// snapshot copies the retained entries, oldest first.
+func (r *ring[T]) snapshot() []T {
+	start := 0
+	if len(r.items) > 0 {
+		start = int(r.total % uint64(len(r.items)))
+	}
+	out := make([]T, 0, len(r.items))
+	out = append(out, r.items[start:]...)
+	return append(out, r.items[:start]...)
+}
+
+func (r *ring[T]) last() (T, bool) {
+	if len(r.items) == 0 {
+		var zero T
+		return zero, false
+	}
+	return r.items[(r.total-1)%uint64(len(r.items))], true
 }

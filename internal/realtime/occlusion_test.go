@@ -118,9 +118,8 @@ func TestMaxAcquireBufferValidation(t *testing.T) {
 	if _, err := NewTracker(Config{
 		System:           base.System,
 		SweepInterval:    base.SweepInterval,
-		WarmupSamples:    16,
-		MaxAcquireBuffer: 8,
+		MaxAcquireBuffer: DefaultWarmupSamples - 1,
 	}); err == nil {
-		t.Fatal("MaxAcquireBuffer < WarmupSamples should be rejected")
+		t.Fatal("MaxAcquireBuffer < DefaultWarmupSamples should be rejected")
 	}
 }

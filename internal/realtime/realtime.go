@@ -54,17 +54,11 @@ type Config struct {
 	System *core.System
 	// SweepInterval is the readers' sweep period (from their Hello).
 	SweepInterval time.Duration
-	// MaxPhaseAge drops phases older than this when forming samples.
-	// Default 2.2 sweep intervals.
-	MaxPhaseAge time.Duration
-	// WarmupSamples is how many merged samples are buffered before
-	// attempting initial positioning. Default 4.
-	WarmupSamples int
 	// MaxAcquireBuffer bounds the warmup sample buffer: a tag whose
 	// acquisition keeps failing is declared dead once this many samples
 	// have been buffered, bounding per-tag memory on serving
 	// deployments. Default 400 (~10 s at 25 ms sweeps). Must be at
-	// least WarmupSamples when both are set.
+	// least DefaultWarmupSamples.
 	MaxAcquireBuffer int
 	// ReacquireVote triggers tracking-loss recovery: when the recent
 	// mean vote falls below this threshold the tracker declares the
@@ -73,9 +67,6 @@ type Config struct {
 	// re-seeding a fresh MultiStream from the new fix. Votes are ≤ 0;
 	// more negative means worse. Default −0.5; set to -Inf to disable.
 	ReacquireVote float64
-	// ReacquireWindow is how many recent votes the loss detector
-	// averages. Default 8.
-	ReacquireWindow int
 	// RecordTrace keeps every hypothesis's full trajectory in the live
 	// stream so TraceResult can materialize the batch-equivalent
 	// outcome. Memory then grows with stream length, so it is meant for
@@ -88,10 +79,14 @@ type Config struct {
 	Scratch *vote.Scratch
 }
 
-// DefaultWarmupSamples is the warmup buffer length used when
-// Config.WarmupSamples is unset; configuration layers that bound the
-// acquisition buffer validate against it.
+// DefaultWarmupSamples is how many merged samples a tracker buffers
+// before attempting initial positioning; configuration layers that
+// bound the acquisition buffer validate against it.
 const DefaultWarmupSamples = 4
+
+// reacquireWindow is how many recent leader votes the tracking-loss
+// detector averages.
+const reacquireWindow = 8
 
 // Tracker consumes rfid.Reports (from any number of readers) in time order
 // and produces live positions.
@@ -136,24 +131,15 @@ func NewTracker(cfg Config) (*Tracker, error) {
 	if cfg.SweepInterval <= 0 {
 		return nil, fmt.Errorf("realtime: sweep interval %v must be positive", cfg.SweepInterval)
 	}
-	if cfg.MaxPhaseAge <= 0 {
-		cfg.MaxPhaseAge = cfg.SweepInterval * 11 / 5
-	}
-	if cfg.WarmupSamples <= 0 {
-		cfg.WarmupSamples = DefaultWarmupSamples
-	}
 	if cfg.MaxAcquireBuffer <= 0 {
 		cfg.MaxAcquireBuffer = 400
 	}
-	if cfg.MaxAcquireBuffer < cfg.WarmupSamples {
-		return nil, fmt.Errorf("realtime: MaxAcquireBuffer %d must be ≥ WarmupSamples %d",
-			cfg.MaxAcquireBuffer, cfg.WarmupSamples)
+	if cfg.MaxAcquireBuffer < DefaultWarmupSamples {
+		return nil, fmt.Errorf("realtime: MaxAcquireBuffer %d must be ≥ the %d-sample warmup",
+			cfg.MaxAcquireBuffer, DefaultWarmupSamples)
 	}
 	if cfg.ReacquireVote == 0 {
 		cfg.ReacquireVote = -0.5
-	}
-	if cfg.ReacquireWindow <= 0 {
-		cfg.ReacquireWindow = 8
 	}
 	if cfg.Scratch == nil {
 		cfg.Scratch = vote.NewScratch()
@@ -226,8 +212,10 @@ func (t *Tracker) closeSweep(final bool) ([]Position, error) {
 	// merging must not allocate on the steady-state path. offerSample
 	// clones it when buffering for warmup.
 	obs := t.cfg.Scratch.ObsBuf()
+	// Phases older than 2.2 sweep intervals are too stale to use.
+	maxAge := t.cfg.SweepInterval * 11 / 5
 	for id, tp := range t.latest {
-		if now+t.cfg.SweepInterval-tp.t <= t.cfg.MaxPhaseAge {
+		if now+t.cfg.SweepInterval-tp.t <= maxAge {
 			obs[id] = tp.phase
 		}
 	}
@@ -248,7 +236,7 @@ func (t *Tracker) offerSample(sample tracing.Sample, final bool) ([]Position, er
 		return t.push(sample)
 	}
 	t.samples = append(t.samples, cloneSample(sample))
-	if len(t.samples) < t.cfg.WarmupSamples && !final {
+	if len(t.samples) < DefaultWarmupSamples && !final {
 		return nil, nil
 	}
 	return t.tryAcquire(final)
@@ -305,10 +293,10 @@ func (t *Tracker) push(sample tracing.Sample) ([]Position, error) {
 	// (the over-constrained-system signal of §5.2). Drop the hypothesis
 	// set and re-seed from a fresh acquisition.
 	t.recent = append(t.recent, st.Vote)
-	if len(t.recent) > t.cfg.ReacquireWindow {
+	if len(t.recent) > reacquireWindow {
 		t.recent = t.recent[1:]
 	}
-	if len(t.recent) == t.cfg.ReacquireWindow && mean(t.recent) < t.cfg.ReacquireVote {
+	if len(t.recent) == reacquireWindow && mean(t.recent) < t.cfg.ReacquireVote {
 		t.retireStream()
 		t.recent = nil
 		t.samples = nil

@@ -170,9 +170,6 @@ func (c *Client) CreateSession(ctx context.Context, spec SessionSpec) (string, e
 	if spec.Search != nil {
 		fields["search"] = toSearchJSON(spec.Search)
 	}
-	if spec.WAL != (WALPolicy{}) {
-		fields["wal"] = walPolicyJSON{Disable: spec.WAL.Disable, SyncEvery: spec.WAL.SyncEvery}
-	}
 	var out struct {
 		ID     string `json:"id"`
 		Ingest string `json:"ingest"`
@@ -490,10 +487,11 @@ func (c *Client) Control(ctx context.Context) (*ControlState, error) {
 	return &st, nil
 }
 
-// UpdateControl mutates the node's runtime knobs (POST
-// /v1/control/config body shape; absent fields keep their value) and
-// returns the post-mutation state.
-func (c *Client) UpdateControl(ctx context.Context, patch ControlPatchJSON) (*ControlState, error) {
+// UpdateControl patches the node's runtime knobs with a partial Knobs
+// object under its JSON keys (absent keys keep their value, a null
+// search restores the deployment default) and returns the
+// post-mutation state.
+func (c *Client) UpdateControl(ctx context.Context, patch map[string]any) (*ControlState, error) {
 	var st ControlState
 	if err := c.call(ctx, http.MethodPost, "/v1/control/config", patch, http.StatusOK, &st); err != nil {
 		return nil, err

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"time"
@@ -22,26 +20,8 @@ type ControlState struct {
 	// Score is the current congestion score with its per-resource
 	// component breakdown, refreshed for this request.
 	Score NodeScore `json:"score"`
-	// ShedThreshold and ParkThreshold are the score levels at which
-	// admission 429s and the pressure loop parks (<= 0 = disabled).
-	ShedThreshold float64 `json:"shed_threshold"`
-	ParkThreshold float64 `json:"park_threshold"`
-	// Capacity is the score's normalization basis.
-	Capacity Capacity `json:"capacity"`
-	// IdleMS / RetainMS are the lifecycle deadlines (retain 0 = forever).
-	IdleMS   int64 `json:"idle_ms"`
-	RetainMS int64 `json:"retain_ms"`
-	// WALSyncEvery is the default report-append fsync cadence for new
-	// session logs (0 = store default).
-	WALSyncEvery int `json:"wal_sync_every"`
-	// Search is the default vote-search for new sessions (null =
-	// deployment default).
-	Search *SearchJSON `json:"search"`
-	// TraceSampleN is the span-sampling cadence (1-in-N reports per
-	// session record a full stage span; 0 = off).
-	TraceSampleN int `json:"trace_sample_n"`
-	// LogLevel is the structured-logging level gate.
-	LogLevel string `json:"log_level"`
+	// Knobs are the runtime knobs, inlined under their own keys.
+	Knobs
 	// MaxSessions / Live / Parked are the admission head-count facts.
 	MaxSessions int `json:"max_sessions"`
 	Live        int `json:"live"`
@@ -72,25 +52,6 @@ type ControlSession struct {
 	Spans uint64 `json:"spans,omitempty"`
 }
 
-// ControlPatchJSON is the POST /v1/control/config body: every field
-// optional, absent fields keep their value (KnobPatch semantics).
-type ControlPatchJSON struct {
-	IdleMS        *int64    `json:"idle_ms"`
-	RetainMS      *int64    `json:"retain_ms"`
-	ShedThreshold *float64  `json:"shed_threshold"`
-	ParkThreshold *float64  `json:"park_threshold"`
-	Capacity      *Capacity `json:"capacity"`
-	WALSyncEvery  *int      `json:"wal_sync_every"`
-	// Search replaces the default-search knob; {"mode": "default"}
-	// clears it back to the deployment default.
-	Search *SearchJSON `json:"search"`
-	// TraceSampleN sets the span-sampling cadence (0 disables).
-	TraceSampleN *int `json:"trace_sample_n"`
-	// LogLevel sets the logging level gate ("debug", "info", "warn",
-	// "error").
-	LogLevel *string `json:"log_level"`
-}
-
 // toSearchJSON renders a search configuration in the same shape
 // the create and retrace requests accept (nil stays nil).
 func toSearchJSON(sc *vote.SearchConfig) *SearchJSON {
@@ -105,20 +66,10 @@ func toSearchJSON(sc *vote.SearchConfig) *SearchJSON {
 }
 
 func (s *Server) controlState(now time.Time) ControlState {
-	score := s.reg.RefreshCongestion(now)
-	knobs := s.reg.Knobs()
 	st := ControlState{
-		Score:         score,
-		ShedThreshold: knobs.ShedThreshold,
-		ParkThreshold: knobs.ParkThreshold,
-		Capacity:      knobs.Capacity,
-		IdleMS:        knobs.IdleTimeout.Milliseconds(),
-		RetainMS:      knobs.RetainFor.Milliseconds(),
-		WALSyncEvery:  knobs.WALSyncEvery,
-		Search:        toSearchJSON(knobs.Search),
-		TraceSampleN:  knobs.TraceSampleN,
-		LogLevel:      knobs.LogLevel,
-		MaxSessions:   s.reg.cfg.MaxSessions,
+		Score:       s.reg.RefreshCongestion(now),
+		Knobs:       s.reg.Knobs(),
+		MaxSessions: s.reg.cfg.MaxSessions,
 	}
 	for _, sess := range s.reg.List() {
 		state := sess.State()
@@ -154,44 +105,19 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.controlState(time.Now()))
 }
 
-// handleControlConfig applies a knob patch. Unknown keys (a typo, or a
-// knob this daemon does not have) are a 400 like any bad value, never a
-// silent no-op.
+// handleControlConfig patches the runtime knobs: the body is a partial
+// Knobs object, decoded onto a copy of the published record (absent keys
+// keep their value) and validated whole. An unknown key or an invalid
+// value is a 400 and applies nothing.
 func (s *Server) handleControlConfig(w http.ResponseWriter, r *http.Request) {
-	var req ControlPatchJSON
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	// Read the body before UpdateKnobs takes its lock, so a slow client
+	// never holds up another patch.
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
 		return
 	}
-	var patch KnobPatch
-	if req.IdleMS != nil {
-		d := time.Duration(*req.IdleMS) * time.Millisecond
-		patch.IdleTimeout = &d
-	}
-	if req.RetainMS != nil {
-		d := time.Duration(*req.RetainMS) * time.Millisecond
-		patch.RetainFor = &d
-	}
-	patch.ShedThreshold = req.ShedThreshold
-	patch.ParkThreshold = req.ParkThreshold
-	patch.Capacity = req.Capacity
-	patch.WALSyncEvery = req.WALSyncEvery
-	patch.TraceSampleN = req.TraceSampleN
-	patch.LogLevel = req.LogLevel
-	if req.Search != nil {
-		patch.SetSearch = true
-		if req.Search.Mode != "default" {
-			sc, err := req.Search.config()
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-				return
-			}
-			patch.Search = sc
-		}
-	}
-	if err := s.reg.ApplyKnobs(patch); err != nil {
+	if err := s.reg.UpdateKnobs(body); err != nil {
 		writeSessionError(w, err)
 		return
 	}

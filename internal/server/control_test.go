@@ -11,7 +11,6 @@ import (
 
 	"rfidraw/internal/engine"
 	"rfidraw/internal/realtime"
-	"rfidraw/internal/vote"
 	"rfidraw/internal/wal"
 )
 
@@ -39,57 +38,44 @@ func walControlRegistry(t testing.TB, dir string, cfg RegistryConfig) *Registry 
 	return reg
 }
 
-// TestKnobRoundTrip: ApplyKnobs mutations are visible in the next Knobs
-// snapshot, invalid patches are refused whole, and the search default
-// can be set and cleared.
+// TestKnobRoundTrip: UpdateKnobs mutations are visible in the next
+// Knobs snapshot, invalid patches are refused whole, and the search
+// default can be set and cleared.
 func TestKnobRoundTrip(t *testing.T) {
 	reg := testRegistry(t, RegistryConfig{})
 	k := reg.Knobs()
-	if k.IdleTimeout != 2*time.Minute || k.ShedThreshold != 0.9 || k.ParkThreshold != 0.75 {
+	if k.IdleMS != (2*time.Minute).Milliseconds() || k.ShedThreshold != 0.9 || k.ParkThreshold != 0.75 {
 		t.Fatalf("default knobs = %+v", k)
 	}
 
-	idle, retain := 30*time.Second, time.Hour
-	shed, park := 0.5, 0.25
-	sync := 7
-	if err := reg.ApplyKnobs(KnobPatch{
-		IdleTimeout:   &idle,
-		RetainFor:     &retain,
-		ShedThreshold: &shed,
-		ParkThreshold: &park,
-		Capacity:      &Capacity{SearchEvalsPerSec: 100},
-		WALSyncEvery:  &sync,
-		SetSearch:     true,
-		Search:        &vote.SearchConfig{Mode: vote.SearchDense, TopK: 3},
-	}); err != nil {
+	if err := reg.UpdateKnobs([]byte(`{"idle_ms":30000,"retain_ms":3600000,
+		"shed_threshold":0.5,"park_threshold":0.25,
+		"capacity":{"search_evals_per_sec":100},
+		"search":{"mode":"dense","top_k":3}}`)); err != nil {
 		t.Fatal(err)
 	}
 	k = reg.Knobs()
-	if k.IdleTimeout != idle || k.RetainFor != retain || k.ShedThreshold != shed || k.ParkThreshold != park {
+	if k.IdleMS != 30_000 || k.RetainMS != 3_600_000 || k.ShedThreshold != 0.5 || k.ParkThreshold != 0.25 {
 		t.Fatalf("mutated knobs = %+v", k)
 	}
 	if k.Capacity.SearchEvalsPerSec != 100 {
 		t.Fatalf("capacity = %+v", k.Capacity)
 	}
-	if k.WALSyncEvery != 7 {
-		t.Fatalf("wal sync = %d", k.WALSyncEvery)
-	}
-	if k.Search == nil || k.Search.Mode != vote.SearchDense || k.Search.TopK != 3 {
+	if k.Search == nil || k.Search.Mode != "dense" || k.Search.TopK != 3 {
 		t.Fatalf("search knob = %+v", k.Search)
 	}
 
 	// A partial patch leaves everything else alone.
-	shed2 := 0.8
-	if err := reg.ApplyKnobs(KnobPatch{ShedThreshold: &shed2}); err != nil {
+	if err := reg.UpdateKnobs([]byte(`{"shed_threshold":0.8}`)); err != nil {
 		t.Fatal(err)
 	}
 	k = reg.Knobs()
-	if k.ShedThreshold != 0.8 || k.IdleTimeout != idle || k.Search == nil {
+	if k.ShedThreshold != 0.8 || k.IdleMS != 30_000 || k.Search == nil {
 		t.Fatalf("partial patch clobbered knobs: %+v", k)
 	}
 
 	// Clearing the search default.
-	if err := reg.ApplyKnobs(KnobPatch{SetSearch: true}); err != nil {
+	if err := reg.UpdateKnobs([]byte(`{"search":null}`)); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Knobs().Search != nil {
@@ -97,12 +83,10 @@ func TestKnobRoundTrip(t *testing.T) {
 	}
 
 	// Invalid values are refused with ErrBadSpec.
-	bad := -time.Second
-	if err := reg.ApplyKnobs(KnobPatch{IdleTimeout: &bad}); !errors.Is(err, ErrBadSpec) {
+	if err := reg.UpdateKnobs([]byte(`{"idle_ms":-1000}`)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("negative idle accepted: %v", err)
 	}
-	badSearch := &vote.SearchConfig{TopK: 300}
-	if err := reg.ApplyKnobs(KnobPatch{SetSearch: true, Search: badSearch}); !errors.Is(err, ErrBadSpec) {
+	if err := reg.UpdateKnobs([]byte(`{"search":{"top_k":300}}`)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("out-of-range search accepted: %v", err)
 	}
 }
@@ -129,11 +113,13 @@ func TestControlAPIRoundTrip(t *testing.T) {
 		t.Fatalf("session view = %+v", st.Sessions)
 	}
 
-	idleMS, shed := int64(45_000), 0.6
-	mutated, err := cl.UpdateControl(ctx, ControlPatchJSON{
-		IdleMS:        &idleMS,
-		ShedThreshold: &shed,
-		Search:        &SearchJSON{Mode: "dense", TopK: 2},
+	// Shedding at 0.6 needs parking below it (the default park is 0.75).
+	idleMS := int64(45_000)
+	mutated, err := cl.UpdateControl(ctx, map[string]any{
+		"idle_ms":        idleMS,
+		"shed_threshold": 0.6,
+		"park_threshold": 0.3,
+		"search":         SearchJSON{Mode: "dense", TopK: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,12 +139,12 @@ func TestControlAPIRoundTrip(t *testing.T) {
 		t.Fatalf("mutation did not persist: %+v", again)
 	}
 	// The serving loop reads the same knob the control plane wrote.
-	if got := srv.reg.IdleTimeout(); got != 45*time.Second {
-		t.Fatalf("registry idle = %v", got)
+	if got := srv.reg.knobs.Load().IdleMS; got != idleMS {
+		t.Fatalf("registry idle = %d ms", got)
 	}
 
-	// Clearing the search default with the "default" sentinel mode.
-	cleared, err := cl.UpdateControl(ctx, ControlPatchJSON{Search: &SearchJSON{Mode: "default"}})
+	// Clearing the search default with a null search.
+	cleared, err := cl.UpdateControl(ctx, map[string]any{"search": nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +153,7 @@ func TestControlAPIRoundTrip(t *testing.T) {
 	}
 
 	// An invalid patch is a 400 with the envelope's bad_request code.
-	badIdle := int64(-5)
-	if _, err := cl.UpdateControl(ctx, ControlPatchJSON{IdleMS: &badIdle}); err == nil {
+	if _, err := cl.UpdateControl(ctx, map[string]any{"idle_ms": -5}); err == nil {
 		t.Fatal("negative idle accepted over HTTP")
 	} else {
 		var apiErr *APIError
@@ -193,7 +178,7 @@ func TestControlAPIRoundTrip(t *testing.T) {
 		}
 	}
 	k := srv.reg.Knobs()
-	if k.IdleTimeout != 45*time.Second || k.Capacity.SearchEvalsPerSec == 7 {
+	if k.IdleMS != idleMS || k.Capacity.SearchEvalsPerSec == 7 {
 		t.Fatalf("refused patch changed knobs: %+v", k)
 	}
 }
@@ -239,8 +224,7 @@ func TestOverloadAdmission(t *testing.T) {
 	}
 
 	// Negative threshold disables score shedding; the session admits.
-	off := -1.0
-	if err := reg.ApplyKnobs(KnobPatch{ShedThreshold: &off}); err != nil {
+	if err := reg.UpdateKnobs([]byte(`{"shed_threshold":-1}`)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Open(SessionSpec{ID: "admitted", Sweep: perTagSweep(run)}); err != nil {

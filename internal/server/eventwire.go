@@ -5,9 +5,9 @@ package server
 // Accept: application/x-rfidraw-events) instead of the default NDJSON.
 //
 // Framing reuses the write-ahead log's discipline — length prefix, then
-// a CRC-32 of the payload, then the payload — so a reader can both
-// detect corruption (the CRC) and resynchronize after it (scan forward
-// for the next frame that checks out):
+// a CRC-32 of the payload, then the payload — so a reader detects
+// corruption (the CRC) and fails the stream on it rather than
+// mis-decode:
 //
 //	uint32  payload length (big endian, excluding the 8-byte header)
 //	uint32  CRC-32 (IEEE) of the payload
@@ -132,10 +132,6 @@ func appendEventFrame(dst []byte, ev *Event) []byte {
 // EventReader decodes a binary event stream.
 type EventReader struct {
 	r *bufio.Reader
-	// resync makes Next scan forward for the next valid frame instead of
-	// failing the stream on a malformed one (see NewResyncEventReader).
-	resync  bool
-	resyncs int
 }
 
 // NewEventReader wraps an io.Reader (normally a stream response body).
@@ -145,49 +141,15 @@ func NewEventReader(r io.Reader) *EventReader {
 	return &EventReader{r: bufio.NewReaderSize(r, EventMaxPayload+eventFrameHeader)}
 }
 
-// NewResyncEventReader wraps an io.Reader like NewEventReader but makes
-// Next self-healing: a malformed frame — corrupt length, failed CRC,
-// unknown type, short payload — slides the reader forward one byte at a
-// time until the next frame that checks out, instead of erroring out
-// the stream. A partial frame at the very end of the stream reads as a
-// clean io.EOF.
-func NewResyncEventReader(r io.Reader) *EventReader {
-	return &EventReader{r: bufio.NewReaderSize(r, EventMaxPayload+eventFrameHeader), resync: true}
-}
-
-// Resyncs reports how many bytes Next has skipped hunting for valid
-// frames; zero on an undamaged stream.
-func (r *EventReader) Resyncs() int { return r.resyncs }
-
-// Next reads the next event. It returns io.EOF at a clean end of stream.
-// In strict mode malformed frames return ErrBadEventFrame; in resync
-// mode they are skipped.
+// Next reads the next event. It returns io.EOF at a clean end of stream
+// and ErrBadEventFrame on a malformed frame.
 func (r *EventReader) Next() (Event, error) {
-	for {
-		ev, err := r.next()
-		if err == nil || !r.resync || !errors.Is(err, ErrBadEventFrame) {
-			return ev, err
-		}
-		if _, derr := r.r.Discard(1); derr != nil {
-			return Event{}, io.EOF
-		}
-		r.resyncs++
-	}
-}
-
-// next decodes one event without consuming any bytes until the whole
-// frame has validated, so resync mode can rescan from the next byte.
-func (r *EventReader) next() (Event, error) {
 	hdr, err := r.r.Peek(eventFrameHeader)
 	if err != nil {
 		if len(hdr) == 0 {
 			return Event{}, err // clean EOF between frames, or IO error
 		}
 		if errors.Is(err, io.EOF) {
-			if r.resync {
-				// 1–7 trailing bytes: an unfinishable partial header.
-				return Event{}, io.EOF
-			}
 			return Event{}, fmt.Errorf("%w: truncated header: %v", ErrBadEventFrame, io.ErrUnexpectedEOF)
 		}
 		return Event{}, err
@@ -199,17 +161,6 @@ func (r *EventReader) next() (Event, error) {
 	frame, err := r.r.Peek(eventFrameHeader + int(n))
 	if err != nil {
 		if errors.Is(err, io.EOF) {
-			if r.resync && !plausibleEventFrame(frame) {
-				// The "frame" this length implies runs past the end of the
-				// stream and does not even start like a real event: treat
-				// it as corruption and keep scanning.
-				return Event{}, fmt.Errorf("%w: truncated payload: %v", ErrBadEventFrame, io.ErrUnexpectedEOF)
-			}
-			if r.resync {
-				// A truncated but plausible final frame: the stream ended
-				// mid-frame. End of stream.
-				return Event{}, io.EOF
-			}
 			return Event{}, fmt.Errorf("%w: truncated payload: %v", ErrBadEventFrame, io.ErrUnexpectedEOF)
 		}
 		return Event{}, err
@@ -228,22 +179,6 @@ func (r *EventReader) next() (Event, error) {
 		return Event{}, err
 	}
 	return ev, nil
-}
-
-// plausibleEventFrame reports whether a partial frame (header plus
-// however much payload arrived) starts like a genuine event: a known
-// type byte. Unlike readerwire, payload lengths here are
-// string-variable, so the type byte is the only cheap check.
-func plausibleEventFrame(partial []byte) bool {
-	if len(partial) <= eventFrameHeader {
-		return len(partial) == eventFrameHeader // header alone: cannot disprove
-	}
-	switch partial[eventFrameHeader] {
-	case eventTypePoint, eventTypeGlyph, eventTypeDrop, eventTypeEnd,
-		eventTypeTier, eventTypeStroke:
-		return true
-	}
-	return false
 }
 
 // eventCursor is a bounds-checked payload reader: every take fails soft

@@ -57,12 +57,11 @@ func checkWireEvent(t *testing.T, ev Event) {
 	}
 }
 
-// FuzzEventFrame drives arbitrary bytes through both event decoder
-// modes. Strict mode may reject (ErrBadEventFrame) but never panic or
-// mis-decode; resync mode must additionally terminate at io.EOF on
-// EVERY input — it exists to survive corruption, so surfacing
-// ErrBadEventFrame, looping forever, or hallucinating more events than
-// the bytes could frame are all failures.
+// FuzzEventFrame drives arbitrary bytes through the strict event
+// decoder. It may reject a stream (ErrBadEventFrame) but never panic,
+// surface any other error class, or mis-decode: every event it accepts
+// re-encodes to a frame that decodes back to the same bytes, and no
+// input yields more events than its bytes could frame.
 func FuzzEventFrame(f *testing.F) {
 	clean := fuzzEventStream(f, 6)
 	f.Add(clean)
@@ -74,6 +73,7 @@ func FuzzEventFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		strict := NewEventReader(bytes.NewReader(data))
+		decoded := 0
 		for {
 			ev, err := strict.Next()
 			if err != nil {
@@ -83,29 +83,16 @@ func FuzzEventFrame(f *testing.F) {
 				break
 			}
 			checkWireEvent(t, ev)
-		}
-
-		rr := NewResyncEventReader(bytes.NewReader(data))
-		decoded := 0
-		for {
-			ev, err := rr.Next()
-			if err != nil {
-				if !errors.Is(err, io.EOF) {
-					t.Fatalf("resync: leaked error past resync: %v", err)
-				}
-				break
+			frame := appendEventFrame(nil, &ev)
+			again, err := NewEventReader(bytes.NewReader(frame)).Next()
+			if err != nil || !bytes.Equal(appendEventFrame(nil, &again), frame) {
+				t.Fatalf("strict: %+v does not survive a re-encode: %+v, %v", ev, again, err)
 			}
-			checkWireEvent(t, ev)
 			decoded++
 		}
-		// Progress invariants: the scanner cannot skip more bytes than the
-		// input holds, and the smallest frame (end: header + type byte) is
-		// 9 bytes, bounding how many events any input can possibly contain.
-		if rr.Resyncs() > len(data) {
-			t.Fatalf("resync: skipped %d bytes of a %d-byte input", rr.Resyncs(), len(data))
-		}
+		// The smallest frame (end: header + type byte) is 9 bytes.
 		if decoded > len(data)/9 {
-			t.Fatalf("resync: decoded %d events from %d bytes", decoded, len(data))
+			t.Fatalf("strict: decoded %d events from %d bytes", decoded, len(data))
 		}
 	})
 }
@@ -142,44 +129,6 @@ func TestEventFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := r.Next(); !errors.Is(err, io.EOF) {
 		t.Fatalf("want io.EOF after last event, got %v", err)
-	}
-}
-
-// TestEventResyncRecoversInterleavedJunk mirrors the readerwire gate:
-// junk between every frame of a valid stream must cost nothing but the
-// junk — every original event comes back, in order.
-func TestEventResyncRecoversInterleavedJunk(t *testing.T) {
-	clean := fuzzEventStream(t, 6)
-	var frames [][]byte
-	for rest := clean; len(rest) > 0; {
-		n := eventFrameHeader + int(uint32(rest[0])<<24|uint32(rest[1])<<16|uint32(rest[2])<<8|uint32(rest[3]))
-		frames = append(frames, rest[:n])
-		rest = rest[n:]
-	}
-	junk := []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x00}
-	var damaged bytes.Buffer
-	for _, fr := range frames {
-		damaged.Write(junk)
-		damaged.Write(fr)
-	}
-	rr := NewResyncEventReader(bytes.NewReader(damaged.Bytes()))
-	var got int
-	for {
-		ev, err := rr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkWireEvent(t, ev)
-		got++
-	}
-	if got != len(frames) {
-		t.Fatalf("recovered %d events, want %d", got, len(frames))
-	}
-	if rr.Resyncs() == 0 {
-		t.Fatal("resync counter did not move over damaged stream")
 	}
 }
 
@@ -229,30 +178,21 @@ func TestEventReaderChunkedStream(t *testing.T) {
 		}
 		want = append(want, ev)
 	}
-	readers := map[string]func(io.Reader) *EventReader{
-		"strict": NewEventReader,
-		"resync": NewResyncEventReader,
-	}
 	for k := 1; k <= 80; k++ {
-		for mode, open := range readers {
-			r := open(&chunkReader{b: stream, k: k})
-			for i := 0; ; i++ {
-				ev, err := r.Next()
-				if errors.Is(err, io.EOF) {
-					if i != len(want) {
-						t.Fatalf("%s, %d-byte reads: stream ended after %d of %d events", mode, k, i, len(want))
-					}
-					break
+		r := NewEventReader(&chunkReader{b: stream, k: k})
+		for i := 0; ; i++ {
+			ev, err := r.Next()
+			if errors.Is(err, io.EOF) {
+				if i != len(want) {
+					t.Fatalf("%d-byte reads: stream ended after %d of %d events", k, i, len(want))
 				}
-				if err != nil {
-					t.Fatalf("%s, %d-byte reads: event %d: %v", mode, k, i, err)
-				}
-				if i >= len(want) || ev != want[i] {
-					t.Fatalf("%s, %d-byte reads: event %d decoded to %+v", mode, k, i, ev)
-				}
+				break
 			}
-			if r.Resyncs() != 0 {
-				t.Fatalf("%s, %d-byte reads: skipped %d bytes of an undamaged stream", mode, k, r.Resyncs())
+			if err != nil {
+				t.Fatalf("%d-byte reads: event %d: %v", k, i, err)
+			}
+			if i >= len(want) || ev != want[i] {
+				t.Fatalf("%d-byte reads: event %d decoded to %+v", k, i, ev)
 			}
 		}
 	}

@@ -242,8 +242,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // createSessionRequest is the POST /v1/sessions body — the JSON shape
-// of a SessionSpec; all fields optional. Pre-spec bodies ({"id",
-// "sweep_ms", "geometry"}) decode unchanged.
+// of a SessionSpec; all fields optional, unknown keys refused.
 type createSessionRequest struct {
 	// ID names the session; empty assigns a random one.
 	ID string `json:"id"`
@@ -258,28 +257,25 @@ type createSessionRequest struct {
 	// this session (recorded in the WAL, honored by recovery and
 	// retrace).
 	Search *SearchJSON `json:"search,omitempty"`
-	// WAL tunes this session's durability.
-	WAL *walPolicyJSON `json:"wal,omitempty"`
 }
 
-// walPolicyJSON is the JSON shape of a WALPolicy.
-type walPolicyJSON struct {
-	Disable   bool `json:"disable,omitempty"`
-	SyncEvery int  `json:"sync_every,omitempty"`
-}
-
-func (p *walPolicyJSON) policy() WALPolicy {
-	if p == nil {
-		return WALPolicy{}
+// decodeBody decodes a JSON request body onto v. An empty body leaves v
+// as it is; a malformed one, or one with a key v does not have (a typo,
+// or a field this daemon no longer has), is an ErrBadSpec, never a
+// silent no-op.
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
+		return fmt.Errorf("%w: bad request body: %v", ErrBadSpec, err)
 	}
-	return WALPolicy{Disable: p.Disable, SyncEvery: p.SyncEvery}
+	return nil
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req createSessionRequest
-	// An empty body is fine; only a malformed one is an error.
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
+	if err := decodeBody(r.Body, &req); err != nil {
+		writeSessionError(w, err)
 		return
 	}
 	if _, err := deploy.GeometryByName(req.Geometry); err != nil {
@@ -296,7 +292,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		Sweep:    time.Duration(req.SweepMS * float64(time.Millisecond)),
 		Geometry: req.Geometry,
 		Search:   search,
-		WAL:      req.WAL.policy(),
 	})
 	if err != nil {
 		writeSessionError(w, err)

@@ -175,6 +175,24 @@ var lifecycleVerbs = []struct {
 		c.reg.Close()
 		return nil
 	}},
+	{"get", func(c *lifecycleCell) error {
+		if _, ok := c.reg.Get(lifecycleID); !ok {
+			return ErrUnknownSession
+		}
+		return nil
+	}},
+	{"list", func(c *lifecycleCell) error {
+		for _, s := range c.reg.List() {
+			if s.ID == lifecycleID {
+				return nil
+			}
+		}
+		return ErrUnknownSession
+	}},
+	{"open", func(c *lifecycleCell) error {
+		_, err := c.reg.Open(SessionSpec{ID: lifecycleID})
+		return err
+	}},
 }
 
 func expired(ids []string) error {
@@ -207,6 +225,12 @@ func stays(err error, state string) lifecycleOutcome {
 	return lifecycleOutcome{err: err, entry: state, state: state}
 }
 
+// goneStays is a closed session's outcome: an unclaimed Close took it
+// out of the table, and the verb leaves it there.
+func goneStays(err error) lifecycleOutcome {
+	return lifecycleOutcome{err: err, entry: "absent", state: "closed"}
+}
+
 func claimedStays(err error) lifecycleOutcome {
 	return lifecycleOutcome{err: err, entry: "recovered", state: "recovered", delta: claimDone}
 }
@@ -224,7 +248,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   claimedStays(ErrSessionClosed),
 		"parked":    stays(ErrSessionClosed, "recovered"),
 		"recovered": stays(ErrSessionClosed, "recovered"),
-		"gone":      stays(ErrSessionClosed, "closed"),
+		"gone":      goneStays(ErrSessionClosed),
 	},
 	"subscribe": {
 		"live":      with(stays(nil, "live"), lifecycleCounts{subs: 1}),
@@ -232,7 +256,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   claimedStays(ErrSessionClosed),
 		"parked":    stays(ErrSessionClosed, "recovered"),
 		"recovered": stays(ErrSessionClosed, "recovered"),
-		"gone":      stays(ErrSessionClosed, "closed"),
+		"gone":      goneStays(ErrSessionClosed),
 	},
 	"subscribe from": {
 		"live":      with(stays(nil, "live"), lifecycleCounts{subs: 1}),
@@ -240,7 +264,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   claimedStays(ErrSessionClosed),
 		"parked":    with(stays(nil, "recovered"), lifecycleCounts{subs: 1}),
 		"recovered": with(stays(nil, "recovered"), lifecycleCounts{subs: 1}),
-		"gone":      stays(ErrSessionClosed, "closed"),
+		"gone":      goneStays(ErrSessionClosed),
 	},
 	"drain": {
 		"live":      stays(nil, "live"),
@@ -248,7 +272,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   claimedStays(ErrNotLive),
 		"parked":    stays(ErrNotLive, "recovered"),
 		"recovered": stays(ErrNotLive, "recovered"),
-		"gone":      stays(ErrNotLive, "closed"),
+		"gone":      goneStays(ErrUnknownSession),
 	},
 	"park": {
 		"live":      with(stays(nil, "recovered"), lifecycleCounts{live: -1, active: -1, closed: 1, parked: 1, retained: 1}),
@@ -256,7 +280,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   claimedStays(ErrNotLive),
 		"parked":    stays(nil, "recovered"),
 		"recovered": stays(nil, "recovered"),
-		"gone":      stays(ErrNotLive, "closed"),
+		"gone":      goneStays(ErrUnknownSession),
 	},
 	"resume": {
 		"live":      stays(ErrNotParked, "live"),
@@ -264,7 +288,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   claimedStays(ErrNotParked),
 		"parked":    {entry: "live", state: "closed", delta: lifecycleCounts{live: 1, active: 1, retained: -1, resumed: 1}},
 		"recovered": {entry: "live", state: "closed", delta: lifecycleCounts{live: 1, active: 1, retained: -1, resumed: 1}},
-		"gone":      stays(ErrNotParked, "closed"),
+		"gone":      goneStays(ErrUnknownSession),
 	},
 	"delete": {
 		"live":      {entry: "absent", state: "closed", delta: stopLive},
@@ -272,7 +296,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   claimedStays(ErrUnknownSession),
 		"parked":    {entry: "absent", state: "closed", delta: dropKept},
 		"recovered": {entry: "absent", state: "closed", delta: dropKept},
-		"gone":      {entry: "absent", state: "closed"},
+		"gone":      goneStays(ErrUnknownSession),
 	},
 	"idle expiry": {
 		"live":      with(stays(nil, "recovered"), lifecycleCounts{live: -1, active: -1, closed: 1, expired: 1, retained: 1}),
@@ -280,7 +304,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   claimedStays(errKept),
 		"parked":    stays(errKept, "recovered"),
 		"recovered": stays(errKept, "recovered"),
-		"gone":      stays(errKept, "closed"),
+		"gone":      goneStays(errKept),
 	},
 	"idle expiry, not due": {
 		"live":      stays(errKept, "live"),
@@ -288,7 +312,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   claimedStays(errKept),
 		"parked":    stays(errKept, "recovered"),
 		"recovered": stays(errKept, "recovered"),
-		"gone":      stays(errKept, "closed"),
+		"gone":      goneStays(errKept),
 	},
 	"retained expiry": {
 		"live":      stays(errKept, "live"),
@@ -296,7 +320,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   claimedStays(errKept),
 		"parked":    {entry: "absent", state: "closed", delta: lifecycleCounts{retained: -1, expired: 1}},
 		"recovered": {entry: "absent", state: "closed", delta: lifecycleCounts{retained: -1, expired: 1}},
-		"gone":      stays(errKept, "closed"),
+		"gone":      goneStays(errKept),
 	},
 	"retained expiry, not due": {
 		"live":      stays(errKept, "live"),
@@ -304,7 +328,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   claimedStays(errKept),
 		"parked":    stays(errKept, "recovered"),
 		"recovered": stays(errKept, "recovered"),
-		"gone":      stays(errKept, "closed"),
+		"gone":      goneStays(errKept),
 	},
 	"retrace": {
 		"live":      with(stays(nil, "live"), lifecycleCounts{retraces: 1}),
@@ -312,7 +336,7 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   with(claimedStays(nil), lifecycleCounts{active: -1, closed: 1, retained: 1, retraces: 1}),
 		"parked":    with(stays(nil, "recovered"), lifecycleCounts{retraces: 1}),
 		"recovered": with(stays(nil, "recovered"), lifecycleCounts{retraces: 1}),
-		"gone":      with(stays(nil, "closed"), lifecycleCounts{retraces: 1}),
+		"gone":      with(goneStays(nil), lifecycleCounts{retraces: 1}),
 	},
 	"registry close": {
 		"live":      {entry: "absent", state: "closed", delta: stopLive},
@@ -320,7 +344,31 @@ var lifecycleTable = map[string]map[string]lifecycleOutcome{
 		"claimed":   {entry: "absent", state: "closed", delta: lifecycleCounts{active: -1, closed: 1}},
 		"parked":    {entry: "absent", state: "closed", delta: dropKept},
 		"recovered": {entry: "absent", state: "closed", delta: dropKept},
-		"gone":      {entry: "absent", state: "closed"},
+		"gone":      goneStays(nil),
+	},
+	"get": {
+		"live":      stays(nil, "live"),
+		"attached":  stays(nil, "live"),
+		"claimed":   claimedStays(nil),
+		"parked":    stays(nil, "recovered"),
+		"recovered": stays(nil, "recovered"),
+		"gone":      goneStays(ErrUnknownSession),
+	},
+	"list": {
+		"live":      stays(nil, "live"),
+		"attached":  stays(nil, "live"),
+		"claimed":   claimedStays(nil),
+		"parked":    stays(nil, "recovered"),
+		"recovered": stays(nil, "recovered"),
+		"gone":      goneStays(ErrUnknownSession),
+	},
+	"open": {
+		"live":      stays(ErrSessionExists, "live"),
+		"attached":  stays(ErrSessionExists, "live"),
+		"claimed":   claimedStays(ErrSessionExists),
+		"parked":    stays(ErrSessionExists, "recovered"),
+		"recovered": stays(ErrSessionExists, "recovered"),
+		"gone":      {entry: "live", state: "closed", delta: lifecycleCounts{live: 1, active: 1}},
 	},
 }
 

@@ -279,16 +279,14 @@ func TestTraceSpanSampling(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	one := 1
-	state, err := cl.UpdateControl(ctx, ControlPatchJSON{TraceSampleN: &one})
+	state, err := cl.UpdateControl(ctx, map[string]any{"trace_sample_n": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if state.TraceSampleN != 1 {
 		t.Fatalf("control state trace_sample_n = %d after setting 1", state.TraceSampleN)
 	}
-	neg := -1
-	if _, err := cl.UpdateControl(ctx, ControlPatchJSON{TraceSampleN: &neg}); err == nil {
+	if _, err := cl.UpdateControl(ctx, map[string]any{"trace_sample_n": -1}); err == nil {
 		t.Error("negative trace_sample_n was accepted")
 	}
 
@@ -416,16 +414,14 @@ func TestLogLevelKnob(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	debug := "debug"
-	state, err := cl.UpdateControl(ctx, ControlPatchJSON{LogLevel: &debug})
+	state, err := cl.UpdateControl(ctx, map[string]any{"log_level": "debug"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if state.LogLevel != "debug" {
 		t.Fatalf("log_level = %q after setting debug", state.LogLevel)
 	}
-	bogus := "shouting"
-	if _, err := cl.UpdateControl(ctx, ControlPatchJSON{LogLevel: &bogus}); err == nil {
+	if _, err := cl.UpdateControl(ctx, map[string]any{"log_level": "shouting"}); err == nil {
 		t.Error("bogus log level was accepted")
 	}
 	state, err = cl.Control(ctx)

@@ -294,20 +294,19 @@ func (s *Session) handleSweep(sweep time.Duration) {
 	}
 	s.eng, s.sweep = eng, sweep
 	s.sweepNs.Store(int64(sweep))
-	if st := s.reg.cfg.WAL; st != nil && !s.walPolicy.Disable {
+	if st := s.reg.cfg.WAL; st != nil {
 		meta := wal.Meta{
 			ID: s.ID, Created: s.Created, Sweep: sweep,
 			Geometry: s.geometry, Search: searchToMeta(s.search),
 		}
-		over := wal.Overrides{SyncEvery: s.walPolicy.SyncEvery}
 		var log *wal.Log
 		if s.resumeFrom > 0 {
 			// Resuming a parked record: reopen for append — never
 			// truncate — so the retained prefix and everything the resumed
 			// session logs replay as one stream.
-			log, err = st.AppendTo(meta, over)
+			log, err = st.AppendTo(meta)
 		} else {
-			log, err = st.CreateWith(meta, over)
+			log, err = st.Create(meta)
 		}
 		if err != nil {
 			s.logger.Error("wal open failed", "err", err)
@@ -411,7 +410,7 @@ func (s *Session) offerToEngine(or orderedReport) {
 	}
 	s.lastRelease.Store(offerDone)
 	s.sampleCount++
-	if n := s.reg.traceSampleN.Load(); n > 0 && s.sampleCount%uint64(n) == 0 {
+	if n := s.reg.knobs.Load().TraceSampleN; n > 0 && s.sampleCount%uint64(n) == 0 {
 		sp := &obs.Span{
 			Seq:       s.walSeq.Load(),
 			T:         int64(or.rep.Time),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -52,37 +53,25 @@ type RegistryConfig struct {
 	// sessions emit only point events.
 	NoRecognize bool
 
-	// Capacity calibrates the congestion score's search-evaluation
-	// budget; zero takes a generous default.
-	Capacity Capacity
-	// ShedThreshold is the congestion score at or above which new
-	// sessions are refused with ErrOverloaded (HTTP 429 + Retry-After).
-	// 0 takes the default 0.9; negative disables score-driven shedding
-	// (the MaxSessions hard cap still applies).
+	// Capacity, ShedThreshold, ParkThreshold, IdleTimeout, RetainFor and
+	// TraceSampleN seed the runtime knobs (see Knobs, which documents
+	// each and whose Validate rules they must pass; the durations are
+	// kept in whole milliseconds). Zero takes the default: a generous
+	// search-evaluation budget, shed at 0.9, park at 0.75, idle after 2
+	// minutes, retain forever, no span sampling. A negative threshold
+	// disables its policy (the MaxSessions hard cap still applies).
+	Capacity      Capacity
 	ShedThreshold float64
-	// ParkThreshold is the score at or above which the pressure loop
-	// parks the lowest-cost durable sessions (engine reclaimed, record
-	// kept serveable) until the score recovers. 0 takes the default
-	// 0.75; negative disables parking under pressure.
 	ParkThreshold float64
-	// IdleTimeout is the initial idle-expiry deadline for live sessions
-	// (mutable at runtime via the control plane). Default 2 minutes.
-	IdleTimeout time.Duration
-	// RetainFor bounds how long a parked (recovered) session's record is
-	// kept with no retrace or catch-up activity before it is forgotten
-	// and its log deleted. 0 (the default) retains forever.
-	RetainFor time.Duration
-
-	// TraceSampleN seeds the span-sampling knob: record a full
-	// stage-by-stage span for 1 in N reports per session. 0 (the
-	// default) disables sampling; mutable at runtime via the control
-	// plane (trace_sample_n).
-	TraceSampleN int
+	IdleTimeout   time.Duration
+	RetainFor     time.Duration
+	TraceSampleN  int
 
 	// Logger receives structured operational logs; nil discards them.
 	Logger *slog.Logger
-	// LogLevel, when non-nil, is the shared level gate the control plane
-	// mutates at runtime (log_level); nil builds a private one at Info.
+	// LogLevel, when non-nil, is the shared level gate the log_level
+	// knob sets; its level at construction seeds the knob. Nil builds a
+	// private one at Info.
 	LogLevel *slog.LevelVar
 }
 
@@ -99,16 +88,9 @@ func (c RegistryConfig) withDefaults() RegistryConfig {
 	if c.ReorderWindow <= 0 {
 		c.ReorderWindow = 25 * time.Millisecond
 	}
-	if c.ShedThreshold == 0 {
-		c.ShedThreshold = 0.9
-	}
-	if c.ParkThreshold == 0 {
-		c.ParkThreshold = 0.75
-	}
-	if c.IdleTimeout <= 0 {
+	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 2 * time.Minute
 	}
-	c.Capacity = c.Capacity.withDefaults()
 	return c
 }
 
@@ -134,202 +116,136 @@ type SessionSpec struct {
 	// engine ran. TopK and Levels must fit in [0, 255] (the meta
 	// encoding); nil takes the registry's runtime default.
 	Search *vote.SearchConfig
-	// WAL is the session's durability policy.
-	WAL WALPolicy
 }
 
-// WALPolicy tunes one session's write-ahead logging.
-type WALPolicy struct {
-	// Disable opts this session out of the registry's WAL store: no
-	// record, no retrace, no parking — an explicitly ephemeral session.
-	Disable bool
-	// SyncEvery, when positive, overrides the store's report-append
-	// fsync cadence for this session's log (1 = sync every report). 0
-	// takes the registry's runtime default.
-	SyncEvery int
-}
-
-// ErrBadSpec reports a SessionSpec that cannot be opened as given.
+// ErrBadSpec reports a SessionSpec, a runtime-knob record or a request
+// body that cannot be applied as given.
 var ErrBadSpec = errors.New("server: invalid session spec")
 
-// knobs is the registry's mutable runtime configuration: the control
-// plane reads and writes it while sessions are being served, so it
-// lives behind its own lock instead of in the immutable RegistryConfig.
-type knobs struct {
-	mu      sync.Mutex
-	idle    time.Duration
-	retain  time.Duration
-	shedAt  float64 // <= 0 disables score-driven shedding
-	parkAt  float64 // <= 0 disables parking under pressure
-	cap     Capacity
-	walSync int                // default SyncEvery for new session logs; 0 = store default
-	search  *vote.SearchConfig // default search for new sessions; nil = deployment default
+// Knobs is the registry's runtime configuration: the record the control
+// plane serves (GET /v1/control) and patches (POST /v1/control/config)
+// while sessions are being served, under these JSON keys. The registry
+// publishes one validated record at a time; see Validate for the rules.
+type Knobs struct {
+	// IdleMS is the idle-expiry deadline for live sessions.
+	IdleMS int64 `json:"idle_ms"`
+	// RetainMS bounds how long a parked record is kept with no retrace
+	// or catch-up activity before it is forgotten and its log deleted;
+	// 0 retains forever.
+	RetainMS int64 `json:"retain_ms"`
+	// ShedThreshold is the congestion score at or above which opens are
+	// refused with ErrOverloaded (HTTP 429 + Retry-After); ParkThreshold
+	// is the score at or above which the pressure loop parks the
+	// cheapest durable sessions. 0 takes the default (0.9 and 0.75), a
+	// negative value disables the policy.
+	ShedThreshold float64 `json:"shed_threshold"`
+	ParkThreshold float64 `json:"park_threshold"`
+	// Capacity is the congestion score's normalization basis.
+	Capacity Capacity `json:"capacity"`
+	// Search is the vote-search of new sessions whose spec names none;
+	// null is the deployment default.
+	Search *SearchJSON `json:"search"`
+	// TraceSampleN records a full stage-by-stage span for 1 in N reports
+	// per session; 0 disables sampling.
+	TraceSampleN int `json:"trace_sample_n"`
+	// LogLevel gates structured logging: "debug", "info", "warn" or
+	// "error".
+	LogLevel string `json:"log_level"`
 }
 
-// KnobState is a snapshot of the registry's runtime knobs.
-type KnobState struct {
-	IdleTimeout   time.Duration
-	RetainFor     time.Duration
-	ShedThreshold float64
-	ParkThreshold float64
-	Capacity      Capacity
-	WALSyncEvery  int
-	Search        *vote.SearchConfig
-	// TraceSampleN is the span-sampling knob (1-in-N reports, 0 = off).
-	TraceSampleN int
-	// LogLevel is the structured-logging level gate ("debug", "info",
-	// "warn", "error").
-	LogLevel string
-}
-
-// KnobPatch mutates a subset of the runtime knobs; nil fields keep
-// their current value. Threshold values <= 0 disable that policy. A
-// Capacity replacement is normalized (zero fields take defaults).
-type KnobPatch struct {
-	IdleTimeout   *time.Duration
-	RetainFor     *time.Duration
-	ShedThreshold *float64
-	ParkThreshold *float64
-	Capacity      *Capacity
-	WALSyncEvery  *int
-	// SetSearch replaces the default-search knob with Search (which may
-	// be nil, restoring the deployment default).
-	SetSearch bool
-	Search    *vote.SearchConfig
-	// TraceSampleN sets the span-sampling knob (0 disables).
-	TraceSampleN *int
-	// LogLevel sets the structured-logging level gate.
-	LogLevel *string
-}
-
-// Knobs snapshots the runtime knobs.
-func (r *Registry) Knobs() KnobState {
-	k := &r.knobs
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	st := KnobState{
-		IdleTimeout:   k.idle,
-		RetainFor:     k.retain,
-		ShedThreshold: k.shedAt,
-		ParkThreshold: k.parkAt,
-		Capacity:      k.cap,
-		WALSyncEvery:  k.walSync,
+// Validate is the one rule set of the runtime knobs. NewRegistry, the
+// control plane and rfidrawd's flags all pass through it: idle must be
+// positive, retain, trace_sample_n and capacity non-negative, a
+// threshold of 0 means its default and a negative one disables its
+// policy, park must sit below shed when both are enabled, and the log
+// level and search must be ones the daemon knows. It returns k with the
+// defaults filled in and the search and level spelled canonically, or
+// an ErrBadSpec error naming the first rule k breaks.
+func (k Knobs) Validate() (Knobs, error) {
+	switch {
+	case k.IdleMS <= 0:
+		return k, fmt.Errorf("%w: idle_ms %d must be positive", ErrBadSpec, k.IdleMS)
+	case k.RetainMS < 0:
+		return k, fmt.Errorf("%w: retain_ms %d must be >= 0 (0 retains forever)", ErrBadSpec, k.RetainMS)
+	case k.TraceSampleN < 0:
+		return k, fmt.Errorf("%w: trace_sample_n %d must be >= 0 (0 disables)", ErrBadSpec, k.TraceSampleN)
+	case k.Capacity.SearchEvalsPerSec < 0:
+		return k, fmt.Errorf("%w: capacity search_evals_per_sec %v must be >= 0 (0 takes the default)",
+			ErrBadSpec, k.Capacity.SearchEvalsPerSec)
 	}
-	if k.search != nil {
-		cp := *k.search
-		st.Search = &cp
+	if k.ShedThreshold == 0 {
+		k.ShedThreshold = 0.9
 	}
-	st.TraceSampleN = int(r.traceSampleN.Load())
-	st.LogLevel = levelName(r.levelVar.Level())
-	return st
-}
-
-// ApplyKnobs mutates the runtime knobs, validating as it goes.
-func (r *Registry) ApplyKnobs(p KnobPatch) error {
-	if p.IdleTimeout != nil && *p.IdleTimeout <= 0 {
-		return fmt.Errorf("%w: idle timeout must be positive", ErrBadSpec)
+	if k.ParkThreshold == 0 {
+		k.ParkThreshold = 0.75
 	}
-	if p.RetainFor != nil && *p.RetainFor < 0 {
-		return fmt.Errorf("%w: retention must be >= 0", ErrBadSpec)
+	if k.ShedThreshold > 0 && k.ParkThreshold >= k.ShedThreshold {
+		return k, fmt.Errorf("%w: park_threshold %v must sit below shed_threshold %v: parking is the relief valve before shedding",
+			ErrBadSpec, k.ParkThreshold, k.ShedThreshold)
 	}
-	if p.WALSyncEvery != nil && *p.WALSyncEvery < 0 {
-		return fmt.Errorf("%w: wal sync cadence must be >= 0", ErrBadSpec)
+	k.Capacity = k.Capacity.withDefaults()
+	level, err := parseLevel(k.LogLevel)
+	if err != nil {
+		return k, err
 	}
-	if p.SetSearch && p.Search != nil {
-		if err := validateSearch(p.Search); err != nil {
-			return err
+	k.LogLevel = levelName(level)
+	if k.Search != nil {
+		sc, err := k.Search.config()
+		if err != nil {
+			return k, fmt.Errorf("%w: %v", ErrBadSpec, err)
 		}
-	}
-	if p.TraceSampleN != nil && *p.TraceSampleN < 0 {
-		return fmt.Errorf("%w: trace sample cadence must be >= 0", ErrBadSpec)
-	}
-	var level slog.Level
-	if p.LogLevel != nil {
-		var err error
-		if level, err = parseLevel(*p.LogLevel); err != nil {
-			return err
+		if err := validateSearch(sc); err != nil {
+			return k, err
 		}
+		k.Search = toSearchJSON(sc)
 	}
-	if p.TraceSampleN != nil {
-		r.traceSampleN.Store(int64(*p.TraceSampleN))
+	return k, nil
+}
+
+// clone copies k deep: the search block is the one field shared by
+// pointer.
+func (k Knobs) clone() Knobs {
+	if k.Search != nil {
+		sc := *k.Search
+		k.Search = &sc
 	}
-	if p.LogLevel != nil {
-		r.levelVar.Set(level)
+	return k
+}
+
+// Knobs returns a copy of the published runtime knobs.
+func (r *Registry) Knobs() Knobs { return r.knobs.Load().clone() }
+
+// UpdateKnobs patches the runtime knobs with a partial JSON Knobs
+// object: it is decoded onto a copy of the published record (absent keys
+// keep their value, null clears the search), validated whole and
+// published. An unknown key, a malformed body or a broken rule is an
+// ErrBadSpec and changes nothing. Updates are serialized, so concurrent
+// patches of different keys never lose each other.
+func (r *Registry) UpdateKnobs(patch []byte) error {
+	r.knobMu.Lock()
+	defer r.knobMu.Unlock()
+	k := r.knobs.Load().clone()
+	if err := decodeBody(bytes.NewReader(patch), &k); err != nil {
+		return err
 	}
-	k := &r.knobs
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if p.IdleTimeout != nil {
-		k.idle = *p.IdleTimeout
+	k, err := k.Validate()
+	if err != nil {
+		return err
 	}
-	if p.RetainFor != nil {
-		k.retain = *p.RetainFor
-	}
-	if p.ShedThreshold != nil {
-		k.shedAt = *p.ShedThreshold
-	}
-	if p.ParkThreshold != nil {
-		k.parkAt = *p.ParkThreshold
-	}
-	if p.Capacity != nil {
-		k.cap = p.Capacity.withDefaults()
-	}
-	if p.WALSyncEvery != nil {
-		k.walSync = *p.WALSyncEvery
-	}
-	if p.SetSearch {
-		k.search = nil
-		if p.Search != nil {
-			cp := *p.Search
-			k.search = &cp
-		}
+	r.publish(k)
+	select {
+	case r.knobsSet <- struct{}{}:
+	default:
 	}
 	return nil
 }
 
-// IdleTimeout reads the runtime idle-expiry knob.
-func (r *Registry) IdleTimeout() time.Duration {
-	r.knobs.mu.Lock()
-	defer r.knobs.mu.Unlock()
-	return r.knobs.idle
-}
-
-// RetainFor reads the runtime retention knob (0 = retain forever).
-func (r *Registry) RetainFor() time.Duration {
-	r.knobs.mu.Lock()
-	defer r.knobs.mu.Unlock()
-	return r.knobs.retain
-}
-
-func (r *Registry) capacity() Capacity {
-	r.knobs.mu.Lock()
-	defer r.knobs.mu.Unlock()
-	return r.knobs.cap
-}
-
-func (r *Registry) shedAt() float64 {
-	r.knobs.mu.Lock()
-	defer r.knobs.mu.Unlock()
-	return r.knobs.shedAt
-}
-
-func (r *Registry) parkAt() float64 {
-	r.knobs.mu.Lock()
-	defer r.knobs.mu.Unlock()
-	return r.knobs.parkAt
-}
-
-func (r *Registry) defaultSpec(spec SessionSpec) SessionSpec {
-	r.knobs.mu.Lock()
-	defer r.knobs.mu.Unlock()
-	if spec.Search == nil && r.knobs.search != nil {
-		cp := *r.knobs.search
-		spec.Search = &cp
-	}
-	if spec.WAL.SyncEvery == 0 {
-		spec.WAL.SyncEvery = r.knobs.walSync
-	}
-	return spec
+// publish makes a validated record the registry's knobs. The level gate
+// is shared with the logger, so it is set from the record here.
+func (r *Registry) publish(k Knobs) {
+	level, _ := parseLevel(k.LogLevel)
+	r.levelVar.Set(level)
+	r.knobs.Store(&k)
 }
 
 // Registry is the session table: it owns session lifecycle (create,
@@ -341,7 +257,14 @@ type Registry struct {
 	cfg     RegistryConfig
 	metrics *Metrics
 	rec     *recognition.Recognizer
-	knobs   knobs
+
+	// knobs is the published runtime configuration, replaced whole by
+	// UpdateKnobs: readers load it without a lock, knobMu serializes the
+	// writers, and knobsSet (capacity 1) wakes the server's gc loop to
+	// re-read its deadlines.
+	knobs    atomic.Pointer[Knobs]
+	knobMu   sync.Mutex
+	knobsSet chan struct{}
 
 	// logger is the resolved structured logger (never nil); levelVar is
 	// its runtime-mutable level gate.
@@ -350,9 +273,6 @@ type Registry struct {
 	// pipeline aggregates every session's stage and end-to-end latency
 	// stamps into the /metrics histograms.
 	pipeline *obs.Pipeline
-	// traceSampleN is the hot-path span-sampling knob (1-in-N reports;
-	// 0 = off), atomic because the pump reads it per release.
-	traceSampleN atomic.Int64
 	// stripeSeq deals histogram stripes to new sessions round-robin.
 	stripeSeq atomic.Int64
 
@@ -390,6 +310,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		sessions: map[string]*Session{},
 		pipeline: &obs.Pipeline{},
 		levelVar: cfg.LogLevel,
+		knobsSet: make(chan struct{}, 1),
 	}
 	if r.levelVar == nil {
 		r.levelVar = &slog.LevelVar{}
@@ -398,16 +319,19 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if r.logger == nil {
 		r.logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.TraceSampleN > 0 {
-		r.traceSampleN.Store(int64(cfg.TraceSampleN))
+	k, err := Knobs{
+		IdleMS:        cfg.IdleTimeout.Milliseconds(),
+		RetainMS:      cfg.RetainFor.Milliseconds(),
+		ShedThreshold: cfg.ShedThreshold,
+		ParkThreshold: cfg.ParkThreshold,
+		Capacity:      cfg.Capacity,
+		TraceSampleN:  cfg.TraceSampleN,
+		LogLevel:      levelName(r.levelVar.Level()),
+	}.Validate()
+	if err != nil {
+		return nil, err
 	}
-	r.knobs = knobs{
-		idle:   cfg.IdleTimeout,
-		retain: cfg.RetainFor,
-		shedAt: cfg.ShedThreshold,
-		parkAt: cfg.ParkThreshold,
-		cap:    cfg.Capacity,
-	}
+	r.publish(k)
 	if !cfg.NoRecognize {
 		rec, err := newRecognizer()
 		if err != nil {
@@ -469,9 +393,6 @@ func (r *Registry) Pipeline() *obs.Pipeline { return r.pipeline }
 // Logger exposes the registry's resolved structured logger.
 func (r *Registry) Logger() *slog.Logger { return r.logger }
 
-// TraceSampleN reads the span-sampling knob (0 = off).
-func (r *Registry) TraceSampleN() int { return int(r.traceSampleN.Load()) }
-
 // nextStripe deals the next session's histogram stripe.
 func (r *Registry) nextStripe() int { return int(r.stripeSeq.Add(1)) }
 
@@ -492,8 +413,9 @@ func (r *Registry) Open(spec SessionSpec) (*Session, error) {
 		}
 		cp := *spec.Search
 		spec.Search = &cp
+	} else if def := r.knobs.Load().Search; def != nil {
+		spec.Search, _ = def.config() // published knobs hold a valid search
 	}
-	spec = r.defaultSpec(spec)
 	// First pass: the checks that need no cost sampling. The hard cap is
 	// examined before the score so a full node always answers 503, and
 	// an ID conflict is never reported as overload.
@@ -502,7 +424,7 @@ func (r *Registry) Open(spec SessionSpec) (*Session, error) {
 	}
 	// Score-driven admission: sample outside r.mu (sampling takes
 	// per-session locks).
-	if shedAt := r.shedAt(); shedAt > 0 {
+	if shedAt := r.knobs.Load().ShedThreshold; shedAt > 0 {
 		sc := r.refreshCongestionIfStale(time.Now())
 		if sc.Score >= shedAt {
 			r.metrics.Shed.Add(1)
@@ -629,7 +551,7 @@ func (r *Registry) Remove(id string) bool {
 // gone stale, and by /metrics and the control API so operators always
 // read a current value.
 func (r *Registry) RefreshCongestion(now time.Time) NodeScore {
-	capacity := r.capacity()
+	capacity := r.knobs.Load().Capacity
 	r.mu.Lock()
 	live := r.liveLocked()
 	r.mu.Unlock()
@@ -686,7 +608,7 @@ func (r *Registry) refreshCongestionIfStale(now time.Time) NodeScore {
 // rebuilt from disk for the least lost value — one at a time, until the
 // score recovers or no candidates remain. Returns the parked IDs.
 func (r *Registry) ParkUnderPressure(now time.Time) []string {
-	parkAt := r.parkAt()
+	parkAt := r.knobs.Load().ParkThreshold
 	if parkAt <= 0 || r.cfg.WAL == nil {
 		return nil
 	}
@@ -803,7 +725,6 @@ func (r *Registry) Resume(id string) (*Session, error) {
 		Sweep:    sweep,
 		Geometry: old.geometry,
 		Search:   old.search,
-		WAL:      old.walPolicy,
 	}
 	s := newSession(r, spec, resumeState{from: old.WALSeq(), created: old.Created, timeline: old.timeline})
 	r.sessions[id] = s
@@ -910,6 +831,16 @@ func (r *Registry) keep(s *Session) {
 	s.moveLocked(stateRecovered)
 	s.emitMu.Unlock()
 	r.metrics.SessionsRetained.Add(1)
+}
+
+// drop takes a session out of the table if the entry is still its own:
+// an unclaimed Session.Close leaves no entry behind to reserve its ID.
+func (r *Registry) drop(s *Session) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sessions[s.ID] == s {
+		delete(r.sessions, s.ID)
+	}
 }
 
 // release retires a session the table no longer holds: it goes to gone,

@@ -172,31 +172,41 @@ func (s *Server) IngestAddr() string {
 	return s.ingestLn.Addr().String()
 }
 
-// gcLoop expires idle sessions (and over-retained parked records) on a
-// fraction of the idle timeout the registry holds at start. The
-// deadlines are re-read from the registry's runtime knobs every tick so
-// a control-plane mutation takes effect without a restart.
+// gcLoop expires idle sessions (and over-retained parked records) every
+// max(idle/4, 1s). Each round re-reads the deadlines and its own wait
+// from the published knobs, and a knob update wakes it to re-derive the
+// wait at once, so lowering idle_ms takes effect within the new bound
+// instead of after a wait sized for the old one.
 func (s *Server) gcLoop() {
-	period := s.reg.IdleTimeout() / 4
-	if period < time.Second {
-		period = time.Second
-	}
-	ticker := time.NewTicker(period)
-	defer ticker.Stop()
+	last := time.Now()
+	timer := time.NewTimer(gcPeriod(s.reg.knobs.Load()))
+	defer timer.Stop()
 	for {
 		select {
-		case <-ticker.C:
+		case <-timer.C:
 			now := time.Now()
-			for _, id := range s.reg.ExpireIdle(now, s.reg.IdleTimeout()) {
+			last = now
+			k := s.reg.knobs.Load()
+			for _, id := range s.reg.ExpireIdle(now, time.Duration(k.IdleMS)*time.Millisecond) {
 				s.logger.Info("session expired idle", "session", id)
 			}
-			for _, id := range s.reg.ExpireRetained(now, s.reg.RetainFor()) {
+			for _, id := range s.reg.ExpireRetained(now, time.Duration(k.RetainMS)*time.Millisecond) {
 				s.logger.Info("session retention expired, record deleted", "session", id)
 			}
+		case <-s.reg.knobsSet:
 		case <-s.quit:
 			return
 		}
+		// The next round is due a period after the last one, so frequent
+		// knob updates never hold it off.
+		timer.Reset(time.Until(last.Add(gcPeriod(s.reg.knobs.Load()))))
 	}
+}
+
+// gcPeriod is the gc loop's wait under k: a quarter of the idle
+// deadline, at least a second.
+func gcPeriod(k *Knobs) time.Duration {
+	return max(time.Duration(k.IdleMS)*time.Millisecond/4, time.Second)
 }
 
 // pressureLoopTick is the cadence of the congestion refresh and the

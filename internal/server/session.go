@@ -49,8 +49,6 @@ type Session struct {
 	// applied to recovery, retrace and catch-up replays alike so every
 	// rebuild runs the search the live engine ran.
 	search *vote.SearchConfig
-	// walPolicy is the session's durability policy from its spec.
-	walPolicy WALPolicy
 	// resumeFrom, when nonzero, marks this session as the resumption of
 	// a parked record: the log reopens for append and sequence numbers
 	// continue from this head.
@@ -210,7 +208,6 @@ func sessionShell(reg *Registry, spec SessionSpec, resume resumeState) *Session 
 		Created:    time.Now(),
 		geometry:   spec.Geometry,
 		search:     spec.Search,
-		walPolicy:  spec.WAL,
 		resumeFrom: resume.from,
 		reg:        reg,
 		inbox:      make(chan ingestItem, ingestBuffer),
@@ -295,7 +292,8 @@ func (s *Session) Search() *vote.SearchConfig {
 //	 └──Close (unclaimed)────────────────────────────────────▶ gone
 //
 // claim is park or idle expiry taking over the teardown; release is the
-// registry dropping the entry (Remove, expiry, Resume, Registry.Close).
+// registry dropping the entry (Remove, expiry, Resume, Registry.Close);
+// an unclaimed Close drops the entry itself.
 // A session rehydrated from its log at startup is born recovered.
 type sessionState uint8
 
@@ -404,16 +402,23 @@ func (s *Session) claim(now time.Time, idle time.Duration) bool {
 	return true
 }
 
-// Close tears the session down: an unclaimed live session goes to gone
-// and is stopped; a claimed one (park, idle expiry) is stopped if its
-// claimer has not got there yet. Idempotent and safe to call
-// concurrently; every caller returns after the teardown has completed.
+// Close tears the session down: an unclaimed live session goes to gone,
+// leaves the registry's table (its log, if any, stays on disk) and is
+// stopped; a claimed one (park, idle expiry) is stopped if its claimer
+// has not got there yet. Idempotent and safe to call concurrently;
+// every caller returns after the teardown has completed.
 func (s *Session) Close() {
 	s.emitMu.Lock()
-	if s.lifecycle() == stateLive {
+	unclaimed := s.lifecycle() == stateLive
+	if unclaimed {
 		s.moveLocked(stateGone)
 	}
 	s.emitMu.Unlock()
+	if unclaimed {
+		// The registry lock comes after the session lock is dropped (lock
+		// order: registry, then session).
+		s.reg.drop(s)
+	}
 	s.stop()
 }
 

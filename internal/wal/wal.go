@@ -15,7 +15,7 @@
 //	<root>/<session-id>/00000002.wal
 //	...
 //
-// Segments rotate by size and (optionally) age. Every segment opens with
+// Segments rotate by size. Every segment opens with
 // a meta record, so any segment is self-describing. Closing a log
 // compacts the session to a single 00000000.wal segment (which sorts
 // before all append segments and is authoritative when present, making
@@ -86,10 +86,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it grows past this.
 	// Default 4 MiB.
 	SegmentBytes int64
-	// SegmentAge rotates the active segment once it has been open this
-	// long, so an idle session's tail still becomes a closed, compactable
-	// segment. 0 disables age-based rotation.
-	SegmentAge time.Duration
 	// SyncEvery fsyncs the active segment every N report appends; 1
 	// syncs every append (maximum durability, one fsync per report).
 	// Flush and close records always sync. Default 64.
@@ -141,14 +137,6 @@ type SearchMeta struct {
 	// registry validates they fit a byte before opening the session).
 	TopK   uint8
 	Levels uint8
-}
-
-// Overrides carries per-log option overrides — a session's WAL policy —
-// applied on top of the store's defaults.
-type Overrides struct {
-	// SyncEvery, when positive, replaces the store's report-append sync
-	// cadence for this log.
-	SyncEvery int
 }
 
 // Record is one decoded log entry.
@@ -224,11 +212,7 @@ func (st *Store) sessionDir(id string) string { return filepath.Join(st.dir, id)
 // Create starts a fresh log for a session, truncating any retained log
 // under the same ID (the registry guarantees ID uniqueness among live
 // and recovered sessions; a leftover directory is a forgotten one).
-func (st *Store) Create(meta Meta) (*Log, error) { return st.CreateWith(meta, Overrides{}) }
-
-// CreateWith is Create with per-log option overrides (a session's WAL
-// policy) applied on top of the store defaults.
-func (st *Store) CreateWith(meta Meta, over Overrides) (*Log, error) {
+func (st *Store) Create(meta Meta) (*Log, error) {
 	if err := validateMeta(meta); err != nil {
 		return nil, err
 	}
@@ -241,7 +225,7 @@ func (st *Store) CreateWith(meta Meta, over Overrides) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, meta: meta, opts: st.opts.apply(over), nextSeg: 1}
+	l := &Log{dir: dir, meta: meta, opts: st.opts, nextSeg: 1}
 	if err := l.rotate(); err != nil {
 		return nil, err
 	}
@@ -257,7 +241,7 @@ func (st *Store) CreateWith(meta Meta, over Overrides) (*Log, error) {
 // continuity: new records must carry sequence numbers past the retained
 // head, and the close record already mid-log replays as a flush (the
 // boundary the session drained at when it was parked).
-func (st *Store) AppendTo(meta Meta, over Overrides) (*Log, error) {
+func (st *Store) AppendTo(meta Meta) (*Log, error) {
 	if err := validateMeta(meta); err != nil {
 		return nil, err
 	}
@@ -291,7 +275,7 @@ func (st *Store) AppendTo(meta Meta, over Overrides) (*Log, error) {
 		}
 		nextSeg = n + 1
 	}
-	l := &Log{dir: dir, meta: meta, opts: st.opts.apply(over), nextSeg: nextSeg}
+	l := &Log{dir: dir, meta: meta, opts: st.opts, nextSeg: nextSeg}
 	if err := l.rotate(); err != nil {
 		return nil, err
 	}
@@ -308,14 +292,6 @@ func validateMeta(meta Meta) error {
 		return fmt.Errorf("wal: geometry name %d bytes long", len(meta.Geometry))
 	}
 	return nil
-}
-
-// apply folds per-log overrides into a copy of the store options.
-func (o Options) apply(over Overrides) Options {
-	if over.SyncEvery > 0 {
-		o.SyncEvery = over.SyncEvery
-	}
-	return o
 }
 
 // Sessions lists the IDs with retained logs.
@@ -575,7 +551,6 @@ type Log struct {
 	f        *os.File
 	nextSeg  int
 	segBytes int64
-	segBorn  time.Time
 	appends  int // report appends since the last sync
 	buf      []byte
 	bytes    int64
@@ -595,7 +570,7 @@ func (l *Log) rotate() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.f, l.segBytes, l.segBorn = f, 0, time.Now()
+	l.f, l.segBytes = f, 0
 	l.nextSeg++
 	return l.append(l.encodeMeta(), true)
 }
@@ -652,10 +627,9 @@ func (l *Log) append(rec []byte, sync bool) error {
 }
 
 // AppendReport logs one sequenced report, rotating the segment first if
-// the active one is over its size or age budget.
+// the active one is over its size budget.
 func (l *Log) AppendReport(seq uint64, rep rfid.Report) error {
-	if l.segBytes >= l.opts.SegmentBytes ||
-		(l.opts.SegmentAge > 0 && time.Since(l.segBorn) >= l.opts.SegmentAge) {
+	if l.segBytes >= l.opts.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
 		}

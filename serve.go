@@ -75,7 +75,10 @@ type ServeConfig struct {
 	// ParkThreshold is the score at or above which the pressure loop
 	// parks the lowest-cost durable sessions (engine reclaimed, record
 	// kept serveable and resumable) until the score recovers. 0 takes
-	// the default 0.75; negative disables parking under pressure.
+	// the default 0.75; negative disables parking under pressure. When
+	// both policies are on, parking must sit below shedding (defaults
+	// counted), or NewServer fails: these fields seed the runtime knobs
+	// and pass the same rules as a control-plane patch.
 	ParkThreshold float64
 
 	// DataDir, when set, makes sessions durable: each session's
@@ -118,9 +121,6 @@ type (
 	// creation surface OpenSession, Client.CreateSession and POST
 	// /v1/sessions all accept.
 	SessionSpec = server.SessionSpec
-	// WALPolicy tunes one session's write-ahead logging (systems serving
-	// with ServeConfig.DataDir).
-	WALPolicy = server.WALPolicy
 	// Event is one item of a session's live output stream: a trace
 	// point, a recognized glyph, a queue-drop or tier notice, or the
 	// end-of-session marker.

@@ -215,6 +215,27 @@ func TestServeRejectsImpossibleAcquireBound(t *testing.T) {
 	}
 }
 
+// TestServeRejectsParkAboveShed: the serving layer's threshold seeds
+// pass the runtime-knob rules, effective values included — parking
+// must sit below shedding, the 0.9 and 0.75 defaults counted.
+func TestServeRejectsParkAboveShed(t *testing.T) {
+	for _, cfg := range []ServeConfig{
+		{ShedThreshold: 0.5, ParkThreshold: 0.6},
+		{ParkThreshold: 0.95},
+		{ShedThreshold: 0.5},
+	} {
+		sys, err := New(Config{PlaneDistanceM: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.HTTPAddr, cfg.IngestAddr = "127.0.0.1:0", "127.0.0.1:0"
+		if _, err := sys.NewServer(cfg); err == nil {
+			t.Errorf("shed %v, park %v: NewServer accepted", cfg.ShedThreshold, cfg.ParkThreshold)
+		}
+		sys.Close()
+	}
+}
+
 // TestRetraceSearchOverrides: a retrace's search override is bounded
 // like a session's own search — out of range is ErrBadSpec in process
 // and 400 bad_request over HTTP — and a (geometry, search) pair no
