@@ -67,7 +67,7 @@ cat "$OUT"
 # present on /metrics (values may legitimately be 0 after drain).
 METRICS="$(curl -sf "http://$HTTP/metrics")"
 for m in rfidrawd_hypotheses_active rfidrawd_leader_switches_total rfidrawd_hypothesis_retirements_total; do
-  if ! echo "$METRICS" | grep -q "^$m "; then
+  if ! grep -q "^$m " <<<"$METRICS"; then
     echo "soak: /metrics missing $m" >&2
     exit 1
   fi
@@ -140,7 +140,7 @@ if [ "$RECOVERED" -lt "$RECOVER_SESSIONS" ]; then
   exit 1
 fi
 STATES="$(curl -sf "http://$HTTP/v1/sessions")"
-if echo "$STATES" | grep -q '"state":"live"'; then
+if grep -q '"state":"live"' <<<"$STATES"; then
   echo "soak: recovered daemon reports live sessions it never served" >&2
   exit 1
 fi
@@ -363,52 +363,99 @@ echo "soak: binary encoding OK ($BIN_POINTS points, equal to ndjson within tail-
 # One session fanning out to many subscribers spread across all three
 # trace tiers, against a daemon with a deliberately shallow subscriber
 # queue so fan-out pressure is real: the adaptive policy must step
-# backlogged subscribers down a tier (downgrades > 0, announced
-# in-stream and counted by the report) instead of stalling anyone, and
-# the decimated T0 cohort — running at an eighth of the point rate —
-# must ride it out without losing a single event. The daemon must also
-# come back to idle without leaking any of the fan-out goroutines.
+# backlogged subscribers down a tier instead of stalling anyone, and the
+# decimated T0 cohort — running at an eighth of the point rate — must
+# ride it out without losing a single event. The daemon must also come
+# back to idle without leaking any of the fan-out goroutines.
+#
+# Whether loadgen's own subscribers fall behind depends on the host's
+# speed, so the backlog is made certain: one extra tier-2 stream of
+# load-0 is held open and unread for the first TIER_HOLD seconds, then
+# read to its end. A plain unread curl stream cannot do this — on
+# loopback the kernel buffers megabytes, more than the session streams
+# in the whole phase — so the held connection is opened (in perl) with
+# a small MSS and receive buffer, which keeps the daemon's send buffer
+# small too: it fills within about 2 s, the subscriber's queue backs up,
+# and the policy steps it down. Drop-oldest may evict those backlog
+# announcements while the stream is held, but once it is read again its
+# recovery is announced in it ("recovered" from the tier it was stepped
+# down to), and every step is counted on /metrics. The hold needs
+# SOAK_TIER_DURATION well above it.
 kill -9 "$DAEMON" 2>/dev/null || true
 wait "$DAEMON" 2>/dev/null || true
 
 TIER_SUBSCRIBERS="${SOAK_TIER_SUBSCRIBERS:-256}"
 TIER_DURATION="${SOAK_TIER_DURATION:-10s}"
 TIER_PACE="${SOAK_TIER_PACE:-8}"
+TIER_HOLD=4
 bin/rfidrawd -http "$HTTP" -ingest "$INGEST" -idle 30s \
   -max-subscribers 512 -queue 2 &
 DAEMON=$!
-trap 'kill -9 "$DAEMON" 2>/dev/null || true' EXIT
+HELD_OUT="$(mktemp)"
+trap 'kill -9 "$DAEMON" 2>/dev/null || true; rm -f "$HELD_OUT"' EXIT
 for _ in $(seq 1 100); do
   curl -sf "http://$HTTP/healthz" >/dev/null 2>&1 && break
   sleep 0.2
 done
 TIER_BEFORE="$(goroutines)"
 
-echo "soak: tiered fan-out phase: $TIER_SUBSCRIBERS subscribers, mixed tiers"
+echo "soak: tiered fan-out phase: $TIER_SUBSCRIBERS subscribers, mixed tiers, one stream held ${TIER_HOLD}s"
 bin/loadgen -daemon "http://$HTTP" -sessions 1 -tags 4 -duration "$TIER_DURATION" \
   -pace "$TIER_PACE" -subscribers "$TIER_SUBSCRIBERS" -tier mixed \
-  -out SOAK_tiered.json
+  -out SOAK_tiered.json &
+LOADGEN=$!
+for _ in $(seq 1 200); do
+  curl -sf "http://$HTTP/v1/sessions/load-0" >/dev/null 2>&1 && break
+  sleep 0.05
+done
+perl -MSocket=:all -e '
+  my ($host, $port, $path, $hold, $out) = @ARGV;
+  socket(my $s, PF_INET, SOCK_STREAM, IPPROTO_TCP) or die "socket: $!";
+  setsockopt($s, IPPROTO_TCP, TCP_MAXSEG, 536) or die "TCP_MAXSEG: $!";
+  setsockopt($s, SOL_SOCKET, SO_RCVBUF, 4096) or die "SO_RCVBUF: $!";
+  connect($s, pack_sockaddr_in($port, inet_aton($host))) or die "connect: $!";
+  syswrite($s, "GET $path HTTP/1.0\r\nHost: $host\r\n\r\n") or die "write: $!";
+  sleep $hold;
+  open(my $fh, ">", $out) or die "$out: $!";
+  while (sysread($s, my $buf, 65536)) { print $fh $buf }
+' "${HTTP%:*}" "${HTTP##*:}" "/v1/sessions/load-0/stream?tier=2" "$TIER_HOLD" "$HELD_OUT" &
+HELD=$!
+if ! wait "$LOADGEN"; then
+  echo "soak: loadgen failed in the tiered phase" >&2
+  exit 1
+fi
+if ! wait "$HELD"; then
+  echo "soak: the held tier-2 stream failed" >&2
+  exit 1
+fi
 
 tier_field() { sed -n "s/^  \"$1\": \([0-9]*\),*/\1/p" SOAK_tiered.json | head -1; }
 T0_POINTS="$(tier_field tier0_points)"; T1_POINTS="$(tier_field tier1_points)"
 T2_POINTS="$(tier_field tier2_points)"; T0_DROPS="$(tier_field tier0_drops)"
 DOWNGRADES="$(tier_field downgrades)"
-echo "soak: tiered points t0=$T0_POINTS t1=$T1_POINTS t2=$T2_POINTS, t0 drops=$T0_DROPS, downgrades=$DOWNGRADES"
+HELD_TIER="$(grep -c '"type":"tier"' "$HELD_OUT" || true)"
+echo "soak: tiered points t0=$T0_POINTS t1=$T1_POINTS t2=$T2_POINTS, t0 drops=$T0_DROPS, downgrades=$DOWNGRADES, held-stream tier events=$HELD_TIER"
 if [ "${T0_POINTS:-0}" -eq 0 ] || [ "${T1_POINTS:-0}" -eq 0 ] || [ "${T2_POINTS:-0}" -eq 0 ]; then
   echo "soak: a tier cohort received no trace points" >&2
   exit 1
 fi
-if [ "${DOWNGRADES:-0}" -eq 0 ]; then
-  echo "soak: fan-out pressure on a shallow queue triggered no adaptive downgrades" >&2
+if ! grep -q '"type":"end"' "$HELD_OUT"; then
+  echo "soak: the held tier-2 stream did not run to its end" >&2
+  exit 1
+fi
+if [ "${HELD_TIER:-0}" -eq 0 ]; then
+  echo "soak: the held tier-2 stream backed up but announced no tier change" >&2
   exit 1
 fi
 if [ "${T0_DROPS:-0}" -ne 0 ]; then
   echo "soak: decimated T0 subscribers dropped $T0_DROPS events under fan-out pressure" >&2
   exit 1
 fi
+# The held stream's steps are counted on /metrics but not in loadgen's
+# report, so the counter must exceed what loadgen saw announced.
 DOWNGRADES_METRIC="$(curl -sf "http://$HTTP/metrics" | awk '/^rfidrawd_tier_downgrades_total /{print $2}')"
-if [ "${DOWNGRADES_METRIC:-0}" -eq 0 ]; then
-  echo "soak: rfidrawd_tier_downgrades_total never moved despite $DOWNGRADES observed downgrades" >&2
+if [ "${DOWNGRADES_METRIC:-0}" -le "${DOWNGRADES:-0}" ]; then
+  echo "soak: rfidrawd_tier_downgrades_total $DOWNGRADES_METRIC does not count the held stream's downgrades beyond loadgen's $DOWNGRADES" >&2
   exit 1
 fi
 
@@ -420,4 +467,4 @@ if [ "$TIER_AFTER" -gt $((TIER_BEFORE + SLACK)) ]; then
   exit 1
 fi
 curl -sf "http://$HTTP/healthz" | grep -q '"sessions":0'
-echo "soak: tiered fan-out OK ($TIER_SUBSCRIBERS subscribers, $DOWNGRADES downgrades, zero T0 drops)"
+echo "soak: tiered fan-out OK ($TIER_SUBSCRIBERS subscribers, $DOWNGRADES_METRIC downgrades counted, $HELD_TIER tier events on the held stream, zero T0 drops)"
