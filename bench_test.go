@@ -524,12 +524,9 @@ func benchDaemonStart(b *testing.B) *server.Client {
 	reg, err := server.NewRegistry(server.RegistryConfig{
 		NewEngine:      factory,
 		MaxSubscribers: 2048,
-		// Subscribers queue group-commit carriers, each a whole batch, so
-		// 32 slots is thousands of events of headroom; the default depth
-		// is sized for consumers that fall behind by whole batches. At
-		// 1024 subscribers the default's queue buffers alone are ~50MB of
-		// always-live, pointer-bearing heap, and every GC cycle's rescan
-		// of it would drown the fan-out being measured.
+		// Subscribers queue whole group-commit batches, so 32 slots is
+		// thousands of events of headroom for a consumer that keeps up;
+		// the default depth is sized for consumers that fall behind.
 		SubscriberQueue: 32,
 	})
 	if err != nil {
@@ -695,7 +692,7 @@ func benchRawStream(addr, path string) (net.Conn, *bufio.Reader, error) {
 // trace tiers (s%3), so every flush marshals each distinct tier run at
 // most once and shares the bytes across its cohort. reports/s should
 // stay near flat as subscribers grow — the per-subscriber cost is a
-// channel send of pre-encoded carriers, not a marshal — and CI gates
+// channel send of a pre-encoded batch, not a marshal — and CI gates
 // the 1024-subscriber arm against the committed baseline.
 func BenchmarkTieredFanout(b *testing.B) {
 	benchEngineJobs(b, 8) // ensure the cached run exists

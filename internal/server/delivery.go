@@ -3,12 +3,14 @@ package server
 import (
 	"encoding/json"
 	"iter"
+	"slices"
 	"strconv"
 	"time"
 
 	"rfidraw/internal/engine"
 	"rfidraw/internal/geom"
 	"rfidraw/internal/obs"
+	"rfidraw/internal/recognition"
 )
 
 // Event is one item of a session's live output stream, serialized as one
@@ -56,33 +58,12 @@ type Event struct {
 	Reason   string `json:"reason,omitempty"`
 
 	// minTier is the lowest trace tier that includes this event (0 ⊆ 1 ⊆
-	// 2): 0 = dashboard-grade (decimated points, glyphs, end), 1 = the
-	// full default stream, 2 = diagnostic detail only T2 subscribers see.
-	// Classified once where the event is produced; the fan-out path
-	// delivers the event to every subscriber whose tier >= minTier.
+	// 2): 0 = dashboard-grade (thinned points, glyphs, end), 1 = the full
+	// default stream, 2 = diagnostic detail only T2 subscribers see. The
+	// emitter classifies it once where the event is produced; delivery
+	// passes the event to every subscriber whose tier >= minTier.
 	// Unexported: invisible on the wire.
 	minTier uint8
-	// enq is the event's subscriber-enqueue stamp (obs monotonic nanos),
-	// set by the broadcast path so the stream writer can observe the
-	// queue-to-wire stage. Unexported: invisible on the wire.
-	enq int64
-	// batch marks a group-commit carrier: an Event whose only meaning is
-	// the batch it points at, consecutive events the emit flusher
-	// encoded once for one tier (see flushEmitLocked). Every subscriber
-	// served at that tier shares the batch; in drop accounting a carrier
-	// weighs the events it carries. nil on every real event, including
-	// the ones that travel one per queue item (catch-up replays, drop and
-	// tier notices). Unexported: invisible on the wire.
-	batch *eventBatch
-}
-
-// weight is the event's cost in drop accounting: carriers count the
-// events they carry, everything else counts one.
-func (ev *Event) weight() int {
-	if ev.batch != nil {
-		return ev.batch.n
-	}
-	return 1
 }
 
 // MarshalJSON keeps the frozen T1 wire shape byte-for-byte for the
@@ -112,12 +93,18 @@ func (ev Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(plain(ev))
 }
 
-// eventBatch is one tier's share of a group commit: n consecutive
-// events, built once in each form some subscriber at the tier consumes.
-// It is immutable after the flush: every subscriber at the tier reads
-// it concurrently with no copy.
+// eventBatch is one subscriber queue item: n consecutive events, built
+// in each form a subscriber it reaches consumes. The emit flusher builds
+// one per tier per group commit and every subscriber at that tier shares
+// it; a catch-up replay builds one per replayed log record that yields
+// events, and a drop, tier or end notice is a batch of one. Immutable
+// once queued.
 type eventBatch struct {
 	n int
+	// enq is when the batch's oldest event joined the group-commit buffer
+	// (obs monotonic nanos; 0 for batches built outside it): the stream
+	// writer observes the queue-to-wire stage from it.
+	enq int64
 	// ndjson is the batch as newline-terminated NDJSON lines
 	// (byte-identical to what json.Encoder.Encode writes per event).
 	ndjson []byte
@@ -126,6 +113,39 @@ type eventBatch struct {
 	binary []byte
 	// events is the batch decoded, for in-process subscribers.
 	events []Event
+}
+
+// add appends one event to the batch in the form enc.
+func (b *eventBatch) add(ev Event, enc subEncoding) {
+	b.n++
+	switch enc {
+	case encNDJSON:
+		b.ndjson = append(b.ndjson, ndjsonLine(&ev)...)
+	case encBinary:
+		b.binary = appendEventFrame(b.binary, &ev)
+	default:
+		ev.minTier = 0
+		b.events = append(b.events, ev)
+	}
+}
+
+// notice builds the one-event batch that carries a drop, tier or end
+// notice to a subscriber served in the form enc.
+func notice(ev Event, enc subEncoding) *eventBatch {
+	b := &eventBatch{}
+	b.add(ev, enc)
+	return b
+}
+
+// ndjsonLine is ev's NDJSON line, byte-identical to what
+// json.Encoder.Encode writes; nil for an event that cannot marshal
+// (impossible for the types the daemon emits).
+func ndjsonLine(ev *Event) []byte {
+	m, err := json.Marshal(ev)
+	if err != nil {
+		return nil
+	}
+	return append(m, '\n')
 }
 
 // subEncoding is the form a subscriber's batches reach it in: decoded
@@ -142,12 +162,11 @@ const (
 // Subscriber is one attached consumer of a session's event stream.
 type Subscriber struct {
 	sess *Session
-	// ch is the bounded delivery queue: group-commit carriers from the
-	// emit flusher, plus the notices and catch-up points that travel one
-	// per item.
-	ch  chan Event
+	// ch is the bounded delivery queue; every item is a batch in the
+	// subscriber's form (see eventBatch).
+	ch  chan *eventBatch
 	enc subEncoding
-	// rest is the undelivered tail of the carrier Events was expanding
+	// rest is the undelivered tail of the batch Events was expanding
 	// when its consumer stopped; only the consumer goroutine touches it.
 	rest []Event
 	// pendingDrops counts events lost since the last successfully
@@ -167,20 +186,20 @@ type Subscriber struct {
 	downgrades  int64
 
 	// Catch-up state (all guarded by the session's emitMu). While
-	// catchingUp, live events are parked in pending (bounded, drop-oldest)
+	// catchingUp, live batches are parked in pending (bounded, drop-oldest)
 	// and the WAL replay goroutine owns ch: it delivers the replayed
 	// prefix, splices pending, and is the one closer of ch. cancel (only
 	// set on catch-up subscribers) tells that goroutine to stop.
 	catchingUp bool
-	pending    []Event
+	pending    []*eventBatch
 	cancel     chan struct{}
 }
 
 // Events yields the subscriber's events in order until its queue closes,
 // when the session ends or the subscriber detaches. The queue carries
-// group-committed batches; Events expands them, so the consumer sees
-// one event at a time. A consumer that stops early resumes where it
-// left off on its next call. One consumer goroutine at a time.
+// batches; Events expands them, so the consumer sees one event at a
+// time. A consumer that stops early resumes where it left off on its
+// next call. One consumer goroutine at a time.
 func (sub *Subscriber) Events() iter.Seq[Event] {
 	return func(yield func(Event) bool) {
 		for {
@@ -191,15 +210,11 @@ func (sub *Subscriber) Events() iter.Seq[Event] {
 					return
 				}
 			}
-			ev, ok := <-sub.ch
+			b, ok := <-sub.ch
 			if !ok {
 				return
 			}
-			if ev.batch != nil {
-				sub.rest = ev.batch.events
-			} else if !yield(ev) {
-				return
-			}
+			sub.rest = b.events
 		}
 	}
 }
@@ -233,30 +248,15 @@ func (sub *Subscriber) Downgrades() int64 {
 // once and after the session closed.
 func (sub *Subscriber) Close() { sub.sess.detach(sub) }
 
-// stroke accumulates one tag's in-progress stroke for glyph recognition.
-type stroke struct {
-	pts  []geom.Vec2
-	last time.Duration
-	// n counts the stroke's points for T0 decimation: every
-	// t0DecimateEvery-th point (and always the first) is classified into
-	// tier 0, so a dashboard tracing the decimated stream still renders
-	// every stroke from its first sample.
-	n int
-}
-
 // SubscribeTier names the trace tier a subscriber negotiates at attach.
-// The zero value is the full default stream (T1), so existing callers
-// keep today's stream untouched.
 type SubscribeTier int
 
 const (
-	// TierDefault is the unnegotiated default: the full T1 stream.
-	TierDefault SubscribeTier = iota
-	// Tier0 is the dashboard-grade stream: decimated positions plus
-	// glyphs and the end marker.
+	// Tier1 is the full default stream; it is the zero value.
+	Tier1 SubscribeTier = iota
+	// Tier0 is the dashboard-grade stream: thinned positions plus glyphs
+	// and the end marker.
 	Tier0
-	// Tier1 is the full default stream, explicitly requested.
-	Tier1
 	// Tier2 is T1 plus the diagnostic detail events (stroke closures).
 	Tier2
 )
@@ -268,9 +268,8 @@ func (t SubscribeTier) level() uint8 {
 		return 0
 	case Tier2:
 		return 2
-	default:
-		return 1
 	}
+	return 1
 }
 
 // Adaptive downgrade policy: a subscriber whose queue fill crosses
@@ -287,8 +286,8 @@ const (
 
 // SubscribeOptions configures a subscriber attach.
 type SubscribeOptions struct {
-	// Buffer bounds the delivery queue in queue items (a group-commit
-	// batch is one item); <= 0 takes the registry default.
+	// Buffer bounds the delivery queue in batches (see eventBatch); <= 0
+	// takes the registry default.
 	Buffer int
 	// Tier selects the trace tier (T0 decimated / T1 full / T2
 	// diagnostic); the zero value is T1, today's stream exactly. Slow
@@ -324,7 +323,7 @@ func (s *Session) newSubscriber(o SubscribeOptions, catchup bool) *Subscriber {
 		buffer = s.reg.cfg.SubscriberQueue
 	}
 	tier := o.Tier.level()
-	sub := &Subscriber{sess: s, ch: make(chan Event, buffer), enc: o.encoding, tier: tier, maxTier: tier}
+	sub := &Subscriber{sess: s, ch: make(chan *eventBatch, buffer), enc: o.encoding, tier: tier, maxTier: tier}
 	if catchup {
 		sub.catchingUp, sub.cancel = true, make(chan struct{})
 	}
@@ -404,8 +403,7 @@ func (s *Session) maybeRetuneTierLocked(sub *Subscriber) {
 }
 
 // setTierLocked moves a subscriber to a new tier: the transition is
-// announced in-stream as a "tier" control event (no shared wire — the
-// stream writer marshals it locally), recorded on the session timeline,
+// announced in-stream as a "tier" notice, recorded on the session timeline,
 // exported as metrics, and counted into the session's fan-out pressure
 // signal for the cost meter. Requires emitMu.
 func (s *Session) setTierLocked(sub *Subscriber, tier uint8, reason string) {
@@ -426,7 +424,7 @@ func (s *Session) setTierLocked(sub *Subscriber, tier uint8, reason string) {
 	}
 	s.timeline.Record(obs.EventTierChange,
 		"tier "+strconv.Itoa(int(from))+"->"+strconv.Itoa(int(tier))+" ("+reason+")")
-	s.sendLocked(sub, Event{Type: "tier", Tier: int(tier), FromTier: int(from), Reason: reason})
+	s.sendLocked(sub, notice(Event{Type: "tier", Tier: int(tier), FromTier: int(from), Reason: reason}, sub.enc))
 }
 
 // TierDowngrades reports the session's cumulative adaptive tier
@@ -450,8 +448,8 @@ func (s *Session) Subscribers() int {
 	return len(s.subs)
 }
 
-// onUpdate receives live positions from engine shard goroutines: it
-// advances per-tag stroke state and broadcasts point events.
+// onUpdate receives live positions from engine shard goroutines and
+// runs them through the session's emitter.
 func (s *Session) onUpdate(u engine.Update) {
 	now := obs.Now()
 	if rel := s.lastRelease.Swap(0); rel > 0 {
@@ -467,39 +465,49 @@ func (s *Session) onUpdate(u engine.Update) {
 	}
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	st := s.strokes[u.Tag]
-	if st == nil {
-		st = &stroke{}
-		s.strokes[u.Tag] = st
-	}
-	for _, p := range u.Positions {
-		// A leadership switch re-bases the trajectory on a different
-		// hypothesis; the jump is not pen movement, so close the stroke.
-		if len(st.pts) > 0 && (p.Time-st.last > glyphGap || p.Switched) {
-			s.finalizeStrokeLocked(u.Tag, st)
-		}
-		if p.Switched {
-			s.timeline.Record(obs.EventLeaderSwitch, "tag="+u.Tag)
-		}
-		st.pts = append(st.pts, p.Pos)
-		st.last = p.Time
-		st.n++
+	s.em.update(u)
+}
+
+// emitLocked is the live emitter's output: it counts points and glyphs,
+// puts leadership switches on the timeline and queues the event for the
+// subscribers. Requires emitMu.
+func (s *Session) emitLocked(ev Event) {
+	switch ev.Type {
+	case "point":
 		s.points.Add(1)
 		s.reg.metrics.Points.Add(1)
-		// Classify the point's tier once, here: most points are T1-only,
-		// but every t0DecimateEvery-th point of a stroke (starting with
-		// its first) also reaches the decimated T0 stream, so a dashboard
-		// still draws every stroke's shape at ~1/8 the point weight.
-		minTier := uint8(1)
-		if st.n%t0DecimateEvery == 1 {
-			minTier = 0
+		if ev.Switched {
+			s.timeline.Record(obs.EventLeaderSwitch, "tag="+ev.Tag)
 		}
-		s.broadcastLocked(Event{
-			Type: "point", Tag: u.Tag, T: p.Time, X: p.Pos.X, Z: p.Pos.Z,
-			Confidence: p.Confidence, Hypotheses: p.Hypotheses, Switched: p.Switched,
-			minTier: minTier,
-		})
+	case "glyph":
+		s.glyphs.Add(1)
+		s.reg.metrics.Glyphs.Add(1)
 	}
+	s.broadcastLocked(ev)
+}
+
+// emitter turns engine updates into the events a session serves. Per tag
+// it keeps the open stroke, thins T0 points per stroke, closes the
+// stroke on a silence gap, a leadership switch or a drain, and
+// recognizes the closed stroke's glyph; each event goes to emit with its
+// minTier set. The live session runs one under emitMu, and every
+// catch-up replay runs a private one over the log, so a catch-up carries
+// exactly the live events of its tier.
+type emitter struct {
+	rec     *recognition.Recognizer // nil: no glyphs
+	emit    func(Event)
+	strokes map[string]*stroke
+}
+
+// stroke is one tag's open stroke: its points so far and the stream time
+// of the last.
+type stroke struct {
+	pts  []geom.Vec2
+	last time.Duration
+}
+
+func newEmitter(rec *recognition.Recognizer, emit func(Event)) *emitter {
+	return &emitter{rec: rec, emit: emit, strokes: map[string]*stroke{}}
 }
 
 // Glyph segmentation: glyphGap of stream-time silence ends a stroke and
@@ -510,51 +518,73 @@ const (
 	glyphMinPoints = 8
 )
 
-// finalizeStrokes closes every in-progress stroke (idle pause or session
-// end) and emits their glyphs.
-func (s *Session) finalizeStrokes() {
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	for tag, st := range s.strokes {
-		s.finalizeStrokeLocked(tag, st)
+// t0DecimateEvery is T0's point thinning factor: one point in this many
+// per stroke, always including the first, reaches the T0 stream.
+const t0DecimateEvery = 8
+
+// update emits one tag's new positions as point events.
+func (e *emitter) update(u engine.Update) {
+	st := e.strokes[u.Tag]
+	if st == nil {
+		st = &stroke{}
+		e.strokes[u.Tag] = st
+	}
+	for _, p := range u.Positions {
+		// A leadership switch re-bases the trajectory on a different
+		// hypothesis; the jump is not pen movement, so close the stroke.
+		if len(st.pts) > 0 && (p.Time-st.last > glyphGap || p.Switched) {
+			e.close(u.Tag, st)
+		}
+		st.pts = append(st.pts, p.Pos)
+		st.last = p.Time
+		// Thinning per stroke, from its first point, lets a T0 dashboard
+		// still draw every stroke's shape at ~1/8 the point weight.
+		minTier := uint8(1)
+		if len(st.pts)%t0DecimateEvery == 1 {
+			minTier = 0
+		}
+		e.emit(Event{
+			Type: "point", Tag: u.Tag, T: p.Time, X: p.Pos.X, Z: p.Pos.Z,
+			Confidence: p.Confidence, Hypotheses: p.Hypotheses, Switched: p.Switched,
+			minTier: minTier,
+		})
 	}
 }
 
-// finalizeStrokeLocked classifies one completed stroke against the glyph
-// font and emits a glyph event, plus a T2 diagnostic "stroke" event on
-// every closure (deterministic: it fires whether or not the stroke was
-// long enough to classify). Requires emitMu.
-func (s *Session) finalizeStrokeLocked(tag string, st *stroke) {
-	pts := st.pts
-	last := st.last
-	st.pts, st.last, st.n = nil, 0, 0
-	if len(pts) > 0 {
-		s.broadcastLocked(Event{
-			Type: "stroke", Tag: tag, T: last, Points: len(pts),
-			minTier: 2,
-		})
+// closeStrokes closes every open stroke: a drain boundary. It goes in
+// tag order, so every replay of a record emits the closures alike.
+func (e *emitter) closeStrokes() {
+	open := make([]string, 0, len(e.strokes))
+	for tag, st := range e.strokes {
+		if len(st.pts) > 0 {
+			open = append(open, tag)
+		}
 	}
-	if len(pts) < glyphMinPoints || s.reg.rec == nil {
+	slices.Sort(open)
+	for _, tag := range open {
+		e.close(tag, e.strokes[tag])
+	}
+}
+
+// close ends one tag's non-empty stroke: a T2 diagnostic "stroke" event
+// on every closure, then a glyph event when the stroke is long enough to
+// classify and recognition is on.
+func (e *emitter) close(tag string, st *stroke) {
+	pts, last := st.pts, st.last
+	st.pts, st.last = nil, 0
+	e.emit(Event{Type: "stroke", Tag: tag, T: last, Points: len(pts), minTier: 2})
+	if len(pts) < glyphMinPoints || e.rec == nil {
 		return
 	}
-	cls, err := s.reg.rec.Classify(pts)
+	cls, err := e.rec.Classify(pts)
 	if err != nil {
 		return
 	}
-	s.glyphs.Add(1)
-	s.reg.metrics.Glyphs.Add(1)
-	s.broadcastLocked(Event{
+	e.emit(Event{
 		Type: "glyph", Tag: tag, T: last,
 		Glyph: string(cls.Rune), Dist: cls.Distance, Margin: cls.Margin,
 		Points: len(pts),
 	})
-}
-
-// broadcast emits one event to every subscriber.
-func (s *Session) broadcast(ev Event) {
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	s.broadcastLocked(ev)
 }
 
 // broadcastLocked queues an event for every subscriber: it joins the
@@ -567,7 +597,9 @@ func (s *Session) broadcastLocked(ev Event) {
 	if len(s.subs) == 0 {
 		return
 	}
-	ev.enq = obs.Now()
+	if len(s.emitBuf) == 0 {
+		s.emitEnq = obs.Now()
+	}
 	s.emitBuf = append(s.emitBuf, ev)
 	if len(s.emitBuf) >= emitBatchMax {
 		s.flushEmitLocked()
@@ -595,12 +627,6 @@ const (
 	emitPaceMin    = 250 * time.Microsecond
 	emitPaceMax    = 30 * time.Millisecond
 )
-
-// t0DecimateEvery is T0's point decimation factor: one point in this
-// many per stroke (always including the first) reaches the decimated
-// tier. Catch-up replays decimate in WAL-sequence space with the same
-// factor.
-const t0DecimateEvery = 8
 
 // emitFlusher is the session's group-commit goroutine: kicked by
 // broadcastLocked whenever events are buffered for subscribers, it
@@ -646,11 +672,11 @@ func (s *Session) emitFlusher() {
 // nothing — with each event encoded once per encoding and shared across
 // every tier run that includes it (tiers differ only in which events
 // they include, never in an event's bytes, so T1's byte-run stays
-// byte-identical to the pre-tier stream). Every subscriber gets one
-// carrier pointing at its tier's shared immutable batch. Requires
-// emitMu; the tier retune, scan, encode and delivery share the one
-// critical section, so a delivered carrier always matches the tier and
-// form of every subscriber it reaches.
+// byte-identical to the pre-tier stream). Every subscriber at a tier
+// gets the same immutable batch. Requires emitMu; the tier retune,
+// scan, encode and delivery share the one critical section, so a
+// delivered batch always matches the tier and form of every subscriber
+// it reaches.
 func (s *Session) flushEmitLocked() {
 	batch := s.emitBuf
 	if len(batch) == 0 {
@@ -667,10 +693,13 @@ func (s *Session) flushEmitLocked() {
 		}
 		need[sub.tier][sub.enc] = true
 	}
+	// Each batch carries the OLDEST event's enqueue stamp, so the
+	// write-stage histogram sees the worst queue-to-wire latency in the
+	// batch, not the friendliest.
 	var batches [3]*eventBatch
 	for t := range batches {
 		if need[t] != [3]bool{} {
-			batches[t] = &eventBatch{}
+			batches[t] = &eventBatch{enq: s.emitEnq}
 		}
 	}
 	for i := range batch {
@@ -684,11 +713,7 @@ func (s *Session) flushEmitLocked() {
 			b.n++
 			if need[t][encNDJSON] {
 				if js == nil {
-					if m, err := json.Marshal(ev); err == nil {
-						js = append(m, '\n')
-					} else {
-						js = []byte{} // unmarshalable (impossible): skip, don't retry
-					}
+					js = ndjsonLine(ev)
 				}
 				b.ndjson = append(b.ndjson, js...)
 			}
@@ -700,81 +725,73 @@ func (s *Session) flushEmitLocked() {
 			}
 			if need[t][encDecoded] {
 				dec := *ev
-				dec.minTier, dec.enq = 0, 0
+				dec.minTier = 0
 				b.events = append(b.events, dec)
 			}
 		}
 	}
-	// One carrier per subscriber, pointing at its tier's batch; its
-	// enqueue stamp is the batch's OLDEST event, so the write-stage
-	// histogram sees the worst queue-to-wire latency in the batch, not the
-	// friendliest. A tier no event in this batch reaches (e.g. T0 over a
-	// run of undecimated points) delivers nothing.
+	// A tier no event in this batch reaches (e.g. T0 over a run of
+	// unthinned points) delivers nothing.
 	for sub := range s.subs {
 		b := batches[sub.tier]
 		if b.n == 0 {
 			continue
 		}
-		carrier := Event{enq: batch[0].enq, batch: b}
 		if sub.catchingUp {
-			s.parkLocked(sub, carrier)
+			s.parkLocked(sub, b)
 			continue
 		}
-		s.sendLocked(sub, carrier)
+		s.sendLocked(sub, b)
 	}
 }
 
-// parkLocked holds a live event (or carrier) for a subscriber still
-// catching up: its queue belongs to the WAL replay goroutine until the
-// splice, so live output parks in pending (bounded, drop-oldest) for
-// delivery right after the replayed prefix. Requires emitMu.
-func (s *Session) parkLocked(sub *Subscriber, ev Event) {
+// parkLocked holds a live batch for a subscriber still catching up: its
+// queue belongs to the WAL replay goroutine until the splice, so live
+// output parks in pending (bounded, drop-oldest) for delivery right
+// after the replayed prefix. Requires emitMu.
+func (s *Session) parkLocked(sub *Subscriber, b *eventBatch) {
 	if len(sub.pending) >= cap(sub.ch) {
-		n := sub.pending[0].weight()
+		s.dropLocked(sub, sub.pending[0].n)
 		sub.pending = sub.pending[1:]
-		sub.pendingDrops += n
-		sub.drops += int64(n)
-		s.drops.Add(int64(n))
-		s.reg.metrics.EventsDropped.Add(int64(n))
 	}
-	sub.pending = append(sub.pending, ev)
+	sub.pending = append(sub.pending, b)
 }
 
-// sendLocked delivers one event to one subscriber queue with the
+// sendLocked delivers one batch to one subscriber queue with the
 // drop-oldest policy and loss notices. Requires emitMu.
-func (s *Session) sendLocked(sub *Subscriber, ev Event) {
-	if sub.pendingDrops > 0 {
-		notice := Event{Type: "drop", Dropped: sub.pendingDrops}
+func (s *Session) sendLocked(sub *Subscriber, b *eventBatch) {
+	// Owed drops are announced first, when the queue has room for the
+	// notice (a full queue skips building one).
+	if sub.pendingDrops > 0 && len(sub.ch) < cap(sub.ch) {
 		select {
-		case sub.ch <- notice:
+		case sub.ch <- notice(Event{Type: "drop", Dropped: sub.pendingDrops}, sub.enc):
 			sub.pendingDrops = 0
 		default:
 		}
 	}
 	select {
-	case sub.ch <- ev:
+	case sub.ch <- b:
 		return
 	default:
 	}
-	// Queue full: evict the oldest item, then retry once. Items weigh
-	// their event count — evicting a batch carrier loses every event in
-	// it, and the drop notice says so.
+	// Queue full: evict the oldest batch, then retry once. The drop
+	// notice counts the events lost, not the batches.
 	select {
 	case old := <-sub.ch:
-		n := int64(old.weight())
-		sub.pendingDrops += int(n)
-		sub.drops += n
-		s.drops.Add(n)
-		s.reg.metrics.EventsDropped.Add(n)
+		s.dropLocked(sub, old.n)
 	default:
 	}
 	select {
-	case sub.ch <- ev:
+	case sub.ch <- b:
 	default:
-		n := int64(ev.weight())
-		sub.pendingDrops += int(n)
-		sub.drops += n
-		s.drops.Add(n)
-		s.reg.metrics.EventsDropped.Add(n)
+		s.dropLocked(sub, b.n)
 	}
+}
+
+// dropLocked counts n events a subscriber lost. Requires emitMu.
+func (s *Session) dropLocked(sub *Subscriber, n int) {
+	sub.pendingDrops += n
+	sub.drops += int64(n)
+	s.drops.Add(int64(n))
+	s.reg.metrics.EventsDropped.Add(int64(n))
 }

@@ -331,21 +331,19 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamTier resolves the stream endpoint's trace tier from the ?tier
-// query parameter: 0 (decimated dashboard grade), 1 (the full default
+// query parameter: 0 (thinned dashboard grade), 1 (the full default
 // stream) or 2 (full plus diagnostic detail). Absent means T1, the
 // compatibility default; anything else is an error.
 func streamTier(r *http.Request) (SubscribeTier, error) {
 	switch t := r.URL.Query().Get("tier"); t {
-	case "":
-		return TierDefault, nil
+	case "", "1":
+		return Tier1, nil
 	case "0":
 		return Tier0, nil
-	case "1":
-		return Tier1, nil
 	case "2":
 		return Tier2, nil
 	default:
-		return TierDefault, fmt.Errorf("unknown tier %q (want 0, 1 or 2)", t)
+		return Tier1, fmt.Errorf("unknown tier %q (want 0, 1 or 2)", t)
 	}
 }
 
@@ -381,19 +379,19 @@ func streamEncoding(r *http.Request) (subEncoding, error) {
 // subscriber's queue is bounded; if this consumer still cannot keep up
 // it loses the oldest events and sees drop notices (the last-resort
 // slow-consumer policy), never stalling the tracker or its peers.
-// Live events arrive group-committed: the session's emit flusher
-// coalesces them into batches, marshals each batch exactly once per
-// encoding, and every stream writer shares the resulting immutable
-// bytes — one queue item and one Write per batch, identical bytes on
-// the wire. This writer only marshals locally for events that travel one
-// per queue item (catch-up replays, drop and tier notices).
+// Every queue item arrives already encoded: live events group-committed
+// by the session's emit flusher, which marshals each batch exactly once
+// per encoding and shares the immutable bytes with every stream writer,
+// and catch-up replays and notices encoded for this subscriber. The
+// writer only writes bytes — one Write per item.
 //
 // With ?from=seq (WAL-backed sessions) the subscriber first catches up
-// from the session's recorded history — points derived from log records
-// with sequence ≥ seq (0 = everything) — and is then spliced onto the
-// live stream without gap or duplicate. On a recovered session the
-// stream is the replay alone, ending with an "end" event; recovered
-// sessions always serve this way, with or without the parameter.
+// from the session's recorded history — the events of its tier that log
+// records with sequence ≥ seq (0 = everything) produced — and is then
+// spliced onto the live stream without gap or duplicate. On a recovered
+// session the stream is the replay alone, ending with an "end" event;
+// recovered sessions always serve this way, with or without the
+// parameter.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.reg.Get(r.PathValue("id"))
 	if !ok {
@@ -442,55 +440,30 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	enc := json.NewEncoder(w)
 	pipeline := s.reg.Pipeline()
-	// scratch backs the binary marshal-locally fallback for events that
-	// travel one per queue item; reused, never escapes this writer.
-	var scratch []byte
-	writeEvent := func(ev Event) error {
-		if ev.enq > 0 {
-			pipeline.ObserveStage(obs.StageWrite, obs.Now()-ev.enq, sess.stripe)
-		}
-		var b []byte
-		switch {
-		case ev.batch != nil && binary:
-			b = ev.batch.binary
-		case ev.batch != nil:
-			b = ev.batch.ndjson
-		case binary:
-			scratch = appendEventFrame(scratch[:0], &ev)
-			b = scratch
-		default:
-			return enc.Encode(ev)
-		}
-		_, err := w.Write(b)
-		return err
-	}
 	ctx := r.Context()
-	for {
+	for unflushed := 0; ; {
 		select {
-		case ev, ok := <-sub.ch:
+		case b, ok := <-sub.ch:
 			if !ok {
 				return
 			}
-			if err := writeEvent(ev); err != nil {
+			if b.enq > 0 {
+				pipeline.ObserveStage(obs.StageWrite, obs.Now()-b.enq, sess.stripe)
+			}
+			out := b.ndjson
+			if binary {
+				out = b.binary
+			}
+			if _, err := w.Write(out); err != nil {
 				return
 			}
-			// Drain whatever else is queued before paying for a flush.
-		drain:
-			for i := 0; i < 256; i++ {
-				select {
-				case ev, ok := <-sub.ch:
-					if !ok {
-						return
-					}
-					if err := writeEvent(ev); err != nil {
-						return
-					}
-				default:
-					break drain
-				}
+			// Write whatever else is queued, up to 256 more batches,
+			// before paying for a flush.
+			if unflushed++; len(sub.ch) > 0 && unflushed <= 256 {
+				continue
 			}
+			unflushed = 0
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -545,8 +518,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // retraceRequest is the POST /v1/sessions/{id}/retrace body; everything
-// optional. An empty body re-traces under the deployment's configuration
-// (and the result is then byte-equivalent to the live trace).
+// optional, unknown keys refused. An empty body re-traces under the
+// deployment's configuration (and the result is then byte-equivalent to
+// the live trace).
 type retraceRequest struct {
 	Search *SearchJSON `json:"search"`
 }
@@ -622,8 +596,8 @@ func (s *Server) handleRetrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req retraceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
+	if err := decodeBody(r.Body, &req); err != nil {
+		writeSessionError(w, err)
 		return
 	}
 	search, err := req.Search.config()

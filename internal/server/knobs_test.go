@@ -394,26 +394,66 @@ func TestRecoveredRecordHeap(t *testing.T) {
 	}
 }
 
-// TestCreateRefusesUnknownKeys: POST /v1/sessions decodes strictly, so
-// a body with a key the daemon does not have — the removed per-session
-// "wal" policy, or a typo — is a 400 and opens nothing.
+// TestSubscriberQueueHeap bounds what attaching a subscriber costs: its
+// queue holds pointers to shared encoded batches, so the default
+// 256-slot queue is 2 KB of pointers, not 256 events of about 190 bytes.
+func TestSubscriberQueueHeap(t *testing.T) {
+	const n = 64
+	reg := testRegistry(t, RegistryConfig{NoRecognize: true, MaxSubscribers: n})
+	sess, err := reg.Open(SessionSpec{ID: "queue-heap"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]*Subscriber, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range subs {
+		if subs[i], err = sess.Subscribe(SubscribeOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(subs)
+	t.Logf("default subscriber: %.0f bytes of heap", per)
+	if per > 8<<10 {
+		t.Fatalf("a default subscriber adds %.0f bytes of heap, want under 8 KB", per)
+	}
+}
+
+// TestCreateRefusesUnknownKeys: POST /v1/sessions and the retrace verb
+// decode strictly, so a body with a key the daemon does not have — the
+// removed per-session "wal" policy, or a typo — is a 400: the create
+// opens nothing, and the retrace does not run under the default search.
 func TestCreateRefusesUnknownKeys(t *testing.T) {
-	srv, _ := obsServer(t, nil)
+	run, _ := scenario(t)
+	srv, _ := obsServer(t, walControlRegistry(t, t.TempDir(), RegistryConfig{}))
+	sess, err := srv.reg.Open(SessionSpec{ID: "recorded", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedSession(t, run, sess)
 	base := "http://" + srv.HTTPAddr()
-	for _, body := range []string{
-		`{"id":"w","wal":{"disable":true}}`,
-		`{"id":"w","sweep_msec":25}`,
+	for _, row := range []struct{ path, body string }{
+		{"/v1/sessions", `{"id":"w","wal":{"disable":true}}`},
+		{"/v1/sessions", `{"id":"w","sweep_msec":25}`},
+		{"/v1/sessions/recorded/retrace", `{"serach":{"mode":"dense"}}`},
 	} {
-		resp, err := http.Post(base+"/v1/sessions", "application/json", strings.NewReader(body))
+		resp, err := http.Post(base+row.path, "application/json", strings.NewReader(row.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		raw := readBody(t, resp)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(raw, `"bad_request"`) {
-			t.Errorf("create %s: status %d (%s), want 400 bad_request", body, resp.StatusCode, raw)
+			t.Errorf("POST %s %s: status %d (%s), want 400 bad_request", row.path, row.body, resp.StatusCode, raw)
 		}
 	}
-	if srv.reg.Len() != 0 {
-		t.Fatalf("refused creates opened %d sessions", srv.reg.Len())
+	if srv.reg.Len() != 1 {
+		t.Fatalf("refused creates opened %d sessions", srv.reg.Len()-1)
+	}
+	if n := srv.reg.Metrics().Retraces.Load(); n != 0 {
+		t.Fatalf("a refused retrace ran %d retraces", n)
 	}
 }

@@ -42,12 +42,10 @@ type ingestItem struct {
 	// sweep, when positive, announces the reader cadence (from a Hello or
 	// from session creation) and triggers lazy engine construction.
 	sweep time.Duration
-	// flush asks the pump to drain the reorder buffer and close the
-	// engine's current sweeps, acking on the channel.
-	flush chan struct{}
-	// flushHead is flush plus a reply carrying the log head at the
-	// drain boundary — the only head retrace may trust, since the pump
-	// keeps appending the instant it moves on (see Retrace).
+	// flushHead asks the pump to drain the reorder buffer and close the
+	// engine's current sweeps, replying with the log head at the drain
+	// boundary — the only head retrace may trust, since the pump keeps
+	// appending the instant it moves on (see Retrace).
 	flushHead chan uint64
 	// catchup asks the pump to drain, then attach a WAL catch-up
 	// subscriber at the resulting log head (see SubscribeFrom).
@@ -135,23 +133,15 @@ func (s *Session) announceSweep(sweep time.Duration) error {
 	return s.enqueue(ingestItem{sweep: sweep})
 }
 
-// Flush drains the reorder buffer and closes the engine's current sweeps,
-// emitting any final positions. It blocks until the pump has done so.
-// Flush is idempotent and safe to race the pump's own idle drain and
-// Close: with nothing ingested since the previous drain it is a no-op
-// (each sweep closes exactly once — see drain and the realtime tracker's
-// own flush guard).
+// Flush drains the reorder buffer and closes the engine's current sweeps
+// and the open strokes, emitting any final positions and glyphs. It
+// blocks until the pump has done so. Flush is idempotent and safe to
+// race the pump's own idle drain and Close: with nothing ingested since
+// the previous drain it is a no-op (each sweep closes exactly once — see
+// drain and the realtime tracker's own flush guard).
 func (s *Session) Flush() error {
-	ack := make(chan struct{})
-	if err := s.enqueue(ingestItem{flush: ack}); err != nil {
-		return err
-	}
-	select {
-	case <-ack:
-		return nil
-	case <-s.pumpDone:
-		return ErrSessionClosed
-	}
+	_, err := s.drainHead()
+	return err
 }
 
 // pump is the session's single ingest goroutine: it owns the engine, the
@@ -197,8 +187,9 @@ func (s *Session) pump(sweep time.Duration) {
 				}
 				s.log = nil
 			}
-			s.finalizeStrokes()
-			s.broadcast(Event{Type: "end"})
+			s.emitMu.Lock()
+			s.broadcastLocked(Event{Type: "end"})
+			s.emitMu.Unlock()
 			return
 		}
 	}
@@ -210,8 +201,8 @@ type pumpClock struct{ idle, ticks int }
 
 // tick runs the pump's housekeeping for one ticker tick. Two idle ticks
 // in a row (~100 ms of ingest silence: the stream paused or ended) drain
-// the reorder buffer, close open sweeps so the last positions reach
-// subscribers, and finalize idle strokes. Only a tick that finds the
+// the reorder buffer and close open sweeps and strokes, so the last
+// positions and glyphs reach subscribers. Only a tick that finds the
 // inbox empty counts as idle: one burst or a stats refresh can hold the
 // pump on a full engine queue for several tick periods, select may then
 // take the ticker twice in a row while input waits, and a drain there
@@ -222,7 +213,6 @@ func (s *Session) tick(c *pumpClock) {
 		c.idle++
 		if c.idle == 2 {
 			s.drain()
-			s.finalizeStrokes()
 		}
 	}
 	if c.ticks%statsEvery == 0 {
@@ -243,20 +233,15 @@ func (s *Session) handle(it ingestItem) {
 		burstPool.Put(it.burst)
 	case it.sweep > 0:
 		s.handleSweep(it.sweep)
-	case it.flush != nil:
-		s.drain()
-		s.finalizeStrokes()
-		s.refreshStats()
-		close(it.flush)
 	case it.flushHead != nil:
 		s.drain()
-		s.finalizeStrokes()
 		s.refreshStats()
 		it.flushHead <- s.walSeq.Load()
 	case it.catchup != nil:
 		// Drain first so the log head the subscriber snapshots exactly
 		// covers everything already emitted to live subscribers: every
-		// event after the attach derives from records past the head.
+		// event after the attach derives from records past the head. An
+		// attach mid-stroke thus ends the stroke, live and in the replay.
 		s.drain()
 		s.emitMu.Lock()
 		it.catchup.err = s.attachLocked(it.catchup.sub)
@@ -356,12 +341,14 @@ func (s *Session) handleReport(rep rfid.Report, arr int64) {
 	}
 }
 
-// drain releases the whole reorder buffer and closes current sweeps. It
-// is idempotent: with nothing buffered and nothing offered since the
-// previous drain it does nothing — in particular it does not log a
-// flush record, so racing drain paths (the pump's idle tick, an explicit
-// client Flush, session close) close each sweep exactly once, live and
-// in the WAL replay alike.
+// drain releases the whole reorder buffer and closes current sweeps and
+// then the open strokes. It is idempotent: with nothing buffered and
+// nothing offered since the previous drain it does nothing — in
+// particular it does not log a flush record, so racing drain paths (the
+// pump's idle tick, an explicit client Flush, a catch-up attach, session
+// close) close each sweep exactly once, live and in the WAL replay
+// alike. The flush record it logs marks the stroke boundary too, so a
+// replay closes strokes exactly where the live session did.
 func (s *Session) drain() {
 	for s.reorder.Len() > 0 {
 		s.offerToEngine(heap.Pop(&s.reorder).(orderedReport))
@@ -378,6 +365,9 @@ func (s *Session) drain() {
 			s.walFailed(err)
 		}
 	}
+	s.emitMu.Lock()
+	s.em.closeStrokes()
+	s.emitMu.Unlock()
 }
 
 // offerToEngine hands one resequenced report to the engine, recording it

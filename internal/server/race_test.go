@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"rfidraw/internal/obs"
 	"rfidraw/internal/realtime"
 	"rfidraw/internal/rfid"
+	"rfidraw/internal/wal"
 )
 
 // TestCatchupSubscriberSplicesWithoutGapOrDuplicate: a subscriber that
@@ -158,6 +160,154 @@ func TestCatchupSubscriberSplicesWithoutGapOrDuplicate(t *testing.T) {
 	}
 	if ref := total(refPoints); n >= ref {
 		t.Fatalf("from=%d delivered %d points, not a strict suffix of %d", head/2, n, ref)
+	}
+}
+
+// streamTiers feeds reps into a new session of reg with one live
+// subscriber per tier attached, flushing halfway (a drain mid-stroke,
+// which the log records) and at the end, and then attaches one catch-up
+// subscriber per tier for each start sequence froms picks from the log
+// head. Once every catch-up has spliced it removes the session, so each
+// stream ends with the session's "end". It returns live[tier] and
+// caught[i][tier] for the i-th start.
+func streamTiers(t *testing.T, reg *Registry, spec SessionSpec, reps []rfid.Report, froms func(head uint64) []uint64) (live [3][]Event, caught [][3][]Event) {
+	t.Helper()
+	tiers := [3]SubscribeTier{Tier0, Tier1, Tier2}
+	sess, err := reg.Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	collect := func(sub *Subscriber, out *[]Event) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ev := range sub.Events() {
+				*out = append(*out, ev)
+			}
+		}()
+	}
+	for i, tier := range tiers {
+		sub, err := sess.Subscribe(SubscribeOptions{Tier: tier, Buffer: 1 << 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		collect(sub, &live[i])
+	}
+	for _, half := range [][]rfid.Report{reps[:len(reps)/2], reps[len(reps)/2:]} {
+		for _, rep := range half {
+			if err := sess.Offer(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	starts := froms(sess.WALSeq())
+	caught = make([][3][]Event, len(starts))
+	for i, from := range starts {
+		for j, tier := range tiers {
+			sub, err := sess.SubscribeFrom(from, SubscribeOptions{Tier: tier, Buffer: 1 << 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			collect(sub, &caught[i][j])
+		}
+	}
+	awaitSpliced(t, sess)
+	reg.Remove(spec.ID)
+	wg.Wait()
+	return live, caught
+}
+
+// tagEvents groups a stream's point, stroke and glyph events by tag, in
+// order, with the points' seq cleared so live and replayed compare. A
+// live stream's points must carry no seq; a replayed stream's must carry
+// their producing record's, at or after from. Under deep queues no drop
+// or tier notice may appear.
+func tagEvents(t *testing.T, label string, evs []Event, replayed bool, from uint64) map[string][]Event {
+	t.Helper()
+	out := map[string][]Event{}
+	for _, ev := range evs {
+		switch ev.Type {
+		case "point":
+			if replayed && (ev.Seq == 0 || ev.Seq < from) || !replayed && ev.Seq != 0 {
+				t.Fatalf("%s: point at %v has seq %d (replayed %v, from %d)", label, ev.T, ev.Seq, replayed, from)
+			}
+			ev.Seq = 0
+		case "stroke", "glyph":
+		case "drop", "tier":
+			t.Fatalf("%s: %s notice under deep queues", label, ev.Type)
+		default:
+			continue
+		}
+		out[ev.Tag] = append(out[ev.Tag], ev)
+	}
+	return out
+}
+
+// requireTagSuffixes asserts that each tag's events in got are the tail
+// of its events in want — all of them when whole.
+func requireTagSuffixes(t *testing.T, label string, got, want map[string][]Event, whole bool) {
+	t.Helper()
+	for tag := range got {
+		if _, ok := want[tag]; !ok {
+			t.Fatalf("%s: tag %s is not in the live stream", label, tag)
+		}
+	}
+	for tag, w := range want {
+		g := got[tag]
+		if whole && len(g) != len(w) || len(g) > len(w) {
+			t.Fatalf("%s: tag %s: %d events, live %d", label, tag, len(g), len(w))
+		}
+		tail := w[len(w)-len(g):]
+		for i := range g {
+			if !reflect.DeepEqual(g[i], tail[i]) {
+				t.Fatalf("%s: tag %s: event %d of %d diverged:\n got: %+v\nlive: %+v", label, tag, i, len(g), g[i], tail[i])
+			}
+		}
+	}
+}
+
+// TestCatchupCarriesLiveEvents: a catch-up replays the log through the
+// same emitter the live session runs, so at every tier a catch-up from
+// 0 attached after the stream delivers per tag exactly the live point,
+// stroke and glyph events of that tier (T0's thinned points, T2's stroke
+// closures, every tier's glyphs), and a catch-up from the middle of the
+// log a suffix of them.
+func TestCatchupCarriesLiveEvents(t *testing.T) {
+	run, _ := scenario(t)
+	store, err := wal.Open(t.TempDir(), wal.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := testRegistry(t, RegistryConfig{NewReplayer: testReplayerFactory(t), WAL: store})
+	var mid uint64
+	live, caught := streamTiers(t, reg, SessionSpec{ID: "carries", Sweep: perTagSweep(run)},
+		realtime.MergeStreams(run.ReportsRF...), func(head uint64) []uint64 {
+			mid = head / 2
+			return []uint64{0, mid}
+		})
+	for tier := range live {
+		label := fmt.Sprintf("tier %d", tier)
+		want := tagEvents(t, label+" live", live[tier], false, 0)
+		counts := countByType(live[tier])
+		if counts["point"] == 0 || counts["glyph"] == 0 || tier == 2 && counts["stroke"] == 0 {
+			t.Fatalf("%s live stream too thin to compare: %v", label, counts)
+		}
+		t.Logf("%s live: %v", label, counts)
+		requireTagSuffixes(t, label+" from 0", tagEvents(t, label+" from 0", caught[0][tier], true, 0), want, true)
+		suffix := tagEvents(t, label+" from mid", caught[1][tier], true, mid)
+		requireTagSuffixes(t, label+" from mid", suffix, want, false)
+		n, all := 0, 0
+		for tag := range want {
+			n += len(suffix[tag])
+			all += len(want[tag])
+		}
+		if n == 0 || n >= all {
+			t.Fatalf("%s: from %d delivered %d of %d events, want a strict, non-empty suffix", label, mid, n, all)
+		}
 	}
 }
 

@@ -43,8 +43,8 @@ type RegistryConfig struct {
 	// MaxSubscribers caps stream consumers per session. Default 16.
 	MaxSubscribers int
 	// SubscriberQueue is the per-subscriber bounded queue depth in
-	// deliveries: a group-committed batch of events is one queue item, as
-	// is each drop, tier or catch-up item. Default 256.
+	// batches: a group commit, a replayed log record's events, or a drop,
+	// tier or end notice is one queue item. Default 256.
 	SubscriberQueue int
 	// ReorderWindow is how long reports are held to resequence
 	// cross-reader skew. Default 25ms.
@@ -118,9 +118,9 @@ type SessionSpec struct {
 	Search *vote.SearchConfig
 }
 
-// ErrBadSpec reports a SessionSpec, a runtime-knob record or a request
-// body that cannot be applied as given.
-var ErrBadSpec = errors.New("server: invalid session spec")
+// ErrBadSpec reports a SessionSpec, a runtime-knob record, a flag or a
+// request body that cannot be applied as given.
+var ErrBadSpec = errors.New("server: invalid value")
 
 // Knobs is the registry's runtime configuration: the record the control
 // plane serves (GET /v1/control) and patches (POST /v1/control/config)

@@ -10,7 +10,6 @@ import (
 	"rfidraw/internal/deploy"
 	"rfidraw/internal/engine"
 	"rfidraw/internal/obs"
-	"rfidraw/internal/realtime"
 	"rfidraw/internal/vote"
 	"rfidraw/internal/wal"
 )
@@ -122,14 +121,14 @@ func SearchFromMeta(m wal.SearchMeta) *vote.SearchConfig {
 }
 
 // SubscribeFrom attaches a catch-up consumer: it is fed the session's
-// recorded history replayed from the WAL — points derived from log
-// records with sequence ≥ from (0 = everything) — and, on a live
-// session, spliced onto the live event stream at the log head without
-// gap or duplicate. The splice is pump-mediated: the pump drains (so
-// everything emitted live so far is on disk), admits and attaches the
-// subscriber, snapshots the head, and live events park for it until the
-// replayed prefix has been delivered. On a recovered session the replay
-// ends with an "end" event instead.
+// recorded history replayed from the WAL — the events of its tier that
+// log records with sequence ≥ from (0 = everything) produced live — and,
+// on a live session, spliced onto the live event stream at the log head
+// without gap or duplicate. The splice is pump-mediated: the pump drains
+// (so everything emitted live so far is on disk), admits and attaches
+// the subscriber, snapshots the head, and live events park for it until
+// the replayed prefix has been delivered. On a recovered session the
+// replay ends with an "end" event instead.
 func (s *Session) SubscribeFrom(from uint64, o SubscribeOptions) (*Subscriber, error) {
 	if s.reg.cfg.WAL == nil || s.reg.cfg.NewReplayer == nil {
 		return nil, ErrNoWAL
@@ -163,7 +162,7 @@ func (s *Session) SubscribeFrom(from uint64, o SubscribeOptions) (*Subscriber, e
 
 // runCatchup is the catch-up subscriber's feeder goroutine: it replays
 // the WAL through a fresh pipeline up to head (0 = the whole log),
-// delivers the derived points with seq ≥ from, then splices the
+// delivers the events records with seq ≥ from produced, then splices the
 // subscriber onto the live stream, or ends it when replayOnly (a
 // recovered session has no live stream). It is the sole closer of
 // sub.ch.
@@ -186,23 +185,27 @@ func (s *Session) runCatchup(sub *Subscriber, from, head uint64, replayOnly bool
 		// failed replay must not silently splice over a gap. Both end
 		// the stream.
 		select {
-		case sub.ch <- Event{Type: "end"}:
+		case sub.ch <- notice(Event{Type: "end"}, sub.enc):
 		default:
 		}
 		s.detachLocked(sub)
 		return
 	}
-	// Splice: deliver the live events parked during the replay, then
+	// Splice: deliver the live batches parked during the replay, then
 	// hand the queue over to the broadcast path. Everything parked
 	// derives from records past the snapshotted head, so the stream is
 	// gapless and duplicate-free across the boundary.
-	for _, ev := range sub.pending {
-		s.sendLocked(sub, ev)
+	for _, b := range sub.pending {
+		s.sendLocked(sub, b)
 	}
 	sub.pending = nil
 }
 
-// feedCatchup replays the log into the subscriber's queue. Sends block
+// feedCatchup replays the log into the subscriber's queue through a
+// private emitter, so the subscriber gets the live events of its tier,
+// each point stamped with the sequence of the record that produced it.
+// The tier is the one fixed at attach; adaptive retuning starts at the
+// splice. Each replayed record's events are one queue item. Sends block
 // (the replay is consumer-paced) but abort on detach or session close.
 func (s *Session) feedCatchup(sub *Subscriber, from, head uint64, replayOnly bool) error {
 	if head == 0 && !replayOnly {
@@ -216,43 +219,50 @@ func (s *Session) feedCatchup(sub *Subscriber, from, head uint64, replayOnly boo
 	if err != nil {
 		return err
 	}
-	// A T0 catch-up decimates the replayed points in WAL-sequence space
-	// (deterministic for any given record) with the live tier's factor;
-	// higher tiers replay everything. The tier is fixed at attach for the
-	// whole replay — adaptive retuning starts at the live splice.
-	decimated := sub.tier == 0
-	var sendErr error
-	seq := uint64(0)
-	rp.OnUpdate = func(u engine.Update) {
-		if sendErr != nil {
+	tier := sub.tier
+	var seq uint64
+	b := &eventBatch{}
+	em := newEmitter(s.reg.rec, func(ev Event) {
+		if seq < from || ev.minTier > tier {
 			return
 		}
-		for _, p := range u.Positions {
-			if seq < from {
-				continue
-			}
-			if decimated && seq%t0DecimateEvery != 0 {
-				continue
-			}
-			select {
-			case sub.ch <- pointEvent(u.Tag, p, seq):
-			case <-sub.cancel:
-				sendErr = errCatchupCancelled
-				return
-			}
+		if ev.Type == "point" {
+			ev.Seq = seq
+		}
+		b.add(ev, sub.enc)
+	})
+	rp.OnUpdate = em.update
+	send := func() error {
+		if b.n == 0 {
+			return nil
+		}
+		select {
+		case sub.ch <- b:
+			b = &eventBatch{}
+			return nil
+		case <-sub.cancel:
+			return errCatchupCancelled
 		}
 	}
+	// A flush or close record is a drain, which closed the live strokes
+	// once the flush's positions were out: the replay closes its strokes
+	// before the record after it, and after the replay's final flush.
+	boundary := false
 	err = ReplayLog(s.reg.cfg.WAL, s.ID, head, rp, func(rec wal.Record) error {
-		seq = rec.Seq
-		return sendErr
+		if boundary {
+			em.closeStrokes()
+		}
+		seq, boundary = rec.Seq, rec.Type != wal.RecordReport
+		return send()
 	})
-	if errors.Is(err, errCatchupCancelled) || errors.Is(sendErr, errCatchupCancelled) {
+	if err == nil {
+		em.closeStrokes()
+		err = send()
+	}
+	if errors.Is(err, errCatchupCancelled) {
 		return nil // detach mid-replay is a clean end, not a failure
 	}
-	if err != nil {
-		return err
-	}
-	return sendErr
+	return err
 }
 
 var errCatchupCancelled = errors.New("server: catch-up cancelled")
@@ -266,16 +276,6 @@ func (s *Session) effectiveSearch(override *vote.SearchConfig) *vote.SearchConfi
 		return override
 	}
 	return s.search
-}
-
-// pointEvent converts one replayed position into the event shape the
-// live onUpdate path emits, plus its producing log sequence.
-func pointEvent(tag string, p realtime.Position, seq uint64) Event {
-	return Event{
-		Type: "point", Tag: tag, T: p.Time, X: p.Pos.X, Z: p.Pos.Z,
-		Confidence: p.Confidence, Hypotheses: p.Hypotheses, Switched: p.Switched,
-		Seq: seq,
-	}
 }
 
 // Retrace replays the session's WAL through a fresh tracking pipeline

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"rfidraw/internal/rfid"
 	"rfidraw/internal/sim"
 	"rfidraw/internal/traj"
+	"rfidraw/internal/wal"
 )
 
 // The TestScenario* suite drives every named corpus profile through the
@@ -254,6 +256,34 @@ func TestScenarioEquivalenceChain(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResults(t, "retrace vs retrace", retraced, again)
+		})
+	}
+}
+
+// TestScenarioLateJoinerSeesLiveEvents: under every fault profile, at
+// every tier, a subscriber that joins after the faulted stream with a
+// catch-up from 0 gets per tag exactly the point, stroke and glyph
+// events a live subscriber at that tier got.
+func TestScenarioLateJoinerSeesLiveEvents(t *testing.T) {
+	for _, p := range profilesUnderTest(t) {
+		t.Run(p.Name, func(t *testing.T) {
+			pr := scenarioFor(t, p)
+			store, err := wal.Open(t.TempDir(), wal.Options{SyncEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := testRegistry(t, RegistryConfig{NewReplayer: testReplayerFactory(t), WAL: store})
+			live, caught := streamTiers(t, reg, SessionSpec{ID: "join-" + p.Name, Sweep: pr.sweep, Geometry: p.Geometry},
+				pr.faulted, func(uint64) []uint64 { return []uint64{0} })
+			for tier := range live {
+				label := fmt.Sprintf("%s tier %d", p.Name, tier)
+				want := tagEvents(t, label+" live", live[tier], false, 0)
+				if len(want) == 0 {
+					t.Fatalf("%s: live stream has no tag events", label)
+				}
+				requireTagSuffixes(t, label+" from 0", tagEvents(t, label+" from 0", caught[0][tier], true, 0), want, true)
+				t.Logf("%s: %v", label, countByType(live[tier]))
+			}
 		})
 	}
 }

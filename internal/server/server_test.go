@@ -154,6 +154,13 @@ func awaitCaughtUp(t *testing.T, srv *Server, id string) {
 	if !ok {
 		t.Fatalf("session %s vanished", id)
 	}
+	awaitSpliced(t, sess)
+}
+
+// awaitSpliced waits until none of the session's subscribers is still
+// replaying its WAL catch-up.
+func awaitSpliced(t *testing.T, sess *Session) {
+	t.Helper()
 	catchingUp := func() int {
 		sess.emitMu.Lock()
 		defer sess.emitMu.Unlock()
@@ -168,7 +175,7 @@ func awaitCaughtUp(t *testing.T, srv *Server, id string) {
 	deadline := time.Now().Add(30 * time.Second)
 	for n := catchingUp(); n > 0; n = catchingUp() {
 		if time.Now().After(deadline) {
-			t.Fatalf("session %s: %d subscribers still catching up", id, n)
+			t.Fatalf("session %s: %d subscribers still catching up", sess.ID, n)
 		}
 		time.Sleep(time.Millisecond)
 	}

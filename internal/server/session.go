@@ -68,7 +68,7 @@ type Session struct {
 
 	// emitMu is the session lock. It serializes the lifecycle state's
 	// transitions, guards the reader and subscriber sets (so every attach
-	// is checked against the state it lands in), and the stroke and
+	// is checked against the state it lands in), and the emitter and
 	// group-commit state written from engine shard goroutines (OnUpdate)
 	// and the pump. Lock order: the registry lock, then this one.
 	emitMu sync.Mutex
@@ -78,22 +78,26 @@ type Session struct {
 	state   atomic.Uint32
 	readers map[net.Conn]struct{}
 	subs    map[*Subscriber]struct{}
-	strokes map[string]*stroke
+	// em produces the session's events from its engine's updates (nil on
+	// recovered sessions: they have no engine).
+	em *emitter
 	// Group-commit state (guarded by emitMu except the channels): events
-	// bound for subscribers accumulate in emitBuf; emitKick (cap 1)
-	// nudges the emitFlusher goroutine, which swaps the buffer against
-	// emitSpare, builds the batch once per needed form and delivers one
-	// carrier per subscriber. emitQuit/emitDone sequence the final drain
-	// into Close, after the pump's end event and before the subscriber
-	// sweep. All nil on recovered sessions (no flusher).
+	// bound for subscribers accumulate in emitBuf, the oldest stamped
+	// emitEnq; emitKick (cap 1) nudges the emitFlusher goroutine, which
+	// swaps the buffer against emitSpare, builds one batch per tier in
+	// each needed form and queues it to every subscriber at that tier.
+	// emitQuit/emitDone sequence the final drain into Close, after the
+	// pump's end event and before the subscriber sweep. All nil on
+	// recovered sessions (no flusher).
 	emitBuf   []Event
 	emitSpare []Event
+	emitEnq   int64
 	emitKick  chan struct{}
 	emitQuit  chan struct{}
 	emitDone  chan struct{}
 	// emitPace is the flusher's fan-out-aware accumulation window in
 	// nanoseconds (atomic: written under emitMu, read by the flusher
-	// before locking). Delivering a carrier costs every subscriber a
+	// before locking). Delivering a batch costs every subscriber a
 	// wake and (for a stream writer) a socket write, so at wide fan-out
 	// the flusher waits this long after a kick before committing, letting
 	// the batch grow and amortizing the per-subscriber cost; at small
@@ -215,7 +219,6 @@ func sessionShell(reg *Registry, spec SessionSpec, resume resumeState) *Session 
 		pumpDone:   make(chan struct{}),
 		readers:    map[net.Conn]struct{}{},
 		subs:       map[*Subscriber]struct{}{},
-		strokes:    map[string]*stroke{},
 		logger:     reg.logger.With("session", spec.ID),
 		stripe:     reg.nextStripe(),
 		timeline:   resume.timeline,
@@ -224,6 +227,7 @@ func sessionShell(reg *Registry, spec SessionSpec, resume resumeState) *Session 
 		emitQuit:   make(chan struct{}),
 		emitDone:   make(chan struct{}),
 	}
+	s.em = newEmitter(reg.rec, s.emitLocked)
 	if s.timeline == nil {
 		s.timeline = &obs.Timeline{}
 	}

@@ -344,20 +344,16 @@ func TestTierForcedDowngrade(t *testing.T) {
 		sess.flushEmitLocked()
 	}
 	// queued takes what the subscriber's queue holds without blocking,
-	// expanding the flusher's carriers.
+	// expanding its batches.
 	queued := func() []Event {
 		var out []Event
 		for {
 			select {
-			case ev, ok := <-sub.ch:
+			case b, ok := <-sub.ch:
 				if !ok {
 					t.Fatal("subscriber queue closed")
 				}
-				if ev.batch != nil {
-					out = append(out, ev.batch.events...)
-				} else {
-					out = append(out, ev)
-				}
+				out = append(out, b.events...)
 			default:
 				return out
 			}

@@ -34,10 +34,10 @@ type ServeConfig struct {
 	// beyond it are shed with HTTP 503. Default 16.
 	MaxSubscribers int
 	// SubscriberQueue bounds each subscriber's queue, counted in
-	// deliveries (one group-committed batch of events is one); a
-	// consumer that falls behind loses the oldest deliveries (and is told
-	// so with "drop" events) rather than stalling the session. Default
-	// 256.
+	// batches (a group commit of events, a replayed log record's events
+	// or a notice is one); a consumer that falls behind loses the oldest
+	// batches (and is told so with "drop" events) rather than stalling
+	// the session. Default 256.
 	SubscriberQueue int
 	// SessionShards is each session engine's worker shard count.
 	// Default 1 — sessions are the unit of parallelism; raise it for
@@ -401,9 +401,10 @@ func (s *Session) Subscribe(buffer int) (*Subscription, error) {
 
 // SubscribeFrom attaches a catch-up consumer (systems serving with
 // ServeConfig.DataDir): the stream opens with the session's recorded
-// history replayed from its write-ahead log — points derived from log
-// records with sequence ≥ from, 0 meaning everything — and then splices
-// onto the live stream without gap or duplicate.
+// history replayed from its write-ahead log — the events a live
+// subscriber got from log records with sequence ≥ from, 0 meaning
+// everything — and then splices onto the live stream without gap or
+// duplicate.
 func (s *Session) SubscribeFrom(from uint64, buffer int) (*Subscription, error) {
 	sub, err := s.inner.SubscribeFrom(from, server.SubscribeOptions{Buffer: buffer})
 	if err != nil {
