@@ -976,3 +976,42 @@ func BenchmarkWALAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkWALCompact measures closing a session log: the close record,
+// its sync and the compaction that rewrites 32,768 report records (about
+// 1.9 MB over the default 4 MiB segment budget) into the single closed
+// segment, as every DELETE, park and shutdown does. Each iteration
+// writes a fresh log untimed and times only Close.
+func BenchmarkWALCompact(b *testing.B) {
+	const records = 32768
+	store, err := wal.Open(b.TempDir(), wal.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	rep := rfid.Report{ReaderID: 1, AntennaID: 3, EPC: rfid.RandomEPC(rng), PhaseRad: 1.25, PowerDB: -31}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		id := fmt.Sprintf("bench-%d", i)
+		log, err := store.Create(wal.Meta{ID: id, Created: time.Unix(0, 0), Sweep: 50 * time.Millisecond})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for r := 0; r < records; r++ {
+			rep.Time = time.Duration(r) * 6 * time.Millisecond
+			if err := log.AppendReport(uint64(r+1), rep); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := log.Close(records + 1); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := store.Remove(id); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

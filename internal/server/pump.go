@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/heap"
 	"strconv"
 	"sync"
 	"time"
@@ -332,12 +331,12 @@ func (s *Session) handleReport(rep rfid.Report, arr int64) {
 		s.reg.metrics.ReorderLate.Add(1)
 	}
 	s.pushSeq++
-	heap.Push(&s.reorder, orderedReport{rep: rep, seq: s.pushSeq, arr: arr, pushed: now})
+	s.reorder.push(orderedReport{rep: rep, seq: s.pushSeq, arr: arr, pushed: now})
 	if rep.Time > s.maxSeen {
 		s.maxSeen = rep.Time
 	}
 	for s.reorder.Len() > 0 && s.reorder.min().Time <= s.maxSeen-hold {
-		s.offerToEngine(heap.Pop(&s.reorder).(orderedReport))
+		s.offerToEngine(s.reorder.pop())
 	}
 }
 
@@ -351,7 +350,7 @@ func (s *Session) handleReport(rep rfid.Report, arr int64) {
 // replay closes strokes exactly where the live session did.
 func (s *Session) drain() {
 	for s.reorder.Len() > 0 {
-		s.offerToEngine(heap.Pop(&s.reorder).(orderedReport))
+		s.offerToEngine(s.reorder.pop())
 	}
 	if s.eng == nil || !s.engineDirty {
 		return
@@ -477,17 +476,20 @@ type orderedReport struct {
 
 // reportHeap is a min-heap of reports by (time, reader ID, arrival
 // order): the session's small cross-reader resequencing buffer. The tie
-// levels matter — container/heap is not stable, so ordering by time
-// alone pops identically-stamped reports in heap-shape-dependent order,
-// and two readers stamping the same timestamp could make a live trace
-// diverge from an otherwise identical run (and the per-tag merge order
-// feed trackers differently). With ties broken by reader ID then arrival
-// sequence the pop order is a deterministic function of the input: the
-// stable sort of the arrival stream by (time, reader ID).
+// levels matter — a heap is not stable, so ordering by time alone pops
+// identically-stamped reports in heap-shape-dependent order, and two
+// readers stamping the same timestamp could make a live trace diverge
+// from an otherwise identical run (and the per-tag merge order feed
+// trackers differently). With ties broken by reader ID then arrival
+// sequence the order is strict and total, so the pop order is a
+// deterministic function of the input: the stable sort of the arrival
+// stream by (time, reader ID). It is a typed binary heap of values, so
+// a push or pop boxes nothing.
 type reportHeap []orderedReport
 
 func (h reportHeap) Len() int { return len(h) }
-func (h reportHeap) Less(i, j int) bool {
+
+func (h reportHeap) less(i, j int) bool {
 	if h[i].rep.Time != h[j].rep.Time {
 		return h[i].rep.Time < h[j].rep.Time
 	}
@@ -496,13 +498,45 @@ func (h reportHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h reportHeap) Swap(i, j int)    { h[i], h[j] = h[j], h[i] }
-func (h *reportHeap) Push(x any)      { *h = append(*h, x.(orderedReport)) }
+
 func (h reportHeap) min() rfid.Report { return h[0].rep }
-func (h *reportHeap) Pop() any {
-	old := *h
-	n := len(old)
-	rep := old[n-1]
-	*h = old[:n-1]
-	return rep
+
+// push adds r, sifting it up from the last leaf.
+func (h *reportHeap) push(r orderedReport) {
+	*h = append(*h, r)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the least entry: the last leaf replaces the
+// root and sifts down.
+func (h *reportHeap) pop() orderedReport {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < n && q.less(l, least) {
+			least = l
+		}
+		if r < n && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }

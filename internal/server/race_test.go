@@ -1,13 +1,13 @@
 package server
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -463,38 +463,66 @@ func TestSubscribeFromShedRecorded(t *testing.T) {
 
 // TestReorderHeapDeterministicTies: the resequencing heap must pop
 // identically-timestamped reports in a deterministic order — time, then
-// reader ID, then arrival — i.e. exactly the stable sort of the arrival
-// stream by (time, reader). Property-tested over shuffled duplicates.
+// reader ID, then arrival. Property-tested over random arrival streams
+// with many ties: pops interleaved with pushes (as the pump releases a
+// window) each return the earliest-arrived of the least (time, reader)
+// pending, and draining the rest pops them in the stable sort of their
+// arrival order by (time, reader).
 func TestReorderHeapDeterministicTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
+	key := func(a, b rfid.Report) int {
+		if a.Time != b.Time {
+			return cmp.Compare(a.Time, b.Time)
+		}
+		return cmp.Compare(a.ReaderID, b.ReaderID)
+	}
+	for trial := 0; trial < 400; trial++ {
 		n := 2 + rng.Intn(64)
-		arrivals := make([]rfid.Report, n)
-		for i := range arrivals {
-			arrivals[i] = rfid.Report{
+		var h reportHeap
+		var pending []rfid.Report // the model: unpopped reports in arrival order
+		for i := 0; i < n; i++ {
+			rep := rfid.Report{
 				// Few distinct timestamps → many ties.
 				Time:      time.Duration(rng.Intn(4)) * time.Millisecond,
 				ReaderID:  rng.Intn(3),
 				AntennaID: rng.Intn(8),
 				PhaseRad:  rng.Float64(),
 			}
-		}
-		want := append([]rfid.Report(nil), arrivals...)
-		sort.SliceStable(want, func(i, j int) bool {
-			if want[i].Time != want[j].Time {
-				return want[i].Time < want[j].Time
+			h.push(orderedReport{rep: rep, seq: uint64(i + 1)})
+			pending = append(pending, rep)
+			if trial%2 == 1 && rng.Intn(3) == 0 {
+				least := slices.MinFunc(pending, key)
+				want := slices.IndexFunc(pending, func(r rfid.Report) bool { return key(r, least) == 0 })
+				if got := h.pop().rep; got != pending[want] {
+					t.Fatalf("trial %d: interleaved pop = %+v, want %+v", trial, got, pending[want])
+				}
+				pending = slices.Delete(pending, want, want+1)
 			}
-			return want[i].ReaderID < want[j].ReaderID
-		})
-		var h reportHeap
-		for i, rep := range arrivals {
-			heap.Push(&h, orderedReport{rep: rep, seq: uint64(i + 1)})
 		}
+		slices.SortStableFunc(pending, key)
 		for i := 0; h.Len() > 0; i++ {
-			got := heap.Pop(&h).(orderedReport).rep
-			if got != want[i] {
-				t.Fatalf("trial %d: pop %d = %+v, want %+v", trial, i, got, want[i])
+			if got := h.pop().rep; got != pending[i] {
+				t.Fatalf("trial %d: pop %d = %+v, want %+v", trial, i, got, pending[i])
 			}
 		}
+	}
+}
+
+// TestReorderHeapZeroAllocs gates the reorder buffer at zero allocations
+// per report: once its backing array has grown, a push and a pop box
+// nothing.
+func TestReorderHeapZeroAllocs(t *testing.T) {
+	var h reportHeap
+	for i := 0; i < 64; i++ {
+		h.push(orderedReport{rep: rfid.Report{Time: time.Duration(i%7) * time.Millisecond, ReaderID: i % 2}, seq: uint64(i)})
+	}
+	seq := uint64(64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		seq++
+		h.push(orderedReport{rep: rfid.Report{Time: time.Duration(seq%7) * time.Millisecond}, seq: seq})
+		h.pop()
+	})
+	if allocs != 0 {
+		t.Fatalf("reorder push+pop makes %v allocs, want 0", allocs)
 	}
 }

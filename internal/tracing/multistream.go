@@ -93,8 +93,10 @@ type MultiStream struct {
 	switches    int
 	retirements int
 	// obs holds the current sample's pair observables, shared by every
-	// hypothesis's update.
-	obs []pairObs
+	// hypothesis's update, and ants the per-antenna phases observe reads
+	// them from.
+	obs  []pairObs
+	ants []antPhase
 }
 
 // NewMultiStream is NewMultiStreamWith with a private scratch.
@@ -130,8 +132,11 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 	if sc == nil {
 		sc = vote.NewScratch()
 	}
-	ms := &MultiStream{tr: tr, cfg: cfg, sc: sc, hyps: make([]hypothesis, len(cands)), obs: make([]pairObs, len(tr.pairs))}
-	tr.observe(first.Phase, ms.obs)
+	ms := &MultiStream{
+		tr: tr, cfg: cfg, sc: sc, hyps: make([]hypothesis, len(cands)),
+		obs: make([]pairObs, len(tr.pairs)), ants: make([]antPhase, len(tr.antIDs)),
+	}
+	tr.observe(first.Phase, ms.ants, ms.obs)
 	for hi := range cands {
 		h := &ms.hyps[hi]
 		h.initial = cands[hi]
@@ -166,7 +171,7 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 func (ms *MultiStream) Push(sample Sample) (step Step, ok bool) {
 	advanced := false
 	dist := ms.sc.DistBuf(ms.tr.kernel.Antennas())
-	ms.tr.observe(sample.Phase, ms.obs)
+	ms.tr.observe(sample.Phase, ms.ants, ms.obs)
 	for hi := range ms.hyps {
 		h := &ms.hyps[hi]
 		if h.retired {

@@ -33,6 +33,7 @@ package tracing
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -138,6 +139,11 @@ type Tracer struct {
 	// kernel evaluates the pairs' fixed-lobe votes; pair i of the kernel
 	// is pairs[i], which is also a hypothesis's pairState index.
 	kernel *antenna.Kernel
+	// antIDs are the distinct antenna IDs the pairs span, in first-use
+	// order, and ends[i] holds pair i's two indices into antIDs: observe
+	// reads each antenna's phase once per sample.
+	antIDs []int
+	ends   [][2]int
 	cfg    Config
 	// scratch pools reusable search state for Trace calls that are not
 	// handed an explicit scratch; the engine's shards pass their own.
@@ -154,7 +160,17 @@ func NewTracer(pairs []antenna.Pair, cfg Config) (*Tracer, error) {
 	if cfg.Region.Width() <= 0 || cfg.Region.Height() <= 0 {
 		return nil, fmt.Errorf("tracing: degenerate region %+v", cfg.Region)
 	}
-	tr := &Tracer{pairs: pairs, kernel: antenna.NewKernel(pairs), cfg: cfg}
+	tr := &Tracer{pairs: pairs, kernel: antenna.NewKernel(pairs), ends: make([][2]int, len(pairs)), cfg: cfg}
+	slot := func(id int) int {
+		if a := slices.Index(tr.antIDs, id); a >= 0 {
+			return a
+		}
+		tr.antIDs = append(tr.antIDs, id)
+		return len(tr.antIDs) - 1
+	}
+	for i, p := range pairs {
+		tr.ends[i] = [2]int{slot(p.I.ID), slot(p.J.ID)}
+	}
 	tr.scratch.New = func() any { return vote.NewScratch() }
 	return tr, nil
 }
@@ -250,11 +266,29 @@ type pairObs struct {
 	ok    bool
 }
 
+// antPhase is one antenna's phase in one sample, and whether it was
+// heard.
+type antPhase struct {
+	phase float64
+	ok    bool
+}
+
 // observe computes every pair's observable in obs into out (one slot per
-// tracer pair), once per sample for all hypotheses.
-func (tr *Tracer) observe(obs vote.Observations, out []pairObs) {
-	for i, p := range tr.pairs {
-		out[i].turns, out[i].ok = vote.PairTurns(p, obs)
+// tracer pair), once per sample for all hypotheses. It reads each
+// antenna's phase once into ants (one slot per antIDs entry), then forms
+// each pair's difference from its two slots, as vote.PairTurns does from
+// the map.
+func (tr *Tracer) observe(obs vote.Observations, ants []antPhase, out []pairObs) {
+	for a, id := range tr.antIDs {
+		ants[a].phase, ants[a].ok = obs[id]
+	}
+	for i, e := range tr.ends {
+		pi, pj := ants[e[0]], ants[e[1]]
+		if pi.ok && pj.ok {
+			out[i] = pairObs{turns: antenna.PhaseDiffTurns(pi.phase, pj.phase), ok: true}
+		} else {
+			out[i] = pairObs{}
+		}
 	}
 }
 

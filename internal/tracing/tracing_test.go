@@ -374,7 +374,7 @@ func TestStreamSharedScratchIsInert(t *testing.T) {
 // seen from lockAt (the truth itself for a correct hypothesis).
 func lockedStates(tr *Tracer, d *deploy.RFIDraw, truth, lockAt geom.Vec2) []pairState {
 	obs := make([]pairObs, len(tr.pairs))
-	tr.observe(synthSamples(d, []geom.Vec2{truth}, 0, nil)[0].Phase, obs)
+	tr.observe(synthSamples(d, []geom.Vec2{truth}, 0, nil)[0].Phase, make([]antPhase, len(tr.antIDs)), obs)
 	states := make([]pairState, len(tr.pairs))
 	lock3 := tr.cfg.Plane.To3D(lockAt)
 	for i, p := range tr.pairs {
@@ -449,5 +449,30 @@ func TestQuickStepNeverLowersVote(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObserveMatchesPairTurns: reading each antenna's phase once and
+// pairing the slots gives every pair exactly vote.PairTurns' observable,
+// for samples with random antennas unheard.
+func TestObserveMatchesPairTurns(t *testing.T) {
+	tr, d := testTracer(t)
+	rng := rand.New(rand.NewSource(11))
+	samples := synthSamples(d, circlePath(geom.Vec2{X: 1.3, Z: 1.0}, 0.12, 40), 0.05, rng)
+	ants := make([]antPhase, len(tr.antIDs))
+	out := make([]pairObs, len(tr.pairs))
+	for si, s := range samples {
+		for id := range s.Phase {
+			if rng.Intn(4) == 0 {
+				delete(s.Phase, id)
+			}
+		}
+		tr.observe(s.Phase, ants, out)
+		for i, p := range tr.pairs {
+			turns, ok := vote.PairTurns(p, s.Phase)
+			if out[i] != (pairObs{turns: turns, ok: ok}) {
+				t.Fatalf("sample %d pair %d: observe %+v, PairTurns (%v, %v)", si, i, out[i], turns, ok)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package vote
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -83,7 +84,8 @@ type scoredPoint struct {
 }
 
 // Scratch is the reusable per-goroutine search state: the stage-1 score
-// buffer, the evaluation memo, the candidate pools, the vote kernel's
+// buffer, the evaluation memo, the candidate pools, the acquisition
+// kernel's survivor, group and frontier buffers, the vote kernel's
 // distance buffer and the sweep-merge / phase-averaging observation
 // buffers. It exists so the hot path allocates nothing once warm — the
 // engine keeps one per worker shard (from a sync.Pool), streams keep one
@@ -92,6 +94,9 @@ type scoredPoint struct {
 type Scratch struct {
 	// stage1 is the positioner's coarse-lattice score buffer.
 	stage1 []float64
+	// obs1 and obsAll hold the observed stage-1 and all-pair phase
+	// differences of one positioning call.
+	obs1, obsAll []pairObs
 	// cache memoises eval results by exact position bits within one
 	// search; reset at every search start.
 	cache map[[2]uint64]float64
@@ -99,10 +104,20 @@ type Scratch struct {
 	// selection always reads this slice (never the map) so results are
 	// deterministic.
 	pool []scoredPoint
+	// survivors and groups are pickCellGroups' threshold-clearing cells
+	// and peak groups.
+	survivors []tableCell
+	groups    []cellGroup
 	// cells and cellsNext are the table-descent frontiers; children
 	// receives one cell's MultiResTable.Children.
 	cells, cellsNext []tableCell
 	children         []int
+	// frontCells holds every group's finest-table frontier back to back,
+	// fronts indexes it per group, and cands collects the refined
+	// candidates before the near-duplicate merge.
+	frontCells []tableCell
+	fronts     []groupFront
+	cands      []Candidate
 	// dist is the antenna.Kernel distance buffer handed out by DistBuf.
 	dist []float64
 	// obs is the reusable observation map handed out by ObsBuf.
@@ -217,31 +232,37 @@ func (s *searcher) score(p geom.Vec2) float64 {
 	return v
 }
 
-// topK truncates the pool to its k best entries, best first, in the order
-// a stable sort would leave them (exact ties keep visit order, so results
-// stay deterministic). It is an in-place insertion selection: the prefix
-// pool[:k] stays sorted and a later point enters it only by strictly
-// beating its last entry.
-func (s *searcher) topK(k int) {
-	pool := s.sc.pool
-	if k > len(pool) {
-		k = len(pool)
+// topK reorders s so that its first k entries are its k best by score,
+// best first, exactly as a stable sort by descending score followed by
+// truncation to k would leave them (exact ties keep input order), and
+// returns that prefix; k beyond len(s) keeps every entry. It is an
+// in-place insertion selection: the prefix s[:k] stays sorted and a later
+// entry enters it only by strictly beating its last entry, so selecting
+// the few best of a level costs about one comparison per entry instead
+// of a full sort.
+func topK[T any](s []T, k int, score func(T) float64) []T {
+	if k > len(s) {
+		k = len(s)
 	}
-	for i := 1; i < len(pool); i++ {
-		p := pool[i]
+	if k <= 0 {
+		return s[:0]
+	}
+	for i := 1; i < len(s); i++ {
+		e := s[i]
+		v := score(e)
 		j := i
 		if i >= k {
-			if !(p.score > pool[k-1].score) {
+			if !(v > score(s[k-1])) {
 				continue
 			}
-			j = k - 1 // p displaces the current k-th entry
+			j = k - 1 // e displaces the current k-th entry
 		}
-		for ; j > 0 && p.score > pool[j-1].score; j-- {
-			pool[j] = pool[j-1]
+		for ; j > 0 && v > score(s[j-1]); j-- {
+			s[j] = s[j-1]
 		}
-		pool[j] = p
+		s[j] = e
 	}
-	s.sc.pool = pool[:k]
+	return s[:k]
 }
 
 func (s *searcher) best() scoredPoint {
@@ -263,7 +284,8 @@ func (s *searcher) subdivide(k int, coarseStep, fineStep float64, maxLevels int)
 	step := coarseStep / 2
 	last := coarseStep
 	for level := 0; step >= fineStep-1e-12 && (maxLevels < 0 || level < maxLevels); level++ {
-		s.topK(k)
+		// Exact ties keep visit order, so results stay deterministic.
+		s.sc.pool = topK(s.sc.pool, k, func(p scoredPoint) float64 { return p.score })
 		// The pool grows as neighbours are visited; remember how many
 		// seeds this level expands so new points seed the next level.
 		seeds := len(s.sc.pool)
@@ -352,51 +374,42 @@ const refineBranch = 4
 // multi-resolution steering table: the group's cells are scored with all
 // observed pairs at level 0, then each level scores the 3×3 children of
 // the surviving branches at double resolution and keeps the best
-// refineBranch. Every score is a table lookup (one subtraction, rounding
-// and multiply per pair) — no distance computation. Returns the finest-
-// level frontier, best first, and the lookup count.
+// refineBranch (by topK, the order a stable sort would give). Every score
+// is one row-scorer call on a table row — no distance computation.
+// Returns the finest-level frontier, best first, which lives in the
+// scratch until the next descent, and the row-scorer call count.
 func (p *Positioner) descendTable(cells []int, po []pairObs, sc *Scratch) ([]tableCell, int) {
-	evals := 0
-	scoreCell := func(t *SteeringTable, idx int) float64 {
-		var v float64
-		for _, o := range po {
-			v += t.VoteAt(o.idx, idx, o.turns)
-		}
-		evals++
-		return v
-	}
-	sc.cells = sc.cells[:0]
 	t0 := p.multi.Level(0)
+	sc.cells = sc.cells[:0]
 	for _, c := range cells {
-		sc.cells = append(sc.cells, tableCell{idx: c, score: scoreCell(t0, c)})
+		sc.cells = append(sc.cells, tableCell{idx: c, score: t0.vote(c, po)})
 	}
-	sortCells(sc.cells)
+	evals := len(cells)
 	// At the coarse level the wide pairs' votes are aliased (their lobes
 	// are narrower than the cell), so level-0 scores cannot select
 	// branches; with deeper levels ahead the first descent re-scores
 	// children anyway, but a single-level table must keep every seed.
-	if p.multi.Levels() > 1 && len(sc.cells) > refineBranch {
-		sc.cells = sc.cells[:refineBranch]
+	keep := len(sc.cells)
+	if p.multi.Levels() > 1 {
+		keep = refineBranch
 	}
+	sc.cells = topK(sc.cells, keep, cellScore)
 	for l := 1; l < p.multi.Levels(); l++ {
 		t := p.multi.Level(l)
-		sc.cellsNext = sc.cellsNext[:0]
+		next := sc.cellsNext[:0]
 		for _, c := range sc.cells {
 			sc.children = p.multi.Children(sc.children[:0], l-1, c.idx)
 			for _, child := range sc.children {
-				if containsCell(sc.cellsNext, child) {
+				if containsCell(next, child) {
 					continue
 				}
-				sc.cellsNext = append(sc.cellsNext, tableCell{idx: child, score: scoreCell(t, child)})
+				next = append(next, tableCell{idx: child, score: t.vote(child, po)})
 			}
 		}
-		sortCells(sc.cellsNext)
-		if len(sc.cellsNext) > refineBranch {
-			sc.cellsNext = sc.cellsNext[:refineBranch]
-		}
-		sc.cells, sc.cellsNext = sc.cellsNext, sc.cells
+		evals += len(next)
+		sc.cells, sc.cellsNext = topK(next, refineBranch, cellScore), sc.cells
 	}
-	return append([]tableCell(nil), sc.cells...), evals
+	return sc.cells, evals
 }
 
 // directRefine continues one group's refinement below the table's finest
@@ -425,10 +438,6 @@ func (p *Positioner) directRefine(frontier []tableCell, po []pairObs, sc *Scratc
 	return b.pos, b.score, s.evals
 }
 
-func sortCells(cells []tableCell) {
-	slices.SortStableFunc(cells, func(a, b tableCell) int { return byScoreDesc(a.score, b.score) })
-}
-
 // byScoreDesc is the best-first comparison behind every stable ordering of
 // scored search state: a sorts before b only when strictly better, so a
 // stable sort keeps equal (and unordered) scores in input order.
@@ -451,9 +460,11 @@ func containsCell(cells []tableCell, idx int) bool {
 	return false
 }
 
-// groupFront is one peak group's finest-table frontier, best cell first.
+// groupFront is one peak group's finest-table frontier: the cells
+// Scratch.frontCells[lo:hi], best first, whose first score is best.
 type groupFront struct {
-	cells []tableCell
+	lo, hi int
+	best   float64
 }
 
 // maxPeakGroups bounds how many peak groups the survivor partition forms —
@@ -466,36 +477,63 @@ const maxPeakGroups = 64
 // peak's plateau while keeping per-group cost bounded.
 const maxCellsPerGroup = 12
 
+// cellGroup is one peak group of stage-1 survivors: the position of its
+// representative (its founding, best cell) and its first n members,
+// best first.
+type cellGroup struct {
+	rep   geom.Vec2
+	n     int
+	cells [maxCellsPerGroup]int
+}
+
 // pickCellGroups clusters the threshold-clearing stage-1 cells into up to
 // k peak groups: survivors are visited best-first, joining the first group
-// whose representative (its best cell) lies within suppress, otherwise
-// founding a new group. Grouping — rather than discarding — nearby
-// survivors keeps every cell of a peak's plateau reachable by the
-// refinement while still spreading the k groups over distinct peaks.
-func pickCellGroups(grid Grid, score []float64, threshold float64, k int, suppress float64) [][]int {
-	var survivors []int
+// whose representative lies within suppress, otherwise founding a new
+// group. Grouping — rather than discarding — nearby survivors keeps every
+// cell of a peak's plateau reachable by the refinement while still
+// spreading the k groups over distinct peaks. The groups live in the
+// scratch until the next call.
+func pickCellGroups(sc *Scratch, grid Grid, score []float64, threshold float64, k int, suppress float64) []cellGroup {
+	survivors := sc.survivors[:0]
 	for i, v := range score {
 		if v >= threshold {
-			survivors = append(survivors, i)
+			survivors = append(survivors, tableCell{idx: i, score: v})
 		}
 	}
-	slices.SortStableFunc(survivors, func(a, b int) int { return byScoreDesc(score[a], score[b]) })
-	var groups [][]int
-	for _, i := range survivors {
-		pi := grid.At(i)
+	// Best first, exact ties in grid order: a total order, so this is the
+	// order a stable sort by score alone leaves the grid-ordered survivors.
+	slices.SortFunc(survivors, func(a, b tableCell) int {
+		if c := byScoreDesc(a.score, b.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	sc.survivors = survivors
+	groups := sc.groups[:0]
+	for _, c := range survivors {
+		pi := grid.At(c.idx)
 		joined := false
-		for gi, g := range groups {
-			if grid.At(g[0]).Dist(pi) < suppress {
-				if len(g) < maxCellsPerGroup {
-					groups[gi] = append(g, i)
+		for gi := range groups {
+			g := &groups[gi]
+			// Dist is math.Hypot of the two axis offsets, which is never
+			// below either offset: a cell that far along one axis cannot
+			// join, and skipping the Hypot for it changes no decision.
+			if math.Abs(g.rep.X-pi.X) >= suppress || math.Abs(g.rep.Z-pi.Z) >= suppress {
+				continue
+			}
+			if g.rep.Dist(pi) < suppress {
+				if g.n < maxCellsPerGroup {
+					g.cells[g.n] = c.idx
+					g.n++
 				}
 				joined = true
 				break
 			}
 		}
 		if !joined && len(groups) < k {
-			groups = append(groups, []int{i})
+			groups = append(groups, cellGroup{rep: pi, n: 1, cells: [maxCellsPerGroup]int{c.idx}})
 		}
 	}
+	sc.groups = groups
 	return groups
 }

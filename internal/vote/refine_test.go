@@ -2,17 +2,24 @@ package vote
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"rfidraw/internal/antenna"
+	"rfidraw/internal/deploy"
 	"rfidraw/internal/geom"
 	"rfidraw/internal/phys"
 )
 
-// TestSteeringTableVoteAtMatchesAccumulate checks the sparse single-point
-// lookup is bit-identical to the row accumulation path — the hierarchical
-// descent and the stage-1 scan must agree on every cell.
-func TestSteeringTableVoteAtMatchesAccumulate(t *testing.T) {
+// TestSteeringTableVoteFollowsObsOrder checks the row scorer sums only the
+// observed pairs, in pairObs order rather than pair order: with two of
+// three pairs observed and listed out of pair order, every point's score
+// is bit-identical to the direct votes summed in that same order — the
+// order the stage-1 scan, the table descent and the direct refinement
+// all share.
+func TestSteeringTableVoteFollowsObsOrder(t *testing.T) {
 	pairs := testPairs(t)
 	plane := geom.Plane{Y: 2}
 	grid, err := NewGrid(geom.Rect{Min: geom.Vec2{X: -0.2, Z: 0}, Max: geom.Vec2{X: 1.4, Z: 1.2}}, 0.05)
@@ -20,20 +27,17 @@ func TestSteeringTableVoteAtMatchesAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := NewSteeringTable(pairs, grid, plane)
-	measured := []float64{0.13, -0.37, 0.02}
-	score := make([]float64, grid.Len())
-	for pi := range pairs {
-		if err := table.AccumulateVotes(pi, measured[pi], score); err != nil {
-			t.Fatal(err)
-		}
-	}
+	po := []pairObs{{turns: 0.02, idx: 2}, {turns: 0.13, idx: 0}}
+	k := antenna.NewKernel(pairs)
+	dist := make([]float64, k.Antennas())
 	for i := 0; i < grid.Len(); i++ {
-		var want float64
-		for pi := range pairs {
-			want += table.VoteAt(pi, i, measured[pi])
+		want := totalVote(k, dist, plane.To3D(grid.At(i)), po)
+		var single float64
+		for _, o := range po {
+			single += table.vote(i, []pairObs{o})
 		}
-		if score[i] != want {
-			t.Fatalf("point %d: VoteAt sum %v != accumulated %v", i, want, score[i])
+		if got := table.vote(i, po); got != want || got != single {
+			t.Fatalf("point %d: row score %v, direct %v, single-pair sum %v (must be bit-identical)", i, got, want, single)
 		}
 	}
 }
@@ -62,7 +66,7 @@ func TestSteeringTableGridPointOnAntenna(t *testing.T) {
 	}
 	table := NewSteeringTable([]antenna.Pair{pair}, grid, plane)
 	for i := 0; i < grid.Len(); i++ {
-		v := table.VoteAt(0, i, 0.1)
+		v := table.vote(i, []pairObs{{turns: 0.1, idx: 0}})
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("point %d: non-finite vote %v", i, v)
 		}
@@ -106,7 +110,7 @@ func TestMultiResTableAlignment(t *testing.T) {
 		g := m.Level(l).Grid()
 		for i := 0; i < g.Len(); i++ {
 			for pi, p := range pairs {
-				if got, want := m.Level(l).VoteAt(pi, i, 0.2), p.VoteFree(plane.To3D(g.At(i)), 0.2); got != want {
+				if got, want := m.Level(l).vote(i, []pairObs{{turns: 0.2, idx: pi}}), p.VoteFree(plane.To3D(g.At(i)), 0.2); got != want {
 					t.Fatalf("level %d pair %d point %d: %v != %v", l, pi, i, got, want)
 				}
 			}
@@ -269,5 +273,111 @@ func TestCandidatesHierMatchesDense(t *testing.T) {
 		if d := cd[0].Pos.Dist(ch[0].Pos); d > 0.01 {
 			t.Errorf("src %v: dense best %v vs hierarchical best %v (off %v)", src2, cd[0].Pos, ch[0].Pos, d)
 		}
+	}
+}
+
+// TestQuickTopKMatchesStableSort: for random scores drawn from a handful
+// of values (so most entries tie) and every k from 0 past the length,
+// topK returns exactly the entries, in exactly the order, that a stable
+// sort by descending score followed by truncation to k returns.
+func TestQuickTopKMatchesStableSort(t *testing.T) {
+	type entry struct {
+		id    int
+		score float64
+	}
+	score := func(e entry) float64 { return e.score }
+	prop := func(raw []uint8) bool {
+		in := make([]entry, len(raw))
+		for i, r := range raw {
+			in[i] = entry{id: i, score: -float64(r % 5)}
+		}
+		sorted := slices.Clone(in)
+		slices.SortStableFunc(sorted, func(a, b entry) int { return byScoreDesc(a.score, b.score) })
+		for k := 0; k <= len(in)+1; k++ {
+			got := topK(slices.Clone(in), k, score)
+			if !slices.Equal(got, sorted[:min(k, len(in))]) {
+				t.Logf("k=%d: topK %v, stable sort %v", k, got, sorted[:min(k, len(in))])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(5))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCandidatesWithWarmScratchAllocs gates acquisition's allocations: on
+// the standard deployment with a warm scratch, a CandidatesWith call
+// allocates only the candidate slice it returns (at most 2 allowed).
+func TestCandidatesWithWarmScratchAllocs(t *testing.T) {
+	dep, err := deploy.DefaultRFIDraw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Plane: geom.Plane{Y: 2}, Region: deploy.DefaultRegion(), CandidateCount: 5}
+	p, err := NewPositioner(dep.Stage1Pairs(), dep.WidePairs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var windows []Observations
+	for _, src := range []geom.Vec2{{X: 0.7, Z: 1.1}, {X: 1.5, Z: 0.6}, {X: 2.1, Z: 1.6}} {
+		windows = append(windows, synthObs(dep.AllPairs(), cfg.Plane.To3D(src), 0.1, rng))
+	}
+	sc := NewScratch()
+	for _, obs := range windows {
+		if _, _, err := p.CandidatesWith(sc, obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(30, func() {
+		if _, _, err := p.CandidatesWith(sc, windows[i%len(windows)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("%v allocs per CandidatesWith call", allocs)
+	if allocs > 2 {
+		t.Fatalf("CandidatesWith makes %v allocs/op with a warm scratch, want ≤ 2", allocs)
+	}
+}
+
+// TestQuickPickCellGroupsMatchesReference: on score grids quantized to a
+// few levels (so most survivors tie and ties must fall back to grid
+// order), for random thresholds, group caps and suppression radii,
+// pickCellGroups on one reused scratch forms exactly referenceGroups'
+// groups, member for member.
+func TestQuickPickCellGroupsMatchesReference(t *testing.T) {
+	grid, err := NewGrid(geom.Rect{Max: geom.Vec2{X: 0.6, Z: 0.4}}, 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScratch()
+	prop := func(seed int64, levels, k, radius uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		score := make([]float64, grid.Len())
+		for i := range score {
+			score[i] = -float64(rng.Intn(1 + int(levels%6)))
+		}
+		threshold := -float64(rng.Intn(3))
+		suppress := grid.Res * float64(1+radius%8)
+		want := referenceGroups(grid, score, threshold, 1+int(k%8), suppress)
+		got := pickCellGroups(sc, grid, score, threshold, 1+int(k%8), suppress)
+		if len(got) != len(want) {
+			t.Logf("%d groups, reference %d", len(got), len(want))
+			return false
+		}
+		for gi, g := range got {
+			if !slices.Equal(g.cells[:g.n], want[gi]) || g.rep != grid.At(want[gi][0]) {
+				t.Logf("group %d: %v at %v, reference %v", gi, g.cells[:g.n], g.rep, want[gi])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(8))}); err != nil {
+		t.Fatal(err)
 	}
 }

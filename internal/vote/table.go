@@ -15,16 +15,23 @@ import (
 // deployment geometry — not on any measurement — so one table can be built
 // per deployment and shared read-only by any number of goroutines.
 //
-// Voting a pair on a grid point then reduces to one subtraction, one
-// rounding and one multiply (Eq. 7), replacing the 3-D distance
+// The table is point-major: one flat slice laid out [grid point][pair],
+// so one grid point's values for every pair are one contiguous row.
+// Voting a point reduces to one subtraction, one rounding and one
+// multiply per observed pair (Eq. 7), replacing the 3-D distance
 // evaluations (square roots) a direct vote performs per point per sample.
-// This is the lookup table the concurrent engine's shards share.
+// Stage 1 walks the coarse grid point by point and the hierarchical
+// descent scores only the cells that survive each level; both call the
+// one row scorer, vote. It sums the observed pairs in pairObs order with
+// the operations, in the same order, of the direct per-point evaluation
+// (antenna.Kernel.VoteFree summed by totalVote), so every table score is
+// bit-identical to the direct vote at that point.
 type SteeringTable struct {
 	grid Grid
-	// turns is laid out [pair][grid point], row-major in the grid's
-	// x-fastest order, so a pair's sweep over the grid is one contiguous
-	// cache-friendly walk.
-	turns [][]float64
+	// stride is how many pairs a row holds; pair p's value at grid point i
+	// is turns[i*stride+p], points in the grid's x-fastest order.
+	stride int
+	turns  []float64
 	// maxK[p] is pairs[p].MaxLobeIndex() as a float, hoisted out of the
 	// inner loop.
 	maxK []float64
@@ -36,21 +43,21 @@ type SteeringTable struct {
 // safe for concurrent use.
 func NewSteeringTable(pairs []antenna.Pair, grid Grid, plane geom.Plane) *SteeringTable {
 	t := &SteeringTable{
-		grid:  grid,
-		turns: make([][]float64, len(pairs)),
-		maxK:  make([]float64, len(pairs)),
+		grid:   grid,
+		stride: len(pairs),
+		turns:  make([]float64, grid.Len()*len(pairs)),
+		maxK:   make([]float64, len(pairs)),
 	}
-	n := grid.Len()
 	for pi, p := range pairs {
-		t.turns[pi] = make([]float64, n)
 		t.maxK[pi] = float64(p.MaxLobeIndex())
 	}
 	k := antenna.NewKernel(pairs)
 	dist := make([]float64, k.Antennas())
-	for i := 0; i < n; i++ {
+	for i := 0; i < grid.Len(); i++ {
 		k.Distances(plane.To3D(grid.At(i)), dist)
-		for pi, row := range t.turns {
-			row[i] = k.DeltaDistTurns(pi, dist)
+		row := t.turns[i*t.stride : (i+1)*t.stride]
+		for pi := range row {
+			row[pi] = k.DeltaDistTurns(pi, dist)
 		}
 	}
 	return t
@@ -59,48 +66,27 @@ func NewSteeringTable(pairs []antenna.Pair, grid Grid, plane geom.Plane) *Steeri
 // Grid returns the grid the table was built over.
 func (t *SteeringTable) Grid() Grid { return t.grid }
 
-// Pairs returns how many pair rows the table holds.
-func (t *SteeringTable) Pairs() int { return len(t.turns) }
+// Pairs returns how many pairs each of the table's rows holds.
+func (t *SteeringTable) Pairs() int { return t.stride }
 
-// VoteAt returns pair p's free-lobe vote (Eq. 7) at grid point i for the
-// measured phase difference — the sparse, single-point counterpart of
-// AccumulateVotes, used by the hierarchical refinement to score only the
-// cells that survive each level.
-func (t *SteeringTable) VoteAt(p, i int, measuredTurns float64) float64 {
-	frac := t.turns[p][i] - measuredTurns
-	k := math.Round(frac)
-	if maxK := t.maxK[p]; k > maxK {
-		k = maxK
-	} else if k < -maxK {
-		k = -maxK
-	}
-	r := frac - k
-	return -r * r
-}
-
-// AccumulateVotes adds pair p's free-lobe vote (Eq. 7) for the measured
-// phase difference to every element of score, which must have exactly one
-// slot per grid point. Accumulating pair-by-pair keeps each table row's
-// walk contiguous; summing pairs in caller order leaves the floating-point
-// result identical to the direct per-point evaluation.
-func (t *SteeringTable) AccumulateVotes(p int, measuredTurns float64, score []float64) error {
-	row := t.turns[p]
-	if len(score) != len(row) {
-		return fmt.Errorf("vote: score buffer has %d slots for a %d-point table", len(score), len(row))
-	}
-	maxK := t.maxK[p]
-	for i, tt := range row {
-		frac := tt - measuredTurns
+// vote is the row scorer: the total free-lobe vote (Eq. 7) of the
+// observed pairs po at grid point i, summed in po order. po's indices
+// are rows of the pair list the table was built from.
+func (t *SteeringTable) vote(i int, po []pairObs) float64 {
+	row := t.turns[i*t.stride : (i+1)*t.stride]
+	var sum float64
+	for _, o := range po {
+		frac := row[o.idx] - o.turns
 		k := math.Round(frac)
-		if k > maxK {
+		if maxK := t.maxK[o.idx]; k > maxK {
 			k = maxK
 		} else if k < -maxK {
 			k = -maxK
 		}
 		r := frac - k
-		score[i] -= r * r
+		sum -= r * r
 	}
-	return nil
+	return sum
 }
 
 // tableCell is one grid cell of a steering-table level together with its
@@ -109,6 +95,8 @@ type tableCell struct {
 	idx   int
 	score float64
 }
+
+func cellScore(c tableCell) float64 { return c.score }
 
 // MultiResTable stacks steering tables at halving resolutions over one
 // region: level 0 is the coarse stage-1 lattice, and each deeper level

@@ -49,11 +49,9 @@ func TestSteeringTableMatchesDirect(t *testing.T) {
 	}
 
 	measured := []float64{0.13, -0.37, 0.02}
-	score := make([]float64, grid.Len())
+	po := make([]pairObs, len(pairs))
 	for pi := range pairs {
-		if err := table.AccumulateVotes(pi, measured[pi], score); err != nil {
-			t.Fatal(err)
-		}
+		po[pi] = pairObs{turns: measured[pi], idx: pi}
 	}
 	for i := 0; i < grid.Len(); i++ {
 		var want float64
@@ -61,21 +59,9 @@ func TestSteeringTableMatchesDirect(t *testing.T) {
 		for pi, p := range pairs {
 			want += p.VoteFree(p3, measured[pi])
 		}
-		if score[i] != want {
-			t.Fatalf("point %d: table vote %v != direct vote %v (must be bit-identical)", i, score[i], want)
+		if got := table.vote(i, po); got != want {
+			t.Fatalf("point %d: table vote %v != direct vote %v (must be bit-identical)", i, got, want)
 		}
-	}
-}
-
-func TestSteeringTableScoreLengthMismatch(t *testing.T) {
-	pairs := testPairs(t)
-	grid, err := NewGrid(geom.Rect{Max: geom.Vec2{X: 1, Z: 1}}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := NewSteeringTable(pairs, grid, geom.Plane{Y: 2})
-	if err := table.AccumulateVotes(0, 0, make([]float64, 3)); err == nil {
-		t.Fatal("want error for mismatched score buffer length")
 	}
 }
 

@@ -240,14 +240,16 @@ type pairObs struct {
 	idx   int
 }
 
-func collect(pairs []antenna.Pair, obs Observations) []pairObs {
-	out := make([]pairObs, 0, len(pairs))
+// collect appends to dst[:0] every observed pair's phase difference, in
+// pair order, and returns the extended slice.
+func collect(dst []pairObs, pairs []antenna.Pair, obs Observations) []pairObs {
+	dst = dst[:0]
 	for i, pr := range pairs {
 		if t, ok := PairTurns(pr, obs); ok {
-			out = append(out, pairObs{turns: t, idx: i})
+			dst = append(dst, pairObs{turns: t, idx: i})
 		}
 	}
-	return out
+	return dst
 }
 
 // totalVote sums every observed pair's free-lobe vote at a room point,
@@ -265,13 +267,13 @@ func totalVote(k *antenna.Kernel, dist []float64, pos geom.Vec3, po []pairObs) f
 // the quantity Fig. 10f plots along a trajectory.
 func (p *Positioner) ScoreAt(pos geom.Vec2, obs Observations) float64 {
 	dist := make([]float64, p.kernel.Antennas())
-	return totalVote(p.kernel, dist, p.cfg.Plane.To3D(pos), collect(p.allPairs, obs))
+	return totalVote(p.kernel, dist, p.cfg.Plane.To3D(pos), collect(nil, p.allPairs, obs))
 }
 
 // VoteMap evaluates the total vote of the given pairs over a grid; the
 // experiment harness uses it to render the paper's spatial-filter figures.
 func VoteMap(pairs []antenna.Pair, obs Observations, grid Grid, plane geom.Plane) []float64 {
-	po := collect(pairs, obs)
+	po := collect(nil, pairs, obs)
 	k := antenna.NewKernel(pairs)
 	dist := make([]float64, k.Antennas())
 	out := make([]float64, grid.Len())
@@ -296,45 +298,41 @@ const positionerTopK = 4
 
 // CandidatesWith is Candidates with an explicit reusable scratch (nil
 // takes one from the internal pool) and a report of how much search work
-// the call spent — the quantity the benchmark suite tracks.
+// the call spent — the quantity the benchmark suite tracks. With a warm
+// scratch the only allocation is the returned slice.
 func (p *Positioner) CandidatesWith(sc *Scratch, obs Observations) ([]Candidate, SearchStats, error) {
 	stats := SearchStats{Mode: p.cfg.Search.Mode, Stage1Points: p.coarseGrid.Len()}
-	stage1 := collect(p.stage1Pairs, obs)
-	if len(stage1) < 2 {
-		return nil, stats, fmt.Errorf("vote: only %d stage-1 pairs observed, need ≥2", len(stage1))
-	}
-	all := collect(p.allPairs, obs)
-	if len(all) < 3 {
-		return nil, stats, fmt.Errorf("vote: only %d total pairs observed, need ≥3", len(all))
-	}
 	if sc == nil {
 		sc = p.scratch.Get().(*Scratch)
 		defer p.scratch.Put(sc)
 	}
+	sc.obs1 = collect(sc.obs1, p.stage1Pairs, obs)
+	stage1 := sc.obs1
+	if len(stage1) < 2 {
+		return nil, stats, fmt.Errorf("vote: only %d stage-1 pairs observed, need ≥2", len(stage1))
+	}
+	sc.obsAll = collect(sc.obsAll, p.allPairs, obs)
+	all := sc.obsAll
+	if len(all) < 3 {
+		return nil, stats, fmt.Errorf("vote: only %d total pairs observed, need ≥3", len(all))
+	}
 
-	// Stage 1: coarse filter over the full region, evaluated against the
-	// precomputed steering table pair-row by pair-row. Accumulating in
-	// observed-pair order keeps the floating-point sums identical to the
-	// direct per-point evaluation.
+	// Stage 1: coarse filter over the full region, each point scored by
+	// the precomputed steering table's row scorer. It sums in
+	// observed-pair order, so the scores are identical to the direct
+	// per-point evaluation.
 	grid := p.coarseGrid
 	score1 := sc.stage1Buf(grid.Len())
-	for i := range score1 {
-		score1[i] = 0
-	}
-	for _, o := range stage1 {
-		if err := p.table.AccumulateVotes(o.idx, o.turns, score1); err != nil {
-			return nil, stats, err
-		}
-	}
 	best1 := math.Inf(-1)
 	for i := range score1 {
+		score1[i] = p.table.vote(i, stage1)
 		if score1[i] > best1 {
 			best1 = score1[i]
 		}
 	}
 
 	// Stage 2: refine surviving coarse points with all pairs.
-	var cands []Candidate
+	cands := sc.cands[:0]
 	if p.cfg.Search.Mode == SearchHierarchical {
 		// Cluster the threshold-clearing cells into peak groups, descend
 		// every group through the cheap multi-resolution table, then
@@ -348,32 +346,30 @@ func (p *Positioner) CandidatesWith(sc *Scratch, obs Observations) ([]Candidate,
 		if k < p.cfg.CandidateCount {
 			k = p.cfg.CandidateCount
 		}
-		groups := pickCellGroups(grid, score1, best1-p.cfg.CoarseDelta, maxPeakGroups, 2*p.cfg.CoarseRes)
-		fronts := make([]groupFront, 0, len(groups))
-		for _, g := range groups {
-			stats.Cells += len(g)
-			cells, evals := p.descendTable(g, all, sc)
+		groups := pickCellGroups(sc, grid, score1, best1-p.cfg.CoarseDelta, maxPeakGroups, 2*p.cfg.CoarseRes)
+		fronts, frontCells := sc.fronts[:0], sc.frontCells[:0]
+		for gi := range groups {
+			g := &groups[gi]
+			stats.Cells += g.n
+			cells, evals := p.descendTable(g.cells[:g.n], all, sc)
 			stats.GridEvals += evals
-			if len(cells) > 0 {
-				fronts = append(fronts, groupFront{cells: cells})
-			}
+			// A group holds at least its founding cell and each level
+			// keeps a cell's aligned child, so cells is never empty.
+			fronts = append(fronts, groupFront{lo: len(frontCells), hi: len(frontCells) + len(cells), best: cells[0].score})
+			frontCells = append(frontCells, cells...)
 		}
 		branch := refineBranch
 		if p.multi.Levels() > 1 {
-			slices.SortStableFunc(fronts, func(a, b groupFront) int {
-				return byScoreDesc(a.cells[0].score, b.cells[0].score)
-			})
-			if len(fronts) > k {
-				fronts = fronts[:k]
-			}
+			fronts = topK(fronts, k, func(f groupFront) float64 { return f.best })
 		} else {
 			// A single-level table's coarse scores cannot rank peak
 			// groups (the wide pairs' votes are aliased at that
 			// resolution), so refine every group from all its seeds.
 			branch = maxCellsPerGroup
 		}
+		sc.fronts, sc.frontCells = fronts, frontCells
 		for _, f := range fronts {
-			pos, score, evals := p.directRefine(f.cells, all, sc, branch)
+			pos, score, evals := p.directRefine(frontCells[f.lo:f.hi], all, sc, branch)
 			stats.GridEvals += evals
 			cands = append(cands, Candidate{Pos: pos, Score: score})
 		}
@@ -388,13 +384,14 @@ func (p *Positioner) CandidatesWith(sc *Scratch, obs Observations) ([]Candidate,
 			cands = append(cands, Candidate{Pos: pos, Score: score})
 		}
 	}
+	sc.cands = cands
 	if len(cands) == 0 {
 		return nil, stats, errors.New("vote: empty candidate region")
 	}
 
 	// Merge near-duplicates, keep the best-scoring representatives.
 	slices.SortStableFunc(cands, func(a, b Candidate) int { return byScoreDesc(a.Score, b.Score) })
-	var out []Candidate
+	out := make([]Candidate, 0, min(len(cands), p.cfg.CandidateCount))
 	for _, c := range cands {
 		dup := false
 		for _, kept := range out {

@@ -46,6 +46,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -719,6 +720,11 @@ func (l *Log) Abandon() error {
 	return l.syncClose()
 }
 
+// compactBuffer is the size of compaction's write buffer: a closed
+// session's records go out in 64 KiB writes instead of two write calls
+// per record.
+const compactBuffer = 64 << 10
+
 // compact rewrites a session's segments into the single authoritative
 // 00000000.wal: temp file, fsync, rename, then delete the append
 // segments. A crash at any point leaves a recoverable session — before
@@ -737,20 +743,21 @@ func compact(dir string) error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	w := bufio.NewWriterSize(out, compactBuffer)
+	hdr := make([]byte, frameHeader)
 	metaWritten := false
 	var werr error
 	writeFrame := func(payload []byte) {
 		if werr != nil {
 			return
 		}
-		var hdr [frameHeader]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+		binary.BigEndian.PutUint32(hdr, uint32(len(payload)))
 		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-		if _, err := out.Write(hdr[:]); err != nil {
+		if _, err := w.Write(hdr); err != nil {
 			werr = err
 			return
 		}
-		_, werr = out.Write(payload)
+		_, werr = w.Write(payload)
 	}
 	// Re-frame the decoded records: damage is shed here, so a compacted
 	// session is always pristine. Only the first recoverable meta record
@@ -779,6 +786,9 @@ func compact(dir string) error {
 			}
 			writeFrame(payload)
 		}
+	}
+	if werr == nil {
+		werr = w.Flush()
 	}
 	if werr == nil {
 		werr = out.Sync()

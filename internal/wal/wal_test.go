@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/hex"
 	"math/rand"
 	"os"
@@ -155,6 +156,53 @@ func TestRotationAndCompaction(t *testing.T) {
 	// Meta must still be recoverable from the compacted form.
 	if meta, _, err := st.Scan("sess-1"); err != nil || meta.ID != "sess-1" {
 		t.Fatalf("compacted scan: meta=%+v err=%v", meta, err)
+	}
+}
+
+// TestCompactKeepsRecordBytes: compacting a log several times larger
+// than compaction's write buffer, over several segments, writes exactly
+// the segments' bytes in order with every meta record after the first
+// dropped — each record's frame unchanged, none lost at a buffer boundary.
+func TestCompactKeepsRecordBytes(t *testing.T) {
+	dir := t.TempDir()
+	st := writeLog(t, dir, Options{NoSync: true, SegmentBytes: 64 << 10}, testReports(8000), 100, false)
+	segs, err := segmentFiles(st.sessionDir("sess-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	metas := 0
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(data); {
+			payload, n, ok := decodeFrame(data[off:])
+			if !ok {
+				t.Fatalf("%s: bad frame at %d", seg, off)
+			}
+			if payload[0] != typeMeta || metas == 0 {
+				want = append(want, data[off:off+n]...)
+			}
+			if payload[0] == typeMeta {
+				metas++
+			}
+			off += n
+		}
+	}
+	if metas < 3 || len(want) < 4*compactBuffer {
+		t.Fatalf("test premise broken: %d segments, %d bytes", metas, len(want))
+	}
+	if err := compact(st.sessionDir("sess-1")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(st.sessionDir("sess-1"), compactedName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("compacted %d bytes differ from the %d bytes of the segments' records", len(got), len(want))
 	}
 }
 
