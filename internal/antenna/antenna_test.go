@@ -335,3 +335,36 @@ func TestQuickVoteFixedBelowFree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVoteFreeRoundToEvenMatchesRound: voteFree picks the nearest lobe
+// with math.RoundToEven; the vote must equal the one math.Round gives,
+// bit for bit. The two roundings differ only at exact ties n + ½, so the
+// table holds every tie at and around the ±maxK clamp for maxK 0, 1 and
+// 16, their float neighbours, ±0, NaN and ±Inf.
+func TestVoteFreeRoundToEvenMatchesRound(t *testing.T) {
+	withRound := func(frac, maxK float64) float64 {
+		k := math.Round(frac)
+		if k > maxK {
+			k = maxK
+		} else if k < -maxK {
+			k = -maxK
+		}
+		r := frac - k
+		return -r * r
+	}
+	for _, maxK := range []float64{0, 1, 16} {
+		fracs := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+		for n := -maxK - 2; n <= maxK+2; n++ {
+			for _, tie := range []float64{n + 0.5, n - 0.5} {
+				fracs = append(fracs, tie, math.Nextafter(tie, math.Inf(1)), math.Nextafter(tie, math.Inf(-1)))
+			}
+		}
+		for _, frac := range fracs {
+			// turns − 0 is turns, so frac reaches the rounding as is.
+			got, want := voteFree(frac, 0, maxK), withRound(frac, maxK)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("maxK %v, frac %v: vote %v, with Round %v", maxK, frac, got, want)
+			}
+		}
+	}
+}

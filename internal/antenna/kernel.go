@@ -31,10 +31,12 @@ type Kernel struct {
 // kernelPair is one pair's slot in the kernel: its two elements' indices
 // into the distance buffer and the constants of Eq. 2, kept separate
 // (F and λ are not folded into one factor, which would change rounding).
+// scale is F/λ, the factor of the pair's derivatives, divided once here.
 type kernelPair struct {
 	i, j   int
 	travel float64
 	lambda float64
+	scale  float64
 	maxK   float64
 }
 
@@ -57,6 +59,7 @@ func NewKernel(pairs []Pair) *Kernel {
 			j:      slot(pr.J.Pos),
 			travel: pr.Link.TravelFactor(),
 			lambda: pr.Carrier.WavelengthM,
+			scale:  pr.Link.TravelFactor() / pr.Carrier.WavelengthM,
 			maxK:   float64(pr.MaxLobeIndex()),
 		}
 	}
@@ -83,19 +86,30 @@ func (k *Kernel) DeltaDistTurns(p int, dist []float64) float64 {
 	return deltaDistTurns(kp.travel, dist[kp.i], dist[kp.j], kp.lambda)
 }
 
-// DeltaDistTurnsGrad returns pair p's F·Δd/λ at pos, the position dist
-// was last filled for, with its derivatives along the room's x and z
-// axes (the writing plane's axes): ∂d/∂x = (x − aₓ)/d per element, so
-// they are not finite at an element's own position. turns equals
-// DeltaDistTurns bit for bit.
-func (k *Kernel) DeltaDistTurnsGrad(p int, pos geom.Vec3, dist []float64) (turns, dx, dz float64) {
+// Directions writes every distinct antenna's distance derivatives at pos
+// along the room's x and z axes (the writing plane's axes), ∂d/∂x =
+// (x − aₓ)/d into dir[2a] and ∂d/∂z = (z − a_z)/d into dir[2a+1], from
+// the distances dist holds for pos. dir must hold at least 2·Antennas()
+// slots. The derivatives are not finite at an element's own position.
+func (k *Kernel) Directions(pos geom.Vec3, dist, dir []float64) {
+	dir = dir[:2*len(k.ants)]
+	for i, a := range k.ants {
+		dir[2*i] = (pos.X - a.X) / dist[i]
+		dir[2*i+1] = (pos.Z - a.Z) / dist[i]
+	}
+}
+
+// DeltaDistTurnsGrad returns pair p's F·Δd/λ at the position dist and
+// dir were last filled for (by Distances and Directions), with its
+// derivatives along x and z: F/λ times the difference of the two
+// elements' distance derivatives. turns equals DeltaDistTurns bit for
+// bit. The division per element happens once per position in Directions,
+// not once for every pair that shares the element.
+func (k *Kernel) DeltaDistTurnsGrad(p int, dist, dir []float64) (turns, dx, dz float64) {
 	kp := &k.pairs[p]
-	dI, dJ := dist[kp.i], dist[kp.j]
-	aI, aJ := k.ants[kp.i], k.ants[kp.j]
-	s := kp.travel / kp.lambda
-	dx = s * ((pos.X-aI.X)/dI - (pos.X-aJ.X)/dJ)
-	dz = s * ((pos.Z-aI.Z)/dI - (pos.Z-aJ.Z)/dJ)
-	return deltaDistTurns(kp.travel, dI, dJ, kp.lambda), dx, dz
+	dx = kp.scale * (dir[2*kp.i] - dir[2*kp.j])
+	dz = kp.scale * (dir[2*kp.i+1] - dir[2*kp.j+1])
+	return deltaDistTurns(kp.travel, dist[kp.i], dist[kp.j], kp.lambda), dx, dz
 }
 
 // VoteFixed returns pair p's fixed-lobe vote at the position dist was
@@ -124,10 +138,14 @@ func voteFixed(turns, unwrappedTurns float64, lobe int) float64 {
 }
 
 // voteFree is the free-lobe vote from a pair's F·Δd/λ and its lobe-index
-// clamp.
+// clamp. It picks the nearest lobe with RoundToEven, one instruction on
+// amd64, not Round: the two differ only at an exact tie n + ½, where
+// either choice leaves |r| = ½, and the clamp maps a choice past ±maxK to
+// the same bound, so r² is the same bit for bit. NearestLobe keeps
+// Round, because there the tie picks the lobe.
 func voteFree(turns, measuredTurns, maxK float64) float64 {
 	frac := turns - measuredTurns
-	k := math.Round(frac)
+	k := math.RoundToEven(frac)
 	if k > maxK {
 		k = maxK
 	} else if k < -maxK {

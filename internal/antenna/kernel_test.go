@@ -44,7 +44,10 @@ func coord(u uint32, edge uint8, lo, hi float64) float64 {
 // every named geometry, at random writing-plane positions that include
 // the region border and corners, each pair's kernel values are == to the
 // Pair reference methods — not merely close — so searches that mix
-// steering-table and direct scores compare equal values.
+// steering-table and direct scores compare equal values. The gradient is
+// held to the per-pair formula the kernel replaced, F/λ·((x − I.x)/d_I −
+// (x − J.x)/d_J) and its z counterpart, bit for bit, though Directions
+// now divides once per antenna.
 func TestQuickKernelMatchesPair(t *testing.T) {
 	for _, name := range deploy.GeometryNames() {
 		g, err := deploy.GeometryByName(name)
@@ -58,6 +61,7 @@ func TestQuickKernelMatchesPair(t *testing.T) {
 		pairs := d.AllPairs()
 		k := antenna.NewKernel(pairs)
 		dist := make([]float64, k.Antennas())
+		dir := make([]float64, 2*k.Antennas())
 		region := g.Region()
 		f := func(ux, uz, uy uint32, ex, ez uint8, turns float64, lobe int8) bool {
 			pos := geom.Vec2{
@@ -67,8 +71,15 @@ func TestQuickKernelMatchesPair(t *testing.T) {
 			p3 := geom.Plane{Y: 0.3 + 4*float64(uy)/math.MaxUint32}.To3D(pos)
 			turns = math.Mod(turns, 1)
 			k.Distances(p3, dist)
+			k.Directions(p3, dist, dir)
 			for p, pr := range pairs {
+				turns0, dx, dz := k.DeltaDistTurnsGrad(p, dist, dir)
+				dI, dJ := p3.Dist(pr.I.Pos), p3.Dist(pr.J.Pos)
+				s := pr.Link.TravelFactor() / pr.Carrier.WavelengthM
+				wantX := s * ((p3.X-pr.I.Pos.X)/dI - (p3.X-pr.J.Pos.X)/dJ)
+				wantZ := s * ((p3.Z-pr.I.Pos.Z)/dI - (p3.Z-pr.J.Pos.Z)/dJ)
 				if k.DeltaDistTurns(p, dist) != pr.DeltaDistTurns(p3) ||
+					turns0 != pr.DeltaDistTurns(p3) || dx != wantX || dz != wantZ ||
 					k.VoteFixed(p, dist, turns, int(lobe)) != pr.VoteFixed(p3, turns, int(lobe)) ||
 					k.VoteFree(p, dist, turns) != pr.VoteFree(p3, turns) {
 					t.Logf("%s: pair %d differs at %v", name, p, p3)
@@ -103,6 +114,7 @@ func TestQuickKernelGradMatchesFiniteDifference(t *testing.T) {
 		pairs := d.AllPairs()
 		k := antenna.NewKernel(pairs)
 		dist := make([]float64, k.Antennas())
+		dir := make([]float64, 2*k.Antennas())
 		region := g.Region()
 		turnsAt := func(p int, pos geom.Vec3) float64 {
 			k.Distances(pos, dist)
@@ -119,7 +131,8 @@ func TestQuickKernelGradMatchesFiniteDifference(t *testing.T) {
 				wantX := (turnsAt(p, p3.Add(geom.Vec3{X: h})) - turnsAt(p, p3.Sub(geom.Vec3{X: h}))) / (2 * h)
 				wantZ := (turnsAt(p, p3.Add(geom.Vec3{Z: h})) - turnsAt(p, p3.Sub(geom.Vec3{Z: h}))) / (2 * h)
 				k.Distances(p3, dist)
-				turns, dx, dz := k.DeltaDistTurnsGrad(p, p3, dist)
+				k.Directions(p3, dist, dir)
+				turns, dx, dz := k.DeltaDistTurnsGrad(p, dist, dir)
 				if turns != want ||
 					math.Abs(dx-wantX) > 1e-6*math.Max(1, math.Abs(wantX)) ||
 					math.Abs(dz-wantZ) > 1e-6*math.Max(1, math.Abs(wantZ)) {

@@ -72,7 +72,7 @@ func DefaultCarrier() Carrier { return NewCarrier(922e6) }
 
 // Wrap reduces a phase in radians to the canonical interval [0, 2π).
 func Wrap(phase float64) float64 {
-	p := math.Mod(phase, TwoPi)
+	p := modTurn(phase)
 	if p < 0 {
 		p += TwoPi
 	}
@@ -83,7 +83,7 @@ func Wrap(phase float64) float64 {
 // comparing two wrapped phases: WrapSigned(a−b) is the smallest rotation
 // taking b to a.
 func WrapSigned(phase float64) float64 {
-	p := math.Mod(phase, TwoPi)
+	p := modTurn(phase)
 	switch {
 	case p <= -math.Pi:
 		p += TwoPi
@@ -91,6 +91,17 @@ func WrapSigned(phase float64) float64 {
 		p -= TwoPi
 	}
 	return p
+}
+
+// modTurn is math.Mod(phase, TwoPi). Inside one turn, |phase| < 2π,
+// Mod returns its argument exactly (its reduction loop never runs), so
+// that case skips the call; NaN and ±Inf fail the range test and take
+// Mod, which maps them to NaN.
+func modTurn(phase float64) float64 {
+	if -TwoPi < phase && phase < TwoPi {
+		return phase
+	}
+	return math.Mod(phase, TwoPi)
 }
 
 // PathPhase returns the wrapped received phase of a pure path of the given

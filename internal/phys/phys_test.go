@@ -191,3 +191,38 @@ func TestQuickUnwrapNextBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuickModTurnMatchesMod holds Wrap's and WrapSigned's in-turn fast
+// path to math.Mod bit for bit: at random phases of every magnitude, at
+// ±2π, ±π and their float neighbours, at ±0, NaN and ±Inf.
+func TestQuickModTurnMatchesMod(t *testing.T) {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	check := func(x float64) bool {
+		if got, want := modTurn(x), math.Mod(x, TwoPi); !same(got, want) {
+			t.Logf("modTurn(%v) = %v, math.Mod gives %v", x, got, want)
+			return false
+		}
+		return true
+	}
+	edges := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, b := range []float64{TwoPi, math.Pi, 2 * TwoPi} {
+		for _, s := range []float64{b, -b} {
+			edges = append(edges, s, math.Nextafter(s, 0), math.Nextafter(s, math.Inf(1)), math.Nextafter(s, math.Inf(-1)))
+		}
+	}
+	for _, x := range edges {
+		if !check(x) {
+			t.Fatalf("edge case %v", x)
+		}
+	}
+	// quick draws float64s over the whole range; u also spreads one
+	// across a few turns, where the fast path's boundary lies.
+	f := func(x float64, u int32) bool {
+		return check(x) && check(float64(u)/math.MaxInt32*3*TwoPi)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -109,7 +109,7 @@ type Tracker struct {
 	// stream, for TraceResult.
 	cstats vote.SearchStats
 
-	recent         []float64 // ring of recent leader votes for loss detection
+	recent         voteWindow // recent leader votes, for loss detection
 	reacquisitions int
 	// evals, switches and retirements accumulate counts from retired
 	// streams; the live stream's counts are added on read.
@@ -161,13 +161,13 @@ func (t *Tracker) Offer(rep rfid.Report) ([]Position, error) {
 	}
 	t.dirty = true
 	var out []Position
-	// Close any sweeps that ended before this report.
+	// Close any sweeps that ended before this report, each appending its
+	// positions to out.
 	for rep.Time >= t.nextSweep+t.cfg.SweepInterval {
-		pos, err := t.closeSweep(false)
-		if err != nil {
+		var err error
+		if out, err = t.closeSweep(out, false); err != nil {
 			return out, err
 		}
-		out = append(out, pos...)
 	}
 	t.latest[rep.AntennaID] = timedPhase{phase: rep.PhaseRad, t: rep.Time}
 	return out, nil
@@ -190,7 +190,7 @@ func (t *Tracker) Flush() ([]Position, error) {
 		return nil, nil
 	}
 	t.dirty = false
-	return t.closeSweep(true)
+	return t.closeSweep(nil, true)
 }
 
 // OfferSample feeds one already-merged sweep sample, bypassing report
@@ -200,12 +200,15 @@ func (t *Tracker) Flush() ([]Position, error) {
 // one tracker is unsupported. The sample's phase map is not retained.
 func (t *Tracker) OfferSample(s tracing.Sample) ([]Position, error) {
 	t.dirty = true
-	return t.offerSample(s, false)
+	return t.offerSample(nil, s, false)
 }
 
 // closeSweep snapshots the current per-antenna phases as one sample and
-// advances the pipeline. final marks an end-of-stream (or pause) flush.
-func (t *Tracker) closeSweep(final bool) ([]Position, error) {
+// advances the pipeline, appending any positions to out and returning
+// it. final marks an end-of-stream (or pause) flush. Like every step of
+// the pipeline below it, it returns out with whatever it appended, also
+// alongside an error.
+func (t *Tracker) closeSweep(out []Position, final bool) ([]Position, error) {
 	now := t.nextSweep
 	t.nextSweep += t.cfg.SweepInterval
 	// The observation map is the scratch's reusable buffer: sweep
@@ -223,53 +226,50 @@ func (t *Tracker) closeSweep(final bool) ([]Position, error) {
 		if final && !t.started && len(t.samples) > 0 {
 			// End of stream mid-warmup with nothing new this sweep:
 			// still try to acquire over the buffered prefix.
-			return t.tryAcquire(true)
+			return t.tryAcquire(out, true)
 		}
-		return nil, nil
+		return out, nil
 	}
-	return t.offerSample(tracing.Sample{T: now, Phase: obs}, final)
+	return t.offerSample(out, tracing.Sample{T: now, Phase: obs}, final)
 }
 
-// offerSample advances the pipeline with one merged sample.
-func (t *Tracker) offerSample(sample tracing.Sample, final bool) ([]Position, error) {
+// offerSample advances the pipeline with one merged sample, appending
+// any positions to out.
+func (t *Tracker) offerSample(out []Position, sample tracing.Sample, final bool) ([]Position, error) {
 	if t.started {
-		return t.push(sample)
+		return t.push(out, sample), nil
 	}
 	t.samples = append(t.samples, cloneSample(sample))
 	if len(t.samples) < DefaultWarmupSamples && !final {
-		return nil, nil
+		return out, nil
 	}
-	return t.tryAcquire(final)
+	return t.tryAcquire(out, final)
 }
 
 // tryAcquire runs initial acquisition over the warmup buffer and, on
 // success, seeds the multi-hypothesis stream and replays the buffered
-// prefix through it so its state catches up with "now".
-func (t *Tracker) tryAcquire(final bool) ([]Position, error) {
+// prefix through it so its state catches up with "now", appending the
+// replay's positions to out.
+func (t *Tracker) tryAcquire(out []Position, final bool) ([]Position, error) {
 	cands, cstats, start, err := t.cfg.System.Acquire(t.cfg.Scratch, t.samples, final)
 	if err != nil {
 		// Not enough signal yet; keep buffering (bounded).
 		if len(t.samples) > t.cfg.MaxAcquireBuffer {
-			return nil, fmt.Errorf("realtime: cannot acquire initial position: %w", err)
+			return out, fmt.Errorf("realtime: cannot acquire initial position: %w", err)
 		}
-		return nil, nil
+		return out, nil
 	}
 	ms, err := t.cfg.System.Tracer().NewMultiStreamWith(
 		t.cfg.Scratch, cands, t.samples[start],
 		tracing.MultiConfig{Record: t.cfg.RecordTrace})
 	if err != nil {
-		return nil, fmt.Errorf("realtime: %w", err)
+		return out, fmt.Errorf("realtime: %w", err)
 	}
 	t.ms = ms
 	t.cstats = cstats
 	t.started = true
-	var out []Position
 	for _, s := range t.samples[start:] {
-		ps, err := t.push(s)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ps...)
+		out = t.push(out, s)
 		if !t.started {
 			// A long replayed prefix can itself trip the loss detector
 			// (push dropped the stream and reset the buffer); stop
@@ -281,35 +281,57 @@ func (t *Tracker) tryAcquire(final bool) ([]Position, error) {
 	return out, nil
 }
 
-// push extends the live stream by one sample, emitting the leader's new
-// position and running the tracking-loss detector over its votes.
-func (t *Tracker) push(sample tracing.Sample) ([]Position, error) {
+// push extends the live stream by one sample, appending the leader's new
+// position to out, and runs the tracking-loss detector over its votes.
+func (t *Tracker) push(out []Position, sample tracing.Sample) []Position {
 	st, ok := t.ms.Push(sample)
 	if !ok {
-		return nil, nil
+		return out
 	}
 	// Tracking-loss detection: a collapsed recent leader vote means even
 	// the best hypothesis's locked lobes no longer intersect coherently
 	// (the over-constrained-system signal of §5.2). Drop the hypothesis
 	// set and re-seed from a fresh acquisition.
-	t.recent = append(t.recent, st.Vote)
-	if len(t.recent) > reacquireWindow {
-		t.recent = t.recent[1:]
-	}
-	if len(t.recent) == reacquireWindow && mean(t.recent) < t.cfg.ReacquireVote {
+	t.recent.add(st.Vote)
+	if t.recent.n == reacquireWindow && t.recent.mean() < t.cfg.ReacquireVote {
 		t.retireStream()
-		t.recent = nil
+		t.recent = voteWindow{}
 		t.samples = nil
 		t.reacquisitions++
-		return nil, nil
+		return out
 	}
-	return []Position{{
+	return append(out, Position{
 		Time:       st.Point.T,
 		Pos:        st.Point.Pos,
 		Confidence: st.MeanVote,
 		Switched:   st.Switched,
 		Hypotheses: st.Active,
-	}}, nil
+	})
+}
+
+// voteWindow is the loss detector's ring of the last reacquireWindow
+// leader votes.
+type voteWindow struct {
+	votes [reacquireWindow]float64
+	// n is how many votes the ring holds, and next the slot the next
+	// vote takes: once the ring is full, the oldest vote's.
+	n, next int
+}
+
+func (w *voteWindow) add(v float64) {
+	w.votes[w.next] = v
+	w.next = (w.next + 1) % reacquireWindow
+	w.n = min(w.n+1, reacquireWindow)
+}
+
+// mean is the held votes' mean, summed oldest first: the same sum, in
+// the same order, as over a slice of them.
+func (w *voteWindow) mean() float64 {
+	var s float64
+	for i := range w.n {
+		s += w.votes[(w.next-w.n+i+reacquireWindow)%reacquireWindow]
+	}
+	return s / float64(w.n)
 }
 
 // retireStream folds the live stream's counters into the cumulative
@@ -388,14 +410,6 @@ func (t *Tracker) TraceResult() (*core.TraceResult, error) {
 		return nil, errors.New("realtime: tracker has not acquired")
 	}
 	return core.ResultFromMulti(t.ms, t.cstats)
-}
-
-func mean(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
 }
 
 // MeanVote reports the live leader's mean vote so far; callers can use it

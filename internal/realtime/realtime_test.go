@@ -294,3 +294,50 @@ func TestFlushIdempotent(t *testing.T) {
 		t.Fatalf("flush after resume: %v", err)
 	}
 }
+
+// TestTrackerSweepAllocs gates the live tracker's steady state: once
+// acquired, with RecordTrace off, an Offer that closes a sweep makes at
+// most one allocation, the position slice it returns, and the reports
+// offered inside the sweep before it make none.
+func TestTrackerSweepAllocs(t *testing.T) {
+	sc, err := sim.New(sim.Config{Seed: 56})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr, err := sc.RunWord("clear", geom.Vec2{X: 0.6, Z: 1.0}, handwriting.DefaultStyle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newTracker(t, sc)
+	reports := reportsFromSamples(wr, sc.Tag.EPC)
+	next := 0
+	offer := func() {
+		if _, err := tr.Offer(reports[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < len(reports)/3 {
+		offer()
+	}
+	if !tr.Started() {
+		t.Fatal("tracker did not acquire in the first third of the word")
+	}
+	// One run offers reports up to and including the one that closes
+	// the current sweep.
+	const runs = 40
+	if sweeps := int((reports[len(reports)-1].Time - reports[next].Time) / (25 * time.Millisecond)); sweeps < runs+2 {
+		t.Fatalf("only %d sweeps left to measure", sweeps)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		for open := tr.nextSweep; tr.nextSweep == open; {
+			offer()
+		}
+	})
+	if tr.Reacquisitions() != 0 || !tr.Started() {
+		t.Fatalf("tracking was lost while measuring (%d reacquisitions)", tr.Reacquisitions())
+	}
+	if allocs > 1 {
+		t.Fatalf("a sweep costs %v allocations, want at most 1", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package tracing
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"rfidraw/internal/geom"
 	"rfidraw/internal/traj"
@@ -34,10 +35,11 @@ type MultiConfig struct {
 	Record bool
 }
 
-// hypothesis is one candidate initial position's lobe-locked stream state.
+// hypothesis is one candidate initial position's lobe-locked stream
+// state: its lobe lock per pair over the stream's shared track.
 type hypothesis struct {
 	initial  vote.Candidate
-	states   []pairState
+	lobes    []int
 	pos      geom.Vec2
 	total    float64
 	count    int
@@ -92,11 +94,17 @@ type MultiStream struct {
 	emitted     bool
 	switches    int
 	retirements int
-	// obs holds the current sample's pair observables, shared by every
-	// hypothesis's update, and ants the per-antenna phases observe reads
-	// them from.
+	// obs holds the current sample's pair observables and ants the
+	// per-antenna phases observe reads them from.
 	obs  []pairObs
 	ants []antPhase
+	// track is the stream's unwrapped track, one per pair, advanced once
+	// per sample for every hypothesis; fresh lists the pairs the current
+	// sample showed for the first time, which each hypothesis locks.
+	track []pairTrack
+	fresh []int
+	// dir is the kernel's per-antenna direction buffer for the step.
+	dir []float64
 }
 
 // NewMultiStream is NewMultiStreamWith with a private scratch.
@@ -135,30 +143,25 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 	ms := &MultiStream{
 		tr: tr, cfg: cfg, sc: sc, hyps: make([]hypothesis, len(cands)),
 		obs: make([]pairObs, len(tr.pairs)), ants: make([]antPhase, len(tr.antIDs)),
+		track: make([]pairTrack, len(tr.pairs)), fresh: make([]int, 0, len(tr.pairs)),
+		dir: make([]float64, 2*tr.kernel.Antennas()),
 	}
 	tr.observe(first.Phase, ms.ants, ms.obs)
+	var observed int
+	ms.fresh, observed = update(ms.track, ms.obs, ms.fresh)
+	if observed < tr.cfg.MinPairs {
+		return nil, fmt.Errorf("tracing: only %d pairs observed at start, need ≥%d", observed, tr.cfg.MinPairs)
+	}
 	for hi := range cands {
 		h := &ms.hyps[hi]
 		h.initial = cands[hi]
-		h.states = make([]pairState, len(tr.pairs))
-		init3 := tr.cfg.Plane.To3D(cands[hi].Pos)
-		observed := 0
-		for i, p := range tr.pairs {
-			if o := ms.obs[i]; o.ok {
-				h.states[i].turns = o.turns
-				h.states[i].k = p.NearestLobe(init3, o.turns)
-				h.states[i].seen = true
-				observed++
-			}
-		}
-		if observed < tr.cfg.MinPairs {
-			return nil, fmt.Errorf("tracing: only %d pairs observed at start, need ≥%d", observed, tr.cfg.MinPairs)
-		}
+		h.lobes = make([]int, len(tr.pairs))
+		tr.lockFresh(h.lobes, ms.fresh, ms.track, cands[hi].Pos)
 		for _, ov := range overrides {
-			if ov.PairIndex < 0 || ov.PairIndex >= len(h.states) {
+			if ov.PairIndex < 0 || ov.PairIndex >= len(h.lobes) {
 				return nil, fmt.Errorf("tracing: override pair index %d out of range", ov.PairIndex)
 			}
-			h.states[ov.PairIndex].k += ov.DeltaK
+			h.lobes[ov.PairIndex] += ov.DeltaK
 		}
 		h.pos = tr.cfg.Region.Clip(cands[hi].Pos)
 	}
@@ -172,18 +175,20 @@ func (ms *MultiStream) Push(sample Sample) (step Step, ok bool) {
 	advanced := false
 	dist := ms.sc.DistBuf(ms.tr.kernel.Antennas())
 	ms.tr.observe(sample.Phase, ms.ants, ms.obs)
+	var active int
+	ms.fresh, active = update(ms.track, ms.obs, ms.fresh)
 	for hi := range ms.hyps {
 		h := &ms.hyps[hi]
 		if h.retired {
 			continue
 		}
-		active := ms.tr.update(h.states, ms.obs, h.pos)
+		ms.tr.lockFresh(h.lobes, ms.fresh, ms.track, h.pos)
 		if active < ms.tr.cfg.MinPairs {
 			continue // reply loss: hold position until pairs return
 		}
 		var v float64
 		var evals int
-		h.pos, v, evals = ms.tr.step(h.states, h.pos, dist)
+		h.pos, v, evals = ms.tr.step(ms.track, h.lobes, h.pos, dist, ms.dir)
 		h.evals += evals
 		h.total += v
 		h.count++
@@ -419,15 +424,11 @@ func (ms *MultiStream) Results() (all []Result, cands []vote.Candidate, best int
 		if h.count == 0 {
 			continue
 		}
-		locked := make([]int, len(h.states))
-		for i := range h.states {
-			locked[i] = h.states[i].k
-		}
 		all = append(all, Result{
 			Trajectory:  traj.Trajectory{Points: h.points},
 			Votes:       h.votes,
 			TotalVote:   h.total,
-			LockedLobes: locked,
+			LockedLobes: slices.Clone(h.lobes),
 			SearchEvals: h.evals,
 			Retired:     h.retired,
 		})

@@ -1,6 +1,9 @@
 package tracing
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rfidraw/internal/geom"
@@ -185,5 +188,76 @@ func TestMultiStreamResultsRequireRecord(t *testing.T) {
 	}
 	if ms.SearchEvals() <= 0 || ms.Hypotheses() != 1 {
 		t.Fatalf("evals=%d hyps=%d", ms.SearchEvals(), ms.Hypotheses())
+	}
+}
+
+// TestMultiStreamHypothesesMatchSingleStreams holds the shared per-stream
+// track to the per-hypothesis state it replaced: with retirement and the
+// hypothesis cap off, each hypothesis of a multi-candidate MultiStream
+// must equal a single-candidate stream seeded from the same candidate —
+// trajectory, votes, lobe locks and evaluation count, bit for bit. The
+// noisy samples leave antennas unheard, so pairs first appear mid-stream
+// (each hypothesis locks them against its own position) and some
+// samples fall below MinPairs.
+func TestMultiStreamHypothesesMatchSingleStreams(t *testing.T) {
+	tr, d := testTracer(t)
+	rng := rand.New(rand.NewSource(5))
+	path := circlePath(geom.Vec2{X: 1.3, Z: 1.0}, 0.12, 120)
+	samples := synthSamples(d, path, 0.05, rng)
+	for si, s := range samples {
+		for _, a := range d.Antennas {
+			// Antenna 8 stays unheard for the first 20 samples; after
+			// that any antenna drops out of one sample in six.
+			if (si < 20 && a.ID == 8) || rng.Intn(6) == 0 {
+				delete(s.Phase, a.ID)
+			}
+		}
+	}
+	cands := []vote.Candidate{
+		{Pos: path[0]},
+		{Pos: path[0].Add(geom.Vec2{X: 0.05, Z: -0.04})},
+		{Pos: path[0].Add(geom.Vec2{X: 0.45, Z: 0.3})},
+		{Pos: path[0].Add(geom.Vec2{X: -0.3, Z: 0.2})},
+	}
+	cfg := MultiConfig{RetireMargin: -1, MaxHypotheses: -1, Record: true}
+	run := func(cands []vote.Candidate) []Result {
+		ms, err := tr.NewMultiStream(cands, samples[0], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			ms.Push(s)
+		}
+		all, _, _, err := ms.Results()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return all
+	}
+	multi := run(cands)
+	if len(multi) != len(cands) {
+		t.Fatalf("%d results for %d candidates", len(multi), len(cands))
+	}
+	skipped := 0
+	for hi, c := range cands {
+		got, want := multi[hi], run([]vote.Candidate{c})[0]
+		skipped = len(samples) - len(want.Votes)
+		if len(got.Votes) != len(want.Votes) || got.SearchEvals != want.SearchEvals ||
+			!slices.Equal(got.LockedLobes, want.LockedLobes) ||
+			math.Float64bits(got.TotalVote) != math.Float64bits(want.TotalVote) {
+			t.Fatalf("hypothesis %d: %d votes, %d evals, lobes %v; single stream %d, %d, %v",
+				hi, len(got.Votes), got.SearchEvals, got.LockedLobes, len(want.Votes), want.SearchEvals, want.LockedLobes)
+		}
+		for i := range got.Votes {
+			gp, wp := got.Trajectory.Points[i], want.Trajectory.Points[i]
+			if math.Float64bits(got.Votes[i]) != math.Float64bits(want.Votes[i]) || gp.T != wp.T ||
+				math.Float64bits(gp.Pos.X) != math.Float64bits(wp.Pos.X) ||
+				math.Float64bits(gp.Pos.Z) != math.Float64bits(wp.Pos.Z) {
+				t.Fatalf("hypothesis %d sample %d: %v vote %v; single stream %v vote %v", hi, i, gp, got.Votes[i], wp, want.Votes[i])
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no sample fell below MinPairs; the dropouts exercise too little")
 	}
 }

@@ -137,7 +137,7 @@ func (c Config) withDefaults() Config {
 type Tracer struct {
 	pairs []antenna.Pair
 	// kernel evaluates the pairs' fixed-lobe votes; pair i of the kernel
-	// is pairs[i], which is also a hypothesis's pairState index.
+	// is pairs[i], which is also a pairTrack and lobe-lock index.
 	kernel *antenna.Kernel
 	// antIDs are the distinct antenna IDs the pairs span, in first-use
 	// order, and ends[i] holds pair i's two indices into antIDs: observe
@@ -178,14 +178,15 @@ func NewTracer(pairs []antenna.Pair, cfg Config) (*Tracer, error) {
 // Config returns the effective (defaulted) configuration.
 func (tr *Tracer) Config() Config { return tr.cfg }
 
-// pairState is the per-pair tracking state: the locked lobe and the
-// unwrapped phase-difference track. The i-th state belongs to the
-// tracer's i-th pair.
-type pairState struct {
-	// k is the locked grating-lobe index, fixed at the initial position
-	// (§5.2: "identifies the grating lobe ... closest to this position,
-	// and keeps tracking the continuous rotation of this grating lobe").
-	k int
+// pairTrack is one pair's unwrapped phase-difference track. It is a
+// property of the observation stream, not of a hypothesis: every
+// hypothesis of a stream sees the same samples, so a MultiStream keeps
+// one track per pair and advances it once per sample. The i-th track
+// belongs to the tracer's i-th pair. A hypothesis holds only the lobe
+// each pair is locked to (§5.2: "identifies the grating lobe ... closest
+// to this position, and keeps tracking the continuous rotation of this
+// grating lobe"), one lobe index per pair beside the track.
+type pairTrack struct {
 	// turns is the unwrapped phase-difference track in turns.
 	turns float64
 	// seen marks whether the pair has ever been observed.
@@ -292,22 +293,22 @@ func (tr *Tracer) observe(obs vote.Observations, ants []antPhase, out []pairObs)
 	}
 }
 
-// update advances each pair's unwrapped phase track with the sample's
-// observables and returns the number of pairs observable this sample.
-// Pairs appearing for the first time mid-trace are locked against the
-// current position estimate.
-func (tr *Tracer) update(states []pairState, obs []pairObs, cur geom.Vec2) int {
-	cur3 := tr.cfg.Plane.To3D(cur)
+// update advances each pair's unwrapped track with the sample's
+// observables, appends to fresh[:0] the pairs it sees for the first time
+// (each hypothesis then locks them against its own position, lockFresh)
+// and returns them with the number of pairs observable this sample.
+func update(track []pairTrack, obs []pairObs, fresh []int) ([]int, int) {
+	fresh = fresh[:0]
 	active := 0
-	for i := range states {
+	for i := range track {
 		if !obs[i].ok {
 			continue
 		}
-		st, t := &states[i], obs[i].turns
+		st, t := &track[i], obs[i].turns
 		if !st.seen {
 			st.turns = t
-			st.k = tr.pairs[i].NearestLobe(cur3, t)
 			st.seen = true
+			fresh = append(fresh, i)
 		} else {
 			// Unwrap in turns: move to the congruent value nearest
 			// the previous track point.
@@ -315,36 +316,49 @@ func (tr *Tracer) update(states []pairState, obs []pairObs, cur geom.Vec2) int {
 		}
 		active++
 	}
-	return active
+	return fresh, active
+}
+
+// lockFresh locks each pair in fresh, first seen this sample, to the
+// lobe nearest the hypothesis's current position estimate cur.
+func (tr *Tracer) lockFresh(lobes, fresh []int, track []pairTrack, cur geom.Vec2) {
+	if len(fresh) == 0 {
+		return
+	}
+	cur3 := tr.cfg.Plane.To3D(cur)
+	for _, i := range fresh {
+		lobes[i] = tr.pairs[i].NearestLobe(cur3, track[i].turns)
+	}
 }
 
 // totalFixedVote sums every seen pair's fixed-lobe vote at a position,
 // taking each antenna's distance once into dist (the kernel's Antennas
 // slots).
-func (tr *Tracer) totalFixedVote(states []pairState, pos geom.Vec2, dist []float64) float64 {
+func (tr *Tracer) totalFixedVote(track []pairTrack, lobes []int, pos geom.Vec2, dist []float64) float64 {
 	tr.kernel.Distances(tr.cfg.Plane.To3D(pos), dist)
 	var sum float64
-	for i := range states {
-		if !states[i].seen {
+	for i := range track {
+		if !track[i].seen {
 			continue
 		}
-		sum += tr.kernel.VoteFixed(i, dist, states[i].turns, states[i].k)
+		sum += tr.kernel.VoteFixed(i, dist, track[i].turns, lobes[i])
 	}
 	return sum
 }
 
 // step finds the position in the vicinity of cur maximising the total
-// fixed-lobe vote and returns it with the vote there and the number of
-// evaluations spent. dist is the kernel's distance buffer. The default
-// mode solves for the maximum (solve); dense mode is the original
-// exhaustive lattice scan plus shrinking pattern search, kept as the
-// reference.
-func (tr *Tracer) step(states []pairState, cur geom.Vec2, dist []float64) (geom.Vec2, float64, int) {
+// fixed-lobe vote of the track under a hypothesis's lobe locks, and
+// returns it with the vote there and the number of evaluations spent.
+// dist and dir are the kernel's distance and direction buffers
+// (Antennas and 2·Antennas slots). The default mode solves for the
+// maximum (solve); dense mode is the original exhaustive lattice scan
+// plus shrinking pattern search, kept as the reference.
+func (tr *Tracer) step(track []pairTrack, lobes []int, cur geom.Vec2, dist, dir []float64) (geom.Vec2, float64, int) {
 	if tr.cfg.Search.Mode == vote.SearchHierarchical {
-		return tr.solve(states, cur, dist)
+		return tr.solve(track, lobes, cur, dist, dir)
 	}
 	best := cur
-	bestV := tr.totalFixedVote(states, cur, dist)
+	bestV := tr.totalFixedVote(track, lobes, cur, dist)
 	evals := 1
 	r := tr.cfg.VicinityRadius
 	s := tr.cfg.VicinityStep
@@ -352,7 +366,7 @@ func (tr *Tracer) step(states []pairState, cur geom.Vec2, dist []float64) (geom.
 		for dz := -r; dz <= r+1e-12; dz += s {
 			cand := tr.cfg.Region.Clip(geom.Vec2{X: cur.X + dx, Z: cur.Z + dz})
 			evals++
-			if v := tr.totalFixedVote(states, cand, dist); v > bestV {
+			if v := tr.totalFixedVote(track, lobes, cand, dist); v > bestV {
 				bestV, best = v, cand
 			}
 		}
@@ -368,7 +382,7 @@ func (tr *Tracer) step(states []pairState, cur geom.Vec2, dist []float64) (geom.
 				}
 				cand := tr.cfg.Region.Clip(geom.Vec2{X: best.X + float64(dx)*step, Z: best.Z + float64(dz)*step})
 				evals++
-				if v := tr.totalFixedVote(states, cand, dist); v > bestV {
+				if v := tr.totalFixedVote(track, lobes, cand, dist); v > bestV {
 					bestV, best = v, cand
 					improved = true
 				}
@@ -406,16 +420,16 @@ const (
 // rises; a rejected move raises the damping and retries. The returned
 // vote is the totalFixedVote of the returned position, and the count
 // includes Jacobian passes.
-func (tr *Tracer) solve(states []pairState, cur geom.Vec2, dist []float64) (geom.Vec2, float64, int) {
+func (tr *Tracer) solve(track []pairTrack, lobes []int, cur geom.Vec2, dist, dir []float64) (geom.Vec2, float64, int) {
 	r := tr.cfg.VicinityRadius
 	window := geom.Rect{Min: geom.Vec2{X: cur.X - r, Z: cur.Z - r}, Max: geom.Vec2{X: cur.X + r, Z: cur.Z + r}}
 	best := cur
-	bestV := tr.totalFixedVote(states, cur, dist)
+	bestV := tr.totalFixedVote(track, lobes, cur, dist)
 	evals := 1
 	damp := 0.0
 	for iter := 0; iter < solveIters; iter++ {
 		// dist holds best's distances: it was the last position voted.
-		jxx, jxz, jzz, gx, gz := tr.normalEquations(states, best, dist)
+		jxx, jxz, jzz, gx, gz := tr.normalEquations(track, lobes, best, dist, dir)
 		evals++
 		moved := -1.0
 		for try := 0; try <= solveRetries; try++ {
@@ -429,7 +443,7 @@ func (tr *Tracer) solve(states []pairState, cur geom.Vec2, dist []float64) (geom
 				Z: best.Z - (axx*gz-jxz*gx)/det,
 			}
 			cand = tr.cfg.Region.Clip(window.Clip(cand))
-			v := tr.totalFixedVote(states, cand, dist)
+			v := tr.totalFixedVote(track, lobes, cand, dist)
 			evals++
 			if v > bestV {
 				moved = cand.Dist(best)
@@ -448,16 +462,17 @@ func (tr *Tracer) solve(states []pairState, cur geom.Vec2, dist []float64) (geom
 
 // normalEquations is one Jacobian pass at pos (whose distances dist
 // holds): the entries of JᵀJ and Jᵀr for the seen pairs' residuals
-// r = F·Δd/λ − unwrapped − k, J = ∂r/∂(x, z).
-func (tr *Tracer) normalEquations(states []pairState, pos geom.Vec2, dist []float64) (jxx, jxz, jzz, gx, gz float64) {
-	pos3 := tr.cfg.Plane.To3D(pos)
-	for i := range states {
-		st := &states[i]
-		if !st.seen {
+// r = F·Δd/λ − unwrapped − k, J = ∂r/∂(x, z). It takes every antenna's
+// distance derivatives once into dir, and each pair's gradient reads its
+// two elements' slots.
+func (tr *Tracer) normalEquations(track []pairTrack, lobes []int, pos geom.Vec2, dist, dir []float64) (jxx, jxz, jzz, gx, gz float64) {
+	tr.kernel.Directions(tr.cfg.Plane.To3D(pos), dist, dir)
+	for i := range track {
+		if !track[i].seen {
 			continue
 		}
-		t, dx, dz := tr.kernel.DeltaDistTurnsGrad(i, pos3, dist)
-		r := t - st.turns - float64(st.k)
+		t, dx, dz := tr.kernel.DeltaDistTurnsGrad(i, dist, dir)
+		r := t - track[i].turns - float64(lobes[i])
 		jxx += dx * dx
 		jxz += dx * dz
 		jzz += dz * dz

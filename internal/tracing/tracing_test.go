@@ -369,18 +369,17 @@ func TestStreamSharedScratchIsInert(t *testing.T) {
 	}
 }
 
-// lockedStates is the pair state a step property starts from: a
+// lockedTrack is the track and lobe locks a step property starts from: a
 // noiseless sample of a source at truth, every pair locked to the lobe
 // seen from lockAt (the truth itself for a correct hypothesis).
-func lockedStates(tr *Tracer, d *deploy.RFIDraw, truth, lockAt geom.Vec2) []pairState {
+func lockedTrack(tr *Tracer, d *deploy.RFIDraw, truth, lockAt geom.Vec2) ([]pairTrack, []int) {
 	obs := make([]pairObs, len(tr.pairs))
 	tr.observe(synthSamples(d, []geom.Vec2{truth}, 0, nil)[0].Phase, make([]antPhase, len(tr.antIDs)), obs)
-	states := make([]pairState, len(tr.pairs))
-	lock3 := tr.cfg.Plane.To3D(lockAt)
-	for i, p := range tr.pairs {
-		states[i] = pairState{turns: obs[i].turns, k: p.NearestLobe(lock3, obs[i].turns), seen: true}
-	}
-	return states
+	track := make([]pairTrack, len(tr.pairs))
+	lobes := make([]int, len(tr.pairs))
+	fresh, _ := update(track, obs, nil)
+	tr.lockFresh(lobes, fresh, track, lockAt)
+	return track, lobes
 }
 
 // quickPos maps a quick-check pair (ux, uz) to a point of the rectangle
@@ -403,15 +402,16 @@ func TestQuickStepConvergesToTruth(t *testing.T) {
 	region := tr.cfg.Region
 	r := geom.Vec2{X: tr.cfg.VicinityRadius, Z: tr.cfg.VicinityRadius}
 	dist := make([]float64, tr.kernel.Antennas())
+	dir := make([]float64, 2*tr.kernel.Antennas())
 	f := func(ux, uz, ox, oz uint32) bool {
 		truth := quickPos(ux, uz, region.Min, region.Max)
 		seed := region.Clip(truth.Add(quickPos(ox, oz, r.Scale(-1), r)))
-		states := lockedStates(tr, d, truth, truth)
-		seedV := tr.totalFixedVote(states, seed, dist)
-		pos, v, _ := tr.step(states, seed, dist)
-		if off := pos.Dist(truth); off > 0.001 || v < seedV || v != tr.totalFixedVote(states, pos, dist) {
+		track, lobes := lockedTrack(tr, d, truth, truth)
+		seedV := tr.totalFixedVote(track, lobes, seed, dist)
+		pos, v, _ := tr.step(track, lobes, seed, dist, dir)
+		if off := pos.Dist(truth); off > 0.001 || v < seedV || v != tr.totalFixedVote(track, lobes, pos, dist) {
 			t.Logf("truth %v seed %v: step returned %v (off %v) vote %v, seed vote %v, vote there %v",
-				truth, seed, pos, off, v, seedV, tr.totalFixedVote(states, pos, dist))
+				truth, seed, pos, off, v, seedV, tr.totalFixedVote(track, lobes, pos, dist))
 			return false
 		}
 		return true
@@ -434,15 +434,16 @@ func TestQuickStepNeverLowersVote(t *testing.T) {
 	r := geom.Vec2{X: tr.cfg.VicinityRadius, Z: tr.cfg.VicinityRadius}
 	wrong := geom.Vec2{X: 0.6, Z: 0.6}
 	dist := make([]float64, tr.kernel.Antennas())
+	dir := make([]float64, 2*tr.kernel.Antennas())
 	f := func(ux, uz, ox, oz, wx, wz uint32) bool {
 		truth := quickPos(ux, uz, region.Min, region.Max)
 		seed := region.Clip(truth.Add(quickPos(ox, oz, r.Scale(-1), r)))
-		states := lockedStates(tr, d, truth, truth.Add(quickPos(wx, wz, wrong.Scale(-1), wrong)))
-		seedV := tr.totalFixedVote(states, seed, dist)
-		pos, v, _ := tr.step(states, seed, dist)
-		if v < seedV || v != tr.totalFixedVote(states, pos, dist) {
+		track, lobes := lockedTrack(tr, d, truth, truth.Add(quickPos(wx, wz, wrong.Scale(-1), wrong)))
+		seedV := tr.totalFixedVote(track, lobes, seed, dist)
+		pos, v, _ := tr.step(track, lobes, seed, dist, dir)
+		if v < seedV || v != tr.totalFixedVote(track, lobes, pos, dist) {
 			t.Logf("truth %v seed %v: step returned %v vote %v, seed vote %v, vote there %v",
-				truth, seed, pos, v, seedV, tr.totalFixedVote(states, pos, dist))
+				truth, seed, pos, v, seedV, tr.totalFixedVote(track, lobes, pos, dist))
 			return false
 		}
 		return true

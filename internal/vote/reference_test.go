@@ -140,3 +140,28 @@ func referenceGroups(grid Grid, score []float64, threshold float64, k int, suppr
 	}
 	return groups
 }
+
+// containsCell reports whether cells holds grid index idx: the reference
+// descent's plain duplicate test.
+func containsCell(cells []tableCell, idx int) bool {
+	for _, c := range cells {
+		if c.idx == idx {
+			return true
+		}
+	}
+	return false
+}
+
+// Children appends to dst the grid indices at level l+1 covering the cell
+// at index i of level l — its childWindow — in the row-major order the
+// descent visits them, and returns the extended slice.
+func (m *MultiResTable) Children(dst []int, l, i int) []int {
+	w := m.childWindow(l, i)
+	nx := m.levels[l+1].grid.NX
+	for z := w.z0; z <= w.z1; z++ {
+		for x := w.x0; x <= w.x1; x++ {
+			dst = append(dst, z*nx+x)
+		}
+	}
+	return dst
+}

@@ -108,10 +108,8 @@ type Scratch struct {
 	// and peak groups.
 	survivors []tableCell
 	groups    []cellGroup
-	// cells and cellsNext are the table-descent frontiers; children
-	// receives one cell's MultiResTable.Children.
+	// cells and cellsNext are the table-descent frontiers.
 	cells, cellsNext []tableCell
-	children         []int
 	// frontCells holds every group's finest-table frontier back to back,
 	// fronts indexes it per group, and cands collects the refined
 	// candidates before the near-duplicate merge.
@@ -374,42 +372,103 @@ const refineBranch = 4
 // multi-resolution steering table: the group's cells are scored with all
 // observed pairs at level 0, then each level scores the 3×3 children of
 // the surviving branches at double resolution and keeps the best
-// refineBranch (by topK, the order a stable sort would give). Every score
-// is one row-scorer call on a table row — no distance computation.
-// Returns the finest-level frontier, best first, which lives in the
-// scratch until the next descent, and the row-scorer call count.
+// refineBranch. Every score is one row-scorer call on a table row — no
+// distance computation.
+//
+// Each level offers its cells, in the order a full scoring pass would
+// visit them, to a running selection (keepTop) that ends as topK would
+// leave the whole level: the order a stable sort gives. A cell's score
+// is floored at the selection's current k-th score, because a cell at or
+// below it can never enter; the row scorer stops such a cell early and
+// returns a value that keepTop rejects just as it would the full score.
+// A child already in an earlier branch's 3×3 window is a duplicate and
+// is skipped, as that branch scored it. Returns the finest-level
+// frontier, best first, which lives in the scratch until the next
+// descent, and the number of cells visited, stopped ones included.
 func (p *Positioner) descendTable(cells []int, po []pairObs, sc *Scratch) ([]tableCell, int) {
-	t0 := p.multi.Level(0)
-	sc.cells = sc.cells[:0]
-	for _, c := range cells {
-		sc.cells = append(sc.cells, tableCell{idx: c, score: t0.vote(c, po)})
-	}
-	evals := len(cells)
 	// At the coarse level the wide pairs' votes are aliased (their lobes
 	// are narrower than the cell), so level-0 scores cannot select
 	// branches; with deeper levels ahead the first descent re-scores
 	// children anyway, but a single-level table must keep every seed.
-	keep := len(sc.cells)
+	keep := len(cells)
 	if p.multi.Levels() > 1 {
 		keep = refineBranch
 	}
-	sc.cells = topK(sc.cells, keep, cellScore)
+	t0 := p.multi.Level(0)
+	top := sc.cells[:0]
+	for _, c := range cells {
+		top = keepTop(top, keep, tableCell{idx: c, score: t0.vote(c, po, floorOf(top, keep))})
+	}
+	evals := len(cells)
 	for l := 1; l < p.multi.Levels(); l++ {
 		t := p.multi.Level(l)
+		nx := t.grid.NX
 		next := sc.cellsNext[:0]
-		for _, c := range sc.cells {
-			sc.children = p.multi.Children(sc.children[:0], l-1, c.idx)
-			for _, child := range sc.children {
-				if containsCell(next, child) {
-					continue
+		// With deeper levels, level 0 kept refineBranch cells and so does
+		// every level after it.
+		var wins [refineBranch]window
+		for bi, c := range top {
+			w := p.multi.childWindow(l-1, c.idx)
+			wins[bi] = w
+			for z := w.z0; z <= w.z1; z++ {
+				for x := w.x0; x <= w.x1; x++ {
+					if inWindows(wins[:bi], x, z) {
+						continue
+					}
+					evals++
+					i := z*nx + x
+					next = keepTop(next, refineBranch, tableCell{idx: i, score: t.vote(i, po, floorOf(next, refineBranch))})
 				}
-				next = append(next, tableCell{idx: child, score: t.vote(child, po)})
 			}
 		}
-		evals += len(next)
-		sc.cells, sc.cellsNext = topK(next, refineBranch, cellScore), sc.cells
+		top, sc.cellsNext = next, top
 	}
-	return sc.cells, evals
+	sc.cells = top
+	return top, evals
+}
+
+// keepTop offers c to top, a best-first running selection of at most k
+// cells, by topK's rule: while top has room c is inserted after every
+// entry at least as good; once it is full, c enters only by strictly
+// beating the last entry, which it displaces. Offering a level's cells
+// one by one therefore leaves top exactly as topK leaves the slice of
+// them all. It is written for tableCell rather than shared with the
+// generic topK: through topK's score function the descent ran about 10%
+// slower (BenchmarkLocalizeSingleSample, alternated binaries).
+func keepTop(top []tableCell, k int, c tableCell) []tableCell {
+	j := len(top)
+	switch {
+	case j < k:
+		top = append(top, c)
+	case c.score > top[k-1].score:
+		j = k - 1
+	default:
+		return top
+	}
+	for ; j > 0 && c.score > top[j-1].score; j-- {
+		top[j] = top[j-1]
+	}
+	top[j] = c
+	return top
+}
+
+// floorOf is the score at or below which keepTop rejects a cell: the
+// k-th score once top is full, −Inf before.
+func floorOf(top []tableCell, k int) float64 {
+	if len(top) < k {
+		return math.Inf(-1)
+	}
+	return top[k-1].score
+}
+
+// inWindows reports whether grid point (x, z) lies in any of wins.
+func inWindows(wins []window, x, z int) bool {
+	for _, w := range wins {
+		if w.contains(x, z) {
+			return true
+		}
+	}
+	return false
 }
 
 // directRefine continues one group's refinement below the table's finest
@@ -449,15 +508,6 @@ func byScoreDesc(a, b float64) int {
 		return 1
 	}
 	return 0
-}
-
-func containsCell(cells []tableCell, idx int) bool {
-	for _, c := range cells {
-		if c.idx == idx {
-			return true
-		}
-	}
-	return false
 }
 
 // groupFront is one peak group's finest-table frontier: the cells

@@ -34,9 +34,9 @@ func TestSteeringTableVoteFollowsObsOrder(t *testing.T) {
 		want := totalVote(k, dist, plane.To3D(grid.At(i)), po)
 		var single float64
 		for _, o := range po {
-			single += table.vote(i, []pairObs{o})
+			single += table.vote(i, []pairObs{o}, math.Inf(-1))
 		}
-		if got := table.vote(i, po); got != want || got != single {
+		if got := table.vote(i, po, math.Inf(-1)); got != want || got != single {
 			t.Fatalf("point %d: row score %v, direct %v, single-pair sum %v (must be bit-identical)", i, got, want, single)
 		}
 	}
@@ -66,7 +66,7 @@ func TestSteeringTableGridPointOnAntenna(t *testing.T) {
 	}
 	table := NewSteeringTable([]antenna.Pair{pair}, grid, plane)
 	for i := 0; i < grid.Len(); i++ {
-		v := table.vote(i, []pairObs{{turns: 0.1, idx: 0}})
+		v := table.vote(i, []pairObs{{turns: 0.1, idx: 0}}, math.Inf(-1))
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("point %d: non-finite vote %v", i, v)
 		}
@@ -110,7 +110,7 @@ func TestMultiResTableAlignment(t *testing.T) {
 		g := m.Level(l).Grid()
 		for i := 0; i < g.Len(); i++ {
 			for pi, p := range pairs {
-				if got, want := m.Level(l).vote(i, []pairObs{{turns: 0.2, idx: pi}}), p.VoteFree(plane.To3D(g.At(i)), 0.2); got != want {
+				if got, want := m.Level(l).vote(i, []pairObs{{turns: 0.2, idx: pi}}, math.Inf(-1)), p.VoteFree(plane.To3D(g.At(i)), 0.2); got != want {
 					t.Fatalf("level %d pair %d point %d: %v != %v", l, pi, i, got, want)
 				}
 			}
@@ -378,6 +378,87 @@ func TestQuickPickCellGroupsMatchesReference(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(8))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickBoundedVote is the bounded row scorer's contract, on the
+// standard deployment's twelve pairs at random grid points, observations
+// and floors: when the full sum is above the floor the scorer returns
+// that sum bit for bit; otherwise it stops with a value at or below the
+// floor and at or above the full sum, so a caller that discards scores
+// at or below the floor decides as it would on full sums. The floors are
+// drawn around each point's full sum, exactly at it included.
+func TestQuickBoundedVote(t *testing.T) {
+	d, err := deploy.DefaultRFIDraw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := d.AllPairs()
+	grid, err := NewGrid(deploy.DefaultRegion(), 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := NewSteeringTable(pairs, grid, geom.Plane{Y: 2})
+	stops := 0
+	prop := func(cell uint32, turns []float64, mask uint16, u int8) bool {
+		i := int(cell % uint32(grid.Len()))
+		var po []pairObs
+		for p := range pairs {
+			if mask&(1<<p) != 0 && p < len(turns) {
+				po = append(po, pairObs{turns: math.Remainder(turns[p], 1), idx: p})
+			}
+		}
+		full := table.vote(i, po, math.Inf(-1))
+		// u spreads the floor from twice the full sum to zero; u = 0
+		// puts it exactly at the full sum.
+		floor := full * (1 - float64(u)/128)
+		got := table.vote(i, po, floor)
+		if full > floor {
+			if math.Float64bits(got) != math.Float64bits(full) {
+				t.Logf("point %d floor %v: %v, full sum %v", i, floor, got, full)
+				return false
+			}
+			return true
+		}
+		stops++
+		if !(got <= floor && got >= full) {
+			t.Logf("point %d floor %v: stopped at %v, full sum %v", i, floor, got, full)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(9))}); err != nil {
+		t.Fatal(err)
+	}
+	if stops < 1000 {
+		t.Fatalf("only %d of 5000 cases stopped early", stops)
+	}
+}
+
+// TestQuickKeepTopMatchesTopK: offering entries to keepTop one at a time
+// leaves exactly the entries, in exactly the order, that topK leaves of
+// the whole slice, for every k — the descent's running selection is the
+// batch one.
+func TestQuickKeepTopMatchesTopK(t *testing.T) {
+	prop := func(raw []uint8) bool {
+		in := make([]tableCell, len(raw))
+		for i, r := range raw {
+			in[i] = tableCell{idx: i, score: -float64(r % 5)}
+		}
+		for k := 1; k <= len(in)+1; k++ {
+			var top []tableCell
+			for _, c := range in {
+				top = keepTop(top, k, c)
+			}
+			if want := topK(slices.Clone(in), k, func(c tableCell) float64 { return c.score }); !slices.Equal(top, want) {
+				t.Logf("k=%d: keepTop %v, topK %v", k, top, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(6))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,8 +24,10 @@ import (
 // descent scores only the cells that survive each level; both call the
 // one row scorer, vote. It sums the observed pairs in pairObs order with
 // the operations, in the same order, of the direct per-point evaluation
-// (antenna.Kernel.VoteFree summed by totalVote), so every table score is
-// bit-identical to the direct vote at that point.
+// (antenna.Kernel.VoteFree summed by totalVote), so every score it
+// completes is bit-identical to the direct vote at that point, and it
+// stops a score early only where the caller has said the value cannot
+// matter.
 type SteeringTable struct {
 	grid Grid
 	// stride is how many pairs a row holds; pair p's value at grid point i
@@ -70,14 +72,25 @@ func (t *SteeringTable) Grid() Grid { return t.grid }
 func (t *SteeringTable) Pairs() int { return t.stride }
 
 // vote is the row scorer: the total free-lobe vote (Eq. 7) of the
-// observed pairs po at grid point i, summed in po order. po's indices
-// are rows of the pair list the table was built from.
-func (t *SteeringTable) vote(i int, po []pairObs) float64 {
+// observed pairs po at grid point i, summed in po order, stopped as soon
+// as it can no longer end above floor. po's indices are rows of the pair
+// list the table was built from.
+//
+// Every term is −r² ≤ 0, and subtracting a non-negative value never
+// raises a float, so the partial sums never rise: once one is ≤ floor,
+// the full sum is too. So when the full sum is above floor, vote returns
+// it exactly; otherwise it returns the first partial sum ≤ floor, which
+// lies between the full sum and floor. A caller that discards every
+// score ≤ floor therefore decides exactly as it would on full sums. A
+// floor of −Inf always yields the full sum, as does a NaN sum. The
+// nearest lobe is taken with RoundToEven, as antenna's voteFree does and
+// for the same reason: it changes no r².
+func (t *SteeringTable) vote(i int, po []pairObs, floor float64) float64 {
 	row := t.turns[i*t.stride : (i+1)*t.stride]
 	var sum float64
 	for _, o := range po {
 		frac := row[o.idx] - o.turns
-		k := math.Round(frac)
+		k := math.RoundToEven(frac)
 		if maxK := t.maxK[o.idx]; k > maxK {
 			k = maxK
 		} else if k < -maxK {
@@ -85,6 +98,9 @@ func (t *SteeringTable) vote(i int, po []pairObs) float64 {
 		}
 		r := frac - k
 		sum -= r * r
+		if sum <= floor {
+			break
+		}
 	}
 	return sum
 }
@@ -95,8 +111,6 @@ type tableCell struct {
 	idx   int
 	score float64
 }
-
-func cellScore(c tableCell) float64 { return c.score }
 
 // MultiResTable stacks steering tables at halving resolutions over one
 // region: level 0 is the coarse stage-1 lattice, and each deeper level
@@ -150,22 +164,24 @@ func (m *MultiResTable) FinestRes() float64 {
 	return m.levels[len(m.levels)-1].grid.Res
 }
 
-// Children appends to dst the grid indices at level l+1 covering the cell
-// at index i of level l — the 3×3 neighbourhood of the aligned child
-// point, clipped to the child grid — in deterministic row-major order, and
-// returns the extended slice.
-func (m *MultiResTable) Children(dst []int, l, i int) []int {
-	parent := m.levels[l].grid
+// window is a rectangle of grid columns x0..x1 and rows z0..z1,
+// inclusive.
+type window struct{ x0, x1, z0, z1 int }
+
+func (w window) contains(x, z int) bool {
+	return w.x0 <= x && x <= w.x1 && w.z0 <= z && z <= w.z1
+}
+
+// childWindow is the child-grid rectangle holding the children of the
+// cell at index i of level l: the 3×3 neighbourhood of its aligned child
+// point (2ix, 2iz), clipped to level l+1's grid. The descent visits a
+// window's cells row by row.
+func (m *MultiResTable) childWindow(l, i int) window {
+	nx := m.levels[l].grid.NX
 	child := m.levels[l+1].grid
-	cx, cz := 2*(i%parent.NX), 2*(i/parent.NX)
-	for dz := -1; dz <= 1; dz++ {
-		for dx := -1; dx <= 1; dx++ {
-			x, z := cx+dx, cz+dz
-			if x < 0 || x >= child.NX || z < 0 || z >= child.NZ {
-				continue
-			}
-			dst = append(dst, z*child.NX+x)
-		}
+	cx, cz := 2*(i%nx), 2*(i/nx)
+	return window{
+		x0: max(cx-1, 0), x1: min(cx+1, child.NX-1),
+		z0: max(cz-1, 0), z1: min(cz+1, child.NZ-1),
 	}
-	return dst
 }

@@ -59,7 +59,7 @@ func TestSteeringTableMatchesDirect(t *testing.T) {
 		for pi, p := range pairs {
 			want += p.VoteFree(p3, measured[pi])
 		}
-		if got := table.vote(i, po); got != want {
+		if got := table.vote(i, po, math.Inf(-1)); got != want {
 			t.Fatalf("point %d: table vote %v != direct vote %v (must be bit-identical)", i, got, want)
 		}
 	}

@@ -320,14 +320,21 @@ func (p *Positioner) CandidatesWith(sc *Scratch, obs Observations) ([]Candidate,
 	// Stage 1: coarse filter over the full region, each point scored by
 	// the precomputed steering table's row scorer. It sums in
 	// observed-pair order, so the scores are identical to the direct
-	// per-point evaluation.
+	// per-point evaluation. A point survives when its score is ≥ the
+	// final best1 − CoarseDelta, which is never below the running
+	// best1 − CoarseDelta, so a point may stop once its score is strictly
+	// below the running one: floor is the largest float under it. The
+	// value a stopped point stores is ≤ floor, below the final threshold
+	// and the running best, so it changes neither the survivors nor best1.
 	grid := p.coarseGrid
 	score1 := sc.stage1Buf(grid.Len())
-	best1 := math.Inf(-1)
+	best1, floor := math.Inf(-1), math.Inf(-1)
 	for i := range score1 {
-		score1[i] = p.table.vote(i, stage1)
-		if score1[i] > best1 {
-			best1 = score1[i]
+		v := p.table.vote(i, stage1, floor)
+		score1[i] = v
+		if v > best1 {
+			best1 = v
+			floor = math.Nextafter(best1-p.cfg.CoarseDelta, math.Inf(-1))
 		}
 	}
 
