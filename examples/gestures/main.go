@@ -61,10 +61,10 @@ func main() {
 	samples := make([]tracing.Sample, truth.Len())
 	for i, p := range truth.Points {
 		src := scenario.Plane.To3D(p.Pos)
-		obs := vote.Observations{}
+		var obs vote.Observations
 		for _, a := range scenario.RFIDraw.Antennas {
 			m := scenario.Env.Measure(a.Pos, src, 0, scenario.RNG())
-			obs[a.ID] = m.Phase
+			obs.Set(a.ID, m.Phase)
 		}
 		samples[i] = tracing.Sample{T: p.T, Phase: obs}
 	}

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 
 	"rfidraw"
 	"rfidraw/internal/geom"
@@ -39,7 +40,7 @@ func main() {
 	}
 	samples := make([]rfidraw.Sample, len(run.SamplesRF))
 	for i, s := range run.SamplesRF {
-		samples[i] = rfidraw.Sample{Time: s.T, Phases: s.Phase}
+		samples[i] = rfidraw.Sample{Time: s.T, Phases: maps.Collect(s.Phase.All())}
 	}
 	res, err := sys.Trace(samples)
 	if err != nil {

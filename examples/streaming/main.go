@@ -45,7 +45,7 @@ func main() {
 	streams2 := make([][]rfid.Report, 2)
 	for readerID := 0; readerID < 2; readerID++ {
 		for _, s := range run.SamplesRF {
-			for id, ph := range s.Phase {
+			for id, ph := range s.Phase.All() {
 				if (id-1)/4 != readerID {
 					continue
 				}

@@ -73,9 +73,9 @@ func main() {
 	samples := make([]tracing.Sample, truth.Len())
 	for i, p := range truth.Points {
 		src := plane.To3D(p.Pos)
-		obs := vote.Observations{}
+		var obs vote.Observations
 		for _, a := range dep.Antennas {
-			obs[a.ID] = env.Measure(a.Pos, src, 0, rng).Phase
+			obs.Set(a.ID, env.Measure(a.Pos, src, 0, rng).Phase)
 		}
 		samples[i] = tracing.Sample{T: p.T, Phase: obs}
 	}

@@ -132,7 +132,7 @@ func (p Pair) VoteFree(pos geom.Vec3, measuredTurns float64) float64 {
 // fixed k and unwrapped phase): the negated squared residual against lobe k
 // given the *unwrapped* phase-difference track in turns.
 func (p Pair) VoteFixed(pos geom.Vec3, unwrappedTurns float64, k int) float64 {
-	return voteFixed(p.DeltaDistTurns(pos), unwrappedTurns, k)
+	return FixedLobeVote(p.DeltaDistTurns(pos), unwrappedTurns, k)
 }
 
 // Array is a uniform linear array of antennas, used by the baseline AoA

@@ -99,23 +99,14 @@ func (k *Kernel) Directions(pos geom.Vec3, dist, dir []float64) {
 	}
 }
 
-// DeltaDistTurnsGrad returns pair p's F·Δd/λ at the position dist and
-// dir were last filled for (by Distances and Directions), with its
-// derivatives along x and z: F/λ times the difference of the two
-// elements' distance derivatives. turns equals DeltaDistTurns bit for
-// bit. The division per element happens once per position in Directions,
-// not once for every pair that shares the element.
-func (k *Kernel) DeltaDistTurnsGrad(p int, dist, dir []float64) (turns, dx, dz float64) {
+// Grad returns the derivatives of pair p's F·Δd/λ along x and z at the
+// position dir was last filled for (by Directions): F/λ times the
+// difference of the two elements' distance derivatives. The division
+// per element happens once per position in Directions, not once for
+// every pair that shares the element.
+func (k *Kernel) Grad(p int, dir []float64) (dx, dz float64) {
 	kp := &k.pairs[p]
-	dx = kp.scale * (dir[2*kp.i] - dir[2*kp.j])
-	dz = kp.scale * (dir[2*kp.i+1] - dir[2*kp.j+1])
-	return deltaDistTurns(kp.travel, dist[kp.i], dist[kp.j], kp.lambda), dx, dz
-}
-
-// VoteFixed returns pair p's fixed-lobe vote at the position dist was
-// last filled for; it equals Pair.VoteFixed there bit for bit.
-func (k *Kernel) VoteFixed(p int, dist []float64, unwrappedTurns float64, lobe int) float64 {
-	return voteFixed(k.DeltaDistTurns(p, dist), unwrappedTurns, lobe)
+	return kp.scale * (dir[2*kp.i] - dir[2*kp.j]), kp.scale * (dir[2*kp.i+1] - dir[2*kp.j+1])
 }
 
 // VoteFree returns pair p's free-lobe vote at the position dist was last
@@ -131,8 +122,10 @@ func deltaDistTurns(travel, dI, dJ, lambda float64) float64 {
 	return travel * dd / lambda
 }
 
-// voteFixed is the fixed-lobe vote from a pair's F·Δd/λ.
-func voteFixed(turns, unwrappedTurns float64, lobe int) float64 {
+// FixedLobeVote is the fixed-lobe vote from a pair's F·Δd/λ, as
+// Pair.VoteFixed computes it: a caller that has the pair's DeltaDistTurns
+// at a position votes there without computing it again.
+func FixedLobeVote(turns, unwrappedTurns float64, lobe int) float64 {
 	r := turns - unwrappedTurns - float64(lobe)
 	return -r * r
 }

@@ -44,8 +44,9 @@ func coord(u uint32, edge uint8, lo, hi float64) float64 {
 // every named geometry, at random writing-plane positions that include
 // the region border and corners, each pair's kernel values are == to the
 // Pair reference methods — not merely close — so searches that mix
-// steering-table and direct scores compare equal values. The gradient is
-// held to the per-pair formula the kernel replaced, F/λ·((x − I.x)/d_I −
+// steering-table and direct scores compare equal values; FixedLobeVote
+// of a kernel value is Pair.VoteFixed there. The gradient is held to the
+// per-pair formula the kernel replaced, F/λ·((x − I.x)/d_I −
 // (x − J.x)/d_J) and its z counterpart, bit for bit, though Directions
 // now divides once per antenna.
 func TestQuickKernelMatchesPair(t *testing.T) {
@@ -73,14 +74,13 @@ func TestQuickKernelMatchesPair(t *testing.T) {
 			k.Distances(p3, dist)
 			k.Directions(p3, dist, dir)
 			for p, pr := range pairs {
-				turns0, dx, dz := k.DeltaDistTurnsGrad(p, dist, dir)
+				dx, dz := k.Grad(p, dir)
 				dI, dJ := p3.Dist(pr.I.Pos), p3.Dist(pr.J.Pos)
 				s := pr.Link.TravelFactor() / pr.Carrier.WavelengthM
 				wantX := s * ((p3.X-pr.I.Pos.X)/dI - (p3.X-pr.J.Pos.X)/dJ)
 				wantZ := s * ((p3.Z-pr.I.Pos.Z)/dI - (p3.Z-pr.J.Pos.Z)/dJ)
-				if k.DeltaDistTurns(p, dist) != pr.DeltaDistTurns(p3) ||
-					turns0 != pr.DeltaDistTurns(p3) || dx != wantX || dz != wantZ ||
-					k.VoteFixed(p, dist, turns, int(lobe)) != pr.VoteFixed(p3, turns, int(lobe)) ||
+				if k.DeltaDistTurns(p, dist) != pr.DeltaDistTurns(p3) || dx != wantX || dz != wantZ ||
+					antenna.FixedLobeVote(k.DeltaDistTurns(p, dist), turns, int(lobe)) != pr.VoteFixed(p3, turns, int(lobe)) ||
 					k.VoteFree(p, dist, turns) != pr.VoteFree(p3, turns) {
 					t.Logf("%s: pair %d differs at %v", name, p, p3)
 					return false
@@ -98,8 +98,7 @@ func TestQuickKernelMatchesPair(t *testing.T) {
 // gradient the tracing step's Gauss–Newton solve linearises with: for
 // every named geometry, at random writing-plane positions that include
 // the region border and corners, each pair's ∂(F·Δd/λ)/∂x and ∂/∂z agree
-// with central finite differences of DeltaDistTurns, and the value it
-// returns alongside is DeltaDistTurns bit for bit.
+// with central finite differences of DeltaDistTurns.
 func TestQuickKernelGradMatchesFiniteDifference(t *testing.T) {
 	const h = 1e-6 // m
 	for _, name := range deploy.GeometryNames() {
@@ -132,7 +131,8 @@ func TestQuickKernelGradMatchesFiniteDifference(t *testing.T) {
 				wantZ := (turnsAt(p, p3.Add(geom.Vec3{Z: h})) - turnsAt(p, p3.Sub(geom.Vec3{Z: h}))) / (2 * h)
 				k.Distances(p3, dist)
 				k.Directions(p3, dist, dir)
-				turns, dx, dz := k.DeltaDistTurnsGrad(p, dist, dir)
+				turns := k.DeltaDistTurns(p, dist)
+				dx, dz := k.Grad(p, dir)
 				if turns != want ||
 					math.Abs(dx-wantX) > 1e-6*math.Max(1, math.Abs(wantX)) ||
 					math.Abs(dz-wantZ) > 1e-6*math.Max(1, math.Abs(wantZ)) {

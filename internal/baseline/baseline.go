@@ -71,10 +71,10 @@ func (s *System) Config() Config { return s.cfg }
 
 // arrayPhases extracts an array's per-element phases from merged
 // observations; ok is false if any element is missing.
-func arrayPhases(els []int, obs vote.Observations) ([]float64, bool) {
+func arrayPhases(els []int, obs *vote.Observations) ([]float64, bool) {
 	out := make([]float64, len(els))
 	for i, id := range els {
-		p, ok := obs[id]
+		p, ok := obs.Phase(id)
 		if !ok {
 			return nil, false
 		}
@@ -97,11 +97,11 @@ func arrayPhases(els []int, obs vote.Observations) ([]float64, bool) {
 func (s *System) Localize(obs vote.Observations) (geom.Vec2, error) {
 	leftIDs := []int{1, 2, 3, 4}
 	bottomIDs := []int{5, 6, 7, 8}
-	lp, ok := arrayPhases(leftIDs, obs)
+	lp, ok := arrayPhases(leftIDs, &obs)
 	if !ok {
 		return geom.Vec2{}, errors.New("baseline: left array phases incomplete")
 	}
-	bp, ok := arrayPhases(bottomIDs, obs)
+	bp, ok := arrayPhases(bottomIDs, &obs)
 	if !ok {
 		return geom.Vec2{}, errors.New("baseline: bottom array phases incomplete")
 	}

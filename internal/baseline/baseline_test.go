@@ -31,13 +31,13 @@ func testSystem(t testing.TB) (*System, *deploy.Baseline) {
 
 // synthObs generates per-antenna phases for a source, with optional noise.
 func synthObs(dep *deploy.Baseline, src geom.Vec3, noise float64, rng *rand.Rand) vote.Observations {
-	obs := vote.Observations{}
+	var obs vote.Observations
 	for _, a := range dep.AllAntennas() {
 		ph := phys.PathPhase(dep.Carrier, dep.Link, a.Pos.Dist(src))
 		if noise > 0 && rng != nil {
 			ph += rng.NormFloat64() * noise
 		}
-		obs[a.ID] = phys.Wrap(ph)
+		obs.Set(a.ID, phys.Wrap(ph))
 	}
 	return obs
 }
@@ -119,12 +119,12 @@ func TestLocalizeFarFieldHasSystematicBias(t *testing.T) {
 func TestLocalizeIncompleteArrays(t *testing.T) {
 	s, dep := testSystem(t)
 	obs := synthObs(dep, plane.To3D(geom.Vec2{X: 1.3, Z: 1.0}), 0, nil)
-	delete(obs, 2)
+	obs.Forget(2)
 	if _, err := s.Localize(obs); err == nil {
 		t.Fatal("missing left-array phase should error")
 	}
 	obs = synthObs(dep, plane.To3D(geom.Vec2{X: 1.3, Z: 1.0}), 0, nil)
-	delete(obs, 7)
+	obs.Forget(7)
 	if _, err := s.Localize(obs); err == nil {
 		t.Fatal("missing bottom-array phase should error")
 	}
@@ -163,7 +163,7 @@ func TestTraceSkipsBadSamples(t *testing.T) {
 	s, dep := testSystem(t)
 	src2 := geom.Vec2{X: 1.3, Z: 1.0}
 	good := tracing.Sample{T: 0, Phase: synthObs(dep, plane.To3D(src2), 0, nil)}
-	bad := tracing.Sample{T: 25 * time.Millisecond, Phase: vote.Observations{1: 0.5}}
+	bad := tracing.Sample{T: 25 * time.Millisecond, Phase: vote.ObservationsOf(map[int]float64{1: 0.5})}
 	good2 := tracing.Sample{T: 50 * time.Millisecond, Phase: synthObs(dep, plane.To3D(src2), 0, nil)}
 	tr, err := s.Trace([]tracing.Sample{good, bad, good2})
 	if err != nil {

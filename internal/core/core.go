@@ -203,8 +203,8 @@ func (s *System) Acquire(sc *vote.Scratch, samples []tracing.Sample, complete bo
 		if !complete && i+s.cfg.InitialAverage > len(samples) {
 			break // window would clamp; wait for more data
 		}
-		obs := averagePhases(sc, samples[i:], s.cfg.InitialAverage)
-		c, st, err := s.positioner.CandidatesWith(sc, obs)
+		obs := averagePhases(samples[i:], s.cfg.InitialAverage)
+		c, st, err := s.positioner.CandidatesWith(sc, &obs)
 		if err == nil {
 			return c, st, i, nil
 		}
@@ -239,26 +239,25 @@ func ResultFromMulti(ms *tracing.MultiStream, cstats vote.SearchStats) (*TraceRe
 }
 
 // averagePhases coherently averages each antenna's wrapped phase over up to
-// k leading samples: the circular mean of e^{jφ}. Antennas absent from all
-// samples stay absent. The returned observations live in the scratch's
-// reusable buffers (see vote.Scratch.ObsBuf) and are invalidated by the
-// next averaging or sweep-merge call on the same scratch.
-func averagePhases(sc *vote.Scratch, samples []tracing.Sample, k int) vote.Observations {
+// k leading samples: the circular mean of e^{jφ}. Each antenna's phasor
+// sum runs in sample order. Antennas absent from all samples stay absent.
+func averagePhases(samples []tracing.Sample, k int) vote.Observations {
 	if k > len(samples) {
 		k = len(samples)
 	}
-	acc := sc.PhasorBuf()
+	var acc [vote.MaxAntennas]complex128
 	for i := 0; i < k; i++ {
-		for id, ph := range samples[i].Phase {
+		for id, ph := range samples[i].Phase.All() {
 			acc[id] += cmplx.Rect(1, ph)
 		}
 	}
-	obs := sc.ObsBuf()
+	var obs vote.Observations
 	for id, c := range acc {
 		// A near-zero phasor sum means the samples disagreed completely;
 		// its phase is meaningless, so drop the antenna for this window.
+		// An antenna never heard sums to 0 and is dropped too.
 		if cmplx.Abs(c) > 1e-6 {
-			obs[id] = phys.Wrap(cmplx.Phase(c))
+			obs.Set(id, phys.Wrap(cmplx.Phase(c)))
 		}
 	}
 	return obs

@@ -10,7 +10,6 @@ import (
 	"rfidraw/internal/sim"
 	"rfidraw/internal/tracing"
 	"rfidraw/internal/traj"
-	"rfidraw/internal/vote"
 )
 
 func newSystem(t testing.TB, dist float64) *System {
@@ -85,7 +84,7 @@ func TestTraceEmptySamples(t *testing.T) {
 	// Unusable samples (all phases missing) should fail cleanly.
 	bad := make([]tracing.Sample, 12)
 	for i := range bad {
-		bad[i] = tracing.Sample{T: time.Duration(i) * time.Millisecond, Phase: vote.Observations{}}
+		bad[i] = tracing.Sample{T: time.Duration(i) * time.Millisecond}
 	}
 	if _, err := sys.Trace(bad); err == nil {
 		t.Fatal("unusable samples should error")

@@ -40,7 +40,7 @@ func TestTraceSurvivesSingleDeadAntenna(t *testing.T) {
 	// so tracing must still work, just with fewer votes.
 	_, wr, sys := runWord(t, 201)
 	for i := range wr.SamplesRF {
-		delete(wr.SamplesRF[i].Phase, 3)
+		wr.SamplesRF[i].Phase.Forget(3)
 	}
 	res, err := sys.Trace(wr.SamplesRF)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestTraceFailsCleanlyWithDeadReader(t *testing.T) {
 	_, wr, sys := runWord(t, 202)
 	for i := range wr.SamplesRF {
 		for id := 5; id <= 8; id++ {
-			delete(wr.SamplesRF[i].Phase, id)
+			wr.SamplesRF[i].Phase.Forget(id)
 		}
 	}
 	if _, err := sys.Trace(wr.SamplesRF); err == nil {
@@ -98,8 +98,8 @@ func TestTraceSurvivesCorruptPhases(t *testing.T) {
 	for i := range wr.SamplesRF {
 		if rng.Float64() < 0.05 {
 			id := 1 + rng.Intn(8)
-			if _, ok := wr.SamplesRF[i].Phase[id]; ok {
-				wr.SamplesRF[i].Phase[id] = rng.Float64() * phys.TwoPi
+			if _, ok := wr.SamplesRF[i].Phase.Phase(id); ok {
+				wr.SamplesRF[i].Phase.Set(id, rng.Float64()*phys.TwoPi)
 			}
 		}
 	}
@@ -128,9 +128,9 @@ func TestTraceRejectsOutOfRegionStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := sc.Plane.To3D(geom.Vec2{X: 8, Z: 5}) // far outside
-	obs := vote.Observations{}
+	var obs vote.Observations
 	for _, a := range sc.RFIDraw.Antennas {
-		obs[a.ID] = phys.PathPhase(sc.RFIDraw.Carrier, sc.RFIDraw.Link, a.Pos.Dist(src))
+		obs.Set(a.ID, phys.PathPhase(sc.RFIDraw.Carrier, sc.RFIDraw.Link, a.Pos.Dist(src)))
 	}
 	samples := []tracing.Sample{{T: 0, Phase: obs}, {T: 25 * time.Millisecond, Phase: obs}}
 	res, err := sys.Trace(samples)
@@ -170,22 +170,21 @@ func TestTraceWithDuplicateTimestamps(t *testing.T) {
 func TestAveragePhasesProperties(t *testing.T) {
 	// Averaging a constant phase returns it; averaging opposite phasors
 	// drops the antenna.
-	sc := vote.NewScratch()
-	s1 := tracing.Sample{Phase: vote.Observations{1: 1.0, 2: 0.5}}
-	s2 := tracing.Sample{Phase: vote.Observations{1: 1.0, 2: 0.5 + 3.14159265}}
-	obs := averagePhases(sc, []tracing.Sample{s1, s2}, 2)
-	if v, ok := obs[1]; !ok || v < 0.99 || v > 1.01 {
+	s1 := tracing.Sample{Phase: vote.ObservationsOf(map[int]float64{1: 1.0, 2: 0.5})}
+	s2 := tracing.Sample{Phase: vote.ObservationsOf(map[int]float64{1: 1.0, 2: 0.5 + 3.14159265})}
+	obs := averagePhases([]tracing.Sample{s1, s2}, 2)
+	if v, ok := obs.Phase(1); !ok || v < 0.99 || v > 1.01 {
 		t.Fatalf("constant phase average = %v", v)
 	}
-	if _, ok := obs[2]; ok {
+	if _, ok := obs.Phase(2); ok {
 		t.Fatal("cancelled phasor should be dropped")
 	}
 	// k larger than available samples is clamped.
-	obs = averagePhases(sc, []tracing.Sample{s1}, 10)
-	if _, ok := obs[1]; !ok {
+	obs = averagePhases([]tracing.Sample{s1}, 10)
+	if _, ok := obs.Phase(1); !ok {
 		t.Fatal("clamped averaging lost data")
 	}
-	if got := averagePhases(sc, nil, 3); len(got) != 0 {
+	if got := averagePhases(nil, 3); got.Len() != 0 {
 		t.Fatal("empty input should average to empty")
 	}
 }

@@ -90,7 +90,10 @@ type Config struct {
 type Update struct {
 	// Tag is the tag key (EPC hex for wire-fed engines).
 	Tag string
-	// Positions are the newly estimated positions, in time order.
+	// Positions are the newly estimated positions, in time order. They
+	// are the tag tracker's reused buffer (realtime.Tracker.Offer): valid
+	// during the OnUpdate call only, so a callback that keeps them must
+	// copy them.
 	Positions []realtime.Position
 }
 
@@ -127,8 +130,9 @@ type TagStats struct {
 	// Buffered is the tag's current warmup sample buffer size, bounded
 	// by Config.MaxAcquireBuffer.
 	Buffered int
-	// SearchEvals is the tag's cumulative vote-surface evaluation count
-	// (acquisitions plus live tracing), for serving-layer metrics.
+	// SearchEvals is the tag's cumulative tracing-step evaluation count
+	// (realtime.Tracker.SearchEvals), for serving-layer metrics. It
+	// counts no acquisition work.
 	SearchEvals int
 	Err         error
 }

@@ -161,22 +161,17 @@ func replay(t *testing.T, h *digest, sys *core.System, sweep time.Duration, repo
 }
 
 // reportsFromSamples turns merged samples back into one report per heard
-// antenna, shifted by offset.
+// antenna, in ID order, shifted by offset.
 func reportsFromSamples(samples []tracing.Sample, epc rfid.EPC, offset time.Duration) []rfid.Report {
 	var out []rfid.Report
 	for _, s := range samples {
-		ids := make([]int, 0, len(s.Phase))
-		for id := range s.Phase {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
+		for id, ph := range s.Phase.All() {
 			out = append(out, rfid.Report{
 				Time:      s.T + offset,
 				ReaderID:  (id - 1) / 4,
 				AntennaID: id,
 				EPC:       epc,
-				PhaseRad:  s.Phase[id],
+				PhaseRad:  ph,
 			})
 		}
 	}

@@ -28,15 +28,21 @@ type Replayer struct {
 	tags    map[rfid.EPC]*tagState
 	// order lists tags in first-seen order; Flush closes their sweeps in
 	// this order, so a drain emits the same sequence live and in replay.
-	order []rfid.EPC
+	order []*tagState
+	// last is the tag of the previous report: a writer's reports come in
+	// runs, so most reports skip the map lookup.
+	last *tagState
 
 	// OnUpdate, when set, receives each tag's new positions inline from
 	// Offer/Flush.
 	OnUpdate func(Update)
 }
 
-// tagState is one streamed tag's pipeline.
+// tagState is one streamed tag's pipeline, with its EPC and the EPC's
+// hex key, which every Update and TagStats carries.
 type tagState struct {
+	epc       rfid.EPC
+	key       string
 	tracker   *realtime.Tracker
 	positions int
 	err       error
@@ -89,24 +95,27 @@ func resolveSystem(cfg Config) (*core.System, error) {
 // tag appearing mid-stream simply starts its own pipeline at its first
 // report.
 func (r *Replayer) tag(epc rfid.EPC) *tagState {
+	if r.last != nil && r.last.epc == epc {
+		return r.last
+	}
 	ts, ok := r.tags[epc]
-	if ok {
-		return ts
+	if !ok {
+		tracker, err := realtime.NewTracker(realtime.Config{
+			System:           r.sys,
+			SweepInterval:    r.cfg.SweepInterval,
+			MaxAcquireBuffer: r.cfg.MaxAcquireBuffer,
+			RecordTrace:      r.cfg.RecordTrace,
+			Scratch:          r.scratch,
+		})
+		ts = &tagState{epc: epc, key: epc.String(), tracker: tracker}
+		if err != nil {
+			ts.err = fmt.Errorf("engine: tag %s: %w", ts.key, err)
+			ts.tracker = nil
+		}
+		r.tags[epc] = ts
+		r.order = append(r.order, ts)
 	}
-	tracker, err := realtime.NewTracker(realtime.Config{
-		System:           r.sys,
-		SweepInterval:    r.cfg.SweepInterval,
-		MaxAcquireBuffer: r.cfg.MaxAcquireBuffer,
-		RecordTrace:      r.cfg.RecordTrace,
-		Scratch:          r.scratch,
-	})
-	ts = &tagState{tracker: tracker}
-	if err != nil {
-		ts.err = fmt.Errorf("engine: tag %s: %w", epc, err)
-		ts.tracker = nil
-	}
-	r.tags[epc] = ts
-	r.order = append(r.order, epc)
+	r.last = ts
 	return ts
 }
 
@@ -119,9 +128,9 @@ func (r *Replayer) Offer(rep rfid.Report) error {
 		return nil
 	}
 	ps, err := ts.tracker.Offer(rep)
-	r.emit(rep.EPC, ts, ps)
+	r.emit(ts, ps)
 	if err != nil {
-		ts.err = fmt.Errorf("engine: tag %s: %w", rep.EPC, err)
+		ts.err = fmt.Errorf("engine: tag %s: %w", ts.key, err)
 	}
 	return nil
 }
@@ -134,15 +143,14 @@ func (r *Replayer) Offer(rep rfid.Report) error {
 // already was one.
 func (r *Replayer) Flush() error {
 	var first error
-	for _, epc := range r.order {
-		ts := r.tags[epc]
+	for _, ts := range r.order {
 		if ts.err != nil {
 			continue
 		}
 		ps, err := ts.tracker.Flush()
-		r.emit(epc, ts, ps)
+		r.emit(ts, ps)
 		if err != nil {
-			ts.err = fmt.Errorf("engine: tag %s: %w", epc, err)
+			ts.err = fmt.Errorf("engine: tag %s: %w", ts.key, err)
 			if first == nil {
 				first = ts.err
 			}
@@ -151,22 +159,21 @@ func (r *Replayer) Flush() error {
 	return first
 }
 
-func (r *Replayer) emit(epc rfid.EPC, ts *tagState, ps []realtime.Position) {
+func (r *Replayer) emit(ts *tagState, ps []realtime.Position) {
 	if len(ps) == 0 {
 		return
 	}
 	ts.positions += len(ps)
 	if r.OnUpdate != nil {
-		r.OnUpdate(Update{Tag: epc.String(), Positions: ps})
+		r.OnUpdate(Update{Tag: ts.key, Positions: ps})
 	}
 }
 
 // Stats reports each tag's tracking state, in first-seen order.
 func (r *Replayer) Stats() []TagStats {
 	out := make([]TagStats, 0, len(r.order))
-	for _, epc := range r.order {
-		ts := r.tags[epc]
-		st := TagStats{Tag: epc.String(), Positions: ts.positions, Err: ts.err}
+	for _, ts := range r.order {
+		st := TagStats{Tag: ts.key, Positions: ts.positions, Err: ts.err}
 		if ts.tracker != nil {
 			st.Started = ts.tracker.Started()
 			st.MeanVote = ts.tracker.MeanVote()
@@ -187,14 +194,13 @@ func (r *Replayer) Stats() []TagStats {
 // acquired or failed terminally are reported with their error.
 func (r *Replayer) Results() []TagResult {
 	out := make([]TagResult, 0, len(r.order))
-	for _, epc := range r.order {
-		ts := r.tags[epc]
-		res := TagResult{Tag: epc.String()}
+	for _, ts := range r.order {
+		res := TagResult{Tag: ts.key}
 		switch {
 		case ts.err != nil:
 			res.Err = ts.err
 		case !ts.tracker.Started():
-			res.Err = fmt.Errorf("engine: tag %s: never acquired", epc)
+			res.Err = fmt.Errorf("engine: tag %s: never acquired", ts.key)
 		default:
 			res.Result, res.Err = ts.tracker.TraceResult()
 		}

@@ -60,10 +60,10 @@ func RunFig7() (*Fig7Report, error) {
 	}
 	samples := make([]tracing.Sample, truth.Len())
 	for i, p := range truth.Points {
-		obs := vote.Observations{}
+		var obs vote.Observations
 		src := plane.To3D(p.Pos)
 		for _, a := range dep.Antennas {
-			obs[a.ID] = phys.PathPhase(dep.Carrier, dep.Link, a.Pos.Dist(src))
+			obs.Set(a.ID, phys.PathPhase(dep.Carrier, dep.Link, a.Pos.Dist(src)))
 		}
 		samples[i] = tracing.Sample{T: p.T, Phase: obs}
 	}

@@ -310,9 +310,9 @@ func RunFig6() (*Fig6Report, error) {
 	}
 	src2 := geom.Vec2{X: 1.3, Z: 1.0}
 	src := plane.To3D(src2)
-	obs := vote.Observations{}
+	var obs vote.Observations
 	for _, a := range dep.Antennas {
-		obs[a.ID] = phys.PathPhase(dep.Carrier, dep.Link, a.Pos.Dist(src))
+		obs.Set(a.ID, phys.PathPhase(dep.Carrier, dep.Link, a.Pos.Dist(src)))
 	}
 	exp := func(m []float64) []float64 {
 		out := make([]float64, len(m))

@@ -93,16 +93,42 @@ func WrapSigned(phase float64) float64 {
 	return p
 }
 
-// modTurn is math.Mod(phase, TwoPi). Inside one turn, |phase| < 2π,
-// Mod returns its argument exactly (its reduction loop never runs), so
-// that case skips the call; NaN and ±Inf fail the range test and take
-// Mod, which maps them to NaN.
+// modTurn is math.Mod(phase, TwoPi), bit for bit. Inside one turn,
+// |phase| < 2π, Mod returns its argument exactly (its reduction loop
+// never runs), so that case skips the call. Below 2π·2^modTurnBands,
+// modTurn runs Mod's loop itself: Mod subtracts 2π·2^j for the largest
+// j with 2π·2^j ≤ r and repeats on the exact difference, so subtracting
+// each turnPow2[j] that fits, for j descending, makes the same
+// subtractions in the same order. It starts at j = e − 2, where e is
+// r's binary exponent: 2π·2^j ≤ r < 2π·2^(j+1) puts e at j+2 or j+3.
+// Larger magnitudes, NaN and ±Inf take Mod.
 func modTurn(phase float64) float64 {
 	if -TwoPi < phase && phase < TwoPi {
 		return phase
 	}
-	return math.Mod(phase, TwoPi)
+	r := math.Abs(phase)
+	if !(r < 2*turnPow2[modTurnBands-1]) {
+		return math.Mod(phase, TwoPi)
+	}
+	for j := min(int(math.Float64bits(r)>>52)-1023-2, modTurnBands-1); j >= 0; j-- {
+		if r >= turnPow2[j] {
+			r -= turnPow2[j]
+		}
+	}
+	return math.Copysign(r, phase)
 }
+
+// modTurnBands is how many 2^j bands of turns modTurn reduces without
+// math.Mod: |phase| < 2π·2^13, about 8,192 turns.
+const modTurnBands = 13
+
+// turnPow2[j] is 2π·2^j, exactly: scaling by a power of two is exact.
+var turnPow2 = func() (t [modTurnBands]float64) {
+	for j := range t {
+		t[j] = math.Ldexp(TwoPi, j)
+	}
+	return t
+}()
 
 // PathPhase returns the wrapped received phase of a pure path of the given
 // one-way length in metres: −2π·F·d/λ wrapped to [0, 2π), where F is the

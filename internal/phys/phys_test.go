@@ -192,9 +192,11 @@ func TestQuickUnwrapNextBounded(t *testing.T) {
 	}
 }
 
-// TestQuickModTurnMatchesMod holds Wrap's and WrapSigned's in-turn fast
-// path to math.Mod bit for bit: at random phases of every magnitude, at
-// ±2π, ±π and their float neighbours, at ±0, NaN and ±Inf.
+// TestQuickModTurnMatchesMod holds Wrap's and WrapSigned's reduction to
+// math.Mod bit for bit: at random phases of every magnitude, at random
+// magnitudes in every band 2π·2^j ≤ |x| < 2π·2^(j+1) up to and past the
+// bands modTurn reduces itself, at each ±2π·2^j, ±π and their float
+// neighbours, at ±0, NaN and ±Inf.
 func TestQuickModTurnMatchesMod(t *testing.T) {
 	same := func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
@@ -206,8 +208,14 @@ func TestQuickModTurnMatchesMod(t *testing.T) {
 		}
 		return true
 	}
+	// bands covers every band modTurn reduces and a few past the fallback.
+	const bands = modTurnBands + 3
 	edges := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
-	for _, b := range []float64{TwoPi, math.Pi, 2 * TwoPi} {
+	bounds := []float64{math.Pi}
+	for j := 0; j <= bands; j++ {
+		bounds = append(bounds, math.Ldexp(TwoPi, j))
+	}
+	for _, b := range bounds {
 		for _, s := range []float64{b, -b} {
 			edges = append(edges, s, math.Nextafter(s, 0), math.Nextafter(s, math.Inf(1)), math.Nextafter(s, math.Inf(-1)))
 		}
@@ -218,11 +226,20 @@ func TestQuickModTurnMatchesMod(t *testing.T) {
 		}
 	}
 	// quick draws float64s over the whole range; u also spreads one
-	// across a few turns, where the fast path's boundary lies.
-	f := func(x float64, u int32) bool {
-		return check(x) && check(float64(u)/math.MaxInt32*3*TwoPi)
+	// across a few turns, where the fast path's boundary lies, and
+	// (j, v, neg) places one anywhere in band j.
+	f := func(x float64, u int32, j uint8, v uint64, neg bool) bool {
+		lo := math.Ldexp(TwoPi, int(j)%bands)
+		y := lo + lo*float64(v)/math.MaxUint64
+		if y >= 2*lo {
+			y = math.Nextafter(2*lo, 0)
+		}
+		if neg {
+			y = -y
+		}
+		return check(x) && check(float64(u)/math.MaxInt32*3*TwoPi) && check(y)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -23,6 +23,7 @@ package realtime
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"rfidraw/internal/core"
@@ -96,9 +97,22 @@ type Tracker struct {
 	epc     rfid.EPC
 	haveEPC bool
 
-	latest    map[int]timedPhase
+	// latest holds each antenna's last phase and its report time, by
+	// antenna ID, for the IDs the heard mask marks. other is the latest
+	// report time of an antenna ID outside it (haveOther once one
+	// arrived): such a report carries no phase a pair reads, but it
+	// still makes its sweep non-empty.
+	latest    [vote.MaxAntennas]timedPhase
+	heard     uint32
+	other     time.Duration
+	haveOther bool
 	nextSweep time.Duration
-	samples   []tracing.Sample
+	// samples is the warmup buffer; acquisition empties it and keeps
+	// its capacity.
+	samples []tracing.Sample
+	// out is the position buffer Offer, Flush and OfferSample return,
+	// reused by the next call.
+	out []Position
 	// dirty records whether any report or sample has arrived since the
 	// last Flush; it makes Flush idempotent (see Flush).
 	dirty bool
@@ -144,12 +158,13 @@ func NewTracker(cfg Config) (*Tracker, error) {
 	if cfg.Scratch == nil {
 		cfg.Scratch = vote.NewScratch()
 	}
-	return &Tracker{cfg: cfg, latest: map[int]timedPhase{}}, nil
+	return &Tracker{cfg: cfg}, nil
 }
 
 // Offer ingests one report and returns any newly estimated positions.
 // Reports must arrive in non-decreasing time order across all readers
-// (interleaving between readers is fine).
+// (interleaving between readers is fine). The returned slice is the
+// tracker's buffer: it stays valid until the tracker's next call.
 func (t *Tracker) Offer(rep rfid.Report) ([]Position, error) {
 	if !t.haveEPC {
 		t.epc = rep.EPC
@@ -160,16 +175,24 @@ func (t *Tracker) Offer(rep rfid.Report) ([]Position, error) {
 		return nil, nil
 	}
 	t.dirty = true
-	var out []Position
+	out := t.out[:0]
 	// Close any sweeps that ended before this report, each appending its
 	// positions to out.
 	for rep.Time >= t.nextSweep+t.cfg.SweepInterval {
 		var err error
 		if out, err = t.closeSweep(out, false); err != nil {
+			t.out = out
 			return out, err
 		}
 	}
-	t.latest[rep.AntennaID] = timedPhase{phase: rep.PhaseRad, t: rep.Time}
+	t.out = out
+	if id := rep.AntennaID; uint(id) < vote.MaxAntennas {
+		t.latest[id] = timedPhase{phase: rep.PhaseRad, t: rep.Time}
+		t.heard |= 1 << id
+	} else if !t.haveOther || rep.Time > t.other {
+		// In time order the latest report is every such ID's last.
+		t.other, t.haveOther = rep.Time, true
+	}
 	return out, nil
 }
 
@@ -185,22 +208,29 @@ func (t *Tracker) Offer(rep rfid.Report) ([]Position, error) {
 // a fresh sample — emitting a duplicate position from stale data — which
 // is exactly what racing drain paths (a serving pump's idle drain vs. an
 // explicit client Flush vs. session close) used to do.
+//
+// Like Offer's, the returned slice stays valid until the next call.
 func (t *Tracker) Flush() ([]Position, error) {
 	if !t.dirty {
 		return nil, nil
 	}
 	t.dirty = false
-	return t.closeSweep(nil, true)
+	out, err := t.closeSweep(t.out[:0], true)
+	t.out = out
+	return out, err
 }
 
 // OfferSample feeds one already-merged sweep sample, bypassing report
 // merging: the entry point for sample-level replays — and the
 // batch/streaming equivalence tests, which push the exact samples a
 // batch Trace consumes. Mixing OfferSample with report-level Offer on
-// one tracker is unsupported. The sample's phase map is not retained.
+// one tracker is unsupported. Like Offer's, the returned slice stays
+// valid until the next call.
 func (t *Tracker) OfferSample(s tracing.Sample) ([]Position, error) {
 	t.dirty = true
-	return t.offerSample(nil, s, false)
+	out, err := t.offerSample(t.out[:0], &s, false)
+	t.out = out
+	return out, err
 }
 
 // closeSweep snapshots the current per-antenna phases as one sample and
@@ -211,18 +241,17 @@ func (t *Tracker) OfferSample(s tracing.Sample) ([]Position, error) {
 func (t *Tracker) closeSweep(out []Position, final bool) ([]Position, error) {
 	now := t.nextSweep
 	t.nextSweep += t.cfg.SweepInterval
-	// The observation map is the scratch's reusable buffer: sweep
-	// merging must not allocate on the steady-state path. offerSample
-	// clones it when buffering for warmup.
-	obs := t.cfg.Scratch.ObsBuf()
 	// Phases older than 2.2 sweep intervals are too stale to use.
 	maxAge := t.cfg.SweepInterval * 11 / 5
-	for id, tp := range t.latest {
-		if now+t.cfg.SweepInterval-tp.t <= maxAge {
-			obs[id] = tp.phase
+	fresh := func(at time.Duration) bool { return now+t.cfg.SweepInterval-at <= maxAge }
+	sample := tracing.Sample{T: now}
+	for m := t.heard; m != 0; m &= m - 1 {
+		id := bits.TrailingZeros32(m)
+		if tp := &t.latest[id]; fresh(tp.t) {
+			sample.Phase.Set(id, tp.phase)
 		}
 	}
-	if len(obs) == 0 {
+	if sample.Phase.Len() == 0 && !(t.haveOther && fresh(t.other)) {
 		if final && !t.started && len(t.samples) > 0 {
 			// End of stream mid-warmup with nothing new this sweep:
 			// still try to acquire over the buffered prefix.
@@ -230,16 +259,16 @@ func (t *Tracker) closeSweep(out []Position, final bool) ([]Position, error) {
 		}
 		return out, nil
 	}
-	return t.offerSample(out, tracing.Sample{T: now, Phase: obs}, final)
+	return t.offerSample(out, &sample, final)
 }
 
 // offerSample advances the pipeline with one merged sample, appending
-// any positions to out.
-func (t *Tracker) offerSample(out []Position, sample tracing.Sample, final bool) ([]Position, error) {
+// any positions to out. Warmup buffering copies the sample.
+func (t *Tracker) offerSample(out []Position, sample *tracing.Sample, final bool) ([]Position, error) {
 	if t.started {
 		return t.push(out, sample), nil
 	}
-	t.samples = append(t.samples, cloneSample(sample))
+	t.samples = append(t.samples, *sample)
 	if len(t.samples) < DefaultWarmupSamples && !final {
 		return out, nil
 	}
@@ -268,23 +297,23 @@ func (t *Tracker) tryAcquire(out []Position, final bool) ([]Position, error) {
 	t.ms = ms
 	t.cstats = cstats
 	t.started = true
-	for _, s := range t.samples[start:] {
-		out = t.push(out, s)
+	for i := start; i < len(t.samples); i++ {
+		out = t.push(out, &t.samples[i])
 		if !t.started {
 			// A long replayed prefix can itself trip the loss detector
-			// (push dropped the stream and reset the buffer); stop
+			// (push dropped the stream and emptied the buffer); stop
 			// replaying the stale tail.
 			return out, nil
 		}
 	}
-	t.samples = nil
+	t.samples = t.samples[:0]
 	return out, nil
 }
 
 // push extends the live stream by one sample, appending the leader's new
 // position to out, and runs the tracking-loss detector over its votes.
-func (t *Tracker) push(out []Position, sample tracing.Sample) []Position {
-	st, ok := t.ms.Push(sample)
+func (t *Tracker) push(out []Position, sample *tracing.Sample) []Position {
+	st, ok := t.ms.Push(*sample)
 	if !ok {
 		return out
 	}
@@ -296,7 +325,7 @@ func (t *Tracker) push(out []Position, sample tracing.Sample) []Position {
 	if t.recent.n == reacquireWindow && t.recent.mean() < t.cfg.ReacquireVote {
 		t.retireStream()
 		t.recent = voteWindow{}
-		t.samples = nil
+		t.samples = t.samples[:0]
 		t.reacquisitions++
 		return out
 	}
@@ -344,23 +373,13 @@ func (t *Tracker) retireStream() {
 	t.started = false
 }
 
-// cloneSample deep-copies a sample for warmup buffering: the phase map a
-// sweep hands in lives in a reusable scratch buffer.
-func cloneSample(s tracing.Sample) tracing.Sample {
-	phase := make(vote.Observations, len(s.Phase))
-	for id, ph := range s.Phase {
-		phase[id] = ph
-	}
-	return tracing.Sample{T: s.T, Phase: phase}
-}
-
 // Reacquisitions reports how many times tracking was lost and restarted.
 func (t *Tracker) Reacquisitions() int { return t.reacquisitions }
 
-// SearchEvals reports the cumulative vote-surface evaluation count this
-// tracker has spent across acquisitions and live tracing — the streaming
-// counterpart of Trace's per-result SearchEvals, used by serving-layer
-// metrics.
+// SearchEvals reports the cumulative tracing-step evaluation count of
+// every stream this tracker has run — the streaming counterpart of
+// Trace's per-result SearchEvals, used by serving-layer metrics. It
+// counts no acquisition work: that is CandidateStats.GridEvals.
 func (t *Tracker) SearchEvals() int {
 	n := t.evals
 	if t.ms != nil {

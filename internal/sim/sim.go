@@ -339,9 +339,9 @@ func (s *Scenario) RunWords(texts []string, starts []geom.Vec2) (*MultiWordRun, 
 	// of single-tag observation).
 	maxAge := 2*time.Duration(n)*sweep + 5*time.Millisecond
 	run.ReportsRF = make([][]rfid.Report, len(s.readersRF))
-	merged := make([]map[time.Duration]vote.Observations, n)
+	merged := make([]map[time.Duration]*vote.Observations, n)
 	for i := range merged {
-		merged[i] = map[time.Duration]vote.Observations{}
+		merged[i] = map[time.Duration]*vote.Observations{}
 	}
 	for ri, r := range s.readersRF {
 		reports, err := r.InventoryMulti(dur, run.Tags, tracks, s.rng)
@@ -353,11 +353,11 @@ func (s *Scenario) RunWords(texts []string, starts []geom.Vec2) (*MultiWordRun, 
 			for _, snap := range rfid.GroupSweeps(reports, tag.EPC, sweep, maxAge) {
 				obs, ok := merged[ti][snap.Time]
 				if !ok {
-					obs = vote.Observations{}
+					obs = &vote.Observations{}
 					merged[ti][snap.Time] = obs
 				}
 				for id, ph := range snap.Phase {
-					obs[id] = ph
+					obs.Set(id, ph)
 				}
 			}
 		}
@@ -367,7 +367,7 @@ func (s *Scenario) RunWords(texts []string, starts []geom.Vec2) (*MultiWordRun, 
 		var out []tracing.Sample
 		for t := time.Duration(0); t <= dur; t += sweep {
 			if obs, ok := merged[ti][t]; ok {
-				out = append(out, tracing.Sample{T: t, Phase: obs})
+				out = append(out, tracing.Sample{T: t, Phase: *obs})
 			}
 		}
 		if len(out) == 0 {
@@ -404,24 +404,24 @@ func (s *Scenario) observe(readers []*rfid.Reader, dur time.Duration, at func(ti
 	// at hand speed the round-trip path changes a quarter turn in tens of
 	// milliseconds. Two sweeps is the longest safe hold.
 	const maxAge = 55 * time.Millisecond
-	merged := map[time.Duration]vote.Observations{}
+	merged := map[time.Duration]*vote.Observations{}
 	for _, r := range readers {
 		reports := r.Inventory(dur, s.Tag, at, s.rng)
 		for _, snap := range rfid.GroupSweeps(reports, s.Tag.EPC, sweep, maxAge) {
 			obs, ok := merged[snap.Time]
 			if !ok {
-				obs = vote.Observations{}
+				obs = &vote.Observations{}
 				merged[snap.Time] = obs
 			}
 			for id, ph := range snap.Phase {
-				obs[id] = ph
+				obs.Set(id, ph)
 			}
 		}
 	}
 	out := make([]tracing.Sample, 0, len(merged))
 	for t := time.Duration(0); t <= dur; t += sweep {
 		if obs, ok := merged[t]; ok {
-			out = append(out, tracing.Sample{T: t, Phase: obs})
+			out = append(out, tracing.Sample{T: t, Phase: *obs})
 		}
 	}
 	if len(out) == 0 {

@@ -63,8 +63,11 @@ func TestScenarioDeterministic(t *testing.T) {
 		t.Fatal("scenario not deterministic")
 	}
 	for i := range a.SamplesRF {
-		for id, ph := range a.SamplesRF[i].Phase {
-			if b.SamplesRF[i].Phase[id] != ph {
+		if a.SamplesRF[i].Phase.Len() != b.SamplesRF[i].Phase.Len() {
+			t.Fatal("phase streams differ across identical seeds")
+		}
+		for id, ph := range a.SamplesRF[i].Phase.All() {
+			if got, _ := b.SamplesRF[i].Phase.Phase(id); got != ph {
 				t.Fatal("phase streams differ across identical seeds")
 			}
 		}
@@ -91,8 +94,8 @@ func TestRunWordShapes(t *testing.T) {
 	}
 	// RF samples cover all 8 antennas in steady state.
 	mid := wr.SamplesRF[len(wr.SamplesRF)/2]
-	if len(mid.Phase) < 6 {
-		t.Fatalf("mid-trace sample has only %d phases", len(mid.Phase))
+	if mid.Phase.Len() < 6 {
+		t.Fatalf("mid-trace sample has only %d phases", mid.Phase.Len())
 	}
 	// Time-ordered.
 	for i := 1; i < len(wr.SamplesRF); i++ {
@@ -138,7 +141,7 @@ func TestFarTagMostlyLost(t *testing.T) {
 		// Occasional lucky reads are acceptable; full coverage is not.
 		complete := 0
 		for _, smp := range rf {
-			if len(smp.Phase) == 8 {
+			if smp.Phase.Len() == 8 {
 				complete++
 			}
 		}

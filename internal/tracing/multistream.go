@@ -36,11 +36,14 @@ type MultiConfig struct {
 }
 
 // hypothesis is one candidate initial position's lobe-locked stream
-// state: its lobe lock per pair over the stream's shared track.
+// state: its lobe lock per pair over the stream's shared track, and its
+// position with that position's antenna distances, which the next
+// sample's first vote reads.
 type hypothesis struct {
 	initial  vote.Candidate
 	lobes    []int
 	pos      geom.Vec2
+	dist     []float64
 	total    float64
 	count    int
 	evals    int
@@ -94,17 +97,16 @@ type MultiStream struct {
 	emitted     bool
 	switches    int
 	retirements int
-	// obs holds the current sample's pair observables and ants the
-	// per-antenna phases observe reads them from.
-	obs  []pairObs
-	ants []antPhase
+	// obs holds the current sample's pair observables.
+	obs []pairObs
 	// track is the stream's unwrapped track, one per pair, advanced once
 	// per sample for every hypothesis; fresh lists the pairs the current
 	// sample showed for the first time, which each hypothesis locks.
 	track []pairTrack
 	fresh []int
-	// dir is the kernel's per-antenna direction buffer for the step.
-	dir []float64
+	// bufs are the step's buffers; trial is the scratch's distance
+	// buffer, borrowed per sample.
+	bufs stepBufs
 }
 
 // NewMultiStream is NewMultiStreamWith with a private scratch.
@@ -140,13 +142,18 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 	if sc == nil {
 		sc = vote.NewScratch()
 	}
+	// One slab holds every hypothesis's distances and the stream's turns
+	// and direction buffers, another every hypothesis's lobe locks.
+	nAnt, nPair := tr.kernel.Antennas(), len(tr.pairs)
+	slab := make([]float64, len(cands)*nAnt+nPair+2*nAnt)
+	lobes := make([]int, len(cands)*nPair)
 	ms := &MultiStream{
 		tr: tr, cfg: cfg, sc: sc, hyps: make([]hypothesis, len(cands)),
-		obs: make([]pairObs, len(tr.pairs)), ants: make([]antPhase, len(tr.antIDs)),
-		track: make([]pairTrack, len(tr.pairs)), fresh: make([]int, 0, len(tr.pairs)),
-		dir: make([]float64, 2*tr.kernel.Antennas()),
+		obs: make([]pairObs, nPair), track: make([]pairTrack, nPair), fresh: make([]int, 0, nPair),
 	}
-	tr.observe(first.Phase, ms.ants, ms.obs)
+	ms.bufs.turns, slab = slab[:nPair:nPair], slab[nPair:]
+	ms.bufs.dir, slab = slab[:2*nAnt:2*nAnt], slab[2*nAnt:]
+	tr.observe(&first.Phase, ms.obs)
 	var observed int
 	ms.fresh, observed = update(ms.track, ms.obs, ms.fresh)
 	if observed < tr.cfg.MinPairs {
@@ -155,7 +162,8 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 	for hi := range cands {
 		h := &ms.hyps[hi]
 		h.initial = cands[hi]
-		h.lobes = make([]int, len(tr.pairs))
+		h.lobes = lobes[hi*nPair : (hi+1)*nPair : (hi+1)*nPair]
+		h.dist = slab[hi*nAnt : (hi+1)*nAnt : (hi+1)*nAnt]
 		tr.lockFresh(h.lobes, ms.fresh, ms.track, cands[hi].Pos)
 		for _, ov := range overrides {
 			if ov.PairIndex < 0 || ov.PairIndex >= len(h.lobes) {
@@ -164,6 +172,7 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 			h.lobes[ov.PairIndex] += ov.DeltaK
 		}
 		h.pos = tr.cfg.Region.Clip(cands[hi].Pos)
+		tr.kernel.Distances(tr.cfg.Plane.To3D(h.pos), h.dist)
 	}
 	return ms, nil
 }
@@ -173,8 +182,8 @@ func (tr *Tracer) NewMultiStreamWith(sc *vote.Scratch, cands []vote.Candidate, f
 // reply loss (no hypothesis could advance).
 func (ms *MultiStream) Push(sample Sample) (step Step, ok bool) {
 	advanced := false
-	dist := ms.sc.DistBuf(ms.tr.kernel.Antennas())
-	ms.tr.observe(sample.Phase, ms.ants, ms.obs)
+	ms.bufs.trial = ms.sc.DistBuf(ms.tr.kernel.Antennas())
+	ms.tr.observe(&sample.Phase, ms.obs)
 	var active int
 	ms.fresh, active = update(ms.track, ms.obs, ms.fresh)
 	for hi := range ms.hyps {
@@ -188,7 +197,7 @@ func (ms *MultiStream) Push(sample Sample) (step Step, ok bool) {
 		}
 		var v float64
 		var evals int
-		h.pos, v, evals = ms.tr.step(ms.track, h.lobes, h.pos, dist, ms.dir)
+		h.pos, v, evals = ms.tr.step(ms.track, h.lobes, h.pos, h.dist, &ms.bufs)
 		h.evals += evals
 		h.total += v
 		h.count++

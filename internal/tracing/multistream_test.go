@@ -204,12 +204,12 @@ func TestMultiStreamHypothesesMatchSingleStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	path := circlePath(geom.Vec2{X: 1.3, Z: 1.0}, 0.12, 120)
 	samples := synthSamples(d, path, 0.05, rng)
-	for si, s := range samples {
+	for si := range samples {
 		for _, a := range d.Antennas {
 			// Antenna 8 stays unheard for the first 20 samples; after
 			// that any antenna drops out of one sample in six.
 			if (si < 20 && a.ID == 8) || rng.Intn(6) == 0 {
-				delete(s.Phase, a.ID)
+				samples[si].Phase.Forget(a.ID)
 			}
 		}
 	}

@@ -13,7 +13,7 @@ func TestNewStreamValidation(t *testing.T) {
 	path := circlePath(geom.Vec2{X: 1.3, Z: 1.0}, 0.05, 10)
 	samples := synthSamples(d, path, 0, nil)
 	// Starved first sample: cannot lock enough pairs.
-	if _, err := tr.NewStream(path[0], Sample{T: 0, Phase: vote.Observations{1: 0.2}}); err == nil {
+	if _, err := tr.NewStream(path[0], Sample{T: 0, Phase: vote.ObservationsOf(map[int]float64{1: 0.2})}); err == nil {
 		t.Fatal("starved stream start should error")
 	}
 	s, err := tr.NewStream(path[0], samples[0])
@@ -69,7 +69,7 @@ func TestStreamSkipsStarvedSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := stream.Push(Sample{T: samples[1].T, Phase: vote.Observations{}}); ok {
+	if _, _, ok := stream.Push(Sample{T: samples[1].T}); ok {
 		t.Fatal("starved sample should be skipped")
 	}
 	// The stream continues cleanly afterwards.

@@ -33,7 +33,7 @@ package tracing
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 	"time"
 
@@ -45,7 +45,7 @@ import (
 )
 
 // Sample is one merged observation instant: the wrapped phase of every
-// antenna that was heard around time T.
+// antenna that was heard around time T. It is a fixed-size value.
 type Sample struct {
 	T     time.Duration
 	Phase vote.Observations
@@ -139,12 +139,10 @@ type Tracer struct {
 	// kernel evaluates the pairs' fixed-lobe votes; pair i of the kernel
 	// is pairs[i], which is also a pairTrack and lobe-lock index.
 	kernel *antenna.Kernel
-	// antIDs are the distinct antenna IDs the pairs span, in first-use
-	// order, and ends[i] holds pair i's two indices into antIDs: observe
-	// reads each antenna's phase once per sample.
-	antIDs []int
-	ends   [][2]int
-	cfg    Config
+	// ends[i] holds pair i's two antenna IDs: the sweep slots observe
+	// reads.
+	ends [][2]int
+	cfg  Config
 	// scratch pools reusable search state for Trace calls that are not
 	// handed an explicit scratch; the engine's shards pass their own.
 	scratch sync.Pool
@@ -160,16 +158,12 @@ func NewTracer(pairs []antenna.Pair, cfg Config) (*Tracer, error) {
 	if cfg.Region.Width() <= 0 || cfg.Region.Height() <= 0 {
 		return nil, fmt.Errorf("tracing: degenerate region %+v", cfg.Region)
 	}
-	tr := &Tracer{pairs: pairs, kernel: antenna.NewKernel(pairs), ends: make([][2]int, len(pairs)), cfg: cfg}
-	slot := func(id int) int {
-		if a := slices.Index(tr.antIDs, id); a >= 0 {
-			return a
-		}
-		tr.antIDs = append(tr.antIDs, id)
-		return len(tr.antIDs) - 1
+	if err := vote.CheckAntennaIDs(pairs); err != nil {
+		return nil, fmt.Errorf("tracing: %w", err)
 	}
+	tr := &Tracer{pairs: pairs, kernel: antenna.NewKernel(pairs), ends: make([][2]int, len(pairs)), cfg: cfg}
 	for i, p := range pairs {
-		tr.ends[i] = [2]int{slot(p.I.ID), slot(p.J.ID)}
+		tr.ends[i] = [2]int{p.I.ID, p.J.ID}
 	}
 	tr.scratch.New = func() any { return vote.NewScratch() }
 	return tr, nil
@@ -267,26 +261,15 @@ type pairObs struct {
 	ok    bool
 }
 
-// antPhase is one antenna's phase in one sample, and whether it was
-// heard.
-type antPhase struct {
-	phase float64
-	ok    bool
-}
-
 // observe computes every pair's observable in obs into out (one slot per
-// tracer pair), once per sample for all hypotheses. It reads each
-// antenna's phase once into ants (one slot per antIDs entry), then forms
-// each pair's difference from its two slots, as vote.PairTurns does from
-// the map.
-func (tr *Tracer) observe(obs vote.Observations, ants []antPhase, out []pairObs) {
-	for a, id := range tr.antIDs {
-		ants[a].phase, ants[a].ok = obs[id]
-	}
+// tracer pair), once per sample for all hypotheses: vote.PairTurns,
+// read from the sweep's slots of the pair's two antenna IDs.
+func (tr *Tracer) observe(obs *vote.Observations, out []pairObs) {
 	for i, e := range tr.ends {
-		pi, pj := ants[e[0]], ants[e[1]]
-		if pi.ok && pj.ok {
-			out[i] = pairObs{turns: antenna.PhaseDiffTurns(pi.phase, pj.phase), ok: true}
+		pi, okI := obs.Phase(e[0])
+		pj, okJ := obs.Phase(e[1])
+		if okI && okJ {
+			out[i] = pairObs{turns: antenna.PhaseDiffTurns(pi, pj), ok: true}
 		} else {
 			out[i] = pairObs{}
 		}
@@ -331,44 +314,68 @@ func (tr *Tracer) lockFresh(lobes, fresh []int, track []pairTrack, cur geom.Vec2
 	}
 }
 
-// totalFixedVote sums every seen pair's fixed-lobe vote at a position,
-// taking each antenna's distance once into dist (the kernel's Antennas
-// slots).
-func (tr *Tracer) totalFixedVote(track []pairTrack, lobes []int, pos geom.Vec2, dist []float64) float64 {
-	tr.kernel.Distances(tr.cfg.Plane.To3D(pos), dist)
+// stepBufs are a stream's buffers for the per-sample step, shared by
+// its hypotheses: trial takes a trial position's antenna distances
+// (Antennas slots), turns each seen pair's F·Δd/λ at the position voted
+// last (one slot per pair), and dir the kernel's direction derivatives
+// (2·Antennas slots).
+type stepBufs struct {
+	trial, turns, dir []float64
+}
+
+// fixedVote sums every seen pair's fixed-lobe vote at the position whose
+// antenna distances dist holds (the kernel's Antennas slots), and writes
+// each seen pair's F·Δd/λ there into turns for the Jacobian pass.
+func (tr *Tracer) fixedVote(track []pairTrack, lobes []int, dist, turns []float64) float64 {
 	var sum float64
 	for i := range track {
 		if !track[i].seen {
 			continue
 		}
-		sum += tr.kernel.VoteFixed(i, dist, track[i].turns, lobes[i])
+		t := tr.kernel.DeltaDistTurns(i, dist)
+		turns[i] = t
+		sum += antenna.FixedLobeVote(t, track[i].turns, lobes[i])
 	}
 	return sum
+}
+
+// voteAt takes pos's antenna distances into dist and returns fixedVote
+// there.
+func (tr *Tracer) voteAt(track []pairTrack, lobes []int, pos geom.Vec2, dist, turns []float64) float64 {
+	tr.kernel.Distances(tr.cfg.Plane.To3D(pos), dist)
+	return tr.fixedVote(track, lobes, dist, turns)
 }
 
 // step finds the position in the vicinity of cur maximising the total
 // fixed-lobe vote of the track under a hypothesis's lobe locks, and
 // returns it with the vote there and the number of evaluations spent.
-// dist and dir are the kernel's distance and direction buffers
-// (Antennas and 2·Antennas slots). The default mode solves for the
-// maximum (solve); dense mode is the original exhaustive lattice scan
-// plus shrinking pattern search, kept as the reference.
-func (tr *Tracer) step(track []pairTrack, lobes []int, cur geom.Vec2, dist, dir []float64) (geom.Vec2, float64, int) {
+// dist holds cur's antenna distances on entry, which a hypothesis keeps
+// from its last step, and the returned position's on return. The
+// default mode solves for the maximum (solve); dense mode is the
+// original exhaustive lattice scan plus shrinking pattern search, kept
+// as the reference.
+func (tr *Tracer) step(track []pairTrack, lobes []int, cur geom.Vec2, dist []float64, b *stepBufs) (geom.Vec2, float64, int) {
 	if tr.cfg.Search.Mode == vote.SearchHierarchical {
-		return tr.solve(track, lobes, cur, dist, dir)
+		return tr.solve(track, lobes, cur, dist, b)
 	}
 	best := cur
-	bestV := tr.totalFixedVote(track, lobes, cur, dist)
+	bestV := tr.fixedVote(track, lobes, dist, b.turns)
 	evals := 1
+	try := func(cand geom.Vec2) bool {
+		evals++
+		v := tr.voteAt(track, lobes, cand, b.trial, b.turns)
+		if v > bestV {
+			bestV, best = v, cand
+			copy(dist, b.trial)
+			return true
+		}
+		return false
+	}
 	r := tr.cfg.VicinityRadius
 	s := tr.cfg.VicinityStep
 	for dx := -r; dx <= r+1e-12; dx += s {
 		for dz := -r; dz <= r+1e-12; dz += s {
-			cand := tr.cfg.Region.Clip(geom.Vec2{X: cur.X + dx, Z: cur.Z + dz})
-			evals++
-			if v := tr.totalFixedVote(track, lobes, cand, dist); v > bestV {
-				bestV, best = v, cand
-			}
+			try(tr.cfg.Region.Clip(geom.Vec2{X: cur.X + dx, Z: cur.Z + dz}))
 		}
 	}
 	// Refine with a shrinking 3×3 pattern search down to FineStep.
@@ -380,10 +387,7 @@ func (tr *Tracer) step(track []pairTrack, lobes []int, cur geom.Vec2, dist, dir 
 				if dx == 0 && dz == 0 {
 					continue
 				}
-				cand := tr.cfg.Region.Clip(geom.Vec2{X: best.X + float64(dx)*step, Z: best.Z + float64(dz)*step})
-				evals++
-				if v := tr.totalFixedVote(track, lobes, cand, dist); v > bestV {
-					bestV, best = v, cand
+				if try(tr.cfg.Region.Clip(geom.Vec2{X: best.X + float64(dx)*step, Z: best.Z + float64(dz)*step})) {
 					improved = true
 				}
 			}
@@ -418,20 +422,21 @@ const (
 // 2×2 normal equations, clamps the move to ±VicinityRadius around cur
 // and then to the region, and accepts it only if the vote strictly
 // rises; a rejected move raises the damping and retries. The returned
-// vote is the totalFixedVote of the returned position, and the count
-// includes Jacobian passes.
-func (tr *Tracer) solve(track []pairTrack, lobes []int, cur geom.Vec2, dist, dir []float64) (geom.Vec2, float64, int) {
+// vote is the fixedVote of the returned position, and the count
+// includes Jacobian passes. dist is step's: cur's distances on entry,
+// the answer's on return.
+func (tr *Tracer) solve(track []pairTrack, lobes []int, cur geom.Vec2, dist []float64, b *stepBufs) (geom.Vec2, float64, int) {
 	r := tr.cfg.VicinityRadius
 	window := geom.Rect{Min: geom.Vec2{X: cur.X - r, Z: cur.Z - r}, Max: geom.Vec2{X: cur.X + r, Z: cur.Z + r}}
 	best := cur
-	bestV := tr.totalFixedVote(track, lobes, cur, dist)
+	bestV := tr.fixedVote(track, lobes, dist, b.turns)
 	evals := 1
 	damp := 0.0
 	for iter := 0; iter < solveIters; iter++ {
-		// dist holds best's distances: it was the last position voted.
-		jxx, jxz, jzz, gx, gz := tr.normalEquations(track, lobes, best, dist, dir)
+		// The last vote was taken at best: b.turns holds its values.
+		jxx, jxz, jzz, gx, gz := tr.normalEquations(track, lobes, best, dist, b)
 		evals++
-		moved := -1.0
+		short := true
 		for try := 0; try <= solveRetries; try++ {
 			axx, azz := jxx*(1+damp), jzz*(1+damp)
 			det := axx*azz - jxz*jxz
@@ -443,36 +448,42 @@ func (tr *Tracer) solve(track []pairTrack, lobes []int, cur geom.Vec2, dist, dir
 				Z: best.Z - (axx*gz-jxz*gx)/det,
 			}
 			cand = tr.cfg.Region.Clip(window.Clip(cand))
-			v := tr.totalFixedVote(track, lobes, cand, dist)
+			v := tr.voteAt(track, lobes, cand, b.trial, b.turns)
 			evals++
 			if v > bestV {
-				moved = cand.Dist(best)
+				// The move's length is math.Hypot of its axis offsets,
+				// never below either, so an offset of solveMinMove or
+				// more settles the test without it.
+				dx, dz := math.Abs(cand.X-best.X), math.Abs(cand.Z-best.Z)
+				short = dx < solveMinMove && dz < solveMinMove && cand.Dist(best) < solveMinMove
 				best, bestV = cand, v
+				copy(dist, b.trial)
 				damp /= solveDampFactor
 				break
 			}
 			damp = max(damp*solveDampFactor, solveDampFloor)
 		}
-		if moved < solveMinMove {
+		if short {
 			break
 		}
 	}
 	return best, bestV, evals
 }
 
-// normalEquations is one Jacobian pass at pos (whose distances dist
-// holds): the entries of JᵀJ and Jᵀr for the seen pairs' residuals
+// normalEquations is one Jacobian pass at pos, whose distances dist
+// holds and whose pairs' F·Δd/λ the vote just taken there left in
+// b.turns: the entries of JᵀJ and Jᵀr for the seen pairs' residuals
 // r = F·Δd/λ − unwrapped − k, J = ∂r/∂(x, z). It takes every antenna's
-// distance derivatives once into dir, and each pair's gradient reads its
-// two elements' slots.
-func (tr *Tracer) normalEquations(track []pairTrack, lobes []int, pos geom.Vec2, dist, dir []float64) (jxx, jxz, jzz, gx, gz float64) {
-	tr.kernel.Directions(tr.cfg.Plane.To3D(pos), dist, dir)
+// distance derivatives once into b.dir, and each pair's gradient reads
+// its two elements' slots.
+func (tr *Tracer) normalEquations(track []pairTrack, lobes []int, pos geom.Vec2, dist []float64, b *stepBufs) (jxx, jxz, jzz, gx, gz float64) {
+	tr.kernel.Directions(tr.cfg.Plane.To3D(pos), dist, b.dir)
 	for i := range track {
 		if !track[i].seen {
 			continue
 		}
-		t, dx, dz := tr.kernel.DeltaDistTurnsGrad(i, dist, dir)
-		r := t - track[i].turns - float64(lobes[i])
+		dx, dz := tr.kernel.Grad(i, b.dir)
+		r := b.turns[i] - track[i].turns - float64(lobes[i])
 		jxx += dx * dx
 		jxz += dx * dz
 		jzz += dz * dz

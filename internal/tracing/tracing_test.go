@@ -3,6 +3,7 @@ package tracing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -36,13 +37,13 @@ func synthSamples(d *deploy.RFIDraw, positions []geom.Vec2, noise float64, rng *
 	out := make([]Sample, len(positions))
 	for i, p2 := range positions {
 		src := plane.To3D(p2)
-		obs := vote.Observations{}
+		var obs vote.Observations
 		for _, a := range d.Antennas {
 			ph := phys.PathPhase(d.Carrier, d.Link, a.Pos.Dist(src))
 			if noise > 0 && rng != nil {
 				ph += rng.NormFloat64() * noise
 			}
-			obs[a.ID] = phys.Wrap(ph)
+			obs.Set(a.ID, phys.Wrap(ph))
 		}
 		out[i] = Sample{T: time.Duration(i) * dt, Phase: obs}
 	}
@@ -224,9 +225,9 @@ func TestTraceHandlesReplyLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// Drop 20% of individual antenna phases.
 	for i := range samples {
-		for id := range samples[i].Phase {
+		for id := range samples[i].Phase.All() {
 			if rng.Float64() < 0.2 {
-				delete(samples[i].Phase, id)
+				samples[i].Phase.Forget(id)
 			}
 		}
 	}
@@ -249,7 +250,7 @@ func TestTraceErrors(t *testing.T) {
 	// A first sample with almost all phases missing cannot lock pairs.
 	path := circlePath(geom.Vec2{X: 1.3, Z: 1.0}, 0.05, 5)
 	samples := synthSamples(d, path, 0, nil)
-	samples[0].Phase = vote.Observations{1: 0.1}
+	samples[0].Phase = vote.ObservationsOf(map[int]float64{1: 0.1})
 	if _, err := tr.Trace(path[0], samples); err == nil {
 		t.Fatal("unobservable start should error")
 	}
@@ -374,7 +375,7 @@ func TestStreamSharedScratchIsInert(t *testing.T) {
 // seen from lockAt (the truth itself for a correct hypothesis).
 func lockedTrack(tr *Tracer, d *deploy.RFIDraw, truth, lockAt geom.Vec2) ([]pairTrack, []int) {
 	obs := make([]pairObs, len(tr.pairs))
-	tr.observe(synthSamples(d, []geom.Vec2{truth}, 0, nil)[0].Phase, make([]antPhase, len(tr.antIDs)), obs)
+	tr.observe(&synthSamples(d, []geom.Vec2{truth}, 0, nil)[0].Phase, obs)
 	track := make([]pairTrack, len(tr.pairs))
 	lobes := make([]int, len(tr.pairs))
 	fresh, _ := update(track, obs, nil)
@@ -391,27 +392,40 @@ func quickPos(ux, uz uint32, lo, hi geom.Vec2) geom.Vec2 {
 	}
 }
 
+// stepCheck runs one step from seed, as a hypothesis does: dist holds
+// the seed's antenna distances on entry. It returns the step's answer,
+// its vote and the seed's, and reports whether the vote is exactly the
+// one a fresh vote at the answer gives (Push records it as the sample's)
+// and dist was left holding the answer's distances (the next sample's
+// first vote reads them).
+func stepCheck(tr *Tracer, track []pairTrack, lobes []int, seed geom.Vec2) (pos geom.Vec2, v, seedV float64, exact bool) {
+	n := tr.kernel.Antennas()
+	b := &stepBufs{trial: make([]float64, n), turns: make([]float64, len(tr.pairs)), dir: make([]float64, 2*n)}
+	dist, at := make([]float64, n), make([]float64, n)
+	seedV = tr.voteAt(track, lobes, seed, dist, b.turns)
+	pos, v, _ = tr.step(track, lobes, seed, dist, b)
+	exact = v == tr.voteAt(track, lobes, pos, at, b.turns) && slices.Equal(dist, at)
+	return pos, v, seedV, exact
+}
+
 // TestQuickStepConvergesToTruth is the default step's convergence
 // property on noiseless samples: with every pair locked to the lobe the
 // source sits on, a step seeded anywhere in the vicinity window around
 // the truth returns within 1 mm of it, never returns a lower vote than
-// the seed's, and returns exactly the totalFixedVote of the position it
-// returns (Push records that vote as the sample's).
+// the seed's, and returns exactly the vote at the position it returns,
+// leaving that position's distances in the hypothesis's buffer.
 func TestQuickStepConvergesToTruth(t *testing.T) {
 	tr, d := testTracer(t)
 	region := tr.cfg.Region
 	r := geom.Vec2{X: tr.cfg.VicinityRadius, Z: tr.cfg.VicinityRadius}
-	dist := make([]float64, tr.kernel.Antennas())
-	dir := make([]float64, 2*tr.kernel.Antennas())
 	f := func(ux, uz, ox, oz uint32) bool {
 		truth := quickPos(ux, uz, region.Min, region.Max)
 		seed := region.Clip(truth.Add(quickPos(ox, oz, r.Scale(-1), r)))
 		track, lobes := lockedTrack(tr, d, truth, truth)
-		seedV := tr.totalFixedVote(track, lobes, seed, dist)
-		pos, v, _ := tr.step(track, lobes, seed, dist, dir)
-		if off := pos.Dist(truth); off > 0.001 || v < seedV || v != tr.totalFixedVote(track, lobes, pos, dist) {
-			t.Logf("truth %v seed %v: step returned %v (off %v) vote %v, seed vote %v, vote there %v",
-				truth, seed, pos, off, v, seedV, tr.totalFixedVote(track, lobes, pos, dist))
+		pos, v, seedV, exact := stepCheck(tr, track, lobes, seed)
+		if off := pos.Dist(truth); off > 0.001 || v < seedV || !exact {
+			t.Logf("truth %v seed %v: step returned %v (off %v) vote %v, seed vote %v, exact %v",
+				truth, seed, pos, off, v, seedV, exact)
 			return false
 		}
 		return true
@@ -425,25 +439,22 @@ func TestQuickStepConvergesToTruth(t *testing.T) {
 // property: with the pairs locked to the lobes of a wrong position up
 // to 0.6 m away (a wrong hypothesis, whose residuals no position
 // zeroes), the step still never answers with a lower vote than its
-// seed's, and answers with the totalFixedVote of its position. An
-// undamped step that took every move would break the first claim in
-// about 1 case in 500.
+// seed's, and answers with the vote at its position, whose distances it
+// leaves in the hypothesis's buffer. An undamped step that took every
+// move would break the first claim in about 1 case in 500.
 func TestQuickStepNeverLowersVote(t *testing.T) {
 	tr, d := testTracer(t)
 	region := tr.cfg.Region
 	r := geom.Vec2{X: tr.cfg.VicinityRadius, Z: tr.cfg.VicinityRadius}
 	wrong := geom.Vec2{X: 0.6, Z: 0.6}
-	dist := make([]float64, tr.kernel.Antennas())
-	dir := make([]float64, 2*tr.kernel.Antennas())
 	f := func(ux, uz, ox, oz, wx, wz uint32) bool {
 		truth := quickPos(ux, uz, region.Min, region.Max)
 		seed := region.Clip(truth.Add(quickPos(ox, oz, r.Scale(-1), r)))
 		track, lobes := lockedTrack(tr, d, truth, truth.Add(quickPos(wx, wz, wrong.Scale(-1), wrong)))
-		seedV := tr.totalFixedVote(track, lobes, seed, dist)
-		pos, v, _ := tr.step(track, lobes, seed, dist, dir)
-		if v < seedV || v != tr.totalFixedVote(track, lobes, pos, dist) {
-			t.Logf("truth %v seed %v: step returned %v vote %v, seed vote %v, vote there %v",
-				truth, seed, pos, v, seedV, tr.totalFixedVote(track, lobes, pos, dist))
+		pos, v, seedV, exact := stepCheck(tr, track, lobes, seed)
+		if v < seedV || !exact {
+			t.Logf("truth %v seed %v: step returned %v vote %v, seed vote %v, exact %v",
+				truth, seed, pos, v, seedV, exact)
 			return false
 		}
 		return true
@@ -453,24 +464,23 @@ func TestQuickStepNeverLowersVote(t *testing.T) {
 	}
 }
 
-// TestObserveMatchesPairTurns: reading each antenna's phase once and
-// pairing the slots gives every pair exactly vote.PairTurns' observable,
-// for samples with random antennas unheard.
+// TestObserveMatchesPairTurns: reading each pair's two antenna slots
+// gives every pair exactly vote.PairTurns' observable, for samples with
+// random antennas unheard.
 func TestObserveMatchesPairTurns(t *testing.T) {
 	tr, d := testTracer(t)
 	rng := rand.New(rand.NewSource(11))
 	samples := synthSamples(d, circlePath(geom.Vec2{X: 1.3, Z: 1.0}, 0.12, 40), 0.05, rng)
-	ants := make([]antPhase, len(tr.antIDs))
 	out := make([]pairObs, len(tr.pairs))
 	for si, s := range samples {
-		for id := range s.Phase {
+		for id := range s.Phase.All() {
 			if rng.Intn(4) == 0 {
-				delete(s.Phase, id)
+				s.Phase.Forget(id)
 			}
 		}
-		tr.observe(s.Phase, ants, out)
+		tr.observe(&s.Phase, out)
 		for i, p := range tr.pairs {
-			turns, ok := vote.PairTurns(p, s.Phase)
+			turns, ok := vote.PairTurns(p, &s.Phase)
 			if out[i] != (pairObs{turns: turns, ok: ok}) {
 				t.Fatalf("sample %d pair %d: observe %+v, PairTurns (%v, %v)", si, i, out[i], turns, ok)
 			}

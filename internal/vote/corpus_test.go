@@ -1,7 +1,6 @@
 package vote_test
 
 import (
-	"maps"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -70,12 +69,12 @@ func TestCandidatesMatchReferenceOnCorpus(t *testing.T) {
 					continue
 				}
 				full := averageWindow(samples[start : start+average])
-				lost := maps.Clone(full)
+				lost := full
 				for _, id := range reader1 {
-					delete(lost, id)
+					lost.Forget(id)
 				}
 				for _, obs := range []vote.Observations{full, lost} {
-					got, gotStats, gotErr := p.CandidatesWith(sc, obs)
+					got, gotStats, gotErr := p.CandidatesWith(sc, &obs)
 					want, wantStats, wantErr := vote.ReferenceCandidates(p, obs)
 					if (gotErr != nil) != (wantErr != nil) {
 						t.Fatalf("%s tag %d window %d: error %v, reference error %v", prof.Name, tag, start, gotErr, wantErr)
@@ -117,14 +116,14 @@ func sameBits(a, b vote.Candidate) bool {
 func averageWindow(samples []tracing.Sample) vote.Observations {
 	acc := map[int]complex128{}
 	for _, s := range samples {
-		for id, ph := range s.Phase {
+		for id, ph := range s.Phase.All() {
 			acc[id] += cmplx.Rect(1, ph)
 		}
 	}
-	obs := vote.Observations{}
+	var obs vote.Observations
 	for id, c := range acc {
 		if cmplx.Abs(c) > 1e-6 {
-			obs[id] = phys.Wrap(cmplx.Phase(c))
+			obs.Set(id, phys.Wrap(cmplx.Phase(c)))
 		}
 	}
 	return obs

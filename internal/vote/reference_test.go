@@ -25,10 +25,10 @@ func referenceCandidates(p *Positioner, obs Observations) ([]Candidate, SearchSt
 	if p.cfg.Search.Mode != SearchHierarchical {
 		return nil, stats, errors.New("reference: hierarchical mode only")
 	}
-	if len(collect(nil, p.stage1Pairs, obs)) < 2 {
+	if len(collect(nil, p.stage1Pairs, &obs)) < 2 {
 		return nil, stats, errors.New("reference: too few stage-1 pairs")
 	}
-	all := collect(nil, p.allPairs, obs)
+	all := collect(nil, p.allPairs, &obs)
 	if len(all) < 3 {
 		return nil, stats, errors.New("reference: too few pairs")
 	}

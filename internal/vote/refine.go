@@ -85,12 +85,11 @@ type scoredPoint struct {
 
 // Scratch is the reusable per-goroutine search state: the stage-1 score
 // buffer, the evaluation memo, the candidate pools, the acquisition
-// kernel's survivor, group and frontier buffers, the vote kernel's
-// distance buffer and the sweep-merge / phase-averaging observation
-// buffers. It exists so the hot path allocates nothing once warm — the
-// engine keeps one per worker shard (from a sync.Pool), streams keep one
-// per live trace. A Scratch is NOT safe for concurrent use; results never
-// depend on its prior content.
+// kernel's survivor, group and frontier buffers and the vote kernel's
+// distance buffer. It exists so the hot path allocates nothing once
+// warm — the engine keeps one per worker shard (from a sync.Pool),
+// streams keep one per live trace. A Scratch is NOT safe for concurrent
+// use; results never depend on its prior content.
 type Scratch struct {
 	// stage1 is the positioner's coarse-lattice score buffer.
 	stage1 []float64
@@ -118,10 +117,6 @@ type Scratch struct {
 	cands      []Candidate
 	// dist is the antenna.Kernel distance buffer handed out by DistBuf.
 	dist []float64
-	// obs is the reusable observation map handed out by ObsBuf.
-	obs Observations
-	// phasor is the reusable per-antenna phasor accumulator (PhasorBuf).
-	phasor map[int]complex128
 }
 
 // NewScratch builds an empty search scratch.
@@ -145,30 +140,6 @@ func (s *Scratch) DistBuf(n int) []float64 {
 		s.dist = make([]float64, n)
 	}
 	return s.dist[:n]
-}
-
-// ObsBuf returns the scratch's observation buffer, cleared. Sweep merging
-// and phase averaging rebuild a transient Observations every sweep on the
-// streaming hot path; borrowing this buffer keeps that allocation-free.
-// The buffer is invalidated by the next ObsBuf call on the same scratch,
-// so callers that retain a sample (warmup buffering) must clone it.
-func (s *Scratch) ObsBuf() Observations {
-	if s.obs == nil {
-		s.obs = make(Observations)
-	}
-	clear(s.obs)
-	return s.obs
-}
-
-// PhasorBuf returns the scratch's per-antenna phasor accumulator, cleared
-// — the coherent phase-averaging counterpart of ObsBuf, with the same
-// invalidation rule.
-func (s *Scratch) PhasorBuf() map[int]complex128 {
-	if s.phasor == nil {
-		s.phasor = make(map[int]complex128)
-	}
-	clear(s.phasor)
-	return s.phasor
 }
 
 // resetSearch clears the per-search state.
@@ -382,9 +353,14 @@ const refineBranch = 4
 // below it can never enter; the row scorer stops such a cell early and
 // returns a value that keepTop rejects just as it would the full score.
 // A child already in an earlier branch's 3×3 window is a duplicate and
-// is skipped, as that branch scored it. Returns the finest-level
-// frontier, best first, which lives in the scratch until the next
-// descent, and the number of cells visited, stopped ones included.
+// is skipped, as that branch scored it. A branch's aligned child
+// (2ix, 2iz) is the branch's own grid point, whose table row is the
+// branch's row bit for bit, so it takes the branch's score instead of
+// being scored again: a kept branch's score is its full sum, which the
+// row scorer would return above the floor and keepTop rejects at or
+// below it, like any stopped value. Returns the finest-level frontier,
+// best first, which lives in the scratch until the next descent, and
+// the number of cells visited, stopped and inherited ones included.
 func (p *Positioner) descendTable(cells []int, po []pairObs, sc *Scratch) ([]tableCell, int) {
 	// At the coarse level the wide pairs' votes are aliased (their lobes
 	// are narrower than the cell), so level-0 scores cannot select
@@ -407,9 +383,11 @@ func (p *Positioner) descendTable(cells []int, po []pairObs, sc *Scratch) ([]tab
 		// With deeper levels, level 0 kept refineBranch cells and so does
 		// every level after it.
 		var wins [refineBranch]window
+		pnx := p.multi.Level(l - 1).grid.NX
 		for bi, c := range top {
 			w := p.multi.childWindow(l-1, c.idx)
 			wins[bi] = w
+			ax, az := 2*(c.idx%pnx), 2*(c.idx/pnx)
 			for z := w.z0; z <= w.z1; z++ {
 				for x := w.x0; x <= w.x1; x++ {
 					if inWindows(wins[:bi], x, z) {
@@ -417,7 +395,11 @@ func (p *Positioner) descendTable(cells []int, po []pairObs, sc *Scratch) ([]tab
 					}
 					evals++
 					i := z*nx + x
-					next = keepTop(next, refineBranch, tableCell{idx: i, score: t.vote(i, po, floorOf(next, refineBranch))})
+					score := c.score
+					if x != ax || z != az {
+						score = t.vote(i, po, floorOf(next, refineBranch))
+					}
+					next = keepTop(next, refineBranch, tableCell{idx: i, score: score})
 				}
 			}
 		}
@@ -517,9 +499,14 @@ type groupFront struct {
 	best   float64
 }
 
-// maxPeakGroups bounds how many peak groups the survivor partition forms —
-// a runaway backstop far above what a stage-1 filter produces, not a
-// selection step (selection happens on finest-table scores).
+// maxPeakGroups caps how many peak groups the survivor partition forms.
+// It is a selection step, not a backstop: survivors found groups best
+// first, so the cap keeps the groups of the 64 best founding cells and
+// never refines the rest. On the retrace benchmark's sessions (seeds 77
+// and 1001, 279 acquisitions) the survivors would form 77–125 groups
+// without it, median 94, so it binds on every call; the group that
+// refined best was founded at index 8 in the median call and at 27–28
+// at p90. Changing it changes candidates.
 const maxPeakGroups = 64
 
 // maxCellsPerGroup bounds how many survivor cells seed one group's

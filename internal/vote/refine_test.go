@@ -176,7 +176,7 @@ func TestCandidatesLevelsCap(t *testing.T) {
 			t.Fatal(err)
 		}
 		obs := synthObs(append(stage1, wide...), cfg.Plane.To3D(src2), 0, nil)
-		cands, stats, err := p.CandidatesWith(nil, obs)
+		cands, stats, err := p.CandidatesWith(nil, &obs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestCandidatesTopKLargerThanCellCount(t *testing.T) {
 	}
 	src2 := geom.Vec2{X: 1.3, Z: 1.0}
 	obs := synthObs(append(stage1, wide...), cfg.Plane.To3D(src2), 0, nil)
-	cands, stats, err := p.CandidatesWith(nil, obs)
+	cands, stats, err := p.CandidatesWith(nil, &obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,13 +327,13 @@ func TestCandidatesWithWarmScratchAllocs(t *testing.T) {
 	}
 	sc := NewScratch()
 	for _, obs := range windows {
-		if _, _, err := p.CandidatesWith(sc, obs); err != nil {
+		if _, _, err := p.CandidatesWith(sc, &obs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(30, func() {
-		if _, _, err := p.CandidatesWith(sc, windows[i%len(windows)]); err != nil {
+		if _, _, err := p.CandidatesWith(sc, &windows[i%len(windows)]); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -460,5 +460,43 @@ func TestQuickKeepTopMatchesTopK(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(6))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMultiResAlignedRowsMatch: point (2ix, 2iz) of every table level is
+// point (ix, iz) of the level above it, so its row of steering values is
+// that row bit for bit. The descent relies on it to give a branch's
+// aligned child the branch's own score instead of scoring it again. It
+// checks the positioner's own tables on the single-room geometries.
+func TestMultiResAlignedRowsMatch(t *testing.T) {
+	for _, name := range []string{"default", "rotated"} {
+		g, err := deploy.GeometryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := g.BuildDefault()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPositioner(d.Stage1Pairs(), d.WidePairs, Config{Plane: geom.Plane{Y: 2}, Region: g.Region()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.multi.Levels() < 2 {
+			t.Fatalf("%s: %d table levels, nothing to compare", name, p.multi.Levels())
+		}
+		for l := 1; l < p.multi.Levels(); l++ {
+			up, down := p.multi.Level(l-1), p.multi.Level(l)
+			for i := 0; i < up.grid.Len(); i++ {
+				ix, iz := i%up.grid.NX, i/up.grid.NX
+				j := 2*iz*down.grid.NX + 2*ix
+				a, b := up.turns[i*up.stride:(i+1)*up.stride], down.turns[j*down.stride:(j+1)*down.stride]
+				for k := range a {
+					if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+						t.Fatalf("%s level %d point (%d, %d) pair %d: %v, level %d reads %v", name, l-1, ix, iz, k, a[k], l, b[k])
+					}
+				}
+			}
+		}
 	}
 }

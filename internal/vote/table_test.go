@@ -80,13 +80,13 @@ func TestPositionerConcurrentCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := geom.Vec3{X: 0.7, Y: 2, Z: 0.6}
-	obs := Observations{}
+	var obs Observations
 	// Synthesise per-antenna phases consistent with src: phase at antenna
 	// a is −2π·F·d(a)/λ plus a common offset, so pair differences match.
 	for _, pr := range pairs {
 		for _, a := range []antenna.Antenna{pr.I, pr.J} {
 			d := src.Dist(a.Pos)
-			obs[a.ID] = phys.Wrap(-phys.TwoPi * pr.Link.TravelFactor() * d / pr.Carrier.WavelengthM)
+			obs.Set(a.ID, phys.Wrap(-phys.TwoPi*pr.Link.TravelFactor()*d/pr.Carrier.WavelengthM))
 		}
 	}
 	want, err := p.Candidates(obs)

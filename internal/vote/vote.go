@@ -26,7 +26,9 @@ package vote
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -34,16 +36,90 @@ import (
 	"rfidraw/internal/geom"
 )
 
-// Observations maps antenna ID → measured wrapped phase (radians) at one
-// instant. It is the cross-reader merged view of one sweep.
-type Observations map[int]float64
+// MaxAntennas bounds the antenna IDs an Observations holds: 0 to
+// MaxAntennas−1. It is sized from the deployments: the largest named
+// geometry, multiroom, numbers its sixteen antennas 1–16, and the
+// positioner and the tracer reject pairs whose IDs do not fit.
+const MaxAntennas = 32
+
+// Observations is the cross-reader merged view of one sweep: the
+// measured wrapped phase (radians) of every antenna heard, indexed by
+// antenna ID, and the mask of the IDs heard. It is a fixed-size value,
+// so copying one copies the sweep, and the zero value hears nothing.
+type Observations struct {
+	phase [MaxAntennas]float64
+	heard uint32
+}
+
+// ObservationsOf converts an antenna ID → phase map. IDs outside
+// [0, MaxAntennas) are dropped: no pair of any deployment reads them.
+func ObservationsOf(phases map[int]float64) Observations {
+	var o Observations
+	for id, ph := range phases {
+		o.Set(id, ph)
+	}
+	return o
+}
+
+// Set records antenna id's phase; an ID outside [0, MaxAntennas) is not
+// recorded.
+func (o *Observations) Set(id int, phase float64) {
+	if uint(id) < MaxAntennas {
+		o.phase[id] = phase
+		o.heard |= 1 << id
+	}
+}
+
+// Phase returns antenna id's phase, and false when it was not heard.
+func (o *Observations) Phase(id int) (float64, bool) {
+	if uint(id) >= MaxAntennas || o.heard&(1<<id) == 0 {
+		return 0, false
+	}
+	return o.phase[id], true
+}
+
+// Forget marks antenna id unheard.
+func (o *Observations) Forget(id int) {
+	if uint(id) < MaxAntennas {
+		o.phase[id] = 0
+		o.heard &^= 1 << id
+	}
+}
+
+// Len returns how many antennas were heard.
+func (o *Observations) Len() int { return bits.OnesCount32(o.heard) }
+
+// All yields every heard antenna's ID and phase, in ID order.
+func (o *Observations) All() iter.Seq2[int, float64] {
+	return func(yield func(int, float64) bool) {
+		for m := o.heard; m != 0; m &= m - 1 {
+			id := bits.TrailingZeros32(m)
+			if !yield(id, o.phase[id]) {
+				return
+			}
+		}
+	}
+}
+
+// CheckAntennaIDs rejects pairs naming an antenna ID outside
+// [0, MaxAntennas), which no Observations can hold.
+func CheckAntennaIDs(pairs []antenna.Pair) error {
+	for _, p := range pairs {
+		for _, id := range [2]int{p.I.ID, p.J.ID} {
+			if uint(id) >= MaxAntennas {
+				return fmt.Errorf("vote: antenna ID %d outside 0..%d", id, MaxAntennas-1)
+			}
+		}
+	}
+	return nil
+}
 
 // PairTurns extracts a pair's phase-difference observable from the
 // observations, in turns wrapped to (−0.5, 0.5]. ok is false when either
 // port's phase is missing (a lost read).
-func PairTurns(p antenna.Pair, obs Observations) (float64, bool) {
-	pi, ok1 := obs[p.I.ID]
-	pj, ok2 := obs[p.J.ID]
+func PairTurns(p antenna.Pair, obs *Observations) (float64, bool) {
+	pi, ok1 := obs.Phase(p.I.ID)
+	pj, ok2 := obs.Phase(p.J.ID)
 	if !ok1 || !ok2 {
 		return 0, false
 	}
@@ -187,6 +263,9 @@ func NewPositioner(stage1Pairs, widePairs []antenna.Pair, cfg Config) (*Position
 	all := make([]antenna.Pair, 0, len(stage1Pairs)+len(widePairs))
 	all = append(all, stage1Pairs...)
 	all = append(all, widePairs...)
+	if err := CheckAntennaIDs(all); err != nil {
+		return nil, err
+	}
 	grid, err := NewGrid(cfg.Region, cfg.CoarseRes)
 	if err != nil {
 		return nil, err
@@ -242,7 +321,7 @@ type pairObs struct {
 
 // collect appends to dst[:0] every observed pair's phase difference, in
 // pair order, and returns the extended slice.
-func collect(dst []pairObs, pairs []antenna.Pair, obs Observations) []pairObs {
+func collect(dst []pairObs, pairs []antenna.Pair, obs *Observations) []pairObs {
 	dst = dst[:0]
 	for i, pr := range pairs {
 		if t, ok := PairTurns(pr, obs); ok {
@@ -267,13 +346,13 @@ func totalVote(k *antenna.Kernel, dist []float64, pos geom.Vec3, po []pairObs) f
 // the quantity Fig. 10f plots along a trajectory.
 func (p *Positioner) ScoreAt(pos geom.Vec2, obs Observations) float64 {
 	dist := make([]float64, p.kernel.Antennas())
-	return totalVote(p.kernel, dist, p.cfg.Plane.To3D(pos), collect(nil, p.allPairs, obs))
+	return totalVote(p.kernel, dist, p.cfg.Plane.To3D(pos), collect(nil, p.allPairs, &obs))
 }
 
 // VoteMap evaluates the total vote of the given pairs over a grid; the
 // experiment harness uses it to render the paper's spatial-filter figures.
 func VoteMap(pairs []antenna.Pair, obs Observations, grid Grid, plane geom.Plane) []float64 {
-	po := collect(nil, pairs, obs)
+	po := collect(nil, pairs, &obs)
 	k := antenna.NewKernel(pairs)
 	dist := make([]float64, k.Antennas())
 	out := make([]float64, grid.Len())
@@ -286,7 +365,7 @@ func VoteMap(pairs []antenna.Pair, obs Observations, grid Grid, plane geom.Plane
 // Candidates runs the two-stage voting algorithm on one observation set
 // and returns up to CandidateCount candidate positions, best first.
 func (p *Positioner) Candidates(obs Observations) ([]Candidate, error) {
-	cands, _, err := p.CandidatesWith(nil, obs)
+	cands, _, err := p.CandidatesWith(nil, &obs)
 	return cands, err
 }
 
@@ -300,7 +379,7 @@ const positionerTopK = 4
 // takes one from the internal pool) and a report of how much search work
 // the call spent — the quantity the benchmark suite tracks. With a warm
 // scratch the only allocation is the returned slice.
-func (p *Positioner) CandidatesWith(sc *Scratch, obs Observations) ([]Candidate, SearchStats, error) {
+func (p *Positioner) CandidatesWith(sc *Scratch, obs *Observations) ([]Candidate, SearchStats, error) {
 	stats := SearchStats{Mode: p.cfg.Search.Mode, Stage1Points: p.coarseGrid.Len()}
 	if sc == nil {
 		sc = p.scratch.Get().(*Scratch)

@@ -76,16 +76,16 @@ func deployment(t testing.TB) (stage1, wide []antenna.Pair) {
 // synthObs builds noiseless observations for a source: one phase per
 // antenna appearing in any pair.
 func synthObs(pairs []antenna.Pair, src geom.Vec3, noise float64, rng *rand.Rand) Observations {
-	obs := Observations{}
+	var obs Observations
 	add := func(a antenna.Antenna) {
-		if _, ok := obs[a.ID]; ok {
+		if _, ok := obs.Phase(a.ID); ok {
 			return
 		}
 		ph := phys.PathPhase(carrier, phys.Backscatter, a.Pos.Dist(src))
 		if noise > 0 && rng != nil {
 			ph += rng.NormFloat64() * noise
 		}
-		obs[a.ID] = phys.Wrap(ph)
+		obs.Set(a.ID, phys.Wrap(ph))
 	}
 	for _, p := range pairs {
 		add(p.I)
@@ -132,12 +132,12 @@ func TestNewGridShape(t *testing.T) {
 
 func TestPairTurnsMissingPhase(t *testing.T) {
 	_, wide := deployment(t)
-	obs := Observations{1: 0.5} // antenna 2 missing
-	if _, ok := PairTurns(wide[0], obs); ok {
+	obs := ObservationsOf(map[int]float64{1: 0.5}) // antenna 2 missing
+	if _, ok := PairTurns(wide[0], &obs); ok {
 		t.Fatal("missing phase should report not-ok")
 	}
-	obs[2] = 1.0
-	if _, ok := PairTurns(wide[0], obs); !ok {
+	obs.Set(2, 1.0)
+	if _, ok := PairTurns(wide[0], &obs); !ok {
 		t.Fatal("complete pair should report ok")
 	}
 }
@@ -222,7 +222,11 @@ func TestCandidatesRequireEnoughPairs(t *testing.T) {
 	// Observations covering only antenna 5 and 6: one stage-1 pair.
 	src := testConfig().Plane.To3D(geom.Vec2{X: 1, Z: 1})
 	full := synthObs(append(stage1, wide...), src, 0, nil)
-	obs := Observations{5: full[5], 6: full[6]}
+	var obs Observations
+	for _, id := range []int{5, 6} {
+		ph, _ := full.Phase(id)
+		obs.Set(id, ph)
+	}
 	if _, err := p.Candidates(obs); err == nil {
 		t.Fatal("one stage-1 pair should be insufficient")
 	}

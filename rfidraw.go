@@ -78,7 +78,7 @@ func (p Point) Dist(q Point) float64 {
 // Sample is one merged observation instant: the wrapped phase (radians, in
 // [0, 2π)) measured at each antenna, keyed by the deployment's antenna IDs
 // (1–8 for the standard deployment). Antennas missed by reply loss are
-// simply absent.
+// simply absent, and an ID no deployment antenna has is ignored.
 type Sample struct {
 	Time   time.Duration
 	Phases map[int]float64
@@ -275,7 +275,7 @@ func (s *System) AntennaPositions() map[int]Point {
 // Localize runs one-shot multi-resolution positioning on a single sample
 // and returns candidate positions, best first.
 func (s *System) Localize(sample Sample) ([]Candidate, error) {
-	cands, err := s.eng.System().Localize(vote.Observations(sample.Phases))
+	cands, err := s.eng.System().Localize(vote.ObservationsOf(sample.Phases))
 	if err != nil {
 		return nil, fmt.Errorf("rfidraw: %w", err)
 	}
@@ -339,7 +339,7 @@ func (s *System) TraceMany(streams map[string][]Sample) (map[string]*Result, err
 func convertSamples(samples []Sample) []tracing.Sample {
 	in := make([]tracing.Sample, len(samples))
 	for i, smp := range samples {
-		in[i] = tracing.Sample{T: smp.Time, Phase: vote.Observations(smp.Phases)}
+		in[i] = tracing.Sample{T: smp.Time, Phase: vote.ObservationsOf(smp.Phases)}
 	}
 	return in
 }

@@ -1,6 +1,7 @@
 package rfidraw
 
 import (
+	"maps"
 	"math"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func simSamples(t testing.TB, seed int64, word string) ([]Sample, *sim.WordRun, 
 	}
 	out := make([]Sample, len(wr.SamplesRF))
 	for i, s := range wr.SamplesRF {
-		out[i] = Sample{Time: s.T, Phases: map[int]float64(s.Phase)}
+		out[i] = Sample{Time: s.T, Phases: maps.Collect(s.Phase.All())}
 	}
 	return out, wr, sc
 }
@@ -180,7 +181,7 @@ func TestTraceManyMatchesTrace(t *testing.T) {
 	for i, tag := range run.Tags {
 		ss := make([]Sample, len(run.SamplesRF[i]))
 		for j, s := range run.SamplesRF[i] {
-			ss[j] = Sample{Time: s.T, Phases: map[int]float64(s.Phase)}
+			ss[j] = Sample{Time: s.T, Phases: maps.Collect(s.Phase.All())}
 		}
 		streams[tag.EPC.String()] = ss
 	}

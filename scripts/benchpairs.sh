@@ -16,7 +16,12 @@
 # gives each metric's median and quartiles per side and the pairs the
 # change won, by the metric's "better" direction in BENCHMARK.json
 # (lower when a metric is not listed there; ties count for neither
-# side), then each side's correct and failed counts.
+# side), then each side's correct and failed counts. Each metric ends
+# with a verdict line: the wins, the change's median gain over the
+# parent's (|Δmedian|, and whether it is better or worse), the parent's
+# interquartile range, and whether the claim rule holds: the change wins
+# at least 9 pairs in 10 and its median is better by more than the
+# parent's IQR.
 set -euo pipefail
 if [ $# -lt 4 ]; then
 	echo "usage: $0 <parent-rev> <workload> <pairs> <seed> [seconds] [trace]" >&2
@@ -70,7 +75,9 @@ function quantile(a, n, q,   pos, lo) {
 	lo = int(pos)
 	return lo + 1 < n ? a[lo] + (pos - lo) * (a[lo + 1] - a[lo]) : a[lo]
 }
-function summary(side, name,   a, n, i, j, t) {
+# quartiles sets qmed, qlo and qhi to the median and quartiles of one
+# side and metric, and returns its run count.
+function quartiles(side, name,   a, n, i, j, t) {
 	n = 0
 	for (i = 1; i <= npairs; i++)
 		if ((side, name, i) in v) a[n++] = v[side, name, i]
@@ -78,8 +85,12 @@ function summary(side, name,   a, n, i, j, t) {
 		for (j = i; j > 0 && a[j - 1] > a[j]; j--) {
 			t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
 		}
-	if (n == 0) return "(no runs)"
-	return sprintf("median %.8g  q1 %.8g  q3 %.8g  (n=%d)", quantile(a, n, 0.5), quantile(a, n, 0.25), quantile(a, n, 0.75), n)
+	if (n > 0) { qmed = quantile(a, n, 0.5); qlo = quantile(a, n, 0.25); qhi = quantile(a, n, 0.75) }
+	return n
+}
+function summary(side, name,   n) {
+	if (!(n = quartiles(side, name))) return "(no runs)"
+	return sprintf("median %.8g  q1 %.8g  q3 %.8g  (n=%d)", qmed, qlo, qhi, n)
 }
 {
 	side = $0; sub(/.*"side":"/, "", side); sub(/".*/, "", side)
@@ -110,6 +121,14 @@ END {
 			if (higher ? v["change", name, i] > v["parent", name, i] : v["change", name, i] < v["parent", name, i]) wins++
 		}
 		printf "%s (%s is better)\n  parent  %s\n  change  %s\n  change wins %d of %d pairs\n", name, higher ? "higher" : "lower", summary("parent", name), summary("change", name), wins, pairs
+		if (pairs == 0 || !quartiles("parent", name)) continue
+		pmed = qmed; iqr = qhi - qlo
+		quartiles("change", name)
+		gain = higher ? qmed - pmed : pmed - qmed
+		way = gain > 0 ? "better" : gain < 0 ? "worse" : "equal"
+		rule = (wins * 10 >= pairs * 9 && gain > iqr) ? "holds" : "not met"
+		if (gain < 0) gain = -gain
+		printf "  verdict: wins %d/%d, |dmedian| %.4g %s, parent IQR %.4g: claim rule %s\n", wins, pairs, gain, way, iqr, rule
 	}
 	for (s = 0; s < 2; s++) {
 		side = s ? "change" : "parent"

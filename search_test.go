@@ -2,6 +2,7 @@ package rfidraw
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"sort"
@@ -33,7 +34,7 @@ func toPublicSamples(t *testing.T, run *sim.WordRun) []Sample {
 	t.Helper()
 	out := make([]Sample, len(run.SamplesRF))
 	for i, s := range run.SamplesRF {
-		out[i] = Sample{Time: s.T, Phases: map[int]float64(s.Phase)}
+		out[i] = Sample{Time: s.T, Phases: maps.Collect(s.Phase.All())}
 	}
 	return out
 }

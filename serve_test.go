@@ -3,6 +3,7 @@ package rfidraw
 import (
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"runtime"
 	"strings"
@@ -114,7 +115,7 @@ func TestSystemCloseConcurrent(t *testing.T) {
 	}
 	samples := make([]Sample, len(run.SamplesRF[0]))
 	for i, s := range run.SamplesRF[0] {
-		samples[i] = Sample{Time: s.T, Phases: map[int]float64(s.Phase)}
+		samples[i] = Sample{Time: s.T, Phases: maps.Collect(s.Phase.All())}
 	}
 	streams := map[string][]Sample{run.Tags[0].EPC.String(): samples}
 	var wg sync.WaitGroup
