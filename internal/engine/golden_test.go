@@ -26,23 +26,31 @@ import (
 	"rfidraw/internal/vote"
 )
 
-// goldenTraceHash is the SHA-256 of every output TestGoldenTraces covers. A
-// change that moves any vote, candidate, search statistic, trajectory
-// point or emitted position by one bit changes it. It is pinned on amd64
-// only: Go may fuse a multiply and an add into one FMA instruction on
-// arm64, ppc64 and s390x, which rounds once instead of twice.
-const goldenTraceHash = "2bc4256ee36b9466a403f903c9ad8cf02dd2015e14f0f4c3437e5c8e58a6569d"
+// The SHA-256 digests of every output TestGoldenTraces covers. A change
+// that moves any vote, candidate, search statistic, trajectory point or
+// emitted position by one bit changes one of them: goldenServedHash
+// covers what the serving path emits and retraces (the Replayer's
+// positions, TagStats and recorded TraceResults), goldenBatchHash the
+// batch TraceResults. They are pinned on amd64 only: Go may fuse a
+// multiply and an add into one FMA instruction on arm64, ppc64 and s390x,
+// which rounds once instead of twice.
+const (
+	goldenServedHash = "240b74aa6892e141a27cec04d791bc34eecb328b7460c71dc346fd86037dead9"
+	goldenBatchHash  = "c4647b49d0a3e8d073fd6728bf58d019cbaa0810e90c5524a8e0b92c0820767d"
+)
 
 // TestGoldenTraces pins the engine's outputs bit for bit across changes
 // to the acquisition and tracking kernels, which must be pure speedups.
 // For every corpus profile (its geometry, propagation and seed, two tags
-// writing "hi" and "go") it hashes each tag's batch TraceResult and a
-// Replayer run over the profile's faulted report stream: every emitted
-// position, every tag's TagStats and its recorded TraceResult. A last
-// stream teleports one writer 1.2 m mid-stream, so the tracker loses
-// its lobe locks and reacquires.
+// writing "hi" and "go") it hashes each tag's batch TraceResult into the
+// batch digest, and a Replayer run over the profile's faulted report
+// stream into the served digest: every emitted position, every tag's
+// TagStats and its recorded TraceResult. A last stream teleports one
+// writer 1.2 m mid-stream, so the tracker loses its lobe locks and
+// reacquires.
 func TestGoldenTraces(t *testing.T) {
 	h := &digest{Hash: sha256.New()}
+	batch := &digest{Hash: sha256.New()}
 	for _, prof := range corpus.Profiles() {
 		spec, err := deploy.GeometryByName(prof.Geometry)
 		if err != nil {
@@ -73,7 +81,7 @@ func TestGoldenTraces(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s tag %d: %v", prof.Name, tag, err)
 			}
-			h.result(res)
+			batch.result(res)
 		}
 		// The serving layer's reorder buffer hands the engine a
 		// time-ordered stream; a stable sort stands in for it.
@@ -107,8 +115,11 @@ func TestGoldenTraces(t *testing.T) {
 		t.Fatal("the teleport stream never reacquired")
 	}
 
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenTraceHash {
-		t.Fatalf("trace digest %s, want %s: a kernel change moved an output", got, goldenTraceHash)
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenServedHash {
+		t.Errorf("served digest %s, want %s: a change moved a served output", got, goldenServedHash)
+	}
+	if got := hex.EncodeToString(batch.Sum(nil)); got != goldenBatchHash {
+		t.Errorf("batch digest %s, want %s: a change moved a batch output", got, goldenBatchHash)
 	}
 }
 
