@@ -803,7 +803,7 @@ func BenchmarkTraceStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream, err := sys.Tracer().NewStream(wr.Truth.Start(), wr.SamplesRF[0])
+	stream, err := sys.Tracer().NewMultiStream([]vote.Candidate{{Pos: wr.Truth.Start()}}, wr.SamplesRF[0], tracing.MultiConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

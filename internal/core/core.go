@@ -109,7 +109,10 @@ func (s *System) Localize(obs vote.Observations) ([]vote.Candidate, error) {
 }
 
 // TraceResult is a full tracing outcome: the chosen trajectory plus every
-// candidate's trace for diagnostics (Fig. 10 shows both).
+// candidate's trace for diagnostics (Fig. 10 shows both). A stream is
+// traced in epochs (see Tracking): each acquisition starts one, and a
+// tracking loss ends it. The fields describe the last acquired epoch;
+// Epochs lists them all.
 type TraceResult struct {
 	// Best is the chosen reconstruction (highest mean trajectory vote).
 	Best tracing.Result
@@ -130,6 +133,10 @@ type TraceResult struct {
 	// Retirements is how many candidate hypotheses were retired for a
 	// collapsed vote record before the stream ended.
 	Retirements int
+	// Epochs holds every acquired epoch in stream order, the last one
+	// (which the fields above repeat) included. An epoch's own Epochs is
+	// nil.
+	Epochs []TraceResult
 }
 
 // InitialPosition returns the chosen candidate's initial position — the
@@ -152,11 +159,10 @@ func (s *System) Trace(samples []tracing.Sample) (*TraceResult, error) {
 // A nil scratch falls back to the internal pools. The scratch never
 // influences results.
 //
-// TraceWith is "acquire, then replay": candidate initial positions are
-// localized from the earliest usable window, then every sample from that
-// point is pushed through one tracing.MultiStream — exactly the code the
-// live tracker (internal/realtime) runs sweep by sweep, so the batch
-// result is byte-identical to a streaming replay of the same samples.
+// TraceWith feeds every sample to a recording Tracking, then ends it:
+// the state machine the live tracker (internal/realtime) feeds one sweep
+// at a time. So the batch result equals, epoch by epoch, what a recording
+// tracker returns for the same samples, tracking-loss detector included.
 func (s *System) TraceWith(sc *vote.Scratch, samples []tracing.Sample) (*TraceResult, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("core: no samples")
@@ -165,18 +171,22 @@ func (s *System) TraceWith(sc *vote.Scratch, samples []tracing.Sample) (*TraceRe
 		sc = s.scratch.Get().(*vote.Scratch)
 		defer s.scratch.Put(sc)
 	}
-	cands, cstats, start, err := s.Acquire(sc, samples, true)
-	if err != nil {
-		return nil, err
+	t := s.NewTracking(sc, 0, true)
+	var out []Position
+	var err error
+	for i := range samples {
+		if out, err = t.Push(out[:0], &samples[i], false); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
-	ms, err := s.tracer.NewMultiStreamWith(sc, cands, samples[start], tracing.MultiConfig{Record: true})
+	if _, err = t.Push(out[:0], nil, true); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	res, err := t.TraceResult()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	for _, smp := range samples[start:] {
-		ms.Push(smp)
-	}
-	return ResultFromMulti(ms, cstats)
+	return res, nil
 }
 
 // Acquire finds the earliest sample window the positioner can work with —
@@ -186,10 +196,8 @@ func (s *System) TraceWith(sc *vote.Scratch, samples []tracing.Sample) (*TraceRe
 // InitialAverage samples to suppress reply noise before the initial vote.
 //
 // complete marks the sample slice as a finished stream: averaging windows
-// may then be clamped at the tail. Streaming callers (the live tracker's
-// warmup) pass false so a window that would be clamped waits for more
-// data instead — keeping a later batch replay of the same samples
-// bit-identical to what the live path acquired.
+// may then be clamped at the tail. A Tracking still warming up passes
+// false, so a window that would be clamped waits for more data instead.
 func (s *System) Acquire(sc *vote.Scratch, samples []tracing.Sample, complete bool) ([]vote.Candidate, vote.SearchStats, int, error) {
 	if len(samples) == 0 {
 		return nil, vote.SearchStats{}, -1, errors.New("core: no samples")
@@ -217,25 +225,6 @@ func (s *System) Acquire(sc *vote.Scratch, samples []tracing.Sample, complete bo
 		lastErr = errors.New("not enough samples for an unclamped averaging window")
 	}
 	return nil, vote.SearchStats{}, -1, fmt.Errorf("core: no usable initial sample: %w", lastErr)
-}
-
-// ResultFromMulti materializes a recorded multi-hypothesis stream into
-// the batch TraceResult shape; the live tracker uses it to snapshot the
-// batch-equivalent outcome of its stream.
-func ResultFromMulti(ms *tracing.MultiStream, cstats vote.SearchStats) (*TraceResult, error) {
-	all, kept, bestIdx, err := ms.Results()
-	if err != nil {
-		return nil, fmt.Errorf("core: every candidate trace failed: %w", err)
-	}
-	return &TraceResult{
-		Best:           all[bestIdx],
-		BestIndex:      bestIdx,
-		Candidates:     kept,
-		All:            all,
-		CandidateStats: cstats,
-		LeaderSwitches: ms.Switches(),
-		Retirements:    ms.Retirements(),
-	}, nil
 }
 
 // averagePhases coherently averages each antenna's wrapped phase over up to

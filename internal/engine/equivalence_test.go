@@ -2,68 +2,220 @@ package engine
 
 import (
 	"bytes"
-	"math"
+	"encoding/gob"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"rfidraw/internal/core"
+	"rfidraw/internal/corpus"
+	"rfidraw/internal/deploy"
+	"rfidraw/internal/geom"
+	"rfidraw/internal/handwriting"
 	"rfidraw/internal/realtime"
+	"rfidraw/internal/rfid"
+	"rfidraw/internal/sim"
 	"rfidraw/internal/tracing"
 )
 
-// TestBatchIsReplayOfStreaming is the refactor's hard gate: one
-// algorithm, two schedulers. For every tag of the sim corpus at 1, 8 and
-// 64 tags, the batch pipeline's TraceResult must be byte-identical (gob)
-// to what the live tracker materializes after the same samples are
-// replayed through it sweep by sweep. The live side runs the real
-// realtime.Tracker (the code rfidrawd serves), driven at the sample
-// level; tags replay concurrently so -race also patrols the shared
-// read-only System. Reacquisition is disabled on the live side — it is
-// the one live-only behaviour (batch streams cannot be re-acquired) and
-// has its own tests.
-func TestBatchIsReplayOfStreaming(t *testing.T) {
-	tagCounts := []int{1, 8, 64}
-	if testing.Short() {
-		tagCounts = []int{1, 8}
-	}
-	for _, tags := range tagCounts {
-		run := multiRun(t, tags)
-		jobs := make([]TagJob, tags)
-		for i := 0; i < tags; i++ {
-			jobs[i] = TagJob{Tag: run.Tags[i].EPC.String(), Samples: run.SamplesRF[i]}
+// TestQuickTrackingMatchesReplayer is the batch == streaming gate, with
+// the served tracking-loss detector on. For every corpus profile (its
+// geometry, propagation and seed) it draws one writer's streams: words
+// written in turn at places across the region, so the writer teleports
+// between them, readers that drop out for runs of sweeps, and drains
+// that flush at random sweep boundaries. A recording Replayer fed the
+// stream's reports must equal a core.Tracking fed the samples its sweep
+// merge closes, each flushed sweep as a final sample: every emitted
+// position, the tag's counters and every epoch of its TraceResult, bit
+// for bit, or the same terminal failure. Without flushes the Tracking's
+// result must also equal System.Trace over those samples.
+func TestQuickTrackingMatchesReplayer(t *testing.T) {
+	const sweep = 25 * time.Millisecond
+	var streams, reacquired, flushed, endedLost int
+	for _, prof := range corpus.Profiles() {
+		spec, err := deploy.GeometryByName(prof.Geometry)
+		if err != nil {
+			t.Fatal(err)
 		}
-		e := newEngine(t, Config{Shards: 4})
-		batch := e.TraceBatch(jobs)
+		dep, err := spec.BuildDefault()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prop := sim.LOS
+		if prof.NLOS {
+			prop = sim.NLOS
+		}
+		region := spec.Region()
+		scen, err := sim.New(sim.Config{Prop: prop, Seed: prof.Seed, Deployment: dep, Region: region})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := core.NewSystem(dep, core.Config{Plane: scen.Plane, Region: region})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var words [][]tracing.Sample
+		for i, text := range []string{"on", "go", "hi", "no"} {
+			at := geom.Vec2{
+				X: region.Min.X + region.Width()*(0.15+0.22*float64(i)),
+				Z: region.Min.Z + region.Height()*(0.3+0.15*float64(i%2)),
+			}
+			wr, err := scen.RunWord(text, at, handwriting.DefaultStyle())
+			if err != nil {
+				t.Fatal(err)
+			}
+			words = append(words, wr.SamplesRF)
+		}
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			raw := drawStream(rng, words, sweep)
+			flush := make([]bool, len(raw))
+			if rng.Intn(3) > 0 {
+				for k := range flush {
+					flush[k] = raw[k].Phase.Len() > 0 && rng.Intn(10) == 0
+				}
+			}
 
-		live := make([]*core.TraceResult, tags)
-		errs := make([]error, tags)
-		var wg sync.WaitGroup
-		for i := 0; i < tags; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				live[i], errs[i] = replayLive(e.System(), run.SamplesRF[i])
-			}(i)
-		}
-		wg.Wait()
+			// The Replayer, over the stream's reports.
+			rp, err := NewReplayer(Config{System: sys, SweepInterval: sweep, RecordTrace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var served []realtime.Position
+			rp.OnUpdate = func(u Update) { served = append(served, u.Positions...) }
+			for k, s := range raw {
+				for id, ph := range s.Phase.All() {
+					_ = rp.Offer(rfid.Report{Time: s.T, ReaderID: (id - 1) / 4, AntennaID: id, EPC: scen.Tag.EPC, PhaseRad: ph})
+				}
+				if flush[k] {
+					_ = rp.Flush()
+				}
+			}
+			_ = rp.Flush()
 
-		for i := 0; i < tags; i++ {
-			if batch[i].Err != nil {
-				t.Fatalf("tags=%d tag %d: batch: %v", tags, i, batch[i].Err)
+			// The Tracking, over the samples the merge closes: a phase
+			// stays fresh for the next sweep too, and the last sweep is
+			// closed by the Replayer's final flush.
+			tk := sys.NewTracking(nil, 0, true)
+			var want []realtime.Position
+			var samples []tracing.Sample
+			var tkErr error
+			last := len(raw) - 1
+			for last >= 0 && raw[last].Phase.Len() == 0 {
+				last--
 			}
-			if errs[i] != nil {
-				t.Fatalf("tags=%d tag %d: live replay: %v", tags, i, errs[i])
+			for k := 0; k <= last && tkErr == nil; k++ {
+				m := raw[k]
+				if k > 0 {
+					for id, ph := range raw[k-1].Phase.All() {
+						if _, ok := m.Phase.Phase(id); !ok {
+							m.Phase.Set(id, ph)
+						}
+					}
+				}
+				final := flush[k] || k == last
+				switch {
+				case m.Phase.Len() > 0:
+					samples = append(samples, m)
+					want, tkErr = tk.Push(want, &m, final)
+				case final:
+					want, tkErr = tk.Push(want, nil, true)
+				}
 			}
-			if !bytes.Equal(encodeResult(t, batch[i].Result), encodeResult(t, live[i])) {
-				t.Errorf("tags=%d tag %d: batch result differs from streaming replay "+
-					"(batch best=%d switches=%d; live best=%d switches=%d)",
-					tags, i,
-					batch[i].Result.BestIndex, batch[i].Result.LeaderSwitches,
-					live[i].BestIndex, live[i].LeaderSwitches)
+
+			streams++
+			if tk.Reacquisitions() > 0 {
+				reacquired++
+				if !tk.Started() {
+					endedLost++
+				}
+			}
+			got := rp.Results()[0]
+			st := rp.Stats()[0]
+			if !bytes.Equal(gobBytes(t, served), gobBytes(t, want)) {
+				t.Logf("%s seed %d: the Replayer emitted %d positions, the Tracking %d", prof.Name, seed, len(served), len(want))
+				return false
+			}
+			if st.Started != tk.Started() || st.Reacquisitions != tk.Reacquisitions() || st.SearchEvals != tk.SearchEvals() ||
+				st.LeaderSwitches != tk.LeaderSwitches() || st.Retirements != tk.Retirements() || st.Buffered != tk.Buffered() {
+				t.Logf("%s seed %d: stats %+v differ from the Tracking's", prof.Name, seed, st)
+				return false
+			}
+			if tkErr != nil {
+				if got.Err == nil || !strings.HasSuffix(got.Err.Error(), tkErr.Error()) {
+					t.Logf("%s seed %d: the Tracking failed with %v, the Replayer with %v", prof.Name, seed, tkErr, got.Err)
+					return false
+				}
+				return true
+			}
+			res, err := tk.TraceResult()
+			if (err != nil) != (got.Err != nil) || err == nil && !bytes.Equal(gobBytes(t, res), gobBytes(t, got.Result)) {
+				t.Logf("%s seed %d: the Tracking's result (%v) differs from the Replayer's (%v)", prof.Name, seed, err, got.Err)
+				return false
+			}
+			for _, fl := range flush {
+				if fl {
+					flushed++
+					return true
+				}
+			}
+			batch, err := sys.Trace(samples)
+			if (err != nil) != (res == nil) || err == nil && !bytes.Equal(gobBytes(t, batch), gobBytes(t, res)) {
+				t.Logf("%s seed %d: System.Trace (%v) differs from the Tracking", prof.Name, seed, err)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(prof.Seed))}); err != nil {
+			t.Fatalf("%s: %v", prof.Name, err)
+		}
+	}
+	t.Logf("%d streams: %d reacquired, %d of them ended mid-reacquisition; %d flushed mid-stream", streams, reacquired, endedLost, flushed)
+	if reacquired == 0 || endedLost == 0 || flushed == 0 || flushed == streams {
+		t.Fatal("the drawn streams do not cover reacquisition, a stream ending lost, flushes and their absence")
+	}
+}
+
+// drawStream concatenates one to three of the words, end to end on the
+// sweep grid, into one stream of samples indexed by sweep (a sweep
+// nothing heard is an empty sample), and then drops one reader's
+// antennas for a few runs of sweeps.
+func drawStream(rng *rand.Rand, words [][]tracing.Sample, sweep time.Duration) []tracing.Sample {
+	var raw []tracing.Sample
+	for range 1 + rng.Intn(3) {
+		offset := len(raw)
+		for _, s := range words[rng.Intn(len(words))] {
+			k := offset + int(s.T/sweep)
+			for len(raw) <= k {
+				raw = append(raw, tracing.Sample{T: time.Duration(len(raw)) * sweep})
+			}
+			raw[k].Phase = s.Phase
+		}
+	}
+	for range rng.Intn(4) {
+		reader, from := rng.Intn(2), rng.Intn(len(raw))
+		for k := from; k < min(len(raw), from+1+rng.Intn(40)); k++ {
+			for id := range raw[k].Phase.All() {
+				if (id-1)/4 == reader {
+					raw[k].Phase.Forget(id)
+				}
 			}
 		}
 	}
+	return raw
+}
+
+// gobBytes encodes v, so results compare bit for bit.
+func gobBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestStreamingSurfacesLeaderSwitches: on the multi-tag corpus the
@@ -159,27 +311,4 @@ func TestFlushDuringWarmupDoesNotLeakPrefix(t *testing.T) {
 	if emitted != stats[0].Positions {
 		t.Fatalf("OnUpdate saw %d positions, stats %d", emitted, stats[0].Positions)
 	}
-}
-
-// replayLive pushes a batch sample slice through a live tracker one
-// sweep at a time and materializes the batch-equivalent result.
-func replayLive(sys *core.System, samples []tracing.Sample) (*core.TraceResult, error) {
-	tr, err := realtime.NewTracker(realtime.Config{
-		System:        sys,
-		SweepInterval: 25 * time.Millisecond,
-		ReacquireVote: math.Inf(-1),
-		RecordTrace:   true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range samples {
-		if _, err := tr.OfferSample(s); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := tr.Flush(); err != nil {
-		return nil, err
-	}
-	return tr.TraceResult()
 }

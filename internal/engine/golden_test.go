@@ -36,7 +36,7 @@ import (
 // which rounds once instead of twice.
 const (
 	goldenServedHash = "240b74aa6892e141a27cec04d791bc34eecb328b7460c71dc346fd86037dead9"
-	goldenBatchHash  = "c4647b49d0a3e8d073fd6728bf58d019cbaa0810e90c5524a8e0b92c0820767d"
+	goldenBatchHash  = "be4e25b02d891329945ac36590890b1ae7732809f64ec5a07550e50bd2536596"
 )
 
 // TestGoldenTraces pins the engine's outputs bit for bit across changes

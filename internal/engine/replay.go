@@ -189,20 +189,18 @@ func (r *Replayer) Stats() []TagStats {
 	return out
 }
 
-// Results materializes each acquired tag's batch-equivalent TraceResult
-// (requires Config.RecordTrace), sorted by tag key. Tags that never
-// acquired or failed terminally are reported with their error.
+// Results materializes each tag's TraceResult (requires
+// Config.RecordTrace), sorted by tag key: its last acquired epoch, with
+// every epoch in Epochs. Tags that never acquired or failed terminally
+// are reported with their error.
 func (r *Replayer) Results() []TagResult {
 	out := make([]TagResult, 0, len(r.order))
 	for _, ts := range r.order {
-		res := TagResult{Tag: ts.key}
-		switch {
-		case ts.err != nil:
-			res.Err = ts.err
-		case !ts.tracker.Started():
-			res.Err = fmt.Errorf("engine: tag %s: never acquired", ts.key)
-		default:
-			res.Result, res.Err = ts.tracker.TraceResult()
+		res := TagResult{Tag: ts.key, Err: ts.err}
+		if ts.err == nil {
+			if res.Result, res.Err = ts.tracker.TraceResult(); res.Err != nil {
+				res.Err = fmt.Errorf("engine: tag %s: %w", ts.key, res.Err)
+			}
 		}
 		out = append(out, res)
 	}

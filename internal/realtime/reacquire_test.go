@@ -1,13 +1,11 @@
 package realtime
 
 import (
-	"math"
 	"testing"
 	"time"
 
 	"rfidraw/internal/geom"
 	"rfidraw/internal/handwriting"
-	"rfidraw/internal/phys"
 	"rfidraw/internal/sim"
 )
 
@@ -81,41 +79,5 @@ func TestNoSpuriousReacquisition(t *testing.T) {
 	}
 	if tr.Reacquisitions() != 0 {
 		t.Fatalf("spurious reacquisitions: %d", tr.Reacquisitions())
-	}
-}
-
-// TestReacquireDisabled: -Inf threshold turns the detector off.
-func TestReacquireDisabled(t *testing.T) {
-	sc, err := sim.New(sim.Config{Seed: 57})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sysCfg := newTracker(t, sc).cfg // reuse system
-	cfg := Config{
-		System:        sysCfg.System,
-		SweepInterval: sysCfg.SweepInterval,
-		ReacquireVote: math.Inf(-1),
-	}
-	tr, err := NewTracker(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed garbage phases after a valid warmup: votes collapse but no
-	// reacquisition happens.
-	wr, err := sc.RunWord("on", geom.Vec2{X: 0.6, Z: 1.0}, handwriting.DefaultStyle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := reportsFromSamples(wr, sc.Tag.EPC)
-	for i, rep := range reports {
-		if i > len(reports)/2 {
-			rep.PhaseRad = phys.Wrap(float64(i))
-		}
-		if _, err := tr.Offer(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr.Reacquisitions() != 0 {
-		t.Fatal("disabled detector still reacquired")
 	}
 }

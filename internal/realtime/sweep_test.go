@@ -106,10 +106,9 @@ func sweepStream(rng *rand.Rand, interval time.Duration, n int) (reps []rfid.Rep
 // merge to the map-based one: over random streams with repeated
 // antennas, stale phases, IDs outside every pair and outside the dense
 // range (whole sweeps of only those among them) and interleaved flushes,
-// the tracker buffers exactly the reference's samples, with the same
-// times and, for every ID an Observations holds, the same phases. Its
-// antennas never form a stage-1 pair, so acquisition never succeeds and
-// every sample stays in the warmup buffer to compare.
+// the tracker's sweeps, closed as Offer and Flush close them, hold
+// exactly the reference's samples, with the same times and, for every ID
+// an Observations holds, the same phases.
 func TestQuickSweepMergeMatchesMapReference(t *testing.T) {
 	sys, err := core.NewSystem(nil, core.Config{Plane: geom.Plane{Y: 2}, Region: deploy.DefaultRegion()})
 	if err != nil {
@@ -118,33 +117,40 @@ func TestQuickSweepMergeMatchesMapReference(t *testing.T) {
 	const interval = 25 * time.Millisecond
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr, err := NewTracker(Config{System: sys, SweepInterval: interval, MaxAcquireBuffer: 1 << 30})
+		tr, err := NewTracker(Config{System: sys, SweepInterval: interval})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var got []tracing.Sample
+		closeSweep := func() {
+			if s, heard := tr.sweep(); heard {
+				got = append(got, s)
+			}
+		}
 		ref := &mapMerge{interval: interval, latest: map[int]timedPhase{}}
 		reps, flushAfter := sweepStream(rng, interval, 300)
+		dirty := false
 		for i, rep := range reps {
-			if _, err := tr.Offer(rep); err != nil {
-				t.Fatal(err)
+			dirty = true
+			for rep.Time >= tr.nextSweep+interval {
+				closeSweep()
 			}
+			tr.hold(rep)
 			ref.offer(rep)
+			if flushAfter[i] && dirty {
+				dirty = false
+				closeSweep()
+			}
 			if flushAfter[i] {
-				if _, err := tr.Flush(); err != nil {
-					t.Fatal(err)
-				}
 				ref.flush()
 			}
 		}
-		if tr.Started() {
-			t.Fatalf("seed %d: the tracker acquired, so its buffer no longer holds every sample", seed)
-		}
-		if len(tr.samples) != len(ref.samples) {
-			t.Logf("seed %d: %d samples, reference %d", seed, len(tr.samples), len(ref.samples))
+		if len(got) != len(ref.samples) {
+			t.Logf("seed %d: %d samples, reference %d", seed, len(got), len(ref.samples))
 			return false
 		}
 		for i, want := range ref.samples {
-			got := &tr.samples[i]
+			got := &got[i]
 			inRange := 0
 			for id, ph := range want.phase {
 				if uint(id) >= vote.MaxAntennas {
@@ -169,10 +175,10 @@ func TestQuickSweepMergeMatchesMapReference(t *testing.T) {
 }
 
 // TestTrackerWarmupSweepAllocs gates warm-up buffering: a sweep closed
-// before acquisition copies its fixed-size sample into the warmup
-// buffer, and with capacity there it allocates nothing. Each run empties
-// the buffer, so it stays below the warm-up size and no acquisition
-// runs.
+// before acquisition copies its fixed-size sample into the warm-up
+// buffer, which a new tracker sizes for the warm-up, so it allocates
+// nothing. Each run closes the first sweep of a fresh tracker, built
+// before the measurement.
 func TestTrackerWarmupSweepAllocs(t *testing.T) {
 	sc, err := sim.New(sim.Config{Seed: 56})
 	if err != nil {
@@ -182,20 +188,26 @@ func TestTrackerWarmupSweepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newTracker(t, sc)
-	tr.samples = make([]tracing.Sample, 0, DefaultWarmupSamples)
+	const runs = 40
+	trackers := make([]*Tracker, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range trackers {
+		trackers[i] = newTracker(t, sc)
+	}
 	reports := reportsFromSamples(wr, sc.Tag.EPC)
-	next := 0
-	allocs := testing.AllocsPerRun(40, func() {
-		tr.samples = tr.samples[:0]
-		for open := tr.nextSweep; tr.nextSweep == open; next++ {
+	run := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		tr := trackers[run]
+		run++
+		for next := 0; tr.nextSweep == 0; next++ {
 			if _, err := tr.Offer(reports[next]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
-	if tr.Started() || tr.Buffered() == 0 {
-		t.Fatalf("started=%v with %d buffered: the runs did not buffer warm-up sweeps", tr.Started(), tr.Buffered())
+	for _, tr := range trackers {
+		if tr.Started() || tr.Buffered() != 1 {
+			t.Fatalf("started=%v with %d buffered: a run did not buffer one warm-up sweep", tr.Started(), tr.Buffered())
+		}
 	}
 	if allocs != 0 {
 		t.Fatalf("a warm-up sweep costs %v allocations, want 0", allocs)

@@ -3,7 +3,6 @@ package tracing
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"rfidraw/internal/geom"
 	"rfidraw/internal/traj"
@@ -79,15 +78,16 @@ type Step struct {
 }
 
 // MultiStream advances a set of per-candidate lobe-locked streams
-// sample-by-sample — the incremental multi-hypothesis core of §5.2. The
-// batch pipeline replays a full sample slice through it; the live tracker
-// pushes one sample per sweep. Both run exactly this code, so batch
-// results are byte-identical to a streaming replay of the same samples.
+// sample-by-sample — the incremental multi-hypothesis core of §5.2. One
+// MultiStream is one tracking epoch of core.Tracking, which batch Trace,
+// the live tracker and every replay run alike: a tracking loss ends it
+// and the next acquisition seeds a new one. So batch and streaming
+// results are equal epoch by epoch for the same samples.
 //
 // Leadership follows the running mean vote (the §5.2 selection rule
 // applied continuously); hypotheses whose vote record collapses relative
 // to the leader are retired (Fig. 10f) and stop consuming search work.
-// Like Stream, a MultiStream is confined to a single goroutine.
+// A MultiStream is confined to a single goroutine.
 type MultiStream struct {
 	tr          *Tracer
 	cfg         MultiConfig
@@ -115,8 +115,8 @@ func (tr *Tracer) NewMultiStream(cands []vote.Candidate, first Sample, cfg Multi
 }
 
 // NewMultiStreamWith seeds one lobe-locked hypothesis per candidate
-// against the first sample. Like the single-hypothesis stream, the first
-// sample only initialises lock state; Push it again to trace it.
+// against the first sample. The first sample only initialises lock
+// state; Push it again to trace it.
 // Overrides displace every hypothesis's initial lobe locks (the Fig. 7
 // experiment). A nil scratch allocates a private one; the scratch is
 // confined to the stream's goroutine and never influences results.
@@ -376,9 +376,6 @@ func (ms *MultiStream) Active() int {
 	return n
 }
 
-// Hypotheses returns the total hypothesis count (active + retired).
-func (ms *MultiStream) Hypotheses() int { return len(ms.hyps) }
-
 // Switches returns how many times leadership has changed.
 func (ms *MultiStream) Switches() int { return ms.switches }
 
@@ -396,68 +393,46 @@ func (ms *MultiStream) SearchEvals() int {
 	return n
 }
 
-// HypothesisStat is one hypothesis's public state snapshot.
-type HypothesisStat struct {
-	// Initial is the candidate this hypothesis was seeded from.
-	Initial vote.Candidate
-	// Samples is how many usable samples it has traced.
-	Samples int
-	// MeanVote is its running mean vote (frozen at retirement).
-	MeanVote float64
-	// Retired reports whether the hypothesis has been retired.
-	Retired bool
-}
-
-// Stats snapshots every hypothesis, in candidate order.
-func (ms *MultiStream) Stats() []HypothesisStat {
-	out := make([]HypothesisStat, len(ms.hyps))
-	for hi := range ms.hyps {
-		h := &ms.hyps[hi]
-		out[hi] = HypothesisStat{Initial: h.initial, Samples: h.count, MeanVote: h.mean(), Retired: h.retired}
-	}
-	return out
-}
-
 // Results materializes every hypothesis's batch Result (Record mode
 // only), aligned with the returned candidates; best indexes the leader.
 // Hypotheses that never traced a usable sample are dropped, matching the
 // batch pipeline's handling of failed candidate traces; when none traced
-// anything the stream-wide reply-loss error is returned.
+// anything the stream-wide reply-loss error is returned. It allocates
+// three times whatever the hypothesis count: the results and the
+// candidates, sized to the hypotheses, and one slab for every result's
+// locked lobes. The results share the hypotheses' recorded trajectories
+// and votes.
 func (ms *MultiStream) Results() (all []Result, cands []vote.Candidate, best int, err error) {
 	if !ms.cfg.Record {
 		return nil, nil, -1, errors.New("tracing: MultiStream results require MultiConfig.Record")
 	}
-	best = -1
+	nPair := len(ms.tr.pairs)
+	all, cands = make([]Result, 0, len(ms.hyps)), make([]vote.Candidate, 0, len(ms.hyps))
+	lobes := make([]int, len(ms.hyps)*nPair)
 	for hi := range ms.hyps {
 		h := &ms.hyps[hi]
 		if h.count == 0 {
 			continue
 		}
+		// The leader always has traced a sample: every active
+		// hypothesis advances together, and the leader is never retired.
+		if hi == ms.leader {
+			best = len(all)
+		}
+		locked := lobes[hi*nPair : (hi+1)*nPair : (hi+1)*nPair]
+		copy(locked, h.lobes)
 		all = append(all, Result{
 			Trajectory:  traj.Trajectory{Points: h.points},
 			Votes:       h.votes,
 			TotalVote:   h.total,
-			LockedLobes: slices.Clone(h.lobes),
+			LockedLobes: locked,
 			SearchEvals: h.evals,
 			Retired:     h.retired,
 		})
 		cands = append(cands, h.initial)
-		if hi == ms.leader {
-			best = len(all) - 1
-		}
 	}
 	if len(all) == 0 {
 		return nil, nil, -1, errors.New("tracing: no usable samples (too much reply loss)")
-	}
-	if best == -1 {
-		// The leader was dropped (cannot happen: a leader has count > 0),
-		// but keep the selection rule total anyway.
-		best = 0
-		for i := range all {
-			if meanVote(all[i]) > meanVote(all[best]) {
-				best = i
-			}
-		}
 	}
 	return all, cands, best, nil
 }

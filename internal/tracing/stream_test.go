@@ -8,22 +8,28 @@ import (
 	"rfidraw/internal/vote"
 )
 
-func TestNewStreamValidation(t *testing.T) {
+// newStream seeds a one-candidate MultiStream at initial: the live form
+// of Trace.
+func newStream(tr *Tracer, sc *vote.Scratch, initial geom.Vec2, first Sample) (*MultiStream, error) {
+	return tr.NewMultiStreamWith(sc, []vote.Candidate{{Pos: initial}}, first, MultiConfig{})
+}
+
+func TestStreamSeedValidation(t *testing.T) {
 	tr, d := testTracer(t)
 	path := circlePath(geom.Vec2{X: 1.3, Z: 1.0}, 0.05, 10)
 	samples := synthSamples(d, path, 0, nil)
 	// Starved first sample: cannot lock enough pairs.
-	if _, err := tr.NewStream(path[0], Sample{T: 0, Phase: vote.ObservationsOf(map[int]float64{1: 0.2})}); err == nil {
+	if _, err := newStream(tr, nil, path[0], Sample{T: 0, Phase: vote.ObservationsOf(map[int]float64{1: 0.2})}); err == nil {
 		t.Fatal("starved stream start should error")
 	}
-	s, err := tr.NewStream(path[0], samples[0])
+	s, err := newStream(tr, nil, path[0], samples[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Position() != tr.Config().Region.Clip(path[0]) {
-		t.Fatalf("initial position = %v", s.Position())
+	if s.LeaderPosition() != tr.Config().Region.Clip(path[0]) {
+		t.Fatalf("initial position = %v", s.LeaderPosition())
 	}
-	if s.MeanVote() != 0 {
+	if s.LeaderMeanVote() != 0 {
 		t.Fatal("mean vote before any push should be 0")
 	}
 }
@@ -38,14 +44,14 @@ func TestStreamMatchesBatchTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := tr.NewStream(path[0], samples[0])
+	stream, err := newStream(tr, nil, path[0], samples[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pts []traj.Point
 	for _, s := range samples {
-		if p, _, ok := stream.Push(s); ok {
-			pts = append(pts, p)
+		if st, ok := stream.Push(s); ok {
+			pts = append(pts, st.Point)
 		}
 	}
 	if len(pts) != batch.Trajectory.Len() {
@@ -56,7 +62,7 @@ func TestStreamMatchesBatchTrace(t *testing.T) {
 			t.Fatalf("point %d diverged: %v vs %v", i, pts[i].Pos, batch.Trajectory.Points[i].Pos)
 		}
 	}
-	if stream.MeanVote() > 0 {
+	if stream.LeaderMeanVote() > 0 {
 		t.Fatal("mean vote must be ≤ 0")
 	}
 }
@@ -65,15 +71,15 @@ func TestStreamSkipsStarvedSamples(t *testing.T) {
 	tr, d := testTracer(t)
 	path := circlePath(geom.Vec2{X: 1.3, Z: 1.0}, 0.05, 20)
 	samples := synthSamples(d, path, 0, nil)
-	stream, err := tr.NewStream(path[0], samples[0])
+	stream, err := newStream(tr, nil, path[0], samples[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := stream.Push(Sample{T: samples[1].T}); ok {
+	if _, ok := stream.Push(Sample{T: samples[1].T}); ok {
 		t.Fatal("starved sample should be skipped")
 	}
 	// The stream continues cleanly afterwards.
-	if _, _, ok := stream.Push(samples[1]); !ok {
+	if _, ok := stream.Push(samples[1]); !ok {
 		t.Fatal("stream should resume after starvation")
 	}
 }

@@ -15,19 +15,19 @@
 // The incremental multi-hypothesis core is MultiStream: one lobe-locked
 // stream per candidate initial position, advanced sample-by-sample with a
 // running-mean-vote leader and per-hypothesis retirement. Everything else
-// is a scheduler over it — batch Trace replays a sample slice through a
-// single-candidate MultiStream, Stream wraps one for live single-candidate
-// use, and the batch/live pipelines in internal/core and internal/realtime
-// replay the multi-candidate form.
+// is a scheduler over it: Trace replays a sample slice through a
+// single-candidate MultiStream, and core.Tracking, which batch, live and
+// replayed tracking all run, drives the multi-candidate form one epoch at
+// a time.
 //
 // # Concurrency
 //
 // A Tracer is immutable after construction; Trace allocates all per-trace
 // state per call, so one Tracer may be shared by any number of goroutines
 // — the multi-tag engine's shards trace different tags through one Tracer
-// concurrently. A Stream or MultiStream, by contrast, carries mutable
-// lobe-lock and unwrap state for one live trace and must be confined to a
-// single goroutine.
+// concurrently. A MultiStream, by contrast, carries mutable lobe-lock and
+// unwrap state for one live trace and must be confined to a single
+// goroutine.
 package tracing
 
 import (
@@ -491,60 +491,4 @@ func (tr *Tracer) normalEquations(track []pairTrack, lobes []int, pos geom.Vec2,
 		gz += dz * r
 	}
 	return jxx, jxz, jzz, gx, gz
-}
-
-// Stream incrementally extends a single candidate's trace: the online
-// variant of Trace for live tracking, a thin wrapper over a
-// single-hypothesis MultiStream. Lobe locks are fixed at creation; each
-// Push consumes one sample and, when enough pairs are observable,
-// produces the next position.
-type Stream struct {
-	ms *MultiStream
-}
-
-// NewStream locks pair lobes against the initial position using the first
-// sample and returns a ready stream. The first sample only initialises
-// state; it does not emit a position (Push it again if desired).
-func (tr *Tracer) NewStream(initial geom.Vec2, first Sample) (*Stream, error) {
-	return tr.NewStreamWith(nil, initial, first)
-}
-
-// NewStreamWith is NewStream with an explicit reusable search scratch; the
-// engine's shards pass their per-shard one so every live tag on a shard
-// shares it. A nil scratch allocates a private one. Like the stream
-// itself, the scratch is confined to the stream's goroutine.
-func (tr *Tracer) NewStreamWith(sc *vote.Scratch, initial geom.Vec2, first Sample) (*Stream, error) {
-	ms, err := tr.NewMultiStreamWith(sc, []vote.Candidate{{Pos: initial}}, first, MultiConfig{})
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{ms: ms}, nil
-}
-
-// Push consumes one sample. ok is false when the sample was skipped for
-// reply loss; otherwise point is the new position estimate and vote the
-// total pair vote there.
-func (s *Stream) Push(sample Sample) (point traj.Point, vote float64, ok bool) {
-	st, ok := s.ms.Push(sample)
-	if !ok {
-		return traj.Point{}, 0, false
-	}
-	return st.Point, st.Vote, true
-}
-
-// SearchEvals returns the cumulative step evaluation count — the live
-// counterpart of Result.SearchEvals.
-func (s *Stream) SearchEvals() int { return s.ms.SearchEvals() }
-
-// Position returns the current estimate.
-func (s *Stream) Position() geom.Vec2 { return s.ms.LeaderPosition() }
-
-// MeanVote returns the stream's mean vote so far (0 before any sample).
-func (s *Stream) MeanVote() float64 { return s.ms.LeaderMeanVote() }
-
-func meanVote(r Result) float64 {
-	if len(r.Votes) == 0 {
-		return 0
-	}
-	return r.TotalVote / float64(len(r.Votes))
 }

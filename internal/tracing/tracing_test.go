@@ -332,7 +332,7 @@ func TestStreamSharedScratchIsInert(t *testing.T) {
 	samplesB := synthSamples(d, pathB, 0, nil)
 
 	run := func(sc *vote.Scratch, start geom.Vec2, samples []Sample, interleave func(int)) []traj.Point {
-		s, err := tr.NewStreamWith(sc, start, samples[0])
+		s, err := newStream(tr, sc, start, samples[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,8 +341,8 @@ func TestStreamSharedScratchIsInert(t *testing.T) {
 			if interleave != nil {
 				interleave(i)
 			}
-			if p, _, ok := s.Push(smp); ok {
-				pts = append(pts, p)
+			if st, ok := s.Push(smp); ok {
+				pts = append(pts, st.Point)
 			}
 		}
 		if s.SearchEvals() <= 0 {
@@ -355,7 +355,7 @@ func TestStreamSharedScratchIsInert(t *testing.T) {
 	// Replay stream A while stream B interleaves pushes through the same
 	// scratch — exactly what two tags on one shard do.
 	shared := vote.NewScratch()
-	sb, err := tr.NewStreamWith(shared, pathB[0], samplesB[0])
+	sb, err := newStream(tr, shared, pathB[0], samplesB[0])
 	if err != nil {
 		t.Fatal(err)
 	}

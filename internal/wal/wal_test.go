@@ -85,6 +85,36 @@ func collect(t *testing.T, st *Store, id string, upTo uint64) []Record {
 
 // TestRoundTrip: meta, reports, flush markers and the close record
 // survive a write/read cycle byte-exactly, with clean stats.
+// TestWALAppendZeroAllocs gates the serving pump's per-report durability
+// step at zero allocations: with fsync off (NoSync, as
+// BenchmarkWALAppend runs it), AppendReport encodes into the log's
+// buffer and writes it without allocating.
+func TestWALAppendZeroAllocs(t *testing.T) {
+	store, err := Open(t.TempDir(), Options{NoSync: true, SegmentBytes: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := store.Create(testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := testReports(1)[0]
+	seq := uint64(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		seq++
+		rep.Time += 6 * time.Millisecond
+		if err := log.AppendReport(seq, rep); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := log.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("AppendReport costs %v allocations, want 0", allocs)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	reports := testReports(100)
 	st := writeLog(t, t.TempDir(), Options{NoSync: true}, reports, 10, true)

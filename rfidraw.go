@@ -137,6 +137,10 @@ type Result struct {
 	// Retirements is how many candidate hypotheses were retired for
 	// collapsed vote records before the stream ended.
 	Retirements int
+	// Epochs is how many tracking epochs the stream ran: one per
+	// acquisition, and a tracking loss ends one. The fields above
+	// describe the last.
+	Epochs int
 }
 
 // SearchMode selects how the positioning and tracing vote surfaces are
@@ -352,6 +356,7 @@ func convertResult(res *core.TraceResult) *Result {
 		Traces:          make([]Trace, len(res.All)),
 		LeaderSwitches:  res.LeaderSwitches,
 		Retirements:     res.Retirements,
+		Epochs:          len(res.Epochs),
 	}
 	for i, tr := range res.All {
 		out.Traces[i] = Trace{

@@ -90,6 +90,9 @@ func TestPublicTraceEndToEnd(t *testing.T) {
 	if res.Chosen < 0 || res.Chosen >= len(res.Traces) {
 		t.Fatalf("chosen index %d out of %d traces", res.Chosen, len(res.Traces))
 	}
+	if res.Epochs != 1 {
+		t.Fatalf("a continuous word traced in %d epochs, want 1", res.Epochs)
+	}
 	// The chosen trace must be the one in Trajectory.
 	chosen := res.Traces[res.Chosen]
 	if len(chosen.Points) != len(res.Trajectory) {
