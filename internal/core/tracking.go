@@ -87,14 +87,14 @@ type epoch struct {
 // is a terminal error (0 takes 400, about 10 s of 25 ms sweeps). record
 // keeps every hypothesis's trajectory, and every finished epoch, so
 // TraceResult can materialize them; memory then grows with the stream.
-func (s *System) NewTracking(sc *vote.Scratch, maxBuffer int, record bool) *Tracking {
+func (s *System) NewTracking(sc *vote.Scratch, maxBuffer int, record bool) Tracking {
 	if sc == nil {
 		sc = vote.NewScratch()
 	}
 	if maxBuffer <= 0 {
 		maxBuffer = 400
 	}
-	return &Tracking{
+	return Tracking{
 		sys: s, sc: sc, maxBuffer: maxBuffer, record: record,
 		samples: make([]tracing.Sample, 0, WarmupSamples),
 	}
@@ -182,6 +182,9 @@ func (t *Tracking) endEpoch() {
 	t.switches += ms.Switches()
 	t.retirements += ms.Retirements()
 	if t.record {
+		if t.done == nil {
+			t.done = make([]epoch, 0, 4) // room for a few losses at once
+		}
 		t.done = append(t.done, t.cur)
 	}
 	t.cur = epoch{}
@@ -230,8 +233,9 @@ func (t *Tracking) TraceResult() (*TraceResult, error) {
 	if t.cur.ms != nil {
 		n++
 	}
-	epochs := make([]TraceResult, n)
-	for i := range epochs {
+	// One allocation holds every epoch and, last, the result itself.
+	epochs := make([]TraceResult, n+1)
+	for i := range n {
 		e := t.cur
 		if i < len(t.done) {
 			e = t.done[i]
@@ -250,9 +254,10 @@ func (t *Tracking) TraceResult() (*TraceResult, error) {
 			Retirements:    e.ms.Retirements(),
 		}
 	}
-	res := epochs[n-1]
-	res.Epochs = epochs
-	return &res, nil
+	res := &epochs[n]
+	*res = epochs[n-1]
+	res.Epochs = epochs[:n:n]
+	return res, nil
 }
 
 // Started reports whether an epoch is live: acquisition has completed

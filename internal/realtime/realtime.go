@@ -70,7 +70,7 @@ const DefaultWarmupSamples = core.WarmupSamples
 // through the embedded Tracking (Started, Buffered, SearchEvals,
 // TraceResult and the other counters); only Offer and Flush feed it.
 type Tracker struct {
-	*core.Tracking
+	core.Tracking
 	cfg Config
 
 	epc     rfid.EPC
