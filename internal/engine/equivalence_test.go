@@ -86,6 +86,7 @@ func TestQuickTrackingMatchesReplayer(t *testing.T) {
 			}
 			var served []realtime.Position
 			rp.OnUpdate = func(u Update) { served = append(served, u.Positions...) }
+			// A tag's failure surfaces through Results, compared below.
 			for k, s := range raw {
 				for id, ph := range s.Phase.All() {
 					_ = rp.Offer(rfid.Report{Time: s.T, ReaderID: (id - 1) / 4, AntennaID: id, EPC: scen.Tag.EPC, PhaseRad: ph})
