@@ -221,7 +221,8 @@ func (w *voteWindow) mean() float64 {
 // TraceResult materializes the tag's epochs (recording only): its fields
 // describe the last acquired epoch — the live one, or the last finished
 // one when the stream ended mid-reacquisition — and Epochs lists them
-// all. It is an error only when no epoch acquired.
+// all. It is an error only when no epoch acquired. Like Push's, its
+// errors carry no package prefix.
 func (t *Tracking) TraceResult() (*TraceResult, error) {
 	if t.cur.ms == nil && t.reacquisitions == 0 {
 		return nil, errors.New("never acquired")
