@@ -1,6 +1,9 @@
-// Benchmarks regenerating every figure of the paper's evaluation, plus
-// ablations of the design choices DESIGN.md calls out and performance
-// micro-benchmarks of the hot paths.
+// Benchmarks regenerating the paper's figures that run a workload of
+// their own (Figs. 2–7, 10 and 16), ablations of its design choices (the
+// coarse filter, lobe locking, antenna separation and the candidate
+// count) and performance micro-benchmarks of the hot paths. Figs. 11–15
+// summarise one traced word batch: TestFigs11Through15 in
+// internal/experiments checks them and cmd/rfidraw renders them.
 //
 // Figure benches run reduced workloads (a few words instead of the paper's
 // 150) so `go test -bench=.` finishes in minutes; cmd/rfidraw runs the
@@ -119,93 +122,6 @@ func BenchmarkFig10Microbenchmark(b *testing.B) {
 		shape = r.ShapeErr * 100
 	}
 	b.ReportMetric(shape, "clear-shape-err-cm")
-}
-
-// benchBatch runs (and caches per size) a reduced word batch.
-var benchBatches = map[string]*experiments.BatchResult{}
-
-func batchFor(b *testing.B, prop sim.Propagation) *experiments.BatchResult {
-	b.Helper()
-	key := prop.String()
-	if r, ok := benchBatches[key]; ok {
-		return r
-	}
-	r, err := experiments.RunBatch(experiments.BatchConfig{Prop: prop, Words: 6, Users: 2, Seed: 9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchBatches[key] = r
-	return r
-}
-
-func BenchmarkFig11TrajectoryCDF(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		batch := batchFor(b, sim.LOS)
-		ratio = experiments.RunFig11(batch).Improvement()
-	}
-	b.ReportMetric(ratio, "improvement-x")
-}
-
-func BenchmarkFig11TrajectoryCDFNLOS(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		batch := batchFor(b, sim.NLOS)
-		ratio = experiments.RunFig11(batch).Improvement()
-	}
-	b.ReportMetric(ratio, "improvement-x")
-}
-
-func BenchmarkFig12InitialPositionCDF(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		batch := batchFor(b, sim.LOS)
-		ratio = experiments.RunFig12(batch).Improvement()
-	}
-	b.ReportMetric(ratio, "improvement-x")
-}
-
-func BenchmarkFig13ErrorCoupling(b *testing.B) {
-	var buckets float64
-	for i := 0; i < b.N; i++ {
-		batch := batchFor(b, sim.LOS)
-		buckets = float64(len(experiments.RunFig13(batch).Buckets))
-	}
-	b.ReportMetric(buckets, "buckets")
-}
-
-func BenchmarkFig14CharRecognition(b *testing.B) {
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		batch := batchFor(b, sim.LOS)
-		var ok, total int
-		for _, o := range batch.Outcomes {
-			ok += o.CharsOKRF
-			total += o.CharsTotal
-		}
-		if total > 0 {
-			rate = 100 * float64(ok) / float64(total)
-		}
-	}
-	b.ReportMetric(rate, "char-rate-%")
-}
-
-func BenchmarkFig15WordRecognition(b *testing.B) {
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		batch := batchFor(b, sim.LOS)
-		var ok, total int
-		for _, o := range batch.Outcomes {
-			total++
-			if o.WordOKRF {
-				ok++
-			}
-		}
-		if total > 0 {
-			rate = 100 * float64(ok) / float64(total)
-		}
-	}
-	b.ReportMetric(rate, "word-rate-%")
 }
 
 func BenchmarkFig16Play5m(b *testing.B) {
@@ -457,6 +373,7 @@ func BenchmarkEngineMultiTag(b *testing.B) {
 
 // BenchmarkEngineStreaming measures the live wire-fed path: every tag's
 // raw reports interleaved, demultiplexed and tracked concurrently.
+// internal/engine's TestStreamingAllocs bounds its allocations.
 func BenchmarkEngineStreaming(b *testing.B) {
 	benchEngineJobs(b, 8) // ensure the cached run exists
 	run := benchEngineRun
@@ -692,8 +609,7 @@ func benchRawStream(addr, path string) (net.Conn, *bufio.Reader, error) {
 // trace tiers (s%3), so every flush marshals each distinct tier run at
 // most once and shares the bytes across its cohort. reports/s should
 // stay near flat as subscribers grow — the per-subscriber cost is a
-// channel send of a pre-encoded batch, not a marshal — and CI gates
-// the 1024-subscriber arm against the committed baseline.
+// channel send of a pre-encoded batch, not a marshal.
 func BenchmarkTieredFanout(b *testing.B) {
 	benchEngineJobs(b, 8) // ensure the cached run exists
 	run := benchEngineRun
@@ -790,6 +706,9 @@ func BenchmarkLocalizeSingleSample(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceStep times one tracing step of a warm one-candidate
+// stream; internal/tracing's TestMultiStreamPushZeroAllocs holds such a
+// stream's steps at zero allocations.
 func BenchmarkTraceStep(b *testing.B) {
 	sc, err := sim.New(sim.Config{Seed: 105})
 	if err != nil {
@@ -813,7 +732,7 @@ func BenchmarkTraceStep(b *testing.B) {
 		next++
 	}
 	// Warm the stream's scratch first (memo buckets, pool capacity), so a
-	// short -benchtime 3x run bills steady-state steps, not its growth.
+	// short -benchtime run bills steady-state steps, not its growth.
 	for i := 0; i < 8; i++ {
 		push()
 	}
@@ -883,7 +802,8 @@ func BenchmarkChannelMeasure(b *testing.B) {
 // serving pump pays: a monotonic clock read plus one histogram
 // observation per pipeline stage and the end-to-end record. The stamps
 // are always on — every report of every session pays this at full
-// ingest rate — so CI gates allocs/op at zero growth (baseline 0).
+// ingest rate — so internal/obs's TestObserveZeroAllocs holds the same
+// loop at zero allocations.
 func BenchmarkObsStamp(b *testing.B) {
 	p := &obs.Pipeline{}
 	stages := obs.Stages()
@@ -946,8 +866,8 @@ func BenchmarkSearchModes(b *testing.B) {
 // BenchmarkWALAppend measures the serving pump's per-report durability
 // cost: encoding and writing one report record into the session log.
 // Syncing is deferred past the run (fsync cadence is policy, not append
-// cost) and the encode path reuses the log's buffer, so allocs/op is
-// gated at zero growth by CI (cross-machine stable, unlike ns/op).
+// cost) and the encode path reuses the log's buffer, so it allocates
+// nothing; internal/wal's TestWALAppendZeroAllocs holds that at 0.
 func BenchmarkWALAppend(b *testing.B) {
 	store, err := wal.Open(b.TempDir(), wal.Options{NoSync: true, SegmentBytes: 1 << 40})
 	if err != nil {

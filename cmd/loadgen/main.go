@@ -8,8 +8,8 @@
 //
 // The JSON result (stdout or -out) carries p50/p90/p99/max latency,
 // event counts and per-session outcomes; the process exits non-zero if
-// any session failed or was shed, so CI can gate on it. The bench
-// workflow runs it as an informational soak next to the BENCH artifact.
+// any session failed or was shed, so CI can gate on it; CI's soak job
+// (scripts/soak.sh) runs it.
 //
 // Usage:
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -247,6 +248,58 @@ func TestStreamingMultiTag(t *testing.T) {
 		}
 		if !st.Started || st.Positions == 0 {
 			t.Fatalf("tag %s: started=%v positions=%d", st.Tag, st.Started, st.Positions)
+		}
+	}
+}
+
+// TestStreamingAllocs bounds the live path's allocations per stream:
+// offering the 8-tag run's reports and closing the engine allocates for
+// the trackers, their hypotheses and each acquisition, not per report.
+// The engines share one prebuilt System, so the count leaves out the
+// steering tables, and a first, cold pass fills the scratch pools. Under
+// the race detector sync.Pool drops items at random, so a single pass
+// can read more; the bound holds the fewest over up to 20 warm passes.
+func TestStreamingAllocs(t *testing.T) {
+	run := multiRun(t, 8)
+	merged := realtime.MergeStreams(run.ReportsRF...)
+	sys, err := core.NewSystem(nil, coreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func(shards int) uint64 {
+		e, err := New(Config{
+			Shards:        shards,
+			System:        sys,
+			SweepInterval: run.SweepInterval * time.Duration(len(run.Tags)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, rep := range merged {
+			if err := e.Offer(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for _, c := range []struct {
+		shards int
+		max    uint64
+	}{{1, 160}, {2, 165}} {
+		stream(c.shards)
+		fewest := stream(c.shards)
+		for pass := 1; pass < 20 && fewest > c.max; pass++ {
+			fewest = min(fewest, stream(c.shards))
+		}
+		if fewest > c.max {
+			t.Errorf("%d shards: streaming %d reports allocates %d times, want ≤ %d",
+				c.shards, len(merged), fewest, c.max)
 		}
 	}
 }

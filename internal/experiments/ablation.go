@@ -14,10 +14,10 @@ import (
 	"rfidraw/internal/vote"
 )
 
-// AblationReport quantifies the design choices DESIGN.md §5 calls out,
-// each isolated on the same simulated workload: the coarse filter, lobe
-// locking, trajectory-vote candidate selection, and the near-field
-// baseline strengthening.
+// AblationReport quantifies the paper's design choices (§5) and this
+// reproduction's baseline solver, each isolated on the same simulated
+// workload: the coarse filter, lobe locking, trajectory-vote candidate
+// selection, and the near-field baseline strengthening.
 type AblationReport struct {
 	// CoarseFilterErr / WideOnlyErr: median one-shot localization error
 	// (m) with and without the stage-1 coarse filter.

@@ -2,11 +2,11 @@
 // positioning system needs: points, polylines, rays, and the writing-plane
 // convention that maps the paper's 2-D (x, z) outputs into 3-D space.
 //
-// Coordinate convention (see DESIGN.md §3): reader antennas are mounted on
-// the wall plane y = 0 with x running right and z running up; the user
-// writes in a plane parallel to the wall at y = distance. All positioning
-// math is done with full 3-D Euclidean distances, while grids, trajectories
-// and plots live in (x, z) within the writing plane.
+// Coordinate convention: reader antennas are mounted on the wall plane
+// y = 0 with x running right and z running up; the user writes in a plane
+// parallel to the wall at y = distance. All positioning math is done with
+// full 3-D Euclidean distances, while grids, trajectories and plots live
+// in (x, z) within the writing plane.
 package geom
 
 import (

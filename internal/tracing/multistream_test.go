@@ -56,34 +56,44 @@ func TestMultiStreamRetiresCollapsedHypothesis(t *testing.T) {
 }
 
 // TestMultiStreamPushZeroAllocs gates the live tracing step at zero
-// allocations per sweep: a warm MultiStream with two active hypotheses
-// and Record off pushes samples without allocating, so a shard's steady
-// state costs search work only.
+// allocations per sweep: a warm MultiStream with Record off pushes
+// samples without allocating, so a shard's steady state costs search
+// work only. It runs two streams: two hypotheses kept active, and the
+// one-candidate stream with default settings that BenchmarkTraceStep
+// times.
 func TestMultiStreamPushZeroAllocs(t *testing.T) {
 	tr, d := testTracer(t)
 	path := circlePath(geom.Vec2{X: 1.3, Z: 1.0}, 0.12, 80)
 	samples := synthSamples(d, path, 0, nil)
-	cands := []vote.Candidate{
-		{Pos: path[0]},
-		{Pos: path[0].Add(geom.Vec2{X: 0.45, Z: 0.3})},
-	}
-	ms, err := tr.NewMultiStream(cands, samples[0], MultiConfig{RetireMargin: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range samples {
-		ms.Push(s)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(len(samples), func() {
-		ms.Push(samples[i%len(samples)])
-		i++
-	})
-	if ms.Active() < 2 {
-		t.Fatalf("active hypotheses = %d, want ≥2", ms.Active())
-	}
-	if allocs != 0 {
-		t.Fatalf("MultiStream.Push allocates %v allocs/op in steady state, want 0", allocs)
+	for _, c := range []struct {
+		name  string
+		cands []vote.Candidate
+		cfg   MultiConfig
+	}{
+		{"two hypotheses", []vote.Candidate{
+			{Pos: path[0]},
+			{Pos: path[0].Add(geom.Vec2{X: 0.45, Z: 0.3})},
+		}, MultiConfig{RetireMargin: -1}},
+		{"one candidate", []vote.Candidate{{Pos: path[0]}}, MultiConfig{}},
+	} {
+		ms, err := tr.NewMultiStream(c.cands, samples[0], c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			ms.Push(s)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(len(samples), func() {
+			ms.Push(samples[i%len(samples)])
+			i++
+		})
+		if ms.Active() < len(c.cands) {
+			t.Fatalf("%s: active hypotheses = %d, want %d", c.name, ms.Active(), len(c.cands))
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: MultiStream.Push allocates %v allocs/op in steady state, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -179,7 +179,7 @@ type Config struct {
 	// square.
 	RegionMin, RegionMax Point
 	// CandidateCount is how many candidate initial positions to trace.
-	// Default 3.
+	// Default 5.
 	CandidateCount int
 	// CarrierHz overrides the 922 MHz default carrier.
 	CarrierHz float64

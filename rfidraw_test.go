@@ -41,6 +41,9 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := sys.eng.System().Config().CandidateCount; got != 5 {
+		t.Fatalf("default CandidateCount = %d, want the documented 5", got)
+	}
 	ants := sys.AntennaPositions()
 	if len(ants) != 8 {
 		t.Fatalf("antenna count = %d", len(ants))
@@ -63,8 +66,8 @@ func TestCustomRegionAndCarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys == nil {
-		t.Fatal("nil system")
+	if got := sys.eng.System().Config().CandidateCount; got != 2 {
+		t.Fatalf("CandidateCount = %d, want the configured 2", got)
 	}
 }
 

@@ -19,9 +19,22 @@
 # side), then each side's correct and failed counts. Each metric ends
 # with a verdict line: the wins, the change's median gain over the
 # parent's (|Δmedian|, and whether it is better or worse), the parent's
-# interquartile range, and whether the claim rule holds: the change wins
-# at least 9 pairs in 10 and its median is better by more than the
-# parent's IQR.
+# interquartile range, whether the claim rule holds (the change wins at
+# least 9 pairs in 10 and its median is better by more than the
+# parent's IQR), and the metric's gate outcome.
+#
+# The exit status is the same-host gate: after the summary the script
+# exits 1, naming each reason on a last "gate:" line, when
+#   - a change-side run is not "correct":true;
+#   - the change's median failed share (failed/attempted) is above the
+#     parent's;
+#   - an end_to_end metric of BENCHMARK.json has a change median worse
+#     than the parent's by more than its bound, read as a fraction of the
+#     parent's median ("fail"), or the parent reports it and the change
+#     does not. When the parent's IQR, as a fraction of its median, is
+#     wider than the bound, the pairs cannot resolve the bound: the
+#     outcome is "unresolved", and it does not fail.
+# Per-layer metrics never gate ("none").
 set -euo pipefail
 if [ $# -lt 4 ]; then
 	echo "usage: $0 <parent-rev> <workload> <pairs> <seed> [seconds] [trace]" >&2
@@ -62,12 +75,15 @@ for ((i = 1; i <= pairs; i++)); do
 done
 
 echo "$workload seed $seed trace $trace, $pairs pairs of ${seconds}s runs: parent $(git rev-parse --short "$rev") vs working tree"
-# The first file read is BENCHMARK.json, for each metric's direction:
-# its "name" lines are each followed by the metric's "better" line.
+# The first file read is BENCHMARK.json, for each metric's direction and
+# bound: its "name" lines are each followed by the metric's "better"
+# line and, in the end_to_end list, its "bound" line.
 awk '
 FNR == NR {
+	if ($0 ~ /"[a-z_]+": *\[/) { list = $0; sub(/^[^"]*"/, "", list); sub(/".*/, "", list) }
 	if ($0 ~ /"name":/) { metric = $0; sub(/.*"name": *"/, "", metric); sub(/".*/, "", metric) }
 	if ($0 ~ /"better":/) { dir = $0; sub(/.*"better": *"/, "", dir); sub(/".*/, "", dir); better[metric] = dir }
+	if ($0 ~ /"bound":/ && list == "end_to_end") { b = $0; sub(/.*"bound": */, "", b); sub(/[,} ].*/, "", b); bound[metric] = b + 0 }
 	next
 }
 function quantile(a, n, q,   pos, lo) {
@@ -100,6 +116,8 @@ function summary(side, name,   n) {
 	if ($0 ~ /"correct":true/) correct[side]++
 	f = $0; sub(/.*"failed":/, "", f); sub(/[,}].*/, "", f)
 	failed[side] = failed[side] (failed[side] == "" ? "" : ",") f
+	a = $0; sub(/.*"attempted":/, "", a); sub(/[,}].*/, "", a)
+	v[side, "failed share", pair + 0] = a + 0 > 0 ? f / a : 0
 	rest = $0
 	while (match(rest, /"[a-z0-9_.]+":\{"value":[-+0-9.eE]+/)) {
 		m = substr(rest, RSTART, RLENGTH)
@@ -110,10 +128,16 @@ function summary(side, name,   n) {
 		v[side, name, pair + 0] = val + 0
 	}
 }
+# ratio returns x as a fraction of the parent median m.
+function ratio(x, m) {
+	if (m < 0) m = -m
+	return m > 0 ? x / m : x > 0 ? 1e308 : 0
+}
 END {
 	for (k = 0; k < nnames; k++) {
 		name = names[k]
 		higher = better[name] == "higher"
+		gated = name in bound
 		wins = 0; pairs = 0
 		for (i = 1; i <= npairs; i++) {
 			if (!(("parent", name, i) in v) || !(("change", name, i) in v)) continue
@@ -121,17 +145,35 @@ END {
 			if (higher ? v["change", name, i] > v["parent", name, i] : v["change", name, i] < v["parent", name, i]) wins++
 		}
 		printf "%s (%s is better)\n  parent  %s\n  change  %s\n  change wins %d of %d pairs\n", name, higher ? "higher" : "lower", summary("parent", name), summary("change", name), wins, pairs
-		if (pairs == 0 || !quartiles("parent", name)) continue
+		if (pairs == 0 || !quartiles("parent", name)) {
+			if (gated && quartiles("parent", name)) {
+				print "  verdict: gate fail (the change does not report it)"
+				fails = fails " " name " (not reported)"
+			}
+			continue
+		}
 		pmed = qmed; iqr = qhi - qlo
 		quartiles("change", name)
 		gain = higher ? qmed - pmed : pmed - qmed
 		way = gain > 0 ? "better" : gain < 0 ? "worse" : "equal"
 		rule = (wins * 10 >= pairs * 9 && gain > iqr) ? "holds" : "not met"
 		if (gain < 0) gain = -gain
-		printf "  verdict: wins %d/%d, |dmedian| %.4g %s, parent IQR %.4g: claim rule %s\n", wins, pairs, gain, way, iqr, rule
+		delta = gain ? sprintf("%s by %.1f%%", way, 100 * ratio(gain, pmed)) : "equal"
+		if (!gated) gate = "none (per-layer)"
+		else if (ratio(iqr, pmed) > bound[name]) gate = sprintf("unresolved (parent IQR %.1f%% of its median > bound %g%%)", 100 * ratio(iqr, pmed), 100 * bound[name])
+		else if (way == "worse" && ratio(gain, pmed) > bound[name]) {
+			gate = sprintf("fail (%s > bound %g%%)", delta, 100 * bound[name])
+			fails = fails " " name " (" delta ")"
+		} else gate = sprintf("pass (%s, bound %g%%)", delta, 100 * bound[name])
+		printf "  verdict: wins %d/%d, |dmedian| %.4g %s, parent IQR %.4g: claim rule %s; gate %s\n", wins, pairs, gain, way, iqr, rule, gate
 	}
 	for (s = 0; s < 2; s++) {
 		side = s ? "change" : "parent"
-		printf "%s: correct %d of %d runs, failed per run %s\n", side, correct[side] + 0, runs[side] + 0, failed[side]
+		share[side] = quartiles(side, "failed share") ? qmed : 0
+		printf "%s: correct %d of %d runs, failed per run %s, median failed share %.4g\n", side, correct[side] + 0, runs[side] + 0, failed[side], share[side]
 	}
+	if (correct["change"] + 0 < runs["change"]) fails = fails sprintf(" correct (%d of %d change runs)", correct["change"] + 0, runs["change"])
+	if (share["change"] > share["parent"]) fails = fails sprintf(" failed share (%.4g > %.4g)", share["change"], share["parent"])
+	if (fails == "") print "gate: pass"
+	else { print "gate: fail:" fails; exit 1 }
 }' "$root/BENCHMARK.json" "$results"
