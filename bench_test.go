@@ -457,29 +457,51 @@ func benchDaemonStart(b *testing.B) *server.Client {
 	return benchDaemon
 }
 
-// benchSessionReaders polls the session info endpoint until the ingest
-// gateway has released the session's last reader connection — the
-// barrier proving every report written to the socket has been offered
-// into the session pump.
-func benchAwaitIngestDone(b *testing.B, httpc *http.Client, url string) {
+// benchSessionInfo reads a session's report and point counters from its
+// info endpoint.
+func benchSessionInfo(b *testing.B, httpc *http.Client, url string) (reports, points int64) {
 	b.Helper()
+	resp, err := httpc.Get(url)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info struct {
+		Reports int64 `json:"reports"`
+		Points  int64 `json:"points"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		b.Fatal(err)
+	}
+	return info.Reports, info.Points
+}
+
+// benchAwaitIngestDone polls the session info endpoint until the session
+// has taken in want reports — the proof that every report written to the
+// socket reached the session pump. (A reader count of zero proves
+// nothing: DialIngest returns before the gateway registers the reader.)
+func benchAwaitIngestDone(b *testing.B, httpc *http.Client, url string, want int) {
+	b.Helper()
+	deadline := time.Now().Add(60 * time.Second)
 	for {
-		resp, err := httpc.Get(url)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var info struct {
-			Readers int `json:"readers"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if info.Readers == 0 {
+		reports, _ := benchSessionInfo(b, httpc, url)
+		if reports == int64(want) {
 			return
 		}
+		if reports > int64(want) || time.Now().After(deadline) {
+			b.Fatalf("session took in %d of %d reports sent", reports, want)
+		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// benchRequirePoints fails the iteration when the drained session
+// emitted no point: the timed region then traced nothing. Call it with
+// the timer stopped.
+func benchRequirePoints(b *testing.B, httpc *http.Client, url string) {
+	b.Helper()
+	if _, points := benchSessionInfo(b, httpc, url); points == 0 {
+		b.Fatalf("%s emitted no point", url)
 	}
 }
 
@@ -552,10 +574,13 @@ func BenchmarkIngestToEmit(b *testing.B) {
 					if err := rs.Close(); err != nil {
 						b.Fatal(err)
 					}
-					benchAwaitIngestDone(b, httpc, sessionURL)
+					benchAwaitIngestDone(b, httpc, sessionURL, len(merged))
 					if err := cl.DrainSession(ctx, id); err != nil {
 						b.Fatal(err)
 					}
+					b.StopTimer()
+					benchRequirePoints(b, httpc, sessionURL)
+					b.StartTimer()
 					if err := cl.DeleteSession(ctx, id); err != nil {
 						b.Fatal(err)
 					}
@@ -668,11 +693,12 @@ func BenchmarkTieredFanout(b *testing.B) {
 				if err := rs.Close(); err != nil {
 					b.Fatal(err)
 				}
-				benchAwaitIngestDone(b, httpc, sessionURL)
+				benchAwaitIngestDone(b, httpc, sessionURL, len(merged))
 				if err := cl.DrainSession(ctx, id); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
+				benchRequirePoints(b, httpc, sessionURL)
 				if err := cl.DeleteSession(ctx, id); err != nil {
 					b.Fatal(err)
 				}
@@ -863,12 +889,14 @@ func BenchmarkSearchModes(b *testing.B) {
 	}
 }
 
-// BenchmarkWALAppend measures the serving pump's per-report durability
-// cost: encoding and writing one report record into the session log.
+// BenchmarkWALAppend measures the serving pump's durability cost per
+// released batch: appending 16 report records into the session log's
+// buffer and committing them with one write, reported per report.
 // Syncing is deferred past the run (fsync cadence is policy, not append
-// cost) and the encode path reuses the log's buffer, so it allocates
-// nothing; internal/wal's TestWALAppendZeroAllocs holds that at 0.
+// cost) and the records reuse the log's buffer, so it allocates nothing;
+// internal/wal's TestWALAppendZeroAllocs holds that at 0.
 func BenchmarkWALAppend(b *testing.B) {
+	const batch = 16
 	store, err := wal.Open(b.TempDir(), wal.Options{NoSync: true, SegmentBytes: 1 << 40})
 	if err != nil {
 		b.Fatal(err)
@@ -884,13 +912,21 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	seq := uint64(0)
 	for i := 0; i < b.N; i++ {
-		rep.Time += 6 * time.Millisecond
-		if err := log.AppendReport(uint64(i+1), rep); err != nil {
+		for range batch {
+			seq++
+			rep.Time += 6 * time.Millisecond
+			if err := log.AppendReport(seq, rep); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := log.Commit(); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(seq), "ns/report")
 	b.SetBytes(int64(log.Bytes()) / int64(b.N))
 	if err := log.Abandon(); err != nil {
 		b.Fatal(err)

@@ -46,7 +46,6 @@ import (
 	"rfidraw/internal/realtime"
 	"rfidraw/internal/rfid"
 	"rfidraw/internal/tracing"
-	"rfidraw/internal/vote"
 )
 
 // Config assembles an Engine.
@@ -81,8 +80,8 @@ type Config struct {
 	// OnUpdate receives live position updates from the streaming path.
 	// It is called from shard goroutines, possibly concurrently.
 	OnUpdate func(Update)
-	// BatchSize has no effect: Offer dispatches every report to its
-	// shard immediately.
+	// BatchSize has no effect: Offer dispatches each call's reports to
+	// their shards at once, one message per shard.
 	BatchSize int
 }
 
@@ -142,6 +141,10 @@ type Engine struct {
 	cfg    Config
 	sys    *core.System
 	shards []*shard
+	// fill holds, per shard, the slice Offer is filling with that shard's
+	// share of the current call (nil between calls); like dirty it is
+	// owned by the ingest goroutine.
+	fill [][]rfid.Report
 
 	// dirty records whether any report has been offered since the last
 	// Flush; it is owned by the ingest goroutine (see the concurrency
@@ -168,16 +171,10 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, sys: sys, shards: make([]*shard, cfg.Shards)}
+	e := &Engine{cfg: cfg, sys: sys, shards: make([]*shard, cfg.Shards), fill: make([][]rfid.Report, cfg.Shards)}
 	for i := range e.shards {
-		sh := &shard{
-			in:   make(chan shardMsg, 16),
-			done: make(chan struct{}),
-			rp:   newReplayer(cfg, sys, scratchPool.Get().(*vote.Scratch)),
-		}
-		sh.rp.OnUpdate = cfg.OnUpdate
-		e.shards[i] = sh
-		go sh.loop()
+		e.shards[i] = newShard(cfg, sys)
+		go e.shards[i].loop()
 	}
 	return e, nil
 }
@@ -198,16 +195,16 @@ func (e *Engine) shardFor(key string) *shard {
 	return e.shards[h%uint64(len(e.shards))]
 }
 
-// shardForEPC is shardFor over the EPC's raw bytes — the streaming path
-// routes every report through here, so it must not allocate (EPC.String
-// would build a garbage hex string per report).
-func (e *Engine) shardForEPC(epc rfid.EPC) *shard {
+// shardOfEPC is shardFor's index over the EPC's raw bytes — the
+// streaming path routes every report through here, so it must not
+// allocate (EPC.String would build a garbage hex string per report).
+func (e *Engine) shardOfEPC(epc rfid.EPC) int {
 	h := uint64(14695981039346656037)
 	for _, b := range epc {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}
-	return e.shards[h%uint64(len(e.shards))]
+	return int(h % uint64(len(e.shards)))
 }
 
 // TraceBatch runs every job's full vote → lobe-lock → trace pipeline,
@@ -247,17 +244,35 @@ func (e *Engine) Trace(samples []tracing.Sample) (*core.TraceResult, error) {
 	return e.sys.Trace(samples)
 }
 
-// Offer ingests one live report, routing it to its tag's home shard.
-// Reports must arrive in non-decreasing time order.
-func (e *Engine) Offer(rep rfid.Report) error {
+// Offer ingests live reports, routing each to its tag's home shard: one
+// pass puts every report in its shard's slice, in order, and each shard
+// with reports then gets one message. A tag lives on one shard, so its
+// reports reach its pipeline in the order offered, however the stream is
+// cut into calls. Reports must arrive in non-decreasing time order.
+func (e *Engine) Offer(reps ...rfid.Report) error {
 	if e.closed {
 		return errors.New("engine: closed")
 	}
 	if e.cfg.SweepInterval <= 0 {
 		return errors.New("engine: Config.SweepInterval required for streaming")
 	}
+	if len(reps) == 0 {
+		return nil
+	}
 	e.dirty = true
-	e.shardForEPC(rep.EPC).in <- shardMsg{report: rep}
+	for _, rep := range reps {
+		i := e.shardOfEPC(rep.EPC)
+		if e.fill[i] == nil {
+			e.fill[i] = e.shards[i].take()
+		}
+		e.fill[i] = append(e.fill[i], rep)
+	}
+	for i, b := range e.fill {
+		if b != nil {
+			e.fill[i] = nil
+			e.shards[i].in <- shardMsg{reports: b}
+		}
+	}
 	return nil
 }
 

@@ -254,11 +254,13 @@ func TestStreamingMultiTag(t *testing.T) {
 
 // TestStreamingAllocs bounds the live path's allocations per stream:
 // offering the 8-tag run's reports and closing the engine allocates for
-// the trackers, their hypotheses and each acquisition, not per report.
-// The engines share one prebuilt System, so the count leaves out the
-// steering tables, and a first, cold pass fills the scratch pools. Under
-// the race detector sync.Pool drops items at random, so a single pass
-// can read more; the bound holds the fewest over up to 20 warm passes.
+// the trackers, their hypotheses and each acquisition, not per report
+// and not per Offer call. The stream goes in once a report per call and
+// once in 16-report calls, the serving pump's batch shape. The engines
+// share one prebuilt System, so the count leaves out the steering
+// tables, and a first, cold pass fills the shard kits. Under the race
+// detector sync.Pool drops items at random, so a single pass can read
+// more; the bound holds the fewest over up to 20 warm passes.
 func TestStreamingAllocs(t *testing.T) {
 	run := multiRun(t, 8)
 	merged := realtime.MergeStreams(run.ReportsRF...)
@@ -266,7 +268,7 @@ func TestStreamingAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := func(shards int) uint64 {
+	stream := func(shards, batch int) uint64 {
 		e, err := New(Config{
 			Shards:        shards,
 			System:        sys,
@@ -277,8 +279,8 @@ func TestStreamingAllocs(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for _, rep := range merged {
-			if err := e.Offer(rep); err != nil {
+		for i := 0; i < len(merged); i += batch {
+			if err := e.Offer(merged[i:min(i+batch, len(merged))]...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -289,17 +291,17 @@ func TestStreamingAllocs(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	for _, c := range []struct {
-		shards int
-		max    uint64
-	}{{1, 160}, {2, 165}} {
-		stream(c.shards)
-		fewest := stream(c.shards)
+		shards, batch int
+		max           uint64
+	}{{1, 1, 160}, {2, 1, 165}, {1, 16, 160}, {2, 16, 165}} {
+		stream(c.shards, c.batch)
+		fewest := stream(c.shards, c.batch)
 		for pass := 1; pass < 20 && fewest > c.max; pass++ {
-			fewest = min(fewest, stream(c.shards))
+			fewest = min(fewest, stream(c.shards, c.batch))
 		}
 		if fewest > c.max {
-			t.Errorf("%d shards: streaming %d reports allocates %d times, want ≤ %d",
-				c.shards, len(merged), fewest, c.max)
+			t.Errorf("%d shards, %d reports per call: streaming %d reports allocates %d times, want ≤ %d",
+				c.shards, c.batch, len(merged), fewest, c.max)
 		}
 	}
 }

@@ -3,19 +3,40 @@ package engine
 import (
 	"sync"
 
+	"rfidraw/internal/core"
 	"rfidraw/internal/rfid"
 	"rfidraw/internal/tracing"
 	"rfidraw/internal/vote"
 )
 
-// scratchPool hands each shard its reusable refinement scratch (the
-// hierarchical search's memo and frontier buffers, see vote.Scratch) when
-// it is built and takes it back when the shard exits. It is
-// package-level so scratches survive engine lifetimes — callers that
-// build an engine per stream (benchmarks, tests, short-lived servers)
-// reuse warm scratches. One scratch serves all of a shard's tags because
-// a shard is a single goroutine; scratches never influence results.
-var scratchPool = sync.Pool{New: func() any { return vote.NewScratch() }}
+// shardInbox is each shard's inbox depth in messages: the ingest
+// goroutine runs that many calls ahead of a busy shard before Offer
+// blocks, which is the engine's backpressure on its caller.
+const shardInbox = 16
+
+// kitPool hands each shard its reusable state when it is built and
+// takes it back when the shard exits. It is package-level so kits
+// survive engine lifetimes — callers that build an engine per stream
+// (benchmarks, tests, short-lived servers) reuse warm kits. Kits never
+// influence results.
+var kitPool = sync.Pool{New: func() any {
+	return &shardKit{scratch: vote.NewScratch(), free: make(chan []rfid.Report, shardInbox+2)}
+}}
+
+// shardKit is the reusable state a shard borrows from kitPool.
+type shardKit struct {
+	// scratch is the refinement scratch (the hierarchical search's memo
+	// and frontier buffers, see vote.Scratch). One serves all of a
+	// shard's tags, live and batch, because a shard is a single goroutine.
+	scratch *vote.Scratch
+	// free holds the emptied report slices of the shard's report
+	// messages: the shard returns each once it has offered its reports,
+	// and Offer fills it again, so streaming allocates no slice per call
+	// once warm. Its capacity covers every slice that can be out at once
+	// (a full inbox, the one being offered, the one being filled), so a
+	// return never waits.
+	free chan []rfid.Report
+}
 
 // traceJob is one batch tracing unit of work.
 type traceJob struct {
@@ -24,9 +45,11 @@ type traceJob struct {
 	wg      *sync.WaitGroup
 }
 
-// shardMsg is a shard inbox message: at most one of the pointer and
-// channel fields is set, and a message with none set carries report.
+// shardMsg is a shard inbox message: exactly one field is set.
 type shardMsg struct {
+	// reports are one Offer call's streamed reports for the shard's
+	// tags, in stream order.
+	reports []rfid.Report
 	// job runs one batch trace.
 	job *traceJob
 	// flush closes every tag's current sweep and acks.
@@ -35,8 +58,6 @@ type shardMsg struct {
 	stats chan []TagStats
 	// results asks for batch-equivalent trace results (RecordTrace).
 	results chan []TagResult
-	// report is one streamed report for the shard's Replayer.
-	report rfid.Report
 }
 
 // shard is one worker: a goroutine running the streaming pipeline of
@@ -44,16 +65,50 @@ type shardMsg struct {
 type shard struct {
 	in   chan shardMsg
 	done chan struct{}
-	// rp is the shard's streaming pipeline. Its scratch, from
-	// scratchPool, also serves the shard's batch traces.
+	kit  *shardKit
+	// rp is the shard's streaming pipeline. Its scratch, the kit's, also
+	// serves the shard's batch traces.
 	rp *Replayer
+}
+
+func newShard(cfg Config, sys *core.System) *shard {
+	kit := kitPool.Get().(*shardKit)
+	sh := &shard{
+		in:   make(chan shardMsg, shardInbox),
+		done: make(chan struct{}),
+		kit:  kit,
+		rp:   newReplayer(cfg, sys, kit.scratch),
+	}
+	sh.rp.OnUpdate = cfg.OnUpdate
+	return sh
+}
+
+// take returns an empty report slice for Offer to fill: one the shard
+// has handed back, or a new one.
+func (s *shard) take() []rfid.Report {
+	select {
+	case b := <-s.kit.free:
+		return b
+	default:
+		return make([]rfid.Report, 0, 64)
+	}
 }
 
 func (s *shard) loop() {
 	defer close(s.done)
-	defer scratchPool.Put(s.rp.scratch)
+	defer kitPool.Put(s.kit)
 	for msg := range s.in {
 		switch {
+		case msg.reports != nil:
+			// Offer never fails: a tag's terminal failure surfaces
+			// through Stats and Results.
+			for _, rep := range msg.reports {
+				_ = s.rp.Offer(rep)
+			}
+			select {
+			case s.kit.free <- msg.reports[:0]:
+			default:
+			}
 		case msg.job != nil:
 			res, err := s.rp.sys.TraceWith(s.rp.scratch, msg.job.samples)
 			msg.job.out.Result, msg.job.out.Err = res, err
@@ -64,10 +119,6 @@ func (s *shard) loop() {
 			msg.stats <- s.rp.Stats()
 		case msg.results != nil:
 			msg.results <- s.rp.Results()
-		default:
-			// Offer never fails: a tag's terminal failure surfaces
-			// through Stats and Results.
-			_ = s.rp.Offer(msg.report)
 		}
 	}
 }

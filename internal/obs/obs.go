@@ -33,13 +33,16 @@ const (
 	// report off the wire to the session pump dequeuing it (inbox wait).
 	StageIngest Stage = iota
 	// StageReorder is the report's residency in the cross-reader
-	// resequencing heap (the hold window plus heap churn).
+	// resequencing heap (the hold window plus heap churn) and then in the
+	// pump's batch of released reports, until the batch is handed off.
 	StageReorder
-	// StageWALAppend is the synchronous write of the report into the
-	// session's write-ahead log.
+	// StageWALAppend is the synchronous append and commit of the
+	// report's released batch into the session's write-ahead log: one
+	// interval per batch, observed once for each of its reports.
 	StageWALAppend
-	// StageEngineOffer is the synchronous hand-off into the tracking
-	// engine (shard dispatch).
+	// StageEngineOffer is the synchronous hand-off of the report's
+	// released batch into the tracking engine (one message per shard),
+	// observed once for each of its reports.
 	StageEngineOffer
 	// StageEmit is from reorder release to the trace point reaching the
 	// subscriber queues: the engine's compute latency plus the broadcast.

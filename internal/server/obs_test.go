@@ -5,12 +5,15 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"rfidraw/internal/obs"
+	"rfidraw/internal/realtime"
+	"rfidraw/internal/wal"
 )
 
 // obsServer serves reg over real sockets (a fresh registry on the test
@@ -336,6 +339,64 @@ func TestTraceSpanSampling(t *testing.T) {
 	// The unknown-session path returns the API error envelope.
 	if _, err := cl.FetchTrace(ctx, "nope"); err == nil {
 		t.Error("FetchTrace of an unknown session succeeded")
+	}
+}
+
+// TestSpanSeqsNameTheirRecords: with every report sampled on a durable
+// session, each span's seq is its own report's WAL record — a report
+// record whose stream time is the span's T — although the pump logs and
+// offers reports a released batch at a time, and no two spans name the
+// same record. Spans enter the ring in completion order, and the emitting
+// shard can complete one after the pump has recorded the next, so the
+// check orders them by seq before requiring it to increase strictly.
+func TestSpanSeqsNameTheirRecords(t *testing.T) {
+	run, _ := scenario(t)
+	dir := t.TempDir()
+	store, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := testRegistry(t, RegistryConfig{WAL: store, NewReplayer: testReplayerFactory(t), TraceSampleN: 1})
+	sess, err := reg.Open(SessionSpec{ID: "spans", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := realtime.MergeStreams(run.ReportsRF...)
+	for i := 0; i < len(merged); i += 20 {
+		if err := sess.OfferBatch(merged[i:min(i+20, len(merged))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	times := map[uint64]time.Duration{}
+	if err := store.Replay("spans", 0, func(r wal.Record) error {
+		if r.Type == wal.RecordReport {
+			times[r.Seq] = r.Report.Time
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	spans := sess.spans.Snapshot()
+	if len(spans) < obs.SpanCapacity {
+		t.Fatalf("%d spans of %d reports, want a full ring of %d", len(spans), len(merged), obs.SpanCapacity)
+	}
+	for _, sp := range spans {
+		at, ok := times[sp.Seq]
+		if !ok {
+			t.Fatalf("span seq %d names no report record", sp.Seq)
+		}
+		if int64(at) != sp.T {
+			t.Fatalf("span seq %d has T %d, its record %d", sp.Seq, sp.T, int64(at))
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Seq < spans[j].Seq })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].Seq <= spans[i-1].Seq {
+			t.Fatalf("two spans name record %d", spans[i].Seq)
+		}
 	}
 }
 

@@ -222,11 +222,13 @@ func (s *Session) tick(c *pumpClock) {
 func (s *Session) handle(it ingestItem) {
 	switch {
 	case it.burst != nil:
-		// A whole ingest burst in one inbox item: feed the reorder buffer
-		// and engine without further channel hops, then recycle the slice.
+		// A whole ingest burst in one inbox item: feed the reorder buffer,
+		// hand what it released to the log and the engine at once, then
+		// recycle the slice.
 		for _, e := range *it.burst {
 			s.handleReport(e.rep, e.arr)
 		}
+		s.handOff()
 		s.reg.pipeline.ObserveBurst(len(*it.burst))
 		*it.burst = (*it.burst)[:0]
 		burstPool.Put(it.burst)
@@ -259,6 +261,7 @@ func (s *Session) handle(it ingestItem) {
 		it.results <- s.eng.TraceResults()
 	default:
 		s.handleReport(it.rep, it.arr)
+		s.handOff()
 	}
 }
 
@@ -302,10 +305,11 @@ func (s *Session) handleSweep(sweep time.Duration) {
 	}
 }
 
-// handleReport resequences one report through the reorder heap and offers
-// everything older than the hold window to the engine in time order.
-// arr is the report's ingest-decode stamp (zero when the report entered
-// through a path that does not stamp, e.g. tests driving enqueue).
+// handleReport resequences one report through the reorder heap and
+// releases everything older than the hold window, in time order, to the
+// pump's batch for the item's handOff. arr is the report's ingest-decode
+// stamp (zero when the report entered through a path that does not
+// stamp, e.g. tests driving enqueue).
 func (s *Session) handleReport(rep rfid.Report, arr int64) {
 	s.touch()
 	s.reports.Add(1)
@@ -336,7 +340,7 @@ func (s *Session) handleReport(rep rfid.Report, arr int64) {
 		s.maxSeen = rep.Time
 	}
 	for s.reorder.Len() > 0 && s.reorder.min().Time <= s.maxSeen-hold {
-		s.offerToEngine(s.reorder.pop())
+		s.released = append(s.released, s.reorder.pop())
 	}
 }
 
@@ -350,8 +354,9 @@ func (s *Session) handleReport(rep rfid.Report, arr int64) {
 // replay closes strokes exactly where the live session did.
 func (s *Session) drain() {
 	for s.reorder.Len() > 0 {
-		s.offerToEngine(s.reorder.pop())
+		s.released = append(s.released, s.reorder.pop())
 	}
+	s.handOff()
 	if s.eng == nil || !s.engineDirty {
 		return
 	}
@@ -369,57 +374,96 @@ func (s *Session) drain() {
 	s.emitMu.Unlock()
 }
 
-// offerToEngine hands one resequenced report to the engine, recording it
-// in the WAL first: the log is written after the reorder buffer, so it
-// is the canonical stream — exactly what the engine consumes, in the
-// order it consumes it. Each hand-off stamps the reorder, WAL-append and
-// engine-offer stages, and 1-in-N reports open a sampled span that the
-// emitting shard goroutine completes.
-func (s *Session) offerToEngine(or orderedReport) {
+// handOff gives the engine what the reorder buffer released while the
+// pump handled one inbox item, recording it in the WAL first: it appends
+// every report's record, commits them with one write, and only then
+// offers the reports, one engine message per shard. The log is thus the
+// canonical stream — exactly what the engine consumes, in the order it
+// consumes it. Two rules hold: no report reaches the engine before its
+// record is written, so a process crash loses no record of a traced
+// report; and no record stays pending between inbox items, so drains,
+// catch-ups, retraces and parks read complete files. The release,
+// WAL-done and offer-done stamps are taken once per batch: each report
+// observes its own reorder wait and the batch's WAL-append and
+// engine-offer intervals, and 1-in-N reports open a sampled span,
+// carrying the report's own record seq, that the emitting shard
+// goroutine completes.
+func (s *Session) handOff() {
+	batch := s.released
+	if len(batch) == 0 {
+		return
+	}
 	release := obs.Now()
-	s.reg.pipeline.ObserveStage(obs.StageReorder, release-or.pushed, s.stripe)
+	head := s.walSeq.Load()
+	reps := s.offerBuf[:0]
+	var arrival int64
+	for _, or := range batch {
+		reps = append(reps, or.rep)
+		if or.arr > 0 {
+			arrival = or.arr
+		}
+		if s.log != nil {
+			if err := s.log.AppendReport(s.walSeq.Add(1), or.rep); err != nil {
+				s.walFailed(err)
+			}
+		}
+	}
 	if s.log != nil {
-		if err := s.log.AppendReport(s.walSeq.Add(1), or.rep); err != nil {
+		if err := s.log.Commit(); err != nil {
 			s.walFailed(err)
 		}
 	}
 	walDone := obs.Now()
-	s.reg.pipeline.ObserveStage(obs.StageWALAppend, walDone-release, s.stripe)
 	s.engineDirty = true
-	if err := s.eng.Offer(or.rep); err != nil {
+	if err := s.eng.Offer(reps...); err != nil {
 		s.logger.Warn("engine offer failed", "err", err)
 	}
 	offerDone := obs.Now()
-	s.reg.pipeline.ObserveStage(obs.StageEngineOffer, offerDone-walDone, s.stripe)
 	// Hand the release to the emit path; the shard goroutine that next
 	// produces positions swaps these back to zero so the emit and
 	// end-to-end histograms see each release window once.
-	if or.arr > 0 {
-		s.lastArrival.Store(or.arr)
+	if arrival > 0 {
+		s.lastArrival.Store(arrival)
 	}
 	s.lastRelease.Store(offerDone)
-	s.sampleCount++
-	if n := s.reg.knobs.Load().TraceSampleN; n > 0 && s.sampleCount%uint64(n) == 0 {
-		sp := &obs.Span{
-			Seq:       s.walSeq.Load(),
-			T:         int64(or.rep.Time),
-			Wall:      time.Now().UnixNano(),
-			IngestNs:  or.pushed - or.arr,
-			ReorderNs: release - or.pushed,
-			WALNs:     walDone - release,
-			OfferNs:   offerDone - walDone,
-			Arrival:   or.arr,
-			Release:   offerDone,
+	logged := s.walSeq.Load()
+	n := s.reg.knobs.Load().TraceSampleN
+	for i, or := range batch {
+		s.reg.pipeline.ObserveStage(obs.StageReorder, release-or.pushed, s.stripe)
+		s.reg.pipeline.ObserveStage(obs.StageWALAppend, walDone-release, s.stripe)
+		s.reg.pipeline.ObserveStage(obs.StageEngineOffer, offerDone-walDone, s.stripe)
+		s.sampleCount++
+		if n > 0 && s.sampleCount%uint64(n) == 0 {
+			s.openSampledSpan(or, min(head+uint64(i)+1, logged), release, walDone, offerDone)
 		}
-		if or.arr == 0 {
-			sp.IngestNs = 0
-			sp.Arrival = or.pushed
-		}
-		if old := s.openSpan.Swap(sp); old != nil {
-			// The previous sampled report never produced an emission
-			// (aggregated away); record it without emit/total timing.
-			s.spans.Add(*old)
-		}
+	}
+	s.offerBuf = reps[:0]
+	s.released = batch[:0]
+}
+
+// openSampledSpan publishes a sampled report's span for the emitting
+// shard goroutine to complete. seq is the report's own WAL record (the
+// head, unchanged, when the session logs nothing).
+func (s *Session) openSampledSpan(or orderedReport, seq uint64, release, walDone, offerDone int64) {
+	sp := &obs.Span{
+		Seq:       seq,
+		T:         int64(or.rep.Time),
+		Wall:      time.Now().UnixNano(),
+		IngestNs:  or.pushed - or.arr,
+		ReorderNs: release - or.pushed,
+		WALNs:     walDone - release,
+		OfferNs:   offerDone - walDone,
+		Arrival:   or.arr,
+		Release:   offerDone,
+	}
+	if or.arr == 0 {
+		sp.IngestNs = 0
+		sp.Arrival = or.pushed
+	}
+	if old := s.openSpan.Swap(sp); old != nil {
+		// The previous sampled report never produced an emission
+		// (aggregated away); record it without emit/total timing.
+		s.spans.Add(*old)
 	}
 }
 

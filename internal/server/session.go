@@ -11,6 +11,7 @@ import (
 
 	"rfidraw/internal/engine"
 	"rfidraw/internal/obs"
+	"rfidraw/internal/rfid"
 	"rfidraw/internal/vote"
 	"rfidraw/internal/wal"
 )
@@ -117,6 +118,11 @@ type Session struct {
 	// making drains — and their logged flush records — idempotent.
 	log         *wal.Log
 	engineDirty bool
+	// released collects what the reorder buffer releases while the pump
+	// handles one inbox item, and offerBuf holds its reports for the
+	// engine; handOff empties both at the item's end (reused buffers).
+	released []orderedReport
+	offerBuf []rfid.Report
 
 	// walSeq is the log's head sequence number: incremented by the pump
 	// as it appends, read by retrace and catch-up snapshots.

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,7 +79,14 @@ func walRegistry(t testing.TB, dir string) *Registry {
 // copyTree snapshots a directory — the crash image a SIGKILL would leave.
 func copyTree(t testing.TB, src, dst string) {
 	t.Helper()
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+	if err := copyDir(src, dst); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyDir is copyTree for goroutines that may not stop the test.
+func copyDir(src, dst string) error {
+	return filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}
@@ -102,9 +111,6 @@ func copyTree(t testing.TB, src, dst string) {
 		_, err = io.Copy(out, in)
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func gobBytes(t testing.TB, v any) []byte {
@@ -214,6 +220,114 @@ func TestWALRetraceMatchesLiveTrace(t *testing.T) {
 		}
 		if r.Result.Best.Trajectory.Len() == 0 {
 			t.Fatalf("tag %s: dense retrace produced no trajectory", r.Tag)
+		}
+	}
+}
+
+// TestRecoveredCopyHoldsEmittedPoints: a copy of the data dir taken as
+// the live engine emits — on every 16th update, on the shard goroutine,
+// before the update reaches the session — is the image a SIGKILL would
+// leave there, mid-batch and between fsyncs (SyncEvery 64). The pump
+// commits each released batch before the engine sees a report of it,
+// so every copy holds a record of every report behind every position
+// emitted by then: replaying it emits each of those positions again, in
+// order, at the same coordinates.
+func TestRecoveredCopyHoldsEmittedPoints(t *testing.T) {
+	run, _ := scenario(t)
+	dir, images := t.TempDir(), t.TempDir()
+	store, err := wal.Open(dir, wal.Options{SyncEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type image struct {
+		dir string
+		// emitted counts each tag's positions emitted by the copy.
+		emitted map[string]int
+	}
+	var (
+		mu      sync.Mutex
+		live    = map[string][]realtime.Position{}
+		updates int
+		taken   []image
+		copyErr error
+	)
+	factory := func(sweep time.Duration, geometry string, search *vote.SearchConfig, onUpdate func(engine.Update)) (*engine.Engine, error) {
+		sys, err := geometrySearchSystem(t, geometry, search)
+		if err != nil {
+			return nil, err
+		}
+		return engine.New(engine.Config{
+			Shards: 2, System: sys, SweepInterval: sweep,
+			OnUpdate: func(u engine.Update) {
+				mu.Lock()
+				live[u.Tag] = append(live[u.Tag], u.Positions...)
+				if updates++; updates%16 == 0 && copyErr == nil {
+					img := image{dir: filepath.Join(images, strconv.Itoa(len(taken))), emitted: map[string]int{}}
+					copyErr = copyDir(dir, img.dir)
+					for tag, ps := range live {
+						img.emitted[tag] = len(ps)
+					}
+					taken = append(taken, img)
+				}
+				mu.Unlock()
+				onUpdate(u)
+			},
+		})
+	}
+	reg, err := NewRegistry(RegistryConfig{NewEngine: factory, NewReplayer: testReplayerFactory(t), WAL: store, NoRecognize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	sess, err := reg.Open(SessionSpec{ID: "image", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Full ingest bursts release batches of about that size per inbox
+	// item: a shard can emit from a batch's first reports while the pump
+	// would still be writing its last, were the rule broken.
+	merged := realtime.MergeStreams(run.ReportsRF...)
+	for i := 0; i < len(merged); i += ingestBurst {
+		if err := sess.OfferBatch(merged[i:min(i+ingestBurst, len(merged))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if copyErr != nil {
+		t.Fatal(copyErr)
+	}
+	if len(taken) < 4 {
+		t.Fatalf("%d updates left %d images, want at least 4", updates, len(taken))
+	}
+	for i, img := range taken {
+		st, err := wal.Open(img.dir, wal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := testReplayerFactory(t)(perTagSweep(run), "", nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed := map[string][]realtime.Position{}
+		rp.OnUpdate = func(u engine.Update) { replayed[u.Tag] = append(replayed[u.Tag], u.Positions...) }
+		if err := ReplayLog(st, "image", 0, rp, nil); err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		for tag, n := range img.emitted {
+			got := replayed[tag]
+			if len(got) < n {
+				t.Fatalf("image %d, tag %s: replay emits %d positions, live had emitted %d", i, tag, len(got), n)
+			}
+			for j, want := range live[tag][:n] {
+				if got[j].Time != want.Time || got[j].Pos != want.Pos {
+					t.Fatalf("image %d, tag %s, position %d: replay %v at %v, live %v at %v",
+						i, tag, j, got[j].Pos, got[j].Time, want.Pos, want.Time)
+				}
+			}
 		}
 	}
 }

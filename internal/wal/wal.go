@@ -6,6 +6,12 @@
 // live trace bit for bit (the same one-core-two-schedulers property the
 // batch/streaming equivalence gate enforces, extended to disk).
 //
+// Appends are group-committed: an append frames its record into the
+// log's buffer, and Log.Commit writes every pending record with one write
+// call. The pump commits each released batch before any of its reports
+// reaches the engine, so a process crash loses no record of a traced
+// report.
+//
 // # Layout
 //
 // Each session owns one directory under the store root, named by its
@@ -89,7 +95,8 @@ type Options struct {
 	SegmentBytes int64
 	// SyncEvery fsyncs the active segment every N report appends; 1
 	// syncs every append (maximum durability, one fsync per report).
-	// Flush and close records always sync. Default 64.
+	// Flush and close records always sync, and a sync commits the
+	// pending records first. Default 64.
 	SyncEvery int
 	// NoSync disables fsync entirely (tests and benchmarks).
 	NoSync bool
@@ -544,6 +551,8 @@ const compactedName = "00000000.wal"
 
 // Log is one session's open, appendable log. It is not safe for
 // concurrent use: exactly one goroutine (the session pump) appends.
+// Appended records stay pending in the log's buffer until Commit, or a
+// Sync, writes them.
 type Log struct {
 	dir  string
 	meta Meta
@@ -552,8 +561,8 @@ type Log struct {
 	f        *os.File
 	nextSeg  int
 	segBytes int64
-	appends  int // report appends since the last sync
-	buf      []byte
+	appends  int    // report appends since the last sync
+	pending  []byte // framed records not yet written
 	bytes    int64
 	closed   bool
 }
@@ -573,13 +582,13 @@ func (l *Log) rotate() error {
 	}
 	l.f, l.segBytes = f, 0
 	l.nextSeg++
-	return l.append(l.encodeMeta(), true)
+	return l.seal(l.encodeMeta(), true)
 }
 
-// frame starts a record in the log's reusable buffer: the frame header
-// slots, zeroed, for append to fill in once the payload follows them.
+// frame starts a record after the pending ones: the frame header slots,
+// zeroed, for seal to fill in once the payload follows them.
 func (l *Log) frame() []byte {
-	return append(l.buf[:0], make([]byte, frameHeader)...)
+	return append(l.pending, make([]byte, frameHeader)...)
 }
 
 // encodeMeta frames the meta payload.
@@ -599,21 +608,19 @@ func (l *Log) encodeMeta() []byte {
 	return p
 }
 
-// append completes a record started by frame — the payload's length and
-// CRC into the header slots — and writes it with one write call,
-// maintaining the sync policy. sync forces an fsync regardless of the
-// policy. The buffer is the log's own and is kept for the next record.
-func (l *Log) append(rec []byte, sync bool) error {
-	l.buf = rec[:0]
+// seal completes the record that frame started at the end of buf (the
+// pending records grown by it) — the payload's length and CRC into the
+// header slots — and keeps it pending, maintaining the sync policy. sync
+// forces a Sync regardless of the policy.
+func (l *Log) seal(buf []byte, sync bool) error {
 	if l.closed {
 		return errors.New("wal: log closed")
 	}
+	rec := buf[len(l.pending):]
 	payload := rec[frameHeader:]
 	binary.BigEndian.PutUint32(rec, uint32(len(payload)))
 	binary.BigEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
-	if _, err := l.f.Write(rec); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
+	l.pending = buf
 	n := int64(len(rec))
 	l.segBytes += n
 	l.bytes += n
@@ -628,7 +635,8 @@ func (l *Log) append(rec []byte, sync bool) error {
 }
 
 // AppendReport logs one sequenced report, rotating the segment first if
-// the active one is over its size budget.
+// the active one is over its size budget. The record is written by the
+// next Commit, or by the Sync that every SyncEvery-th append runs.
 func (l *Log) AppendReport(seq uint64, rep rfid.Report) error {
 	if l.segBytes >= l.opts.SegmentBytes {
 		if err := l.rotate(); err != nil {
@@ -643,7 +651,7 @@ func (l *Log) AppendReport(seq uint64, rep rfid.Report) error {
 	p = append(p, rep.EPC[:]...)
 	p = binary.BigEndian.AppendUint64(p, math.Float64bits(rep.PhaseRad))
 	p = binary.BigEndian.AppendUint64(p, math.Float64bits(rep.PowerDB))
-	return l.append(p, false)
+	return l.seal(p, false)
 }
 
 // AppendFlush logs a pump drain (always synced: a flush is the boundary
@@ -658,12 +666,28 @@ func (l *Log) appendMarker(typ byte, seq uint64) error {
 	p := l.frame()
 	p = append(p, typ)
 	p = binary.BigEndian.AppendUint64(p, seq)
-	return l.append(p, true)
+	return l.seal(p, true)
 }
 
-// Sync fsyncs the active segment.
+// Commit writes every pending record with one write call.
+func (l *Log) Commit() error {
+	if len(l.pending) == 0 {
+		return nil
+	}
+	_, err := l.f.Write(l.pending)
+	l.pending = l.pending[:0]
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
+}
+
+// Sync commits the pending records and fsyncs the active segment.
 func (l *Log) Sync() error {
 	l.appends = 0
+	if err := l.Commit(); err != nil {
+		return err
+	}
 	if l.opts.NoSync || l.f == nil {
 		return nil
 	}
@@ -709,9 +733,10 @@ func (l *Log) Close(seq uint64) error {
 	return compact(l.dir)
 }
 
-// Abandon closes the active segment without a close record or
-// compaction, leaving the log exactly as a crash would (tests and
-// shutdown paths that must not mutate the on-disk state).
+// Abandon writes the pending records and closes the active segment
+// without a close record or compaction, leaving the log as a crash after
+// a commit would (tests and shutdown paths that must not mutate the
+// on-disk state).
 func (l *Log) Abandon() error {
 	if l.closed {
 		return nil

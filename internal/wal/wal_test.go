@@ -83,12 +83,10 @@ func collect(t *testing.T, st *Store, id string, upTo uint64) []Record {
 	return out
 }
 
-// TestRoundTrip: meta, reports, flush markers and the close record
-// survive a write/read cycle byte-exactly, with clean stats.
-// TestWALAppendZeroAllocs gates the serving pump's per-report durability
-// step at zero allocations: with fsync off (NoSync, as
-// BenchmarkWALAppend runs it), AppendReport encodes into the log's
-// buffer and writes it without allocating.
+// TestWALAppendZeroAllocs gates the serving pump's durability step at
+// zero allocations: with fsync off (NoSync, as BenchmarkWALAppend runs
+// it), one released batch of 16 reports frames into the log's buffer and
+// commits with one write without allocating.
 func TestWALAppendZeroAllocs(t *testing.T) {
 	store, err := Open(t.TempDir(), Options{NoSync: true, SegmentBytes: 1 << 40})
 	if err != nil {
@@ -101,9 +99,14 @@ func TestWALAppendZeroAllocs(t *testing.T) {
 	rep := testReports(1)[0]
 	seq := uint64(0)
 	allocs := testing.AllocsPerRun(200, func() {
-		seq++
-		rep.Time += 6 * time.Millisecond
-		if err := log.AppendReport(seq, rep); err != nil {
+		for range 16 {
+			seq++
+			rep.Time += 6 * time.Millisecond
+			if err := log.AppendReport(seq, rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -111,10 +114,64 @@ func TestWALAppendZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs != 0 {
-		t.Fatalf("AppendReport costs %v allocations, want 0", allocs)
+		t.Fatalf("a 16-report append and commit costs %v allocations, want 0", allocs)
 	}
 }
 
+// TestCommitWritesPendingRecords: appended records stay in the log's
+// buffer until Commit writes them together, and a sync — every
+// SyncEvery-th report append and every flush — commits first, so the
+// fsync cadence is the appends' own.
+func TestCommitWritesPendingRecords(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{NoSync: true, SyncEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := st.Create(testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, "sess-1", "00000001.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	const report, marker = frameHeader + reportPayloadLen, frameHeader + 9
+	meta := size()
+	reports := testReports(5)
+	for i, want := range []int64{0, 0, 2 * report, 4 * report, 4 * report} {
+		if err := l.AppendReport(uint64(i+1), reports[i]); err != nil {
+			t.Fatal(err)
+		}
+		if got := size() - meta; got != want {
+			t.Fatalf("after append %d the segment holds %d record bytes, want %d", i+1, got, want)
+		}
+		if i == 1 {
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if got := size() - meta; got != 2*report {
+				t.Fatalf("commit wrote %d record bytes, want %d", got, 2*report)
+			}
+		}
+	}
+	if err := l.AppendFlush(6); err != nil {
+		t.Fatal(err)
+	}
+	if got := size() - meta; got != 5*report+marker {
+		t.Fatalf("after the flush the segment holds %d record bytes, want %d", got, 5*report+marker)
+	}
+	if err := l.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRoundTrip: meta, reports, flush markers and the close record
+// survive a write/read cycle byte-exactly, with clean stats.
 func TestRoundTrip(t *testing.T) {
 	reports := testReports(100)
 	st := writeLog(t, t.TempDir(), Options{NoSync: true}, reports, 10, true)
