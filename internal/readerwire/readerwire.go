@@ -61,6 +61,11 @@ type Hello struct {
 type Bye struct{}
 
 // Message is a decoded wire message: exactly one of the fields is set.
+//
+// Report points at a report the Reader owns and decodes every report
+// into, so decoding allocates nothing per report. It is valid only until
+// the next call to Next or NextBuffered on the same Reader; a caller that
+// keeps a report copies it (rep := *msg.Report) before reading on.
 type Message struct {
 	Hello  *Hello
 	Report *rfid.Report
@@ -128,6 +133,9 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // Reader decodes messages from a stream.
 type Reader struct {
 	r *bufio.Reader
+	// rep is the report every PhaseReport decodes into; Message.Report
+	// points at it (see Message).
+	rep rfid.Report
 	// resync makes Next scan forward for the next valid frame instead of
 	// failing the stream on a malformed one (see NewResyncReader).
 	resync  bool
@@ -209,7 +217,7 @@ func (r *Reader) NextBuffered() (Message, bool, error) {
 			return Message{}, false, nil
 		}
 		frame, _ := r.r.Peek(4 + int(n)) // cannot fail: fully buffered
-		msg, err := decodePayload(frame[4:])
+		msg, err := r.decodePayload(frame[4:])
 		if err != nil {
 			if r.resync && errors.Is(err, ErrBadFrame) {
 				r.r.Discard(1)
@@ -264,7 +272,7 @@ func (r *Reader) next() (Message, error) {
 		}
 		return Message{}, err
 	}
-	msg, err := decodePayload(frame[4:])
+	msg, err := r.decodePayload(frame[4:])
 	if err != nil {
 		return Message{}, err
 	}
@@ -302,8 +310,9 @@ func plausibleFrame(partial []byte) bool {
 	return ok && binary.BigEndian.Uint32(partial) == uint32(want)
 }
 
-// decodePayload validates and decodes one frame payload.
-func decodePayload(payload []byte) (Message, error) {
+// decodePayload validates and decodes one frame payload. A report is
+// decoded into r.rep.
+func (r *Reader) decodePayload(payload []byte) (Message, error) {
 	if want, ok := payloadLen(payload[0]); ok && len(payload) != want {
 		return Message{}, fmt.Errorf("%w: type 0x%02x length %d, want %d", ErrBadFrame, payload[0], len(payload), want)
 	}
@@ -320,17 +329,19 @@ func decodePayload(payload []byte) (Message, error) {
 		}
 		return Message{Hello: h}, nil
 	case TypePhaseReport:
-		rep := &rfid.Report{
+		phase := math.Float64frombits(binary.BigEndian.Uint64(payload[23:31]))
+		if math.IsNaN(phase) || phase < 0 || phase >= 2*math.Pi+1e-9 {
+			return Message{}, fmt.Errorf("%w: phase %v out of range", ErrBadFrame, phase)
+		}
+		rep := &r.rep
+		*rep = rfid.Report{
 			ReaderID:  int(payload[1]),
 			AntennaID: int(payload[2]),
 			Time:      time.Duration(binary.BigEndian.Uint64(payload[3:11])),
+			PhaseRad:  phase,
+			PowerDB:   math.Float64frombits(binary.BigEndian.Uint64(payload[31:39])),
 		}
 		copy(rep.EPC[:], payload[11:23])
-		rep.PhaseRad = math.Float64frombits(binary.BigEndian.Uint64(payload[23:31]))
-		rep.PowerDB = math.Float64frombits(binary.BigEndian.Uint64(payload[31:39]))
-		if math.IsNaN(rep.PhaseRad) || rep.PhaseRad < 0 || rep.PhaseRad >= 2*math.Pi+1e-9 {
-			return Message{}, fmt.Errorf("%w: phase %v out of range", ErrBadFrame, rep.PhaseRad)
-		}
 		return Message{Report: rep}, nil
 	case TypeBye:
 		return Message{Bye: &Bye{}}, nil

@@ -158,3 +158,93 @@ func TestQuickReportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wireReports renders n reports, with no Hello or Bye, as wire bytes.
+func wireReports(tb testing.TB, n int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < n; i++ {
+		if err := w.WriteReport(sampleReport(rng, time.Duration(i)*time.Millisecond)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeZeroAllocs gates the ingest gateway's decode at zero
+// allocations per report: a blocking Next, then every frame already
+// buffered, over a stream several buffer fills long. Every report
+// decodes into the Reader's own, and each one read back is the one
+// written, though all share that storage.
+func TestDecodeZeroAllocs(t *testing.T) {
+	const reports = 4096
+	wire := wireReports(t, reports)
+	var want []rfid.Report
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < reports; i++ {
+		want = append(want, sampleReport(rng, time.Duration(i)*time.Millisecond))
+	}
+	src := bytes.NewReader(wire)
+	r := NewResyncReader(src)
+	allocs := testing.AllocsPerRun(10, func() {
+		src.Reset(wire)
+		n := 0
+		for {
+			msg, err := r.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ok := true; ok; {
+				if msg.Report == nil || n >= reports || *msg.Report != want[n] {
+					t.Fatalf("message %d decoded as %+v", n, msg)
+				}
+				n++
+				if msg, ok, err = r.NextBuffered(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if n != reports {
+			t.Fatalf("decoded %d of %d reports", n, reports)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding %d reports makes %v allocs, want 0", reports, allocs)
+	}
+}
+
+// BenchmarkReaderDecode times the ingest gateway's decode per report
+// (one op is one report), NextBuffered first and Next when the buffer
+// runs dry, over a 4096-report stream read again from its start at EOF.
+func BenchmarkReaderDecode(b *testing.B) {
+	wire := wireReports(b, 4096)
+	src := bytes.NewReader(wire)
+	r := NewResyncReader(src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		msg, ok, err := r.NextBuffered()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !ok {
+			if msg, err = r.Next(); errors.Is(err, io.EOF) {
+				src.Reset(wire)
+				continue
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if msg.Report != nil {
+			i++
+		}
+	}
+}

@@ -73,8 +73,10 @@ func normalizeShape(points []geom.Vec2) []geom.Vec2 {
 }
 
 // dtw computes the dynamic-time-warping distance between two equal-length
-// normalized shapes with a Sakoe–Chiba band.
-func dtw(a, b []geom.Vec2, window int) float64 {
+// normalized shapes with a Sakoe–Chiba band. Its two rows of m+1 cells
+// come from rows when it holds 2(m+1), so a caller comparing against
+// many templates allocates them once; otherwise dtw makes its own.
+func dtw(a, b []geom.Vec2, window int, rows []float64) float64 {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return math.Inf(1)
@@ -83,8 +85,10 @@ func dtw(a, b []geom.Vec2, window int) float64 {
 		window = 1
 	}
 	const inf = math.MaxFloat64 / 4
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
+	if len(rows) < 2*(m+1) {
+		rows = make([]float64, 2*(m+1))
+	}
+	prev, cur := rows[:m+1], rows[m+1:2*(m+1)]
 	for j := range prev {
 		prev[j] = inf
 	}
@@ -128,7 +132,8 @@ type Classification struct {
 	Margin float64
 }
 
-// Classify identifies the letter a shape most resembles.
+// Classify identifies the letter a shape most resembles. It does not
+// retain points.
 func (r *Recognizer) Classify(points []geom.Vec2) (Classification, error) {
 	shape := normalizeShape(points)
 	if shape == nil {
@@ -136,8 +141,9 @@ func (r *Recognizer) Classify(points []geom.Vec2) (Classification, error) {
 	}
 	best, second := math.Inf(1), math.Inf(1)
 	bestIdx := -1
+	rows := make([]float64, 2*(TemplatePoints+1)) // every template has TemplatePoints
 	for i, tmpl := range r.templates {
-		d := dtw(shape, tmpl, r.Window)
+		d := dtw(shape, tmpl, r.Window, rows)
 		if d < best {
 			second = best
 			best, bestIdx = d, i

@@ -113,6 +113,46 @@ func TestClassifyScatterIsChanceLevel(t *testing.T) {
 	}
 }
 
+// TestClassifyAllocs gates Classify at three allocations per call: the
+// resampled and the normalized shape, and one pair of DTW rows shared by
+// every template. Sharing the rows changes no distance: each result is
+// bit-identical to comparing against each template with fresh rows.
+func TestClassifyAllocs(t *testing.T) {
+	r := newRec(t)
+	rng := rand.New(rand.NewSource(5))
+	pts := make([]geom.Vec2, 30)
+	for trial := 0; trial < 20; trial++ {
+		for i := range pts {
+			pts[i] = geom.Vec2{X: rng.NormFloat64(), Z: rng.NormFloat64()}
+		}
+		c, err := r.Classify(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shape := normalizeShape(pts)
+		best, second := math.Inf(1), math.Inf(1)
+		for _, tmpl := range r.templates {
+			d := dtw(shape, tmpl, r.Window, nil)
+			if d < best {
+				best, second = d, best
+			} else if d < second {
+				second = d
+			}
+		}
+		if c.Distance != best || c.Margin != second-best {
+			t.Fatalf("trial %d: Classify distance %v margin %v, fresh rows %v and %v", trial, c.Distance, c.Margin, best, second-best)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := r.Classify(pts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("Classify makes %v allocs, want <= 3", allocs)
+	}
+}
+
 func TestClassifyErrors(t *testing.T) {
 	r := newRec(t)
 	if _, err := r.Classify(nil); err == nil {
@@ -195,21 +235,21 @@ func TestEditDistance(t *testing.T) {
 func TestDTWProperties(t *testing.T) {
 	a := normalizeShape([]geom.Vec2{{X: 0, Z: 0}, {X: 1, Z: 0}, {X: 1, Z: 1}})
 	b := normalizeShape([]geom.Vec2{{X: 0, Z: 0}, {X: 0, Z: 1}, {X: 1, Z: 1}})
-	if d := dtw(a, a, 8); d > 1e-12 {
+	if d := dtw(a, a, 8, nil); d > 1e-12 {
 		t.Fatalf("self distance = %v", d)
 	}
-	dab, dba := dtw(a, b, 8), dtw(b, a, 8)
+	dab, dba := dtw(a, b, 8, nil), dtw(b, a, 8, nil)
 	if math.Abs(dab-dba) > 1e-9 {
 		t.Fatalf("asymmetric: %v vs %v", dab, dba)
 	}
 	if dab <= 0 {
 		t.Fatal("distinct shapes should have positive distance")
 	}
-	if !math.IsInf(dtw(nil, a, 8), 1) {
+	if !math.IsInf(dtw(nil, a, 8, nil), 1) {
 		t.Fatal("empty input should be infinite")
 	}
 	// Degenerate window is clamped.
-	if d := dtw(a, a, 0); d > 1e-12 {
+	if d := dtw(a, a, 0, nil); d > 1e-12 {
 		t.Fatalf("window-0 self distance = %v", d)
 	}
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"iter"
+	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -66,31 +68,159 @@ type Event struct {
 	minTier uint8
 }
 
-// MarshalJSON keeps the frozen T1 wire shape byte-for-byte for the
-// pre-tier event types (they marshal through a plain alias of the same
-// struct, tags and field order unchanged) while the new control and
-// diagnostic events use compact shadows: a "tier" or "stroke" event
-// never serializes the x/z plane coordinates a point carries, and a
-// tier event's "tier" field survives even at tier 0.
+// MarshalJSON encodes the event as its NDJSON line without the newline
+// (see appendNDJSON), in one allocation. It fails only for an event with
+// a NaN or infinite float, which JSON cannot carry.
 func (ev Event) MarshalJSON() ([]byte, error) {
+	b := appendNDJSON(make([]byte, 0, ndjsonEventBytes), &ev)
+	if len(b) == 0 {
+		return nil, errors.New("server: event " + strconv.Quote(ev.Type) + " has a NaN or infinite float")
+	}
+	return b[:len(b)-1], nil
+}
+
+// appendNDJSON appends ev's NDJSON line to dst, byte-identical to what
+// json.Encoder.Encode wrote when Event marshaled by reflection (pinned by
+// TestEventNDJSONMatchesEncodingJSON and FuzzEventNDJSON). Point, glyph,
+// drop and end events, and any other type, take the plain shape: every
+// field under its tag, in declaration order, with the omitempty rules.
+// The control and diagnostic events take compact shapes: a "tier" event
+// never serializes the x/z plane coordinates a point carries and keeps
+// its "tier" field even at tier 0, and a "stroke" event carries only its
+// tag, time and point count. An event with a NaN or infinite float in a
+// field its shape encodes appends nothing, as encoding/json refuses it.
+func appendNDJSON(dst []byte, ev *Event) []byte {
 	switch ev.Type {
 	case "tier":
-		return json.Marshal(struct {
-			Type   string `json:"type"`
-			Tier   int    `json:"tier"`
-			From   int    `json:"from"`
-			Reason string `json:"reason,omitempty"`
-		}{ev.Type, ev.Tier, ev.FromTier, ev.Reason})
+		dst = append(dst, `{"type":"tier","tier":`...)
+		dst = strconv.AppendInt(dst, int64(ev.Tier), 10)
+		dst = append(dst, `,"from":`...)
+		dst = strconv.AppendInt(dst, int64(ev.FromTier), 10)
+		if ev.Reason != "" {
+			dst = append(dst, `,"reason":`...)
+			dst = appendJSONString(dst, ev.Reason)
+		}
+		return append(dst, '}', '\n')
 	case "stroke":
-		return json.Marshal(struct {
-			Type   string        `json:"type"`
-			Tag    string        `json:"tag,omitempty"`
-			T      time.Duration `json:"t_ns,omitempty"`
-			Points int           `json:"points,omitempty"`
-		}{ev.Type, ev.Tag, ev.T, ev.Points})
+		dst = append(dst, `{"type":"stroke"`...)
+		if ev.Tag != "" {
+			dst = append(dst, `,"tag":`...)
+			dst = appendJSONString(dst, ev.Tag)
+		}
+		if ev.T != 0 {
+			dst = append(dst, `,"t_ns":`...)
+			dst = strconv.AppendInt(dst, int64(ev.T), 10)
+		}
+		if ev.Points != 0 {
+			dst = append(dst, `,"points":`...)
+			dst = strconv.AppendInt(dst, int64(ev.Points), 10)
+		}
+		return append(dst, '}', '\n')
 	}
-	type plain Event
-	return json.Marshal(plain(ev))
+	// A non-finite float is never zero, so omitempty never hides one.
+	if !finite(ev.X) || !finite(ev.Z) || !finite(ev.Dist) || !finite(ev.Margin) || !finite(ev.Confidence) {
+		return dst
+	}
+	dst = append(dst, `{"type":`...)
+	dst = appendJSONString(dst, ev.Type)
+	if ev.Tag != "" {
+		dst = append(dst, `,"tag":`...)
+		dst = appendJSONString(dst, ev.Tag)
+	}
+	if ev.T != 0 {
+		dst = append(dst, `,"t_ns":`...)
+		dst = strconv.AppendInt(dst, int64(ev.T), 10)
+	}
+	dst = append(dst, `,"x":`...)
+	dst = appendJSONFloat(dst, ev.X)
+	dst = append(dst, `,"z":`...)
+	dst = appendJSONFloat(dst, ev.Z)
+	if ev.Glyph != "" {
+		dst = append(dst, `,"glyph":`...)
+		dst = appendJSONString(dst, ev.Glyph)
+	}
+	if ev.Dist != 0 {
+		dst = append(dst, `,"dist":`...)
+		dst = appendJSONFloat(dst, ev.Dist)
+	}
+	if ev.Margin != 0 {
+		dst = append(dst, `,"margin":`...)
+		dst = appendJSONFloat(dst, ev.Margin)
+	}
+	if ev.Points != 0 {
+		dst = append(dst, `,"points":`...)
+		dst = strconv.AppendInt(dst, int64(ev.Points), 10)
+	}
+	if ev.Confidence != 0 {
+		dst = append(dst, `,"confidence":`...)
+		dst = appendJSONFloat(dst, ev.Confidence)
+	}
+	if ev.Hypotheses != 0 {
+		dst = append(dst, `,"hypotheses":`...)
+		dst = strconv.AppendInt(dst, int64(ev.Hypotheses), 10)
+	}
+	if ev.Switched {
+		dst = append(dst, `,"switched":true`...)
+	}
+	if ev.Seq != 0 {
+		dst = append(dst, `,"seq":`...)
+		dst = strconv.AppendUint(dst, ev.Seq, 10)
+	}
+	if ev.Dropped != 0 {
+		dst = append(dst, `,"dropped":`...)
+		dst = strconv.AppendInt(dst, int64(ev.Dropped), 10)
+	}
+	if ev.Tier != 0 {
+		dst = append(dst, `,"tier":`...)
+		dst = strconv.AppendInt(dst, int64(ev.Tier), 10)
+	}
+	if ev.FromTier != 0 {
+		dst = append(dst, `,"from":`...)
+		dst = strconv.AppendInt(dst, int64(ev.FromTier), 10)
+	}
+	if ev.Reason != "" {
+		dst = append(dst, `,"reason":`...)
+		dst = appendJSONString(dst, ev.Reason)
+	}
+	return append(dst, '}', '\n')
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest decimal that round-trips, in exponent form below 1e-6 and
+// from 1e21 up, with a one-digit negative exponent unpadded (1e-7, not
+// 1e-07).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendJSONString appends s as a JSON string. Printable ASCII is copied
+// as is, but for the five characters encoding/json escapes there ('"',
+// '\\', and the HTML-sensitive '<', '>' and '&'); a string with any of
+// those, a control byte or a non-ASCII byte goes through encoding/json,
+// whose escaping (invalid UTF-8 as U+FFFD, U+2028 and U+2029 as \u
+// escapes) the stream has always had. Tags, glyph letters and reasons
+// the daemon makes never take that path.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // eventBatch is one subscriber queue item: n consecutive events, built
@@ -120,7 +250,7 @@ func (b *eventBatch) add(ev Event, enc subEncoding) {
 	b.n++
 	switch enc {
 	case encNDJSON:
-		b.ndjson = append(b.ndjson, ndjsonLine(&ev)...)
+		b.ndjson = appendNDJSON(b.ndjson, &ev)
 	case encBinary:
 		b.binary = appendEventFrame(b.binary, &ev)
 	default:
@@ -135,17 +265,6 @@ func notice(ev Event, enc subEncoding) *eventBatch {
 	b := &eventBatch{}
 	b.add(ev, enc)
 	return b
-}
-
-// ndjsonLine is ev's NDJSON line, byte-identical to what
-// json.Encoder.Encode writes; nil for an event that cannot marshal
-// (impossible for the types the daemon emits).
-func ndjsonLine(ev *Event) []byte {
-	m, err := json.Marshal(ev)
-	if err != nil {
-		return nil
-	}
-	return append(m, '\n')
 }
 
 // subEncoding is the form a subscriber's batches reach it in: decoded
@@ -458,10 +577,14 @@ func (s *Session) onUpdate(u engine.Update) {
 	if arr := s.lastArrival.Swap(0); arr > 0 {
 		s.reg.pipeline.ObserveE2E(now-arr, s.stripe)
 	}
-	if sp := s.openSpan.Swap(nil); sp != nil {
-		sp.EmitNs = now - sp.Release
-		sp.TotalNs = now - sp.Arrival
-		s.spans.Add(*sp)
+	if s.openSpan.Load() != nil {
+		s.spanMu.Lock()
+		if sp := s.openSpan.Swap(nil); sp != nil {
+			sp.EmitNs = now - sp.Release
+			sp.TotalNs = now - sp.Arrival
+			s.spans.Add(*sp)
+		}
+		s.spanMu.Unlock()
 	}
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
@@ -568,10 +691,11 @@ func (e *emitter) closeStrokes() {
 
 // close ends one tag's non-empty stroke: a T2 diagnostic "stroke" event
 // on every closure, then a glyph event when the stroke is long enough to
-// classify and recognition is on.
+// classify and recognition is on. The tag's next stroke reuses the
+// buffer, as nothing here keeps pts (Classify does not).
 func (e *emitter) close(tag string, st *stroke) {
 	pts, last := st.pts, st.last
-	st.pts, st.last = nil, 0
+	st.pts, st.last = pts[:0], 0
 	e.emit(Event{Type: "stroke", Tag: tag, T: last, Points: len(pts), minTier: 2})
 	if len(pts) < glyphMinPoints || e.rec == nil {
 		return
@@ -669,14 +793,17 @@ func (s *Session) emitFlusher() {
 // drained batch is built at most once per (tier, form) some subscriber
 // is actually served at — NDJSON and binary for stream writers, decoded
 // events for in-process subscribers; unsubscribed tiers and forms cost
-// nothing — with each event encoded once per encoding and shared across
-// every tier run that includes it (tiers differ only in which events
-// they include, never in an event's bytes, so T1's byte-run stays
-// byte-identical to the pre-tier stream). Every subscriber at a tier
-// gets the same immutable batch. Requires emitMu; the tier retune,
-// scan, encode and delivery share the one critical section, so a
-// delivered batch always matches the tier and form of every subscriber
-// it reaches.
+// nothing. Each event is encoded once per encoding, straight into the
+// first tier's batch that includes it, and the other tiers copy those
+// bytes (tiers differ only in which events they include, never in an
+// event's bytes, so T1's byte-run stays byte-identical to the pre-tier
+// stream). Every buffer is sized once from the count of events its tier
+// includes, so a flush allocates its eventBatch and one buffer per tier
+// and form it builds, whatever the event count (TestFlushEmitAllocs).
+// Every subscriber at a tier gets the same immutable batch. Requires
+// emitMu; the tier retune, scan, encode and delivery share the one
+// critical section, so a delivered batch always matches the tier and
+// form of every subscriber it reaches.
 func (s *Session) flushEmitLocked() {
 	batch := s.emitBuf
 	if len(batch) == 0 {
@@ -693,35 +820,60 @@ func (s *Session) flushEmitLocked() {
 		}
 		need[sub.tier][sub.enc] = true
 	}
+	// reach[t] counts the events tier t includes (minTier <= t).
+	var reach [3]int
+	for i := range batch {
+		reach[batch[i].minTier]++
+	}
+	reach[1] += reach[0]
+	reach[2] += reach[1]
 	// Each batch carries the OLDEST event's enqueue stamp, so the
 	// write-stage histogram sees the worst queue-to-wire latency in the
-	// batch, not the friendliest.
+	// batch, not the friendliest. A tier no event reaches (e.g. T0 over a
+	// run of unthinned points) gets no batch and delivers nothing.
 	var batches [3]*eventBatch
-	for t := range batches {
-		if need[t] != [3]bool{} {
-			batches[t] = &eventBatch{enq: s.emitEnq}
+	for t, n := range reach {
+		if need[t] == [3]bool{} || n == 0 {
+			continue
 		}
+		b := &eventBatch{n: n, enq: s.emitEnq}
+		if need[t][encNDJSON] {
+			b.ndjson = make([]byte, 0, n*ndjsonEventBytes)
+		}
+		if need[t][encBinary] {
+			b.binary = make([]byte, 0, n*binaryEventBytes)
+		}
+		if need[t][encDecoded] {
+			b.events = make([]Event, 0, n)
+		}
+		batches[t] = b
 	}
 	for i := range batch {
 		ev := &batch[i]
+		// ev's bytes in the first batch that took them, per encoding.
 		var js, bin []byte
 		for t := int(ev.minTier); t < len(batches); t++ {
 			b := batches[t]
 			if b == nil {
 				continue
 			}
-			b.n++
 			if need[t][encNDJSON] {
 				if js == nil {
-					js = ndjsonLine(ev)
+					n := len(b.ndjson)
+					b.ndjson = appendNDJSON(b.ndjson, ev)
+					js = b.ndjson[n:]
+				} else {
+					b.ndjson = append(b.ndjson, js...)
 				}
-				b.ndjson = append(b.ndjson, js...)
 			}
 			if need[t][encBinary] {
 				if bin == nil {
-					bin = appendEventFrame(nil, ev)
+					n := len(b.binary)
+					b.binary = appendEventFrame(b.binary, ev)
+					bin = b.binary[n:]
+				} else {
+					b.binary = append(b.binary, bin...)
 				}
-				b.binary = append(b.binary, bin...)
 			}
 			if need[t][encDecoded] {
 				dec := *ev
@@ -730,11 +882,9 @@ func (s *Session) flushEmitLocked() {
 			}
 		}
 	}
-	// A tier no event in this batch reaches (e.g. T0 over a run of
-	// unthinned points) delivers nothing.
 	for sub := range s.subs {
 		b := batches[sub.tier]
-		if b.n == 0 {
+		if b == nil {
 			continue
 		}
 		if sub.catchingUp {
@@ -744,6 +894,16 @@ func (s *Session) flushEmitLocked() {
 		s.sendLocked(sub, b)
 	}
 }
+
+// Batch buffer sizing: flushEmitLocked reserves this many bytes per
+// event in each encoding, room for the longest point or glyph the
+// emitter makes (a 24-digit EPC tag and every number at its longest:
+// 251 bytes of NDJSON, a 79-byte frame), so a flush allocates each
+// buffer once. An event longer than that grows the buffer by append.
+const (
+	ndjsonEventBytes = 256
+	binaryEventBytes = 80
+)
 
 // parkLocked holds a live batch for a subscriber still catching up: its
 // queue belongs to the WAL replay goroutine until the splice, so live

@@ -123,6 +123,8 @@ func (s *Server) handleIngest(conn net.Conn) {
 				if !sawHello {
 					break // protocol requires Hello first; drop strays
 				}
+				// The reader decodes every report into one it owns:
+				// copy it before the next read.
 				rep := *msg.Report
 				if last, ok := lastTime[rep.ReaderID]; ok && rep.Time < last {
 					sess.outOfOrder.Add(1)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -346,9 +345,8 @@ func TestTraceSpanSampling(t *testing.T) {
 // session, each span's seq is its own report's WAL record — a report
 // record whose stream time is the span's T — although the pump logs and
 // offers reports a released batch at a time, and no two spans name the
-// same record. Spans enter the ring in completion order, and the emitting
-// shard can complete one after the pump has recorded the next, so the
-// check orders them by seq before requiring it to increase strictly.
+// same record, and the ring serves them in the order the pump released
+// their reports: seq increases strictly as received.
 func TestSpanSeqsNameTheirRecords(t *testing.T) {
 	run, _ := scenario(t)
 	dir := t.TempDir()
@@ -362,14 +360,17 @@ func TestSpanSeqsNameTheirRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged := realtime.MergeStreams(run.ReportsRF...)
-	for i := 0; i < len(merged); i += 20 {
-		if err := sess.OfferBatch(merged[i:min(i+20, len(merged))]); err != nil {
+	feed := func(sess *Session) {
+		for i := 0; i < len(merged); i += 20 {
+			if err := sess.OfferBatch(merged[i:min(i+20, len(merged))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sess.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	feed(sess)
 	times := map[uint64]time.Duration{}
 	if err := store.Replay("spans", 0, func(r wal.Record) error {
 		if r.Type == wal.RecordReport {
@@ -392,10 +393,23 @@ func TestSpanSeqsNameTheirRecords(t *testing.T) {
 			t.Fatalf("span seq %d has T %d, its record %d", sp.Seq, sp.T, int64(at))
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Seq < spans[j].Seq })
 	for i := 1; i < len(spans); i++ {
 		if spans[i].Seq <= spans[i-1].Seq {
-			t.Fatalf("two spans name record %d", spans[i].Seq)
+			t.Fatalf("span %d names record %d after span %d named %d", i, spans[i].Seq, i-1, spans[i-1].Seq)
+		}
+	}
+	// A memory-only session's spans all carry the log head, so only
+	// their stream times show the order: the pump releases this stream
+	// in time order.
+	mem, err := testRegistry(t, RegistryConfig{TraceSampleN: 1}).Open(SessionSpec{ID: "spans-mem", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(mem)
+	spans = mem.spans.Snapshot()
+	for i := 1; i < len(spans); i++ {
+		if spans[i].T < spans[i-1].T {
+			t.Fatalf("memory-only span %d has T %d after span %d had %d", i, spans[i].T, i-1, spans[i-1].T)
 		}
 	}
 }

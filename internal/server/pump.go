@@ -460,11 +460,13 @@ func (s *Session) openSampledSpan(or orderedReport, seq uint64, release, walDone
 		sp.IngestNs = 0
 		sp.Arrival = or.pushed
 	}
+	s.spanMu.Lock()
 	if old := s.openSpan.Swap(sp); old != nil {
 		// The previous sampled report never produced an emission
 		// (aggregated away); record it without emit/total timing.
 		s.spans.Add(*old)
 	}
+	s.spanMu.Unlock()
 }
 
 // walFailed abandons a session's log after a write error: tracing

@@ -176,8 +176,13 @@ type Session struct {
 	// control knob; GET /v1/sessions/{id}/trace).
 	spans *obs.SpanRing
 	// openSpan is the in-flight sampled span: the pump publishes it at
-	// reorder release, the emitting shard goroutine completes it.
+	// reorder release, the emitting shard goroutine completes it. Each
+	// span leaves the slot and enters spans under spanMu, so the ring
+	// holds spans in the order the pump released their reports; the
+	// shard reads the slot without the lock first, as most updates find
+	// it empty.
 	openSpan atomic.Pointer[obs.Span]
+	spanMu   sync.Mutex
 	// lastArrival/lastRelease hand the most recently released report's
 	// stamps to onUpdate, which swaps them to zero so each release is
 	// observed once in the emit and end-to-end histograms.

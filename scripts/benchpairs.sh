@@ -5,9 +5,13 @@
 #
 #   bash scripts/benchpairs.sh <parent-rev> <workload> <pairs> <seed> [seconds] [trace]
 #
-# e.g. `bash scripts/benchpairs.sh HEAD~1 retrace 10 77`. The parent is
-# checked out in a git worktree under .bench_out/pairs/parent (removed on
-# exit), and both trees run perfbench/run.sh with the same arguments:
+# e.g. `bash scripts/benchpairs.sh HEAD~1 retrace 10 77`. Both sides
+# build and run from paths of the same depth: the parent is checked out
+# in a git worktree under .bench_out/pairs/parent, and the change in one
+# under .bench_out/pairs/change at HEAD with the working tree's files
+# copied over it (tracked and untracked alike, ignored ones excepted, and
+# the files it deleted removed). Both are removed on exit, and both trees
+# run perfbench/run.sh with the same arguments:
 # --trace 0 by default, or --trace 1 for the traced ledger's per-layer
 # metrics (dotted names such as engine_step.ns_per_report). Odd pairs
 # run the parent first, even pairs the change. Every result line is
@@ -47,16 +51,27 @@ if [ "$trace" != 0 ] && [ "$trace" != 1 ]; then
 fi
 root=$(pwd)
 out="$root/.bench_out/pairs"
-parent="$out/parent"
+parent="$out/parent" change="$out/change"
 results="$out/$workload-seed$seed-trace$trace.ndjson"
 mkdir -p "$out"
-git worktree remove --force "$parent" 2>/dev/null || true
+for dir in "$parent" "$change"; do
+	git worktree remove --force "$dir" 2>/dev/null || true
+done
+trap 'git worktree remove --force "$parent"; git worktree remove --force "$change"' EXIT
 git worktree add --detach --quiet "$parent" "$rev"
-trap 'git worktree remove --force "$parent"' EXIT
+git worktree add --detach --quiet "$change" HEAD
+# existing prints the NUL-separated paths it reads that exist (-e) or
+# do not (! -e) in the working tree.
+existing() {
+	while IFS= read -r -d '' f; do if [ "$@" "$f" ]; then printf '%s\0' "$f"; fi; done
+}
+git ls-files -z --cached --others --exclude-standard | existing -e |
+	tar --null -T - -cf - | tar -xf - -C "$change"
+git ls-tree -r -z --name-only HEAD | existing ! -e | (cd "$change" && xargs -0 rm -f --)
 : >"$results"
 
 run() { # side pair
-	local dir=$root line
+	local dir=$change line
 	if [ "$1" = parent ]; then dir=$parent; fi
 	line=$(cd "$dir" && bash perfbench/run.sh --workload "$workload" --seed "$seed" \
 		--seconds "$seconds" --trace "$trace" | tail -n 1)
