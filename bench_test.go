@@ -302,12 +302,12 @@ func BenchmarkAblationCandidateCount(b *testing.B) {
 
 // —— Engine multi-tag benches ——————————————————————————————————————————————
 
-// benchEngineRun caches one 8-user concurrent-writing session; jobs for
-// higher tag counts replicate its streams under fresh keys, so throughput
-// scaling is measured on identical per-tag work.
+// benchEngineRun caches one 8-user concurrent-writing session; streams
+// for higher tag counts replicate its streams under fresh keys, so
+// throughput scaling is measured on identical per-tag work.
 var benchEngineRun *sim.MultiWordRun
 
-func benchEngineJobs(b *testing.B, tags int) []engine.TagJob {
+func benchMultiRun(b *testing.B) *sim.MultiWordRun {
 	b.Helper()
 	if benchEngineRun == nil {
 		sc, err := sim.New(sim.Config{Seed: 77})
@@ -325,17 +325,22 @@ func benchEngineJobs(b *testing.B, tags int) []engine.TagJob {
 		}
 		benchEngineRun = run
 	}
-	jobs := make([]engine.TagJob, tags)
-	for i := range jobs {
-		src := benchEngineRun.SamplesRF[i%len(benchEngineRun.SamplesRF)]
-		jobs[i] = engine.TagJob{Tag: fmt.Sprintf("tag-%03d", i), Samples: src}
-	}
-	return jobs
+	return benchEngineRun
 }
 
-// BenchmarkEngineMultiTag measures full-pipeline throughput (vote →
-// lobe-lock → trace) for 1/8/64 concurrent tags at 1 shard (the
-// single-threaded path) and at one shard per core. tag-traces/s is the
+// benchEngineStreams returns tags per-tag sample streams for TraceMany.
+func benchEngineStreams(b *testing.B, tags int) map[string][]Sample {
+	run := benchMultiRun(b)
+	streams := make(map[string][]Sample, tags)
+	for i := range tags {
+		streams[fmt.Sprintf("tag-%03d", i)] = publicSamples(run.SamplesRF[i%len(run.SamplesRF)])
+	}
+	return streams
+}
+
+// BenchmarkEngineMultiTag measures batch full-pipeline throughput (vote
+// → lobe-lock → trace) through TraceMany for 1/8/64 tags at 1 shard (the
+// tags one after another) and at one shard per core. tag-traces/s is the
 // headline: at 8 tags it should scale near-linearly with cores.
 func BenchmarkEngineMultiTag(b *testing.B) {
 	shardCounts := []int{1}
@@ -346,25 +351,19 @@ func BenchmarkEngineMultiTag(b *testing.B) {
 		for _, shards := range shardCounts {
 			b.Run(fmt.Sprintf("tags=%d/shards=%d", tags, shards), func(b *testing.B) {
 				b.ReportAllocs()
-				jobs := benchEngineJobs(b, tags)
-				eng, err := engine.New(engine.Config{
-					Shards: shards,
-					Core:   core.Config{Plane: geom.Plane{Y: 2}, Region: deploy.DefaultRegion()},
-				})
+				streams := benchEngineStreams(b, tags)
+				sys, err := New(Config{PlaneDistanceM: 2, Shards: shards})
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer eng.Close()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					for _, r := range eng.TraceBatch(jobs) {
-						if r.Err != nil {
-							b.Fatal(r.Err)
-						}
+					if _, err := sys.TraceMany(streams); err != nil {
+						b.Fatal(err)
 					}
 				}
 				b.StopTimer()
-				traces := float64(b.N) * float64(len(jobs))
+				traces := float64(b.N) * float64(tags)
 				b.ReportMetric(traces/b.Elapsed().Seconds(), "tag-traces/s")
 			})
 		}
@@ -375,9 +374,12 @@ func BenchmarkEngineMultiTag(b *testing.B) {
 // raw reports interleaved, demultiplexed and tracked concurrently.
 // internal/engine's TestStreamingAllocs bounds its allocations.
 func BenchmarkEngineStreaming(b *testing.B) {
-	benchEngineJobs(b, 8) // ensure the cached run exists
-	run := benchEngineRun
+	run := benchMultiRun(b)
 	merged := realtime.MergeStreams(run.ReportsRF...)
+	sys, err := core.NewSystem(nil, core.Config{Plane: geom.Plane{Y: 2}, Region: deploy.DefaultRegion()})
+	if err != nil {
+		b.Fatal(err)
+	}
 	streamShards := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		streamShards = append(streamShards, n)
@@ -387,12 +389,12 @@ func BenchmarkEngineStreaming(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				// Trackers are stateful per tag, so each iteration needs
-				// a fresh engine; keep its construction (steering-table
-				// precompute) out of the timed streaming work.
+				// a fresh engine; keep its construction out of the timed
+				// streaming work.
 				b.StopTimer()
 				eng, err := engine.New(engine.Config{
 					Shards:        shards,
-					Core:          core.Config{Plane: geom.Plane{Y: 2}, Region: deploy.DefaultRegion()},
+					System:        sys,
 					SweepInterval: run.SweepInterval * time.Duration(len(run.Tags)),
 				})
 				if err != nil {
@@ -514,8 +516,7 @@ func benchRequirePoints(b *testing.B, httpc *http.Client, url string) {
 // flat, and the encoding axis compares NDJSON with the binary frame
 // encoding.
 func BenchmarkIngestToEmit(b *testing.B) {
-	benchEngineJobs(b, 8) // ensure the cached run exists
-	run := benchEngineRun
+	run := benchMultiRun(b)
 	merged := realtime.MergeStreams(run.ReportsRF...)
 	sweep := run.SweepInterval * time.Duration(len(run.Tags))
 	cl := benchDaemonStart(b)
@@ -636,8 +637,7 @@ func benchRawStream(addr, path string) (net.Conn, *bufio.Reader, error) {
 // stay near flat as subscribers grow — the per-subscriber cost is a
 // channel send of a pre-encoded batch, not a marshal.
 func BenchmarkTieredFanout(b *testing.B) {
-	benchEngineJobs(b, 8) // ensure the cached run exists
-	run := benchEngineRun
+	run := benchMultiRun(b)
 	merged := realtime.MergeStreams(run.ReportsRF...)
 	sweep := run.SweepInterval * time.Duration(len(run.Tags))
 	cl := benchDaemonStart(b)
@@ -847,43 +847,38 @@ func BenchmarkObsStamp(b *testing.B) {
 // —— Search strategy benches ———————————————————————————————————————————————
 
 // BenchmarkSearchModes compares the dense reference scan and the
-// hierarchical coarse-to-fine search on the full pipeline at 1/8/64 tags
-// (single shard, so ns/op compares algorithms rather than parallelism).
-// grid-evals/sample is the steady-state tracking cost the hierarchical
-// search exists to cut; the ≥5x reduction is asserted by
-// TestHierarchicalMatchesDenseOnCorpus and visible here per tag count.
+// hierarchical coarse-to-fine search on the full pipeline through
+// TraceMany at 1/8/64 tags (single shard, so ns/op compares algorithms
+// rather than parallelism). grid-evals/sample is the steady-state
+// tracking cost the hierarchical search exists to cut; the ≥5x
+// reduction is asserted by TestHierarchicalMatchesDenseOnCorpus and
+// visible here per tag count.
 func BenchmarkSearchModes(b *testing.B) {
 	for _, mode := range []vote.SearchMode{vote.SearchDense, vote.SearchHierarchical} {
 		for _, tags := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("mode=%s/tags=%d", mode, tags), func(b *testing.B) {
 				b.ReportAllocs()
-				jobs := benchEngineJobs(b, tags)
-				eng, err := engine.New(engine.Config{
-					Shards: 1,
-					Core: core.Config{
-						Plane: geom.Plane{Y: 2}, Region: deploy.DefaultRegion(),
-						Vote:  vote.Config{Search: vote.SearchConfig{Mode: mode}},
-						Trace: tracing.Config{Search: vote.SearchConfig{Mode: mode}},
-					},
-				})
+				streams := benchEngineStreams(b, tags)
+				sys, err := New(Config{PlaneDistanceM: 2, Search: SearchConfig{Mode: mode}})
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer eng.Close()
 				b.ResetTimer()
 				var evals, samples int
 				for i := 0; i < b.N; i++ {
-					for _, r := range eng.TraceBatch(jobs) {
-						if r.Err != nil {
-							b.Fatal(r.Err)
-						}
-						evals += r.Result.Best.SearchEvals
-						samples += len(r.Result.Best.Votes)
+					results, err := sys.TraceMany(streams)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, res := range results {
+						chosen := res.Traces[res.Chosen]
+						evals += chosen.SearchEvals
+						samples += len(chosen.Votes)
 					}
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(evals)/float64(samples), "grid-evals/sample")
-				b.ReportMetric(float64(b.N)*float64(len(jobs))/b.Elapsed().Seconds(), "tag-traces/s")
+				b.ReportMetric(float64(b.N)*float64(tags)/b.Elapsed().Seconds(), "tag-traces/s")
 			})
 		}
 	}

@@ -1,9 +1,9 @@
 // Multiuser: four users write simultaneously with different tags. EPC
 // identities keep their report streams apart (§2: "since RF sources have
 // unique IDs ... it is easy to scale to a larger number of users"), and
-// the sharded engine traces every tag concurrently — one home shard per
-// tag, all shards sharing the same read-only positioner and its
-// precomputed steering table.
+// rfidraw.System.TraceMany traces every tag concurrently, all goroutines
+// sharing the same read-only positioner and its precomputed steering
+// table.
 //
 //	go run ./examples/multiuser
 //
@@ -21,12 +21,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"sync"
 	"time"
 
-	"rfidraw/internal/core"
-	"rfidraw/internal/deploy"
-	"rfidraw/internal/engine"
+	"rfidraw"
 	"rfidraw/internal/geom"
 	"rfidraw/internal/readerwire"
 	"rfidraw/internal/server"
@@ -35,7 +34,7 @@ import (
 )
 
 func main() {
-	daemon := flag.String("daemon", "", "rfidrawd HTTP API base URL; empty embeds the engine locally")
+	daemon := flag.String("daemon", "", "rfidrawd HTTP API base URL; empty traces in-process")
 	flag.Parse()
 	sc, err := sim.New(sim.Config{Seed: 5})
 	if err != nil {
@@ -59,32 +58,38 @@ func main() {
 		return
 	}
 
-	eng, err := engine.New(engine.Config{
-		Shards: 4,
-		Core:   core.Config{Plane: sc.Plane, Region: deploy.DefaultRegion()},
-	})
+	const shards = 4
+	sys, err := rfidraw.New(rfidraw.Config{PlaneDistanceM: sc.Plane.Y, Shards: shards})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
-
-	jobs := make([]engine.TagJob, len(run.Tags))
+	streams := map[string][]rfidraw.Sample{}
 	for i, tag := range run.Tags {
-		jobs[i] = engine.TagJob{Tag: tag.EPC.String(), Samples: run.SamplesRF[i]}
-	}
-	for i, r := range eng.TraceBatch(jobs) {
-		if r.Err != nil {
-			log.Fatalf("tag %d: %v", i, r.Err)
+		samples := make([]rfidraw.Sample, len(run.SamplesRF[i]))
+		for j, s := range run.SamplesRF[i] {
+			samples[j] = rfidraw.Sample{Time: s.T, Phases: maps.Collect(s.Phase.All())}
 		}
-		med, err := traj.MedianError(run.Truths[i], r.Result.Best.Trajectory, traj.AlignInitial, 64)
+		streams[tag.EPC.String()] = samples
+	}
+	results, err := sys.TraceMany(streams)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, tag := range run.Tags {
+		res := results[tag.EPC.String()]
+		points := make([]traj.Point, len(res.Trajectory))
+		for j, p := range res.Trajectory {
+			points[j] = traj.Point{T: p.Time, Pos: geom.Vec2{X: p.X, Z: p.Z}}
+		}
+		med, err := traj.MedianError(run.Truths[i], traj.Trajectory{Points: points}, traj.AlignInitial, 64)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("tag %s: user %d wrote %-3q → %d points traced, shape error %.1f cm\n",
-			r.Tag, i+1, words[i], r.Result.Best.Trajectory.Len(), med*100)
+			tag.EPC, i+1, words[i], len(points), med*100)
 	}
-	fmt.Printf("\n%d users tracked concurrently on %d shards; EPC identity separates their streams\n",
-		len(run.Tags), eng.Shards())
+	fmt.Printf("\n%d users traced concurrently on %d goroutines; EPC identity separates their streams\n",
+		len(run.Tags), shards)
 }
 
 // throughDaemon replays the writers' raw per-reader report streams into

@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -50,14 +47,25 @@ func multiRun(t testing.TB, tags int) *sim.MultiWordRun {
 	return run
 }
 
-func coreConfig() core.Config {
-	return core.Config{Plane: geom.Plane{Y: 2}, Region: deploy.DefaultRegion()}
+// testSystem builds the standard deployment's positioning system once
+// for every test in the package.
+var testSystem = sync.OnceValues(func() (*core.System, error) {
+	return core.NewSystem(nil, core.Config{Plane: geom.Plane{Y: 2}, Region: deploy.DefaultRegion()})
+})
+
+func system(t testing.TB) *core.System {
+	t.Helper()
+	sys, err := testSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 func newEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
-	if cfg.Core.Plane.Y == 0 {
-		cfg.Core = coreConfig()
+	if cfg.System == nil {
+		cfg.System = system(t)
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -65,122 +73,6 @@ func newEngine(t testing.TB, cfg Config) *Engine {
 	}
 	t.Cleanup(func() { e.Close() })
 	return e
-}
-
-// encodeResult serialises a trace result so byte-identity can be asserted.
-func encodeResult(t testing.TB, r *core.TraceResult) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestBatchDeterministicAcrossShardCounts is the engine's core guarantee:
-// for identical input, the concurrent engine's output is byte-identical to
-// the sequential single-threaded path, for any shard count.
-func TestBatchDeterministicAcrossShardCounts(t *testing.T) {
-	run := multiRun(t, 3)
-	jobs := make([]TagJob, len(run.Tags))
-	for i, tag := range run.Tags {
-		jobs[i] = TagJob{Tag: tag.EPC.String(), Samples: run.SamplesRF[i]}
-	}
-
-	// Sequential reference: a plain core.System, no engine.
-	sys, err := core.NewSystem(nil, coreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]byte, len(jobs))
-	for i, j := range jobs {
-		res, err := sys.Trace(j.Samples)
-		if err != nil {
-			t.Fatalf("sequential tag %d: %v", i, err)
-		}
-		want[i] = encodeResult(t, res)
-	}
-
-	for _, shards := range []int{1, 2, 8} {
-		e := newEngine(t, Config{Shards: shards})
-		results := e.TraceBatch(jobs)
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("shards=%d tag %d: %v", shards, i, r.Err)
-			}
-			if r.Tag != jobs[i].Tag {
-				t.Fatalf("shards=%d result %d keyed %q, want %q", shards, i, r.Tag, jobs[i].Tag)
-			}
-			if !bytes.Equal(encodeResult(t, r.Result), want[i]) {
-				t.Fatalf("shards=%d tag %d: engine output differs from sequential path", shards, i)
-			}
-		}
-	}
-}
-
-// TestBatchMoreShardsThanTags checks nothing wedges or is lost when most
-// shards have no work.
-func TestBatchMoreShardsThanTags(t *testing.T) {
-	run := multiRun(t, 2)
-	e := newEngine(t, Config{Shards: 16})
-	jobs := []TagJob{
-		{Tag: run.Tags[0].EPC.String(), Samples: run.SamplesRF[0]},
-		{Tag: run.Tags[1].EPC.String(), Samples: run.SamplesRF[1]},
-	}
-	for i, r := range e.TraceBatch(jobs) {
-		if r.Err != nil {
-			t.Fatalf("tag %d: %v", i, r.Err)
-		}
-		if r.Result.Best.Trajectory.Len() < 5 {
-			t.Fatalf("tag %d: only %d points", i, r.Result.Best.Trajectory.Len())
-		}
-	}
-}
-
-// TestBatchConcurrentCallers exercises TraceBatch from several goroutines
-// against one engine (run under -race).
-func TestBatchConcurrentCallers(t *testing.T) {
-	run := multiRun(t, 3)
-	e := newEngine(t, Config{Shards: 4})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			jobs := make([]TagJob, len(run.Tags))
-			for i, tag := range run.Tags {
-				jobs[i] = TagJob{Tag: tag.EPC.String(), Samples: run.SamplesRF[i]}
-			}
-			for _, r := range e.TraceBatch(jobs) {
-				if r.Err != nil {
-					t.Error(r.Err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestTraceSingleTagWrapper checks the synchronous single-tag wrapper is
-// the sequential path: same bytes as a direct core.System.Trace.
-func TestTraceSingleTagWrapper(t *testing.T) {
-	run := multiRun(t, 1)
-	sys, err := core.NewSystem(nil, coreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sys.Trace(run.SamplesRF[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(t, Config{Shards: 1})
-	got, err := e.Trace(run.SamplesRF[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeResult(t, got), encodeResult(t, want)) {
-		t.Fatal("single-tag engine wrapper differs from direct core path")
-	}
 }
 
 // streamInto builds an engine from cfg, replays both readers' raw report
@@ -264,10 +156,7 @@ func TestStreamingMultiTag(t *testing.T) {
 func TestStreamingAllocs(t *testing.T) {
 	run := multiRun(t, 8)
 	merged := realtime.MergeStreams(run.ReportsRF...)
-	sys, err := core.NewSystem(nil, coreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := system(t)
 	stream := func(shards, batch int) uint64 {
 		e, err := New(Config{
 			Shards:        shards,
@@ -403,18 +292,34 @@ func TestStreamingTagGoesSilent(t *testing.T) {
 	}
 }
 
-// TestStreamingRequiresSweepInterval: batch-only engines reject Offer.
+// TestStreamingRequiresSweepInterval: an engine only streams, so both
+// constructors refuse a config without the readers' sweep period or a
+// positioning system. New also refuses RecordTrace, which grows with the
+// stream: it is a Replayer option only.
 func TestStreamingRequiresSweepInterval(t *testing.T) {
-	e := newEngine(t, Config{Shards: 2})
-	if err := e.Offer(rfid.Report{}); err == nil {
-		t.Fatal("Offer without SweepInterval should error")
+	sys := system(t)
+	for _, c := range []struct {
+		cfg      Config
+		replayer bool // NewReplayer accepts cfg
+	}{
+		{Config{System: sys}, false},
+		{Config{SweepInterval: 25 * time.Millisecond}, false},
+		{Config{System: sys, SweepInterval: 25 * time.Millisecond, RecordTrace: true}, true},
+	} {
+		if e, err := New(c.cfg); err == nil {
+			e.Close()
+			t.Errorf("New accepted %+v", c.cfg)
+		}
+		if _, err := NewReplayer(c.cfg); (err == nil) != c.replayer {
+			t.Errorf("NewReplayer(%+v): %v", c.cfg, err)
+		}
 	}
 }
 
 // TestAcquireBoundBelowWarmupRejected: both constructors refuse a warmup
 // buffer bound that would fail every tag at its first report.
 func TestAcquireBoundBelowWarmupRejected(t *testing.T) {
-	cfg := Config{Core: coreConfig(), SweepInterval: 25 * time.Millisecond, MaxAcquireBuffer: 2}
+	cfg := Config{System: system(t), SweepInterval: 25 * time.Millisecond, MaxAcquireBuffer: 2}
 	if e, err := New(cfg); err == nil {
 		e.Close()
 		t.Fatal("New accepted MaxAcquireBuffer below the warmup")
@@ -438,88 +343,21 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestCloseConcurrent: several goroutines racing Close against in-flight
-// TraceBatch calls must neither panic nor deadlock — every batch either
-// completes normally or reports "engine: closed" per job.
-func TestCloseConcurrent(t *testing.T) {
-	run := multiRun(t, 2)
-	e := newEngine(t, Config{Shards: 4})
-	jobs := []TagJob{
-		{Tag: run.Tags[0].EPC.String(), Samples: run.SamplesRF[0]},
-		{Tag: run.Tags[1].EPC.String(), Samples: run.SamplesRF[1]},
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for _, r := range e.TraceBatch(jobs) {
-				if r.Err == nil && r.Result == nil {
-					t.Error("TraceBatch returned neither result nor error")
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if err := e.Close(); err != nil {
-				t.Errorf("Close: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := e.Close(); err != nil {
-		t.Fatalf("Close after concurrent closes: %v", err)
-	}
-}
-
-// TestShardAffinity: equal keys land on the same shard, and distribution
-// over many keys touches every shard.
+// TestShardAffinity: an EPC always lands on the same shard, and
+// distribution over many EPCs touches every shard.
 func TestShardAffinity(t *testing.T) {
-	e := newEngine(t, Config{Shards: 4})
-	seen := map[*shard]bool{}
+	e := newEngine(t, Config{Shards: 4, SweepInterval: 25 * time.Millisecond})
+	seen := map[int]bool{}
 	for i := 0; i < 256; i++ {
-		key := fmt.Sprintf("tag-%03d", i)
-		a := e.shardFor(key)
-		b := e.shardFor(key)
-		if a != b {
-			t.Fatalf("key %q hashed to two shards", key)
+		var epc rfid.EPC
+		epc[10], epc[11] = byte(i>>8), byte(i)
+		a := e.shardOfEPC(epc)
+		if b := e.shardOfEPC(epc); a != b {
+			t.Fatalf("EPC %s hashed to shards %d and %d", epc, a, b)
 		}
 		seen[a] = true
 	}
 	if len(seen) != 4 {
-		t.Fatalf("256 keys used only %d/4 shards", len(seen))
-	}
-}
-
-// TestTraceBatchDuringClose races batch callers against Close (run under
-// -race): no send-on-closed-channel panic, and post-close jobs come back
-// with a clean error instead of wedging.
-func TestTraceBatchDuringClose(t *testing.T) {
-	run := multiRun(t, 1)
-	e := newEngine(t, Config{Shards: 2})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				res := e.TraceBatch([]TagJob{{Tag: "x", Samples: run.SamplesRF[0]}})
-				if res[0].Err != nil {
-					if res[0].Result != nil {
-						t.Error("closed-engine job returned both result and error")
-					}
-					return // engine closed underneath us: the contract held
-				}
-			}
-		}()
-	}
-	time.Sleep(10 * time.Millisecond)
-	if err := e.Close(); err != nil {
-		t.Error(err)
-	}
-	wg.Wait()
-	res := e.TraceBatch([]TagJob{{Tag: "y", Samples: run.SamplesRF[0]}})
-	if res[0].Err == nil {
-		t.Fatal("TraceBatch after Close should error per job")
+		t.Fatalf("256 EPCs used only %d/4 shards", len(seen))
 	}
 }

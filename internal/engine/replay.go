@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"rfidraw/internal/core"
 	"rfidraw/internal/realtime"
 	"rfidraw/internal/rfid"
 	"rfidraw/internal/vote"
@@ -23,7 +22,6 @@ import (
 // then read Stats or Results.
 type Replayer struct {
 	cfg     Config
-	sys     *core.System
 	scratch *vote.Scratch
 	tags    map[rfid.EPC]*tagState
 	// order lists tags in first-seen order; Flush closes their sweeps in
@@ -50,45 +48,39 @@ type tagState struct {
 
 // NewReplayer builds a replayer from the same Config an Engine takes.
 // Shards, BatchSize and Config.OnUpdate are ignored (replay is
-// synchronous; set Replayer.OnUpdate instead); System or
-// Deployment/Core, SweepInterval and the per-tag tracker knobs mean
-// exactly what they mean for a live engine. Set RecordTrace when
-// Results must materialize batch-equivalent TraceResults.
+// synchronous; set Replayer.OnUpdate instead); System, SweepInterval
+// and the per-tag tracker knobs mean exactly what they mean for a live
+// engine. Set RecordTrace when Results must materialize each tag's
+// batch-equivalent TraceResult.
 func NewReplayer(cfg Config) (*Replayer, error) {
-	if cfg.SweepInterval <= 0 {
-		return nil, errors.New("engine: Config.SweepInterval required for replay")
-	}
-	sys, err := resolveSystem(cfg)
-	if err != nil {
+	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	return newReplayer(cfg, sys, vote.NewScratch()), nil
+	return newReplayer(cfg, vote.NewScratch()), nil
 }
 
 // newReplayer is the one constructor behind NewReplayer and every
-// engine shard; cfg has passed resolveSystem.
-func newReplayer(cfg Config, sys *core.System, scratch *vote.Scratch) *Replayer {
-	return &Replayer{cfg: cfg, sys: sys, scratch: scratch, tags: map[rfid.EPC]*tagState{}}
+// engine shard; cfg has passed validate.
+func newReplayer(cfg Config, scratch *vote.Scratch) *Replayer {
+	return &Replayer{cfg: cfg, scratch: scratch, tags: map[rfid.EPC]*tagState{}}
 }
 
-// resolveSystem validates cfg and returns its positioning system: the
-// shared cfg.System, or one built from cfg.Deployment and cfg.Core.
-func resolveSystem(cfg Config) (*core.System, error) {
+// validate checks what New and NewReplayer both require of cfg.
+func validate(cfg Config) error {
+	if cfg.System == nil {
+		return errors.New("engine: Config.System required")
+	}
+	if cfg.SweepInterval <= 0 {
+		return errors.New("engine: Config.SweepInterval required")
+	}
 	// Catch an impossible acquisition bound at construction: left to the
 	// per-tag tracker it would terminally fail every tag at its first
 	// report, a silent-daemon failure mode.
 	if cfg.MaxAcquireBuffer > 0 && cfg.MaxAcquireBuffer < realtime.DefaultWarmupSamples {
-		return nil, fmt.Errorf("engine: MaxAcquireBuffer %d must be ≥ the %d-sample warmup",
+		return fmt.Errorf("engine: MaxAcquireBuffer %d must be ≥ the %d-sample warmup",
 			cfg.MaxAcquireBuffer, realtime.DefaultWarmupSamples)
 	}
-	if cfg.System != nil {
-		return cfg.System, nil
-	}
-	sys, err := core.NewSystem(cfg.Deployment, cfg.Core)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	return sys, nil
+	return nil
 }
 
 // tag returns the report's tag pipeline, building it on first sight: a
@@ -101,7 +93,7 @@ func (r *Replayer) tag(epc rfid.EPC) *tagState {
 	ts, ok := r.tags[epc]
 	if !ok {
 		tracker, err := realtime.NewTracker(realtime.Config{
-			System:           r.sys,
+			System:           r.cfg.System,
 			SweepInterval:    r.cfg.SweepInterval,
 			MaxAcquireBuffer: r.cfg.MaxAcquireBuffer,
 			RecordTrace:      r.cfg.RecordTrace,

@@ -3,9 +3,7 @@ package engine
 import (
 	"sync"
 
-	"rfidraw/internal/core"
 	"rfidraw/internal/rfid"
-	"rfidraw/internal/tracing"
 	"rfidraw/internal/vote"
 )
 
@@ -27,7 +25,7 @@ var kitPool = sync.Pool{New: func() any {
 type shardKit struct {
 	// scratch is the refinement scratch (the hierarchical search's memo
 	// and frontier buffers, see vote.Scratch). One serves all of a
-	// shard's tags, live and batch, because a shard is a single goroutine.
+	// shard's tags because a shard is a single goroutine.
 	scratch *vote.Scratch
 	// free holds the emptied report slices of the shard's report
 	// messages: the shard returns each once it has offered its reports,
@@ -38,46 +36,34 @@ type shardKit struct {
 	free chan []rfid.Report
 }
 
-// traceJob is one batch tracing unit of work.
-type traceJob struct {
-	samples []tracing.Sample
-	out     *TagResult
-	wg      *sync.WaitGroup
-}
-
 // shardMsg is a shard inbox message: exactly one field is set.
 type shardMsg struct {
 	// reports are one Offer call's streamed reports for the shard's
 	// tags, in stream order.
 	reports []rfid.Report
-	// job runs one batch trace.
-	job *traceJob
 	// flush closes every tag's current sweep and acks.
 	flush chan error
 	// stats asks for a snapshot of per-tag streaming state.
 	stats chan []TagStats
-	// results asks for batch-equivalent trace results (RecordTrace).
-	results chan []TagResult
 }
 
 // shard is one worker: a goroutine running the streaming pipeline of
-// every tag hashed onto it, and the batch jobs keyed to those tags.
+// every tag hashed onto it.
 type shard struct {
 	in   chan shardMsg
 	done chan struct{}
 	kit  *shardKit
-	// rp is the shard's streaming pipeline. Its scratch, the kit's, also
-	// serves the shard's batch traces.
+	// rp is the shard's streaming pipeline, on the kit's scratch.
 	rp *Replayer
 }
 
-func newShard(cfg Config, sys *core.System) *shard {
+func newShard(cfg Config) *shard {
 	kit := kitPool.Get().(*shardKit)
 	sh := &shard{
 		in:   make(chan shardMsg, shardInbox),
 		done: make(chan struct{}),
 		kit:  kit,
-		rp:   newReplayer(cfg, sys, kit.scratch),
+		rp:   newReplayer(cfg, kit.scratch),
 	}
 	sh.rp.OnUpdate = cfg.OnUpdate
 	return sh
@@ -101,7 +87,7 @@ func (s *shard) loop() {
 		switch {
 		case msg.reports != nil:
 			// Offer never fails: a tag's terminal failure surfaces
-			// through Stats and Results.
+			// through Stats.
 			for _, rep := range msg.reports {
 				_ = s.rp.Offer(rep)
 			}
@@ -109,16 +95,10 @@ func (s *shard) loop() {
 			case s.kit.free <- msg.reports[:0]:
 			default:
 			}
-		case msg.job != nil:
-			res, err := s.rp.sys.TraceWith(s.rp.scratch, msg.job.samples)
-			msg.job.out.Result, msg.job.out.Err = res, err
-			msg.job.wg.Done()
 		case msg.flush != nil:
 			msg.flush <- s.rp.Flush()
 		case msg.stats != nil:
 			msg.stats <- s.rp.Stats()
-		case msg.results != nil:
-			msg.results <- s.rp.Results()
 		}
 	}
 }

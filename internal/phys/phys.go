@@ -138,11 +138,6 @@ func PathPhase(c Carrier, link Link, distanceM float64) float64 {
 	return Wrap(-TwoPi * link.TravelFactor() * distanceM / c.WavelengthM)
 }
 
-// PhaseToDistanceTurns converts a phase difference Δφ (radians) into
-// fractional wavelengths (turns): Δφ/2π. Eq. 2 of the paper expresses the
-// path-length difference Δd/λ as this quantity plus an integer k.
-func PhaseToDistanceTurns(deltaPhase float64) float64 { return deltaPhase / TwoPi }
-
 // UnwrapNext continues a phase-unwrapping sequence: given the previous
 // unwrapped value and a new wrapped measurement, it returns the unwrapped
 // value closest to prev that is congruent to next (mod 2π). This implements

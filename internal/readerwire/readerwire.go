@@ -74,7 +74,10 @@ type Message struct {
 
 // Writer encodes messages onto a stream.
 type Writer struct {
-	w   *bufio.Writer
+	w *bufio.Writer
+	// buf holds the message being built: a 4-byte length slot, then the
+	// payload. Each message goes to w in one write, so writing a report
+	// allocates nothing.
 	buf []byte
 }
 
@@ -83,22 +86,25 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriter(w), buf: make([]byte, 0, 64)}
 }
 
-func (w *Writer) frame(payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.w.Write(payload)
+// begin starts a message of type typ in w.buf, behind its length slot.
+func (w *Writer) begin(typ byte) []byte {
+	return append(w.buf[:0], 0, 0, 0, 0, typ)
+}
+
+// send fills in the length of the message b that begin started and
+// writes it.
+func (w *Writer) send(b []byte) error {
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	w.buf = b[:0]
+	_, err := w.w.Write(b)
 	return err
 }
 
 // WriteHello sends the stream announcement.
 func (w *Writer) WriteHello(h Hello) error {
-	b := w.buf[:0]
-	b = append(b, TypeHello, h.Proto, h.ReaderID, h.AntennaCount)
+	b := append(w.begin(TypeHello), h.Proto, h.ReaderID, h.AntennaCount)
 	b = binary.BigEndian.AppendUint64(b, uint64(h.SweepInterval))
-	if err := w.frame(b); err != nil {
+	if err := w.send(b); err != nil {
 		return err
 	}
 	return w.w.Flush()
@@ -110,18 +116,17 @@ func (w *Writer) WriteReport(r rfid.Report) error {
 	if r.ReaderID < 0 || r.ReaderID > 255 || r.AntennaID < 0 || r.AntennaID > 255 {
 		return fmt.Errorf("readerwire: reader/antenna id out of byte range: %d/%d", r.ReaderID, r.AntennaID)
 	}
-	b := w.buf[:0]
-	b = append(b, TypePhaseReport, byte(r.ReaderID), byte(r.AntennaID))
+	b := append(w.begin(TypePhaseReport), byte(r.ReaderID), byte(r.AntennaID))
 	b = binary.BigEndian.AppendUint64(b, uint64(r.Time))
 	b = append(b, r.EPC[:]...)
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.PhaseRad))
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.PowerDB))
-	return w.frame(b)
+	return w.send(b)
 }
 
 // WriteBye sends the end-of-stream marker and flushes.
 func (w *Writer) WriteBye() error {
-	if err := w.frame([]byte{TypeBye}); err != nil {
+	if err := w.send(w.begin(TypeBye)); err != nil {
 		return err
 	}
 	return w.w.Flush()

@@ -221,6 +221,23 @@ func TestDecodeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestWriteReportZeroAllocs gates every Go reader client's encode at
+// zero allocations per report: each message is built behind its length
+// slot in the Writer's buffer and written once.
+func TestWriteReportZeroAllocs(t *testing.T) {
+	w := NewWriter(io.Discard)
+	rep := sampleReport(rand.New(rand.NewSource(7)), 0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		rep.Time += time.Millisecond
+		if err := w.WriteReport(rep); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WriteReport makes %v allocs per report, want 0", allocs)
+	}
+}
+
 // BenchmarkReaderDecode times the ingest gateway's decode per report
 // (one op is one report), NextBuffered first and Next when the buffer
 // runs dry, over a 4096-report stream read again from its start at EOF.

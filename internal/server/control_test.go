@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func walControlRegistry(t testing.TB, dir string, cfg RegistryConfig) *Registry 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NewEngine = recordingFactory(t)
+	cfg.NewEngine = testFactory(t)
 	cfg.NewReplayer = testReplayerFactory(t)
 	cfg.WAL = store
 	cfg.NoRecognize = true
@@ -229,6 +230,89 @@ func TestOverloadAdmission(t *testing.T) {
 	}
 	if _, err := reg.Open(SessionSpec{ID: "admitted", Sweep: perTagSweep(run)}); err != nil {
 		t.Fatalf("open with shedding disabled: %v", err)
+	}
+}
+
+// TestParkVerbAndOverloadAnswer drives the operator park verb and the
+// admission layer's 429 through the HTTP API and Client: a durable live
+// session parks to "recovered", a second park is a no-op and a
+// memory-only session answers not_durable; a create past the shed
+// threshold answers 429 with a backoff, in the envelope and in a
+// whole-second Retry-After header.
+func TestParkVerbAndOverloadAnswer(t *testing.T) {
+	run, _ := scenario(t)
+	ctx := context.Background()
+	stateOf := func(cl *Client, id string) string {
+		t.Helper()
+		cs, err := cl.Control(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range cs.Sessions {
+			if s.ID == id {
+				return s.State
+			}
+		}
+		t.Fatalf("session %s not listed", id)
+		return ""
+	}
+
+	durable := serve(t, walControlRegistry(t, t.TempDir(), RegistryConfig{}))
+	cl := &Client{BaseURL: "http://" + durable.HTTPAddr()}
+	sess, err := durable.reg.Open(SessionSpec{ID: "parkme", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedSession(t, run, sess)
+	for i := 0; i < 2; i++ {
+		if err := cl.ParkSession(ctx, "parkme"); err != nil {
+			t.Fatalf("park %d: %v", i+1, err)
+		}
+		if st := stateOf(cl, "parkme"); st != "recovered" {
+			t.Fatalf("after park %d: state %q, want recovered", i+1, st)
+		}
+	}
+	if n := durable.reg.Metrics().SessionsParked.Load(); n != 1 {
+		t.Fatalf("two parks counted %d parkings, want 1", n)
+	}
+
+	memory := serve(t, testRegistry(t, RegistryConfig{}))
+	mcl := &Client{BaseURL: "http://" + memory.HTTPAddr()}
+	msess, err := memory.reg.Open(SessionSpec{ID: "volatile", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedSession(t, run, msess)
+	var ae *APIError
+	if err := mcl.ParkSession(ctx, "volatile"); !errors.Is(err, ErrNotDurable) || !errors.As(err, &ae) || ae.Code != "not_durable" {
+		t.Fatalf("park of a memory-only session: %v, want not_durable", err)
+	}
+
+	shed := serve(t, testRegistry(t, RegistryConfig{MaxSessions: 2, ShedThreshold: 0.4, ParkThreshold: -1}))
+	scl := &Client{BaseURL: "http://" + shed.HTTPAddr()}
+	if _, err := scl.CreateSession(ctx, SessionSpec{ID: "first", Sweep: perTagSweep(run)}); err != nil {
+		t.Fatal(err)
+	}
+	// The control view refreshes the score admission reads: one live
+	// session of two puts session_slots, and the score, at 0.5.
+	cs, err := scl.Control(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Score.Components.SessionSlots != 0.5 || cs.Score.Score < 0.4 {
+		t.Fatalf("score %+v, want session_slots 0.5 over the 0.4 threshold", cs.Score)
+	}
+	_, err = scl.CreateSession(ctx, SessionSpec{ID: "second", Sweep: perTagSweep(run)})
+	if !errors.Is(err, ErrOverloaded) || !errors.As(err, &ae) || ae.StatusCode != http.StatusTooManyRequests || ae.RetryAfter <= 0 {
+		t.Fatalf("create past the shed threshold: %v, want a 429 with a backoff", err)
+	}
+	resp, err := http.Post(scl.BaseURL+"/v1/sessions", "application/json", strings.NewReader(`{"id":"third","sweep_ms":50}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); resp.StatusCode != http.StatusTooManyRequests || err != nil || secs < 1 {
+		t.Fatalf("%s with Retry-After %q, want 429 with whole seconds ≥ 1", resp.Status, resp.Header.Get("Retry-After"))
 	}
 }
 

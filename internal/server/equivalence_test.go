@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"sync"
@@ -22,66 +21,71 @@ func collectEvents(events <-chan Event, out *[]Event, wg *sync.WaitGroup) {
 }
 
 // TestBurstOfferEquivalence is the batching acceptance gate: the same
-// report stream offered one report at a time (Offer) and in arbitrary
-// bursts (OfferBatch) must produce gob-byte-identical per-tag trace
-// results — burst mode is a transport optimization, never a semantic
-// one.
+// report stream offered one report at a time (Offer) and in ragged
+// bursts (OfferBatch) must serve a subscriber attached before the first
+// report identical events for every tag, recognized glyphs included —
+// burst mode is a transport optimization, never a semantic one. (Tags
+// on different engine shards interleave at random, so the gate is per
+// tag.)
 func TestBurstOfferEquivalence(t *testing.T) {
 	run, _ := scenario(t)
-	reg := testRegistry(t, RegistryConfig{NewEngine: recordingFactory(t), NoRecognize: true})
-	single, err := reg.Open(SessionSpec{ID: "single", Sweep: perTagSweep(run)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	burst, err := reg.Open(SessionSpec{ID: "burst", Sweep: perTagSweep(run)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := testRegistry(t, RegistryConfig{})
 	merged := realtime.MergeStreams(run.ReportsRF...)
-	for _, rep := range merged {
-		if err := single.Offer(rep); err != nil {
+	served := func(id string, feed func(*Session) error) []Event {
+		sess, err := reg.Open(SessionSpec{ID: id, Sweep: perTagSweep(run)})
+		if err != nil {
 			t.Fatal(err)
 		}
+		sub, err := sess.Subscribe(SubscribeOptions{Buffer: 1 << 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evs []Event
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for ev := range sub.Events() {
+				evs = append(evs, ev)
+			}
+		}()
+		if err := feed(sess); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sess.Close()
+		<-done
+		return evs
 	}
+	single := served("single", func(sess *Session) error {
+		for _, rep := range merged {
+			if err := sess.Offer(rep); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	// Deliberately ragged burst sizes (1, 2, 3, … wrapping at 97) so the
 	// equivalence covers single-report bursts, partial bursts and the
 	// flush boundary between bursts, not just one tidy chunk size.
-	for i, size := 0, 1; i < len(merged); i, size = i+size, size%97+1 {
-		end := i + size
-		if end > len(merged) {
-			end = len(merged)
+	bursts := 0
+	burst := served("burst", func(sess *Session) error {
+		for i, size := 0, 1; i < len(merged); i, size = i+size, size%97+1 {
+			bursts++
+			if err := sess.OfferBatch(merged[i:min(i+size, len(merged))]); err != nil {
+				return err
+			}
 		}
-		if err := burst.OfferBatch(merged[i:end]); err != nil {
-			t.Fatal(err)
-		}
+		return nil
+	})
+	if counts := countByType(single); counts["point"] == 0 || counts["glyph"] == 0 {
+		t.Fatalf("single-report stream too thin to compare: %v", counts)
 	}
-	if err := single.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := burst.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	a, err := single.TraceResults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := burst.TraceResults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("trace results: single %d tags, burst %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Tag != b[i].Tag {
-			t.Fatalf("tag order diverged: %s vs %s", a[i].Tag, b[i].Tag)
-		}
-		if !bytes.Equal(gobBytes(t, a[i].Result), gobBytes(t, b[i].Result)) {
-			t.Fatalf("tag %s: burst trace differs from single-report trace", a[i].Tag)
-		}
-	}
-	if sn, _ := reg.Pipeline().BurstSnapshot(); sn == 0 {
-		t.Fatal("burst counter did not move: OfferBatch bypassed the burst path")
+	requireTagSuffixes(t, "bursts", tagEvents(t, "bursts", burst, false, 0), tagEvents(t, "single reports", single, false, 0), true)
+	// Every Offer is a one-report burst.
+	if n, reports := reg.Pipeline().BurstSnapshot(); n != int64(len(merged)+bursts) || reports != int64(2*len(merged)) {
+		t.Fatalf("burst counter read %d bursts of %d reports, want %d of %d", n, reports, len(merged)+bursts, 2*len(merged))
 	}
 }
 
@@ -182,7 +186,6 @@ func TestEncodingEquivalenceCatchup(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := serve(t, testRegistry(t, RegistryConfig{
-		NewEngine:       recordingFactory(t),
 		NewReplayer:     testReplayerFactory(t),
 		WAL:             store,
 		NoRecognize:     true,
@@ -290,11 +293,11 @@ func compareEventStreams(t *testing.T, a, b []Event) {
 		t.Fatal("no events decoded")
 	}
 	if len(a) != len(b) {
-		t.Fatalf("stream lengths diverged: %d NDJSON events vs %d binary", len(a), len(b))
+		t.Fatalf("stream lengths diverged: %d events vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if !reflect.DeepEqual(a[i], b[i]) {
-			t.Fatalf("event %d diverged:\n  ndjson: %+v\n  binary: %+v", i, a[i], b[i])
+			t.Fatalf("event %d diverged:\n  %+v\n  %+v", i, a[i], b[i])
 		}
 	}
 }

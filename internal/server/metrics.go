@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sync/atomic"
 
@@ -68,19 +67,6 @@ type Metrics struct {
 	TierDowngrades  atomic.Int64
 	TierUpgrades    atomic.Int64
 	TierSubscribers [3]atomic.Int64 // gauge per tier
-	// congestionBits is the latest congestion score's float64 bits
-	// (gauge; written by Registry.RefreshCongestion).
-	congestionBits atomic.Uint64
-}
-
-// setCongestion publishes the latest congestion score.
-func (m *Metrics) setCongestion(score float64) {
-	m.congestionBits.Store(math.Float64bits(score))
-}
-
-// Congestion reads the published congestion score.
-func (m *Metrics) Congestion() float64 {
-	return math.Float64frombits(m.congestionBits.Load())
 }
 
 // counterDef drives the text rendering.

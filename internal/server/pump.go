@@ -5,63 +5,39 @@ import (
 	"sync"
 	"time"
 
-	"rfidraw/internal/engine"
 	"rfidraw/internal/obs"
 	"rfidraw/internal/rfid"
 	"rfidraw/internal/wal"
 )
 
-// burstEntry is one decoded report inside an ingest burst, paired with
-// its per-report ingest-decode stamp so batching preserves per-report
-// stage latency accounting.
-type burstEntry struct {
-	rep rfid.Report
-	arr int64
-}
-
-// burstPool recycles burst slices between the ingest gateway (producer)
-// and the session pump (consumer): the gateway fills a slice with up to
-// ingestBurst decoded reports and enqueues it as ONE inbox item; the
-// pump drains it and puts the slice back. Pooling keeps the burst path
+// burstPool recycles burst slices between the senders (the ingest
+// gateway, in-process callers) and the session pump: OfferBatch copies a
+// burst into a pooled slice and enqueues it as ONE inbox item; the pump
+// drains it and puts the slice back. Pooling keeps the burst path
 // allocation-free in steady state.
-var burstPool = sync.Pool{New: func() any { b := make([]burstEntry, 0, 64); return &b }}
+var burstPool = sync.Pool{New: func() any { b := make([]rfid.Report, 0, 64); return &b }}
 
-// ingestItem is one message on a session's ingest inbox; exactly one of
-// the fields is meaningful.
+// ingestItem is one message on a session's ingest inbox, of one of three
+// kinds: a burst of reports, a cadence announcement or a drain.
 type ingestItem struct {
-	// rep is one phase report (the single-report case).
-	rep rfid.Report
-	// arr is the report's ingest-decode stamp (obs monotonic nanos): the
-	// pump observes arr→dequeue as the ingest stage.
+	// burst is a batch of reports entering as one channel operation; the
+	// pump returns the slice to burstPool after handling every report.
+	burst *[]rfid.Report
+	// arr is the burst's enqueue stamp (obs monotonic nanos), one for all
+	// its reports: the pump observes arr→dequeue as each one's ingest
+	// stage.
 	arr int64
-	// burst is a batch of decoded reports entering as one channel
-	// operation (burst-mode ingest); the pump returns the slice to
-	// burstPool after handling every entry.
-	burst *[]burstEntry
 	// sweep, when positive, announces the reader cadence (from a Hello or
 	// from session creation) and triggers lazy engine construction.
 	sweep time.Duration
-	// flushHead asks the pump to drain the reorder buffer and close the
+	// drain asks the pump to drain the reorder buffer and close the
 	// engine's current sweeps, replying with the log head at the drain
-	// boundary — the only head retrace may trust, since the pump keeps
-	// appending the instant it moves on (see Retrace).
-	flushHead chan uint64
-	// catchup asks the pump to drain, then attach a WAL catch-up
-	// subscriber at the resulting log head (see SubscribeFrom).
-	catchup *catchupReq
-	// results asks the pump for the engine's batch-equivalent trace
-	// results (engines built with RecordTrace; equivalence tests).
-	results chan []engine.TagResult
-}
-
-// catchupReq carries a pump-mediated catch-up attach: the pump drains so
-// the log head exactly covers everything already emitted live, attaches
-// the subscriber in catch-up mode, and acks with that head — or sets err
-// to the admission refusal and closes head.
-type catchupReq struct {
-	sub  *Subscriber
-	head chan uint64
-	err  error
+	// boundary — the only head retrace and catch-up may trust, since the
+	// pump keeps appending the instant it moves on.
+	drain chan uint64
+	// attach, on a drain, runs on the pump between the drain and the
+	// reply: the catch-up attach (see SubscribeFrom).
+	attach func()
 }
 
 // ingestBuffer is the per-session ingest inbox depth (bursts); beyond
@@ -75,31 +51,28 @@ const pumpTick = 50 * time.Millisecond
 // statsEvery refreshes the engine stats snapshot every N pump ticks.
 const statsEvery = 10
 
-// Offer feeds one phase report into the session. It blocks for
-// backpressure when the inbox is full and fails once the session closes.
-// Reports should be non-decreasing in time per reader; cross-reader skew
-// up to the reorder window is resequenced.
+// Offer feeds one phase report into the session: a one-report
+// OfferBatch.
 func (s *Session) Offer(rep rfid.Report) error {
-	return s.enqueue(ingestItem{rep: rep, arr: obs.Now()})
+	return s.OfferBatch([]rfid.Report{rep})
 }
 
 // OfferBatch feeds a batch of phase reports as a single inbox operation:
-// one channel hop for the whole burst instead of one per report. The
-// batch is copied into a pooled burst slice, so the caller keeps
-// ownership of reps. Ordering, reorder-window resequencing and stage
-// stamps are identical to offering each report individually.
+// one channel hop for the whole burst instead of one per report, with
+// one ingest stamp, taken here, for all of them. The batch is copied into
+// a pooled burst slice, so the caller keeps ownership of reps. It blocks
+// for backpressure when the inbox is full and fails once the session
+// closes. Reports should be non-decreasing in time per reader;
+// cross-reader skew up to the reorder window is resequenced, and how a
+// stream is cut into batches changes nothing downstream.
 func (s *Session) OfferBatch(reps []rfid.Report) error {
 	if len(reps) == 0 {
 		return nil
 	}
-	bp := burstPool.Get().(*[]burstEntry)
-	buf := (*bp)[:0]
-	now := obs.Now()
-	for _, rep := range reps {
-		buf = append(buf, burstEntry{rep: rep, arr: now})
-	}
-	*bp = buf
-	if err := s.enqueue(ingestItem{burst: bp}); err != nil {
+	arr := obs.Now()
+	bp := burstPool.Get().(*[]rfid.Report)
+	*bp = append((*bp)[:0], reps...)
+	if err := s.enqueue(ingestItem{burst: bp, arr: arr}); err != nil {
 		*bp = (*bp)[:0]
 		burstPool.Put(bp)
 		return err
@@ -139,8 +112,24 @@ func (s *Session) announceSweep(sweep time.Duration) error {
 // the previous drain it is a no-op (each sweep closes exactly once — see
 // drain and the realtime tracker's own flush guard).
 func (s *Session) Flush() error {
-	_, err := s.drainHead()
+	_, err := s.drainHead(nil)
 	return err
+}
+
+// drainHead asks the pump to drain and reply with the log head at the
+// drain boundary; attach, when non-nil, runs on the pump between the
+// two.
+func (s *Session) drainHead(attach func()) (uint64, error) {
+	ch := make(chan uint64, 1)
+	if err := s.enqueue(ingestItem{drain: ch, attach: attach}); err != nil {
+		return 0, err
+	}
+	select {
+	case h := <-ch:
+		return h, nil
+	case <-s.pumpDone:
+		return 0, ErrSessionClosed
+	}
 }
 
 // pump is the session's single ingest goroutine: it owns the engine, the
@@ -222,11 +211,11 @@ func (s *Session) tick(c *pumpClock) {
 func (s *Session) handle(it ingestItem) {
 	switch {
 	case it.burst != nil:
-		// A whole ingest burst in one inbox item: feed the reorder buffer,
-		// hand what it released to the log and the engine at once, then
+		// A whole burst in one inbox item: feed the reorder buffer, hand
+		// what it released to the log and the engine at once, then
 		// recycle the slice.
-		for _, e := range *it.burst {
-			s.handleReport(e.rep, e.arr)
+		for _, rep := range *it.burst {
+			s.handleReport(rep, it.arr)
 		}
 		s.handOff()
 		s.reg.pipeline.ObserveBurst(len(*it.burst))
@@ -234,34 +223,13 @@ func (s *Session) handle(it ingestItem) {
 		burstPool.Put(it.burst)
 	case it.sweep > 0:
 		s.handleSweep(it.sweep)
-	case it.flushHead != nil:
+	case it.drain != nil:
 		s.drain()
 		s.refreshStats()
-		it.flushHead <- s.walSeq.Load()
-	case it.catchup != nil:
-		// Drain first so the log head the subscriber snapshots exactly
-		// covers everything already emitted to live subscribers: every
-		// event after the attach derives from records past the head. An
-		// attach mid-stroke thus ends the stroke, live and in the replay.
-		s.drain()
-		s.emitMu.Lock()
-		it.catchup.err = s.attachLocked(it.catchup.sub)
-		s.emitMu.Unlock()
-		if it.catchup.err != nil {
-			close(it.catchup.head)
-			return
+		if it.attach != nil {
+			it.attach()
 		}
-		it.catchup.head <- s.walSeq.Load()
-	case it.results != nil:
-		s.drain()
-		if s.eng == nil {
-			it.results <- nil
-			return
-		}
-		it.results <- s.eng.TraceResults()
-	default:
-		s.handleReport(it.rep, it.arr)
-		s.handOff()
+		it.drain <- s.walSeq.Load()
 	}
 }
 
@@ -307,9 +275,9 @@ func (s *Session) handleSweep(sweep time.Duration) {
 
 // handleReport resequences one report through the reorder heap and
 // releases everything older than the hold window, in time order, to the
-// pump's batch for the item's handOff. arr is the report's ingest-decode
-// stamp (zero when the report entered through a path that does not
-// stamp, e.g. tests driving enqueue).
+// pump's batch for the item's handOff. arr is the report's burst's
+// enqueue stamp (zero when the report entered through a path that does
+// not stamp, e.g. tests driving the inbox).
 func (s *Session) handleReport(rep rfid.Report, arr int64) {
 	s.touch()
 	s.reports.Add(1)

@@ -392,15 +392,8 @@ func TestCatchupAttachRefusedAfterExpiryClaim(t *testing.T) {
 	if !sess.claim(time.Now().Add(time.Hour), time.Minute) {
 		t.Fatal("idle session could not be claimed")
 	}
-	req := &catchupReq{sub: sess.newSubscriber(SubscribeOptions{}, true), head: make(chan uint64, 1)}
-	if err := sess.enqueue(ingestItem{catchup: req}); err != nil {
-		t.Fatal(err)
-	}
-	if head, ok := <-req.head; ok {
-		t.Fatalf("catch-up attach bound to a claimed session at head %d", head)
-	}
-	if !errors.Is(req.err, ErrSessionClosed) {
-		t.Fatalf("refusal = %v, want ErrSessionClosed", req.err)
+	if sub, err := sess.SubscribeFrom(0, SubscribeOptions{}); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("catch-up attach on a claimed session: %v, %v; want ErrSessionClosed", sub, err)
 	}
 	if n := sess.Subscribers(); n != 0 {
 		t.Fatalf("claimed session has %d subscribers, want 0", n)

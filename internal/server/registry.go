@@ -390,9 +390,6 @@ func (r *Registry) Metrics() *Metrics { return r.metrics }
 // Pipeline exposes the registry's latency histograms.
 func (r *Registry) Pipeline() *obs.Pipeline { return r.pipeline }
 
-// Logger exposes the registry's resolved structured logger.
-func (r *Registry) Logger() *slog.Logger { return r.logger }
-
 // nextStripe deals the next session's histogram stripe.
 func (r *Registry) nextStripe() int { return int(r.stripeSeq.Add(1)) }
 
@@ -576,7 +573,6 @@ func (r *Registry) RefreshCongestion(now time.Time) NodeScore {
 	r.scoreMu.Lock()
 	r.score = score
 	r.scoreMu.Unlock()
-	r.metrics.setCongestion(score.Score)
 	return score
 }
 
@@ -584,13 +580,6 @@ func (r *Registry) RefreshCongestion(now time.Time) NodeScore {
 // on before re-sampling (registries without a pressure loop refresh on
 // the admission path itself).
 const congestionStaleness = 500 * time.Millisecond
-
-// Congestion returns the cached congestion score.
-func (r *Registry) Congestion() NodeScore {
-	r.scoreMu.Lock()
-	defer r.scoreMu.Unlock()
-	return r.score
-}
 
 func (r *Registry) refreshCongestionIfStale(now time.Time) NodeScore {
 	r.scoreMu.Lock()

@@ -18,8 +18,8 @@ import (
 // is the recorded session's per-tag cadence; search, when non-nil,
 // overrides the deployment's SearchConfig (a retrace under different
 // tunables — the record-once/re-trace-many use of the log). record asks
-// for batch-equivalent TraceResults (retrace); catch-up feeds leave it
-// off so replay memory stays bounded.
+// for each tag's batch-equivalent TraceResult (retrace); catch-up feeds
+// leave it off so replay memory stays bounded.
 // geometry names the recorded session's antenna geometry (from the WAL
 // meta; "" = default) so the replay positions with the same steering
 // tables the live session used.
@@ -144,20 +144,25 @@ func (s *Session) SubscribeFrom(from uint64, o SubscribeOptions) (*Subscriber, e
 		go s.runCatchup(sub, from, 0, true)
 		return sub, nil
 	}
-	req := &catchupReq{sub: sub, head: make(chan uint64, 1)}
-	if err := s.enqueue(ingestItem{catchup: req}); err != nil {
+	// The attach runs on the pump right after a drain, so the head the
+	// subscriber snapshots exactly covers everything already emitted to
+	// live subscribers: every event after the attach derives from
+	// records past the head. An attach mid-stroke thus ends the stroke,
+	// live and in the replay.
+	var refused error
+	head, err := s.drainHead(func() {
+		s.emitMu.Lock()
+		refused = s.attachLocked(sub)
+		s.emitMu.Unlock()
+	})
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case head, ok := <-req.head:
-		if !ok {
-			return nil, req.err
-		}
-		go s.runCatchup(sub, from, head, false)
-		return sub, nil
-	case <-s.pumpDone:
-		return nil, ErrSessionClosed
+	if refused != nil {
+		return nil, refused
 	}
+	go s.runCatchup(sub, from, head, false)
+	return sub, nil
 }
 
 // runCatchup is the catch-up subscriber's feeder goroutine: it replays
@@ -304,7 +309,7 @@ func (s *Session) Retrace(search *vote.SearchConfig) ([]engine.TagResult, uint64
 		// the pump is mid-write on. A session that closed under us is
 		// fine — its log was completed and compacted by the close, so
 		// the plain head read is stable.
-		h, err := s.drainHead()
+		h, err := s.drainHead(nil)
 		if errors.Is(err, ErrSessionClosed) {
 			h = s.walSeq.Load()
 		} else if err != nil {
@@ -335,37 +340,6 @@ func (s *Session) Retrace(search *vote.SearchConfig) ([]engine.TagResult, uint64
 	s.timeline.Record(obs.EventRetrace, "head="+strconv.FormatUint(head, 10))
 	s.touch() // retention clock: the record is in active use
 	return rp.Results(), last, nil
-}
-
-// drainHead asks the pump to drain and report the log head at the drain
-// boundary.
-func (s *Session) drainHead() (uint64, error) {
-	ch := make(chan uint64, 1)
-	if err := s.enqueue(ingestItem{flushHead: ch}); err != nil {
-		return 0, err
-	}
-	select {
-	case h := <-ch:
-		return h, nil
-	case <-s.pumpDone:
-		return 0, ErrSessionClosed
-	}
-}
-
-// TraceResults returns the live engine's batch-equivalent per-tag trace
-// results (sessions whose engines record traces; equivalence tests). It
-// round-trips through the pump, draining first.
-func (s *Session) TraceResults() ([]engine.TagResult, error) {
-	ch := make(chan []engine.TagResult, 1)
-	if err := s.enqueue(ingestItem{results: ch}); err != nil {
-		return nil, err
-	}
-	select {
-	case res := <-ch:
-		return res, nil
-	case <-s.pumpDone:
-		return nil, ErrSessionClosed
-	}
 }
 
 // WALSeq reports the session's current log head sequence (0 when the

@@ -152,30 +152,6 @@ func hasRandomFault(p corpus.Profile) bool {
 	return false
 }
 
-// feedPrefix offers the first two thirds of the faulted merged stream —
-// the crash lands mid-fault (inside death intervals, dropout periods and
-// duplicate bursts) — then flushes and snapshots the live trace.
-func feedPrefix(t *testing.T, sess *Session, pr *profileRun) []engine.TagResult {
-	t.Helper()
-	if len(pr.faulted) == 0 {
-		t.Fatal("faulted scenario produced no reports")
-	}
-	prefix := pr.faulted[:2*len(pr.faulted)/3]
-	for _, rep := range prefix {
-		if err := sess.Offer(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sess.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	live, err := sess.TraceResults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return live
-}
-
 // requireSameResults asserts two result sets are identical: same tags in
 // the same order, same error-ness, and gob-byte-identical traces.
 func requireSameResults(t *testing.T, label string, a, b []engine.TagResult) {
@@ -199,30 +175,22 @@ func requireSameResults(t *testing.T, label string, a, b []engine.TagResult) {
 	}
 }
 
-// TestScenarioEquivalenceChain is the tentpole gate, per profile: a
-// session fed the faulted stream, crash-imaged mid-fault with no close
-// record, recovered by a fresh registry and retraced, must reproduce the
-// live trace gob-byte-identically — and a second retrace must reproduce
-// the first. This also covers the WAL-recovery satellite for dup-flood
-// and reader-loss: the crash lands inside their fault windows.
+// TestScenarioEquivalenceChain is the adversarial gate, per profile: the
+// live == WAL-retrace chain (crashChain) must hold for a session fed the
+// first two thirds of the faulted stream, so the crash lands mid-fault
+// (inside death intervals, dropout periods and duplicate bursts) with no
+// close record. This also covers WAL recovery for dup-flood and
+// reader-loss: the crash lands inside their fault windows.
 func TestScenarioEquivalenceChain(t *testing.T) {
 	for _, p := range profilesUnderTest(t) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			pr := scenarioFor(t, p)
-			dir := t.TempDir()
-			reg := walRegistry(t, dir)
-			sess, err := reg.Open(SessionSpec{ID: "scen-" + p.Name, Sweep: pr.sweep, Geometry: p.Geometry})
-			if err != nil {
-				t.Fatal(err)
+			if len(pr.faulted) == 0 {
+				t.Fatal("faulted scenario produced no reports")
 			}
-			if sess.Geometry() != p.Geometry {
-				t.Fatalf("session geometry %q, want %q", sess.Geometry(), p.Geometry)
-			}
-			live := feedPrefix(t, sess, pr)
-			if len(live) == 0 {
-				t.Fatal("live trace saw no tags")
-			}
+			spec := SessionSpec{ID: "scen-" + p.Name, Sweep: pr.sweep, Geometry: p.Geometry}
+			live, sess2 := crashChain(t, spec, pr.faulted[:2*len(pr.faulted)/3])
 			if p.Name == "clean" {
 				for _, r := range live {
 					if r.Err != nil {
@@ -230,32 +198,9 @@ func TestScenarioEquivalenceChain(t *testing.T) {
 					}
 				}
 			}
-
-			// SIGKILL: the data dir as-is, mid-fault, no close record.
-			crashDir := t.TempDir()
-			copyTree(t, dir, crashDir)
-
-			reg2 := walRegistry(t, crashDir)
-			sess2, ok := reg2.Get("scen-" + p.Name)
-			if !ok {
-				t.Fatal("crashed session not rehydrated")
-			}
 			if sess2.Geometry() != p.Geometry {
 				t.Fatalf("recovered geometry %q, want %q (WAL meta lost it)", sess2.Geometry(), p.Geometry)
 			}
-			retraced, head, err := sess2.Retrace(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if head == 0 {
-				t.Fatal("retrace covered nothing")
-			}
-			requireSameResults(t, "live vs retrace", live, retraced)
-			again, _, err := sess2.Retrace(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResults(t, "retrace vs retrace", retraced, again)
 		})
 	}
 }
@@ -412,7 +357,8 @@ func TestScenarioGracefulDegradation(t *testing.T) {
 	}
 }
 
-// traceAll feeds the full faulted stream and returns the live trace.
+// traceAll feeds the full faulted stream and returns the session's
+// retrace.
 func traceAll(t *testing.T, sess *Session, pr *profileRun) []engine.TagResult {
 	t.Helper()
 	for _, rep := range pr.faulted {
@@ -423,7 +369,7 @@ func traceAll(t *testing.T, sess *Session, pr *profileRun) []engine.TagResult {
 	if err := sess.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	results, err := sess.TraceResults()
+	results, _, err := sess.Retrace(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

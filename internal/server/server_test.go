@@ -203,7 +203,7 @@ func TestPumpIdleTickWaitsForQueuedInput(t *testing.T) {
 	if held == 0 {
 		t.Fatal("no report held in the reorder window")
 	}
-	s.inbox <- ingestItem{rep: reps[8]}
+	s.inbox <- ingestItem{burst: &[]rfid.Report{reps[8]}}
 	var clock pumpClock
 	s.tick(&clock)
 	s.tick(&clock)

@@ -2,39 +2,23 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rfidraw/internal/engine"
 	"rfidraw/internal/realtime"
+	"rfidraw/internal/rfid"
 	"rfidraw/internal/vote"
 	"rfidraw/internal/wal"
 )
-
-// recordingFactory builds session engines with RecordTrace on, so the
-// live trace can be snapshotted for disk round-trip comparison.
-func recordingFactory(t testing.TB) EngineFactory {
-	scenario(t)
-	return func(sweep time.Duration, geometry string, search *vote.SearchConfig, onUpdate func(engine.Update)) (*engine.Engine, error) {
-		sys, err := geometrySearchSystem(t, geometry, search)
-		if err != nil {
-			return nil, err
-		}
-		return engine.New(engine.Config{
-			Shards:        2,
-			System:        sys,
-			SweepInterval: sweep,
-			OnUpdate:      onUpdate,
-			RecordTrace:   true,
-		})
-	}
-}
 
 // testReplayerFactory mirrors the serve.go factory: shared system when
 // the search config is untouched, a rebuilt one under an override —
@@ -56,7 +40,7 @@ func testReplayerFactory(t testing.TB) ReplayerFactory {
 }
 
 // walRegistry builds a WAL-backed registry over dir with every-append
-// syncing (crash images must be complete) and trace recording.
+// syncing (crash images must be complete).
 func walRegistry(t testing.TB, dir string) *Registry {
 	t.Helper()
 	store, err := wal.Open(dir, wal.Options{SyncEvery: 1})
@@ -64,7 +48,7 @@ func walRegistry(t testing.TB, dir string) *Registry {
 		t.Fatal(err)
 	}
 	reg, err := NewRegistry(RegistryConfig{
-		NewEngine:   recordingFactory(t),
+		NewEngine:   testFactory(t),
 		NewReplayer: testReplayerFactory(t),
 		WAL:         store,
 		NoRecognize: true,
@@ -122,24 +106,36 @@ func gobBytes(t testing.TB, v any) []byte {
 	return buf.Bytes()
 }
 
-// TestWALRetraceMatchesLiveTrace is the PR's acceptance gate: a session
-// traced live, killed mid-stream (modelled as a crash image of the data
-// dir — no close record, no shutdown path), recovered from the WAL by a
-// fresh registry and re-traced with the same config must yield per-tag
-// batch Results gob-byte-identical to the live trace of the recorded
-// prefix — the disk round-trip extension of TestBatchIsReplayOfStreaming.
-func TestWALRetraceMatchesLiveTrace(t *testing.T) {
-	run, _ := scenario(t)
+// crashChain is the live == WAL-retrace equivalence chain. It opens a
+// session of a WAL registry over a fresh data dir, attaches a subscriber
+// before the first report, feeds it reps, flushes and retraces the live
+// session. A copy of the data dir taken then is the crash image a
+// SIGKILL would leave (no close record, no shutdown path); a fresh
+// registry recovers it. The chain holds when the live retrace and two
+// retraces of the crash image agree gob for gob, and a catch-up from 0
+// on the crash image serves, per tag, exactly the live subscriber's
+// events. It returns the live retrace and the recovered session.
+func crashChain(t *testing.T, spec SessionSpec, reps []rfid.Report) ([]engine.TagResult, *Session) {
+	t.Helper()
 	dir := t.TempDir()
 	reg := walRegistry(t, dir)
-	sess, err := reg.Open(SessionSpec{ID: "crash", Sweep: perTagSweep(run)})
+	sess, err := reg.Open(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := realtime.MergeStreams(run.ReportsRF...)
-	// Feed only a prefix: the "mid-stream" part of the kill.
-	prefix := merged[:2*len(merged)/3]
-	for _, rep := range prefix {
+	sub, err := sess.Subscribe(SubscribeOptions{Buffer: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var liveEvents []Event
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ev := range sub.Events() {
+			liveEvents = append(liveEvents, ev)
+		}
+	}()
+	for _, rep := range reps {
 		if err := sess.Offer(rep); err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +143,64 @@ func TestWALRetraceMatchesLiveTrace(t *testing.T) {
 	if err := sess.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot the live trace of everything ingested so far.
-	live, err := sess.TraceResults()
+	live, head, err := sess.Retrace(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if head == 0 || len(live) == 0 {
+		t.Fatalf("live retrace covered %d records and %d tags", head, len(live))
+	}
+
+	// SIGKILL: copy the data dir as-is. The log has no close record.
+	crashDir := t.TempDir()
+	copyTree(t, dir, crashDir)
+	sess.Close()
+	<-done
+
+	reg2 := walRegistry(t, crashDir)
+	sess2, ok := reg2.Get(spec.ID)
+	if !ok {
+		t.Fatal("crashed session not rehydrated")
+	}
+	retraced, head2, err := sess2.Retrace(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head2 != head {
+		t.Fatalf("crash image retrace covered head %d, live %d", head2, head)
+	}
+	requireSameResults(t, "live vs crash image", live, retraced)
+	again, _, err := sess2.Retrace(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResults(t, "crash image, again", retraced, again)
+
+	caught, err := sess2.SubscribeFrom(0, SubscribeOptions{Buffer: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replayed []Event
+	for ev := range caught.Events() {
+		replayed = append(replayed, ev)
+	}
+	want := tagEvents(t, "live", liveEvents, false, 0)
+	if len(want) == 0 {
+		t.Fatal("live subscriber got no tag events")
+	}
+	requireTagSuffixes(t, "crash image catch-up from 0", tagEvents(t, "catch-up", replayed, true, 0), want, true)
+	return live, sess2
+}
+
+// TestWALRetraceMatchesLiveTrace is the WAL's acceptance gate: a session
+// traced live and killed mid-stream, recovered from the WAL by a fresh
+// registry and re-traced with the same config reproduces the live
+// session's retrace and served points (crashChain).
+func TestWALRetraceMatchesLiveTrace(t *testing.T) {
+	run, _ := scenario(t)
+	merged := realtime.MergeStreams(run.ReportsRF...)
+	// Feed only a prefix: the "mid-stream" part of the kill.
+	live, sess2 := crashChain(t, SessionSpec{ID: "crash", Sweep: perTagSweep(run)}, merged[:2*len(merged)/3])
 	if len(live) != len(run.Tags) {
 		t.Fatalf("live results for %d tags, want %d", len(live), len(run.Tags))
 	}
@@ -160,21 +209,10 @@ func TestWALRetraceMatchesLiveTrace(t *testing.T) {
 			t.Fatalf("tag %s: live: %v", r.Tag, r.Err)
 		}
 	}
-
-	// SIGKILL: copy the data dir as-is. The log has no close record.
-	crashDir := t.TempDir()
-	copyTree(t, dir, crashDir)
-
-	// A fresh daemon recovers the crash image.
-	reg2 := walRegistry(t, crashDir)
-	sess2, ok := reg2.Get("crash")
-	if !ok {
-		t.Fatal("crashed session not rehydrated")
-	}
 	if sess2.State() != "recovered" {
 		t.Fatalf("state = %q, want recovered", sess2.State())
 	}
-	if reg2.metrics.SessionsRecovered.Load() != 1 {
+	if sess2.reg.metrics.SessionsRecovered.Load() != 1 {
 		t.Fatal("recovery counter not incremented")
 	}
 	// Ingest and live subscription must refuse; only replay serves.
@@ -183,28 +221,6 @@ func TestWALRetraceMatchesLiveTrace(t *testing.T) {
 	}
 	if _, err := sess2.Subscribe(SubscribeOptions{}); err != ErrSessionClosed {
 		t.Fatalf("Subscribe on recovered session: %v", err)
-	}
-
-	retraced, head, err := sess2.Retrace(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head == 0 {
-		t.Fatal("retrace covered nothing")
-	}
-	if len(retraced) != len(live) {
-		t.Fatalf("retraced %d tags, live %d", len(retraced), len(live))
-	}
-	for i := range live {
-		if retraced[i].Err != nil {
-			t.Fatalf("tag %s: retrace: %v", retraced[i].Tag, retraced[i].Err)
-		}
-		if retraced[i].Tag != live[i].Tag {
-			t.Fatalf("tag order: %s vs %s", retraced[i].Tag, live[i].Tag)
-		}
-		if !bytes.Equal(gobBytes(t, live[i].Result), gobBytes(t, retraced[i].Result)) {
-			t.Errorf("tag %s: retrace differs from live trace after disk round-trip", live[i].Tag)
-		}
 	}
 
 	// A retrace under an overridden SearchConfig runs (dense reference
@@ -329,6 +345,85 @@ func TestRecoveredCopyHoldsEmittedPoints(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWALFailureKeepsServing: a durable session whose log turns
+// unwritable mid-stream abandons the log once and keeps tracing and
+// serving. Every append rotates the log (one-byte segments), so removing
+// the session's log directory fails the next one.
+func TestWALFailureKeepsServing(t *testing.T) {
+	run, _ := scenario(t)
+	dir := t.TempDir()
+	store, err := wal.Open(dir, wal.Options{NoSync: true, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve(t, testRegistry(t, RegistryConfig{NewReplayer: testReplayerFactory(t), WAL: store, NoRecognize: true}))
+	sess, err := srv.reg.Open(SessionSpec{ID: "failing", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := sess.Subscribe(SubscribeOptions{Buffer: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []Event
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ev := range sub.Events() {
+			if ev.Type == "point" {
+				points = append(points, ev)
+			}
+		}
+	}()
+	merged := realtime.MergeStreams(run.ReportsRF...)
+	cuts := []int{len(merged) / 10, len(merged) / 2, len(merged)}
+	feed := func(reps []rfid.Report) {
+		t.Helper()
+		for _, rep := range reps {
+			if err := sess.Offer(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed(merged[:cuts[0]])
+	if sess.WALSeq() == 0 {
+		t.Fatal("nothing logged before the failure")
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "failing")); err != nil {
+		t.Fatal(err)
+	}
+	feed(merged[cuts[0]:cuts[1]])
+	head := sess.WALSeq()
+	feed(merged[cuts[1]:])
+	if err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.WALSeq(); got != head {
+		t.Fatalf("wal_seq moved %d → %d after the log failed", head, got)
+	}
+	text, err := (&Client{BaseURL: "http://" + srv.HTTPAddr()}).FetchMetrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "\nrfidrawd_wal_failures_total 1\n") {
+		t.Fatal("rfidrawd_wal_failures_total is not 1")
+	}
+	sess.Close()
+	<-done
+	after := 0
+	for _, ev := range points {
+		if ev.T > merged[cuts[1]].Time {
+			after++
+		}
+	}
+	if after == 0 {
+		t.Fatalf("%d points served, none after the log failed", len(points))
 	}
 }
 

@@ -211,9 +211,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return &Store{dir: dir, opts: opts.withDefaults()}, nil
 }
 
-// Dir returns the store root.
-func (st *Store) Dir() string { return st.dir }
-
 // sessionDir maps a session ID onto its directory.
 func (st *Store) sessionDir(id string) string { return filepath.Join(st.dir, id) }
 

@@ -28,11 +28,11 @@
 //
 // # Multi-tag tracking
 //
-// Every System is backed by the sharded concurrent engine
-// (internal/engine). Trace is the synchronous single-tag path — a 1-shard
-// engine under the hood — while TraceMany fans per-tag observation
-// streams out across Config.Shards worker shards and traces them in
-// parallel, with per-tag output identical to the sequential path.
+// Trace traces one tag's observation stream on the caller's goroutine.
+// TraceMany traces several tags' streams at once, on at most
+// Config.Shards goroutines, with per-tag output identical to Trace. Live
+// report streams from many tags run on the sharded streaming engine
+// (internal/engine) behind the serving layer's sessions.
 //
 // # Serving
 //
@@ -51,13 +51,14 @@ package rfidraw
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rfidraw/internal/core"
 	"rfidraw/internal/deploy"
-	"rfidraw/internal/engine"
 	"rfidraw/internal/geom"
 	"rfidraw/internal/server"
 	"rfidraw/internal/tracing"
@@ -183,10 +184,8 @@ type Config struct {
 	CandidateCount int
 	// CarrierHz overrides the 922 MHz default carrier.
 	CarrierHz float64
-	// Shards is how many worker shards the backing engine runs; tags are
-	// hashed across them, so it bounds how many tags are traced in
-	// parallel by TraceMany. Default 1 (fully synchronous, the
-	// single-threaded path).
+	// Shards bounds how many tags TraceMany traces in parallel, one
+	// goroutine each. Default 1: the tags are traced one after another.
 	Shards int
 	// Search picks the strategy on the positioning and tracing hot
 	// paths and tunes the positioner's search; the zero value is the
@@ -197,8 +196,10 @@ type Config struct {
 // System is a configured RF-IDraw instance for the standard two-reader,
 // eight-antenna deployment. A System is safe for concurrent use.
 type System struct {
-	eng   *engine.Engine
-	plane geom.Plane
+	// sys is the read-only positioning system: the deployment, the
+	// positioner with its precomputed steering tables and the tracer.
+	sys    *core.System
+	shards int
 
 	// regMu guards the lazily built session registry behind the serving
 	// layer (see serve.go: Serve, NewServer, OpenSession).
@@ -222,39 +223,24 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	eng, err := engine.New(engine.Config{
-		Shards:     shards,
-		Deployment: dep,
-		Core: core.Config{
-			Plane:          geom.Plane{Y: cfg.PlaneDistanceM},
-			Region:         region,
-			CandidateCount: cfg.CandidateCount,
-			Vote:           vote.Config{Search: cfg.Search},
-			Trace:          tracing.Config{Search: cfg.Search},
-		},
+	sys, err := core.NewSystem(dep, core.Config{
+		Plane:          geom.Plane{Y: cfg.PlaneDistanceM},
+		Region:         region,
+		CandidateCount: cfg.CandidateCount,
+		Vote:           vote.Config{Search: cfg.Search},
+		Trace:          tracing.Config{Search: cfg.Search},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("rfidraw: %w", err)
 	}
-	return &System{eng: eng, plane: geom.Plane{Y: cfg.PlaneDistanceM}}, nil
+	return &System{sys: sys, shards: max(cfg.Shards, 1)}, nil
 }
 
-// Close stops the backing engine's worker shards and closes every
-// serving session opened through the System (OpenSession / Serve). A
-// System remains usable until Closed; Close is optional for short-lived
-// programs but releases the goroutines of long-lived ones.
-//
-// Close is idempotent and safe to call from any number of goroutines,
-// concurrently with in-flight Trace, TraceMany and Localize calls: work
-// already dispatched completes normally and is returned to its caller,
-// calls that arrive after shutdown fail with an "engine: closed" error
-// (Trace and Localize, which run on the caller's goroutine against the
-// read-only positioner, always complete), and every Close call returns
-// the same result once shutdown has finished.
+// Close closes every serving session opened through the System
+// (OpenSession / Serve), releasing their goroutines; it is optional for
+// programs that open none. Close is idempotent and safe to call from any
+// number of goroutines. Trace, TraceMany and Localize do not depend on
+// it and complete whether or not it ran. It always returns nil.
 func (s *System) Close() error {
 	s.regMu.Lock()
 	reg := s.reg
@@ -262,7 +248,7 @@ func (s *System) Close() error {
 	if reg != nil {
 		reg.Close()
 	}
-	return s.eng.Close()
+	return nil
 }
 
 // AntennaPositions returns the deployment's antenna wall positions keyed
@@ -270,7 +256,7 @@ func (s *System) Close() error {
 // plotting.
 func (s *System) AntennaPositions() map[int]Point {
 	out := make(map[int]Point)
-	for _, a := range s.eng.System().Deployment().Antennas {
+	for _, a := range s.sys.Deployment().Antennas {
 		out[a.ID] = Point{X: a.Pos.X, Z: a.Pos.Z}
 	}
 	return out
@@ -279,7 +265,7 @@ func (s *System) AntennaPositions() map[int]Point {
 // Localize runs one-shot multi-resolution positioning on a single sample
 // and returns candidate positions, best first.
 func (s *System) Localize(sample Sample) ([]Candidate, error) {
-	cands, err := s.eng.System().Localize(vote.ObservationsOf(sample.Phases))
+	cands, err := s.sys.Localize(vote.ObservationsOf(sample.Phases))
 	if err != nil {
 		return nil, fmt.Errorf("rfidraw: %w", err)
 	}
@@ -292,14 +278,13 @@ func (s *System) Localize(sample Sample) ([]Candidate, error) {
 
 // Trace reconstructs the tag's trajectory from an observation stream.
 // Samples must be in time order; gaps from reply loss are tolerated.
-// It is the synchronous single-tag path: the engine's shared sequential
-// pipeline on the caller's goroutine, with output identical to what
+// It runs on the caller's goroutine, with output identical to what
 // TraceMany produces for the same samples.
 func (s *System) Trace(samples []Sample) (*Result, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("rfidraw: no samples")
 	}
-	res, err := s.eng.Trace(convertSamples(samples))
+	res, err := s.sys.Trace(convertSamples(samples))
 	if err != nil {
 		return nil, fmt.Errorf("rfidraw: %w", err)
 	}
@@ -307,35 +292,47 @@ func (s *System) Trace(samples []Sample) (*Result, error) {
 }
 
 // TraceMany reconstructs several tags' trajectories concurrently: streams
-// is keyed by tag identity (e.g. EPC hex), and each tag's samples are
-// traced on the tag's home shard. Per-tag results are identical to what
+// is keyed by tag identity (e.g. EPC hex), and the tags are traced on at
+// most Config.Shards goroutines. Per-tag results are identical to what
 // Trace returns for the same samples. Tags whose trace fails are reported
-// in the joined error; the returned map holds every success.
+// in the joined error, in key order; the returned map holds every
+// success.
 func (s *System) TraceMany(streams map[string][]Sample) (map[string]*Result, error) {
 	if len(streams) == 0 {
 		return nil, errors.New("rfidraw: no streams")
 	}
-	keys := make([]string, 0, len(streams))
-	for k := range streams {
-		keys = append(keys, k)
+	keys := slices.Sorted(maps.Keys(streams))
+	results := make([]*core.TraceResult, len(keys))
+	errs := make([]error, len(keys))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(s.shards, len(keys)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(keys) {
+					return
+				}
+				samples := streams[keys[i]]
+				if len(samples) == 0 {
+					errs[i] = fmt.Errorf("rfidraw: tag %q has no samples", keys[i])
+					continue
+				}
+				var err error
+				if results[i], err = s.sys.Trace(convertSamples(samples)); err != nil {
+					errs[i] = fmt.Errorf("rfidraw: tag %q: %w", keys[i], err)
+				}
+			}
+		}()
 	}
-	sort.Strings(keys)
-	jobs := make([]engine.TagJob, 0, len(keys))
-	var errs []error
-	for _, k := range keys {
-		if len(streams[k]) == 0 {
-			errs = append(errs, fmt.Errorf("rfidraw: tag %q has no samples", k))
-			continue
+	wg.Wait()
+	out := make(map[string]*Result, len(keys))
+	for i, res := range results {
+		if res != nil {
+			out[keys[i]] = convertResult(res)
 		}
-		jobs = append(jobs, engine.TagJob{Tag: k, Samples: convertSamples(streams[k])})
-	}
-	out := make(map[string]*Result, len(jobs))
-	for _, r := range s.eng.TraceBatch(jobs) {
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("rfidraw: tag %q: %w", r.Tag, r.Err))
-			continue
-		}
-		out[r.Tag] = convertResult(r.Result)
 	}
 	return out, errors.Join(errs...)
 }

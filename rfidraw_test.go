@@ -1,17 +1,22 @@
 package rfidraw
 
 import (
+	"fmt"
 	"maps"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"rfidraw/internal/geom"
 	"rfidraw/internal/handwriting"
 	"rfidraw/internal/sim"
+	"rfidraw/internal/tracing"
 )
 
-// simSamples converts internal simulator samples to the public type.
+// simSamples simulates one word written at (0.6, 1.0) m and returns its
+// samples in the public type.
 func simSamples(t testing.TB, seed int64, word string) ([]Sample, *sim.WordRun, *sim.Scenario) {
 	t.Helper()
 	sc, err := sim.New(sim.Config{Seed: seed})
@@ -22,11 +27,16 @@ func simSamples(t testing.TB, seed int64, word string) ([]Sample, *sim.WordRun, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]Sample, len(wr.SamplesRF))
-	for i, s := range wr.SamplesRF {
+	return publicSamples(wr.SamplesRF), wr, sc
+}
+
+// publicSamples converts internal simulator samples to the public type.
+func publicSamples(in []tracing.Sample) []Sample {
+	out := make([]Sample, len(in))
+	for i, s := range in {
 		out[i] = Sample{Time: s.T, Phases: maps.Collect(s.Phase.All())}
 	}
-	return out, wr, sc
+	return out
 }
 
 func TestNewValidation(t *testing.T) {
@@ -41,7 +51,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.eng.System().Config().CandidateCount; got != 5 {
+	if got := sys.sys.Config().CandidateCount; got != 5 {
 		t.Fatalf("default CandidateCount = %d, want the documented 5", got)
 	}
 	ants := sys.AntennaPositions()
@@ -66,7 +76,7 @@ func TestCustomRegionAndCarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.eng.System().Config().CandidateCount; got != 2 {
+	if got := sys.sys.Config().CandidateCount; got != 2 {
 		t.Fatalf("CandidateCount = %d, want the configured 2", got)
 	}
 }
@@ -172,7 +182,9 @@ func TestSampleTimesPreserved(t *testing.T) {
 }
 
 // TestTraceManyMatchesTrace checks the concurrent multi-tag path returns,
-// per tag, exactly what the synchronous path returns.
+// per tag, exactly what the synchronous path returns, whatever the
+// worker count: at 1 shard and at 4, more workers than the 3 tags, with
+// three callers tracing through one System at once.
 func TestTraceManyMatchesTrace(t *testing.T) {
 	sc, err := sim.New(sim.Config{Seed: 21})
 	if err != nil {
@@ -185,51 +197,47 @@ func TestTraceManyMatchesTrace(t *testing.T) {
 	}
 	streams := map[string][]Sample{}
 	for i, tag := range run.Tags {
-		ss := make([]Sample, len(run.SamplesRF[i]))
-		for j, s := range run.SamplesRF[i] {
-			ss[j] = Sample{Time: s.T, Phases: maps.Collect(s.Phase.All())}
-		}
-		streams[tag.EPC.String()] = ss
+		streams[tag.EPC.String()] = publicSamples(run.SamplesRF[i])
 	}
-
-	par, err := New(Config{PlaneDistanceM: 2, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	many, err := par.TraceMany(streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(many) != len(streams) {
-		t.Fatalf("traced %d tags, want %d", len(many), len(streams))
-	}
-
 	seq, err := New(Config{PlaneDistanceM: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer seq.Close()
+	want := map[string]*Result{}
 	for key, samples := range streams {
-		want, err := seq.Trace(samples)
-		if err != nil {
+		if want[key], err = seq.Trace(samples); err != nil {
 			t.Fatalf("tag %s: %v", key, err)
 		}
-		got := many[key]
-		if got == nil {
-			t.Fatalf("tag %s missing from TraceMany", key)
-		}
-		if len(got.Trajectory) != len(want.Trajectory) {
-			t.Fatalf("tag %s: %d points vs %d sequential", key, len(got.Trajectory), len(want.Trajectory))
-		}
-		for i := range got.Trajectory {
-			if got.Trajectory[i] != want.Trajectory[i] {
-				t.Fatalf("tag %s point %d: %+v != %+v", key, i, got.Trajectory[i], want.Trajectory[i])
+	}
+
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			par, err := New(Config{PlaneDistanceM: 2, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got.InitialPosition != want.InitialPosition || got.Chosen != want.Chosen {
-			t.Fatalf("tag %s: initial/chosen mismatch", key)
-		}
+			var wg sync.WaitGroup
+			for range 3 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					many, err := par.TraceMany(streams)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(many) != len(streams) {
+						t.Errorf("traced %d tags, want %d", len(many), len(streams))
+					}
+					for key, got := range many {
+						if !reflect.DeepEqual(got, want[key]) {
+							t.Errorf("tag %s: TraceMany differs from Trace", key)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

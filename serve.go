@@ -202,7 +202,7 @@ func (s *System) registry(cfg ServeConfig) (*server.Registry, error) {
 		if sys, ok := geoSys[key]; ok {
 			return sys, nil
 		}
-		sys, err := server.SystemFor(s.eng.System(), geometry, search)
+		sys, err := server.SystemFor(s.sys, geometry, search)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package rfidraw
 import (
 	"encoding/json"
 	"errors"
-	"maps"
 	"net/http"
 	"runtime"
 	"strings"
@@ -106,28 +105,49 @@ func TestOpenSessionLive(t *testing.T) {
 }
 
 // TestSystemCloseConcurrent pins the documented Close contract: Close is
-// idempotent and safe to race against in-flight Trace* calls.
+// idempotent, safe from several goroutines at once, and does not touch
+// batch tracing — TraceMany and Trace calls racing it, and calls after
+// it, all return full results.
 func TestSystemCloseConcurrent(t *testing.T) {
 	run := serveScenario(t)
 	sys, err := New(Config{PlaneDistanceM: 2, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := make([]Sample, len(run.SamplesRF[0]))
-	for i, s := range run.SamplesRF[0] {
-		samples[i] = Sample{Time: s.T, Phases: maps.Collect(s.Phase.All())}
+	if _, err := sys.OpenSession(SessionSpec{ID: "open", Sweep: run.SweepInterval}); err != nil {
+		t.Fatal(err)
 	}
-	streams := map[string][]Sample{run.Tags[0].EPC.String(): samples}
+	samples := publicSamples(run.SamplesRF[0])
+	key := run.Tags[0].EPC.String()
+	streams := map[string][]Sample{key: samples, key + "-copy": samples}
+	want, err := sys.Trace(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := func(label string, got *Result) {
+		if got == nil || len(got.Trajectory) != len(want.Trajectory) {
+			t.Errorf("%s: not the full result", label)
+		}
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
-		wg.Add(2)
+		wg.Add(3)
 		go func() {
 			defer wg.Done()
-			// Either a full result or a closed-engine error is fine; a
-			// panic or hang is not.
-			if _, err := sys.TraceMany(streams); err != nil && !strings.Contains(err.Error(), "closed") {
+			got, err := sys.TraceMany(streams)
+			if err != nil {
 				t.Errorf("TraceMany: %v", err)
 			}
+			full("TraceMany", got[key])
+			full("TraceMany", got[key+"-copy"])
+		}()
+		go func() {
+			defer wg.Done()
+			got, err := sys.Trace(samples)
+			if err != nil {
+				t.Errorf("Trace: %v", err)
+			}
+			full("Trace", got)
 		}()
 		go func() {
 			defer wg.Done()
@@ -140,11 +160,11 @@ func TestSystemCloseConcurrent(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatalf("final Close: %v", err)
 	}
-	// The synchronous single-tag path runs on the caller's goroutine and
-	// still completes after Close.
-	if _, err := sys.Trace(samples); err != nil {
-		t.Fatalf("Trace after Close: %v", err)
+	got, err := sys.TraceMany(streams)
+	if err != nil {
+		t.Fatalf("TraceMany after Close: %v", err)
 	}
+	full("TraceMany after Close", got[key])
 }
 
 // TestServeSurface boots the daemon layer over a System and checks the
@@ -304,7 +324,7 @@ func TestRetraceSearchOverrides(t *testing.T) {
 		return int64(m.HeapAlloc)
 	}
 	before := heap()
-	one, err := server.SystemFor(sys.eng.System(), "", &SearchConfig{TopK: 10})
+	one, err := server.SystemFor(sys.sys, "", &SearchConfig{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
