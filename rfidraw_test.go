@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -181,64 +182,131 @@ func TestSampleTimesPreserved(t *testing.T) {
 	}
 }
 
-// TestTraceManyMatchesTrace checks the concurrent multi-tag path returns,
-// per tag, exactly what the synchronous path returns, whatever the
-// worker count: at 1 shard and at 4, more workers than the 3 tags, with
-// three callers tracing through one System at once.
-func TestTraceManyMatchesTrace(t *testing.T) {
+// traceManyCase is three tags writing at once, as TraceMany takes them,
+// and each tag's result from Trace on a one-worker System.
+type traceManyCase struct {
+	streams map[string][]Sample
+	want    map[string]*Result
+}
+
+var traceManyCaseOnce = sync.OnceValues(func() (*traceManyCase, error) {
 	sc, err := sim.New(sim.Config{Seed: 21})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	run, err := sc.RunWords([]string{"hi", "go", "on"},
 		[]geom.Vec2{{X: 0.4, Z: 1.3}, {X: 1.6, Z: 0.7}, {X: 1.0, Z: 1.6}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	streams := map[string][]Sample{}
-	for i, tag := range run.Tags {
-		streams[tag.EPC.String()] = publicSamples(run.SamplesRF[i])
+		return nil, err
 	}
 	seq, err := New(Config{PlaneDistanceM: 2})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	want := map[string]*Result{}
-	for key, samples := range streams {
-		if want[key], err = seq.Trace(samples); err != nil {
-			t.Fatalf("tag %s: %v", key, err)
+	c := &traceManyCase{streams: map[string][]Sample{}, want: map[string]*Result{}}
+	for i, tag := range run.Tags {
+		key := tag.EPC.String()
+		c.streams[key] = publicSamples(run.SamplesRF[i])
+		if c.want[key], err = seq.Trace(c.streams[key]); err != nil {
+			return nil, fmt.Errorf("tag %s: %w", key, err)
 		}
 	}
+	return c, nil
+})
 
+// traceManyFixture returns the shared three-tag case, built once.
+func traceManyFixture(t *testing.T) *traceManyCase {
+	t.Helper()
+	c, err := traceManyCaseOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// requireTraceMany traces streams through sys.TraceMany and requires, per
+// tag, exactly the result in want. It reports with t.Error, so callers
+// may run it on several goroutines at once.
+func requireTraceMany(t *testing.T, sys *System, streams map[string][]Sample, want map[string]*Result) {
+	t.Helper()
+	many, err := sys.TraceMany(streams)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	if len(many) != len(streams) {
+		t.Errorf("traced %d tags, want %d", len(many), len(streams))
+	}
+	for key, got := range many {
+		if !reflect.DeepEqual(got, want[key]) {
+			t.Errorf("tag %s: TraceMany differs from Trace", key)
+		}
+	}
+}
+
+func newShardedSystem(t *testing.T, shards int) *System {
+	t.Helper()
+	sys, err := New(Config{PlaneDistanceM: 2, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestTraceManyMatchesTrace checks the concurrent multi-tag path returns,
+// per tag, exactly what the synchronous path returns, at one worker and
+// at four, more workers than the 3 tags.
+func TestTraceManyMatchesTrace(t *testing.T) {
+	c := traceManyFixture(t)
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			par, err := New(Config{PlaneDistanceM: 2, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for range 3 {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					many, err := par.TraceMany(streams)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if len(many) != len(streams) {
-						t.Errorf("traced %d tags, want %d", len(many), len(streams))
-					}
-					for key, got := range many {
-						if !reflect.DeepEqual(got, want[key]) {
-							t.Errorf("tag %s: TraceMany differs from Trace", key)
-						}
-					}
-				}()
-			}
-			wg.Wait()
+			requireTraceMany(t, newShardedSystem(t, shards), c.streams, c.want)
 		})
 	}
+}
+
+// TestTraceManyDeterministicAcrossShardCounts checks the worker count
+// changes no result where workers share the tags unevenly (2 workers) or
+// take one each (3): with TestTraceManyMatchesTrace, every count from 1
+// to 4 returns Trace's results.
+func TestTraceManyDeterministicAcrossShardCounts(t *testing.T) {
+	c := traceManyFixture(t)
+	for _, shards := range []int{2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			requireTraceMany(t, newShardedSystem(t, shards), c.streams, c.want)
+		})
+	}
+}
+
+// TestTraceManyMoreShardsThanTags checks nothing wedges or is lost when
+// most workers have no tag: 16 workers over 2 tags.
+func TestTraceManyMoreShardsThanTags(t *testing.T) {
+	c := traceManyFixture(t)
+	streams := map[string][]Sample{}
+	for _, key := range slices.Sorted(maps.Keys(c.streams))[:2] {
+		streams[key] = c.streams[key]
+		if n := len(c.want[key].Trajectory); n < 5 {
+			t.Fatalf("tag %s: Trace gave only %d points", key, n)
+		}
+	}
+	requireTraceMany(t, newShardedSystem(t, 16), streams, c.want)
+}
+
+// TestTraceManyConcurrentCallers runs TraceMany from four goroutines on
+// one System whose 2 workers each take more than one of the 3 tags (run
+// it under -race).
+func TestTraceManyConcurrentCallers(t *testing.T) {
+	c := traceManyFixture(t)
+	sys := newShardedSystem(t, 2)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			requireTraceMany(t, sys, c.streams, c.want)
+		}()
+	}
+	wg.Wait()
 }
 
 func TestTraceManyValidation(t *testing.T) {
