@@ -480,7 +480,7 @@ func benchSessionInfo(b *testing.B, httpc *http.Client, url string) (reports, po
 
 // benchAwaitIngestDone polls the session info endpoint until the session
 // has taken in want reports — the proof that every report written to the
-// socket reached the session pump. (A reader count of zero proves
+// socket reached the session. (A reader count of zero proves
 // nothing: DialIngest returns before the gateway registers the reader.)
 func benchAwaitIngestDone(b *testing.B, httpc *http.Client, url string, want int) {
 	b.Helper()
@@ -509,7 +509,7 @@ func benchRequirePoints(b *testing.B, httpc *http.Client, url string) {
 
 // BenchmarkIngestToEmit measures the serving dataplane end to end:
 // reports enter through the readerwire ingest gateway, cross the session
-// pump (reorder buffer → WAL-less engine offer → emit) and fan out to N
+// (reorder buffer → WAL-less engine offer → emit) and fan out to N
 // attached HTTP stream subscribers, which drain their streams to EOF.
 // reports/s is the headline metric; the subscriber axis exposes the
 // per-event fan-out cost, which encode-once byte sharing keeps near
@@ -824,12 +824,12 @@ func BenchmarkChannelMeasure(b *testing.B) {
 	}
 }
 
-// BenchmarkObsStamp measures the full per-report observability cost the
-// serving pump pays: a monotonic clock read plus one histogram
-// observation per pipeline stage and the end-to-end record. The stamps
-// are always on — every report of every session pays this at full
-// ingest rate — so internal/obs's TestObserveZeroAllocs holds the same
-// loop at zero allocations.
+// BenchmarkObsStamp bounds the per-report observability cost the
+// serving path pays: a monotonic clock read plus one histogram
+// observation per pipeline stage and the end-to-end record (a session
+// stamps ingest, WAL append and engine offer once per batch, so a report
+// in a batch pays less). The stamps are always on, so internal/obs's
+// TestObserveZeroAllocs holds the same loop at zero allocations.
 func BenchmarkObsStamp(b *testing.B) {
 	p := &obs.Pipeline{}
 	stages := obs.Stages()
@@ -884,7 +884,7 @@ func BenchmarkSearchModes(b *testing.B) {
 	}
 }
 
-// BenchmarkWALAppend measures the serving pump's durability cost per
+// BenchmarkWALAppend measures the serving path's durability cost per
 // released batch: appending 16 report records into the session log's
 // buffer and committing them with one write, reported per report.
 // Syncing is deferred past the run (fsync cadence is policy, not append

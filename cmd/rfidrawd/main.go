@@ -192,19 +192,12 @@ func (f daemonFlags) knobs() server.Knobs {
 // control plane can mutate at runtime, rendered as text or JSON on
 // stderr.
 func buildLogger(f daemonFlags) (*slog.Logger, *slog.LevelVar, error) {
-	level := new(slog.LevelVar)
-	switch strings.ToLower(f.logLevel) {
-	case "debug":
-		level.Set(slog.LevelDebug)
-	case "info":
-		level.Set(slog.LevelInfo)
-	case "warn", "warning":
-		level.Set(slog.LevelWarn)
-	case "error":
-		level.Set(slog.LevelError)
-	default:
-		return nil, nil, fmt.Errorf("unknown log level %q", f.logLevel)
+	l, err := server.ParseLevel(f.logLevel)
+	if err != nil {
+		return nil, nil, err
 	}
+	level := new(slog.LevelVar)
+	level.Set(l)
 	opts := &slog.HandlerOptions{Level: level}
 	var h slog.Handler
 	if f.logFormat == "json" {

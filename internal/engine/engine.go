@@ -24,10 +24,14 @@
 //
 // # Concurrency contract
 //
-// Offer, Flush, Stats and Close must be called from a single ingest
-// goroutine (reports must be time-ordered, which only a single caller
-// can guarantee). The OnUpdate callback is invoked from shard goroutines
-// — potentially several at once — and must synchronise its own state.
+// Offer, Flush, Stats and Close must be serialized by the caller: one
+// call at a time, reports in time order. They need not come from one
+// goroutine; the serving layer makes each under its session's ingest
+// lock, on whichever goroutine holds it. Offer blocks while a shard's
+// inbox is full, and Flush and Stats wait for every shard. The OnUpdate
+// callback is invoked from shard goroutines — potentially several at
+// once — and must synchronise its own state without waiting on anything
+// the caller holds across an engine call, or the two deadlock.
 package engine
 
 import (
@@ -124,7 +128,7 @@ type Engine struct {
 	// share of the current call (nil between calls).
 	fill [][]rfid.Report
 	// dirty records whether any report has been offered since the last
-	// Flush. Like closed, it belongs to the ingest goroutine (see the
+	// Flush. Like closed, it belongs to the serialized caller (see the
 	// concurrency contract).
 	dirty  bool
 	closed bool
@@ -217,7 +221,7 @@ func (e *Engine) Flush() error {
 }
 
 // Stats reports per-tag streaming state, sorted by tag key. The snapshot
-// covers every report the ingest goroutine has offered.
+// covers every report offered before the call.
 func (e *Engine) Stats() []TagStats {
 	if e.closed {
 		return nil

@@ -148,7 +148,7 @@ func TestStreamingMultiTag(t *testing.T) {
 // offering the 8-tag run's reports and closing the engine allocates for
 // the trackers, their hypotheses and each acquisition, not per report
 // and not per Offer call. The stream goes in once a report per call and
-// once in 16-report calls, the serving pump's batch shape. The engines
+// once in 16-report calls, the serving session's batch shape. The engines
 // share one prebuilt System, so the count leaves out the steering
 // tables, and a first, cold pass fills the shard kits. Under the race
 // detector sync.Pool drops items at random, so a single pass can read

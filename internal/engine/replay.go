@@ -127,7 +127,7 @@ func (r *Replayer) Offer(rep rfid.Report) error {
 	return nil
 }
 
-// Flush closes every tag's current sweep — a pump drain, or the end of
+// Flush closes every tag's current sweep — a session drain, or the end of
 // the stream — emitting any final positions through OnUpdate, and
 // returns the first tag failure it caused. Safe to call repeatedly (the
 // trackers' flush is idempotent), which is what makes a replay that

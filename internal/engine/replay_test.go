@@ -24,7 +24,7 @@ type update struct {
 // TestReplayerMatchesStreamingEngine is the WAL subsystem's in-memory
 // foundation: replaying the exact report stream a live engine consumed
 // through a synchronous Replayer must reproduce the engine's output,
-// including positions emitted around interleaved flushes (the pump's
+// including positions emitted around interleaved flushes (a session's
 // idle drains, which the WAL records so replays drain at the same
 // points). Every tag's update sequence must match at any shard count,
 // and a 1-shard engine's whole update sequence, across tags and drains,

@@ -7,9 +7,9 @@ import (
 	"rfidraw/internal/vote"
 )
 
-// shardInbox is each shard's inbox depth in messages: the ingest
-// goroutine runs that many calls ahead of a busy shard before Offer
-// blocks, which is the engine's backpressure on its caller.
+// shardInbox is each shard's inbox depth in messages: the caller runs
+// that many calls ahead of a busy shard before Offer blocks, which is
+// the engine's backpressure on its caller.
 const shardInbox = 16
 
 // kitPool hands each shard its reusable state when it is built and

@@ -29,12 +29,13 @@ func Now() int64 { return int64(time.Since(base)) }
 type Stage uint8
 
 const (
-	// StageIngest is decode-to-pump: from the ingest gateway decoding a
-	// report off the wire to the session pump dequeuing it (inbox wait).
+	// StageIngest is the wait for the session's ingest lock: from an
+	// OfferBatch call to its taking the lock, one interval per call,
+	// observed once for each of its reports.
 	StageIngest Stage = iota
 	// StageReorder is the report's residency in the cross-reader
 	// resequencing heap (the hold window plus heap churn) and then in the
-	// pump's batch of released reports, until the batch is handed off.
+	// session's batch of released reports, until the batch is handed off.
 	StageReorder
 	// StageWALAppend is the synchronous append and commit of the
 	// report's released batch into the session's write-ahead log: one

@@ -73,6 +73,29 @@ func TestHistogramSnapshotCumulative(t *testing.T) {
 	}
 }
 
+// TestObserveNMatchesRepeatedObserve: one ObserveN(ns, n) leaves the
+// snapshot n calls of Observe(ns) leave (buckets, count and sum), and n
+// = 0 records nothing.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	for _, ns := range []int64{-5, 0, 999, 1001, 250_000, int64(time.Second), int64(time.Hour)} {
+		for _, n := range []int{1, 3, 20, 256} {
+			var one, many Histogram
+			one.ObserveN(ns, n, 1)
+			for i := 0; i < n; i++ {
+				many.Observe(ns, 1)
+			}
+			if got, want := one.Snapshot(), many.Snapshot(); got != want {
+				t.Errorf("ObserveN(%d, %d) = %+v, want %+v", ns, n, got, want)
+			}
+		}
+		var h Histogram
+		h.ObserveN(ns, 0, 0)
+		if got := h.Snapshot(); got != (HistogramSnapshot{}) {
+			t.Errorf("ObserveN(%d, 0) recorded %+v", ns, got)
+		}
+	}
+}
+
 func TestHistogramConcurrent(t *testing.T) {
 	var h Histogram
 	const workers = 8
@@ -110,7 +133,8 @@ func TestHistogramQuantile(t *testing.T) {
 
 // TestObserveZeroAllocs holds the stamps every report pays at zero
 // allocations: a clock read and an observation for each pipeline stage,
-// then the end-to-end record, as BenchmarkObsStamp times them.
+// a batch's weighted observation of each, then the end-to-end record, as
+// BenchmarkObsStamp times them.
 func TestObserveZeroAllocs(t *testing.T) {
 	var p Pipeline
 	stages := Stages()
@@ -119,6 +143,7 @@ func TestObserveZeroAllocs(t *testing.T) {
 		t0 := Now()
 		for _, st := range stages {
 			p.ObserveStage(st, Now()-t0, i)
+			p.ObserveStageN(st, Now()-t0, 20, i)
 		}
 		p.ObserveE2E(Now()-t0, i)
 		i++

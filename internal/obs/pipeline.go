@@ -13,7 +13,7 @@ import (
 type Pipeline struct {
 	stages [NumStages]Histogram
 	e2e    Histogram
-	// Burst fan-in accounting: how many ingest bursts the pumps consumed
+	// Burst fan-in accounting: how many ingest bursts the sessions took
 	// and how many reports they carried, so the average burst size the
 	// gateway achieves under a given load is observable. One atomic add
 	// per burst (not per report), so no striping is needed.
@@ -36,6 +36,12 @@ func (p *Pipeline) BurstSnapshot() (bursts, reports int64) {
 // ObserveStage records one duration for a pipeline stage.
 func (p *Pipeline) ObserveStage(st Stage, ns int64, hint int) {
 	p.stages[st].Observe(ns, hint)
+}
+
+// ObserveStageN records n samples of one duration for a pipeline stage:
+// a batch's items that share the interval, stamped once.
+func (p *Pipeline) ObserveStageN(st Stage, ns int64, n int, hint int) {
+	p.stages[st].ObserveN(ns, n, hint)
 }
 
 // ObserveE2E records one decode-to-emit end-to-end latency.
@@ -92,7 +98,7 @@ func (p *Pipeline) Render(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE rfidrawd_report_latency_seconds histogram\n")
 	writeHistogram(w, "rfidrawd_report_latency_seconds", "", p.E2ESnapshot())
 	bursts, burstReports := p.BurstSnapshot()
-	fmt.Fprintf(w, "# HELP rfidrawd_ingest_bursts_total Ingest bursts consumed by session pumps.\n")
+	fmt.Fprintf(w, "# HELP rfidrawd_ingest_bursts_total Ingest bursts (OfferBatch calls) consumed by sessions.\n")
 	fmt.Fprintf(w, "# TYPE rfidrawd_ingest_bursts_total counter\n")
 	fmt.Fprintf(w, "rfidrawd_ingest_bursts_total %d\n", bursts)
 	fmt.Fprintf(w, "# HELP rfidrawd_ingest_burst_reports_total Reports carried inside ingest bursts.\n")

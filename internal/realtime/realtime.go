@@ -167,7 +167,7 @@ func (t *Tracker) hold(rep rfid.Report) {
 // previous one is a no-op. Without the guard a second flush would
 // advance the sweep clock and re-snapshot the held per-antenna phases as
 // a fresh sample — emitting a duplicate position from stale data — which
-// is exactly what racing drain paths (a serving pump's idle drain vs. an
+// is exactly what racing drain paths (a serving session's idle drain vs. an
 // explicit client Flush vs. session close) used to do.
 //
 // Like Offer's, the returned slice stays valid until the next call.

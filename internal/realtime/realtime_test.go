@@ -238,7 +238,7 @@ func TestMergeStreamsMatchesReference(t *testing.T) {
 // TestFlushIdempotent is the drain-race regression gate: with no new
 // reports between them, repeated Flush calls must close the current
 // sweep exactly once. The old behaviour advanced the sweep clock and
-// re-snapshotted the held per-antenna phases on every call, so a pump
+// re-snapshotted the held per-antenna phases on every call, so an
 // idle drain racing an explicit Flush (or session close) emitted
 // duplicate positions from stale data — and a WAL replay of such a
 // session diverged from the live trace.

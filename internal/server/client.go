@@ -160,21 +160,17 @@ func (c *Client) call(ctx context.Context, method, path string, body any, want i
 // (errors.Is ErrOverloaded) with the suggested backoff in the
 // APIError's RetryAfter.
 func (c *Client) CreateSession(ctx context.Context, spec SessionSpec) (string, error) {
-	fields := map[string]any{
-		"id":       spec.ID,
-		"sweep_ms": float64(spec.Sweep) / float64(time.Millisecond),
-	}
-	if spec.Geometry != "" {
-		fields["geometry"] = spec.Geometry
-	}
-	if spec.Search != nil {
-		fields["search"] = toSearchJSON(spec.Search)
+	req := createSessionRequest{
+		ID:       spec.ID,
+		SweepMS:  float64(spec.Sweep) / float64(time.Millisecond),
+		Geometry: spec.Geometry,
+		Search:   toSearchJSON(spec.Search),
 	}
 	var out struct {
 		ID     string `json:"id"`
 		Ingest string `json:"ingest"`
 	}
-	if err := c.call(ctx, http.MethodPost, "/v1/sessions", fields, http.StatusCreated, &out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/sessions", req, http.StatusCreated, &out); err != nil {
 		return "", err
 	}
 	if c.Ingest == "" {
@@ -457,11 +453,11 @@ func (c *Client) FetchEvents(ctx context.Context, id string) ([]obs.TimelineEven
 // or "dense"), and returns the per-tag results. Raw is the exact body of
 // a successful response, for byte-level determinism checks.
 func (c *Client) Retrace(ctx context.Context, id, mode string) (*RetraceSummary, []byte, error) {
-	body := map[string]any{}
+	var req retraceRequest
 	if mode != "" {
-		body["search"] = map[string]any{"mode": mode}
+		req.Search = &SearchJSON{Mode: mode}
 	}
-	resp, err := c.send(ctx, http.MethodPost, "/v1/sessions/"+id+"/retrace", body, http.StatusOK)
+	resp, err := c.send(ctx, http.MethodPost, "/v1/sessions/"+id+"/retrace", req, http.StatusOK)
 	if err != nil {
 		return nil, nil, err
 	}

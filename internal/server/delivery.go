@@ -224,11 +224,10 @@ func appendJSONString(dst []byte, s string) []byte {
 }
 
 // eventBatch is one subscriber queue item: n consecutive events, built
-// in each form a subscriber it reaches consumes. The emit flusher builds
-// one per tier per group commit and every subscriber at that tier shares
-// it; a catch-up replay builds one per replayed log record that yields
-// events, and a drop, tier or end notice is a batch of one. Immutable
-// once queued.
+// in each form a subscriber it reaches consumes. A group commit builds
+// one per tier and every subscriber at that tier shares it; a catch-up
+// replay builds one per replayed log record that yields events, and a
+// drop, tier or end notice is a batch of one. Immutable once queued.
 type eventBatch struct {
 	n int
 	// enq is when the batch's oldest event joined the group-commit buffer
@@ -454,10 +453,10 @@ func (s *Session) newSubscriber(o SubscribeOptions, catchup bool) *Subscriber {
 // one for a catch-up subscriber (it serves its record), and sheds past
 // the subscriber cap, counting the refusal and putting it on the
 // timeline. Anything already buffered for group commit predates the
-// attach — and, for a pump-mediated catch-up attach, is covered by the
-// WAL head the subscriber replays from — so it is flushed to the
-// existing subscribers first: the newcomer's stream starts strictly at
-// its attach point. Requires emitMu.
+// attach — and, for a catch-up attach made under the ingest lock right
+// after a drain, is covered by the WAL head the subscriber replays from
+// — so it is flushed to the existing subscribers first: the newcomer's
+// stream starts strictly at its attach point. Requires emitMu.
 func (s *Session) attachLocked(sub *Subscriber) error {
 	if st := s.lifecycle(); st != stateLive && !(sub.catchingUp && st == stateRecovered) {
 		return ErrSessionClosed
@@ -492,8 +491,8 @@ func (s *Session) detachLocked(sub *Subscriber) {
 	close(sub.ch)
 }
 
-// updateEmitPaceLocked re-derives the flusher's accumulation window
-// from the subscriber count. Requires emitMu.
+// updateEmitPaceLocked re-derives the loop's accumulation window from
+// the subscriber count. Requires emitMu.
 func (s *Session) updateEmitPaceLocked() {
 	pace := time.Duration(len(s.subs)) * emitPacePerSub
 	if pace > emitPaceMax {
@@ -712,7 +711,7 @@ func (e *emitter) close(tag string, st *stroke) {
 }
 
 // broadcastLocked queues an event for every subscriber: it joins the
-// group-commit buffer, and the emit flusher delivers it with the rest of
+// group-commit buffer, and the session loop delivers it with the rest of
 // its batch (see flushEmitLocked), turning O(events × subscribers)
 // channel operations into O(batches × subscribers). The emitting
 // goroutine only flushes inline when the backlog tops emitBatchMax.
@@ -737,11 +736,11 @@ func (s *Session) broadcastLocked(ev Event) {
 
 // emitBatchMax bounds the group-commit backlog: past this many buffered
 // events the emitting goroutine flushes inline rather than let the
-// buffer grow while the flusher is behind.
+// buffer grow while the loop is behind.
 const emitBatchMax = 1024
 
 // Fan-out pacing: each flush bills every subscriber roughly a goroutine
-// wake plus (for a stream writer) a socket write, so the flusher's
+// wake plus (for a stream writer) a socket write, so the loop's
 // accumulation window scales with the subscriber count (emitPacePerSub
 // each), capped at emitPaceMax so a wide fan-out still sees fresh data,
 // and windows under emitPaceMin are skipped entirely — small fan-outs
@@ -751,43 +750,6 @@ const (
 	emitPaceMin    = 250 * time.Microsecond
 	emitPaceMax    = 30 * time.Millisecond
 )
-
-// emitFlusher is the session's group-commit goroutine: kicked by
-// broadcastLocked whenever events are buffered for subscribers, it
-// flushes the buffer as one batch. While it encodes and delivers a
-// batch, later events pile into the next one — batch size adapts to
-// load, and an idle stream still flushes every event immediately.
-func (s *Session) emitFlusher() {
-	defer close(s.emitDone)
-	for {
-		select {
-		case <-s.emitKick:
-		case <-s.emitQuit:
-			s.emitMu.Lock()
-			s.flushEmitLocked()
-			s.emitMu.Unlock()
-			return
-		}
-		// Fan-out pacing: let the batch accumulate for a window sized to
-		// what delivering it will cost, unless the session is closing —
-		// then commit immediately.
-		if pace := s.emitPace.Load(); pace >= int64(emitPaceMin) {
-			t := time.NewTimer(time.Duration(pace))
-			select {
-			case <-t.C:
-			case <-s.emitQuit:
-				t.Stop()
-				s.emitMu.Lock()
-				s.flushEmitLocked()
-				s.emitMu.Unlock()
-				return
-			}
-		}
-		s.emitMu.Lock()
-		s.flushEmitLocked()
-		s.emitMu.Unlock()
-	}
-}
 
 // flushEmitLocked group-commits the buffered events per tier: each
 // drained batch is built at most once per (tier, form) some subscriber

@@ -21,7 +21,7 @@ type sessionInfo struct {
 	ID      string    `json:"id"`
 	Created time.Time `json:"created"`
 	AgeMS   int64     `json:"age_ms"`
-	// State is "live" (pump and engine running), "recovered" (serving
+	// State is "live" (loop and engine running), "recovered" (serving
 	// from the retained WAL only) or "closed".
 	State string `json:"state"`
 	// Geometry names the session's antenna geometry; omitted for the
@@ -380,7 +380,7 @@ func streamEncoding(r *http.Request) (subEncoding, error) {
 // it loses the oldest events and sees drop notices (the last-resort
 // slow-consumer policy), never stalling the tracker or its peers.
 // Every queue item arrives already encoded: live events group-committed
-// by the session's emit flusher, which marshals each batch exactly once
+// by the session's loop, which encodes each batch exactly once
 // per encoding and shares the immutable bytes with every stream writer,
 // and catch-up replays and notices encoded for this subscriber. The
 // writer only writes bytes — one Write per item.
@@ -587,7 +587,7 @@ type TracePointJSON struct {
 // handleRetrace replays a session's WAL through a fresh tracking
 // pipeline — optionally under an overridden SearchConfig — and returns
 // batch results for every recorded tag. Works on live sessions (the
-// pump drains first, so the retrace covers everything ingested so far)
+// session drains first, so the retrace covers everything ingested so far)
 // and on recovered ones.
 func (s *Server) handleRetrace(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.reg.Get(r.PathValue("id"))

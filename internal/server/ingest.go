@@ -24,10 +24,10 @@ const IngestPreamble = "RFIDRAWD/1"
 const maxPreamble = 256
 
 // ingestBurst caps how many reports one ingest connection batches into
-// a single inbox hand-off: after a blocking read delivers a report, the
+// a single OfferBatch: after a blocking read delivers a report, the
 // gateway drains whatever further reports that socket read buffered (up
-// to this cap) and enqueues them as one burst — one channel operation
-// instead of one per report.
+// to this cap) and offers them as one burst — one ingest-lock hold, one
+// WAL commit and one engine message per shard instead of one per report.
 const ingestBurst = 256
 
 // serveIngest accepts reader connections until the listener closes.
@@ -86,10 +86,13 @@ func (s *Server) handleIngest(conn net.Conn) {
 	sawHello := false
 	// Burst mode: after each blocking read, drain every further message
 	// that read already buffered (NextBuffered never touches the socket)
-	// and hand the accumulated reports to the session as ONE inbox
-	// operation instead of one per report. Under load a single read
-	// delivers tens of frames, so the per-report channel hand-off — the
-	// dominant ingest cost — amortizes across the burst.
+	// and hand the accumulated reports to the session as ONE OfferBatch
+	// instead of one per report. Under load a single read delivers tens
+	// of frames, so the per-call cost (the ingest lock, the WAL commit,
+	// the engine hand-off) amortizes across the burst. OfferBatch runs on
+	// this goroutine, so while it waits for the lock or a full engine
+	// shard the socket is not read: the reader's TCP connection is the
+	// ingest queue and its backpressure.
 	burst := make([]rfid.Report, 0, ingestBurst)
 	flush := func() error {
 		if len(burst) == 0 {

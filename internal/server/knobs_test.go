@@ -239,8 +239,8 @@ func TestKnobSeedsFollowTheRules(t *testing.T) {
 	}
 }
 
-// TestKnobsConcurrent races knob writers, readers and a session pump
-// (which reads trace_sample_n per report). Each writer counts its own
+// TestKnobsConcurrent races knob writers, readers and a session's ingest
+// (which reads trace_sample_n per released batch). Each writer counts its own
 // key up, so a patch applied to a stale copy would publish the other
 // key going backwards; a reader's copy, or a patch decoded onto the next
 // record, never writes through to the published search. Meant for

@@ -474,12 +474,11 @@ func (c *lifecycleCell) check(err error, before lifecycleCounts, want lifecycleO
 // attachRacingClose is the table's row for the one deliberate
 // tightening: an attach that lands while an unclaimed Close is still
 // tearing the session down is refused, where it used to be admitted and
-// then swept. The pump is left unstarted, so the teardown holds at
-// "waiting for the pump" until the attaches have been tried.
+// then swept. The loop is left unstarted, so the teardown holds at
+// "waiting for the loop" until the attaches have been tried.
 func attachRacingClose(t *testing.T) {
 	reg := testRegistry(t, RegistryConfig{NoRecognize: true})
 	s := sessionShell(reg, SessionSpec{ID: "closing"}, resumeState{})
-	go s.emitFlusher()
 	closed := make(chan struct{})
 	go func() {
 		s.Close()
@@ -504,7 +503,7 @@ func attachRacingClose(t *testing.T) {
 	if d := countLifecycle(reg).minus(before); d != (lifecycleCounts{}) {
 		t.Errorf("refused attaches moved the bookkeeping: %+v", d)
 	}
-	close(s.pumpDone) // the pump exits; the teardown completes
+	close(s.loopDone) // the loop exits; the teardown completes
 	<-closed
 }
 

@@ -20,8 +20,10 @@ func levelName(l slog.Level) string {
 	}
 }
 
-// parseLevel maps a control-plane level name onto slog.
-func parseLevel(name string) (slog.Level, error) {
+// ParseLevel maps a level name onto slog: "debug", "info", "warn" (or
+// "warning") or "error", in any case. The daemon's -log-level flag and
+// the control plane's log_level knob both read through it.
+func ParseLevel(name string) (slog.Level, error) {
 	switch strings.ToLower(name) {
 	case "debug":
 		return slog.LevelDebug, nil

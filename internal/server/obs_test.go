@@ -343,9 +343,9 @@ func TestTraceSpanSampling(t *testing.T) {
 
 // TestSpanSeqsNameTheirRecords: with every report sampled on a durable
 // session, each span's seq is its own report's WAL record — a report
-// record whose stream time is the span's T — although the pump logs and
+// record whose stream time is the span's T — although ingest logs and
 // offers reports a released batch at a time, and no two spans name the
-// same record, and the ring serves them in the order the pump released
+// same record, and the ring serves them in the order ingest released
 // their reports: seq increases strictly as received.
 func TestSpanSeqsNameTheirRecords(t *testing.T) {
 	run, _ := scenario(t)
@@ -399,8 +399,8 @@ func TestSpanSeqsNameTheirRecords(t *testing.T) {
 		}
 	}
 	// A memory-only session's spans all carry the log head, so only
-	// their stream times show the order: the pump releases this stream
-	// in time order.
+	// their stream times show the order: ingest releases this stream in
+	// time order.
 	mem, err := testRegistry(t, RegistryConfig{TraceSampleN: 1}).Open(SessionSpec{ID: "spans-mem", Sweep: perTagSweep(run)})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"strconv"
-	"sync"
 	"time"
 
 	"rfidraw/internal/obs"
@@ -10,45 +9,11 @@ import (
 	"rfidraw/internal/wal"
 )
 
-// burstPool recycles burst slices between the senders (the ingest
-// gateway, in-process callers) and the session pump: OfferBatch copies a
-// burst into a pooled slice and enqueues it as ONE inbox item; the pump
-// drains it and puts the slice back. Pooling keeps the burst path
-// allocation-free in steady state.
-var burstPool = sync.Pool{New: func() any { b := make([]rfid.Report, 0, 64); return &b }}
+// loopTick is the session loop's housekeeping period: idle detection
+// (drain + sweep close after ~2 silent ticks) and stats refresh cadence.
+const loopTick = 50 * time.Millisecond
 
-// ingestItem is one message on a session's ingest inbox, of one of three
-// kinds: a burst of reports, a cadence announcement or a drain.
-type ingestItem struct {
-	// burst is a batch of reports entering as one channel operation; the
-	// pump returns the slice to burstPool after handling every report.
-	burst *[]rfid.Report
-	// arr is the burst's enqueue stamp (obs monotonic nanos), one for all
-	// its reports: the pump observes arr→dequeue as each one's ingest
-	// stage.
-	arr int64
-	// sweep, when positive, announces the reader cadence (from a Hello or
-	// from session creation) and triggers lazy engine construction.
-	sweep time.Duration
-	// drain asks the pump to drain the reorder buffer and close the
-	// engine's current sweeps, replying with the log head at the drain
-	// boundary — the only head retrace and catch-up may trust, since the
-	// pump keeps appending the instant it moves on.
-	drain chan uint64
-	// attach, on a drain, runs on the pump between the drain and the
-	// reply: the catch-up attach (see SubscribeFrom).
-	attach func()
-}
-
-// ingestBuffer is the per-session ingest inbox depth (bursts); beyond
-// it, reader connections block (TCP backpressure).
-const ingestBuffer = 1024
-
-// pumpTick is the pump's housekeeping period: idle detection (drain +
-// sweep close after ~2 silent ticks) and stats refresh cadence.
-const pumpTick = 50 * time.Millisecond
-
-// statsEvery refreshes the engine stats snapshot every N pump ticks.
+// statsEvery refreshes the engine stats snapshot every N loop ticks.
 const statsEvery = 10
 
 // Offer feeds one phase report into the session: a one-report
@@ -57,189 +22,211 @@ func (s *Session) Offer(rep rfid.Report) error {
 	return s.OfferBatch([]rfid.Report{rep})
 }
 
-// OfferBatch feeds a batch of phase reports as a single inbox operation:
-// one channel hop for the whole burst instead of one per report, with
-// one ingest stamp, taken here, for all of them. The batch is copied into
-// a pooled burst slice, so the caller keeps ownership of reps. It blocks
-// for backpressure when the inbox is full and fails once the session
-// closes. Reports should be non-decreasing in time per reader;
-// cross-reader skew up to the reorder window is resequenced, and how a
-// stream is cut into batches changes nothing downstream.
+// OfferBatch feeds a batch of phase reports into the session on the
+// caller's goroutine: under the ingest lock it resequences them, logs and
+// commits what the reorder buffer releases, and offers that to the
+// engine, so the batch is on disk (with a log) and with the engine when
+// OfferBatch returns. It keeps no reference to reps. It blocks while
+// another ingest call or a drain holds the lock, or while the engine's
+// shards are full (backpressure), and fails once the session closes.
+// Reports should be non-decreasing in time per reader; cross-reader skew
+// up to the reorder window is resequenced, and how a stream is cut into
+// batches changes nothing downstream.
 func (s *Session) OfferBatch(reps []rfid.Report) error {
 	if len(reps) == 0 {
 		return nil
 	}
+	// From here until it returns the call is input in flight: the loop's
+	// idle rule does not drain under it (see tick).
+	s.offersBegun.Add(1)
+	defer s.offersDone.Add(1)
 	arr := obs.Now()
-	bp := burstPool.Get().(*[]rfid.Report)
-	*bp = append((*bp)[:0], reps...)
-	if err := s.enqueue(ingestItem{burst: bp, arr: arr}); err != nil {
-		*bp = (*bp)[:0]
-		burstPool.Put(bp)
-		return err
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	if s.stopped {
+		return ErrSessionClosed
 	}
+	now := obs.Now()
+	n := len(reps)
+	s.reg.pipeline.ObserveStageN(obs.StageIngest, now-arr, n, s.stripe)
+	s.reg.pipeline.ObserveBurst(n)
+	s.touch()
+	s.reports.Add(int64(n))
+	s.reg.metrics.Reports.Add(int64(n))
+	s.startEngineLocked(0)
+	if s.eng == nil {
+		// No cadence announced yet (defensive: the gateway always sends
+		// the Hello first). Drop rather than grow without bound.
+		return nil
+	}
+	for _, rep := range reps {
+		s.resequence(rep, arr, now)
+	}
+	s.handOff()
 	return nil
 }
 
-// enqueue pushes one ingest item, preferring the closed signal over the
-// buffered inbox so post-close offers fail deterministically.
-func (s *Session) enqueue(it ingestItem) error {
-	select {
-	case <-s.quit:
-		return ErrSessionClosed
-	default:
-	}
-	select {
-	case s.inbox <- it:
-		return nil
-	case <-s.quit:
-		return ErrSessionClosed
-	}
-}
-
 // announceSweep tells the session its reader cadence (idempotent; the
-// first announcement builds the engine).
+// first cadence the session learns builds the engine).
 func (s *Session) announceSweep(sweep time.Duration) error {
 	if sweep <= 0 {
 		return ErrNoSweep
 	}
-	return s.enqueue(ingestItem{sweep: sweep})
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	if s.stopped {
+		return ErrSessionClosed
+	}
+	s.startEngineLocked(sweep)
+	return nil
 }
 
 // Flush drains the reorder buffer and closes the engine's current sweeps
-// and the open strokes, emitting any final positions and glyphs. It
-// blocks until the pump has done so. Flush is idempotent and safe to
-// race the pump's own idle drain and Close: with nothing ingested since
-// the previous drain it is a no-op (each sweep closes exactly once — see
-// drain and the realtime tracker's own flush guard).
+// and the open strokes, emitting any final positions and glyphs, before
+// it returns. Flush is idempotent and safe to race the loop's own idle
+// drain and Close: with nothing ingested since the previous drain it is
+// a no-op (each sweep closes exactly once — see drain and the realtime
+// tracker's own flush guard).
 func (s *Session) Flush() error {
-	_, err := s.drainHead(nil)
+	_, err := s.drainHead()
 	return err
 }
 
-// drainHead asks the pump to drain and reply with the log head at the
-// drain boundary; attach, when non-nil, runs on the pump between the
-// two.
-func (s *Session) drainHead(attach func()) (uint64, error) {
-	ch := make(chan uint64, 1)
-	if err := s.enqueue(ingestItem{drain: ch, attach: attach}); err != nil {
-		return 0, err
-	}
-	select {
-	case h := <-ch:
-		return h, nil
-	case <-s.pumpDone:
-		return 0, ErrSessionClosed
-	}
+// drainHead drains under the ingest lock and returns the log head at the
+// drain boundary: the only head retrace and catch-up may trust, since
+// the next ingest call appends the instant the lock is free.
+func (s *Session) drainHead() (uint64, error) {
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	return s.drainHeadLocked()
 }
 
-// pump is the session's single ingest goroutine: it owns the engine, the
-// reorder buffer and the idle-drain logic.
-func (s *Session) pump(sweep time.Duration) {
-	defer close(s.pumpDone)
-	if sweep > 0 {
-		s.handleSweep(sweep)
+// drainHeadLocked is drainHead's body; the caller holds ingestMu.
+func (s *Session) drainHeadLocked() (uint64, error) {
+	if s.stopped {
+		return 0, ErrSessionClosed
 	}
-	ticker := time.NewTicker(pumpTick)
+	s.startEngineLocked(0)
+	s.drain()
+	s.refreshStats()
+	return s.walSeq.Load(), nil
+}
+
+// loop is the session's one goroutine. It keeps the clock (the idle
+// drain and the stats refresh, see tick) and group-commits the events
+// the engine's shards buffer for subscribers: kicked by broadcastLocked,
+// it lets the batch grow for the fan-out pace, then flushes it. While it
+// encodes and delivers a batch, later events pile into the next one, so
+// batch size adapts to load and an idle stream still flushes every event
+// at once. It builds the engine first, outside the registry lock that
+// newSession runs under, unless an ingest call got there before it.
+func (s *Session) loop() {
+	defer close(s.loopDone)
+	s.ingestMu.Lock()
+	s.startEngineLocked(0)
+	s.ingestMu.Unlock()
+	ticker := time.NewTicker(loopTick)
 	defer ticker.Stop()
-	var clock pumpClock
+	var clock loopClock
 	for {
 		select {
-		case it := <-s.inbox:
-			clock.idle = 0
-			s.handle(it)
+		case <-s.emitKick:
+			if !s.pace() {
+				return
+			}
+			s.emitMu.Lock()
+			s.flushEmitLocked()
+			s.emitMu.Unlock()
 		case <-ticker.C:
 			s.tick(&clock)
 		case <-s.quit:
-			for {
-				select {
-				case it := <-s.inbox:
-					s.handle(it)
-					continue
-				default:
-				}
-				break
-			}
-			s.drain()
-			// Final stats snapshot BEFORE closing the engine: Stats on a
-			// closed engine returns nil, which would zero the counters
-			// just before Close rolls them into the retired totals.
-			s.refreshStats()
-			if s.eng != nil {
-				s.eng.Close()
-			}
-			if s.log != nil {
-				// Clean close marker + compaction: the session's record
-				// is retained on disk for recovery and retrace.
-				if err := s.log.Close(s.walSeq.Add(1)); err != nil {
-					s.logger.Error("wal close failed", "err", err)
-				}
-				s.log = nil
-			}
-			s.emitMu.Lock()
-			s.broadcastLocked(Event{Type: "end"})
-			s.emitMu.Unlock()
+			// The teardown drains, closes the engine and the log, and
+			// flushes the end event itself.
 			return
 		}
 	}
 }
 
-// pumpClock is the pump's tick bookkeeping: consecutive idle ticks and
-// the tick count behind the stats cadence.
-type pumpClock struct{ idle, ticks int }
+// pace holds a kicked group commit for the fan-out pace (see
+// emitPacePerSub), reporting false when the session closes meanwhile.
+func (s *Session) pace() bool {
+	p := s.emitPace.Load()
+	if p < int64(emitPaceMin) {
+		return true
+	}
+	t := time.NewTimer(time.Duration(p))
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-s.quit:
+		return false
+	}
+}
 
-// tick runs the pump's housekeeping for one ticker tick. Two idle ticks
+// loopClock is the loop's tick bookkeeping: consecutive idle ticks, the
+// offers completed as of the last tick, and the tick count behind the
+// stats cadence.
+type loopClock struct {
+	idle, ticks int
+	offers      uint64
+}
+
+// tick runs the loop's housekeeping for one ticker tick. Two idle ticks
 // in a row (~100 ms of ingest silence: the stream paused or ended) drain
 // the reorder buffer and close open sweeps and strokes, so the last
-// positions and glyphs reach subscribers. Only a tick that finds the
-// inbox empty counts as idle: one burst or a stats refresh can hold the
-// pump on a full engine queue for several tick periods, select may then
-// take the ticker twice in a row while input waits, and a drain there
-// would close open sweeps mid-word.
-func (s *Session) tick(c *pumpClock) {
+// positions and glyphs reach subscribers. An offer is input from its
+// call, lock wait included, to its return: a tick that finds one in
+// flight resets the count, and one that finds an offer completed since
+// the last tick is the first idle tick. An offer can wait on the lock,
+// or on a full engine shard, for several tick periods, and a drain there
+// would close open sweeps mid-word; the drain re-checks under the lock
+// that no offer began since the tick looked.
+func (s *Session) tick(c *loopClock) {
 	c.ticks++
-	if len(s.inbox) == 0 {
-		c.idle++
-		if c.idle == 2 {
-			s.drain()
-		}
-	}
-	if c.ticks%statsEvery == 0 {
-		s.refreshStats()
-	}
-}
-
-func (s *Session) handle(it ingestItem) {
+	begun, done := s.offersBegun.Load(), s.offersDone.Load()
 	switch {
-	case it.burst != nil:
-		// A whole burst in one inbox item: feed the reorder buffer, hand
-		// what it released to the log and the engine at once, then
-		// recycle the slice.
-		for _, rep := range *it.burst {
-			s.handleReport(rep, it.arr)
-		}
-		s.handOff()
-		s.reg.pipeline.ObserveBurst(len(*it.burst))
-		*it.burst = (*it.burst)[:0]
-		burstPool.Put(it.burst)
-	case it.sweep > 0:
-		s.handleSweep(it.sweep)
-	case it.drain != nil:
+	case begun != done:
+		c.idle = 0
+	case done != c.offers:
+		c.idle, c.offers = 1, done
+	default:
+		c.idle++
+	}
+	drain, stats := c.idle == 2, c.ticks%statsEvery == 0
+	if !drain && !stats {
+		return
+	}
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	if s.stopped {
+		return
+	}
+	if drain && s.offersBegun.Load() == begun {
 		s.drain()
+	}
+	if stats {
 		s.refreshStats()
-		if it.attach != nil {
-			it.attach()
-		}
-		it.drain <- s.walSeq.Load()
 	}
 }
 
-// handleSweep builds the engine on the first cadence announcement;
-// later announcements (reader reconnects) keep the original cadence.
-// With a WAL store configured, the session's log opens here — the sweep
-// cadence is part of its meta, and reports cannot reach the engine (or
-// the log) before it is known.
-func (s *Session) handleSweep(sweep time.Duration) {
+// startEngineLocked builds the engine from the first cadence the session
+// learns: the spec's, recorded at open, wins over a reader's
+// announcement; later announcements (reader reconnects) keep it. A
+// failed build is retried only on the next announcement. With a WAL
+// store configured, the session's log opens here — the sweep cadence is
+// part of its meta, and reports cannot reach the engine (or the log)
+// before it is known. Requires ingestMu.
+func (s *Session) startEngineLocked(announced time.Duration) {
 	if s.eng != nil {
+		return
+	}
+	sweep := s.sweep
+	s.sweep = 0
+	if sweep <= 0 {
+		sweep = announced
+	}
+	if sweep <= 0 {
 		return
 	}
 	eng, err := s.reg.cfg.NewEngine(sweep, s.geometry, s.search, s.onUpdate)
@@ -247,7 +234,7 @@ func (s *Session) handleSweep(sweep time.Duration) {
 		s.logger.Error("engine build failed", "err", err)
 		return
 	}
-	s.eng, s.sweep = eng, sweep
+	s.eng = eng
 	s.sweepNs.Store(int64(sweep))
 	if st := s.reg.cfg.WAL; st != nil {
 		meta := wal.Meta{
@@ -273,24 +260,11 @@ func (s *Session) handleSweep(sweep time.Duration) {
 	}
 }
 
-// handleReport resequences one report through the reorder heap and
-// releases everything older than the hold window, in time order, to the
-// pump's batch for the item's handOff. arr is the report's burst's
-// enqueue stamp (zero when the report entered through a path that does
-// not stamp, e.g. tests driving the inbox).
-func (s *Session) handleReport(rep rfid.Report, arr int64) {
-	s.touch()
-	s.reports.Add(1)
-	s.reg.metrics.Reports.Add(1)
-	now := obs.Now()
-	if arr > 0 {
-		s.reg.pipeline.ObserveStage(obs.StageIngest, now-arr, s.stripe)
-	}
-	if s.eng == nil {
-		// No cadence announced yet (defensive: the gateway always sends
-		// the Hello first). Drop rather than grow without bound.
-		return
-	}
+// resequence pushes one report through the reorder heap and releases
+// everything older than the hold window, in time order, to the batch the
+// call's handOff gives the engine. arr is the call's entry stamp and
+// pushed its lock-taken stamp, shared by all its reports.
+func (s *Session) resequence(rep rfid.Report, arr, pushed int64) {
 	hold := s.reg.cfg.ReorderWindow
 	if s.maxSeen >= hold && rep.Time <= s.maxSeen-hold {
 		// The resequencer already released this report's time slot: later
@@ -303,7 +277,7 @@ func (s *Session) handleReport(rep rfid.Report, arr int64) {
 		s.reg.metrics.ReorderLate.Add(1)
 	}
 	s.pushSeq++
-	s.reorder.push(orderedReport{rep: rep, seq: s.pushSeq, arr: arr, pushed: now})
+	s.reorder.push(orderedReport{rep: rep, seq: s.pushSeq, arr: arr, pushed: pushed})
 	if rep.Time > s.maxSeen {
 		s.maxSeen = rep.Time
 	}
@@ -316,10 +290,11 @@ func (s *Session) handleReport(rep rfid.Report, arr int64) {
 // then the open strokes. It is idempotent: with nothing buffered and
 // nothing offered since the previous drain it does nothing — in
 // particular it does not log a flush record, so racing drain paths (the
-// pump's idle tick, an explicit client Flush, a catch-up attach, session
+// loop's idle tick, an explicit client Flush, a catch-up attach, session
 // close) close each sweep exactly once, live and in the WAL replay
 // alike. The flush record it logs marks the stroke boundary too, so a
-// replay closes strokes exactly where the live session did.
+// replay closes strokes exactly where the live session did. Requires
+// ingestMu.
 func (s *Session) drain() {
 	for s.reorder.Len() > 0 {
 		s.released = append(s.released, s.reorder.pop())
@@ -342,20 +317,20 @@ func (s *Session) drain() {
 	s.emitMu.Unlock()
 }
 
-// handOff gives the engine what the reorder buffer released while the
-// pump handled one inbox item, recording it in the WAL first: it appends
-// every report's record, commits them with one write, and only then
-// offers the reports, one engine message per shard. The log is thus the
-// canonical stream — exactly what the engine consumes, in the order it
-// consumes it. Two rules hold: no report reaches the engine before its
-// record is written, so a process crash loses no record of a traced
-// report; and no record stays pending between inbox items, so drains,
-// catch-ups, retraces and parks read complete files. The release,
-// WAL-done and offer-done stamps are taken once per batch: each report
-// observes its own reorder wait and the batch's WAL-append and
-// engine-offer intervals, and 1-in-N reports open a sampled span,
-// carrying the report's own record seq, that the emitting shard
-// goroutine completes.
+// handOff gives the engine what the reorder buffer released during one
+// ingest call or drain, recording it in the WAL first: it appends every
+// report's record, commits them with one write, and only then offers the
+// reports, one engine message per shard. The log is thus the canonical
+// stream — exactly what the engine consumes, in the order it consumes
+// it. Two rules hold: no report reaches the engine before its record is
+// written, so a process crash loses no record of a traced report; and no
+// record stays pending between calls, so drains, catch-ups, retraces and
+// parks read complete files. The release, WAL-done and offer-done stamps
+// are taken once per batch: each report observes its own reorder wait,
+// the WAL-append and engine-offer intervals are observed once with the
+// batch's weight, and 1-in-N reports open a sampled span, carrying the
+// report's own record seq, that the emitting shard goroutine completes.
+// Requires ingestMu.
 func (s *Session) handOff() {
 	batch := s.released
 	if len(batch) == 0 {
@@ -364,12 +339,8 @@ func (s *Session) handOff() {
 	release := obs.Now()
 	head := s.walSeq.Load()
 	reps := s.offerBuf[:0]
-	var arrival int64
 	for _, or := range batch {
 		reps = append(reps, or.rep)
-		if or.arr > 0 {
-			arrival = or.arr
-		}
 		if s.log != nil {
 			if err := s.log.AppendReport(s.walSeq.Add(1), or.rep); err != nil {
 				s.walFailed(err)
@@ -390,16 +361,14 @@ func (s *Session) handOff() {
 	// Hand the release to the emit path; the shard goroutine that next
 	// produces positions swaps these back to zero so the emit and
 	// end-to-end histograms see each release window once.
-	if arrival > 0 {
-		s.lastArrival.Store(arrival)
-	}
+	s.lastArrival.Store(batch[len(batch)-1].arr)
 	s.lastRelease.Store(offerDone)
 	logged := s.walSeq.Load()
+	s.reg.pipeline.ObserveStageN(obs.StageWALAppend, walDone-release, len(batch), s.stripe)
+	s.reg.pipeline.ObserveStageN(obs.StageEngineOffer, offerDone-walDone, len(batch), s.stripe)
 	n := s.reg.knobs.Load().TraceSampleN
 	for i, or := range batch {
 		s.reg.pipeline.ObserveStage(obs.StageReorder, release-or.pushed, s.stripe)
-		s.reg.pipeline.ObserveStage(obs.StageWALAppend, walDone-release, s.stripe)
-		s.reg.pipeline.ObserveStage(obs.StageEngineOffer, offerDone-walDone, s.stripe)
 		s.sampleCount++
 		if n > 0 && s.sampleCount%uint64(n) == 0 {
 			s.openSampledSpan(or, min(head+uint64(i)+1, logged), release, walDone, offerDone)
@@ -424,10 +393,6 @@ func (s *Session) openSampledSpan(or orderedReport, seq uint64, release, walDone
 		Arrival:   or.arr,
 		Release:   offerDone,
 	}
-	if or.arr == 0 {
-		sp.IngestNs = 0
-		sp.Arrival = or.pushed
-	}
 	s.spanMu.Lock()
 	if old := s.openSpan.Swap(sp); old != nil {
 		// The previous sampled report never produced an emission
@@ -439,7 +404,7 @@ func (s *Session) openSampledSpan(or orderedReport, seq uint64, release, walDone
 
 // walFailed abandons a session's log after a write error: tracing
 // continues, durability for this session stops (and is surfaced), rather
-// than spamming a failing disk on every report.
+// than spamming a failing disk on every report. Requires ingestMu.
 func (s *Session) walFailed(err error) {
 	s.logger.Error("wal append failed; disabling durability for this session", "err", err)
 	s.log.Abandon()
@@ -447,7 +412,7 @@ func (s *Session) walFailed(err error) {
 	s.reg.metrics.WALFailures.Add(1)
 }
 
-// refreshStats snapshots per-tag engine stats (pump-only, per the
+// refreshStats snapshots per-tag engine stats (under ingestMu, per the
 // engine's Stats contract) for the HTTP info endpoint and the
 // search-evals metric.
 func (s *Session) refreshStats() {
@@ -480,7 +445,7 @@ func (s *Session) refreshStats() {
 
 // orderedReport is one reorder-buffer entry: the report plus its arrival
 // sequence within the session (the final tie-breaker) and its obs stamps
-// (ingest decode, heap push) for stage timing.
+// (its OfferBatch call's entry and lock-taken stamps) for stage timing.
 type orderedReport struct {
 	rep    rfid.Report
 	seq    uint64

@@ -377,9 +377,9 @@ func TestExpireIdleVsAttachRace(t *testing.T) {
 	}
 }
 
-// TestCatchupAttachRefusedAfterExpiryClaim: the pump's catch-up attach
-// passes the same admission check as Subscribe, so a catch-up request
-// still queued when idle expiry claims the session is refused instead of
+// TestCatchupAttachRefusedAfterExpiryClaim: the catch-up attach passes
+// the same admission check as Subscribe, so a catch-up request still
+// waiting for the ingest lock when idle expiry claims the session is refused instead of
 // binding a subscriber to a session mid-teardown (the invariant
 // TestExpireIdleVsAttachRace states for live attaches).
 func TestCatchupAttachRefusedAfterExpiryClaim(t *testing.T) {
@@ -457,7 +457,7 @@ func TestSubscribeFromShedRecorded(t *testing.T) {
 // TestReorderHeapDeterministicTies: the resequencing heap must pop
 // identically-timestamped reports in a deterministic order — time, then
 // reader ID, then arrival. Property-tested over random arrival streams
-// with many ties: pops interleaved with pushes (as the pump releases a
+// with many ties: pops interleaved with pushes (as ingest releases a
 // window) each return the earliest-arrived of the least (time, reader)
 // pending, and draining the rest pops them in the stable sort of their
 // arrival order by (time, reader).

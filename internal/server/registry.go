@@ -23,8 +23,8 @@ type RegistryConfig struct {
 	// NewEngine binds a new session to a tracking engine. Required.
 	NewEngine EngineFactory
 
-	// WAL, when non-nil, makes every session durable: the pump records
-	// its canonical resequenced report stream in a per-session
+	// WAL, when non-nil, makes every session durable: ingest records
+	// the session's canonical resequenced report stream in a per-session
 	// write-ahead log, closed-but-retained sessions are rehydrated into
 	// the registry as "recovered" at construction, and retrace /
 	// ?from=seq catch-up serve from the record. NewReplayer is then
@@ -184,7 +184,7 @@ func (k Knobs) Validate() (Knobs, error) {
 			ErrBadSpec, k.ParkThreshold, k.ShedThreshold)
 	}
 	k.Capacity = k.Capacity.withDefaults()
-	level, err := parseLevel(k.LogLevel)
+	level, err := ParseLevel(k.LogLevel)
 	if err != nil {
 		return k, err
 	}
@@ -243,7 +243,7 @@ func (r *Registry) UpdateKnobs(patch []byte) error {
 // publish makes a validated record the registry's knobs. The level gate
 // is shared with the logger, so it is set from the record here.
 func (r *Registry) publish(k Knobs) {
-	level, _ := parseLevel(k.LogLevel)
+	level, _ := ParseLevel(k.LogLevel)
 	r.levelVar.Set(level)
 	r.knobs.Store(&k)
 }

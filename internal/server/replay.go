@@ -60,7 +60,7 @@ func SystemFor(base *core.System, geometry string, search *vote.SearchConfig) (*
 }
 
 // ReplayLog feeds a recorded session's log, up to head (0 = all of it),
-// through rp the way the live pump fed its engine: each report is
+// through rp the way the live session fed its engine: each report is
 // offered, each flush or close record closes the open sweeps, and a
 // final flush closes whatever a torn or still-open log left open (a
 // no-op after a log whose last record already was a flush, so clean and
@@ -124,11 +124,11 @@ func SearchFromMeta(m wal.SearchMeta) *vote.SearchConfig {
 // recorded history replayed from the WAL — the events of its tier that
 // log records with sequence ≥ from (0 = everything) produced live — and,
 // on a live session, spliced onto the live event stream at the log head
-// without gap or duplicate. The splice is pump-mediated: the pump drains
-// (so everything emitted live so far is on disk), admits and attaches
-// the subscriber, snapshots the head, and live events park for it until
-// the replayed prefix has been delivered. On a recovered session the
-// replay ends with an "end" event instead.
+// without gap or duplicate. The splice runs under the ingest lock: a
+// drain (so everything emitted live so far is on disk), the admission
+// and attach, and the head snapshot; live events then park for the
+// subscriber until the replayed prefix has been delivered. On a
+// recovered session the replay ends with an "end" event instead.
 func (s *Session) SubscribeFrom(from uint64, o SubscribeOptions) (*Subscriber, error) {
 	if s.reg.cfg.WAL == nil || s.reg.cfg.NewReplayer == nil {
 		return nil, ErrNoWAL
@@ -144,22 +144,21 @@ func (s *Session) SubscribeFrom(from uint64, o SubscribeOptions) (*Subscriber, e
 		go s.runCatchup(sub, from, 0, true)
 		return sub, nil
 	}
-	// The attach runs on the pump right after a drain, so the head the
-	// subscriber snapshots exactly covers everything already emitted to
-	// live subscribers: every event after the attach derives from
-	// records past the head. An attach mid-stroke thus ends the stroke,
-	// live and in the replay.
-	var refused error
-	head, err := s.drainHead(func() {
+	// The attach runs under the ingest lock right after a drain, so the
+	// head the subscriber snapshots exactly covers everything already
+	// emitted to live subscribers: every event after the attach derives
+	// from records past the head. An attach mid-stroke thus ends the
+	// stroke, live and in the replay.
+	s.ingestMu.Lock()
+	head, err := s.drainHeadLocked()
+	if err == nil {
 		s.emitMu.Lock()
-		refused = s.attachLocked(sub)
+		err = s.attachLocked(sub)
 		s.emitMu.Unlock()
-	})
+	}
+	s.ingestMu.Unlock()
 	if err != nil {
 		return nil, err
-	}
-	if refused != nil {
-		return nil, refused
 	}
 	go s.runCatchup(sub, from, head, false)
 	return sub, nil
@@ -289,8 +288,8 @@ func (s *Session) effectiveSearch(override *vote.SearchConfig) *vote.SearchConfi
 // are gob-byte-identical to the live trace of the recorded stream (the
 // disk round-trip extension of the batch/streaming equivalence gate);
 // a non-nil search re-traces the same record under different tunables.
-// On a live session the pump drains first, so the retrace covers
-// everything ingested before the call. An override is bounded like a
+// On a live session it drains first, so the retrace covers everything
+// ingested before the call. An override is bounded like a
 // session's own search (ErrBadSpec otherwise).
 func (s *Session) Retrace(search *vote.SearchConfig) ([]engine.TagResult, uint64, error) {
 	if search != nil {
@@ -303,13 +302,13 @@ func (s *Session) Retrace(search *vote.SearchConfig) ([]engine.TagResult, uint64
 	}
 	head := uint64(0)
 	if !s.Recovered() {
-		// Drain and snapshot the head in one pump step: everything at or
-		// below a drain-boundary head is complete and synced on disk,
-		// whereas reading walSeq from this goroutine could see a record
-		// the pump is mid-write on. A session that closed under us is
-		// fine — its log was completed and compacted by the close, so
-		// the plain head read is stable.
-		h, err := s.drainHead(nil)
+		// Drain and snapshot the head under one hold of the ingest lock:
+		// everything at or below a drain-boundary head is complete and
+		// synced on disk, whereas reading walSeq without the lock could
+		// see a record an ingest call is mid-write on. A session that
+		// closed under us is fine — its log was completed and compacted
+		// by the close, so the plain head read is stable.
+		h, err := s.drainHead()
 		if errors.Is(err, ErrSessionClosed) {
 			h = s.walSeq.Load()
 		} else if err != nil {

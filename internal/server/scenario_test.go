@@ -44,7 +44,7 @@ func profilesUnderTest(t *testing.T) []corpus.Profile {
 // profileRun is one profile's cached simulated scenario: the clean run
 // and the faulted report stream in arrival order. Faults are applied to
 // the merged (true-time-ordered) stream, not per reader: arrival order
-// is wall-clock order, so a reader whose clock is skewed hands the pump
+// is wall-clock order, so a reader whose clock is skewed hands the session
 // timestamps that genuinely disagree with its neighbors' — re-sorting by
 // the faulted timestamps would hide exactly the disorder the reorder
 // window exists to absorb.
@@ -303,7 +303,7 @@ func meanTraceError(t *testing.T, pr *profileRun, results []engine.TagResult) (m
 }
 
 // TestScenarioGracefulDegradation: faulted single-room profiles must
-// still trace (no pump stall, points produced) with position error
+// still trace (no ingest stall, points produced) with position error
 // bounded relative to the clean control — faults degrade the trace, they
 // must not detonate it. The multiroom profile only has to keep the
 // equivalence chain (covered above): its second room's arrays hear the

@@ -18,8 +18,8 @@
 //   - a streaming API (http.go): JSON control endpoints for session
 //     lifecycle plus a chunked live stream (NDJSON or binary frames) of
 //     trace points and recognized glyphs per session. Every subscriber,
-//     HTTP or in-process, is fed by one per-session group-commit flusher
-//     (session.go) through a bounded queue with a drop-oldest
+//     HTTP or in-process, is fed by one per-session group commit
+//     (delivery.go) through a bounded queue with a drop-oldest
 //     slow-consumer policy, and attaches beyond the configured caps are
 //     shed (HTTP 503);
 //   - an observability surface (metrics.go): /healthz and /metrics with

@@ -125,7 +125,7 @@ func feedSession(t testing.TB, run *sim.MultiWordRun, sess *Session) {
 	}
 }
 
-// awaitIngested waits until the session's pump has taken in n reports.
+// awaitIngested waits until the session has taken in n reports.
 // The ingest gateway reads a reader socket on its own goroutine, so
 // reports a client has sent — even after closing its stream — can still
 // be in flight; a drain that overtakes them, and a delete after it, can
@@ -181,37 +181,47 @@ func awaitSpliced(t *testing.T, sess *Session) {
 	}
 }
 
-// TestPumpIdleTickWaitsForQueuedInput: a housekeeping tick that finds
-// input queued is not silence. The test plays the pump's goroutine on a
-// session shell, so the pump's select cannot race it: with reports held
-// in the reorder window and one more waiting in the inbox, two ticks must
-// not drain; once the pump has taken the input, two ticks must.
+// TestPumpIdleTickWaitsForQueuedInput: a housekeeping tick that finds an
+// offer in flight is not silence. The test plays the loop's ticks on a
+// session shell, whose loop never starts, so no real tick races them:
+// with reports held in the reorder window and an OfferBatch waiting for
+// the ingest lock the test holds, two ticks must not drain; once the
+// offer has returned, the next tick is the first idle one and the one
+// after it drains.
 func TestPumpIdleTickWaitsForQueuedInput(t *testing.T) {
 	run, _ := scenario(t)
 	reg := testRegistry(t, RegistryConfig{NoRecognize: true})
-	s := sessionShell(reg, SessionSpec{ID: "pump-idle"}, resumeState{})
-	s.handleSweep(perTagSweep(run))
+	s := sessionShell(reg, SessionSpec{ID: "pump-idle", Sweep: perTagSweep(run)}, resumeState{})
+	reps := realtime.MergeStreams(run.ReportsRF...)
+	if err := s.OfferBatch(reps[:8]); err != nil {
+		t.Fatal(err)
+	}
 	if s.eng == nil {
 		t.Fatal("no engine built")
 	}
 	defer s.eng.Close()
-	reps := realtime.MergeStreams(run.ReportsRF...)
-	for _, rep := range reps[:8] {
-		s.handleReport(rep, 0)
-	}
 	held := s.reorder.Len()
 	if held == 0 {
 		t.Fatal("no report held in the reorder window")
 	}
-	s.inbox <- ingestItem{burst: &[]rfid.Report{reps[8]}}
-	var clock pumpClock
+	s.ingestMu.Lock()
+	offered := make(chan error, 1)
+	go func() { offered <- s.OfferBatch(reps[8:9]) }()
+	if !awaitBlocked("(*Session).OfferBatch") {
+		s.ingestMu.Unlock()
+		t.Fatal("the offer never waited for the ingest lock")
+	}
+	var clock loopClock
 	s.tick(&clock)
 	s.tick(&clock)
 	if s.reorder.Len() != held {
-		t.Fatalf("two ticks with input queued drained the session: %d held reports became %d", held, s.reorder.Len())
+		s.ingestMu.Unlock()
+		t.Fatalf("two ticks with an offer in flight drained the session: %d held reports became %d", held, s.reorder.Len())
 	}
-	s.handle(<-s.inbox)
-	clock.idle = 0 // what the pump does on every inbox item
+	s.ingestMu.Unlock()
+	if err := <-offered; err != nil {
+		t.Fatal(err)
+	}
 	s.tick(&clock)
 	if s.reorder.Len() == 0 {
 		t.Fatal("one idle tick drained the session")

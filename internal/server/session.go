@@ -35,9 +35,12 @@ var (
 )
 
 // Session binds one client's tag-set to a tracking engine and fans its
-// live output to subscribers. All ingest flows through a single pump
-// goroutine (satisfying the engine's single-ingest-goroutine contract);
-// output events are emitted from engine shard goroutines under emitMu.
+// live output to subscribers. Ingest runs on its callers' goroutines,
+// serialized by ingestMu (the engine's serialized-caller contract): each
+// OfferBatch resequences, logs and offers its reports before it returns.
+// Output events are emitted from engine shard goroutines under emitMu.
+// One goroutine of the session's own, the loop, keeps its clock (idle
+// drain, stats refresh) and group-commits events to subscribers.
 type Session struct {
 	ID      string
 	Created time.Time
@@ -57,11 +60,16 @@ type Session struct {
 
 	reg *Registry
 
-	inbox    chan ingestItem
+	// quit stops the loop; loopDone closes when it has exited.
 	quit     chan struct{}
-	pumpDone chan struct{}
+	loopDone chan struct{}
 	// stopOnce runs the teardown once; see stop.
 	stopOnce sync.Once
+	// offersBegun and offersDone count OfferBatch calls as they start
+	// and as they return: the loop's idle rule reads input in flight,
+	// lock wait included, without taking the ingest lock (see tick).
+	offersBegun atomic.Uint64
+	offersDone  atomic.Uint64
 
 	// lastActive is the idle-GC clock (unix nanos), touched by ingest,
 	// reader attach and subscriber attach.
@@ -70,8 +78,9 @@ type Session struct {
 	// emitMu is the session lock. It serializes the lifecycle state's
 	// transitions, guards the reader and subscriber sets (so every attach
 	// is checked against the state it lands in), and the emitter and
-	// group-commit state written from engine shard goroutines (OnUpdate)
-	// and the pump. Lock order: the registry lock, then this one.
+	// group-commit state written from engine shard goroutines (OnUpdate),
+	// ingest calls and the loop. Lock order: the registry lock, then
+	// ingestMu, then this one; shard goroutines take only this one.
 	emitMu sync.Mutex
 	// state holds a sessionState. It is written only under emitMu but
 	// loaded without it, so the registry can scan its table under its own
@@ -82,32 +91,41 @@ type Session struct {
 	// em produces the session's events from its engine's updates (nil on
 	// recovered sessions: they have no engine).
 	em *emitter
-	// Group-commit state (guarded by emitMu except the channels): events
+	// Group-commit state (guarded by emitMu except the channel): events
 	// bound for subscribers accumulate in emitBuf, the oldest stamped
-	// emitEnq; emitKick (cap 1) nudges the emitFlusher goroutine, which
-	// swaps the buffer against emitSpare, builds one batch per tier in
-	// each needed form and queues it to every subscriber at that tier.
-	// emitQuit/emitDone sequence the final drain into Close, after the
-	// pump's end event and before the subscriber sweep. All nil on
-	// recovered sessions (no flusher).
+	// emitEnq; emitKick (cap 1) nudges the loop, which swaps the buffer
+	// against emitSpare, builds one batch per tier in each needed form
+	// and queues it to every subscriber at that tier. The teardown
+	// commits the last batch, end event included, after the loop has
+	// exited and before the subscriber sweep. Nil on recovered sessions
+	// (no loop).
 	emitBuf   []Event
 	emitSpare []Event
 	emitEnq   int64
 	emitKick  chan struct{}
-	emitQuit  chan struct{}
-	emitDone  chan struct{}
-	// emitPace is the flusher's fan-out-aware accumulation window in
-	// nanoseconds (atomic: written under emitMu, read by the flusher
-	// before locking). Delivering a batch costs every subscriber a
-	// wake and (for a stream writer) a socket write, so at wide fan-out
-	// the flusher waits this long after a kick before committing, letting
-	// the batch grow and amortizing the per-subscriber cost; at small
-	// fan-out the window rounds to zero and every event flushes
-	// immediately.
+	// emitPace is the loop's fan-out-aware accumulation window in
+	// nanoseconds (atomic: written under emitMu, read by the loop before
+	// locking). Delivering a batch costs every subscriber a wake and (for
+	// a stream writer) a socket write, so at wide fan-out the loop waits
+	// this long after a kick before committing, letting the batch grow
+	// and amortizing the per-subscriber cost; at small fan-out the window
+	// rounds to zero and every event flushes immediately.
 	emitPace atomic.Int64
 
-	// pump-owned state (no locking: single goroutine).
+	// ingestMu serializes ingest: OfferBatch, cadence announcements,
+	// drains (Flush, the catch-up attach, retrace's head snapshot, the
+	// loop's idle tick) and the teardown's final drain. It guards the
+	// state below, and only the loop and ingest callers take it: nothing
+	// holding the registry lock or emitMu does, so an engine Offer
+	// blocked on a full shard under it cannot deadlock.
+	ingestMu sync.Mutex
+	// stopped is set by the teardown under ingestMu; later ingest calls
+	// and drains fail with ErrSessionClosed. Recovered sessions are born
+	// stopped.
+	stopped bool
 	eng     *engine.Engine
+	// sweep is the cadence the spec recorded at open, until the first
+	// engine build consumes it (see startEngineLocked).
 	sweep   time.Duration
 	reorder reportHeap
 	maxSeen time.Duration
@@ -118,25 +136,26 @@ type Session struct {
 	// making drains — and their logged flush records — idempotent.
 	log         *wal.Log
 	engineDirty bool
-	// released collects what the reorder buffer releases while the pump
-	// handles one inbox item, and offerBuf holds its reports for the
-	// engine; handOff empties both at the item's end (reused buffers).
+	// released collects what the reorder buffer releases during one
+	// ingest call or drain, and offerBuf holds its reports for the
+	// engine; handOff empties both at the call's end (reused buffers).
 	released []orderedReport
 	offerBuf []rfid.Report
 
-	// walSeq is the log's head sequence number: incremented by the pump
-	// as it appends, read by retrace and catch-up snapshots.
+	// walSeq is the log's head sequence number: incremented under
+	// ingestMu as records are appended, read by retrace and catch-up
+	// snapshots.
 	walSeq atomic.Uint64
-	// walBytes mirrors the log's on-disk size (pump refreshes it with the
-	// stats snapshot) for the cost meter's WAL-bandwidth rate.
+	// walBytes mirrors the log's on-disk size (refreshed with the stats
+	// snapshot) for the cost meter's WAL-bandwidth rate.
 	walBytes atomic.Int64
 	// cost turns the session's counters into demand rates (see cost.go).
 	cost costMeter
-	// sweepNs mirrors the pump's sweep cadence for non-pump readers
-	// (retrace and catch-up need it to rebuild the pipeline).
+	// sweepNs mirrors the engine's sweep cadence for readers outside the
+	// ingest lock (retrace and catch-up need it to rebuild the pipeline).
 	sweepNs atomic.Int64
 
-	// statsMu guards the last engine stats snapshot the pump refreshes.
+	// statsMu guards the last engine stats snapshot refreshStats takes.
 	statsMu   sync.Mutex
 	lastStats []engine.TagStats
 
@@ -175,10 +194,10 @@ type Session struct {
 	// spans retains sampled stage-by-stage report traces (trace_sample_n
 	// control knob; GET /v1/sessions/{id}/trace).
 	spans *obs.SpanRing
-	// openSpan is the in-flight sampled span: the pump publishes it at
-	// reorder release, the emitting shard goroutine completes it. Each
-	// span leaves the slot and enters spans under spanMu, so the ring
-	// holds spans in the order the pump released their reports; the
+	// openSpan is the in-flight sampled span: the ingest call publishes
+	// it at reorder release, the emitting shard goroutine completes it.
+	// Each span leaves the slot and enters spans under spanMu, so the
+	// ring holds spans in the order their reports were released; the
 	// shard reads the slot without the lock first, as most updates find
 	// it empty.
 	openSpan atomic.Pointer[obs.Span]
@@ -188,10 +207,11 @@ type Session struct {
 	// observed once in the emit and end-to-end histograms.
 	lastArrival atomic.Int64
 	lastRelease atomic.Int64
-	// sampleCount is the pump's report counter for 1-in-N span sampling.
+	// sampleCount is the released-report counter for 1-in-N span
+	// sampling (under ingestMu).
 	sampleCount uint64
 	// walSegs tracks the log's segment count so rotations surface on the
-	// timeline (pump-owned).
+	// timeline (under ingestMu).
 	walSegs int
 }
 
@@ -207,15 +227,17 @@ type resumeState struct {
 	timeline *obs.Timeline
 }
 
+// newSession builds a live session and starts its loop. It runs under
+// the registry lock, so it only records the spec's sweep: the loop, or
+// an ingest call that takes the ingest lock first, builds the engine.
 func newSession(reg *Registry, spec SessionSpec, resume resumeState) *Session {
 	s := sessionShell(reg, spec, resume)
-	go s.pump(spec.Sweep)
-	go s.emitFlusher()
+	go s.loop()
 	return s
 }
 
 // sessionShell builds a live session's state, taking a MaxSessions
-// slot, without starting its pump and emit flusher goroutines.
+// slot, without starting its loop.
 func sessionShell(reg *Registry, spec SessionSpec, resume resumeState) *Session {
 	reg.live.Add(1)
 	s := &Session{
@@ -225,9 +247,8 @@ func sessionShell(reg *Registry, spec SessionSpec, resume resumeState) *Session 
 		search:     spec.Search,
 		resumeFrom: resume.from,
 		reg:        reg,
-		inbox:      make(chan ingestItem, ingestBuffer),
 		quit:       make(chan struct{}),
-		pumpDone:   make(chan struct{}),
+		loopDone:   make(chan struct{}),
 		readers:    map[net.Conn]struct{}{},
 		subs:       map[*Subscriber]struct{}{},
 		logger:     reg.logger.With("session", spec.ID),
@@ -235,8 +256,7 @@ func sessionShell(reg *Registry, spec SessionSpec, resume resumeState) *Session 
 		timeline:   resume.timeline,
 		spans:      &obs.SpanRing{},
 		emitKick:   make(chan struct{}, 1),
-		emitQuit:   make(chan struct{}),
-		emitDone:   make(chan struct{}),
+		sweep:      spec.Sweep,
 	}
 	s.em = newEmitter(reg.rec, s.emitLocked)
 	if s.timeline == nil {
@@ -256,8 +276,8 @@ func sessionShell(reg *Registry, spec SessionSpec, resume resumeState) *Session 
 }
 
 // newRecoveredSession rehydrates a closed-but-retained session from its
-// WAL at daemon startup: a registry entry with no pump and no engine,
-// addressable for retrace and ?from catch-up replay.
+// WAL at daemon startup: a registry entry with no loop and no engine,
+// born stopped, addressable for retrace and ?from catch-up replay.
 func newRecoveredSession(reg *Registry, meta wal.Meta, stats wal.Stats) *Session {
 	done := make(chan struct{})
 	close(done)
@@ -268,7 +288,8 @@ func newRecoveredSession(reg *Registry, meta wal.Meta, stats wal.Stats) *Session
 		search:   SearchFromMeta(meta.Search),
 		reg:      reg,
 		quit:     done,
-		pumpDone: done,
+		loopDone: done,
+		stopped:  true,
 		readers:  map[net.Conn]struct{}{},
 		subs:     map[*Subscriber]struct{}{},
 		logger:   reg.logger.With("session", meta.ID),
@@ -313,13 +334,13 @@ func (s *Session) Search() *vote.SearchConfig {
 type sessionState uint8
 
 const (
-	// stateLive: pump and engine run; every attach is admitted.
+	// stateLive: loop and engine run; every attach is admitted.
 	stateLive sessionState = iota
 	// stateClosing: park or idle expiry claimed the session and owns its
 	// teardown; every attach is refused.
 	stateClosing
 	// stateRecovered: the session serves its retained log only (retrace
-	// and catch-up attaches); no pump, engine or ingest.
+	// and catch-up attaches); no loop, engine or ingest.
 	stateRecovered
 	// stateGone: closed or forgotten; every attach is refused.
 	stateGone
@@ -339,7 +360,7 @@ func (s *Session) moveLocked(to sessionState) {
 }
 
 // Recovered reports whether the session serves from its retained WAL
-// only (no live pump or engine).
+// only (no live loop or engine).
 func (s *Session) Recovered() bool { return s.lifecycle() == stateRecovered }
 
 // Closing reports whether park or idle expiry has claimed the session
@@ -437,12 +458,12 @@ func (s *Session) Close() {
 	s.stop()
 }
 
-// stop ends a session that has left live (claimed or closed): the pump
-// drains pending ingest, flushes and closes the engine and its log,
-// reader connections close, subscribers get everything up to the final
-// "end" event before their queues close, and the session's counters
-// roll into the registry's retired totals. It runs once; later callers
-// wait for it to complete.
+// stop ends a session that has left live (claimed or closed): the loop
+// exits, the final drain flushes the engine, the engine and its log
+// close, reader connections close, subscribers get everything up to the
+// final "end" event before their queues close, and the session's
+// counters roll into the registry's retired totals. It runs once; later
+// callers wait for it to complete.
 func (s *Session) stop() { s.stopOnce.Do(s.teardown) }
 
 func (s *Session) teardown() {
@@ -456,20 +477,42 @@ func (s *Session) teardown() {
 	for _, c := range conns {
 		c.Close()
 	}
-	<-s.pumpDone
-	// The pump's final "end" event is in the group-commit buffer; retire
-	// the flusher (it drains on the way out) before ending the
-	// subscribers, so they get everything, end included.
-	close(s.emitQuit)
-	<-s.emitDone
+	<-s.loopDone
+	s.ingestMu.Lock()
+	// From here every ingest call and drain fails with ErrSessionClosed;
+	// one racing the close either got the lock first, and is drained
+	// here, or fails.
+	s.stopped = true
+	s.drain()
+	// Final stats snapshot BEFORE closing the engine: Stats on a closed
+	// engine returns nil, which would zero the counters just before they
+	// roll into the retired totals below.
+	s.refreshStats()
+	if s.eng != nil {
+		s.eng.Close()
+	}
+	if s.log != nil {
+		// Clean close marker + compaction: the session's record is
+		// retained on disk for recovery and retrace.
+		if err := s.log.Close(s.walSeq.Add(1)); err != nil {
+			s.logger.Error("wal close failed", "err", err)
+		}
+		s.log = nil
+	}
 	s.emitMu.Lock()
+	s.broadcastLocked(Event{Type: "end"})
+	s.emitMu.Unlock()
+	s.ingestMu.Unlock()
+	// The loop is gone, so commit the last batch, end event included,
+	// before ending the subscribers: they get everything.
+	s.emitMu.Lock()
+	s.flushEmitLocked()
 	for sub := range s.subs {
 		s.detachLocked(sub)
 	}
 	s.emitMu.Unlock()
-	// Roll the final counts into the monotonic retired counters (the
-	// pump's quit path refreshed them just before closing the engine);
-	// Swap prevents double-counting with a concurrent /metrics sum.
+	// Roll the final counts into the monotonic retired counters; Swap
+	// prevents double-counting with a concurrent /metrics sum.
 	s.reg.metrics.SearchEvalsRetired.Add(s.searchEvals.Swap(0))
 	s.reg.metrics.LeaderSwitchesRetired.Add(s.leaderSwitches.Swap(0))
 	s.reg.metrics.RetirementsRetired.Add(s.retirements.Swap(0))

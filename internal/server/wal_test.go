@@ -243,7 +243,7 @@ func TestWALRetraceMatchesLiveTrace(t *testing.T) {
 // TestRecoveredCopyHoldsEmittedPoints: a copy of the data dir taken as
 // the live engine emits — on every 16th update, on the shard goroutine,
 // before the update reaches the session — is the image a SIGKILL would
-// leave there, mid-batch and between fsyncs (SyncEvery 64). The pump
+// leave there, mid-batch and between fsyncs (SyncEvery 64). Ingest
 // commits each released batch before the engine sees a report of it,
 // so every copy holds a record of every report behind every position
 // emitted by then: replaying it emits each of those positions again, in
@@ -299,9 +299,9 @@ func TestRecoveredCopyHoldsEmittedPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Full ingest bursts release batches of about that size per inbox
-	// item: a shard can emit from a batch's first reports while the pump
-	// would still be writing its last, were the rule broken.
+	// Full ingest bursts release batches of about that size per
+	// OfferBatch: a shard can emit from a batch's first reports while
+	// ingest would still be writing its last, were the rule broken.
 	merged := realtime.MergeStreams(run.ReportsRF...)
 	for i := 0; i < len(merged); i += ingestBurst {
 		if err := sess.OfferBatch(merged[i:min(i+ingestBurst, len(merged))]); err != nil {

@@ -1,6 +1,6 @@
 // Package wal is the durability layer of the serving stack: a per-session
 // write-ahead log of the canonical resequenced report stream. The session
-// pump appends every report *after* the cross-reader reorder buffer has
+// appends every report *after* the cross-reader reorder buffer has
 // released it, so the log is exactly the stream the tracking engine saw,
 // in the order it saw it — which makes a replay of the log reproduce the
 // live trace bit for bit (the same one-core-two-schedulers property the
@@ -8,8 +8,8 @@
 //
 // Appends are group-committed: an append frames its record into the
 // log's buffer, and Log.Commit writes every pending record with one write
-// call. The pump commits each released batch before any of its reports
-// reaches the engine, so a process crash loses no record of a traced
+// call. The session commits each released batch before any of its
+// reports reaches the engine, so a process crash loses no record of a traced
 // report.
 //
 // # Layout
@@ -37,7 +37,7 @@
 //	...     payload: type byte + type-specific fields
 //
 // Record types: meta (session identity, sweep cadence), report (one
-// sequenced reader report), flush (the pump drained and closed open
+// sequenced reader report), flush (the session drained and closed open
 // sweeps — replays must flush there too, or they diverge from the live
 // trace), close (clean end of session).
 //
@@ -547,7 +547,8 @@ const reportPayloadLen = 1 + 8 + 8 + 1 + 1 + 12 + 8 + 8
 const compactedName = "00000000.wal"
 
 // Log is one session's open, appendable log. It is not safe for
-// concurrent use: exactly one goroutine (the session pump) appends.
+// concurrent use: the caller serializes appends (the session's ingest
+// lock).
 // Appended records stay pending in the log's buffer until Commit, or a
 // Sync, writes them.
 type Log struct {
@@ -651,7 +652,7 @@ func (l *Log) AppendReport(seq uint64, rep rfid.Report) error {
 	return l.seal(p, false)
 }
 
-// AppendFlush logs a pump drain (always synced: a flush is the boundary
+// AppendFlush logs a session drain (always synced: a flush is the boundary
 // retrace and catch-up snapshot at, so it must be durable and complete
 // on disk when the append returns).
 func (l *Log) AppendFlush(seq uint64) error { return l.appendMarker(typeFlush, seq) }

@@ -83,7 +83,7 @@ func collect(t *testing.T, st *Store, id string, upTo uint64) []Record {
 	return out
 }
 
-// TestWALAppendZeroAllocs gates the serving pump's durability step at
+// TestWALAppendZeroAllocs gates the serving path's durability step at
 // zero allocations: with fsync off (NoSync, as BenchmarkWALAppend runs
 // it), one released batch of 16 reports frames into the log's buffer and
 // commits with one write without allocating.
