@@ -334,8 +334,11 @@ func (s *System) OpenSession(spec SessionSpec) (*Session, error) {
 // ID returns the session's registry identity.
 func (s *Session) ID() string { return s.inner.ID }
 
-// Offer feeds one phase report. It blocks for backpressure when the
-// session's ingest queue is full and fails once the session is closed.
+// Offer feeds one phase report on the caller's goroutine: when it
+// returns, the report is resequenced and, once the reorder window
+// releases it, logged and with the engine. It blocks for backpressure
+// while another ingest call holds the session or its engine's shards are
+// full, and fails once the session is closed.
 func (s *Session) Offer(rep ReaderReport) error {
 	wire := rfid.Report{
 		Time:      rep.Time,
