@@ -522,7 +522,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // deployment's configuration (and the result is then byte-equivalent to
 // the live trace).
 type retraceRequest struct {
-	Search *SearchJSON `json:"search"`
+	Search *SearchJSON `json:"search,omitempty"`
 }
 
 // SearchJSON is the JSON shape of a SearchConfig override.
