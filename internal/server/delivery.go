@@ -579,8 +579,11 @@ func (s *Session) onUpdate(u engine.Update) {
 	if s.openSpan.Load() != nil {
 		s.spanMu.Lock()
 		if sp := s.openSpan.Swap(nil); sp != nil {
-			sp.EmitNs = now - sp.Release
-			sp.TotalNs = now - sp.Arrival
+			// Stamp after taking the span: it may have been published
+			// after now was read, and must not end before it began.
+			end := obs.Now()
+			sp.EmitNs = end - sp.Release
+			sp.TotalNs = end - sp.Arrival
 			s.spans.Add(*sp)
 		}
 		s.spanMu.Unlock()

@@ -119,12 +119,15 @@ func (s *Session) drainHeadLocked() (uint64, error) {
 // encodes and delivers a batch, later events pile into the next one, so
 // batch size adapts to load and an idle stream still flushes every event
 // at once. It builds the engine first, outside the registry lock that
-// newSession runs under, unless an ingest call got there before it.
+// newSession runs under, unless an ingest call holds the ingest lock:
+// every holder builds it itself, and the loop must not wait behind a
+// stream of offers while events pile up uncommitted.
 func (s *Session) loop() {
 	defer close(s.loopDone)
-	s.ingestMu.Lock()
-	s.startEngineLocked(0)
-	s.ingestMu.Unlock()
+	if s.ingestMu.TryLock() {
+		s.startEngineLocked(0)
+		s.ingestMu.Unlock()
+	}
 	ticker := time.NewTicker(loopTick)
 	defer ticker.Stop()
 	var clock loopClock

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -238,4 +239,44 @@ func TestConcurrentIngest(t *testing.T) {
 	t.Logf("close after %d of %d reports; live events %d", accepted.Load(), len(merged), len(liveEvents))
 	requireTagSuffixes(t, "catch-up from 0 of the closed record", tagEvents(t, "catch-up", replayed, true, 0), want, true)
 	awaitGoroutines(t, "(*Session).", sessions)
+}
+
+// TestPacedGroupCommit: nine subscribers put the loop's group commit past
+// the fan-out pace threshold, so it holds each kicked batch for the pace
+// before committing it; every subscriber still gets the same events.
+func TestPacedGroupCommit(t *testing.T) {
+	run, _ := scenario(t)
+	reg := testRegistry(t, RegistryConfig{NoRecognize: true})
+	sess, err := reg.Open(SessionSpec{ID: "paced", Sweep: perTagSweep(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]Event, 9)
+	var wg sync.WaitGroup
+	for i := range got {
+		sub, err := sess.Subscribe(SubscribeOptions{Buffer: 1 << 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ev := range sub.Events() {
+				got[i] = append(got[i], ev)
+			}
+		}()
+	}
+	if p := sess.emitPace.Load(); p < int64(emitPaceMin) {
+		t.Fatalf("nine subscribers set a pace of %v, under the %v threshold", time.Duration(p), emitPaceMin)
+	}
+	feedSession(t, run, sess)
+	sess.Close()
+	wg.Wait()
+	want := tagEvents(t, "subscriber 0", got[0], false, 0)
+	if len(want) == 0 {
+		t.Fatal("no tag events reached the subscribers")
+	}
+	for i := 1; i < len(got); i++ {
+		requireTagSuffixes(t, fmt.Sprintf("subscriber %d", i), tagEvents(t, "subscriber", got[i], false, 0), want, true)
+	}
 }
